@@ -252,12 +252,13 @@ async fn drive(
             2 => {
                 let req = Request::SubmitTask {
                     data: payload_for(id, iter, 24),
+                    hint: Vec::new(),
                 };
                 match rpc(&mut conn, &req)
                     .await
                     .map_err(|e| format!("iter {iter} submit: {e}"))?
                 {
-                    Response::Seq(_) => {}
+                    Response::Admission(adm) if adm.seq().is_some() => {}
                     other => return Err(format!("submit answered {other:?}")),
                 }
             }
@@ -268,6 +269,7 @@ async fn drive(
                 let req = Request::RequestTask {
                     bucket_id: id as u32,
                     timeout_ms: 2,
+                    location: String::new(),
                 };
                 match rpc(&mut conn, &req)
                     .await

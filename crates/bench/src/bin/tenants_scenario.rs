@@ -162,10 +162,12 @@ fn run_once(opts: &Opts, iter: u32) -> IterOutcome {
                 conn.set_tenant(&TenantSpec::new(tenant_name(i)).with_weight(tenant_weight(i)))
                     .expect("producer set_tenant");
                 for _ in 0..tasks {
-                    conn.submit_task(bytes::Bytes::from(
+                    conn.submit_task_admission(bytes::Bytes::from(
                         (t0.elapsed().as_nanos() as u64).to_le_bytes().to_vec(),
                     ))
-                    .expect("producer submit");
+                    .expect("producer submit")
+                    .seq()
+                    .expect("producer task admitted");
                 }
             })
         })

@@ -6,6 +6,11 @@
 //! correctness independent of view staleness: a piece is found as long
 //! as it lives on *any* configured member, wherever handoff has moved
 //! it, and a falsely-suspected member keeps serving its clients.
+//!
+//! Every operation is a plain `RemoteSpace` verb (no control frames), so
+//! a one-member client works against a bare `SpaceServer`: the pipeline
+//! driver and the bucket workers use this client for a single staging
+//! server and for a cluster alike.
 
 use crate::ring::{HashRing, ShardKey};
 use bytes::Bytes;
@@ -15,6 +20,7 @@ use sitra_dataspaces::{
 };
 use sitra_mesh::BBox3;
 use sitra_net::{Addr, Backoff};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::time::Duration;
 
 /// Is this failure worth one reconnect-and-retry? Transport errors are
@@ -27,41 +33,9 @@ fn retryable(err: &RemoteError) -> bool {
 struct Member {
     addr: Addr,
     conn: Mutex<Option<RemoteSpace>>,
-}
-
-impl Member {
-    /// Run `op` on this member's connection, dialing lazily and
-    /// reconnecting once when a stale connection fails with a
-    /// transport error. When the client carries a tenant, the binding
-    /// is re-declared on every fresh connection — a reconnect must not
-    /// silently fall back to the default namespace.
-    fn with<R>(
-        &self,
-        backoff: &Backoff,
-        tenant: Option<&TenantSpec>,
-        op: impl Fn(&RemoteSpace) -> Result<R, RemoteError>,
-    ) -> Result<R, RemoteError> {
-        let mut slot = self.conn.lock();
-        for attempt in 0..2 {
-            if slot.is_none() {
-                let conn = RemoteSpace::connect_retry(&self.addr, backoff)?;
-                if let Some(spec) = tenant {
-                    conn.set_tenant(spec)?;
-                }
-                *slot = Some(conn);
-            }
-            match op(slot.as_ref().expect("connected above")) {
-                Ok(r) => return Ok(r),
-                Err(e) => {
-                    *slot = None;
-                    if attempt == 1 || !retryable(&e) {
-                        return Err(e);
-                    }
-                }
-            }
-        }
-        unreachable!("loop returns on second attempt")
-    }
+    /// The last dial failed; cleared by the next one that succeeds. A
+    /// plain flag publishing no other data, hence `Relaxed`.
+    down: AtomicBool,
 }
 
 /// Per-member counters a fan-out sums into a cluster-wide view.
@@ -110,6 +84,7 @@ impl ClusterClient {
                 Ok(Member {
                     addr,
                     conn: Mutex::new(None),
+                    down: AtomicBool::new(false),
                 })
             })
             .collect::<Result<Vec<_>, RemoteError>>()?;
@@ -144,8 +119,8 @@ impl ClusterClient {
     /// (counters summed across members).
     pub fn tenant_stats(&self) -> Vec<TenantRow> {
         let mut by_name: std::collections::BTreeMap<String, TenantRow> = Default::default();
-        for m in &self.members {
-            if let Ok(rows) = m.with(&self.backoff, self.tenant.as_ref(), |c| c.tenant_stats()) {
+        for idx in 0..self.members.len() {
+            if let Ok(rows) = self.on(idx, |c| c.tenant_stats()) {
                 for r in rows {
                     let e = by_name.entry(r.name.clone()).or_insert_with(|| TenantRow {
                         name: r.name.clone(),
@@ -165,6 +140,79 @@ impl ClusterClient {
             }
         }
         by_name.into_values().collect()
+    }
+
+    /// Dial `m` and immediately declare the tenant (when one is set),
+    /// so no operation ever runs on an unbound connection — a reconnect
+    /// must not silently fall back to the default namespace. Journals
+    /// `staging.lost` once per up→down transition of the member.
+    ///
+    /// While any member is up the dial gets the full backoff: a
+    /// restarting or late-joining member is worth waiting for, and the
+    /// rest of the cluster carries the load meanwhile. Once every
+    /// member's last dial failed the staging area is gone, and each
+    /// operation gets a single attempt so callers fail fast instead of
+    /// paying the whole retry budget per operation.
+    fn dial(&self, m: &Member) -> Result<RemoteSpace, RemoteError> {
+        let dialed = if self.alive() {
+            RemoteSpace::connect_retry(&m.addr, &self.backoff)
+        } else {
+            RemoteSpace::connect(&m.addr)
+        }
+        .and_then(|conn| {
+            if let Some(spec) = &self.tenant {
+                conn.set_tenant(spec)?;
+            }
+            Ok(conn)
+        });
+        match &dialed {
+            Ok(_) => m.down.store(false, Ordering::Relaxed),
+            Err(e) => {
+                if !m.down.swap(true, Ordering::Relaxed) {
+                    sitra_obs::emit(
+                        "cluster",
+                        "staging.lost",
+                        &[("endpoint", m.addr.to_string()), ("error", e.to_string())],
+                    );
+                }
+            }
+        }
+        dialed
+    }
+
+    /// Run `op` on member `idx`'s connection, dialing lazily and
+    /// reconnecting once when a stale connection fails with a
+    /// transport error.
+    fn on<R>(
+        &self,
+        idx: usize,
+        op: impl Fn(&RemoteSpace) -> Result<R, RemoteError>,
+    ) -> Result<R, RemoteError> {
+        let m = &self.members[idx];
+        let mut slot = m.conn.lock();
+        for attempt in 0..2 {
+            if slot.is_none() {
+                *slot = Some(self.dial(m)?);
+            }
+            match op(slot.as_ref().expect("connected above")) {
+                Ok(r) => return Ok(r),
+                Err(e) => {
+                    *slot = None;
+                    if attempt == 1 || !retryable(&e) {
+                        return Err(e);
+                    }
+                }
+            }
+        }
+        unreachable!("loop returns on second attempt")
+    }
+
+    /// Whether any member is worth trying: `false` once every member's
+    /// last dial failed. A caller that checks this before each task
+    /// (the pipeline driver does) degrades at once instead of paying a
+    /// connect attempt per operation on a staging area that is gone.
+    pub fn alive(&self) -> bool {
+        self.members.iter().any(|m| !m.down.load(Ordering::Relaxed))
     }
 
     /// Number of configured members.
@@ -189,9 +237,7 @@ impl ClusterClient {
             .ring
             .owner_index(&ShardKey::new(var, version, &bbox))
             .expect("non-empty ring");
-        self.members[idx].with(&self.backoff, self.tenant.as_ref(), |c| {
-            c.put(var, version, bbox, data.clone())
-        })
+        self.on(idx, |c| c.put(var, version, bbox, data.clone()))
     }
 
     /// Spatial query fanned out to **every** member, because handoff may
@@ -211,10 +257,8 @@ impl ClusterClient {
         let mut pieces: Vec<(BBox3, Bytes)> = Vec::new();
         let mut last_err = None;
         let mut answered = false;
-        for m in &self.members {
-            match m.with(&self.backoff, self.tenant.as_ref(), |c| {
-                c.get(var, version, query)
-            }) {
+        for idx in 0..self.members.len() {
+            match self.on(idx, |c| c.get(var, version, query)) {
                 Ok(got) => {
                     answered = true;
                     pieces.extend(got);
@@ -236,10 +280,8 @@ impl ClusterClient {
         let mut latest = None;
         let mut last_err = None;
         let mut answered = false;
-        for m in &self.members {
-            match m.with(&self.backoff, self.tenant.as_ref(), |c| {
-                c.latest_version(var)
-            }) {
+        for idx in 0..self.members.len() {
+            match self.on(idx, |c| c.latest_version(var)) {
                 Ok(v) => {
                     answered = true;
                     latest = latest.max(v);
@@ -293,8 +335,7 @@ impl ClusterClient {
 
     /// [`ClusterClient::submit_task_routed`] carrying an `(endpoint,
     /// bytes)` residency hint (see [`ClusterClient::residency_hint`]).
-    /// An empty hint degenerates to the plain submission verb on the
-    /// wire, so FCFS-only servers see byte-identical traffic.
+    /// FCFS-only servers ignore the hint.
     pub fn submit_task_routed_hinted(
         &self,
         route: &str,
@@ -310,13 +351,7 @@ impl ClusterClient {
         let mut last_err = None;
         for k in 0..n {
             let idx = (owner + k) % n;
-            match self.members[idx].with(&self.backoff, self.tenant.as_ref(), |c| {
-                if hint.is_empty() {
-                    c.submit_task_admission(data.clone())
-                } else {
-                    c.submit_task_hinted(data.clone(), hint.clone())
-                }
-            }) {
+            match self.on(idx, |c| c.submit_task_hinted(data.clone(), hint.clone())) {
                 Ok(adm) => return Ok((idx, adm)),
                 Err(e) => last_err = Some(e),
             }
@@ -333,9 +368,7 @@ impl ClusterClient {
         bucket_id: u32,
         timeout: Duration,
     ) -> Result<TaskPoll, RemoteError> {
-        self.members[member_idx].with(&self.backoff, self.tenant.as_ref(), |c| {
-            c.request_task(bucket_id, timeout)
-        })
+        self.request_task_located(member_idx, bucket_id, timeout, "")
     }
 
     /// [`ClusterClient::request_task`] declaring the bucket's home
@@ -349,35 +382,45 @@ impl ClusterClient {
         timeout: Duration,
         location: &str,
     ) -> Result<TaskPoll, RemoteError> {
-        self.members[member_idx].with(&self.backoff, self.tenant.as_ref(), |c| {
+        self.on(member_idx, |c| {
             c.request_task_located(bucket_id, timeout, location)
         })
+    }
+
+    /// Fault injection for tests:
+    /// [`RemoteSpace::fault_drop_during_request`] on `member_idx`'s
+    /// connection (dialed first if need be), which is then discarded so
+    /// the next operation on that member re-dials.
+    pub fn fault_drop_during_request(&self, member_idx: usize, bucket_id: u32, timeout: Duration) {
+        let _ = self.on(member_idx, |c| {
+            c.fault_drop_during_request(bucket_id, timeout);
+            Ok(())
+        });
+        *self.members[member_idx].conn.lock() = None;
     }
 
     /// Evict everything at `version` everywhere. Per-member transport
     /// errors are swallowed: eviction is an optimization, and a dead
     /// member holds nothing worth evicting.
     pub fn evict_version(&self, version: u64) {
-        for m in &self.members {
-            let _ = m.with(&self.backoff, self.tenant.as_ref(), |c| {
-                c.evict_version(version)
-            });
+        for idx in 0..self.members.len() {
+            let _ = self.on(idx, |c| c.evict_version(version));
         }
     }
 
     /// Close every member's scheduler (end of run). Unreachable
     /// members are skipped.
     pub fn close_sched(&self) {
-        for m in &self.members {
-            let _ = m.with(&self.backoff, self.tenant.as_ref(), |c| c.close_sched());
+        for idx in 0..self.members.len() {
+            let _ = self.on(idx, |c| c.close_sched());
         }
     }
 
     /// Fan out a stats poll and sum the counters.
     pub fn stats(&self) -> ClusterStats {
         let mut out = ClusterStats::default();
-        for m in &self.members {
-            if let Ok(s) = m.with(&self.backoff, self.tenant.as_ref(), |c| c.stats()) {
+        for idx in 0..self.members.len() {
+            if let Ok(s) = self.on(idx, |c| c.stats()) {
                 out.members_reporting += 1;
                 out.totals.tasks_submitted += s.tasks_submitted;
                 out.totals.tasks_assigned += s.tasks_assigned;

@@ -8,6 +8,8 @@
 //! single-byte corruption.
 
 use bytes::{BufMut, Bytes, BytesMut};
+use sitra_dataspaces::codec::{put_bytes, Rd};
+use sitra_dataspaces::RemoteError;
 
 /// A malformed control frame.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -20,6 +22,17 @@ impl std::fmt::Display for ProtoError {
 }
 
 impl std::error::Error for ProtoError {}
+
+/// The shared wire cursor reports [`RemoteError::Proto`]; a control
+/// frame's decode failure is a [`ProtoError`] with the same message.
+impl From<RemoteError> for ProtoError {
+    fn from(e: RemoteError) -> Self {
+        match e {
+            RemoteError::Proto(msg) => ProtoError(msg),
+            other => ProtoError(other.to_string()),
+        }
+    }
+}
 
 /// One cluster member: its identity is its advertised endpoint string
 /// (what clients and peers dial).
@@ -86,73 +99,11 @@ const MSG_HEARTBEAT: u8 = 4;
 const MSG_VIEW: u8 = 5;
 const MSG_ACK: u8 = 6;
 
-struct Rd {
-    buf: Bytes,
-    pos: usize,
-}
-
-impl Rd {
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn u8(&mut self) -> Result<u8, ProtoError> {
-        let b = *self
-            .buf
-            .get(self.pos)
-            .ok_or_else(|| ProtoError("truncated".into()))?;
-        self.pos += 1;
-        Ok(b)
-    }
-
-    fn u32(&mut self) -> Result<u32, ProtoError> {
-        if self.remaining() < 4 {
-            return Err(ProtoError("truncated".into()));
-        }
-        let mut a = [0u8; 4];
-        a.copy_from_slice(&self.buf[self.pos..self.pos + 4]);
-        self.pos += 4;
-        Ok(u32::from_le_bytes(a))
-    }
-
-    fn u64(&mut self) -> Result<u64, ProtoError> {
-        if self.remaining() < 8 {
-            return Err(ProtoError("truncated".into()));
-        }
-        let mut a = [0u8; 8];
-        a.copy_from_slice(&self.buf[self.pos..self.pos + 8]);
-        self.pos += 8;
-        Ok(u64::from_le_bytes(a))
-    }
-
-    fn string(&mut self) -> Result<String, ProtoError> {
-        let n = self.u32()? as usize;
-        if self.remaining() < n {
-            return Err(ProtoError("truncated string".into()));
-        }
-        let raw = self.buf.slice(self.pos..self.pos + n);
-        self.pos += n;
-        String::from_utf8(raw.to_vec()).map_err(|_| ProtoError("non-utf8 string".into()))
-    }
-
-    fn finish(self) -> Result<(), ProtoError> {
-        if self.remaining() != 0 {
-            return Err(ProtoError("trailing bytes".into()));
-        }
-        Ok(())
-    }
-}
-
-fn put_string(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
 fn put_view(buf: &mut BytesMut, view: &ClusterView) {
     buf.put_u64_le(view.epoch);
     buf.put_u32_le(view.members.len() as u32);
     for m in &view.members {
-        put_string(buf, &m.addr);
+        put_bytes(buf, m.addr.as_bytes());
     }
 }
 
@@ -178,15 +129,15 @@ pub fn encode_msg(msg: &ClusterMsg) -> Bytes {
         ClusterMsg::Hello => buf.put_u8(MSG_HELLO),
         ClusterMsg::Join { from } => {
             buf.put_u8(MSG_JOIN);
-            put_string(&mut buf, &from.addr);
+            put_bytes(&mut buf, from.addr.as_bytes());
         }
         ClusterMsg::Leave { addr } => {
             buf.put_u8(MSG_LEAVE);
-            put_string(&mut buf, addr);
+            put_bytes(&mut buf, addr.as_bytes());
         }
         ClusterMsg::Heartbeat { from, epoch } => {
             buf.put_u8(MSG_HEARTBEAT);
-            put_string(&mut buf, from);
+            put_bytes(&mut buf, from.as_bytes());
             buf.put_u64_le(*epoch);
         }
         ClusterMsg::View { view } => {
@@ -203,7 +154,7 @@ pub fn encode_msg(msg: &ClusterMsg) -> Bytes {
 
 /// Decode a control message. Total: never panics on malformed input.
 pub fn decode_msg(frame: Bytes) -> Result<ClusterMsg, ProtoError> {
-    let mut rd = Rd { buf: frame, pos: 0 };
+    let mut rd = Rd::new(frame);
     let msg = match rd.u8()? {
         MSG_HELLO => ClusterMsg::Hello,
         MSG_JOIN => ClusterMsg::Join {

@@ -159,7 +159,7 @@ fn graceful_leave_hands_off_shards_and_forwards_backlog() {
     // Park a task backlog on the leaver.
     let direct = RemoteSpace::connect(&addr("leave-b")).unwrap();
     for i in 0..3u8 {
-        direct.submit_task(Bytes::from(vec![i])).unwrap();
+        direct.submit_task_admission(Bytes::from(vec![i])).unwrap();
     }
     drop(direct);
 
@@ -228,11 +228,17 @@ fn forwarded_backlog_keeps_tenant_attribution() {
     // beta task, interleaved so forwarding has to re-declare bindings.
     let direct = RemoteSpace::connect(&addr("tleave-b")).unwrap();
     direct.set_tenant(&acme).unwrap();
-    direct.submit_task(Bytes::from_static(b"a0")).unwrap();
+    direct
+        .submit_task_admission(Bytes::from_static(b"a0"))
+        .unwrap();
     direct.set_tenant(&beta).unwrap();
-    direct.submit_task(Bytes::from_static(b"b0")).unwrap();
+    direct
+        .submit_task_admission(Bytes::from_static(b"b0"))
+        .unwrap();
     direct.set_tenant(&acme).unwrap();
-    direct.submit_task(Bytes::from_static(b"a1")).unwrap();
+    direct
+        .submit_task_admission(Bytes::from_static(b"a1"))
+        .unwrap();
     drop(direct);
 
     b.leave();

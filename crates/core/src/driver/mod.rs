@@ -70,15 +70,18 @@ pub enum StagingMode {
     /// [`SpaceServer`](sitra_dataspaces::SpaceServer) (e.g. a
     /// `sitra-staged` process) and tasks are queued in its scheduler for
     /// external bucket workers ([`crate::remote::run_bucket_worker`]).
+    /// Exactly [`StagingMode::Cluster`] with this one endpoint as the
+    /// member list — the driver has a single remote client path.
     Remote(String),
-    /// A multi-member staging cluster: the listed endpoints are
-    /// `sitra-staged` instances bound by `sitra-cluster` membership.
-    /// Intermediates are routed to their consistent-hash ring owner,
-    /// outputs are collected by fanning gets out to every member, and
-    /// task descriptors are routed with fail-over
+    /// A staging service of one or more members: the listed endpoints
+    /// are `sitra-staged` instances (bound by `sitra-cluster`
+    /// membership when there are several). Intermediates are routed to
+    /// their consistent-hash ring owner, outputs are collected by
+    /// fanning gets out to every member, and task descriptors are
+    /// routed with fail-over
     /// ([`crate::remote::run_cluster_bucket_worker`] is the matching
-    /// worker loop). Placement stays `hybrid-remote`, so golden outputs
-    /// and replay accounting are identical to the single-server path.
+    /// worker loop). The journal placement label is `hybrid-remote`
+    /// however many members there are.
     Cluster(Vec<String>),
 }
 

@@ -39,29 +39,24 @@ pub fn run_pipeline(
             return Err(ConfigError::DuplicateLabel(w[0].to_string()));
         }
     }
-    let remote_addr = match &cfg.staging {
-        StagingMode::Remote(endpoint) => Some(endpoint.parse::<sitra_net::Addr>().map_err(
-            |e| ConfigError::InvalidEndpoint {
+    // One client path for every remote deployment: a single server is
+    // a member list of one.
+    let staging_endpoints: Vec<String> = match &cfg.staging {
+        StagingMode::Remote(endpoint) => vec![endpoint.clone()],
+        StagingMode::Cluster(endpoints) if endpoints.is_empty() => {
+            return Err(ConfigError::EmptyCluster)
+        }
+        StagingMode::Cluster(endpoints) => endpoints.clone(),
+        StagingMode::InSitu | StagingMode::Local => Vec::new(),
+    };
+    for endpoint in &staging_endpoints {
+        endpoint
+            .parse::<sitra_net::Addr>()
+            .map_err(|e| ConfigError::InvalidEndpoint {
                 endpoint: endpoint.clone(),
                 reason: e.to_string(),
-            },
-        )?),
-        StagingMode::Cluster(endpoints) => {
-            if endpoints.is_empty() {
-                return Err(ConfigError::EmptyCluster);
-            }
-            for endpoint in endpoints {
-                endpoint
-                    .parse::<sitra_net::Addr>()
-                    .map_err(|e| ConfigError::InvalidEndpoint {
-                        endpoint: endpoint.clone(),
-                        reason: e.to_string(),
-                    })?;
-            }
-            None
-        }
-        _ => None,
-    };
+            })?;
+    }
 
     // Steerable visualization: bind the steering endpoint before any
     // work runs, and publish every collected image output through the
@@ -121,18 +116,9 @@ pub fn run_pipeline(
             cfg.staging_buffer_depth,
             cfg.bucket_autoscale,
         )),
-        StagingMode::Remote(_) => Box::new(RemoteBackend::new(
+        StagingMode::Remote(_) | StagingMode::Cluster(_) => Box::new(RemoteBackend::new(
             ctx.clone(),
-            remote_addr.expect("validated above"),
-            cfg.staging_deadline,
-            cfg.staging_max_inflight,
-            n_ranks as u32,
-            cfg.staging_output_hook.clone(),
-            cfg.staging_tenant.clone(),
-        )),
-        StagingMode::Cluster(endpoints) => Box::new(RemoteBackend::new_cluster(
-            ctx.clone(),
-            endpoints.clone(),
+            staging_endpoints,
             cfg.staging_deadline,
             cfg.staging_max_inflight,
             n_ranks as u32,

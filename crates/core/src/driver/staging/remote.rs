@@ -1,5 +1,7 @@
-//! The remote staging backend: ship intermediates to a `sitra-staged`
-//! space server; external bucket workers aggregate them.
+//! The remote staging backend: ship intermediates to a staging service
+//! — a member list of one or more `sitra-staged` space servers, reached
+//! through one [`ClusterClient`] — where external bucket workers
+//! aggregate them.
 //!
 //! Flow control runs end to end: at most
 //! [`crate::PipelineConfig::staging_max_inflight`] tasks ride the wire
@@ -11,14 +13,11 @@
 //! continues with zero lost steps.
 
 use super::{BackendCaps, BackendStats, RetireCtx, Retired, StagedTask, StagingBackend};
-use crate::analysis::AnalysisOutput;
 use crate::driver::StagingOutputHook;
-use crate::remote::{
-    await_output, await_output_cluster, encode_task, intermediate_var, rank_bbox, RemoteTask,
-};
+use crate::remote::{await_output, encode_task, intermediate_var, rank_bbox, RemoteTask};
 use bytes::Bytes;
 use sitra_cluster::ClusterClient;
-use sitra_dataspaces::remote::{RemoteError, RemoteSpace};
+use sitra_dataspaces::remote::RemoteError;
 use sitra_dataspaces::{Admission, TenantSpec, DEFAULT_TENANT};
 use sitra_mesh::BBox3;
 use std::collections::BTreeSet;
@@ -30,219 +29,6 @@ const CAPS: BackendCaps = BackendCaps {
     in_transit: true,
     ships_data: true,
 };
-
-/// The cluster link keeps the single-server placement label: the same
-/// decomposition aggregates the same bytes wherever the pieces live, so
-/// golden outputs and replay accounting stay comparable across both.
-const CLUSTER_CAPS: BackendCaps = BackendCaps {
-    name: "cluster",
-    placement: "hybrid-remote",
-    in_transit: true,
-    ships_data: true,
-};
-
-/// Whether this driver is one tenant among several on a shared staging
-/// service. A driver bound to a non-default tenant must not close the
-/// scheduler at end-of-run — the service outlives any one of its
-/// tenants. No tenant (or explicitly the default one) is the legacy
-/// sole-owner deployment, which keeps close-on-exit.
-fn is_shared_tenant(tenant: Option<&TenantSpec>) -> bool {
-    tenant.is_some_and(|t| t.name != DEFAULT_TENANT)
-}
-
-/// Connection manager for the remote staging endpoint. A transport
-/// error triggers one reconnect (bounded backoff) and a retry of the
-/// failed operation; if the reconnect fails too, the endpoint is marked
-/// *lost* and every hybrid analysis degrades to in-situ aggregation for
-/// the rest of the run. Non-transport errors (protocol, server,
-/// deadline) pass through untouched — the link itself is fine.
-struct RemoteStaging {
-    addr: sitra_net::Addr,
-    conn: Option<RemoteSpace>,
-    backoff: sitra_net::Backoff,
-    /// Tenant declared on every (re)connection. The binding is
-    /// per-connection server state, so a reconnect that skipped the
-    /// re-declaration would silently demote the pipeline to the default
-    /// tenant — wrong quotas, wrong queue, wrong namespace.
-    tenant: Option<TenantSpec>,
-}
-
-impl RemoteStaging {
-    fn connect(addr: sitra_net::Addr, tenant: Option<TenantSpec>) -> Self {
-        let backoff = sitra_net::Backoff::default();
-        let conn = match Self::dial(&addr, &backoff, tenant.as_ref()) {
-            Ok(c) => Some(c),
-            Err(e) => {
-                sitra_obs::emit(
-                    "driver",
-                    "staging.lost",
-                    &[("endpoint", addr.to_string()), ("error", e.to_string())],
-                );
-                None
-            }
-        };
-        RemoteStaging {
-            addr,
-            conn,
-            backoff,
-            tenant,
-        }
-    }
-
-    /// Dial and immediately declare the tenant (when one is set), so no
-    /// operation ever runs on an unbound connection.
-    fn dial(
-        addr: &sitra_net::Addr,
-        backoff: &sitra_net::Backoff,
-        tenant: Option<&TenantSpec>,
-    ) -> Result<RemoteSpace, RemoteError> {
-        let conn = RemoteSpace::connect_retry(addr, backoff)?;
-        if let Some(spec) = tenant {
-            conn.set_tenant(spec)?;
-        }
-        Ok(conn)
-    }
-
-    fn alive(&self) -> bool {
-        self.conn.is_some()
-    }
-
-    fn with<R>(
-        &mut self,
-        mut op: impl FnMut(&RemoteSpace) -> Result<R, RemoteError>,
-    ) -> Result<R, RemoteError> {
-        let Some(conn) = self.conn.as_ref() else {
-            return Err(RemoteError::Net(sitra_net::NetError::Closed));
-        };
-        match op(conn) {
-            Err(RemoteError::Net(e)) if e.is_retryable() => {
-                match Self::dial(&self.addr, &self.backoff, self.tenant.as_ref()) {
-                    Ok(fresh) => {
-                        let res = op(&fresh);
-                        if matches!(res, Err(RemoteError::Net(_))) {
-                            self.mark_lost();
-                        } else {
-                            sitra_obs::counter("driver.staging.reconnects").inc();
-                            self.conn = Some(fresh);
-                        }
-                        res
-                    }
-                    Err(e2) => {
-                        self.mark_lost();
-                        Err(e2)
-                    }
-                }
-            }
-            other => other,
-        }
-    }
-
-    fn mark_lost(&mut self) {
-        if self.conn.take().is_some() {
-            sitra_obs::emit(
-                "driver",
-                "staging.lost",
-                &[("endpoint", self.addr.to_string())],
-            );
-        }
-    }
-}
-
-/// The staging area a [`RemoteBackend`] talks to: one space server, or
-/// a member cluster routed through [`ClusterClient`]. The enum keeps
-/// every driver-side code path (backpressure window, degradation,
-/// retirement) shared between the two deployments; only the five wire
-/// operations dispatch.
-enum Link {
-    Single(RemoteStaging),
-    Cluster(ClusterClient),
-}
-
-impl Link {
-    /// Whether submissions have any chance of landing. The cluster link
-    /// is always worth trying: connections are lazy, per-member, and a
-    /// failed member is routed around per operation.
-    fn alive(&self) -> bool {
-        match self {
-            Link::Single(s) => s.alive(),
-            Link::Cluster(_) => true,
-        }
-    }
-
-    fn put(&mut self, var: &str, step: u64, bb: BBox3, data: Bytes) -> Result<(), RemoteError> {
-        match self {
-            Link::Single(s) => s.with(|c| c.put(var, step, bb, data.clone())),
-            Link::Cluster(c) => c.put(var, step, bb, data),
-        }
-    }
-
-    /// Where a task's input bytes will live, for the scheduler's
-    /// locality placement: the ring owner of each rank piece, folded
-    /// into an `(endpoint, bytes)` map. Single-server staging has no
-    /// placement choice to inform — the hint stays empty and the wire
-    /// traffic byte-identical.
-    fn residency_hint(&self, var: &str, step: u64, parts: &[(usize, Bytes)]) -> Vec<(String, u64)> {
-        match self {
-            Link::Single(_) => Vec::new(),
-            Link::Cluster(c) => {
-                let sized: Vec<(BBox3, u64)> = parts
-                    .iter()
-                    .map(|(r, payload)| (rank_bbox(*r), payload.len() as u64))
-                    .collect();
-                c.residency_hint(var, step, &sized)
-            }
-        }
-    }
-
-    /// Submit a task descriptor; returns the serving member's index
-    /// (always 0 on a single server) with the admission verdict. A
-    /// non-empty `hint` rides along for locality-aware schedulers;
-    /// FCFS servers ignore it.
-    fn submit_task(
-        &mut self,
-        label: &str,
-        step: u64,
-        data: Bytes,
-        hint: Vec<(String, u64)>,
-    ) -> Result<(usize, Admission), RemoteError> {
-        match self {
-            Link::Single(s) => s
-                .with(|c| c.submit_task_admission(data.clone()))
-                .map(|adm| (0, adm)),
-            Link::Cluster(c) => c.submit_task_routed_hinted(label, step, data, hint),
-        }
-    }
-
-    fn await_output(
-        &mut self,
-        label: &str,
-        step: u64,
-        deadline: Instant,
-    ) -> Result<AnalysisOutput, RemoteError> {
-        match self {
-            Link::Single(s) => s.with(|c| await_output(c, label, step, deadline)),
-            Link::Cluster(c) => await_output_cluster(c, label, step, deadline),
-        }
-    }
-
-    fn evict_version(&mut self, version: u64) {
-        match self {
-            Link::Single(s) => {
-                let _ = s.with(|c| c.evict_version(version));
-            }
-            Link::Cluster(c) => c.evict_version(version),
-        }
-    }
-
-    fn close_sched(&mut self) {
-        match self {
-            Link::Single(s) => {
-                let _ = s.with(|c| c.close_sched());
-            }
-            Link::Cluster(c) => c.close_sched(),
-        }
-    }
-}
 
 /// A task shipped to the remote staging area whose output has not been
 /// collected yet. `parts` retains the in-situ intermediates so the
@@ -256,8 +42,7 @@ struct PendingRemote {
     /// the task never made it into the remote queue. Sequence numbers
     /// are per-member, so shed-victim lookup also matches `member`.
     seq: u64,
-    /// Index of the cluster member whose scheduler admitted the task
-    /// (always 0 on a single server).
+    /// Index of the member whose scheduler admitted the task.
     member: usize,
     issued: Instant,
     parts: Vec<(usize, Bytes)>,
@@ -267,8 +52,7 @@ struct PendingRemote {
 /// in-flight window and graceful degradation.
 pub struct RemoteBackend {
     ctx: RetireCtx,
-    link: Link,
-    caps: BackendCaps,
+    client: ClusterClient,
     pending: Vec<PendingRemote>,
     /// Every version (step) that had intermediates put remotely, for
     /// eviction at close time.
@@ -287,38 +71,13 @@ pub struct RemoteBackend {
 }
 
 impl RemoteBackend {
-    /// Connect to the space server at `addr`. An unreachable endpoint
-    /// does not fail the run — the staging starts out *lost* and every
-    /// submitted task degrades to in-situ aggregation.
+    /// Stage through the member list `endpoints` (one entry for a
+    /// single server), which must already be validated (non-empty,
+    /// parseable) — [`crate::run_pipeline`] checks them before
+    /// construction. Connections are dialed lazily: an unreachable
+    /// member does not fail the run, the tasks routed to it degrade to
+    /// in-situ aggregation.
     pub fn new(
-        ctx: RetireCtx,
-        addr: sitra_net::Addr,
-        deadline: Duration,
-        max_inflight: usize,
-        n_ranks: u32,
-        hook: Option<StagingOutputHook>,
-        tenant: Option<TenantSpec>,
-    ) -> Self {
-        let shared_tenant = is_shared_tenant(tenant.as_ref());
-        RemoteBackend {
-            ctx,
-            link: Link::Single(RemoteStaging::connect(addr, tenant)),
-            caps: CAPS,
-            pending: Vec::new(),
-            versions: BTreeSet::new(),
-            deadline,
-            max_inflight,
-            n_ranks,
-            hook,
-            submitted: 0,
-            shared_tenant,
-        }
-    }
-
-    /// Stage through a member cluster instead of a single server. The
-    /// endpoints must already be validated (non-empty, parseable) —
-    /// [`crate::run_pipeline`] checks them before construction.
-    pub fn new_cluster(
         ctx: RetireCtx,
         endpoints: Vec<String>,
         deadline: Duration,
@@ -334,14 +93,13 @@ impl RemoteBackend {
             sitra_net::Backoff::default(),
         )
         .expect("endpoints validated by run_pipeline");
-        let shared_tenant = is_shared_tenant(tenant.as_ref());
+        let shared_tenant = tenant.as_ref().is_some_and(|t| t.name != DEFAULT_TENANT);
         if let Some(spec) = tenant {
             client = client.with_tenant(spec);
         }
         RemoteBackend {
             ctx,
-            link: Link::Cluster(client),
-            caps: CLUSTER_CAPS,
+            client,
             pending: Vec::new(),
             versions: BTreeSet::new(),
             deadline,
@@ -375,7 +133,7 @@ impl RemoteBackend {
         let step = p.step;
         let t0 = Instant::now();
         let deadline = t0 + self.deadline;
-        let res = self.link.await_output(&label, step, deadline);
+        let res = await_output(&self.client, &label, step, deadline);
         sitra_obs::histogram("driver.staging.backpressure_wait_ns").observe(t0.elapsed());
         match res {
             Ok(output) => {
@@ -414,7 +172,9 @@ impl RemoteBackend {
         issued: Instant,
         parts: &[(usize, Bytes)],
     ) -> Result<Option<PendingRemote>, &'static str> {
-        if !self.link.alive() {
+        // Every member's last dial failed: the staging area is gone,
+        // degrade at once instead of paying a connect per operation.
+        if !self.client.alive() {
             return Err("endpoint-lost");
         }
         let label = self.ctx.analyses()[analysis_idx].label.clone();
@@ -422,7 +182,7 @@ impl RemoteBackend {
         self.versions.insert(step);
         for (r, payload) in parts {
             let bb = rank_bbox(*r);
-            if self.link.put(&var, step, bb, payload.clone()).is_err() {
+            if self.client.put(&var, step, bb, payload.clone()).is_err() {
                 return Err("endpoint-lost");
             }
         }
@@ -431,8 +191,16 @@ impl RemoteBackend {
             step,
             n_ranks: self.n_ranks,
         });
-        let hint = self.link.residency_hint(&var, step, parts);
-        let verdict = self.link.submit_task(&label, step, task, hint);
+        // Where the task's input bytes now live, for the scheduler's
+        // locality placement: the ring owner of each rank piece.
+        let sized: Vec<(BBox3, u64)> = parts
+            .iter()
+            .map(|(r, payload)| (rank_bbox(*r), payload.len() as u64))
+            .collect();
+        let hint = self.client.residency_hint(&var, step, &sized);
+        let verdict = self
+            .client
+            .submit_task_routed_hinted(&label, step, task, hint);
         let (member, seq, shed_seq) = match verdict {
             Ok((member, Admission::Accepted { seq })) => (member, seq, None),
             Ok((member, Admission::AcceptedShed { seq, shed_seq })) => {
@@ -467,7 +235,7 @@ impl RemoteBackend {
 
 impl StagingBackend for RemoteBackend {
     fn caps(&self) -> BackendCaps {
-        self.caps
+        CAPS
     }
 
     fn submit(&mut self, task: StagedTask) -> f64 {
@@ -479,8 +247,7 @@ impl StagingBackend for RemoteBackend {
             blocked += self.collect_oldest();
         }
         let shipped = self.try_ship(task.analysis_idx, task.step, task.issued, &task.parts);
-        let caps = self.caps;
-        self.ctx.record_insitu(&task, &caps, shipped.is_ok());
+        self.ctx.record_insitu(&task, &CAPS, shipped.is_ok());
         match shipped {
             Ok(None) => {}
             Ok(Some(victim)) => blocked += self.degrade(victim, "shed"),
@@ -513,7 +280,7 @@ impl StagingBackend for RemoteBackend {
         // that would have made its real deadline.
         while let Some(p) = self.pending.first() {
             let (label, step) = (self.ctx.analyses()[p.analysis_idx].label.clone(), p.step);
-            let res = self.link.await_output(&label, step, Instant::now());
+            let res = await_output(&self.client, &label, step, Instant::now());
             match res {
                 Ok(output) => {
                     let p = self.pending.remove(0);
@@ -548,12 +315,11 @@ impl StagingBackend for RemoteBackend {
         // external bucket workers retire — unless the service is shared
         // with other tenants, in which case its lifetime belongs to the
         // operator, not to whichever driver finishes first.
-        let versions: Vec<u64> = self.versions.iter().copied().collect();
-        for v in versions {
-            self.link.evict_version(v);
+        for v in &self.versions {
+            self.client.evict_version(*v);
         }
         if !self.shared_tenant {
-            self.link.close_sched();
+            self.client.close_sched();
         }
         BackendStats {
             submitted: self.submitted,

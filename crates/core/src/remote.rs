@@ -1,7 +1,9 @@
 //! Remote staging for the pipeline: intermediates, tasks, and outputs
-//! flow through a [`SpaceServer`](sitra_dataspaces::SpaceServer)
-//! (typically the `sitra-staged` binary) instead of the in-process
-//! scheduler and DART fabric.
+//! flow through one or more
+//! [`SpaceServer`](sitra_dataspaces::SpaceServer)s (typically
+//! `sitra-staged` processes) instead of the in-process scheduler and
+//! DART fabric. Driver and workers reach them through one client, the
+//! [`ClusterClient`]: a single server is a member list of one.
 //!
 //! Division of labour, mirroring the paper's deployment:
 //!
@@ -9,8 +11,9 @@
 //!   intermediate into the space under `sitra.i/{label}` at
 //!   `version = step`, region `[rank,0,0]`, then submits a *data-ready*
 //!   task descriptor ([`RemoteTask`]) to the remote scheduler.
-//! * **Bucket workers** ([`run_bucket_worker`]) — separate threads or
-//!   separate processes, connected over `inproc://` or `tcp://` — pull
+//! * **Bucket workers** ([`run_bucket_worker`],
+//!   [`run_cluster_bucket_worker`]) — separate threads or separate
+//!   processes, connected over `inproc://`, `shm://` or `tcp://` — pull
 //!   tasks FCFS, fetch every rank's piece, run the aggregation stage,
 //!   and put the encoded [`AnalysisOutput`] back under
 //!   `sitra.o/{label}`.
@@ -20,14 +23,16 @@
 //! A worker whose connection dies mid-assignment is harmless: the
 //! server requeues the unacknowledged task and the worker reconnects
 //! with bounded backoff ([`BucketWorkerOpts::backoff`]) — the
-//! integration test injects exactly this failure.
+//! integration test injects exactly this failure. A task whose rank
+//! pieces cannot all be fetched is skipped, never aggregated short; the
+//! driver re-aggregates it in-situ at its deadline.
 
 use crate::analysis::AnalysisOutput;
 use crate::placement::AnalysisSpec;
 use crate::wire::{decode_analysis_output, encode_analysis_output, WireError};
 use bytes::{BufMut, Bytes, BytesMut};
 use sitra_cluster::ClusterClient;
-use sitra_dataspaces::remote::{RemoteError, RemoteSpace, TaskPoll};
+use sitra_dataspaces::remote::{RemoteError, TaskPoll};
 use sitra_dataspaces::scoped_var;
 use sitra_mesh::BBox3;
 use sitra_net::{Addr, Backoff};
@@ -101,15 +106,16 @@ pub struct BucketWorkerOpts {
     /// Server-side wait per bucket-ready request.
     pub request_timeout: Duration,
     /// Fault injection: after this many completed tasks, drop the
-    /// connection once in the middle of a bucket-ready request (the
-    /// worker then reconnects and carries on). The doomed request waits
-    /// long enough server-side that a task **will** be assigned to the
-    /// dead connection, forcing the requeue path. `None` disables it.
+    /// connection once in the middle of a bucket-ready request to the
+    /// member being polled (the worker then reconnects and carries on).
+    /// The doomed request waits long enough server-side that a task
+    /// **will** be assigned to the dead connection, forcing the requeue
+    /// path. `None` disables it.
     pub drop_connection_after: Option<usize>,
     /// Where this bucket's results land (the worker's home endpoint):
     /// declared with every bucket-ready request so a locality-aware
-    /// scheduler can steer co-resident tasks here. `None` keeps the
-    /// legacy unlocated request verb — byte-identical on the wire.
+    /// scheduler can steer co-resident tasks here. `None` leaves the
+    /// bucket unlocated (an empty label on the wire).
     pub location: Option<String>,
 }
 
@@ -122,251 +128,6 @@ impl Default for BucketWorkerOpts {
             location: None,
         }
     }
-}
-
-/// One poll of a [`TaskSource`], transport noise already absorbed.
-enum WorkerPoll {
-    /// An assignment: the encoded [`RemoteTask`] and the tenant it
-    /// belongs to.
-    Task { data: Bytes, tenant: String },
-    /// Nothing this round (timeout, skipped member, transient error
-    /// already retried) — poll again.
-    Idle,
-    /// The worker is finished: every scheduler closed, or this bucket
-    /// was drained and retired by the capacity controller.
-    Done,
-}
-
-/// Where a bucket worker leases tasks from and stages data against —
-/// the one seam between the single-space and cluster workers. The
-/// shared core ([`run_worker_core`]) owns the whole task lifecycle
-/// (lease → decode → fetch → aggregate → store → account); a source
-/// only answers polls and moves bytes.
-trait TaskSource {
-    /// One bucket-ready poll. `completed` is the lifetime task count,
-    /// which fault injection keys off. Transient transport failures are
-    /// handled internally (reconnect, strike-out) and surface as
-    /// [`WorkerPoll::Idle`]; only fatal errors propagate.
-    fn poll(&mut self, completed: usize) -> Result<WorkerPoll, RemoteError>;
-
-    /// Fetch input pieces intersecting `query`.
-    fn get(
-        &self,
-        var: &str,
-        version: u64,
-        query: &BBox3,
-    ) -> Result<Vec<(BBox3, Bytes)>, RemoteError>;
-
-    /// Store an encoded output.
-    fn put(&self, var: &str, version: u64, bbox: BBox3, data: Bytes) -> Result<(), RemoteError>;
-
-    /// Whether a task whose inputs cannot be fully assembled (or whose
-    /// output cannot be stored) is **skipped** instead of failing the
-    /// worker. Cluster staging skips — a fan-out get can race a shard
-    /// handoff, and a partial aggregation would poison the golden
-    /// outputs, while a missing output merely degrades the task at the
-    /// driver's deadline. Single-space staging has no handoff to race,
-    /// so there an unreachable input is a real fault.
-    fn lenient(&self) -> bool;
-}
-
-/// The task lifecycle shared by both staging flavours: lease, decode,
-/// assemble rank pieces, aggregate, store, account. Returns the number
-/// of tasks completed when the source reports [`WorkerPoll::Done`].
-fn run_worker_core<S: TaskSource>(
-    source: &mut S,
-    analyses: &[AnalysisSpec],
-    bucket_id: u32,
-) -> Result<usize, RemoteError> {
-    let reg = sitra_obs::global();
-    let obs_completed = reg.counter(&format!("worker.tasks.completed{{bucket={bucket_id}}}"));
-    let obs_skipped = reg.counter(&format!("worker.tasks.skipped{{bucket={bucket_id}}}"));
-    let mut completed = 0usize;
-    loop {
-        // The bucket pool is shared across tenants, so the assignment
-        // itself names the namespace: this worker's connection stays
-        // unbound and every space access is scoped explicitly. For the
-        // default tenant the scoped name is the bare name, so legacy
-        // single-tenant traffic is byte-identical.
-        let (data, tenant) = match source.poll(completed)? {
-            WorkerPoll::Task { data, tenant } => (data, tenant),
-            WorkerPoll::Idle => continue,
-            WorkerPoll::Done => return Ok(completed),
-        };
-        let task = decode_task(&data)
-            .map_err(|e| RemoteError::Proto(format!("bad task descriptor: {e}")))?;
-        let spec = analyses.get(task.analysis_idx as usize).ok_or_else(|| {
-            RemoteError::Proto(format!("task for unknown analysis {}", task.analysis_idx))
-        })?;
-        // All rank pieces of this step; the space returns them sorted
-        // by bbox.lo, i.e. in rank order, so the aggregation sees the
-        // byte-identical part list the in-process bucket would.
-        let query = BBox3::new([0, 0, 0], [task.n_ranks.max(1) as usize, 1, 1]);
-        let pieces = match source.get(
-            &scoped_var(&tenant, &intermediate_var(&spec.label)),
-            task.step,
-            &query,
-        ) {
-            Ok(p) => p,
-            Err(_) if source.lenient() => {
-                // Every member failed the fan-out; the task's inputs are
-                // unreachable right now. Skip — the driver degrades it.
-                obs_skipped.inc();
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        let mut parts: Vec<(usize, Bytes)> = pieces
-            .into_iter()
-            .map(|(bbox, data)| (bbox.lo[0], data))
-            .collect();
-        // The space stores at most one piece per (var, step, rank), but
-        // aggregation is order-sensitive (the streaming merge tree
-        // panics on a re-declared source), so a same-rank duplicate
-        // must fail here as a protocol error instead. Identical
-        // payloads — a benign re-delivery — are collapsed.
-        parts.dedup();
-        if let Some(w) = parts.windows(2).find(|w| w[0].0 == w[1].0) {
-            return Err(RemoteError::Proto(format!(
-                "conflicting duplicate parts for rank {} of {}@{}",
-                w[0].0, spec.label, task.step
-            )));
-        }
-        if source.lenient() && parts.len() != task.n_ranks as usize {
-            // Incomplete assembly (handoff race or lost member): never
-            // aggregate short.
-            obs_skipped.inc();
-            continue;
-        }
-        let t_agg = std::time::Instant::now();
-        let out = spec.analysis.aggregate(task.step, &parts);
-        let aggregate_secs = t_agg.elapsed().as_secs_f64();
-        match source.put(
-            &scoped_var(&tenant, &output_var(&spec.label)),
-            task.step,
-            output_bbox(),
-            encode_analysis_output(&out),
-        ) {
-            Ok(()) => {}
-            Err(_) if source.lenient() => {
-                // The output's ring owner is unreachable; without the put
-                // the task is as good as skipped and the driver degrades it.
-                obs_skipped.inc();
-                continue;
-            }
-            Err(e) => return Err(e),
-        }
-        completed += 1;
-        obs_completed.inc();
-        crate::driver::emit_aggregate(
-            "worker",
-            &spec.label,
-            task.step,
-            aggregate_secs,
-            Some(bucket_id),
-            false,
-            0.0,
-            0.0,
-        );
-    }
-}
-
-/// [`TaskSource`] over one [`SpaceServer`](sitra_dataspaces::SpaceServer)
-/// connection, reconnecting with bounded backoff on transient failures.
-struct SingleSource<'a> {
-    endpoint: &'a Addr,
-    space: RemoteSpace,
-    bucket_id: u32,
-    opts: &'a BucketWorkerOpts,
-    drop_budget: Option<usize>,
-    obs_reconnects: sitra_obs::Counter,
-}
-
-impl TaskSource for SingleSource<'_> {
-    fn poll(&mut self, completed: usize) -> Result<WorkerPoll, RemoteError> {
-        if self.drop_budget == Some(completed) {
-            self.drop_budget = None;
-            // Crash at the worst moment: mid-request, response unread.
-            // The long timeout keeps the server-side bucket parked until
-            // a task is assigned to the now-dead connection; the server
-            // notices the missing ack, requeues, and the task is handed
-            // to a healthy bucket. We reconnect and pick up where we
-            // left off.
-            self.space
-                .fault_drop_during_request(self.bucket_id, Duration::from_secs(30));
-            self.space = RemoteSpace::connect_retry(self.endpoint, &self.opts.backoff)?;
-            self.obs_reconnects.inc();
-        }
-        let poll = match &self.opts.location {
-            Some(loc) => {
-                self.space
-                    .request_task_located(self.bucket_id, self.opts.request_timeout, loc)
-            }
-            None => self
-                .space
-                .request_task(self.bucket_id, self.opts.request_timeout),
-        };
-        match poll {
-            Ok(TaskPoll::Assigned { data, tenant, .. }) => Ok(WorkerPoll::Task { data, tenant }),
-            Ok(TaskPoll::Empty) => Ok(WorkerPoll::Idle),
-            // Closed ends the run; Retire ends this bucket (the capacity
-            // controller drained it) while the scheduler lives on.
-            Ok(TaskPoll::Closed) | Ok(TaskPoll::Retire) => Ok(WorkerPoll::Done),
-            Err(e) if e.is_retryable() => {
-                // Transient failure (connection lost to a server restart,
-                // network hiccup, elapsed wait): reconnect with backoff
-                // and retry. Fatal errors (protocol violations,
-                // server-reported failures) still abort the worker.
-                self.space = RemoteSpace::connect_retry(self.endpoint, &self.opts.backoff)?;
-                self.obs_reconnects.inc();
-                Ok(WorkerPoll::Idle)
-            }
-            Err(e) => Err(e),
-        }
-    }
-
-    fn get(
-        &self,
-        var: &str,
-        version: u64,
-        query: &BBox3,
-    ) -> Result<Vec<(BBox3, Bytes)>, RemoteError> {
-        self.space.get(var, version, query)
-    }
-
-    fn put(&self, var: &str, version: u64, bbox: BBox3, data: Bytes) -> Result<(), RemoteError> {
-        self.space.put(var, version, bbox, data)
-    }
-
-    fn lenient(&self) -> bool {
-        false
-    }
-}
-
-/// Run one staging bucket against a remote
-/// [`SpaceServer`](sitra_dataspaces::SpaceServer): request
-/// tasks until the scheduler closes (or retires this bucket),
-/// aggregating each and putting the encoded output back into the
-/// space. Returns the number of tasks completed.
-///
-/// `analyses` must be the same list (same order) the driver was
-/// configured with — the task descriptor carries an index into it.
-pub fn run_bucket_worker(
-    endpoint: &Addr,
-    analyses: &[AnalysisSpec],
-    bucket_id: u32,
-    opts: &BucketWorkerOpts,
-) -> Result<usize, RemoteError> {
-    let mut source = SingleSource {
-        endpoint,
-        space: RemoteSpace::connect_retry(endpoint, &opts.backoff)?,
-        bucket_id,
-        opts,
-        drop_budget: opts.drop_connection_after,
-        obs_reconnects: sitra_obs::global()
-            .counter(&format!("worker.reconnects{{bucket={bucket_id}}}")),
-    };
-    run_worker_core(&mut source, analyses, bucket_id)
 }
 
 /// Consecutive failed polls of one cluster member before the worker
@@ -440,6 +201,12 @@ impl MemberHealth {
         self.live() > 0
     }
 
+    /// Did any member's scheduler close (the run finished) — as opposed
+    /// to every member merely being unreachable?
+    fn any_closed(&self) -> bool {
+        self.closed.contains(&true)
+    }
+
     /// Should this visit actually poll `m`? Live members always poll;
     /// dead ones only on every [`MEMBER_REVIVE_EVERY`]-th visit.
     fn should_probe(&mut self, m: usize) -> bool {
@@ -483,53 +250,85 @@ impl MemberHealth {
     }
 }
 
-/// [`TaskSource`] over a member cluster: polls every member's scheduler
-/// round-robin with [`MemberHealth`] strike-out/revival bookkeeping,
-/// fetches with fan-out gets, routes puts through the ring.
-struct ClusterSource<'a> {
+/// One poll of a [`BucketWorker`], transport noise already absorbed.
+enum WorkerPoll {
+    /// An assignment: the encoded [`RemoteTask`] and the tenant it
+    /// belongs to.
+    Task { data: Bytes, tenant: String },
+    /// Nothing this round (timeout, skipped member, transient error
+    /// already retried) — poll again.
+    Idle,
+    /// The worker is finished: every scheduler closed, or this bucket
+    /// was drained and retired by the capacity controller.
+    Done,
+}
+
+/// One staging bucket over a member list (a single server is a list of
+/// one): polls every member's scheduler round-robin with
+/// [`MemberHealth`] strike-out/revival bookkeeping, fetches with
+/// fan-out gets, routes puts through the ring.
+struct BucketWorker<'a> {
     client: ClusterClient,
     health: MemberHealth,
     member: usize,
     bucket_id: u32,
     opts: &'a BucketWorkerOpts,
+    /// Pending [`BucketWorkerOpts::drop_connection_after`] injection.
+    drop_budget: Option<usize>,
+    /// The most recent retryable poll failure, reported if the worker
+    /// ends because every member was written off.
+    last_err: Option<RemoteError>,
 }
 
-impl TaskSource for ClusterSource<'_> {
-    fn poll(&mut self, _completed: usize) -> Result<WorkerPoll, RemoteError> {
+impl BucketWorker<'_> {
+    /// One bucket-ready poll. `completed` is the lifetime task count,
+    /// which fault injection keys off. Transient transport failures are
+    /// absorbed (reconnect, strike-out) and surface as
+    /// [`WorkerPoll::Idle`]; only fatal errors propagate.
+    fn poll(&mut self, completed: usize) -> Result<WorkerPoll, RemoteError> {
         // Once every member is closed or written off dead the worker
-        // retires: a written-off member's own crash handling and the
-        // driver's deadline degradation own correctness past this point.
+        // ends: a written-off member's own crash handling and the
+        // driver's deadline degradation own correctness past this
+        // point. A closed scheduler means the run finished; with none
+        // closed the staging area was lost, and a supervisor must be
+        // able to tell the two apart.
         if !self.health.any_pollable() {
-            return Ok(WorkerPoll::Done);
+            return match self.last_err.take() {
+                Some(e) if !self.health.any_closed() => Err(e),
+                _ => Ok(WorkerPoll::Done),
+            };
         }
         let n = self.client.member_count();
         self.member = (self.member + 1) % n;
         let member = self.member;
-        if self.health.closed(member) {
+        if self.health.closed(member) || !self.health.should_probe(member) {
             return Ok(WorkerPoll::Idle);
         }
-        if !self.health.should_probe(member) {
-            return Ok(WorkerPoll::Idle);
+        if self.drop_budget == Some(completed) {
+            self.drop_budget = None;
+            // Crash at the worst moment: mid-request, response unread.
+            // The long timeout keeps the server-side bucket parked until
+            // a task is assigned to the now-dead connection; the server
+            // notices the missing ack, requeues, and the task is handed
+            // to a healthy bucket. The poll below re-dials and we pick
+            // up where we left off.
+            self.client
+                .fault_drop_during_request(member, self.bucket_id, Duration::from_secs(30));
         }
         // One task request blocks until the member has work or the
         // timeout lapses. Round-robin must not multiply that wait — the
         // budget is split so a full idle rotation costs one
-        // `request_timeout`, the same bound as the single-space worker.
-        // Re-derived every poll over the *live* member count: once
-        // members die or close, a stale full-membership split would
-        // shrink the rotation far below the budget and the worker would
-        // hammer the survivors with short polls.
+        // `request_timeout` however many members there are. Re-derived
+        // every poll over the *live* member count: once members die or
+        // close, a stale full-membership split would shrink the
+        // rotation far below the budget and the worker would hammer the
+        // survivors with short polls.
         let poll_timeout = self.opts.request_timeout / self.health.live().max(1) as u32;
-        let poll = match &self.opts.location {
-            Some(loc) => {
-                self.client
-                    .request_task_located(member, self.bucket_id, poll_timeout, loc)
-            }
-            None => self
-                .client
-                .request_task(member, self.bucket_id, poll_timeout),
-        };
-        match poll {
+        let location = self.opts.location.as_deref().unwrap_or("");
+        match self
+            .client
+            .request_task_located(member, self.bucket_id, poll_timeout, location)
+        {
             Ok(p) => {
                 self.health.note_ok(member);
                 match p {
@@ -555,42 +354,138 @@ impl TaskSource for ClusterSource<'_> {
                 if self.health.note_err(member) {
                     std::thread::sleep(self.opts.backoff.initial);
                 }
+                self.last_err = Some(e);
                 Ok(WorkerPoll::Idle)
             }
             Err(e) => Err(e),
         }
     }
 
-    fn get(
-        &self,
-        var: &str,
-        version: u64,
-        query: &BBox3,
-    ) -> Result<Vec<(BBox3, Bytes)>, RemoteError> {
-        self.client.get(var, version, query)
-    }
-
-    fn put(&self, var: &str, version: u64, bbox: BBox3, data: Bytes) -> Result<(), RemoteError> {
-        self.client.put(var, version, bbox, data)
-    }
-
-    fn lenient(&self) -> bool {
-        true
+    /// The task lifecycle: lease, decode, assemble rank pieces,
+    /// aggregate, store, account. Returns the number of tasks completed
+    /// when [`Self::poll`] reports [`WorkerPoll::Done`].
+    ///
+    /// A task whose pieces cannot all be found — the get raced a shard
+    /// handoff, a member crashed with pieces aboard, a rank's put never
+    /// landed — is **skipped**, never aggregated short: a partial
+    /// aggregation would put a wrong-but-present output that poisons
+    /// the golden-output oracle, while a missing output merely trips
+    /// the driver's deadline and degrades the task to an in-situ
+    /// re-aggregation.
+    fn run(&mut self, analyses: &[AnalysisSpec]) -> Result<usize, RemoteError> {
+        let bucket_id = self.bucket_id;
+        let reg = sitra_obs::global();
+        let obs_completed = reg.counter(&format!("worker.tasks.completed{{bucket={bucket_id}}}"));
+        let obs_skipped = reg.counter(&format!("worker.tasks.skipped{{bucket={bucket_id}}}"));
+        let mut completed = 0usize;
+        loop {
+            // The bucket pool is shared across tenants, so the assignment
+            // itself names the namespace: this worker's connections stay
+            // unbound and every space access is scoped explicitly. For
+            // the default tenant the scoped name is the bare name.
+            let (data, tenant) = match self.poll(completed)? {
+                WorkerPoll::Task { data, tenant } => (data, tenant),
+                WorkerPoll::Idle => continue,
+                WorkerPoll::Done => return Ok(completed),
+            };
+            let task = decode_task(&data)
+                .map_err(|e| RemoteError::Proto(format!("bad task descriptor: {e}")))?;
+            let spec = analyses.get(task.analysis_idx as usize).ok_or_else(|| {
+                RemoteError::Proto(format!("task for unknown analysis {}", task.analysis_idx))
+            })?;
+            // All rank pieces of this step; the space returns them sorted
+            // by bbox.lo, i.e. in rank order, so the aggregation sees the
+            // byte-identical part list the in-process bucket would.
+            let query = BBox3::new([0, 0, 0], [task.n_ranks.max(1) as usize, 1, 1]);
+            let Ok(pieces) = self.client.get(
+                &scoped_var(&tenant, &intermediate_var(&spec.label)),
+                task.step,
+                &query,
+            ) else {
+                // Every member failed the fan-out; the task's inputs are
+                // unreachable right now. Skip — the driver degrades it.
+                obs_skipped.inc();
+                continue;
+            };
+            let mut parts: Vec<(usize, Bytes)> = pieces
+                .into_iter()
+                .map(|(bbox, data)| (bbox.lo[0], data))
+                .collect();
+            // The space stores at most one piece per (var, step, rank), but
+            // aggregation is order-sensitive (the streaming merge tree
+            // panics on a re-declared source), so a same-rank duplicate
+            // must fail here as a protocol error instead. Identical
+            // payloads — a benign re-delivery — are collapsed.
+            parts.dedup();
+            if let Some(w) = parts.windows(2).find(|w| w[0].0 == w[1].0) {
+                return Err(RemoteError::Proto(format!(
+                    "conflicting duplicate parts for rank {} of {}@{}",
+                    w[0].0, spec.label, task.step
+                )));
+            }
+            if parts.len() != task.n_ranks as usize {
+                obs_skipped.inc();
+                continue;
+            }
+            let t_agg = std::time::Instant::now();
+            let out = spec.analysis.aggregate(task.step, &parts);
+            let aggregate_secs = t_agg.elapsed().as_secs_f64();
+            if self
+                .client
+                .put(
+                    &scoped_var(&tenant, &output_var(&spec.label)),
+                    task.step,
+                    output_bbox(),
+                    encode_analysis_output(&out),
+                )
+                .is_err()
+            {
+                // The output's ring owner is unreachable; without the put
+                // the task is as good as skipped and the driver degrades it.
+                obs_skipped.inc();
+                continue;
+            }
+            completed += 1;
+            obs_completed.inc();
+            crate::driver::emit_aggregate(
+                "worker",
+                &spec.label,
+                task.step,
+                aggregate_secs,
+                Some(bucket_id),
+                false,
+                0.0,
+                0.0,
+            );
+        }
     }
 }
 
-/// Run one staging bucket against a member cluster: poll every member's
+/// Run one staging bucket against a single
+/// [`SpaceServer`](sitra_dataspaces::SpaceServer): the one-member case
+/// of [`run_cluster_bucket_worker`].
+pub fn run_bucket_worker(
+    endpoint: &Addr,
+    analyses: &[AnalysisSpec],
+    bucket_id: u32,
+    opts: &BucketWorkerOpts,
+) -> Result<usize, RemoteError> {
+    run_cluster_bucket_worker(&[endpoint.to_string()], analyses, bucket_id, opts)
+}
+
+/// Run one staging bucket against a member list: poll every member's
 /// scheduler round-robin, fetch each task's rank pieces with a fan-out
 /// get (they may live on any member, or be mid-handoff), aggregate, and
-/// route the output back through the ring. Returns the number of tasks
-/// completed when every member's scheduler has closed or died.
+/// route the output back through the ring.
 ///
-/// A task whose pieces cannot all be found — the get raced a shard
-/// handoff, or a member crashed with pieces aboard — is **skipped**,
-/// never aggregated short: a partial aggregation would put a
-/// wrong-but-present output that poisons the golden-output oracle,
-/// while a missing output merely trips the driver's deadline and
-/// degrades the task to an in-situ re-aggregation.
+/// Returns the number of tasks completed once a scheduler has closed
+/// (or retired this bucket) and no member is left to poll. When every
+/// member was written off unreachable and none ever closed, the staging
+/// area was lost rather than finished: the last transport error is
+/// returned so a supervisor can restart the worker.
+///
+/// `analyses` must be the same list (same order) the driver was
+/// configured with — the task descriptor carries an index into it.
 pub fn run_cluster_bucket_worker(
     endpoints: &[String],
     analyses: &[AnalysisSpec],
@@ -603,36 +498,41 @@ pub fn run_cluster_bucket_worker(
         endpoints.iter().cloned(),
         opts.backoff,
     )?;
-    let n = client.member_count();
-    let mut source = ClusterSource {
+    let health = MemberHealth::new(client.member_count());
+    BucketWorker {
         client,
-        health: MemberHealth::new(n),
+        health,
         member: 0,
         bucket_id,
         opts,
-    };
-    run_worker_core(&mut source, analyses, bucket_id)
+        drop_budget: opts.drop_connection_after,
+        last_err: None,
+    }
+    .run(analyses)
 }
 
-/// The poll loop shared by [`await_output`] and
-/// [`await_output_cluster`]: `get` is however the caller queries its
-/// staging area for output pieces.
-fn await_output_with<G>(
-    get: G,
+/// Poll the staging area until the output of `(label, step)` appears,
+/// decode it, or give up at `deadline` with [`RemoteError::Timeout`].
+/// Each poll fans the get out to every member, so the output is found
+/// wherever its worker put it — including mid-rebalance, when the
+/// owning member just changed.
+///
+/// The poll interval backs off exponentially (capped) so a long wait
+/// does not hammer the servers, and the final sleep is clamped to the
+/// time remaining so the deadline is honoured instead of overslept.
+pub fn await_output(
+    client: &ClusterClient,
     label: &str,
     step: u64,
     deadline: std::time::Instant,
-) -> Result<AnalysisOutput, RemoteError>
-where
-    G: Fn(&str, u64, &BBox3) -> Result<Vec<(BBox3, Bytes)>, RemoteError>,
-{
+) -> Result<AnalysisOutput, RemoteError> {
     const FIRST_SLEEP: Duration = Duration::from_micros(500);
     const MAX_SLEEP: Duration = Duration::from_millis(20);
     let var = output_var(label);
     let q = output_bbox();
     let mut sleep = FIRST_SLEEP;
     loop {
-        let pieces = get(&var, step, &q)?;
+        let pieces = client.get(&var, step, &q)?;
         if let Some((_, data)) = pieces.into_iter().next() {
             return decode_analysis_output(data)
                 .map_err(|e| RemoteError::Proto(format!("bad output for {label}@{step}: {e}")));
@@ -646,33 +546,6 @@ where
         std::thread::sleep(sleep.min(left));
         sleep = (sleep * 2).min(MAX_SLEEP);
     }
-}
-
-/// Poll the space until the output of `(label, step)` appears, decode
-/// it, or give up at `deadline` with [`RemoteError::Timeout`].
-///
-/// The poll interval backs off exponentially (capped) so a long wait
-/// does not hammer the server, and the final sleep is clamped to the
-/// time remaining so the deadline is honoured instead of overslept.
-pub fn await_output(
-    space: &RemoteSpace,
-    label: &str,
-    step: u64,
-    deadline: std::time::Instant,
-) -> Result<AnalysisOutput, RemoteError> {
-    await_output_with(|var, v, q| space.get(var, v, q), label, step, deadline)
-}
-
-/// [`await_output`] against a staging cluster: each poll fans the get
-/// out to every member, so the output is found wherever its worker put
-/// it — including mid-rebalance, when the owning member just changed.
-pub fn await_output_cluster(
-    client: &ClusterClient,
-    label: &str,
-    step: u64,
-    deadline: std::time::Instant,
-) -> Result<AnalysisOutput, RemoteError> {
-    await_output_with(|var, v, q| client.get(var, v, q), label, step, deadline)
 }
 
 #[cfg(test)]
@@ -696,11 +569,23 @@ mod tests {
         assert!(decode_task(&Bytes::from(vec![0u8; 17])).is_err());
     }
 
+    /// A one-member client against a bare server — the single-server
+    /// deployment.
+    fn client_of(server: &SpaceServer) -> ClusterClient {
+        ClusterClient::new(
+            sitra_cluster::DEFAULT_SEED,
+            sitra_cluster::DEFAULT_VNODES,
+            [server.addr().to_string()],
+            Backoff::default(),
+        )
+        .unwrap()
+    }
+
     #[test]
     fn await_output_deadline_returns_timeout_promptly() {
         let addr: Addr = "inproc://core-await-timeout".parse().unwrap();
         let server = SpaceServer::start(&addr, 1).unwrap();
-        let client = RemoteSpace::connect(&server.addr()).unwrap();
+        let client = client_of(&server);
         let t0 = std::time::Instant::now();
         let deadline = t0 + Duration::from_millis(60);
         let err = await_output(&client, "never", 1, deadline).unwrap_err();
@@ -776,26 +661,30 @@ mod tests {
         assert!(!h.any_pollable());
     }
 
-    #[test]
-    fn worker_aggregates_tasks_from_space() {
-        let addr: Addr = "inproc://core-worker".parse().unwrap();
-        let server = SpaceServer::start(&addr, 2).unwrap();
-        let analyses = vec![AnalysisSpec::new(
+    fn stats_roster() -> Vec<AnalysisSpec> {
+        vec![AnalysisSpec::new(
             Arc::new(HybridStats::default()),
             Placement::Hybrid,
             1,
-        )];
-        let label = analyses[0].label.clone();
+        )]
+    }
 
-        // Producer side: two ranks' learned models for one step.
-        let producer = RemoteSpace::connect(&server.addr()).unwrap();
+    /// Producer side of one two-rank step: put the learned models of
+    /// `ranks` under step 1, submit the (always two-rank) task, close
+    /// the scheduler. Returns the parts that were put.
+    fn stage_two_rank_task(
+        producer: &ClusterClient,
+        analyses: &[AnalysisSpec],
+        ranks: std::ops::Range<usize>,
+    ) -> Vec<(usize, Bytes)> {
         use crate::analysis::InSituCtx;
         use sitra_mesh::{Decomposition, ScalarField};
+        let label = &analyses[0].label;
         let g = sitra_mesh::BBox3::from_dims([8, 4, 4]);
         let decomp = Decomposition::new(g, [2, 1, 1]);
         let whole = ScalarField::from_fn(g, |p| p[0] as f64 * 0.25);
         let mut local_parts = Vec::new();
-        for r in 0..2 {
+        for r in ranks {
             let block = whole.extract(&decomp.block(r));
             let ghosted = block.clone();
             let vars = vec![("T".to_string(), block)];
@@ -808,18 +697,29 @@ mod tests {
             };
             let payload = analyses[0].analysis.in_situ(&ctx);
             producer
-                .put(&intermediate_var(&label), 1, rank_bbox(r), payload.clone())
+                .put(&intermediate_var(label), 1, rank_bbox(r), payload.clone())
                 .unwrap();
             local_parts.push((r, payload));
         }
-        producer
-            .submit_task(encode_task(&RemoteTask {
-                analysis_idx: 0,
-                step: 1,
-                n_ranks: 2,
-            }))
-            .unwrap();
-        producer.close_sched().unwrap();
+        let task = encode_task(&RemoteTask {
+            analysis_idx: 0,
+            step: 1,
+            n_ranks: 2,
+        });
+        let (_, adm) = producer.submit_task_routed(label, 1, task).unwrap();
+        assert!(adm.seq().is_some());
+        producer.close_sched();
+        local_parts
+    }
+
+    #[test]
+    fn worker_aggregates_tasks_from_space() {
+        let addr: Addr = "inproc://core-worker".parse().unwrap();
+        let server = SpaceServer::start(&addr, 2).unwrap();
+        let analyses = stats_roster();
+        let label = analyses[0].label.clone();
+        let producer = client_of(&server);
+        let local_parts = stage_two_rank_task(&producer, &analyses, 0..2);
 
         let done =
             run_bucket_worker(&server.addr(), &analyses, 0, &BucketWorkerOpts::default()).unwrap();
@@ -838,6 +738,38 @@ mod tests {
             encode_analysis_output(&got),
             encode_analysis_output(&expect)
         );
+        server.shutdown();
+    }
+
+    #[test]
+    fn worker_skips_a_task_whose_rank_pieces_are_incomplete() {
+        // Only rank 0 of a two-rank task made it into the space. The
+        // worker must not aggregate the one part it found and put a
+        // wrong-but-present output: it skips, and the driver degrades
+        // the task at its deadline.
+        const BUCKET: u32 = 77; // unique: the skip counter is global
+        let addr: Addr = "inproc://core-worker-short".parse().unwrap();
+        let server = SpaceServer::start(&addr, 2).unwrap();
+        let analyses = stats_roster();
+        let producer = client_of(&server);
+        stage_two_rank_task(&producer, &analyses, 0..1);
+
+        let skipped =
+            sitra_obs::global().counter(&format!("worker.tasks.skipped{{bucket={BUCKET}}}"));
+        let before = skipped.get();
+        let done = run_bucket_worker(
+            &server.addr(),
+            &analyses,
+            BUCKET,
+            &BucketWorkerOpts::default(),
+        )
+        .unwrap();
+        assert_eq!(done, 0);
+        assert_eq!(skipped.get() - before, 1);
+        let stored = producer
+            .get(&output_var(&analyses[0].label), 1, &output_bbox())
+            .unwrap();
+        assert!(stored.is_empty(), "a short aggregation was stored");
         server.shutdown();
     }
 }

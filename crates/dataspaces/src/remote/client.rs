@@ -1,0 +1,293 @@
+//! The client half: [`RemoteSpace`].
+
+use super::proto::{
+    decode_response, encode_request, PoolStats, RemoteStats, Request, Response, TaskPoll, TenantRow,
+};
+use super::RemoteError;
+use crate::sched::{Admission, AdmissionPolicy};
+use crate::tenant::TenantSpec;
+use bytes::Bytes;
+use sitra_mesh::{BBox3, ScalarField};
+use sitra_net::{Addr, Backoff, ConnStats, Connection};
+use std::time::Duration;
+
+/// Client handle to a [`SpaceServer`](super::SpaceServer), mirroring the
+/// in-process [`DataSpaces`](crate::DataSpaces) API plus the scheduler verbs.
+pub struct RemoteSpace {
+    conn: Connection,
+}
+
+impl RemoteSpace {
+    /// Connect with a single attempt.
+    pub fn connect(addr: &Addr) -> Result<RemoteSpace, RemoteError> {
+        Ok(RemoteSpace {
+            conn: sitra_net::connect(addr)?,
+        })
+    }
+
+    /// Connect with bounded exponential backoff.
+    pub fn connect_retry(addr: &Addr, backoff: &Backoff) -> Result<RemoteSpace, RemoteError> {
+        Ok(RemoteSpace {
+            conn: sitra_net::connect_retry(addr, backoff)?,
+        })
+    }
+
+    fn rpc(&self, req: &Request) -> Result<Response, RemoteError> {
+        self.conn.send(encode_request(req))?;
+        let frame = self.conn.recv()?;
+        match decode_response(frame)? {
+            Response::Error(msg) => Err(RemoteError::Server(msg)),
+            resp => Ok(resp),
+        }
+    }
+
+    fn expect_ok(&self, req: &Request) -> Result<(), RemoteError> {
+        match self.rpc(req)? {
+            Response::Ok => Ok(()),
+            other => Err(RemoteError::Proto(format!("expected Ok, got {other:?}"))),
+        }
+    }
+
+    /// Store an object.
+    pub fn put(
+        &self,
+        var: &str,
+        version: u64,
+        bbox: BBox3,
+        data: Bytes,
+    ) -> Result<(), RemoteError> {
+        self.expect_ok(&Request::Put {
+            var: var.to_string(),
+            version,
+            bbox,
+            data,
+        })
+    }
+
+    /// Store a field (serializing its values).
+    pub fn put_field(
+        &self,
+        var: &str,
+        version: u64,
+        field: &ScalarField,
+    ) -> Result<(), RemoteError> {
+        self.put(
+            var,
+            version,
+            field.bbox(),
+            crate::codec::field_to_bytes(field),
+        )
+    }
+
+    /// Spatial query: every stored piece of `(var, version)`
+    /// intersecting `query`.
+    pub fn get(
+        &self,
+        var: &str,
+        version: u64,
+        query: &BBox3,
+    ) -> Result<Vec<(BBox3, Bytes)>, RemoteError> {
+        match self.rpc(&Request::Get {
+            var: var.to_string(),
+            version,
+            bbox: *query,
+        })? {
+            Response::Pieces(p) => Ok(p),
+            other => Err(RemoteError::Proto(format!(
+                "expected Pieces, got {other:?}"
+            ))),
+        }
+    }
+
+    /// Spatial query assembled into one field over `query`.
+    pub fn get_assembled(
+        &self,
+        var: &str,
+        version: u64,
+        query: &BBox3,
+        fill: f64,
+    ) -> Result<ScalarField, RemoteError> {
+        let pieces: Vec<ScalarField> = self
+            .get(var, version, query)?
+            .into_iter()
+            .filter_map(|(bbox, data)| {
+                bbox.intersect(query)
+                    .map(|clip| crate::codec::bytes_to_field(bbox, &data).extract(&clip))
+            })
+            .collect();
+        Ok(sitra_mesh::field::assemble(*query, &pieces, fill))
+    }
+
+    /// Highest stored version of `var`.
+    pub fn latest_version(&self, var: &str) -> Result<Option<u64>, RemoteError> {
+        match self.rpc(&Request::LatestVersion {
+            var: var.to_string(),
+        })? {
+            Response::Version(v) => Ok(v),
+            other => Err(RemoteError::Proto(format!(
+                "expected Version, got {other:?}"
+            ))),
+        }
+    }
+
+    /// Data-ready: enqueue an opaque task descriptor. The server
+    /// applies its admission policy and reports the [`Admission`]
+    /// verdict instead of turning a refusal into an opaque error. This
+    /// is how a remote producer learns it should degrade (run the
+    /// aggregation in-situ) or that one of its earlier tasks was shed.
+    pub fn submit_task_admission(&self, data: Bytes) -> Result<Admission, RemoteError> {
+        self.submit_task_hinted(data, Vec::new())
+    }
+
+    /// The server scheduler's queue capacity (`None` = unbounded) and
+    /// admission policy.
+    pub fn sched_policy(&self) -> Result<(Option<u64>, AdmissionPolicy), RemoteError> {
+        match self.rpc(&Request::SchedPolicy)? {
+            Response::Policy { capacity, policy } => Ok((capacity, policy)),
+            other => Err(RemoteError::Proto(format!(
+                "expected Policy, got {other:?}"
+            ))),
+        }
+    }
+
+    /// Bucket-ready: request the next task, waiting up to `timeout` on
+    /// the server. An assigned task is acknowledged automatically
+    /// before this returns.
+    pub fn request_task(&self, bucket_id: u32, timeout: Duration) -> Result<TaskPoll, RemoteError> {
+        self.request_task_located(bucket_id, timeout, "")
+    }
+
+    /// [`Self::request_task`] with a location label: registers the
+    /// bucket as co-resident with `location` (empty = unlocated) so the
+    /// server's locality placement can steer matching tasks here. May
+    /// return [`TaskPoll::Retire`] when the capacity controller drains
+    /// this bucket.
+    pub fn request_task_located(
+        &self,
+        bucket_id: u32,
+        timeout: Duration,
+        location: &str,
+    ) -> Result<TaskPoll, RemoteError> {
+        self.conn.send(encode_request(&Request::RequestTask {
+            bucket_id,
+            timeout_ms: timeout.as_millis() as u64,
+            location: location.to_string(),
+        }))?;
+        // The server may legitimately take the full timeout; pad the
+        // client-side wait generously.
+        let frame = self.conn.recv_timeout(timeout + Duration::from_secs(30))?;
+        match decode_response(frame)? {
+            Response::Task(poll) => {
+                if let TaskPoll::Assigned { seq, .. } = &poll {
+                    self.conn
+                        .send(encode_request(&Request::AckTask { seq: *seq }))?;
+                }
+                Ok(poll)
+            }
+            Response::Error(msg) => Err(RemoteError::Server(msg)),
+            other => Err(RemoteError::Proto(format!("expected Task, got {other:?}"))),
+        }
+    }
+
+    /// [`Self::submit_task_admission`] with a residency hint: `hint`
+    /// rows name where the task's input bytes live so a locality-aware
+    /// server placement can steer the assignment. Advisory — an FCFS
+    /// server behaves exactly as for an empty hint.
+    pub fn submit_task_hinted(
+        &self,
+        data: Bytes,
+        hint: Vec<(String, u64)>,
+    ) -> Result<Admission, RemoteError> {
+        match self.rpc(&Request::SubmitTask { data, hint })? {
+            Response::Admission(adm) => Ok(adm),
+            other => Err(RemoteError::Proto(format!(
+                "expected Admission, got {other:?}"
+            ))),
+        }
+    }
+
+    /// Bucket-pool state: live/idle counts, desired capacity, queue
+    /// depth, queue-wait p99, and the locality savings counter.
+    pub fn pool_stats(&self) -> Result<PoolStats, RemoteError> {
+        match self.rpc(&Request::PoolStats)? {
+            Response::Pool(p) => Ok(p),
+            other => Err(RemoteError::Proto(format!("expected Pool, got {other:?}"))),
+        }
+    }
+
+    /// Server counters.
+    pub fn stats(&self) -> Result<RemoteStats, RemoteError> {
+        match self.rpc(&Request::Stats)? {
+            Response::Stats(s) => Ok(s),
+            other => Err(RemoteError::Proto(format!("expected Stats, got {other:?}"))),
+        }
+    }
+
+    /// Drop all objects of `version`.
+    pub fn evict_version(&self, version: u64) -> Result<(), RemoteError> {
+        self.expect_ok(&Request::EvictVersion { version })
+    }
+
+    /// Close the scheduler: every bucket's next request returns
+    /// [`TaskPoll::Closed`] once the queue drains.
+    pub fn close_sched(&self) -> Result<(), RemoteError> {
+        self.expect_ok(&Request::CloseSched)
+    }
+
+    /// Declare this connection's tenant: registers (or updates) the
+    /// tenant server-side and scopes every subsequent request on this
+    /// connection to its namespace. Must be re-sent after a reconnect —
+    /// the binding is per-connection, not per-client.
+    pub fn set_tenant(&self, spec: &TenantSpec) -> Result<(), RemoteError> {
+        self.expect_ok(&Request::SetTenant { spec: spec.clone() })
+    }
+
+    /// Per-tenant scheduler counters and space residency, one row per
+    /// tenant the server has seen, sorted by name.
+    pub fn tenant_stats(&self) -> Result<Vec<TenantRow>, RemoteError> {
+        match self.rpc(&Request::TenantStats)? {
+            Response::TenantRows(rows) => Ok(rows),
+            other => Err(RemoteError::Proto(format!(
+                "expected TenantRows, got {other:?}"
+            ))),
+        }
+    }
+
+    /// Send an opaque control frame and return the handler's reply.
+    /// Errors with [`RemoteError::Server`] when the server was started
+    /// without a control handler.
+    pub fn control(&self, data: Bytes) -> Result<Bytes, RemoteError> {
+        match self.rpc(&Request::Control { data })? {
+            Response::Control { data } => Ok(data),
+            other => Err(RemoteError::Proto(format!(
+                "expected Control, got {other:?}"
+            ))),
+        }
+    }
+
+    /// Transport counters of this client's connection.
+    pub fn conn_stats(&self) -> ConnStats {
+        self.conn.stats()
+    }
+
+    /// Close the connection.
+    pub fn close(&self) {
+        self.conn.close();
+    }
+
+    /// Fault injection for tests: send a bucket-ready request and then
+    /// drop the connection without reading the response, simulating a
+    /// consumer crash at the worst moment — after the server may have
+    /// popped a task for us. The server must requeue that task.
+    pub fn fault_drop_during_request(&self, bucket_id: u32, timeout: Duration) {
+        let _ = self.conn.send(encode_request(&Request::RequestTask {
+            bucket_id,
+            timeout_ms: timeout.as_millis() as u64,
+            location: String::new(),
+        }));
+        // Give the request time to reach the server thread before the
+        // hang-up races it.
+        std::thread::sleep(Duration::from_millis(30));
+        self.conn.close();
+    }
+}

@@ -1,0 +1,694 @@
+//! Protocol messages of the staging RPC and their codecs (total: any
+//! byte sequence decodes to `Ok` or `Err`, never panics).
+
+use super::RemoteError;
+use crate::codec::{put_bytes, Rd};
+use crate::sched::{Admission, AdmissionPolicy};
+use crate::tenant::TenantSpec;
+use bytes::{BufMut, Bytes, BytesMut};
+use sitra_mesh::BBox3;
+use std::time::Duration;
+
+const REQ_PUT: u8 = 1;
+const REQ_GET: u8 = 2;
+const REQ_LATEST_VERSION: u8 = 3;
+const REQ_SUBMIT_TASK: u8 = 4;
+const REQ_REQUEST_TASK: u8 = 5;
+const REQ_ACK_TASK: u8 = 6;
+const REQ_STATS: u8 = 7;
+const REQ_EVICT_VERSION: u8 = 8;
+const REQ_CLOSE_SCHED: u8 = 9;
+const REQ_SCHED_POLICY: u8 = 11;
+const REQ_CONTROL: u8 = 12;
+const REQ_SET_TENANT: u8 = 13;
+const REQ_TENANT_STATS: u8 = 14;
+const REQ_POOL_STATS: u8 = 15;
+
+const RESP_OK: u8 = 100;
+const RESP_PIECES: u8 = 102;
+const RESP_VERSION: u8 = 103;
+const RESP_TASK: u8 = 104;
+const RESP_STATS: u8 = 105;
+const RESP_ADMISSION: u8 = 106;
+const RESP_POLICY: u8 = 107;
+const RESP_CONTROL: u8 = 108;
+const RESP_TENANT_STATS: u8 = 109;
+const RESP_POOL: u8 = 110;
+const RESP_ERROR: u8 = 199;
+
+// Admission verdict tags (RESP_ADMISSION payload).
+const ADM_ACCEPTED: u8 = 0;
+const ADM_ACCEPTED_SHED: u8 = 1;
+const ADM_REJECTED: u8 = 2;
+const ADM_TIMED_OUT: u8 = 3;
+const ADM_CLOSED: u8 = 4;
+
+// Admission policy tags (RESP_POLICY payload).
+const POL_BLOCK: u8 = 0;
+const POL_SHED_OLDEST: u8 = 1;
+const POL_REJECT_NEW: u8 = 2;
+
+/// Requests a client can issue.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Request {
+    /// Store an object.
+    Put {
+        /// Variable name.
+        var: String,
+        /// Version (timestep).
+        version: u64,
+        /// Region covered.
+        bbox: BBox3,
+        /// Payload.
+        data: Bytes,
+    },
+    /// Spatial query.
+    Get {
+        /// Variable name.
+        var: String,
+        /// Version (timestep).
+        version: u64,
+        /// Query region.
+        bbox: BBox3,
+    },
+    /// Highest stored version of a variable.
+    LatestVersion {
+        /// Variable name.
+        var: String,
+    },
+    /// Data-ready: enqueue an opaque task descriptor. Always answered
+    /// by [`Response::Admission`], which reports *why* a refused task
+    /// was refused (and which task was shed to admit this one), so
+    /// remote producers can apply backpressure or degrade.
+    SubmitTask {
+        /// Encoded task.
+        data: Bytes,
+        /// Resident input bytes per location label — where the task's
+        /// input lives, so a locality-aware server placement can steer
+        /// the assignment. Empty = no hint. A server with FCFS
+        /// placement (the default) ignores it entirely — same verdict,
+        /// same assignment order.
+        hint: Vec<(String, u64)>,
+    },
+    /// Query the scheduler's queue capacity and admission policy.
+    SchedPolicy,
+    /// Bucket-ready: ask for the next task, waiting up to `timeout_ms`.
+    /// The server may answer [`TaskPoll::Retire`] when the capacity
+    /// controller drains the bucket.
+    RequestTask {
+        /// Requesting bucket.
+        bucket_id: u32,
+        /// Server-side wait bound in milliseconds.
+        timeout_ms: u64,
+        /// The bucket's location label (its cluster member endpoint),
+        /// registering it as co-resident with `location` so locality
+        /// placement can match it against task hints. Empty =
+        /// unlocated.
+        location: String,
+    },
+    /// Acknowledge receipt of an assigned task.
+    AckTask {
+        /// Sequence number being acknowledged.
+        seq: u64,
+    },
+    /// Server counters.
+    Stats,
+    /// Drop all objects of one version.
+    EvictVersion {
+        /// Version to drop.
+        version: u64,
+    },
+    /// Close the scheduler: buckets drain and stop.
+    CloseSched,
+    /// An opaque control frame for a layered service (e.g. cluster
+    /// membership). The space/scheduler protocol does not interpret the
+    /// payload; a server started without a control handler answers with
+    /// an error.
+    Control {
+        /// Opaque payload, owned by the layer that installed the
+        /// server's control handler.
+        data: Bytes,
+    },
+    /// Declare this connection's tenant: registers (or updates) the
+    /// tenant's weight/quotas/policy server-side and binds every
+    /// subsequent data-plane request on this connection to the tenant's
+    /// namespace. Clients that never send it stay on the default tenant
+    /// with unscoped variables — the entire pre-tenancy protocol is a
+    /// valid conversation.
+    SetTenant {
+        /// The tenant declaration.
+        spec: TenantSpec,
+    },
+    /// Per-tenant scheduler counters and space residency.
+    TenantStats,
+    /// Bucket-pool state: live/idle bucket counts, desired capacity,
+    /// queue depth, queue-wait p99, and the locality savings counter.
+    PoolStats,
+}
+
+/// One tenant's combined server-side counters, as reported by
+/// [`Request::TenantStats`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct TenantRow {
+    /// Tenant name.
+    pub name: String,
+    /// DRR weight.
+    pub weight: u32,
+    /// Tasks currently queued.
+    pub queued: u64,
+    /// Task quota (`None` = unlimited).
+    pub task_quota: Option<u64>,
+    /// Tasks admitted.
+    pub tasks_submitted: u64,
+    /// Task assignments.
+    pub tasks_assigned: u64,
+    /// Tasks requeued after failed hand-offs.
+    pub tasks_requeued: u64,
+    /// Queued tasks shed.
+    pub tasks_shed: u64,
+    /// Submissions refused.
+    pub tasks_rejected: u64,
+    /// Bytes resident in the space.
+    pub resident_bytes: u64,
+    /// Byte quota (`None` = unlimited).
+    pub byte_quota: Option<u64>,
+}
+
+/// The outcome of a bucket-ready request.
+#[derive(Debug, Clone, PartialEq)]
+pub enum TaskPoll {
+    /// A task was assigned.
+    Assigned {
+        /// Scheduler sequence number.
+        seq: u64,
+        /// Encoded task descriptor.
+        data: Bytes,
+        /// Tenant that submitted the task. Buckets are shared across
+        /// tenants, so the worker needs this to scope its input gets
+        /// and output puts to the right namespace
+        /// ([`crate::scoped_var`]); [`crate::DEFAULT_TENANT`] scopes to
+        /// the unprefixed legacy namespace.
+        tenant: String,
+    },
+    /// The wait elapsed with no task available.
+    Empty,
+    /// The scheduler was closed; no more tasks will ever arrive.
+    Closed,
+    /// The capacity controller drained this bucket: deregister and
+    /// exit. Other buckets keep serving; only this one retires.
+    Retire,
+}
+
+/// Bucket-pool state, as reported by [`Request::PoolStats`].
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
+pub struct PoolStats {
+    /// Live (non-retired) buckets.
+    pub buckets: u64,
+    /// Of those, parked idle right now.
+    pub idle: u64,
+    /// The capacity controller's desired bucket count, if one is set.
+    /// External supervisors reconcile their worker fleet toward this.
+    pub desired: Option<u64>,
+    /// Tasks queued (not yet assigned).
+    pub queue_depth: u64,
+    /// p99 of recent task queue-waits, microseconds.
+    pub p99_wait_us: u64,
+    /// Input bytes locality placement has avoided moving.
+    pub locality_bytes_saved: u64,
+    /// Name of the placement policy in force (`fcfs`, `locality`).
+    pub placement: String,
+}
+
+/// Combined server-side counters.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct RemoteStats {
+    /// Tasks submitted (data-ready events).
+    pub tasks_submitted: u64,
+    /// Task assignments (a requeued task counts once per assignment).
+    pub tasks_assigned: u64,
+    /// Tasks requeued after a failed hand-off.
+    pub tasks_requeued: u64,
+    /// Queued tasks evicted under [`AdmissionPolicy::ShedOldest`].
+    pub tasks_shed: u64,
+    /// Submissions refused at capacity (rejects and elapsed Block
+    /// deadlines).
+    pub tasks_rejected: u64,
+    /// Objects resident in the space.
+    pub objects: u64,
+    /// Bytes resident in the space.
+    pub resident_bytes: u64,
+}
+
+/// Responses the server sends.
+#[derive(Debug, Clone, PartialEq)]
+pub enum Response {
+    /// Request executed.
+    Ok,
+    /// Pieces matching a spatial query.
+    Pieces(Vec<(BBox3, Bytes)>),
+    /// Latest version, if any.
+    Version(Option<u64>),
+    /// Outcome of a bucket-ready request.
+    Task(TaskPoll),
+    /// Server counters.
+    Stats(RemoteStats),
+    /// Verdict of a task submission.
+    Admission(Admission),
+    /// The scheduler's queue capacity (`None` = unbounded) and
+    /// admission policy.
+    Policy {
+        /// Queue capacity, if bounded.
+        capacity: Option<u64>,
+        /// Policy applied at capacity.
+        policy: AdmissionPolicy,
+    },
+    /// Reply of the server's control handler to a [`Request::Control`].
+    Control {
+        /// Opaque payload produced by the control handler.
+        data: Bytes,
+    },
+    /// Per-tenant counters, one row per tenant known to the server.
+    TenantRows(Vec<TenantRow>),
+    /// Bucket-pool state.
+    Pool(PoolStats),
+    /// The request failed server-side.
+    Error(String),
+}
+
+// --------------------------------------------------------------------
+// Codecs (total: any byte sequence decodes to Ok or Err, never panics)
+// --------------------------------------------------------------------
+
+fn bbox(rd: &mut Rd) -> Result<BBox3, RemoteError> {
+    let mut v = [0usize; 6];
+    for slot in &mut v {
+        *slot = rd.u64()? as usize;
+    }
+    let (lo, hi) = ([v[0], v[1], v[2]], [v[3], v[4], v[5]]);
+    if lo.iter().zip(&hi).any(|(l, h)| l > h) {
+        return Err(RemoteError::Proto("inverted bbox".into()));
+    }
+    Ok(BBox3::new(lo, hi))
+}
+
+fn opt_u64(rd: &mut Rd) -> Result<Option<u64>, RemoteError> {
+    let has = rd.u8()? != 0;
+    let v = rd.u64()?;
+    Ok(has.then_some(v))
+}
+
+fn policy(rd: &mut Rd) -> Result<AdmissionPolicy, RemoteError> {
+    let tag = rd.u8()?;
+    let wait_ms = rd.u64()?;
+    match tag {
+        POL_BLOCK => Ok(AdmissionPolicy::Block {
+            max_wait: Duration::from_millis(wait_ms),
+        }),
+        POL_SHED_OLDEST => Ok(AdmissionPolicy::ShedOldest),
+        POL_REJECT_NEW => Ok(AdmissionPolicy::RejectNew),
+        t => Err(RemoteError::Proto(format!("unknown policy tag {t}"))),
+    }
+}
+
+fn put_bbox(buf: &mut BytesMut, b: &BBox3) {
+    for v in b.lo.iter().chain(b.hi.iter()) {
+        buf.put_u64_le(*v as u64);
+    }
+}
+
+fn put_opt_u64(buf: &mut BytesMut, v: Option<u64>) {
+    buf.put_u8(u8::from(v.is_some()));
+    buf.put_u64_le(v.unwrap_or(0));
+}
+
+fn put_policy(buf: &mut BytesMut, policy: &AdmissionPolicy) {
+    match policy {
+        AdmissionPolicy::Block { max_wait } => {
+            buf.put_u8(POL_BLOCK);
+            buf.put_u64_le(max_wait.as_millis() as u64);
+        }
+        AdmissionPolicy::ShedOldest => {
+            buf.put_u8(POL_SHED_OLDEST);
+            buf.put_u64_le(0);
+        }
+        AdmissionPolicy::RejectNew => {
+            buf.put_u8(POL_REJECT_NEW);
+            buf.put_u64_le(0);
+        }
+    }
+}
+
+/// Encode a request frame.
+pub fn encode_request(req: &Request) -> Bytes {
+    let mut buf = BytesMut::new();
+    match req {
+        Request::Put {
+            var,
+            version,
+            bbox,
+            data,
+        } => {
+            buf.put_u8(REQ_PUT);
+            put_bytes(&mut buf, var.as_bytes());
+            buf.put_u64_le(*version);
+            put_bbox(&mut buf, bbox);
+            put_bytes(&mut buf, data);
+        }
+        Request::Get { var, version, bbox } => {
+            buf.put_u8(REQ_GET);
+            put_bytes(&mut buf, var.as_bytes());
+            buf.put_u64_le(*version);
+            put_bbox(&mut buf, bbox);
+        }
+        Request::LatestVersion { var } => {
+            buf.put_u8(REQ_LATEST_VERSION);
+            put_bytes(&mut buf, var.as_bytes());
+        }
+        Request::SubmitTask { data, hint } => {
+            buf.put_u8(REQ_SUBMIT_TASK);
+            put_bytes(&mut buf, data);
+            buf.put_u32_le(hint.len() as u32);
+            for (location, bytes) in hint {
+                put_bytes(&mut buf, location.as_bytes());
+                buf.put_u64_le(*bytes);
+            }
+        }
+        Request::SchedPolicy => buf.put_u8(REQ_SCHED_POLICY),
+        Request::RequestTask {
+            bucket_id,
+            timeout_ms,
+            location,
+        } => {
+            buf.put_u8(REQ_REQUEST_TASK);
+            buf.put_u32_le(*bucket_id);
+            buf.put_u64_le(*timeout_ms);
+            put_bytes(&mut buf, location.as_bytes());
+        }
+        Request::AckTask { seq } => {
+            buf.put_u8(REQ_ACK_TASK);
+            buf.put_u64_le(*seq);
+        }
+        Request::Stats => buf.put_u8(REQ_STATS),
+        Request::EvictVersion { version } => {
+            buf.put_u8(REQ_EVICT_VERSION);
+            buf.put_u64_le(*version);
+        }
+        Request::CloseSched => buf.put_u8(REQ_CLOSE_SCHED),
+        Request::Control { data } => {
+            buf.put_u8(REQ_CONTROL);
+            put_bytes(&mut buf, data);
+        }
+        Request::SetTenant { spec } => {
+            buf.put_u8(REQ_SET_TENANT);
+            put_bytes(&mut buf, spec.name.as_bytes());
+            buf.put_u32_le(spec.weight);
+            put_opt_u64(&mut buf, spec.byte_quota);
+            put_opt_u64(&mut buf, spec.task_quota.map(|t| t as u64));
+            match &spec.policy {
+                Some(p) => {
+                    buf.put_u8(1);
+                    put_policy(&mut buf, p);
+                }
+                None => {
+                    buf.put_u8(0);
+                    buf.put_u8(0);
+                    buf.put_u64_le(0);
+                }
+            }
+        }
+        Request::TenantStats => buf.put_u8(REQ_TENANT_STATS),
+        Request::PoolStats => buf.put_u8(REQ_POOL_STATS),
+    }
+    buf.freeze()
+}
+
+/// Decode a request frame. Total: never panics on malformed input.
+pub fn decode_request(frame: Bytes) -> Result<Request, RemoteError> {
+    let mut rd = Rd::new(frame);
+    let req = match rd.u8()? {
+        REQ_PUT => Request::Put {
+            var: rd.string()?,
+            version: rd.u64()?,
+            bbox: bbox(&mut rd)?,
+            data: rd.bytes()?,
+        },
+        REQ_GET => Request::Get {
+            var: rd.string()?,
+            version: rd.u64()?,
+            bbox: bbox(&mut rd)?,
+        },
+        REQ_LATEST_VERSION => Request::LatestVersion { var: rd.string()? },
+        REQ_SUBMIT_TASK => {
+            let data = rd.bytes()?;
+            let n = rd.u32()? as usize;
+            // Each row is at least a length prefix plus the byte count.
+            if n.checked_mul(12).is_none_or(|total| total > rd.remaining()) {
+                return Err(RemoteError::Proto("hint row count exceeds frame".into()));
+            }
+            let mut hint = Vec::with_capacity(n);
+            for _ in 0..n {
+                hint.push((rd.string()?, rd.u64()?));
+            }
+            Request::SubmitTask { data, hint }
+        }
+        REQ_SCHED_POLICY => Request::SchedPolicy,
+        REQ_REQUEST_TASK => Request::RequestTask {
+            bucket_id: rd.u32()?,
+            timeout_ms: rd.u64()?,
+            location: rd.string()?,
+        },
+        REQ_ACK_TASK => Request::AckTask { seq: rd.u64()? },
+        REQ_STATS => Request::Stats,
+        REQ_EVICT_VERSION => Request::EvictVersion { version: rd.u64()? },
+        REQ_CLOSE_SCHED => Request::CloseSched,
+        REQ_CONTROL => Request::Control { data: rd.bytes()? },
+        REQ_SET_TENANT => {
+            let name = rd.string()?;
+            if name.is_empty() || name.contains(crate::tenant::TENANT_SEP) {
+                return Err(RemoteError::Proto(format!("bad tenant name `{name}`")));
+            }
+            let weight = rd.u32()?;
+            let byte_quota = opt_u64(&mut rd)?;
+            let task_quota = opt_u64(&mut rd)?.map(|t| t as usize);
+            // A policy-less SetTenant still carries a filler policy
+            // (the encoder writes a zero `Block`), so the field is
+            // always parsed in full and a truncated frame is an error
+            // either way.
+            let has_policy = rd.u8()? != 0;
+            let policy = Some(policy(&mut rd)?).filter(|_| has_policy);
+            Request::SetTenant {
+                spec: TenantSpec {
+                    name,
+                    weight: weight.max(1),
+                    byte_quota,
+                    task_quota,
+                    policy,
+                },
+            }
+        }
+        REQ_TENANT_STATS => Request::TenantStats,
+        REQ_POOL_STATS => Request::PoolStats,
+        t => return Err(RemoteError::Proto(format!("unknown request tag {t}"))),
+    };
+    rd.finish()?;
+    Ok(req)
+}
+
+/// Encode a response frame.
+pub fn encode_response(resp: &Response) -> Bytes {
+    let mut buf = BytesMut::new();
+    match resp {
+        Response::Ok => buf.put_u8(RESP_OK),
+        Response::Pieces(pieces) => {
+            buf.put_u8(RESP_PIECES);
+            buf.put_u32_le(pieces.len() as u32);
+            for (bbox, data) in pieces {
+                put_bbox(&mut buf, bbox);
+                put_bytes(&mut buf, data);
+            }
+        }
+        Response::Version(v) => {
+            buf.put_u8(RESP_VERSION);
+            put_opt_u64(&mut buf, *v);
+        }
+        Response::Task(poll) => {
+            buf.put_u8(RESP_TASK);
+            match poll {
+                TaskPoll::Assigned { seq, data, tenant } => {
+                    buf.put_u8(0);
+                    buf.put_u64_le(*seq);
+                    put_bytes(&mut buf, data);
+                    put_bytes(&mut buf, tenant.as_bytes());
+                }
+                TaskPoll::Empty => buf.put_u8(1),
+                TaskPoll::Closed => buf.put_u8(2),
+                TaskPoll::Retire => buf.put_u8(3),
+            }
+        }
+        Response::Stats(s) => {
+            buf.put_u8(RESP_STATS);
+            buf.put_u64_le(s.tasks_submitted);
+            buf.put_u64_le(s.tasks_assigned);
+            buf.put_u64_le(s.tasks_requeued);
+            buf.put_u64_le(s.tasks_shed);
+            buf.put_u64_le(s.tasks_rejected);
+            buf.put_u64_le(s.objects);
+            buf.put_u64_le(s.resident_bytes);
+        }
+        Response::Admission(adm) => {
+            buf.put_u8(RESP_ADMISSION);
+            match adm {
+                Admission::Accepted { seq } => {
+                    buf.put_u8(ADM_ACCEPTED);
+                    buf.put_u64_le(*seq);
+                }
+                Admission::AcceptedShed { seq, shed_seq } => {
+                    buf.put_u8(ADM_ACCEPTED_SHED);
+                    buf.put_u64_le(*seq);
+                    buf.put_u64_le(*shed_seq);
+                }
+                Admission::Rejected => buf.put_u8(ADM_REJECTED),
+                Admission::TimedOut => buf.put_u8(ADM_TIMED_OUT),
+                Admission::Closed => buf.put_u8(ADM_CLOSED),
+            }
+        }
+        Response::Policy { capacity, policy } => {
+            buf.put_u8(RESP_POLICY);
+            put_opt_u64(&mut buf, *capacity);
+            put_policy(&mut buf, policy);
+        }
+        Response::Control { data } => {
+            buf.put_u8(RESP_CONTROL);
+            put_bytes(&mut buf, data);
+        }
+        Response::TenantRows(rows) => {
+            buf.put_u8(RESP_TENANT_STATS);
+            buf.put_u32_le(rows.len() as u32);
+            for r in rows {
+                put_bytes(&mut buf, r.name.as_bytes());
+                buf.put_u32_le(r.weight);
+                buf.put_u64_le(r.queued);
+                put_opt_u64(&mut buf, r.task_quota);
+                buf.put_u64_le(r.tasks_submitted);
+                buf.put_u64_le(r.tasks_assigned);
+                buf.put_u64_le(r.tasks_requeued);
+                buf.put_u64_le(r.tasks_shed);
+                buf.put_u64_le(r.tasks_rejected);
+                buf.put_u64_le(r.resident_bytes);
+                put_opt_u64(&mut buf, r.byte_quota);
+            }
+        }
+        Response::Pool(p) => {
+            buf.put_u8(RESP_POOL);
+            buf.put_u64_le(p.buckets);
+            buf.put_u64_le(p.idle);
+            put_opt_u64(&mut buf, p.desired);
+            buf.put_u64_le(p.queue_depth);
+            buf.put_u64_le(p.p99_wait_us);
+            buf.put_u64_le(p.locality_bytes_saved);
+            put_bytes(&mut buf, p.placement.as_bytes());
+        }
+        Response::Error(msg) => {
+            buf.put_u8(RESP_ERROR);
+            put_bytes(&mut buf, msg.as_bytes());
+        }
+    }
+    buf.freeze()
+}
+
+/// Decode a response frame. Total: never panics on malformed input.
+pub fn decode_response(frame: Bytes) -> Result<Response, RemoteError> {
+    let mut rd = Rd::new(frame);
+    let resp = match rd.u8()? {
+        RESP_OK => Response::Ok,
+        RESP_PIECES => {
+            let n = rd.u32()? as usize;
+            // Each piece is at least a bbox and a length prefix.
+            if n.checked_mul(52).is_none_or(|total| total > rd.remaining()) {
+                return Err(RemoteError::Proto("piece count exceeds frame".into()));
+            }
+            let mut pieces = Vec::with_capacity(n);
+            for _ in 0..n {
+                let bbox = bbox(&mut rd)?;
+                let data = rd.bytes()?;
+                pieces.push((bbox, data));
+            }
+            Response::Pieces(pieces)
+        }
+        RESP_VERSION => Response::Version(opt_u64(&mut rd)?),
+        RESP_TASK => match rd.u8()? {
+            0 => Response::Task(TaskPoll::Assigned {
+                seq: rd.u64()?,
+                data: rd.bytes()?,
+                tenant: rd.string()?,
+            }),
+            1 => Response::Task(TaskPoll::Empty),
+            2 => Response::Task(TaskPoll::Closed),
+            3 => Response::Task(TaskPoll::Retire),
+            s => return Err(RemoteError::Proto(format!("unknown task status {s}"))),
+        },
+        RESP_STATS => Response::Stats(RemoteStats {
+            tasks_submitted: rd.u64()?,
+            tasks_assigned: rd.u64()?,
+            tasks_requeued: rd.u64()?,
+            tasks_shed: rd.u64()?,
+            tasks_rejected: rd.u64()?,
+            objects: rd.u64()?,
+            resident_bytes: rd.u64()?,
+        }),
+        RESP_ADMISSION => match rd.u8()? {
+            ADM_ACCEPTED => Response::Admission(Admission::Accepted { seq: rd.u64()? }),
+            ADM_ACCEPTED_SHED => Response::Admission(Admission::AcceptedShed {
+                seq: rd.u64()?,
+                shed_seq: rd.u64()?,
+            }),
+            ADM_REJECTED => Response::Admission(Admission::Rejected),
+            ADM_TIMED_OUT => Response::Admission(Admission::TimedOut),
+            ADM_CLOSED => Response::Admission(Admission::Closed),
+            v => return Err(RemoteError::Proto(format!("unknown admission verdict {v}"))),
+        },
+        RESP_POLICY => Response::Policy {
+            capacity: opt_u64(&mut rd)?,
+            policy: policy(&mut rd)?,
+        },
+        RESP_CONTROL => Response::Control { data: rd.bytes()? },
+        RESP_TENANT_STATS => {
+            let n = rd.u32()? as usize;
+            // Each row is at least a name length prefix plus the fixed
+            // numeric fields.
+            if n.checked_mul(78).is_none_or(|total| total > rd.remaining()) {
+                return Err(RemoteError::Proto("tenant row count exceeds frame".into()));
+            }
+            let mut rows = Vec::with_capacity(n);
+            for _ in 0..n {
+                rows.push(TenantRow {
+                    name: rd.string()?,
+                    weight: rd.u32()?,
+                    queued: rd.u64()?,
+                    task_quota: opt_u64(&mut rd)?,
+                    tasks_submitted: rd.u64()?,
+                    tasks_assigned: rd.u64()?,
+                    tasks_requeued: rd.u64()?,
+                    tasks_shed: rd.u64()?,
+                    tasks_rejected: rd.u64()?,
+                    resident_bytes: rd.u64()?,
+                    byte_quota: opt_u64(&mut rd)?,
+                });
+            }
+            Response::TenantRows(rows)
+        }
+        RESP_POOL => Response::Pool(PoolStats {
+            buckets: rd.u64()?,
+            idle: rd.u64()?,
+            desired: opt_u64(&mut rd)?,
+            queue_depth: rd.u64()?,
+            p99_wait_us: rd.u64()?,
+            locality_bytes_saved: rd.u64()?,
+            placement: rd.string()?,
+        }),
+        RESP_ERROR => Response::Error(rd.string()?),
+        t => return Err(RemoteError::Proto(format!("unknown response tag {t}"))),
+    };
+    rd.finish()?;
+    Ok(resp)
+}

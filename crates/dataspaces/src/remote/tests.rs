@@ -1,0 +1,550 @@
+//! Codec and over-the-wire tests of the staging RPC.
+
+use super::*;
+use crate::sched::{Admission, AdmissionPolicy, Scheduler};
+use crate::space::DataSpaces;
+use crate::tenant::{TenantSpec, DEFAULT_TENANT};
+use bytes::Bytes;
+use sitra_mesh::{BBox3, ScalarField};
+use sitra_net::{Addr, Backoff};
+use std::sync::Arc;
+use std::time::Duration;
+
+fn mk_bbox(lo: [usize; 3], hi: [usize; 3]) -> BBox3 {
+    BBox3::new(lo, hi)
+}
+
+fn sample_requests() -> Vec<Request> {
+    vec![
+        Request::Put {
+            var: "T".into(),
+            version: 9,
+            bbox: mk_bbox([0, 1, 2], [3, 4, 5]),
+            data: Bytes::from_static(b"\x01\x02"),
+        },
+        Request::Get {
+            var: "ρ".into(),
+            version: 0,
+            bbox: mk_bbox([0, 0, 0], [0, 0, 0]),
+        },
+        Request::LatestVersion { var: "x".into() },
+        Request::SubmitTask {
+            data: Bytes::from_static(b"task"),
+            hint: vec![],
+        },
+        Request::RequestTask {
+            bucket_id: 7,
+            timeout_ms: 1500,
+            location: String::new(),
+        },
+        Request::AckTask { seq: 42 },
+        Request::Stats,
+        Request::EvictVersion { version: 3 },
+        Request::CloseSched,
+        Request::SchedPolicy,
+        Request::Control {
+            data: Bytes::from_static(b"\x00opaque"),
+        },
+        Request::SetTenant {
+            spec: TenantSpec::new("viz")
+                .with_weight(3)
+                .with_byte_quota(1 << 20)
+                .with_task_quota(8)
+                .with_policy(AdmissionPolicy::Block {
+                    max_wait: Duration::from_millis(40),
+                }),
+        },
+        Request::SetTenant {
+            spec: TenantSpec::new("plain"),
+        },
+        Request::TenantStats,
+        Request::PoolStats,
+        Request::SubmitTask {
+            data: Bytes::from_static(b"task-hinted"),
+            hint: vec![("tcp://m0:7000".into(), 4096), ("tcp://m1:7000".into(), 64)],
+        },
+        Request::RequestTask {
+            bucket_id: 3,
+            timeout_ms: 250,
+            location: "tcp://m1:7000".into(),
+        },
+    ]
+}
+
+#[test]
+fn request_codec_roundtrip() {
+    for r in sample_requests() {
+        assert_eq!(decode_request(encode_request(&r)).unwrap(), r);
+    }
+}
+
+#[test]
+fn response_codec_roundtrip() {
+    let resps = vec![
+        Response::Ok,
+        Response::Pieces(vec![
+            (mk_bbox([0, 0, 0], [1, 1, 1]), Bytes::from_static(b"abc")),
+            (mk_bbox([2, 0, 0], [3, 1, 1]), Bytes::new()),
+        ]),
+        Response::Version(Some(8)),
+        Response::Version(None),
+        Response::Task(TaskPoll::Assigned {
+            seq: 5,
+            data: Bytes::from_static(b"t"),
+            tenant: "acme".into(),
+        }),
+        Response::Task(TaskPoll::Empty),
+        Response::Task(TaskPoll::Closed),
+        Response::Task(TaskPoll::Retire),
+        Response::Pool(PoolStats {
+            buckets: 4,
+            idle: 2,
+            desired: Some(6),
+            queue_depth: 9,
+            p99_wait_us: 1500,
+            locality_bytes_saved: 1 << 20,
+            placement: "locality".into(),
+        }),
+        Response::Pool(PoolStats::default()),
+        Response::Stats(RemoteStats {
+            tasks_submitted: 1,
+            tasks_assigned: 2,
+            tasks_requeued: 3,
+            tasks_shed: 6,
+            tasks_rejected: 7,
+            objects: 4,
+            resident_bytes: 5,
+        }),
+        Response::Admission(Admission::Accepted { seq: 11 }),
+        Response::Admission(Admission::AcceptedShed {
+            seq: 12,
+            shed_seq: 2,
+        }),
+        Response::Admission(Admission::Rejected),
+        Response::Admission(Admission::TimedOut),
+        Response::Admission(Admission::Closed),
+        Response::Policy {
+            capacity: Some(32),
+            policy: AdmissionPolicy::Block {
+                max_wait: Duration::from_millis(250),
+            },
+        },
+        Response::Policy {
+            capacity: None,
+            policy: AdmissionPolicy::ShedOldest,
+        },
+        Response::Policy {
+            capacity: Some(1),
+            policy: AdmissionPolicy::RejectNew,
+        },
+        Response::Control {
+            data: Bytes::from_static(b"reply"),
+        },
+        Response::TenantRows(vec![
+            TenantRow {
+                name: "default".into(),
+                weight: 1,
+                ..TenantRow::default()
+            },
+            TenantRow {
+                name: "viz".into(),
+                weight: 3,
+                queued: 2,
+                task_quota: Some(8),
+                tasks_submitted: 10,
+                tasks_assigned: 7,
+                tasks_requeued: 1,
+                tasks_shed: 1,
+                tasks_rejected: 2,
+                resident_bytes: 4096,
+                byte_quota: Some(1 << 20),
+            },
+        ]),
+        Response::TenantRows(vec![]),
+        Response::Error("boom".into()),
+    ];
+    for r in resps {
+        assert_eq!(decode_response(encode_response(&r)).unwrap(), r);
+    }
+}
+
+#[test]
+fn codecs_reject_garbage_without_panicking() {
+    for len in 0..64 {
+        let junk = Bytes::from(vec![0xFEu8; len]);
+        assert!(decode_request(junk.clone()).is_err());
+        assert!(decode_response(junk).is_err());
+    }
+    // Truncations of every valid message error out too (a policy-less
+    // SetTenant cut inside its filler policy used to decode).
+    for r in sample_requests() {
+        let enc = encode_request(&r);
+        for cut in 0..enc.len() {
+            assert!(
+                decode_request(enc.slice(0..cut)).is_err(),
+                "{r:?} cut {cut}"
+            );
+        }
+    }
+}
+
+#[test]
+fn server_put_get_over_inproc() {
+    let addr: Addr = "inproc://space-putget".parse().unwrap();
+    let server = SpaceServer::start(&addr, 4).unwrap();
+    let client = RemoteSpace::connect(&server.addr()).unwrap();
+    let b = mk_bbox([0, 0, 0], [3, 3, 3]);
+    let f = ScalarField::from_fn(b, |p| p[0] as f64 + 0.5 * p[1] as f64);
+    client.put_field("T", 2, &f).unwrap();
+    assert_eq!(client.latest_version("T").unwrap(), Some(2));
+    assert_eq!(client.latest_version("nope").unwrap(), None);
+    let got = client.get_assembled("T", 2, &b, f64::NAN).unwrap();
+    assert_eq!(got, f);
+    client.evict_version(2).unwrap();
+    assert!(client.get("T", 2, &b).unwrap().is_empty());
+    server.shutdown();
+}
+
+#[test]
+fn scheduler_verbs_over_inproc() {
+    let addr: Addr = "inproc://space-sched".parse().unwrap();
+    let server = SpaceServer::start(&addr, 1).unwrap();
+    let producer = RemoteSpace::connect(&server.addr()).unwrap();
+    let bucket = RemoteSpace::connect(&server.addr()).unwrap();
+
+    // Empty poll times out.
+    assert_eq!(
+        bucket.request_task(0, Duration::from_millis(40)).unwrap(),
+        TaskPoll::Empty
+    );
+    let adm = producer
+        .submit_task_admission(Bytes::from_static(b"job-0"))
+        .unwrap();
+    assert_eq!(adm.seq(), Some(0));
+    assert_eq!(
+        bucket.request_task(0, Duration::from_secs(2)).unwrap(),
+        TaskPoll::Assigned {
+            seq: 0,
+            data: Bytes::from_static(b"job-0"),
+            tenant: DEFAULT_TENANT.into(),
+        }
+    );
+    producer.close_sched().unwrap();
+    assert_eq!(
+        bucket.request_task(0, Duration::from_secs(2)).unwrap(),
+        TaskPoll::Closed
+    );
+    let stats = producer.stats().unwrap();
+    assert_eq!(stats.tasks_submitted, 1);
+    assert_eq!(stats.tasks_assigned, 1);
+    assert_eq!(stats.tasks_requeued, 0);
+    server.shutdown();
+}
+
+#[test]
+fn dropped_consumer_connection_requeues_task() {
+    let addr: Addr = "inproc://space-requeue".parse().unwrap();
+    let server = SpaceServer::start(&addr, 1).unwrap();
+    let producer = RemoteSpace::connect(&server.addr()).unwrap();
+    producer
+        .submit_task_admission(Bytes::from_static(b"precious"))
+        .unwrap();
+
+    // A consumer asks for the task and dies before acknowledging.
+    let doomed = RemoteSpace::connect(&server.addr()).unwrap();
+    doomed.fault_drop_during_request(9, Duration::from_secs(2));
+
+    // The replacement consumer still gets the task.
+    let survivor = RemoteSpace::connect(&server.addr()).unwrap();
+    let polled = survivor.request_task(1, Duration::from_secs(5)).unwrap();
+    assert_eq!(
+        polled,
+        TaskPoll::Assigned {
+            seq: 0,
+            data: Bytes::from_static(b"precious"),
+            tenant: DEFAULT_TENANT.into(),
+        }
+    );
+    let stats = producer.stats().unwrap();
+    assert_eq!(stats.tasks_submitted, 1);
+    assert_eq!(stats.tasks_requeued, 1);
+    assert_eq!(stats.tasks_assigned, 2); // once to the doomed, once to the survivor
+    server.shutdown();
+}
+
+#[test]
+fn admission_verbs_over_inproc() {
+    let addr: Addr = "inproc://space-admission".parse().unwrap();
+    let server = SpaceServer::start_with(&addr, 1, Some(2), AdmissionPolicy::ShedOldest).unwrap();
+    let producer = RemoteSpace::connect(&server.addr()).unwrap();
+    assert_eq!(
+        producer.sched_policy().unwrap(),
+        (Some(2), AdmissionPolicy::ShedOldest)
+    );
+    assert_eq!(
+        producer
+            .submit_task_admission(Bytes::from_static(b"t0"))
+            .unwrap(),
+        Admission::Accepted { seq: 0 }
+    );
+    assert_eq!(
+        producer
+            .submit_task_admission(Bytes::from_static(b"t1"))
+            .unwrap(),
+        Admission::Accepted { seq: 1 }
+    );
+    // Queue full: the oldest task is shed to admit the new one.
+    assert_eq!(
+        producer
+            .submit_task_admission(Bytes::from_static(b"t2"))
+            .unwrap(),
+        Admission::AcceptedShed {
+            seq: 2,
+            shed_seq: 0
+        }
+    );
+    let stats = producer.stats().unwrap();
+    assert_eq!(stats.tasks_shed, 1);
+    assert_eq!(stats.tasks_rejected, 0);
+    // The survivors drain FCFS; the shed task is gone.
+    let bucket = RemoteSpace::connect(&server.addr()).unwrap();
+    assert_eq!(
+        bucket.request_task(0, Duration::from_secs(2)).unwrap(),
+        TaskPoll::Assigned {
+            seq: 1,
+            data: Bytes::from_static(b"t1"),
+            tenant: DEFAULT_TENANT.into(),
+        }
+    );
+    assert_eq!(
+        bucket.request_task(0, Duration::from_secs(2)).unwrap(),
+        TaskPoll::Assigned {
+            seq: 2,
+            data: Bytes::from_static(b"t2"),
+            tenant: DEFAULT_TENANT.into(),
+        }
+    );
+    producer.close_sched().unwrap();
+    assert_eq!(
+        producer
+            .submit_task_admission(Bytes::from_static(b"late"))
+            .unwrap(),
+        Admission::Closed
+    );
+    server.shutdown();
+}
+
+#[test]
+fn reject_new_over_rpc_reports_rejection() {
+    let addr: Addr = "inproc://space-reject".parse().unwrap();
+    let server = SpaceServer::start_with(&addr, 1, Some(1), AdmissionPolicy::RejectNew).unwrap();
+    let producer = RemoteSpace::connect(&server.addr()).unwrap();
+    assert_eq!(
+        producer
+            .submit_task_admission(Bytes::from_static(b"a"))
+            .unwrap(),
+        Admission::Accepted { seq: 0 }
+    );
+    assert_eq!(
+        producer
+            .submit_task_admission(Bytes::from_static(b"b"))
+            .unwrap(),
+        Admission::Rejected
+    );
+    assert_eq!(producer.stats().unwrap().tasks_rejected, 1);
+    server.shutdown();
+}
+
+#[test]
+fn server_survives_malformed_frames() {
+    let addr: Addr = "inproc://space-garbage".parse().unwrap();
+    let server = SpaceServer::start(&addr, 1).unwrap();
+    let bad = sitra_net::connect(&server.addr()).unwrap();
+    bad.send(Bytes::from_static(b"\xFF\xFF\xFF")).unwrap();
+    // Server answers with an error then hangs up.
+    let resp = decode_response(bad.recv().unwrap()).unwrap();
+    assert!(matches!(resp, Response::Error(_)));
+    // A fresh, well-behaved client is unaffected.
+    let good = RemoteSpace::connect(&server.addr()).unwrap();
+    assert_eq!(good.latest_version("T").unwrap(), None);
+    server.shutdown();
+}
+
+#[test]
+fn control_frames_reach_the_installed_handler() {
+    let addr: Addr = "inproc://space-control".parse().unwrap();
+    let handler: ControlHandler = Arc::new(|data: Bytes| {
+        let mut out = data.to_vec();
+        out.reverse();
+        Bytes::from(out)
+    });
+    let server = SpaceServer::start_custom(
+        &addr,
+        Arc::new(DataSpaces::new(1)),
+        Scheduler::new(),
+        Some(handler),
+    )
+    .unwrap();
+    let client = RemoteSpace::connect(&server.addr()).unwrap();
+    assert_eq!(
+        client.control(Bytes::from_static(b"abc")).unwrap(),
+        Bytes::from_static(b"cba")
+    );
+    // The data-plane verbs coexist on the same connection.
+    assert_eq!(client.latest_version("T").unwrap(), None);
+    server.shutdown();
+}
+
+#[test]
+fn control_without_handler_is_a_server_error() {
+    let addr: Addr = "inproc://space-nocontrol".parse().unwrap();
+    let server = SpaceServer::start(&addr, 1).unwrap();
+    let client = RemoteSpace::connect(&server.addr()).unwrap();
+    assert!(matches!(
+        client.control(Bytes::from_static(b"x")),
+        Err(RemoteError::Server(_))
+    ));
+    server.shutdown();
+}
+
+#[test]
+fn tenant_binding_scopes_the_connection() {
+    let addr: Addr = "inproc://space-tenant".parse().unwrap();
+    let server = SpaceServer::start(&addr, 2).unwrap();
+    let b = mk_bbox([0, 0, 0], [1, 1, 1]);
+    let data = Bytes::from(vec![1u8; 64]);
+
+    // Two tenants and one legacy client all put "T" version 1.
+    let viz = RemoteSpace::connect(&server.addr()).unwrap();
+    viz.set_tenant(&TenantSpec::new("viz").with_weight(2))
+        .unwrap();
+    let stats_client = RemoteSpace::connect(&server.addr()).unwrap();
+    stats_client.set_tenant(&TenantSpec::new("stats")).unwrap();
+    let legacy = RemoteSpace::connect(&server.addr()).unwrap();
+    viz.put("T", 1, b, data.clone()).unwrap();
+    stats_client.put("T", 1, b, data.clone()).unwrap();
+    legacy.put("T", 1, b, data.clone()).unwrap();
+
+    // Each sees exactly its own piece under the same name.
+    assert_eq!(viz.get("T", 1, &b).unwrap().len(), 1);
+    assert_eq!(stats_client.get("T", 1, &b).unwrap().len(), 1);
+    assert_eq!(legacy.get("T", 1, &b).unwrap().len(), 1);
+
+    // Tenant-scoped eviction spares the neighbours.
+    viz.evict_version(1).unwrap();
+    assert!(viz.get("T", 1, &b).unwrap().is_empty());
+    assert_eq!(stats_client.get("T", 1, &b).unwrap().len(), 1);
+    assert_eq!(legacy.get("T", 1, &b).unwrap().len(), 1);
+
+    // Task submissions are attributed per tenant.
+    viz.submit_task_admission(Bytes::from_static(b"v0"))
+        .unwrap();
+    stats_client
+        .submit_task_admission(Bytes::from_static(b"s0"))
+        .unwrap();
+    legacy
+        .submit_task_admission(Bytes::from_static(b"l0"))
+        .unwrap();
+    let rows = viz.tenant_stats().unwrap();
+    let row = |name: &str| rows.iter().find(|r| r.name == name).unwrap().clone();
+    assert_eq!(row("viz").tasks_submitted, 1);
+    assert_eq!(row("viz").weight, 2);
+    assert_eq!(row("stats").tasks_submitted, 1);
+    assert_eq!(row("default").tasks_submitted, 1);
+    assert_eq!(row("stats").resident_bytes, 64);
+    assert_eq!(row("viz").resident_bytes, 0, "evicted");
+    server.shutdown();
+}
+
+#[test]
+fn byte_quota_refusal_is_a_server_error() {
+    let addr: Addr = "inproc://space-bytequota".parse().unwrap();
+    let server = SpaceServer::start(&addr, 1).unwrap();
+    let c = RemoteSpace::connect(&server.addr()).unwrap();
+    c.set_tenant(&TenantSpec::new("small").with_byte_quota(100))
+        .unwrap();
+    let b = mk_bbox([0, 0, 0], [1, 1, 1]);
+    c.put("T", 1, b, Bytes::from(vec![0u8; 80])).unwrap();
+    let err = c.put("T", 2, b, Bytes::from(vec![0u8; 80])).unwrap_err();
+    assert!(matches!(err, RemoteError::Server(_)), "{err}");
+    assert!(!err.is_retryable(), "quota refusal must not be retried");
+    // Redelivery of the SAME piece replaces and stays admitted.
+    c.put("T", 1, b, Bytes::from(vec![1u8; 80])).unwrap();
+    server.shutdown();
+}
+
+#[test]
+fn pool_verbs_over_inproc() {
+    let addr: Addr = "inproc://space-pool".parse().unwrap();
+    let server = SpaceServer::start(&addr, 1).unwrap();
+    server
+        .scheduler()
+        .set_placement(Arc::new(crate::pool::LocalityPlacement));
+    let producer = RemoteSpace::connect(&server.addr()).unwrap();
+
+    // Empty located poll: bucket registers at its location, times out.
+    let bucket = RemoteSpace::connect(&server.addr()).unwrap();
+    assert_eq!(
+        bucket
+            .request_task_located(0, Duration::from_millis(40), "tcp://m0:1")
+            .unwrap(),
+        TaskPoll::Empty
+    );
+    // A hinted submission lands on the co-located bucket and the
+    // saved bytes show up in pool stats.
+    assert_eq!(
+        producer
+            .submit_task_hinted(
+                Bytes::from_static(b"near"),
+                vec![("tcp://m0:1".into(), 2048)],
+            )
+            .unwrap(),
+        Admission::Accepted { seq: 0 }
+    );
+    assert_eq!(
+        bucket
+            .request_task_located(0, Duration::from_secs(2), "tcp://m0:1")
+            .unwrap(),
+        TaskPoll::Assigned {
+            seq: 0,
+            data: Bytes::from_static(b"near"),
+            tenant: DEFAULT_TENANT.into(),
+        }
+    );
+    let pool = producer.pool_stats().unwrap();
+    assert_eq!(pool.placement, "locality");
+    assert_eq!(pool.buckets, 1);
+    assert_eq!(pool.queue_depth, 0);
+    assert_eq!(pool.locality_bytes_saved, 2048);
+    assert_eq!(pool.desired, None);
+
+    // Draining the bucket turns its next poll into Retire; other
+    // verbs keep working on the same connection afterwards.
+    server.scheduler().begin_drain(0);
+    assert_eq!(
+        bucket
+            .request_task_located(0, Duration::from_secs(2), "tcp://m0:1")
+            .unwrap(),
+        TaskPoll::Retire
+    );
+    assert_eq!(producer.pool_stats().unwrap().buckets, 0);
+    server.shutdown();
+}
+
+#[test]
+fn works_over_tcp_loopback() {
+    let bind: Addr = "tcp://127.0.0.1:0".parse().unwrap();
+    let server = SpaceServer::start(&bind, 2).unwrap();
+    let client = RemoteSpace::connect_retry(&server.addr(), &Backoff::default()).unwrap();
+    let b = mk_bbox([0, 0, 0], [2, 2, 2]);
+    client
+        .put("T", 1, b, Bytes::from(vec![7u8; 27 * 8]))
+        .unwrap();
+    let pieces = client.get("T", 1, &b).unwrap();
+    assert_eq!(pieces.len(), 1);
+    assert_eq!(pieces[0].1.len(), 27 * 8);
+    let cs = client.conn_stats();
+    assert_eq!(cs.frames_sent, 2);
+    assert_eq!(cs.frames_recv, 2);
+    server.shutdown();
+}

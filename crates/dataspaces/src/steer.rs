@@ -38,6 +38,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
+use crate::codec::{put_bytes, Rd};
 use crate::remote::RemoteError;
 
 // --------------------------------------------------------------------
@@ -114,99 +115,36 @@ pub enum SteerReply {
     },
 }
 
-struct Rd {
-    buf: Bytes,
-    pos: usize,
+fn rate(rd: &mut Rd) -> Result<u32, RemoteError> {
+    let r = rd.u32()?;
+    if r == 0 {
+        return Err(RemoteError::Proto("zero downsample rate".into()));
+    }
+    Ok(r)
 }
 
-impl Rd {
-    fn new(buf: Bytes) -> Self {
-        Rd { buf, pos: 0 }
+fn image(rd: &mut Rd) -> Result<Image, RemoteError> {
+    let w = rd.u64()? as usize;
+    let h = rd.u64()? as usize;
+    let pixels = w
+        .checked_mul(h)
+        .ok_or_else(|| RemoteError::Proto("image dims overflow".into()))?;
+    if pixels == 0 {
+        return Err(RemoteError::Proto("empty image".into()));
     }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
+    if pixels
+        .checked_mul(32)
+        .is_none_or(|total| total != rd.remaining())
+    {
+        return Err(RemoteError::Proto("image payload length mismatch".into()));
     }
-
-    fn array<const N: usize>(&mut self) -> Result<[u8; N], RemoteError> {
-        if self.remaining() < N {
-            return Err(RemoteError::Proto("truncated".into()));
+    let mut img = Image::new(w, h);
+    for p in img.pixels_mut() {
+        for c in p.iter_mut() {
+            *c = f64::from_le_bytes(rd.array()?);
         }
-        let mut a = [0u8; N];
-        a.copy_from_slice(&self.buf[self.pos..self.pos + N]);
-        self.pos += N;
-        Ok(a)
     }
-
-    fn u8(&mut self) -> Result<u8, RemoteError> {
-        Ok(self.array::<1>()?[0])
-    }
-
-    fn u32(&mut self) -> Result<u32, RemoteError> {
-        Ok(u32::from_le_bytes(self.array()?))
-    }
-
-    fn u64(&mut self) -> Result<u64, RemoteError> {
-        Ok(u64::from_le_bytes(self.array()?))
-    }
-
-    fn f64(&mut self) -> Result<f64, RemoteError> {
-        Ok(f64::from_le_bytes(self.array()?))
-    }
-
-    fn string(&mut self) -> Result<String, RemoteError> {
-        let n = self.u32()? as usize;
-        if self.remaining() < n {
-            return Err(RemoteError::Proto("truncated string".into()));
-        }
-        let raw = self.buf.slice(self.pos..self.pos + n);
-        self.pos += n;
-        String::from_utf8(raw.to_vec()).map_err(|_| RemoteError::Proto("non-utf8 string".into()))
-    }
-
-    fn rate(&mut self) -> Result<u32, RemoteError> {
-        let r = self.u32()?;
-        if r == 0 {
-            return Err(RemoteError::Proto("zero downsample rate".into()));
-        }
-        Ok(r)
-    }
-
-    fn image(&mut self) -> Result<Image, RemoteError> {
-        let w = self.u64()? as usize;
-        let h = self.u64()? as usize;
-        let pixels = w
-            .checked_mul(h)
-            .ok_or_else(|| RemoteError::Proto("image dims overflow".into()))?;
-        if pixels == 0 {
-            return Err(RemoteError::Proto("empty image".into()));
-        }
-        if pixels
-            .checked_mul(32)
-            .is_none_or(|total| total != self.remaining())
-        {
-            return Err(RemoteError::Proto("image payload length mismatch".into()));
-        }
-        let mut img = Image::new(w, h);
-        for p in img.pixels_mut() {
-            for c in p.iter_mut() {
-                *c = self.f64()?;
-            }
-        }
-        Ok(img)
-    }
-
-    fn finish(self) -> Result<(), RemoteError> {
-        if self.remaining() != 0 {
-            return Err(RemoteError::Proto("trailing bytes".into()));
-        }
-        Ok(())
-    }
-}
-
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
+    Ok(img)
 }
 
 /// Encode a steering message.
@@ -215,7 +153,7 @@ pub fn encode_steer_msg(msg: &SteerMsg) -> Bytes {
     match msg {
         SteerMsg::Subscribe { subscriber, rate } => {
             buf.put_u8(MSG_SUBSCRIBE);
-            put_str(&mut buf, subscriber);
+            put_bytes(&mut buf, subscriber.as_bytes());
             buf.put_u32_le(*rate);
         }
         SteerMsg::NextFrame { after } => {
@@ -236,10 +174,12 @@ pub fn decode_steer_msg(frame: Bytes) -> Result<SteerMsg, RemoteError> {
     let msg = match rd.u8()? {
         MSG_SUBSCRIBE => SteerMsg::Subscribe {
             subscriber: rd.string()?,
-            rate: rd.rate()?,
+            rate: rate(&mut rd)?,
         },
         MSG_NEXT_FRAME => SteerMsg::NextFrame { after: rd.u64()? },
-        MSG_STEER => SteerMsg::Steer { rate: rd.rate()? },
+        MSG_STEER => SteerMsg::Steer {
+            rate: rate(&mut rd)?,
+        },
         t => return Err(RemoteError::Proto(format!("unknown steer msg tag {t}"))),
     };
     rd.finish()?;
@@ -283,7 +223,7 @@ pub fn encode_steer_reply(reply: &SteerReply) -> Bytes {
         }
         SteerReply::Error { reason } => {
             buf.put_u8(REPLY_ERROR);
-            put_str(&mut buf, reason);
+            put_bytes(&mut buf, reason.as_bytes());
         }
     }
     buf.freeze()
@@ -293,14 +233,16 @@ pub fn encode_steer_reply(reply: &SteerReply) -> Bytes {
 pub fn decode_steer_reply(frame: Bytes) -> Result<SteerReply, RemoteError> {
     let mut rd = Rd::new(frame);
     let reply = match rd.u8()? {
-        REPLY_SUB_ACK => SteerReply::SubAck { rate: rd.rate()? },
+        REPLY_SUB_ACK => SteerReply::SubAck {
+            rate: rate(&mut rd)?,
+        },
         REPLY_FRAME => SteerReply::Frame {
             version: rd.u64()?,
-            rate: rd.rate()?,
-            image: rd.image()?,
+            rate: rate(&mut rd)?,
+            image: image(&mut rd)?,
         },
         REPLY_STEER_ACK => SteerReply::SteerAck {
-            rate: rd.rate()?,
+            rate: rate(&mut rd)?,
             latest_version: rd.u64()?,
         },
         REPLY_NO_FRAME => SteerReply::NoFrame,

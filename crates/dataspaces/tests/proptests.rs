@@ -8,10 +8,10 @@
 use bytes::Bytes;
 use proptest::prelude::*;
 use sitra_dataspaces::remote::{
-    decode_request, decode_response, encode_request, encode_response, RemoteStats, Request,
-    Response, TaskPoll,
+    decode_request, decode_response, encode_request, encode_response, PoolStats, RemoteStats,
+    Request, Response, TaskPoll, TenantRow,
 };
-use sitra_dataspaces::{Admission, AdmissionPolicy, DataSpaces, Scheduler};
+use sitra_dataspaces::{Admission, AdmissionPolicy, DataSpaces, Scheduler, TenantSpec};
 use sitra_mesh::{BBox3, ScalarField};
 use std::time::Duration;
 
@@ -59,6 +59,53 @@ fn arb_admission() -> impl Strategy<Value = Admission> {
     ]
 }
 
+// A tenant name the server accepts: non-empty, no namespace separator.
+fn arb_tenant_name() -> impl Strategy<Value = String> {
+    (0u8..26, arb_var()).prop_map(|(c, rest)| format!("{}{rest}", (b'a' + c) as char))
+}
+
+fn arb_tenant_spec() -> impl Strategy<Value = TenantSpec> {
+    (
+        arb_tenant_name(),
+        1u32..1000,
+        arb_opt_u64(),
+        arb_opt_u64(),
+        (any::<bool>(), arb_policy()),
+    )
+        .prop_map(
+            |(name, weight, byte_quota, task_quota, (has_policy, policy))| TenantSpec {
+                name,
+                weight,
+                byte_quota,
+                task_quota: task_quota.map(|t| t as usize),
+                policy: has_policy.then_some(policy),
+            },
+        )
+}
+
+fn arb_tenant_row() -> impl Strategy<Value = TenantRow> {
+    (
+        arb_var(),
+        any::<u32>(),
+        arb_opt_u64(),
+        arb_opt_u64(),
+        prop::collection::vec(any::<u64>(), 7..8),
+    )
+        .prop_map(|(name, weight, task_quota, byte_quota, v)| TenantRow {
+            name,
+            weight,
+            queued: v[0],
+            task_quota,
+            tasks_submitted: v[1],
+            tasks_assigned: v[2],
+            tasks_requeued: v[3],
+            tasks_shed: v[4],
+            tasks_rejected: v[5],
+            resident_bytes: v[6],
+            byte_quota,
+        })
+}
+
 fn arb_request() -> impl Strategy<Value = Request> {
     prop_oneof![
         (arb_var(), any::<u64>(), arb_box(), arb_bytes()).prop_map(|(var, version, bbox, data)| {
@@ -75,24 +122,33 @@ fn arb_request() -> impl Strategy<Value = Request> {
             bbox
         }),
         arb_var().prop_map(|var| Request::LatestVersion { var }),
-        arb_bytes().prop_map(|data| Request::SubmitTask { data }),
-        arb_bytes().prop_map(|data| Request::SubmitTaskAdm { data }),
+        (
+            arb_bytes(),
+            prop::collection::vec((arb_var(), any::<u64>()), 0..4)
+        )
+            .prop_map(|(data, hint)| Request::SubmitTask { data, hint }),
         Just(Request::SchedPolicy),
-        (any::<u32>(), any::<u64>()).prop_map(|(bucket_id, timeout_ms)| Request::RequestTask {
-            bucket_id,
-            timeout_ms
+        (any::<u32>(), any::<u64>(), arb_var()).prop_map(|(bucket_id, timeout_ms, location)| {
+            Request::RequestTask {
+                bucket_id,
+                timeout_ms,
+                location,
+            }
         }),
         any::<u64>().prop_map(|seq| Request::AckTask { seq }),
         Just(Request::Stats),
         any::<u64>().prop_map(|version| Request::EvictVersion { version }),
         Just(Request::CloseSched),
+        arb_bytes().prop_map(|data| Request::Control { data }),
+        arb_tenant_spec().prop_map(|spec| Request::SetTenant { spec }),
+        Just(Request::TenantStats),
+        Just(Request::PoolStats),
     ]
 }
 
 fn arb_response() -> impl Strategy<Value = Response> {
     prop_oneof![
         Just(Response::Ok),
-        any::<u64>().prop_map(Response::Seq),
         prop::collection::vec((arb_box(), arb_bytes()), 0..4).prop_map(Response::Pieces),
         arb_opt_u64().prop_map(Response::Version),
         prop_oneof![
@@ -101,6 +157,7 @@ fn arb_response() -> impl Strategy<Value = Response> {
             )),
             Just(Response::Task(TaskPoll::Empty)),
             Just(Response::Task(TaskPoll::Closed)),
+            Just(Response::Task(TaskPoll::Retire)),
         ],
         prop::collection::vec(any::<u64>(), 7..8).prop_map(|v| {
             Response::Stats(RemoteStats {
@@ -116,6 +173,24 @@ fn arb_response() -> impl Strategy<Value = Response> {
         arb_admission().prop_map(Response::Admission),
         (arb_opt_u64(), arb_policy())
             .prop_map(|(capacity, policy)| Response::Policy { capacity, policy }),
+        arb_bytes().prop_map(|data| Response::Control { data }),
+        prop::collection::vec(arb_tenant_row(), 0..4).prop_map(Response::TenantRows),
+        (
+            prop::collection::vec(any::<u64>(), 5..6),
+            arb_opt_u64(),
+            arb_var()
+        )
+            .prop_map(|(v, desired, placement)| {
+                Response::Pool(PoolStats {
+                    buckets: v[0],
+                    idle: v[1],
+                    desired,
+                    queue_depth: v[2],
+                    p99_wait_us: v[3],
+                    locality_bytes_saved: v[4],
+                    placement,
+                })
+            }),
         arb_var().prop_map(Response::Error),
     ]
 }
@@ -215,6 +290,23 @@ proptest! {
         let enc = encode_request(&req);
         let n = cut % enc.len();
         prop_assert!(decode_request(enc.slice(..n)).is_err());
+    }
+
+    #[test]
+    fn corrupted_frames_never_panic(resp in arb_response(),
+                                    req in arb_request(),
+                                    at in any::<usize>(),
+                                    flip in 1u8..=255) {
+        // A flipped byte either still decodes (it landed in a payload
+        // value) or is a structured error — never a panic, whichever
+        // decoder the damaged frame reaches.
+        for enc in [encode_response(&resp), encode_request(&req)] {
+            let mut raw = enc.to_vec();
+            let i = at % raw.len();
+            raw[i] ^= flip;
+            let _ = decode_response(Bytes::from(raw.clone()));
+            let _ = decode_request(Bytes::from(raw));
+        }
     }
 
     #[test]

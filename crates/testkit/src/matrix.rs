@@ -373,7 +373,7 @@ fn run_matrix_scenario(
                 SpaceServer::start_with(&addr, 1, capacity, policy).expect("start staging server");
             let endpoint = server.addr();
             let stop = Arc::new(AtomicBool::new(false));
-            let worker = scenario::spawn_remote_worker_with(&endpoint, specs_fn(), 0, &stop);
+            let worker = scenario::spawn_worker(&[endpoint.to_string()], specs_fn(), 0, &stop);
 
             let mut cfg = matrix_config(2, specs_fn())
                 .with_staging_endpoint(endpoint.to_string())

@@ -27,11 +27,8 @@ use crate::fixture;
 use crate::injector::{PlanInjector, ScheduleEntry};
 use crate::plan::{splitmix64, CrashPlan, FaultPlan};
 use sitra_cluster::{Bootstrap, ClusterClient, ClusterNode, ClusterNodeOpts};
-use sitra_core::{
-    run_bucket_worker, run_cluster_bucket_worker, run_pipeline, BucketWorkerOpts, StagingMode,
-};
-use sitra_dataspaces::remote::RemoteSpace;
-use sitra_dataspaces::{AdmissionPolicy, SpaceServer, TenantSpec};
+use sitra_core::{run_cluster_bucket_worker, run_pipeline, BucketWorkerOpts, StagingMode};
+use sitra_dataspaces::{AdmissionPolicy, SpaceServer, TenantRow, TenantSpec};
 use sitra_net::{Addr, Backoff};
 use sitra_obs::{ObsEvent, VecSink};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
@@ -121,46 +118,35 @@ pub(crate) fn unique_endpoint(seed: u64) -> Addr {
         .expect("addr")
 }
 
-/// One resilient external bucket worker on `bucket_id` against a
-/// single staging server: reconnects through transient faults while
-/// the scenario is live, exits once the scheduler closes or the
-/// bucket is drained and retired.
-fn spawn_remote_worker(
-    endpoint: &Addr,
-    bucket_id: u32,
-    stop: &Arc<AtomicBool>,
-) -> std::thread::JoinHandle<usize> {
-    spawn_remote_worker_with(endpoint, fixture::specs(), bucket_id, stop)
-}
-
-/// [`spawn_remote_worker`] over an explicit analysis roster (the
-/// scenario matrix runs a larger roster than the frozen chaos
-/// fixture; task descriptors index into the driver's list, so the
-/// worker must hold the same list in the same order).
-pub(crate) fn spawn_remote_worker_with(
-    endpoint: &Addr,
+/// One resilient external bucket worker on `bucket_id` over the member
+/// list `endpoints` (one entry for a single staging server): it
+/// round-robins task requests across members, reconnects through
+/// transient faults while the scenario is live, and exits once every
+/// surviving scheduler closes or any member retires the bucket.
+///
+/// `specs` must be the driver's analysis roster in the same order (task
+/// descriptors index into it) — the scenario matrix runs a larger
+/// roster than the frozen chaos fixture.
+pub(crate) fn spawn_worker(
+    endpoints: &[String],
     specs: Vec<sitra_core::AnalysisSpec>,
     bucket_id: u32,
     stop: &Arc<AtomicBool>,
 ) -> std::thread::JoinHandle<usize> {
-    let ep = endpoint.clone();
+    let eps = endpoints.to_vec();
     let stop = Arc::clone(stop);
     std::thread::Builder::new()
         .name(format!("chaos-bucket-{bucket_id}"))
         .spawn(move || {
             let opts = BucketWorkerOpts {
-                backoff: Backoff {
-                    initial: Duration::from_millis(5),
-                    max: Duration::from_millis(40),
-                    attempts: 4,
-                },
+                backoff: WORKER_BACKOFF,
                 request_timeout: Duration::from_millis(100),
                 drop_connection_after: None,
                 location: None,
             };
             let mut completed = 0usize;
             loop {
-                match run_bucket_worker(&ep, &specs, bucket_id, &opts) {
+                match run_cluster_bucket_worker(&eps, &specs, bucket_id, &opts) {
                     Ok(n) => {
                         completed += n;
                         break; // scheduler closed or bucket retired
@@ -176,47 +162,13 @@ pub(crate) fn spawn_remote_worker_with(
         .expect("spawn worker")
 }
 
-/// The cluster flavour of [`spawn_remote_worker`]: one resilient
-/// worker round-robining over every member, exiting once every
-/// surviving scheduler closes or any member retires the bucket.
-fn spawn_cluster_worker(
-    endpoints: &[String],
-    bucket_id: u32,
-    stop: &Arc<AtomicBool>,
-) -> std::thread::JoinHandle<usize> {
-    let eps = endpoints.to_vec();
-    let stop = Arc::clone(stop);
-    let specs = fixture::specs();
-    std::thread::Builder::new()
-        .name(format!("chaos-cluster-bucket-{bucket_id}"))
-        .spawn(move || {
-            let opts = BucketWorkerOpts {
-                backoff: Backoff {
-                    initial: Duration::from_millis(5),
-                    max: Duration::from_millis(40),
-                    attempts: 4,
-                },
-                request_timeout: Duration::from_millis(100),
-                drop_connection_after: None,
-                location: None,
-            };
-            let mut completed = 0usize;
-            loop {
-                match run_cluster_bucket_worker(&eps, &specs, bucket_id, &opts) {
-                    Ok(n) => {
-                        completed += n;
-                        break;
-                    }
-                    Err(e) if e.is_retryable() && !stop.load(Ordering::SeqCst) => {
-                        continue;
-                    }
-                    Err(_) => break,
-                }
-            }
-            completed
-        })
-        .expect("spawn worker")
-}
+/// Reconnect policy of the scenario's workers and rival client: short,
+/// so a crashed server is noticed within a fault plan's time scale.
+const WORKER_BACKOFF: Backoff = Backoff {
+    initial: Duration::from_millis(5),
+    max: Duration::from_millis(40),
+    attempts: 4,
+};
 
 /// Bucket ids for workers a [`ScaleEvent`](crate::ScaleEvent) spawns
 /// mid-run, offset so they never collide with the scenario's primary
@@ -275,7 +227,7 @@ pub fn run_scenario(seed: u64, plan: &FaultPlan, backend: Backend) -> ScenarioOu
             let (capacity, policy) = admission_for(plan);
             let server =
                 SpaceServer::start_with(&addr, 1, capacity, policy).expect("start staging server");
-            let endpoint = server.addr();
+            let endpoints = vec![server.addr().to_string()];
             let server_slot = Arc::new(parking_lot::Mutex::new(Some(server)));
 
             // One resilient external bucket worker: reconnects through
@@ -283,7 +235,7 @@ pub fn run_scenario(seed: u64, plan: &FaultPlan, backend: Backend) -> ScenarioOu
             // on a protocol error, after which the driver degrades the
             // remainder).
             let stop = Arc::new(AtomicBool::new(false));
-            let worker = spawn_remote_worker(&endpoint, 0, &stop);
+            let worker = spawn_worker(&endpoints, fixture::specs(), 0, &stop);
 
             // Scheduled pool resize: a watchdog polls the injector's
             // virtual clock and, at the planned tick, either spawns
@@ -298,7 +250,7 @@ pub fn run_scenario(seed: u64, plan: &FaultPlan, backend: Backend) -> ScenarioOu
                 let slot = Arc::clone(&server_slot);
                 let stop = Arc::clone(&stop);
                 let extras = Arc::clone(&extra_workers);
-                let ep = endpoint.clone();
+                let eps = endpoints.clone();
                 std::thread::Builder::new()
                     .name("chaos-scale".into())
                     .spawn(move || {
@@ -307,8 +259,9 @@ pub fn run_scenario(seed: u64, plan: &FaultPlan, backend: Backend) -> ScenarioOu
                                 if ev.delta > 0 {
                                     let mut handles = extras.lock();
                                     for i in 0..ev.delta as u32 {
-                                        handles.push(spawn_remote_worker(
-                                            &ep,
+                                        handles.push(spawn_worker(
+                                            &eps,
+                                            fixture::specs(),
                                             SCALE_BUCKET_BASE + i,
                                             &stop,
                                         ));
@@ -335,7 +288,7 @@ pub fn run_scenario(seed: u64, plan: &FaultPlan, backend: Backend) -> ScenarioOu
             // plan says restart, bring a fresh one up on the same
             // endpoint so the driver and worker reconnect to it.
             let mut cfg = fixture::config(2)
-                .with_staging_endpoint(endpoint.to_string())
+                .with_staging_endpoint(endpoints[0].clone())
                 .with_staging_deadline(Duration::from_millis(700))
                 .with_staging_max_inflight(2);
             if let Some(CrashPlan::AfterOutputs { outputs, restart }) = plan.crash {
@@ -412,7 +365,7 @@ pub fn run_scenario(seed: u64, plan: &FaultPlan, backend: Backend) -> ScenarioOu
             // writes a member off after repeated connection failures,
             // and retires once every surviving scheduler closes.
             let stop = Arc::new(AtomicBool::new(false));
-            let worker = spawn_cluster_worker(&endpoints, 0, &stop);
+            let worker = spawn_worker(&endpoints, fixture::specs(), 0, &stop);
 
             // Scheduled pool resize, cluster flavour: grow spawns
             // extra cluster-wide workers; shrink drains buckets on the
@@ -435,8 +388,9 @@ pub fn run_scenario(seed: u64, plan: &FaultPlan, backend: Backend) -> ScenarioOu
                                 if ev.delta > 0 {
                                     let mut handles = extras.lock();
                                     for i in 0..ev.delta as u32 {
-                                        handles.push(spawn_cluster_worker(
+                                        handles.push(spawn_worker(
                                             &eps,
+                                            fixture::specs(),
                                             SCALE_BUCKET_BASE + i,
                                             &stop,
                                         ));
@@ -669,18 +623,6 @@ pub const SIM_TENANT: &str = "sim";
 /// The competing producer's tenant in a multi-tenant scenario.
 pub const RIVAL_TENANT: &str = "rival";
 
-/// One tenant's scheduler counters, normalized across the single-space
-/// and cluster stats surfaces for the per-tenant oracle.
-struct TenantCounters {
-    name: String,
-    weight: u32,
-    queued: u64,
-    submitted: u64,
-    assigned: u64,
-    requeued: u64,
-    shed: u64,
-}
-
 /// The per-tenant conservation oracle: every tenant's counters must
 /// satisfy `submitted + requeued - assigned - shed == queued` (the
 /// identity every scheduler transition preserves atomically), the
@@ -688,28 +630,28 @@ struct TenantCounters {
 /// rival's to [`RIVAL_TENANT`], none to the default tenant, and the
 /// configured DRR weights must survive the run.
 fn tenant_violations(
-    rows: &[TenantCounters],
+    rows: &[TenantRow],
     sim_staged: usize,
     rival_staged: usize,
     violations: &mut Vec<String>,
 ) {
     for t in rows {
-        let balance = t.submitted + t.requeued;
-        let retired = t.assigned + t.shed + t.queued;
+        let balance = t.tasks_submitted + t.tasks_requeued;
+        let retired = t.tasks_assigned + t.tasks_shed + t.queued;
         if balance != retired {
             violations.push(format!(
                 "tenant-conservation[{}]: {} submitted + {} requeued != {} assigned + {} shed + {} queued",
-                t.name, t.submitted, t.requeued, t.assigned, t.shed, t.queued
+                t.name, t.tasks_submitted, t.tasks_requeued, t.tasks_assigned, t.tasks_shed, t.queued
             ));
         }
     }
     let find = |name: &str| rows.iter().find(|t| t.name == name);
     match find(SIM_TENANT) {
         Some(t) => {
-            if t.submitted != sim_staged as u64 {
+            if t.tasks_submitted != sim_staged as u64 {
                 violations.push(format!(
                     "tenant-attribution[{SIM_TENANT}]: {} submitted != {sim_staged} staged by driver",
-                    t.submitted
+                    t.tasks_submitted
                 ));
             }
             if t.weight != 3 {
@@ -723,10 +665,10 @@ fn tenant_violations(
     }
     match find(RIVAL_TENANT) {
         Some(t) => {
-            if t.submitted != rival_staged as u64 {
+            if t.tasks_submitted != rival_staged as u64 {
                 violations.push(format!(
                     "tenant-attribution[{RIVAL_TENANT}]: {} submitted != {rival_staged} staged",
-                    t.submitted
+                    t.tasks_submitted
                 ));
             }
             if t.weight != 1 {
@@ -739,10 +681,10 @@ fn tenant_violations(
         None => violations.push(format!("tenant-attribution: no `{RIVAL_TENANT}` row")),
     }
     if let Some(t) = find(sitra_dataspaces::DEFAULT_TENANT) {
-        if t.submitted != 0 || t.queued != 0 {
+        if t.tasks_submitted != 0 || t.queued != 0 {
             violations.push(format!(
                 "tenant-attribution[default]: {} submitted / {} queued on the default tenant, all traffic is tenant-bound",
-                t.submitted, t.queued
+                t.tasks_submitted, t.queued
             ));
         }
     }
@@ -791,23 +733,22 @@ pub fn run_tenanted_scenario(seed: u64, plan: &FaultPlan, backend: Backend) -> S
     // Bring the staging service up and pre-stage the rival workload on
     // a clean network (the injector only arms for the run under test;
     // the rival's *competition* is scheduler-side, not network-side).
+    // Only bring-up and tear-down differ between the two deployments:
+    // every client below is a `ClusterClient` over `endpoints`, with
+    // one entry for the single server.
     enum Service {
-        Remote {
-            server: SpaceServer,
-        },
-        Cluster {
-            nodes: Vec<ClusterNode>,
-            endpoints: Vec<String>,
-        },
+        Remote(SpaceServer),
+        Cluster(Vec<ClusterNode>),
     }
-    let service = match backend {
+    let (service, endpoints) = match backend {
         Backend::Remote => {
             let addr = unique_endpoint(seed);
             let server =
                 SpaceServer::start_with(&addr, 1, None, AdmissionPolicy::RejectNew).expect("start");
             server.scheduler().register_tenant(&sim_spec);
             server.scheduler().register_tenant(&rival_spec);
-            Service::Remote { server }
+            let endpoints = vec![server.addr().to_string()];
+            (Service::Remote(server), endpoints)
         }
         Backend::Cluster => {
             let addrs: Vec<Addr> = (0..3).map(|_| unique_endpoint(seed)).collect();
@@ -828,57 +769,28 @@ pub fn run_tenanted_scenario(seed: u64, plan: &FaultPlan, backend: Backend) -> S
                     .expect("start cluster member")
                 })
                 .collect();
-            Service::Cluster { nodes, endpoints }
+            (Service::Cluster(nodes), endpoints)
         }
         _ => unreachable!(),
     };
 
-    let backoff = Backoff {
-        initial: Duration::from_millis(5),
-        max: Duration::from_millis(40),
-        attempts: 4,
-    };
-    let rival_cluster = match &service {
-        Service::Remote { .. } => None,
-        Service::Cluster { endpoints, .. } => Some(
-            ClusterClient::new(
-                sitra_cluster::DEFAULT_SEED,
-                sitra_cluster::DEFAULT_VNODES,
-                endpoints.iter().cloned(),
-                backoff,
-            )
-            .expect("rival cluster client")
-            .with_tenant(rival_spec.clone()),
-        ),
-    };
-    let rival_expected = match &service {
-        Service::Remote { server } => {
-            let conn = RemoteSpace::connect(&server.addr()).expect("rival dial");
-            conn.set_tenant(&rival_spec).expect("rival bind");
-            fixture::stage_rival_workload(
-                |var, step, bbox, data| conn.put(var, step, bbox, data).map_err(|e| e.to_string()),
-                |data| {
-                    conn.submit_task(data)
-                        .map(|_| ())
-                        .map_err(|e| e.to_string())
-                },
-            )
-        }
-        Service::Cluster { .. } => {
-            let client = rival_cluster.as_ref().unwrap();
-            fixture::stage_rival_workload(
-                |var, step, bbox, data| {
-                    client.put(var, step, bbox, data).map_err(|e| e.to_string())
-                },
-                |data| {
-                    client
-                        .submit_task_routed("rival-route", 0, data)
-                        .map(|_| ())
-                        .map_err(|e| e.to_string())
-                },
-            )
-        }
-    }
+    let rival = ClusterClient::new(
+        sitra_cluster::DEFAULT_SEED,
+        sitra_cluster::DEFAULT_VNODES,
+        endpoints.iter().cloned(),
+        WORKER_BACKOFF,
+    )
+    .expect("rival client")
+    .with_tenant(rival_spec.clone());
+    let rival_expected = fixture::stage_rival_workload(
+        |var, step, bbox, data| rival.put(var, step, bbox, data).map_err(|e| e.to_string()),
+        |data| {
+            rival
+                .submit_task_routed("rival-route", 0, data)
+                .map(|_| ())
+                .map_err(|e| e.to_string())
+        },
+    )
     .expect("rival staging on a clean network");
 
     // Arm the harness and run the sim tenant's pipeline, with one
@@ -889,47 +801,11 @@ pub fn run_tenanted_scenario(seed: u64, plan: &FaultPlan, backend: Backend) -> S
     let prev_injector = sitra_net::install_fault_injector(Some(injector.clone()));
 
     let stop = Arc::new(AtomicBool::new(false));
-    let worker = {
-        let stop = Arc::clone(&stop);
-        let specs = fixture::specs();
-        let eps: Vec<String> = match &service {
-            Service::Remote { server } => vec![server.addr().to_string()],
-            Service::Cluster { endpoints, .. } => endpoints.clone(),
-        };
-        let cluster = matches!(service, Service::Cluster { .. });
-        std::thread::Builder::new()
-            .name("tenant-bucket".into())
-            .spawn(move || {
-                let opts = BucketWorkerOpts {
-                    backoff,
-                    request_timeout: Duration::from_millis(100),
-                    drop_connection_after: None,
-                    location: None,
-                };
-                loop {
-                    let r = if cluster {
-                        run_cluster_bucket_worker(&eps, &specs, 0, &opts)
-                    } else {
-                        let ep: Addr = eps[0].parse().expect("addr");
-                        run_bucket_worker(&ep, &specs, 0, &opts)
-                    };
-                    match r {
-                        Ok(_) => break,
-                        Err(e) if e.is_retryable() && !stop.load(Ordering::SeqCst) => continue,
-                        Err(_) => break,
-                    }
-                }
-            })
-            .expect("spawn worker")
-    };
+    let worker = spawn_worker(&endpoints, fixture::specs(), 0, &stop);
 
-    let cfg = match &service {
-        Service::Remote { server } => {
-            fixture::config(2).with_staging_endpoint(server.addr().to_string())
-        }
-        Service::Cluster { endpoints, .. } => {
-            fixture::config(2).with_staging_cluster(endpoints.clone())
-        }
+    let cfg = match backend {
+        Backend::Remote => fixture::config(2).with_staging_endpoint(endpoints[0].clone()),
+        _ => fixture::config(2).with_staging_cluster(endpoints.clone()),
     }
     .with_tenant(sim_spec.clone())
     .with_staging_deadline(Duration::from_millis(700))
@@ -947,21 +823,7 @@ pub fn run_tenanted_scenario(seed: u64, plan: &FaultPlan, backend: Backend) -> S
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     let label = fixture::specs()[0].label.clone();
     for (step, expect) in &rival_expected {
-        let got = match &service {
-            Service::Remote { server } => {
-                // Re-dial per await: a mid-run cut may have severed the
-                // original rival connection.
-                let conn = RemoteSpace::connect_retry(&server.addr(), &backoff)
-                    .and_then(|c| c.set_tenant(&rival_spec).map(|_| c));
-                conn.and_then(|c| sitra_core::remote::await_output(&c, &label, *step, deadline))
-            }
-            Service::Cluster { .. } => sitra_core::remote::await_output_cluster(
-                rival_cluster.as_ref().unwrap(),
-                &label,
-                *step,
-                deadline,
-            ),
-        };
+        let got = sitra_core::remote::await_output(&rival, &label, *step, deadline);
         match got {
             Ok(out) => {
                 if sitra_core::wire::encode_analysis_output(&out).as_ref() != expect.as_slice() {
@@ -975,37 +837,7 @@ pub fn run_tenanted_scenario(seed: u64, plan: &FaultPlan, backend: Backend) -> S
     }
 
     // Per-tenant ledger, snapshotted while the service is still up.
-    let rows: Vec<TenantCounters> = match &service {
-        Service::Remote { server } => server
-            .scheduler()
-            .tenant_stats()
-            .into_iter()
-            .map(|t| TenantCounters {
-                name: t.name,
-                weight: t.weight,
-                queued: t.queued,
-                submitted: t.stats.tasks_submitted,
-                assigned: t.stats.tasks_assigned,
-                requeued: t.stats.tasks_requeued,
-                shed: t.stats.tasks_shed,
-            })
-            .collect(),
-        Service::Cluster { .. } => rival_cluster
-            .as_ref()
-            .unwrap()
-            .tenant_stats()
-            .into_iter()
-            .map(|t| TenantCounters {
-                name: t.name,
-                weight: t.weight,
-                queued: t.queued,
-                submitted: t.tasks_submitted,
-                assigned: t.tasks_assigned,
-                requeued: t.tasks_requeued,
-                shed: t.tasks_shed,
-            })
-            .collect(),
-    };
+    let rows = rival.tenant_stats();
     tenant_violations(
         &rows,
         result.staged_tasks,
@@ -1016,15 +848,11 @@ pub fn run_tenanted_scenario(seed: u64, plan: &FaultPlan, backend: Backend) -> S
     // Tear down.
     stop.store(true, Ordering::SeqCst);
     match service {
-        Service::Remote { server } => server.shutdown(),
-        Service::Cluster { nodes, .. } => {
-            for n in nodes {
-                n.shutdown();
-            }
-        }
+        Service::Remote(server) => server.shutdown(),
+        Service::Cluster(nodes) => nodes.into_iter().for_each(ClusterNode::shutdown),
     }
     match worker.join() {
-        Ok(()) => {}
+        Ok(_) => {}
         Err(_) => violations.push("tenanted: bucket worker panicked".into()),
     }
 

@@ -15,7 +15,7 @@
 mod common;
 
 use common::{assert_replay_agrees, config, sorted_encoded_outputs, specs, STEPS};
-use sitra::core::remote::{run_bucket_worker, BucketWorkerOpts};
+use sitra::core::remote::{run_bucket_worker, run_cluster_bucket_worker, BucketWorkerOpts};
 use sitra::core::{PipelineConfig, PipelineResult, StagingMode};
 use sitra::dataspaces::SpaceServer;
 use sitra::net::Addr;
@@ -159,6 +159,80 @@ fn all_staging_backends_produce_identical_outputs_and_accounting() {
         "hybrid-remote",
         false,
     );
+}
+
+/// A single server is a cluster of one: `StagingMode::Remote(ep)` is
+/// lowered to the member list `[ep]`, so against one bare `SpaceServer`
+/// it and `StagingMode::Cluster(vec![ep])` must give byte-identical
+/// outputs and the same accounting, whichever worker entry point
+/// (`run_bucket_worker` / `run_cluster_bucket_worker`) serves them.
+#[test]
+fn remote_endpoint_and_one_member_cluster_are_the_same_path() {
+    let _obs = sitra::obs::isolate();
+    let accounting = |r: &PipelineResult| {
+        let mut rows: Vec<(String, u64, bool, u64)> = r
+            .metrics
+            .analyses
+            .iter()
+            .map(|a| {
+                (
+                    a.analysis.clone(),
+                    a.step,
+                    a.aggregated_in_transit,
+                    a.movement_bytes,
+                )
+            })
+            .collect();
+        rows.sort();
+        (r.staged_tasks, r.degraded_tasks, r.dropped_tasks, rows)
+    };
+
+    let mut runs = Vec::new();
+    for (i, (as_cluster, cluster_worker)) in
+        [(false, false), (true, true), (false, true), (true, false)]
+            .into_iter()
+            .enumerate()
+    {
+        let addr: Addr = format!("inproc://lowering-equivalence-{i}")
+            .parse()
+            .unwrap();
+        let server = SpaceServer::start(&addr, 1).expect("start staging server");
+        let endpoint = server.addr();
+        let worker = {
+            let ep = endpoint.clone();
+            std::thread::spawn(move || {
+                let opts = BucketWorkerOpts::default();
+                if cluster_worker {
+                    run_cluster_bucket_worker(&[ep.to_string()], &specs(), 0, &opts)
+                } else {
+                    run_bucket_worker(&ep, &specs(), 0, &opts)
+                }
+                .expect("bucket worker")
+            })
+        };
+        let mode = if as_cluster {
+            StagingMode::Cluster(vec![endpoint.to_string()])
+        } else {
+            StagingMode::Remote(endpoint.to_string())
+        };
+        let (result, events) = run(config(2).with_staging_mode(mode));
+        assert_eq!(worker.join().unwrap(), common::expected_hybrid_tasks());
+        assert_eq!(server.space().stats().resident_bytes, 0, "run {i} evicted");
+        server.shutdown();
+        assert_eq!(result.degraded_tasks, 0, "run {i}");
+        assert_replay_agrees(
+            &format!("lowering-{i}"),
+            &result,
+            &events,
+            "hybrid-remote",
+            false,
+        );
+        runs.push((sorted_encoded_outputs(&result), accounting(&result)));
+    }
+    for (i, run) in runs.iter().enumerate().skip(1) {
+        assert_eq!(runs[0].0, run.0, "outputs of run {i} diverge");
+        assert_eq!(runs[0].1, run.1, "accounting of run {i} diverges");
+    }
 }
 
 /// The two new workloads — the Lagrangian flow map (compute-heavy,
