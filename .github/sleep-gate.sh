@@ -1,0 +1,26 @@
+#!/usr/bin/env bash
+# ROADMAP item 3: no `thread::sleep` in non-test code of the crates on
+# the task path. Everything up to a file's first `#[cfg(test)]` counts
+# as non-test code; `tests.rs` files are test code throughout. The
+# allow-list names the sleeps that are off the task path, one line per
+# sleep — it may only shrink.
+set -euo pipefail
+cd "$(dirname "$0")/.."
+
+allowed=$(sort <<'ALLOW'
+crates/cluster/src/node.rs                  # ClusterNode::heartbeat_loop
+crates/core/src/driver/staging/local.rs     # LocalBackend's autoscale tick
+crates/dataspaces/src/remote/client.rs      # RemoteSpace::fault_drop_during_request
+ALLOW
+)
+
+found=$(find crates/core/src crates/dataspaces/src crates/cluster/src \
+    -name '*.rs' ! -name 'tests.rs' | sort | while read -r f; do
+    awk -v f="$f" '/#\[cfg\(test\)\]/ { exit } /thread::sleep/ { print f }' "$f"
+done)
+
+# `<` a sleep that is not allowed, `>` an allowance with no sleep left.
+if ! diff <(echo "$found") <(sed 's/ *#.*//' <<<"$allowed"); then
+    echo "thread::sleep in non-test code differs from the allow-list above" >&2
+    exit 1
+fi

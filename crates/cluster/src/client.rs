@@ -19,8 +19,9 @@ use sitra_dataspaces::{
     Admission, RemoteError, RemoteSpace, RemoteStats, TaskPoll, TenantRow, TenantSpec,
 };
 use sitra_mesh::BBox3;
-use sitra_net::{Addr, Backoff};
+use sitra_net::{Addr, Backoff, NetError};
 use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Is this failure worth one reconnect-and-retry? Transport errors are
@@ -32,7 +33,13 @@ fn retryable(err: &RemoteError) -> bool {
 
 struct Member {
     addr: Addr,
-    conn: Mutex<Option<RemoteSpace>>,
+    /// Held for a whole operation: one request in flight per
+    /// connection.
+    conn: Mutex<Option<Arc<RemoteSpace>>>,
+    /// The connection `conn` holds, reachable without that lock so
+    /// [`ClusterClient::interrupt`] can close it under a parked
+    /// long-poll.
+    open: Mutex<Option<Arc<RemoteSpace>>>,
     /// The last dial failed; cleared by the next one that succeeds. A
     /// plain flag publishing no other data, hence `Relaxed`.
     down: AtomicBool,
@@ -53,6 +60,9 @@ pub struct ClusterClient {
     members: Vec<Member>,
     backoff: Backoff,
     tenant: Option<TenantSpec>,
+    /// Set by [`ClusterClient::interrupt`]: every operation fails
+    /// until [`ClusterClient::resume`].
+    interrupted: AtomicBool,
 }
 
 impl ClusterClient {
@@ -84,6 +94,7 @@ impl ClusterClient {
                 Ok(Member {
                     addr,
                     conn: Mutex::new(None),
+                    open: Mutex::new(None),
                     down: AtomicBool::new(false),
                 })
             })
@@ -93,6 +104,7 @@ impl ClusterClient {
             members,
             backoff,
             tenant: None,
+            interrupted: AtomicBool::new(false),
         })
     }
 
@@ -105,6 +117,7 @@ impl ClusterClient {
         // so the next use re-dials with the tenant declared.
         for m in &self.members {
             *m.conn.lock() = None;
+            *m.open.lock() = None;
         }
         self.tenant = Some(spec);
         self
@@ -183,7 +196,7 @@ impl ClusterClient {
     /// Run `op` on member `idx`'s connection, dialing lazily and
     /// reconnecting once when a stale connection fails with a
     /// transport error.
-    fn on<R>(
+    pub fn on<R>(
         &self,
         idx: usize,
         op: impl Fn(&RemoteSpace) -> Result<R, RemoteError>,
@@ -191,13 +204,23 @@ impl ClusterClient {
         let m = &self.members[idx];
         let mut slot = m.conn.lock();
         for attempt in 0..2 {
-            if slot.is_none() {
-                *slot = Some(self.dial(m)?);
+            let interrupted = || self.interrupted.load(Ordering::SeqCst);
+            if slot.is_none() && !interrupted() {
+                let conn = Arc::new(self.dial(m)?);
+                // Published under the lock `interrupt` closes
+                // connections under: either it finds this one, or the
+                // flag is already up for the test below.
+                *m.open.lock() = Some(Arc::clone(&conn));
+                *slot = Some(conn);
+            }
+            if interrupted() {
+                return Err(RemoteError::Net(NetError::Closed));
             }
             match op(slot.as_ref().expect("connected above")) {
                 Ok(r) => return Ok(r),
                 Err(e) => {
                     *slot = None;
+                    *m.open.lock() = None;
                     if attempt == 1 || !retryable(&e) {
                         return Err(e);
                     }
@@ -205,6 +228,25 @@ impl ClusterClient {
             }
         }
         unreachable!("loop returns on second attempt")
+    }
+
+    /// Cut every operation short from another thread: parked long-polls
+    /// ([`ClusterClient::get_wait`], a held task request) fail with a
+    /// transport error at once, and so does every later operation until
+    /// [`ClusterClient::resume`]. The severed connections are re-dialed
+    /// on next use.
+    pub fn interrupt(&self) {
+        self.interrupted.store(true, Ordering::SeqCst);
+        for m in &self.members {
+            if let Some(conn) = m.open.lock().take() {
+                conn.close();
+            }
+        }
+    }
+
+    /// Lift an [`ClusterClient::interrupt`].
+    pub fn resume(&self) {
+        self.interrupted.store(false, Ordering::SeqCst);
     }
 
     /// Whether any member is worth trying: `false` once every member's
@@ -272,6 +314,29 @@ impl ClusterClient {
         pieces.sort_by_key(|(b, _)| b.lo);
         pieces.dedup_by(|a, b| a.0 == b.0);
         Ok(pieces)
+    }
+
+    /// Data-ready read: block on the ring owner of `(var, version,
+    /// query)` — where a [`ClusterClient::put`] of that region lands —
+    /// until it holds a matching piece or `timeout` lapses. A wait that
+    /// ends empty or in an error falls back to the fan-out
+    /// [`ClusterClient::get`], which finds a piece that handoff moved
+    /// off its owner.
+    pub fn get_wait(
+        &self,
+        var: &str,
+        version: u64,
+        query: &BBox3,
+        timeout: Duration,
+    ) -> Result<Vec<(BBox3, Bytes)>, RemoteError> {
+        let owner = self
+            .ring
+            .owner_index(&ShardKey::new(var, version, query))
+            .expect("non-empty ring");
+        match self.on(owner, |c| c.get_wait(var, version, query, timeout)) {
+            Ok(pieces) if !pieces.is_empty() => Ok(pieces),
+            _ => self.get(var, version, query),
+        }
     }
 
     /// Highest stored version of `var` across the cluster, `None` when
@@ -397,6 +462,7 @@ impl ClusterClient {
             Ok(())
         });
         *self.members[member_idx].conn.lock() = None;
+        *self.members[member_idx].open.lock() = None;
     }
 
     /// Evict everything at `version` everywhere. Per-member transport

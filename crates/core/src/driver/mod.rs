@@ -47,10 +47,13 @@ use sitra_sim::Variable;
 use std::sync::Arc;
 use std::time::Duration;
 
-/// Callback invoked after each remotely staged output is collected
-/// (driver side), with the analysis label and step. An observation seam
-/// for streaming consumers — and for tests, which use it to inject
-/// faults at exact pipeline moments.
+/// Callback invoked after each remotely staged output is collected,
+/// with the analysis label and step — on the driver's collector thread,
+/// the moment the output lands in the staging area, and under the lock
+/// of the in-flight window: the driver sees the retirement only once
+/// the hook has returned. An observation seam for streaming consumers —
+/// and for tests, which use it to inject faults at exact pipeline
+/// moments.
 pub type StagingOutputHook = Arc<dyn Fn(&str, u64) + Send + Sync>;
 
 /// Which [`staging::StagingBackend`] aggregates `Placement::Hybrid`

@@ -3,9 +3,14 @@
 //! through one [`ClusterClient`] — where external bucket workers
 //! aggregate them.
 //!
+//! Outputs come back on a collector thread, which blocks in a
+//! data-ready read on the oldest shipped task and retires it the moment
+//! a worker's put lands; the driver itself never asks the staging area
+//! whether an output is there yet.
+//!
 //! Flow control runs end to end: at most
 //! [`crate::PipelineConfig::staging_max_inflight`] tasks ride the wire
-//! at once (submission blocks collecting the oldest first), the
+//! at once (submission blocks until the oldest has retired), the
 //! server's admission policy can refuse or shed tasks, and any task the
 //! staging path fails — deadline missed, admission refused, endpoint
 //! unreachable — retires as [`Retired::Degraded`]: its aggregation
@@ -14,13 +19,16 @@
 
 use super::{BackendCaps, BackendStats, RetireCtx, Retired, StagedTask, StagingBackend};
 use crate::driver::StagingOutputHook;
-use crate::remote::{await_output, encode_task, intermediate_var, rank_bbox, RemoteTask};
+use crate::remote::{encode_task, intermediate_var, rank_bbox, wait_output, RemoteTask};
 use bytes::Bytes;
+use parking_lot::{Condvar, Mutex};
 use sitra_cluster::ClusterClient;
 use sitra_dataspaces::remote::RemoteError;
 use sitra_dataspaces::{Admission, TenantSpec, DEFAULT_TENANT};
 use sitra_mesh::BBox3;
 use std::collections::BTreeSet;
+use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 const CAPS: BackendCaps = BackendCaps {
@@ -48,19 +56,131 @@ struct PendingRemote {
     parts: Vec<(usize, Bytes)>,
 }
 
+/// `(analysis_idx, step)`: what names a task between the driver and
+/// its collector.
+type TaskKey = (usize, u64);
+
+impl PendingRemote {
+    fn key(&self) -> TaskKey {
+        (self.analysis_idx, self.step)
+    }
+}
+
+/// The in-flight window, under [`Collector::state`]. Whichever thread
+/// removes an entry from `pending` — the collector on its output's
+/// arrival, the driver on a deadline, a shed or a failure — retires
+/// that task, so every task is retired exactly once.
+struct Inflight {
+    /// Shipped and not yet retired, oldest first.
+    pending: Vec<PendingRemote>,
+    /// The task the collector is blocked on, so that a driver retiring
+    /// it first can cut the wait short.
+    waiting: Option<TaskKey>,
+    /// The collector's wait for this task failed outright (the staging
+    /// path is broken, not slow), with the degradation reason. The
+    /// collector parks while it is the oldest; the driver degrades it
+    /// the next time it waits on it instead of sitting out a deadline.
+    failed: Option<(TaskKey, &'static str)>,
+    closing: bool,
+}
+
+/// What the driver shares with its collector thread.
+struct Collector {
+    /// The collector's own connections (same tenant binding as the
+    /// driver's), shared only so the driver can `interrupt` a wait.
+    client: ClusterClient,
+    state: Mutex<Inflight>,
+    /// Signalled on every change of `state`: the collector waits on it
+    /// for work, the driver for retirements.
+    changed: Condvar,
+}
+
+impl Collector {
+    /// Remove `pending[pos]` for the caller to retire, cutting the
+    /// collector's wait short if this is the task it is blocked on.
+    fn take(&self, st: &mut Inflight, pos: usize) -> PendingRemote {
+        let p = st.pending.remove(pos);
+        if st.waiting == Some(p.key()) {
+            self.client.interrupt();
+        }
+        self.changed.notify_all();
+        p
+    }
+
+    /// The collector thread: block on the oldest shipped task's output
+    /// and retire it the moment it lands. Outputs are recorded oldest
+    /// first because only the oldest is ever waited on. Each data-ready
+    /// read is bounded by `long_poll`; it decides nothing — a task that
+    /// is still pending afterwards is simply waited on again, and
+    /// deadlines stay with the driver.
+    fn run(&self, ctx: &RetireCtx, hook: Option<&StagingOutputHook>, long_poll: Duration) {
+        let mut st = self.state.lock();
+        loop {
+            if st.closing {
+                return;
+            }
+            let oldest = st.pending.first().map(PendingRemote::key);
+            let Some(key) = oldest.filter(|k| st.failed.map(|f| f.0) != Some(*k)) else {
+                self.changed.wait(&mut st);
+                continue;
+            };
+            st.waiting = Some(key);
+            st.failed = None;
+            self.client.resume();
+            drop(st);
+            let label = &ctx.analyses()[key.0].label;
+            let waited = wait_output(&self.client, label, key.1, long_poll);
+            st = self.state.lock();
+            st.waiting = None;
+            let Some(pos) = st.pending.iter().position(|p| p.key() == key) else {
+                continue; // the driver retired it meanwhile
+            };
+            match waited {
+                Ok(Some(output)) => {
+                    st.pending.remove(pos);
+                    ctx.retire(Retired::Collected {
+                        analysis_idx: key.0,
+                        step: key.1,
+                        output,
+                    });
+                    // Under the lock, so the driver sees the retirement
+                    // only once the hook has run — as when it collected
+                    // outputs itself.
+                    if let Some(h) = hook {
+                        h(label, key.1);
+                    }
+                    self.changed.notify_all();
+                }
+                // Not there yet (the long-poll lapsed, or its connection
+                // broke under it and every member answered empty): wait
+                // again.
+                Ok(None) => {}
+                Err(e) => {
+                    let reason = match e {
+                        RemoteError::Net(_) => "endpoint-lost",
+                        _ => "error",
+                    };
+                    st.failed = Some((key, reason));
+                    self.changed.notify_all();
+                }
+            }
+        }
+    }
+}
+
 /// Hybrid aggregation on a remote staging service, with a bounded
 /// in-flight window and graceful degradation.
 pub struct RemoteBackend {
     ctx: RetireCtx,
     client: ClusterClient,
-    pending: Vec<PendingRemote>,
+    shared: Arc<Collector>,
+    collector: Option<JoinHandle<()>>,
     /// Every version (step) that had intermediates put remotely, for
     /// eviction at close time.
     versions: BTreeSet<u64>,
     deadline: Duration,
     max_inflight: usize,
     n_ranks: u32,
-    hook: Option<StagingOutputHook>,
     submitted: usize,
     /// The driver is one tenant among several on a shared staging
     /// service, so closing the scheduler at end-of-run would retire
@@ -86,28 +206,47 @@ impl RemoteBackend {
         hook: Option<StagingOutputHook>,
         tenant: Option<TenantSpec>,
     ) -> Self {
-        let mut client = ClusterClient::new(
-            sitra_cluster::DEFAULT_SEED,
-            sitra_cluster::DEFAULT_VNODES,
-            endpoints,
-            sitra_net::Backoff::default(),
-        )
-        .expect("endpoints validated by run_pipeline");
-        let shared_tenant = tenant.as_ref().is_some_and(|t| t.name != DEFAULT_TENANT);
-        if let Some(spec) = tenant {
-            client = client.with_tenant(spec);
-        }
+        let connect = || {
+            let client = ClusterClient::new(
+                sitra_cluster::DEFAULT_SEED,
+                sitra_cluster::DEFAULT_VNODES,
+                endpoints.iter().cloned(),
+                sitra_net::Backoff::default(),
+            )
+            .expect("endpoints validated by run_pipeline");
+            match &tenant {
+                Some(spec) => client.with_tenant(spec.clone()),
+                None => client,
+            }
+        };
+        let shared = Arc::new(Collector {
+            client: connect(),
+            state: Mutex::new(Inflight {
+                pending: Vec::new(),
+                waiting: None,
+                failed: None,
+                closing: false,
+            }),
+            changed: Condvar::new(),
+        });
+        let collector = {
+            let (shared, ctx) = (Arc::clone(&shared), ctx.clone());
+            std::thread::Builder::new()
+                .name("staging-collector".into())
+                .spawn(move || shared.run(&ctx, hook.as_ref(), deadline))
+                .expect("spawn staging collector")
+        };
         RemoteBackend {
             ctx,
-            client,
-            pending: Vec::new(),
+            client: connect(),
+            shared,
+            collector: Some(collector),
             versions: BTreeSet::new(),
             deadline,
             max_inflight,
             n_ranks,
-            hook,
             submitted: 0,
-            shared_tenant,
+            shared_tenant: tenant.is_some_and(|t| t.name != DEFAULT_TENANT),
         }
     }
 
@@ -123,55 +262,51 @@ impl RemoteBackend {
         })
     }
 
-    /// Await the oldest in-flight remote output; any failure (deadline
-    /// missed, endpoint lost) degrades that task to in-situ
-    /// aggregation. Returns the wall seconds spent waiting and/or
-    /// aggregating locally.
-    fn collect_oldest(&mut self) -> f64 {
-        let p = self.pending.remove(0);
-        let label = self.ctx.analyses()[p.analysis_idx].label.clone();
-        let step = p.step;
+    /// Wait for the collector to retire the oldest in-flight task, for
+    /// at most the staging deadline; a task that misses it, or whose
+    /// wait the collector reports failed (endpoint lost), is degraded
+    /// to in-situ aggregation here. Returns the wall seconds spent
+    /// waiting and/or aggregating locally.
+    fn await_oldest(&mut self) -> f64 {
         let t0 = Instant::now();
         let deadline = t0 + self.deadline;
-        let res = await_output(&self.client, &label, step, deadline);
+        let mut st = self.shared.state.lock();
+        let Some(oldest) = st.pending.first().map(PendingRemote::key) else {
+            return 0.0;
+        };
+        let reason = loop {
+            if st.pending.first().map(PendingRemote::key) != Some(oldest) {
+                break None;
+            }
+            if let Some((_, reason)) = st.failed.take_if(|f| f.0 == oldest) {
+                break Some(reason);
+            }
+            let left = deadline.saturating_duration_since(Instant::now());
+            if left.is_zero() {
+                break Some("deadline");
+            }
+            self.shared.changed.wait_for(&mut st, left);
+        };
         sitra_obs::histogram("driver.staging.backpressure_wait_ns").observe(t0.elapsed());
-        match res {
-            Ok(output) => {
-                self.ctx.retire(Retired::Collected {
-                    analysis_idx: p.analysis_idx,
-                    step,
-                    output,
-                });
-                if let Some(h) = &self.hook {
-                    h(&label, step);
-                }
-                t0.elapsed().as_secs_f64()
-            }
-            Err(e) => {
-                let reason = match &e {
-                    RemoteError::Timeout(_) => "deadline",
-                    RemoteError::Net(_) => "endpoint-lost",
-                    _ => "error",
-                };
-                t0.elapsed().as_secs_f64() + self.degrade(p, reason)
-            }
-        }
+        let lost = reason.map(|reason| (self.shared.take(&mut st, 0), reason));
+        drop(st);
+        let waited = t0.elapsed().as_secs_f64();
+        waited + lost.map_or(0.0, |(p, reason)| self.degrade(p, reason))
     }
 
     /// Put this step's intermediates into the staging space and submit
-    /// the task through the admission-aware verb, recording it as
-    /// in-flight. `Err(reason)` means the staging path refused (or
-    /// lost) the task and the caller must degrade it immediately. An
-    /// `AcceptedShed` verdict returns the evicted older task — it will
-    /// never run remotely, so the caller re-runs its aggregation
-    /// locally right away.
+    /// the task through the admission-aware verb. `Ok` carries the
+    /// in-flight entry and, under an `AcceptedShed` verdict, the
+    /// sequence number of the older task the server evicted to admit
+    /// this one. `Err(reason)` means the staging path refused (or lost)
+    /// the task and the caller must degrade it immediately.
     fn try_ship(
         &mut self,
         analysis_idx: usize,
         step: u64,
         issued: Instant,
         parts: &[(usize, Bytes)],
-    ) -> Result<Option<PendingRemote>, &'static str> {
+    ) -> Result<(PendingRemote, Option<u64>), &'static str> {
         // Every member's last dial failed: the staging area is gone,
         // degrade at once instead of paying a connect per operation.
         if !self.client.alive() {
@@ -211,25 +346,40 @@ impl RemoteBackend {
             Ok((_, Admission::Closed)) => return Err("sched-closed"),
             Err(_) => return Err("endpoint-lost"),
         };
-        self.pending.push(PendingRemote {
+        let shipped = PendingRemote {
             analysis_idx,
             step,
             seq,
             member,
             issued,
             parts: parts.to_vec(),
-        });
-        // The server evicted an older queued task to admit this one
-        // (ShedOldest policy): hand it back for immediate local
-        // re-aggregation. Sequence numbers are per member scheduler, so
-        // the victim must have been admitted by the same member.
-        let victim = shed_seq.and_then(|victim_seq| {
-            self.pending
-                .iter()
-                .position(|p| p.seq == victim_seq && p.member == member)
-                .map(|pos| self.pending.remove(pos))
-        });
-        Ok(victim)
+        };
+        Ok((shipped, shed_seq))
+    }
+
+    /// Tell the collector to finish and join it. A wait still parked on
+    /// a task the driver retired itself is cut short, not sat out.
+    fn stop_collector(&mut self) {
+        let Some(collector) = self.collector.take() else {
+            return;
+        };
+        {
+            let mut st = self.shared.state.lock();
+            st.closing = true;
+            if st.waiting.is_some() {
+                self.shared.client.interrupt();
+            }
+            self.shared.changed.notify_all();
+        }
+        // A collector that panicked has retired nothing it should not
+        // have; what it left pending was degraded by the drain.
+        let _ = collector.join();
+    }
+}
+
+impl Drop for RemoteBackend {
+    fn drop(&mut self) {
+        self.stop_collector();
     }
 }
 
@@ -241,75 +391,67 @@ impl StagingBackend for RemoteBackend {
     fn submit(&mut self, task: StagedTask) -> f64 {
         self.submitted += 1;
         // Producer-side backpressure: bound the in-flight window by
-        // collecting the oldest output first.
+        // waiting out the oldest output first.
         let mut blocked = 0.0;
-        while self.pending.len() >= self.max_inflight.max(1) {
-            blocked += self.collect_oldest();
+        while self.shared.state.lock().pending.len() >= self.max_inflight.max(1) {
+            blocked += self.await_oldest();
         }
         let shipped = self.try_ship(task.analysis_idx, task.step, task.issued, &task.parts);
+        // Before the collector can see the task: a degradation looks
+        // its metrics row up.
         self.ctx.record_insitu(&task, &CAPS, shipped.is_ok());
-        match shipped {
-            Ok(None) => {}
-            Ok(Some(victim)) => blocked += self.degrade(victim, "shed"),
-            Err(reason) => {
-                blocked += self.degrade(
-                    PendingRemote {
-                        analysis_idx: task.analysis_idx,
-                        step: task.step,
-                        seq: u64::MAX,
-                        member: 0,
-                        issued: task.issued,
-                        parts: task.parts,
-                    },
-                    reason,
-                );
+        let lost = match shipped {
+            Ok((shipped, shed_seq)) => {
+                let mut st = self.shared.state.lock();
+                let member = shipped.member;
+                st.pending.push(shipped);
+                self.shared.changed.notify_all();
+                // The server evicted an older queued task to admit this
+                // one (ShedOldest policy): it will never run remotely, so
+                // re-run its aggregation locally right away. Sequence
+                // numbers are per member scheduler, so the victim must
+                // have been admitted by the same member.
+                shed_seq
+                    .and_then(|victim| {
+                        st.pending
+                            .iter()
+                            .position(|p| p.seq == victim && p.member == member)
+                    })
+                    .map(|pos| (self.shared.take(&mut st, pos), "shed"))
             }
-        }
-        blocked
+            Err(reason) => Some((
+                PendingRemote {
+                    analysis_idx: task.analysis_idx,
+                    step: task.step,
+                    seq: u64::MAX,
+                    member: 0,
+                    issued: task.issued,
+                    parts: task.parts,
+                },
+                reason,
+            )),
+        };
+        blocked + lost.map_or(0.0, |(p, reason)| self.degrade(p, reason))
     }
 
     fn collect_ready(&mut self) -> f64 {
-        if self.pending.is_empty() {
-            return 0.0;
-        }
-        let t0 = Instant::now();
-        // Oldest-first, zero-deadline probes: collect outputs that are
-        // already in the space, stop at the first that is not. Failures
-        // are left pending — the blocking window/drain paths own
-        // degradation, so a transient hiccup here never degrades a task
-        // that would have made its real deadline.
-        while let Some(p) = self.pending.first() {
-            let (label, step) = (self.ctx.analyses()[p.analysis_idx].label.clone(), p.step);
-            let res = await_output(&self.client, &label, step, Instant::now());
-            match res {
-                Ok(output) => {
-                    let p = self.pending.remove(0);
-                    self.ctx.retire(Retired::Collected {
-                        analysis_idx: p.analysis_idx,
-                        step,
-                        output,
-                    });
-                    if let Some(h) = &self.hook {
-                        h(&label, step);
-                    }
-                }
-                Err(_) => break,
-            }
-        }
-        t0.elapsed().as_secs_f64()
+        // The collector retires outputs the moment they land; there is
+        // nothing left to pick up between steps.
+        0.0
     }
 
     fn drain(&mut self) -> f64 {
-        // Collect every in-flight output; anything the staging path
+        // Wait out every in-flight output; anything the staging path
         // lost is re-aggregated in-situ — zero lost steps.
         let mut blocked = 0.0;
-        while !self.pending.is_empty() {
-            blocked += self.collect_oldest();
+        while !self.shared.state.lock().pending.is_empty() {
+            blocked += self.await_oldest();
         }
         blocked
     }
 
     fn close(&mut self) -> BackendStats {
+        self.stop_collector();
         // Reclaim the staging memory (scoped to this tenant's namespace
         // when one is bound), then close the remote scheduler so
         // external bucket workers retire — unless the service is shared
@@ -325,5 +467,182 @@ impl StagingBackend for RemoteBackend {
             submitted: self.submitted,
             max_queue_depth: 0,
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::analysis::{HybridStats, InSituCtx};
+    use crate::placement::{AnalysisSpec, Placement};
+    use crate::remote::{output_bbox, output_var};
+    use crate::wire::encode_analysis_output;
+    use sitra_dataspaces::{AdmissionPolicy, SpaceServer};
+    use sitra_mesh::{Decomposition, ScalarField};
+    use std::sync::atomic::{AtomicUsize, Ordering};
+
+    /// A backend over a fresh worker-less server (so an output only
+    /// ever appears when the test puts it), its retirement context and
+    /// the count of hook calls.
+    fn rig(
+        name: &str,
+        deadline: Duration,
+        capacity: Option<usize>,
+    ) -> (SpaceServer, RemoteBackend, RetireCtx, Arc<AtomicUsize>) {
+        let server = SpaceServer::start_with(
+            &format!("inproc://core-collector-{name}").parse().unwrap(),
+            1,
+            capacity,
+            AdmissionPolicy::ShedOldest,
+        )
+        .unwrap();
+        let ctx = RetireCtx::new(vec![AnalysisSpec::new(
+            Arc::new(HybridStats::default()),
+            Placement::Hybrid,
+            1,
+        )]);
+        let hooked = Arc::new(AtomicUsize::new(0));
+        let hook: StagingOutputHook = {
+            let hooked = Arc::clone(&hooked);
+            Arc::new(move |_: &str, _| {
+                hooked.fetch_add(1, Ordering::SeqCst);
+            })
+        };
+        let backend = RemoteBackend::new(
+            ctx.clone(),
+            vec![server.addr().to_string()],
+            deadline,
+            4,
+            2,
+            Some(hook),
+            None,
+        );
+        (server, backend, ctx, hooked)
+    }
+
+    /// One two-rank task of the rig's analysis at `step`.
+    fn task(ctx: &RetireCtx, step: u64) -> StagedTask {
+        let g = BBox3::from_dims([8, 4, 4]);
+        let decomp = Decomposition::new(g, [2, 1, 1]);
+        let whole = ScalarField::from_fn(g, |p| p[0] as f64 * 0.25 + step as f64);
+        let parts = (0..2)
+            .map(|rank| {
+                let block = whole.extract(&decomp.block(rank));
+                let vars = vec![("T".to_string(), block.clone())];
+                let payload = ctx.analyses()[0].analysis.in_situ(&InSituCtx {
+                    rank,
+                    step,
+                    decomp: &decomp,
+                    ghosted: &block,
+                    vars: &vars,
+                });
+                (rank, payload)
+            })
+            .collect();
+        StagedTask {
+            analysis_idx: 0,
+            step,
+            issued: Instant::now(),
+            parts,
+            insitu_secs: 0.0,
+            insitu_core_secs: 0.0,
+            movement_bytes: 0,
+            movement_sim_secs: 0.0,
+        }
+    }
+
+    /// What a worker would put for `task`.
+    fn worker_output(ctx: &RetireCtx, task: &StagedTask) -> Bytes {
+        encode_analysis_output(&ctx.analyses()[0].analysis.aggregate(task.step, &task.parts))
+    }
+
+    #[test]
+    fn output_landing_as_the_deadline_expires_is_recorded_once() {
+        // The collector (output arrived) and the driver (deadline
+        // passed) race for the same task; whoever takes it off the
+        // pending list retires it, the other finds it gone.
+        const DEADLINE: Duration = Duration::from_millis(30);
+        let (server, mut backend, ctx, hooked) = rig("deadline", DEADLINE, None);
+        let label = ctx.analyses()[0].label.clone();
+        for (round, skew_us) in [-2000i64, -500, -100, 0, 0, 100, 500, 2000]
+            .into_iter()
+            .enumerate()
+        {
+            let step = round as u64 + 1;
+            let task = task(&ctx, step);
+            let expected = worker_output(&ctx, &task);
+            let before = (ctx.degraded_tasks(), hooked.load(Ordering::SeqCst));
+            backend.submit(task);
+            // The stimulus is the timing itself; every interleaving it
+            // produces must satisfy the assertions below.
+            let skew = Duration::from_micros(skew_us.unsigned_abs());
+            let lands_at = Instant::now()
+                + if skew_us < 0 {
+                    DEADLINE - skew
+                } else {
+                    DEADLINE + skew
+                };
+            std::thread::scope(|s| {
+                s.spawn(|| {
+                    std::thread::sleep(lands_at.saturating_duration_since(Instant::now()));
+                    server
+                        .space()
+                        .put(&output_var(&label), step, output_bbox(), expected.clone());
+                });
+                backend.drain();
+            });
+            let was_degraded = ctx.degraded_tasks() - before.0;
+            let was_hooked = hooked.load(Ordering::SeqCst) - before.1;
+            assert_eq!(
+                was_degraded + was_hooked,
+                1,
+                "round {round}: retired twice or never"
+            );
+            let outputs = ctx.take_outputs();
+            assert_eq!(outputs.len(), 1, "round {round}");
+            let (l, st, out) = &outputs[0];
+            assert_eq!((l.as_str(), *st), (label.as_str(), step));
+            assert_eq!(encode_analysis_output(out), expected, "round {round}");
+        }
+        backend.close();
+        server.shutdown();
+    }
+
+    #[test]
+    fn retiring_the_awaited_task_cuts_the_collector_loose() {
+        // A 30 s long-poll on task 1, which the server then sheds to
+        // admit task 2: the driver degrades it at once, and the
+        // collector must not sit the long-poll out before it gets to
+        // task 2 — nor may close() afterwards.
+        let (server, mut backend, ctx, hooked) = rig("shed", Duration::from_secs(30), Some(1));
+        let label = ctx.analyses()[0].label.clone();
+        let t0 = Instant::now();
+        backend.submit(task(&ctx, 1));
+        while backend.shared.state.lock().waiting != Some((0, 1)) {
+            assert!(
+                t0.elapsed() < Duration::from_secs(10),
+                "collector never armed"
+            );
+            std::thread::yield_now();
+        }
+        let second = task(&ctx, 2);
+        let expected = worker_output(&ctx, &second);
+        backend.submit(second);
+        assert_eq!(
+            ctx.degraded_tasks(),
+            1,
+            "the shed victim degrades at submit"
+        );
+        server
+            .space()
+            .put(&output_var(&label), 2, output_bbox(), expected);
+        backend.drain();
+        assert_eq!(hooked.load(Ordering::SeqCst), 1);
+        assert_eq!(ctx.degraded_tasks(), 1);
+        let steps: Vec<u64> = ctx.take_outputs().iter().map(|o| o.1).collect();
+        assert_eq!(steps, [1, 2]);
+        backend.close();
+        assert!(t0.elapsed() < Duration::from_secs(10), "{:?}", t0.elapsed());
+        server.shutdown();
     }
 }

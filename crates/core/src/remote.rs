@@ -13,12 +13,17 @@
 //!   task descriptor ([`RemoteTask`]) to the remote scheduler.
 //! * **Bucket workers** ([`run_bucket_worker`],
 //!   [`run_cluster_bucket_worker`]) — separate threads or separate
-//!   processes, connected over `inproc://`, `shm://` or `tcp://` — pull
-//!   tasks FCFS, fetch every rank's piece, run the aggregation stage,
-//!   and put the encoded [`AnalysisOutput`] back under
-//!   `sitra.o/{label}`.
-//! * The driver collects outputs by polling the space, which keeps the
-//!   simulation loop free of any consumer bookkeeping.
+//!   processes, connected over `inproc://`, `shm://` or `tcp://` — keep
+//!   a *bucket-ready* request parked on every member at once, take the
+//!   task the moment one is queued anywhere, fetch every rank's piece,
+//!   run the aggregation stage, and put the encoded [`AnalysisOutput`]
+//!   back under `sitra.o/{label}`. A worker holds one task at a time;
+//!   an assignment that reaches it while it is busy is declined and
+//!   goes back to the head of that member's queue.
+//! * The driver's collector thread blocks in a *data-ready* read on the
+//!   oldest shipped task's output ([`wait_output`]) and retires it the
+//!   moment the worker's put lands, which keeps the simulation loop
+//!   free of any consumer bookkeeping.
 //!
 //! A worker whose connection dies mid-assignment is harmless: the
 //! server requeues the unacknowledged task and the worker reconnects
@@ -31,12 +36,13 @@ use crate::analysis::AnalysisOutput;
 use crate::placement::AnalysisSpec;
 use crate::wire::{decode_analysis_output, encode_analysis_output, WireError};
 use bytes::{BufMut, Bytes, BytesMut};
+use parking_lot::{Condvar, Mutex};
 use sitra_cluster::ClusterClient;
 use sitra_dataspaces::remote::{RemoteError, TaskPoll};
 use sitra_dataspaces::scoped_var;
 use sitra_mesh::BBox3;
 use sitra_net::{Addr, Backoff};
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Variable prefix for in-situ intermediates in the remote space.
 pub const INTERMEDIATE_PREFIX: &str = "sitra.i/";
@@ -103,7 +109,10 @@ pub fn decode_task(b: &Bytes) -> Result<RemoteTask, WireError> {
 pub struct BucketWorkerOpts {
     /// Reconnect policy after a lost connection.
     pub backoff: Backoff,
-    /// Server-side wait per bucket-ready request.
+    /// Bound of one bucket-ready long-poll. An idle worker keeps one
+    /// outstanding on every live member at once, so this is how long a
+    /// member may hold a request before answering `Empty` — not a
+    /// budget split across members.
     pub request_timeout: Duration,
     /// Fault injection: after this many completed tasks, drop the
     /// connection once in the middle of a bucket-ready request to the
@@ -130,240 +139,307 @@ impl Default for BucketWorkerOpts {
     }
 }
 
-/// Consecutive failed polls of one cluster member before the worker
+/// Consecutive failed polls of one cluster member before its poller
 /// writes that member off as net-dead. The member's own crash handling
 /// (suspicion, handoff) and the driver's deadline degradation own
-/// correctness; this bound only stops the worker from sleeping on a
+/// correctness; this bound only stops the worker from counting on a
 /// corpse while the rest of the cluster has work.
 const MEMBER_DEAD_STRIKES: u32 = 3;
 
-/// How many round-robin visits to a net-dead member the worker skips
-/// between revival probes. A written-off endpoint is not gone forever:
-/// a crashed member may restart, and a joiner may come up on a seeded
-/// endpoint mid-run — the occasional cheap probe picks either back up.
+/// How many long-poll periods ([`BucketWorkerOpts::request_timeout`]) a
+/// written-off member's poller sits out between revival probes. A
+/// written-off endpoint is not gone forever: a crashed member may
+/// restart, and a joiner may come up on a seeded endpoint mid-run — the
+/// occasional cheap probe picks either back up.
 const MEMBER_REVIVE_EVERY: u32 = 4;
 
-/// Liveness bookkeeping for the cluster worker's round-robin: which
-/// members are closed (permanent), which are net-dead (re-probed for
-/// revival), and how many consecutive failures each live member has
-/// accumulated.
+/// One member's standing with the worker: strike-out, revival and
+/// close, kept by that member's poller.
 ///
 /// The transitions are deliberately explicit because the counters used
-/// to be inlined in the poll loop and mis-accounted two edges: strikes
-/// survived a death→revival→death flap (so a member flapping at exactly
+/// to be inlined in the poll loop and mis-accounted an edge: strikes
+/// survived a death→revival→death flap, so a member flapping at exactly
 /// [`MEMBER_DEAD_STRIKES`] was re-declared dead on its *first* failure
-/// after revival, double-counting the pre-death strikes), and the poll
-/// budget was split over the original membership instead of the live
-/// one.
+/// after revival, double-counting the pre-death strikes.
+#[derive(Clone, Copy, Default)]
 struct MemberHealth {
-    /// Scheduler answered `Closed`: permanent, never polled again.
-    closed: Vec<bool>,
-    /// Net-unreachable after [`MEMBER_DEAD_STRIKES`] consecutive
-    /// failures; skipped except for periodic revival probes.
-    dead: Vec<bool>,
     /// Consecutive retryable failures while live. Reset on success and
     /// on *every* dead/alive transition, so each episode starts from a
     /// clean count.
-    strikes: Vec<u32>,
-    /// Round-robin visits while dead, for spacing revival probes.
-    visits: Vec<u32>,
+    strikes: u32,
+    /// Net-unreachable after [`MEMBER_DEAD_STRIKES`] consecutive
+    /// failures; only probed for revival.
+    dead: bool,
+    /// Scheduler answered `Closed`: permanent, its poller has exited.
+    closed: bool,
 }
 
 impl MemberHealth {
-    fn new(n: usize) -> Self {
-        MemberHealth {
-            closed: vec![false; n],
-            dead: vec![false; n],
-            strikes: vec![0; n],
-            visits: vec![0; n],
+    /// A poll was answered.
+    fn note_ok(&mut self) {
+        (self.strikes, self.dead) = (0, false);
+    }
+
+    /// A retryable failure. A failed revival probe keeps the member
+    /// dead without accumulating strikes — probes are free retries.
+    fn note_err(&mut self) {
+        self.strikes += u32::from(!self.dead);
+        if self.strikes >= MEMBER_DEAD_STRIKES {
+            (self.strikes, self.dead) = (0, true);
         }
     }
 
-    fn closed(&self, m: usize) -> bool {
-        self.closed[m]
+    /// Worth a long-poll: neither closed nor written off.
+    fn pollable(&self) -> bool {
+        !self.dead && !self.closed
     }
 
-    /// Members worth polling at all (not closed, not written off).
-    /// The idle-rotation poll budget is split over this count.
-    fn live(&self) -> usize {
-        self.closed
-            .iter()
-            .zip(&self.dead)
-            .filter(|(c, d)| !**c && !**d)
-            .count()
-    }
-
-    /// Keep polling while at least one member is live; once every
-    /// member is closed or written off dead, the worker retires (a
-    /// written-off member's own crash handling and the driver's
-    /// deadline degradation own correctness past this point).
-    fn any_pollable(&self) -> bool {
-        self.live() > 0
-    }
-
-    /// Did any member's scheduler close (the run finished) — as opposed
-    /// to every member merely being unreachable?
-    fn any_closed(&self) -> bool {
-        self.closed.contains(&true)
-    }
-
-    /// Should this visit actually poll `m`? Live members always poll;
-    /// dead ones only on every [`MEMBER_REVIVE_EVERY`]-th visit.
-    fn should_probe(&mut self, m: usize) -> bool {
-        if !self.dead[m] {
-            return true;
-        }
-        self.visits[m] += 1;
-        self.visits[m].is_multiple_of(MEMBER_REVIVE_EVERY)
-    }
-
-    fn note_ok(&mut self, m: usize) {
-        self.strikes[m] = 0;
-        self.visits[m] = 0;
-        self.dead[m] = false;
-    }
-
-    fn note_closed(&mut self, m: usize) {
-        self.closed[m] = true;
-        self.dead[m] = false;
-    }
-
-    /// Record a retryable failure. Returns whether the caller should
-    /// back off briefly before the next poll (live member, not yet
-    /// written off). A failed revival probe keeps the member dead
-    /// without accumulating strikes — probes are free retries.
-    fn note_err(&mut self, m: usize) -> bool {
-        if self.dead[m] {
-            return false;
-        }
-        self.strikes[m] += 1;
-        if self.strikes[m] >= MEMBER_DEAD_STRIKES {
-            self.dead[m] = true;
-            // A fresh episode: the member must earn a full strike count
-            // again after revival, and probe spacing restarts.
-            self.strikes[m] = 0;
-            self.visits[m] = 0;
-            false
+    /// How long the poller sits out after a failure: a brief back-off
+    /// while the member is live, [`MEMBER_REVIVE_EVERY`] long-poll
+    /// periods between revival probes once it is written off.
+    fn pause(&self, opts: &BucketWorkerOpts) -> Duration {
+        if self.dead {
+            opts.request_timeout * MEMBER_REVIVE_EVERY
         } else {
-            true
+            opts.backoff.initial
         }
     }
 }
 
-/// One poll of a [`BucketWorker`], transport noise already absorbed.
-enum WorkerPoll {
-    /// An assignment: the encoded [`RemoteTask`] and the tenant it
-    /// belongs to.
-    Task { data: Bytes, tenant: String },
-    /// Nothing this round (timeout, skipped member, transient error
-    /// already retried) — poll again.
-    Idle,
-    /// The worker is finished: every scheduler closed, or this bucket
-    /// was drained and retired by the capacity controller.
-    Done,
-}
-
-/// One staging bucket over a member list (a single server is a list of
-/// one): polls every member's scheduler round-robin with
-/// [`MemberHealth`] strike-out/revival bookkeeping, fetches with
-/// fan-out gets, routes puts through the ring.
-struct BucketWorker<'a> {
-    client: ClusterClient,
-    health: MemberHealth,
-    member: usize,
-    bucket_id: u32,
-    opts: &'a BucketWorkerOpts,
+/// What the member pollers share, under [`Hub::state`].
+struct HubState {
+    /// The worker holds a task: from a poller claiming an assignment
+    /// until that poller has served it. It holds at most one.
+    busy: bool,
+    /// Lifetime task count, which fault injection keys off.
+    completed: usize,
     /// Pending [`BucketWorkerOpts::drop_connection_after`] injection.
     drop_budget: Option<usize>,
+    members: Vec<MemberHealth>,
     /// The most recent retryable poll failure, reported if the worker
     /// ends because every member was written off.
     last_err: Option<RemoteError>,
+    /// How the worker ended, set once; pollers stop when they see it.
+    end: Option<Result<(), RemoteError>>,
+}
+
+struct Hub {
+    state: Mutex<HubState>,
+    /// Signalled on every `busy`/`end` change: the stop signal pollers
+    /// time their waits on.
+    changed: Condvar,
+}
+
+/// One staging bucket over a member list (a single server is a list of
+/// one). One poller per member — the caller's thread for the first, a
+/// thread of its own for each further one — keeps a bucket-ready
+/// long-poll outstanding there while the worker is free, so a task is
+/// assigned the moment any member has one. The poller that claims an
+/// assignment serves it itself (fan-out gets, puts routed through the
+/// ring); the worker still holds one task at a time, and an assignment
+/// that reaches it while it is busy is declined rather than buffered —
+/// a held task would be invisible to every idle worker until this one
+/// got round to it.
+struct BucketWorker<'a> {
+    /// Data plane of whichever poller is serving a task.
+    client: ClusterClient,
+    /// The pollers' connections, one member each. Its own client: a
+    /// parked long-poll holds its member's connection for the duration.
+    polls: ClusterClient,
+    hub: Hub,
+    bucket_id: u32,
+    opts: &'a BucketWorkerOpts,
 }
 
 impl BucketWorker<'_> {
-    /// One bucket-ready poll. `completed` is the lifetime task count,
-    /// which fault injection keys off. Transient transport failures are
-    /// absorbed (reconnect, strike-out) and surface as
-    /// [`WorkerPoll::Idle`]; only fatal errors propagate.
-    fn poll(&mut self, completed: usize) -> Result<WorkerPoll, RemoteError> {
-        // Once every member is closed or written off dead the worker
-        // ends: a written-off member's own crash handling and the
-        // driver's deadline degradation own correctness past this
-        // point. A closed scheduler means the run finished; with none
-        // closed the staging area was lost, and a supervisor must be
-        // able to tell the two apart.
-        if !self.health.any_pollable() {
-            return match self.last_err.take() {
-                Some(e) if !self.health.any_closed() => Err(e),
-                _ => Ok(WorkerPoll::Done),
-            };
-        }
-        let n = self.client.member_count();
-        self.member = (self.member + 1) % n;
-        let member = self.member;
-        if self.health.closed(member) || !self.health.should_probe(member) {
-            return Ok(WorkerPoll::Idle);
-        }
-        if self.drop_budget == Some(completed) {
-            self.drop_budget = None;
-            // Crash at the worst moment: mid-request, response unread.
-            // The long timeout keeps the server-side bucket parked until
-            // a task is assigned to the now-dead connection; the server
-            // notices the missing ack, requeues, and the task is handed
-            // to a healthy bucket. The poll below re-dials and we pick
-            // up where we left off.
-            self.client
-                .fault_drop_during_request(member, self.bucket_id, Duration::from_secs(30));
-        }
-        // One task request blocks until the member has work or the
-        // timeout lapses. Round-robin must not multiply that wait — the
-        // budget is split so a full idle rotation costs one
-        // `request_timeout` however many members there are. Re-derived
-        // every poll over the *live* member count: once members die or
-        // close, a stale full-membership split would shrink the
-        // rotation far below the budget and the worker would hammer the
-        // survivors with short polls.
-        let poll_timeout = self.opts.request_timeout / self.health.live().max(1) as u32;
-        let location = self.opts.location.as_deref().unwrap_or("");
-        match self
-            .client
-            .request_task_located(member, self.bucket_id, poll_timeout, location)
+    /// End the worker (first caller wins): wake every waiter and cut
+    /// the parked long-polls short.
+    fn stop(&self, how: Result<(), RemoteError>) {
         {
-            Ok(p) => {
-                self.health.note_ok(member);
-                match p {
-                    TaskPoll::Assigned { data, tenant, .. } => {
-                        Ok(WorkerPoll::Task { data, tenant })
-                    }
-                    TaskPoll::Empty => Ok(WorkerPoll::Idle),
-                    TaskPoll::Closed => {
-                        self.health.note_closed(member);
-                        Ok(WorkerPoll::Idle)
-                    }
-                    // One member draining this bucket retires the whole
-                    // worker: the capacity controller targeted it, and a
-                    // half-retired worker that keeps polling the other
-                    // members would never actually shrink the fleet.
-                    TaskPoll::Retire => Ok(WorkerPoll::Done),
-                }
+            let mut st = self.hub.state.lock();
+            st.end.get_or_insert(how);
+            self.hub.changed.notify_all();
+        }
+        self.polls.interrupt();
+    }
+
+    /// Apply `event` to `member`'s health and return the result. Once
+    /// no member is pollable the worker ends: a written-off member's
+    /// own crash handling and the driver's deadline degradation own
+    /// correctness past this point. A closed scheduler means the run
+    /// finished; with none closed the staging area was lost, and a
+    /// supervisor must be able to tell the two apart.
+    fn note(&self, member: usize, event: impl FnOnce(&mut MemberHealth)) -> MemberHealth {
+        let mut st = self.hub.state.lock();
+        event(&mut st.members[member]);
+        let health = st.members[member];
+        if !st.members.iter().any(MemberHealth::pollable) {
+            let how = match st.last_err.take() {
+                Some(e) if !st.members.iter().any(|m| m.closed) => Err(e),
+                _ => Ok(()),
+            };
+            drop(st);
+            self.stop(how);
+        }
+        health
+    }
+
+    /// Wait on the stop signal for `pause`; true when the worker ended.
+    fn sit_out(&self, pause: Duration) -> bool {
+        let until = Instant::now() + pause;
+        let mut st = self.hub.state.lock();
+        loop {
+            let left = until.saturating_duration_since(Instant::now());
+            if st.end.is_some() || left.is_zero() {
+                return st.end.is_some();
             }
-            Err(e) if e.is_retryable() => {
-                // The member may be mid-restart or partitioned; a few
-                // more chances (the client already reconnected once),
-                // then it is written off until a revival probe answers.
-                if self.health.note_err(member) {
-                    std::thread::sleep(self.opts.backoff.initial);
-                }
-                self.last_err = Some(e);
-                Ok(WorkerPoll::Idle)
-            }
-            Err(e) => Err(e),
+            self.hub.changed.wait_for(&mut st, left);
         }
     }
 
-    /// The task lifecycle: lease, decode, assemble rank pieces,
-    /// aggregate, store, account. Returns the number of tasks completed
-    /// when [`Self::poll`] reports [`WorkerPoll::Done`].
+    /// One bucket-ready long-poll of `member`, receipt included: an
+    /// assignment is claimed and acknowledged if the worker is free,
+    /// and declined — then reported as `Empty`, there being nothing in
+    /// it for this worker — if it is not.
+    fn poll_once(
+        &self,
+        member: usize,
+        declined: &sitra_obs::Counter,
+    ) -> Result<TaskPoll, RemoteError> {
+        let location = self.opts.location.as_deref().unwrap_or("");
+        self.polls.on(member, |c| {
+            let poll = c.request_task_held(self.bucket_id, self.opts.request_timeout, location)?;
+            let TaskPoll::Assigned { seq, .. } = poll else {
+                return Ok(poll);
+            };
+            let claimed = {
+                let mut st = self.hub.state.lock();
+                let free = !st.busy && st.end.is_none();
+                st.busy |= free;
+                free
+            };
+            if !claimed {
+                c.decline_task(seq)?;
+                declined.inc();
+                return Ok(TaskPoll::Empty);
+            }
+            if let Err(e) = c.ack_task(seq) {
+                // The server requeues an unacknowledged task.
+                self.release(false);
+                return Err(e);
+            }
+            Ok(poll)
+        })
+    }
+
+    /// The worker is free again; `completed` says whether the task it
+    /// held was finished (as opposed to skipped or never received).
+    fn release(&self, completed: bool) {
+        let mut st = self.hub.state.lock();
+        st.busy = false;
+        st.completed += usize::from(completed);
+        self.hub.changed.notify_all();
+    }
+
+    /// `member`'s poller: while the worker is free keep one long-poll
+    /// outstanding there, keep the member's [`MemberHealth`], and serve
+    /// the assignments it claims.
+    fn poll_member(&self, member: usize, analyses: &[AnalysisSpec]) {
+        let reg = sitra_obs::global();
+        let counter =
+            |what: &str| reg.counter(&format!("worker.tasks.{what}{{bucket={}}}", self.bucket_id));
+        let (declined, completed, skipped) = (
+            counter("declined"),
+            counter("completed"),
+            counter("skipped"),
+        );
+        loop {
+            // Re-armed only when the worker is free: a request parked
+            // while it is busy could only be declined.
+            let drop_now = {
+                let mut st = self.hub.state.lock();
+                while st.busy && st.end.is_none() {
+                    self.hub.changed.wait(&mut st);
+                }
+                if st.end.is_some() {
+                    return;
+                }
+                let due = st.drop_budget == Some(st.completed);
+                if due {
+                    st.drop_budget = None;
+                }
+                due
+            };
+            if drop_now {
+                // Crash at the worst moment: mid-request, response unread.
+                // The long timeout keeps the server-side bucket parked until
+                // a task is assigned to the now-dead connection; the server
+                // notices the missing ack, requeues, and the task is handed
+                // to a healthy bucket. The poll below re-dials and we pick
+                // up where we left off.
+                self.polls.fault_drop_during_request(
+                    member,
+                    self.bucket_id,
+                    Duration::from_secs(30),
+                );
+            }
+            match self.poll_once(member, &declined) {
+                Ok(polled) => {
+                    self.note(member, MemberHealth::note_ok);
+                    match polled {
+                        TaskPoll::Assigned { data, tenant, .. } => {
+                            let served = self.aggregate(analyses, &data, &tenant);
+                            self.release(matches!(served, Ok(true)));
+                            match served {
+                                Ok(true) => completed.inc(),
+                                Ok(false) => skipped.inc(),
+                                Err(e) => return self.stop(Err(e)),
+                            }
+                        }
+                        TaskPoll::Empty => {}
+                        TaskPoll::Closed => {
+                            self.note(member, |h| h.closed = true);
+                            return;
+                        }
+                        // One member draining this bucket retires the whole
+                        // worker: the capacity controller targeted it, and a
+                        // half-retired worker that keeps polling the other
+                        // members would never actually shrink the fleet.
+                        TaskPoll::Retire => return self.stop(Ok(())),
+                    }
+                }
+                Err(e) if e.is_retryable() => {
+                    // The member may be mid-restart or partitioned; a few
+                    // more chances (the client already reconnected once),
+                    // then it is written off until a revival probe answers.
+                    self.hub.state.lock().last_err = Some(e);
+                    let health = self.note(member, MemberHealth::note_err);
+                    if self.sit_out(health.pause(self.opts)) {
+                        return;
+                    }
+                }
+                Err(e) => return self.stop(Err(e)),
+            }
+        }
+    }
+
+    /// Run the worker to its end: the first member's poller on this
+    /// thread, the others on their own. Returns the number of tasks
+    /// completed.
+    fn run(&self, analyses: &[AnalysisSpec]) -> Result<usize, RemoteError> {
+        std::thread::scope(|s| {
+            for member in 1..self.polls.member_count() {
+                s.spawn(move || self.poll_member(member, analyses));
+            }
+            self.poll_member(0, analyses);
+        });
+        let mut st = self.hub.state.lock();
+        let end = st.end.take().expect("every poller returns on the end");
+        end.map(|()| st.completed)
+    }
+
+    /// Serve one assignment — decode, assemble rank pieces, aggregate,
+    /// store, account; `Ok(false)` when it had to be skipped.
     ///
     /// A task whose pieces cannot all be found — the get raced a shard
     /// handoff, a member crashed with pieces aboard, a rank's put never
@@ -372,92 +448,82 @@ impl BucketWorker<'_> {
     /// the golden-output oracle, while a missing output merely trips
     /// the driver's deadline and degrades the task to an in-situ
     /// re-aggregation.
-    fn run(&mut self, analyses: &[AnalysisSpec]) -> Result<usize, RemoteError> {
-        let bucket_id = self.bucket_id;
-        let reg = sitra_obs::global();
-        let obs_completed = reg.counter(&format!("worker.tasks.completed{{bucket={bucket_id}}}"));
-        let obs_skipped = reg.counter(&format!("worker.tasks.skipped{{bucket={bucket_id}}}"));
-        let mut completed = 0usize;
-        loop {
-            // The bucket pool is shared across tenants, so the assignment
-            // itself names the namespace: this worker's connections stay
-            // unbound and every space access is scoped explicitly. For
-            // the default tenant the scoped name is the bare name.
-            let (data, tenant) = match self.poll(completed)? {
-                WorkerPoll::Task { data, tenant } => (data, tenant),
-                WorkerPoll::Idle => continue,
-                WorkerPoll::Done => return Ok(completed),
-            };
-            let task = decode_task(&data)
-                .map_err(|e| RemoteError::Proto(format!("bad task descriptor: {e}")))?;
-            let spec = analyses.get(task.analysis_idx as usize).ok_or_else(|| {
-                RemoteError::Proto(format!("task for unknown analysis {}", task.analysis_idx))
-            })?;
-            // All rank pieces of this step; the space returns them sorted
-            // by bbox.lo, i.e. in rank order, so the aggregation sees the
-            // byte-identical part list the in-process bucket would.
-            let query = BBox3::new([0, 0, 0], [task.n_ranks.max(1) as usize, 1, 1]);
-            let Ok(pieces) = self.client.get(
-                &scoped_var(&tenant, &intermediate_var(&spec.label)),
-                task.step,
-                &query,
-            ) else {
-                // Every member failed the fan-out; the task's inputs are
-                // unreachable right now. Skip — the driver degrades it.
-                obs_skipped.inc();
-                continue;
-            };
-            let mut parts: Vec<(usize, Bytes)> = pieces
-                .into_iter()
-                .map(|(bbox, data)| (bbox.lo[0], data))
-                .collect();
-            // The space stores at most one piece per (var, step, rank), but
-            // aggregation is order-sensitive (the streaming merge tree
-            // panics on a re-declared source), so a same-rank duplicate
-            // must fail here as a protocol error instead. Identical
-            // payloads — a benign re-delivery — are collapsed.
-            parts.dedup();
-            if let Some(w) = parts.windows(2).find(|w| w[0].0 == w[1].0) {
-                return Err(RemoteError::Proto(format!(
-                    "conflicting duplicate parts for rank {} of {}@{}",
-                    w[0].0, spec.label, task.step
-                )));
-            }
-            if parts.len() != task.n_ranks as usize {
-                obs_skipped.inc();
-                continue;
-            }
-            let t_agg = std::time::Instant::now();
-            let out = spec.analysis.aggregate(task.step, &parts);
-            let aggregate_secs = t_agg.elapsed().as_secs_f64();
-            if self
-                .client
-                .put(
-                    &scoped_var(&tenant, &output_var(&spec.label)),
-                    task.step,
-                    output_bbox(),
-                    encode_analysis_output(&out),
-                )
-                .is_err()
-            {
-                // The output's ring owner is unreachable; without the put
-                // the task is as good as skipped and the driver degrades it.
-                obs_skipped.inc();
-                continue;
-            }
-            completed += 1;
-            obs_completed.inc();
-            crate::driver::emit_aggregate(
-                "worker",
-                &spec.label,
-                task.step,
-                aggregate_secs,
-                Some(bucket_id),
-                false,
-                0.0,
-                0.0,
-            );
+    ///
+    /// The bucket pool is shared across tenants, so the assignment
+    /// itself names the namespace: this worker's connections stay
+    /// unbound and every space access is scoped explicitly. For the
+    /// default tenant the scoped name is the bare name.
+    fn aggregate(
+        &self,
+        analyses: &[AnalysisSpec],
+        data: &Bytes,
+        tenant: &str,
+    ) -> Result<bool, RemoteError> {
+        let task = decode_task(data)
+            .map_err(|e| RemoteError::Proto(format!("bad task descriptor: {e}")))?;
+        let spec = analyses.get(task.analysis_idx as usize).ok_or_else(|| {
+            RemoteError::Proto(format!("task for unknown analysis {}", task.analysis_idx))
+        })?;
+        // All rank pieces of this step; the space returns them sorted
+        // by bbox.lo, i.e. in rank order, so the aggregation sees the
+        // byte-identical part list the in-process bucket would.
+        let query = BBox3::new([0, 0, 0], [task.n_ranks.max(1) as usize, 1, 1]);
+        let Ok(pieces) = self.client.get(
+            &scoped_var(tenant, &intermediate_var(&spec.label)),
+            task.step,
+            &query,
+        ) else {
+            // Every member failed the fan-out; the task's inputs are
+            // unreachable right now. Skip — the driver degrades it.
+            return Ok(false);
+        };
+        let mut parts: Vec<(usize, Bytes)> = pieces
+            .into_iter()
+            .map(|(bbox, data)| (bbox.lo[0], data))
+            .collect();
+        // The space stores at most one piece per (var, step, rank), but
+        // aggregation is order-sensitive (the streaming merge tree
+        // panics on a re-declared source), so a same-rank duplicate
+        // must fail here as a protocol error instead. Identical
+        // payloads — a benign re-delivery — are collapsed.
+        parts.dedup();
+        if let Some(w) = parts.windows(2).find(|w| w[0].0 == w[1].0) {
+            return Err(RemoteError::Proto(format!(
+                "conflicting duplicate parts for rank {} of {}@{}",
+                w[0].0, spec.label, task.step
+            )));
         }
+        if parts.len() != task.n_ranks as usize {
+            return Ok(false);
+        }
+        let t_agg = Instant::now();
+        let out = spec.analysis.aggregate(task.step, &parts);
+        let aggregate_secs = t_agg.elapsed().as_secs_f64();
+        if self
+            .client
+            .put(
+                &scoped_var(tenant, &output_var(&spec.label)),
+                task.step,
+                output_bbox(),
+                encode_analysis_output(&out),
+            )
+            .is_err()
+        {
+            // The output's ring owner is unreachable; without the put
+            // the task is as good as skipped and the driver degrades it.
+            return Ok(false);
+        }
+        crate::driver::emit_aggregate(
+            "worker",
+            &spec.label,
+            task.step,
+            aggregate_secs,
+            Some(self.bucket_id),
+            false,
+            0.0,
+            0.0,
+        );
+        Ok(true)
     }
 }
 
@@ -473,10 +539,11 @@ pub fn run_bucket_worker(
     run_cluster_bucket_worker(&[endpoint.to_string()], analyses, bucket_id, opts)
 }
 
-/// Run one staging bucket against a member list: poll every member's
-/// scheduler round-robin, fetch each task's rank pieces with a fan-out
-/// get (they may live on any member, or be mid-handoff), aggregate, and
-/// route the output back through the ring.
+/// Run one staging bucket against a member list: keep a bucket-ready
+/// request parked on every member's scheduler at once, fetch each
+/// task's rank pieces with a fan-out get (they may live on any member,
+/// or be mid-handoff), aggregate, and route the output back through
+/// the ring.
 ///
 /// Returns the number of tasks completed once a scheduler has closed
 /// (or retired this bucket) and no member is left to poll. When every
@@ -492,66 +559,61 @@ pub fn run_cluster_bucket_worker(
     bucket_id: u32,
     opts: &BucketWorkerOpts,
 ) -> Result<usize, RemoteError> {
-    let client = ClusterClient::new(
-        sitra_cluster::DEFAULT_SEED,
-        sitra_cluster::DEFAULT_VNODES,
-        endpoints.iter().cloned(),
-        opts.backoff,
-    )?;
-    let health = MemberHealth::new(client.member_count());
+    let connect = || {
+        ClusterClient::new(
+            sitra_cluster::DEFAULT_SEED,
+            sitra_cluster::DEFAULT_VNODES,
+            endpoints.iter().cloned(),
+            opts.backoff,
+        )
+    };
+    let polls = connect()?;
     BucketWorker {
-        client,
-        health,
-        member: 0,
+        client: connect()?,
+        hub: Hub {
+            state: Mutex::new(HubState {
+                busy: false,
+                completed: 0,
+                drop_budget: opts.drop_connection_after,
+                members: vec![MemberHealth::default(); polls.member_count()],
+                last_err: None,
+                end: None,
+            }),
+            changed: Condvar::new(),
+        },
+        polls,
         bucket_id,
         opts,
-        drop_budget: opts.drop_connection_after,
-        last_err: None,
     }
     .run(analyses)
 }
 
-/// Poll the staging area until the output of `(label, step)` appears,
-/// decode it, or give up at `deadline` with [`RemoteError::Timeout`].
-/// Each poll fans the get out to every member, so the output is found
-/// wherever its worker put it — including mid-rebalance, when the
-/// owning member just changed.
-///
-/// The poll interval backs off exponentially (capped) so a long wait
-/// does not hammer the servers, and the final sleep is clamped to the
-/// time remaining so the deadline is honoured instead of overslept.
-pub fn await_output(
+/// Block until the output of `(label, step)` is in the staging area or
+/// `timeout` lapses (`None`), and decode it. The wait is a data-ready
+/// read on the output's ring owner ([`ClusterClient::get_wait`]), woken
+/// by the worker's put; at the timeout every member is asked once, so
+/// the output is found wherever a rebalance moved it.
+pub fn wait_output(
     client: &ClusterClient,
     label: &str,
     step: u64,
-    deadline: std::time::Instant,
-) -> Result<AnalysisOutput, RemoteError> {
-    const FIRST_SLEEP: Duration = Duration::from_micros(500);
-    const MAX_SLEEP: Duration = Duration::from_millis(20);
-    let var = output_var(label);
-    let q = output_bbox();
-    let mut sleep = FIRST_SLEEP;
-    loop {
-        let pieces = client.get(&var, step, &q)?;
-        if let Some((_, data)) = pieces.into_iter().next() {
-            return decode_analysis_output(data)
-                .map_err(|e| RemoteError::Proto(format!("bad output for {label}@{step}: {e}")));
-        }
-        let left = deadline.saturating_duration_since(std::time::Instant::now());
-        if left.is_zero() {
-            return Err(RemoteError::Timeout(format!(
-                "waiting for output {label}@{step}"
-            )));
-        }
-        std::thread::sleep(sleep.min(left));
-        sleep = (sleep * 2).min(MAX_SLEEP);
-    }
+    timeout: Duration,
+) -> Result<Option<AnalysisOutput>, RemoteError> {
+    let pieces = client.get_wait(&output_var(label), step, &output_bbox(), timeout)?;
+    pieces
+        .into_iter()
+        .next()
+        .map(|(_, data)| {
+            decode_analysis_output(data)
+                .map_err(|e| RemoteError::Proto(format!("bad output for {label}@{step}: {e}")))
+        })
+        .transpose()
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::analysis::HybridStats;
+    use crate::analysis::{Analysis, HybridStats};
     use crate::placement::Placement;
     use sitra_dataspaces::SpaceServer;
     use std::sync::Arc;
@@ -582,24 +644,41 @@ mod tests {
     }
 
     #[test]
-    fn await_output_deadline_returns_timeout_promptly() {
-        let addr: Addr = "inproc://core-await-timeout".parse().unwrap();
+    fn wait_output_is_empty_at_its_timeout_and_woken_by_the_put() {
+        let addr: Addr = "inproc://core-wait-output".parse().unwrap();
         let server = SpaceServer::start(&addr, 1).unwrap();
         let client = client_of(&server);
-        let t0 = std::time::Instant::now();
-        let deadline = t0 + Duration::from_millis(60);
-        let err = await_output(&client, "never", 1, deadline).unwrap_err();
+        let t0 = Instant::now();
+        let got = wait_output(&client, "never", 1, Duration::from_millis(60)).unwrap();
+        assert!(got.is_none());
         let elapsed = t0.elapsed();
-        assert!(matches!(err, RemoteError::Timeout(_)), "got {err:?}");
-        assert!(err.is_retryable());
-        // The deadline is honoured: the final sleep is clamped to the
-        // time remaining, so we return at the deadline, not after an
-        // extra full poll interval.
         assert!(elapsed >= Duration::from_millis(60));
         assert!(
             elapsed < Duration::from_millis(500),
-            "overslept the deadline: {elapsed:?}"
+            "overslept the timeout: {elapsed:?}"
         );
+
+        // A put wakes the waiter long before its timeout. The barrier
+        // only orders the put after the wait began being issued; a put
+        // that wins the race is found by the wait's first look.
+        let out = AnalysisOutput::Stats(Vec::new());
+        let gate = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                gate.wait();
+                server.space().put(
+                    &output_var("late"),
+                    2,
+                    output_bbox(),
+                    encode_analysis_output(&out),
+                );
+            });
+            gate.wait();
+            let t0 = Instant::now();
+            let got = wait_output(&client, "late", 2, Duration::from_secs(30)).unwrap();
+            assert_eq!(got, Some(out.clone()));
+            assert!(t0.elapsed() < Duration::from_secs(5));
+        });
         server.shutdown();
     }
 
@@ -609,56 +688,61 @@ mod tests {
         // MEMBER_DEAD_STRIKES, revives on a probe, then fails again used
         // to be re-declared dead on that *first* post-revival failure,
         // because the pre-death strikes survived the flap.
-        let mut h = MemberHealth::new(2);
-        for _ in 0..MEMBER_DEAD_STRIKES {
-            h.note_err(0);
+        let opts = BucketWorkerOpts::default();
+        let mut h = MemberHealth::default();
+        for k in 1..=MEMBER_DEAD_STRIKES {
+            h.note_err();
+            assert_eq!(h.dead, k == MEMBER_DEAD_STRIKES);
         }
-        assert!(h.dead[0]);
-        assert_eq!(h.live(), 1, "poll budget follows live membership");
+        assert!(!h.pollable());
 
         // Failed revival probes are free: no strikes accumulate while
-        // dead, and the member stays dead.
+        // dead, the member stays dead, and probes are spaced by whole
+        // long-poll periods, not the live back-off.
         for _ in 0..10 {
-            assert!(!h.note_err(0), "dead-member probe must not back off");
+            h.note_err();
+            assert_eq!((h.dead, h.strikes), (true, 0), "probes are free");
         }
-        assert!(h.dead[0]);
+        assert_eq!(h.pause(&opts), opts.request_timeout * MEMBER_REVIVE_EVERY);
 
         // A probe answers: fresh episode.
-        h.note_ok(0);
-        assert!(!h.dead[0]);
-        assert_eq!(h.live(), 2);
+        h.note_ok();
+        assert!(h.pollable());
 
         // The member must earn a full strike count again before being
         // written off — strictly fewer failures keep it live.
         for _ in 0..MEMBER_DEAD_STRIKES - 1 {
-            assert!(h.note_err(0), "live member under threshold backs off");
-            assert!(!h.dead[0], "flap must not double-count old strikes");
+            h.note_err();
+            assert!(!h.dead, "flap must not double-count old strikes");
+            assert_eq!(h.pause(&opts), opts.backoff.initial);
         }
-        h.note_err(0);
-        assert!(h.dead[0]);
+        h.note_err();
+        assert!(h.dead);
+        // Closing is permanent and distinct from death.
+        h.note_ok();
+        h.closed = true;
+        assert!(!h.pollable());
     }
 
     #[test]
-    fn member_health_probe_spacing_and_retirement() {
-        let mut h = MemberHealth::new(1);
-        for _ in 0..MEMBER_DEAD_STRIKES {
-            h.note_err(0);
-        }
-        // Every member dead (none closed): the worker retires rather
-        // than spinning on revival probes forever.
-        assert!(!h.any_pollable());
-        // Probes fire on every MEMBER_REVIVE_EVERY-th visit, not every
-        // rotation.
-        let probes = (0..MEMBER_REVIVE_EVERY * 3)
-            .filter(|_| h.should_probe(0))
-            .count();
-        assert_eq!(probes as u32, 3);
-        // Closing is permanent and distinct from death.
-        h.note_ok(0);
-        assert!(h.any_pollable());
-        h.note_closed(0);
-        assert!(h.closed(0));
-        assert!(!h.any_pollable());
+    fn worker_ends_with_the_last_error_when_every_member_is_unreachable() {
+        // Nothing listens on either endpoint: both pollers strike out,
+        // no scheduler ever closed, so the staging area was lost rather
+        // than finished and the supervisor gets the transport error.
+        let eps = [
+            "inproc://core-worker-nobody-0".to_string(),
+            "inproc://core-worker-nobody-1".to_string(),
+        ];
+        let opts = BucketWorkerOpts {
+            backoff: Backoff {
+                initial: Duration::from_millis(1),
+                max: Duration::from_millis(2),
+                attempts: 2,
+            },
+            ..BucketWorkerOpts::default()
+        };
+        let err = run_cluster_bucket_worker(&eps, &stats_roster(), 0, &opts).unwrap_err();
+        assert!(err.is_retryable(), "got {err:?}");
     }
 
     fn stats_roster() -> Vec<AnalysisSpec> {
@@ -670,11 +754,12 @@ mod tests {
     }
 
     /// Producer side of one two-rank step: put the learned models of
-    /// `ranks` under step 1, submit the (always two-rank) task, close
-    /// the scheduler. Returns the parts that were put.
-    fn stage_two_rank_task(
+    /// `ranks` under `step` and submit the (always two-rank) task,
+    /// routed by `(label, step)`. Returns the parts that were put.
+    fn stage_task(
         producer: &ClusterClient,
         analyses: &[AnalysisSpec],
+        step: u64,
         ranks: std::ops::Range<usize>,
     ) -> Vec<(usize, Bytes)> {
         use crate::analysis::InSituCtx;
@@ -690,26 +775,239 @@ mod tests {
             let vars = vec![("T".to_string(), block)];
             let ctx = InSituCtx {
                 rank: r,
-                step: 1,
+                step,
                 decomp: &decomp,
                 ghosted: &ghosted,
                 vars: &vars,
             };
             let payload = analyses[0].analysis.in_situ(&ctx);
             producer
-                .put(&intermediate_var(label), 1, rank_bbox(r), payload.clone())
+                .put(
+                    &intermediate_var(label),
+                    step,
+                    rank_bbox(r),
+                    payload.clone(),
+                )
                 .unwrap();
             local_parts.push((r, payload));
         }
         let task = encode_task(&RemoteTask {
             analysis_idx: 0,
-            step: 1,
+            step,
             n_ranks: 2,
         });
-        let (_, adm) = producer.submit_task_routed(label, 1, task).unwrap();
+        let (_, adm) = producer.submit_task_routed(label, step, task).unwrap();
         assert!(adm.seq().is_some());
+        local_parts
+    }
+
+    /// [`stage_task`] at step 1, then close the scheduler.
+    fn stage_two_rank_task(
+        producer: &ClusterClient,
+        analyses: &[AnalysisSpec],
+        ranks: std::ops::Range<usize>,
+    ) -> Vec<(usize, Bytes)> {
+        let local_parts = stage_task(producer, analyses, 1, ranks);
         producer.close_sched();
         local_parts
+    }
+
+    /// A seeded three-member cluster and a client over it.
+    fn trio(tag: &str) -> (Vec<sitra_cluster::ClusterNode>, Vec<String>, ClusterClient) {
+        use sitra_cluster::{Bootstrap, ClusterNode, ClusterNodeOpts};
+        let endpoints: Vec<String> = (0..3)
+            .map(|i| format!("inproc://core-worker-{tag}-{i}"))
+            .collect();
+        let nodes = endpoints
+            .iter()
+            .map(|ep| {
+                ClusterNode::start(
+                    &ep.parse().unwrap(),
+                    Bootstrap::Seeds(endpoints.clone()),
+                    ClusterNodeOpts::default(),
+                )
+                .expect("start member")
+            })
+            .collect();
+        let client = ClusterClient::new(
+            sitra_cluster::DEFAULT_SEED,
+            sitra_cluster::DEFAULT_VNODES,
+            endpoints.iter().cloned(),
+            Backoff::default(),
+        )
+        .unwrap();
+        (nodes, endpoints, client)
+    }
+
+    /// The first step after `after` whose task the ring routes to
+    /// `member`.
+    fn step_routed_to(endpoints: &[String], label: &str, member: usize, after: u64) -> u64 {
+        let ring = sitra_cluster::HashRing::new(
+            sitra_cluster::DEFAULT_SEED,
+            sitra_cluster::DEFAULT_VNODES,
+            endpoints.iter().cloned(),
+        );
+        (after + 1..)
+            .find(|step| ring.task_owner_index(label, *step) == Some(member))
+            .expect("the ring routes to every member")
+    }
+
+    /// Spin (yielding) until every member has `idle` buckets parked.
+    fn await_parked(nodes: &[sitra_cluster::ClusterNode], idle: usize) {
+        let t0 = Instant::now();
+        while nodes
+            .iter()
+            .any(|n| n.scheduler().pool_snapshot().idle != idle)
+        {
+            assert!(
+                t0.elapsed() < Duration::from_secs(20),
+                "workers never parked"
+            );
+            std::thread::yield_now();
+        }
+    }
+
+    #[test]
+    fn idle_worker_is_parked_on_every_member_at_once() {
+        // One long-poll bound of 30 s, one task routed to each member
+        // in turn. A worker visiting members in rotation would sit out
+        // up to a third of that per task; parked on all three it is
+        // handed each task as it is submitted.
+        let (nodes, endpoints, producer) = trio("parked");
+        let analyses = stats_roster();
+        let label = analyses[0].label.clone();
+        let t0 = Instant::now();
+        std::thread::scope(|s| {
+            let worker = s.spawn(|| {
+                let opts = BucketWorkerOpts {
+                    request_timeout: Duration::from_secs(30),
+                    ..BucketWorkerOpts::default()
+                };
+                run_cluster_bucket_worker(&endpoints, &analyses, 0, &opts)
+            });
+            let mut step = 0;
+            for (member, node) in nodes.iter().enumerate() {
+                step = step_routed_to(&endpoints, &label, member, step);
+                let parts = stage_task(&producer, &analyses, step, 0..2);
+                let got = wait_output(&producer, &label, step, Duration::from_secs(20))
+                    .unwrap()
+                    .expect("served without waiting out a rotation");
+                assert_eq!(got, analyses[0].analysis.aggregate(step, &parts));
+                assert_eq!(node.sched_stats().tasks_assigned, 1);
+            }
+            // Parked on three members with 30 s to go, the worker still
+            // ends as soon as the schedulers close.
+            producer.close_sched();
+            assert_eq!(worker.join().unwrap().unwrap(), 3);
+        });
+        assert!(t0.elapsed() < Duration::from_secs(20), "{:?}", t0.elapsed());
+        nodes
+            .into_iter()
+            .for_each(sitra_cluster::ClusterNode::shutdown);
+    }
+
+    /// [`HybridStats`] whose aggregation of one chosen step parks on a
+    /// pair of barriers, so a test decides how long a worker is busy.
+    struct Gated {
+        inner: HybridStats,
+        hold: u64,
+        entered: std::sync::Barrier,
+        release: std::sync::Barrier,
+    }
+
+    impl Analysis for Gated {
+        fn name(&self) -> &str {
+            self.inner.name()
+        }
+        fn in_situ(&self, ctx: &crate::analysis::InSituCtx<'_>) -> Bytes {
+            self.inner.in_situ(ctx)
+        }
+        fn aggregate(&self, step: u64, parts: &[(usize, Bytes)]) -> AnalysisOutput {
+            if step == self.hold {
+                self.entered.wait();
+                self.release.wait();
+            }
+            self.inner.aggregate(step, parts)
+        }
+    }
+
+    #[test]
+    fn busy_worker_declines_and_an_idle_one_serves() {
+        const BUSY: u32 = 141; // unique: the decline counters are global
+        const IDLE: u32 = 142;
+        let (nodes, endpoints, producer) = trio("decline");
+        let label = HybridStats::default().name().to_string();
+        let held = step_routed_to(&endpoints, &label, 0, 0);
+        let other = step_routed_to(&endpoints, &label, 1, held);
+        let gated = Arc::new(Gated {
+            inner: HybridStats::default(),
+            hold: held,
+            entered: std::sync::Barrier::new(2),
+            release: std::sync::Barrier::new(2),
+        });
+        let analyses = vec![AnalysisSpec::new(gated.clone(), Placement::Hybrid, 1)];
+        let declined = |bucket: u32| {
+            sitra_obs::global()
+                .counter(&format!("worker.tasks.declined{{bucket={bucket}}}"))
+                .get()
+        };
+        let before = (declined(BUSY), declined(IDLE));
+        std::thread::scope(|s| {
+            let spawn = |bucket: u32| {
+                let (endpoints, analyses) = (&endpoints, &analyses);
+                s.spawn(move || {
+                    // Never re-parks during the test, so the free lists
+                    // keep the order the workers arrived in.
+                    let opts = BucketWorkerOpts {
+                        request_timeout: Duration::from_secs(30),
+                        ..BucketWorkerOpts::default()
+                    };
+                    run_cluster_bucket_worker(endpoints, analyses, bucket, &opts)
+                })
+            };
+            // BUSY parks first on every member, so it heads every
+            // member's free list and the next task anywhere is its.
+            let busy = spawn(BUSY);
+            await_parked(&nodes, 1);
+            let idle = spawn(IDLE);
+            await_parked(&nodes, 2);
+
+            stage_task(&producer, &analyses, held, 0..2);
+            gated.entered.wait(); // BUSY is inside the held aggregation
+                                  // Member 1 hands the next task to the head of its free
+                                  // list: BUSY, which declines; the requeue goes to IDLE.
+            let parts = stage_task(&producer, &analyses, other, 0..2);
+            let got = wait_output(&producer, &label, other, Duration::from_secs(20))
+                .unwrap()
+                .expect("the idle worker served the declined task");
+            assert_eq!(got, gated.inner.aggregate(other, &parts));
+            assert_eq!(declined(BUSY) - before.0, 1);
+            assert_eq!(declined(IDLE) - before.1, 0);
+
+            gated.release.wait();
+            assert!(
+                wait_output(&producer, &label, held, Duration::from_secs(20))
+                    .unwrap()
+                    .is_some()
+            );
+            producer.close_sched();
+            assert_eq!(busy.join().unwrap().unwrap(), 1);
+            assert_eq!(idle.join().unwrap().unwrap(), 1);
+        });
+        // The decline is a requeue like any other: conservation holds
+        // on every member, and only the declining one saw a requeue.
+        for (m, node) in nodes.iter().enumerate() {
+            let st = node.sched_stats();
+            assert_eq!(
+                st.tasks_submitted + st.tasks_requeued,
+                st.tasks_assigned + st.tasks_shed + node.scheduler().queue_depth() as u64,
+                "member {m}: {st:?}"
+            );
+            assert_eq!(st.tasks_requeued, u64::from(m == 1), "member {m}");
+        }
+        nodes
+            .into_iter()
+            .for_each(sitra_cluster::ClusterNode::shutdown);
     }
 
     #[test]
@@ -725,13 +1023,9 @@ mod tests {
             run_bucket_worker(&server.addr(), &analyses, 0, &BucketWorkerOpts::default()).unwrap();
         assert_eq!(done, 1);
 
-        let got = await_output(
-            &producer,
-            &label,
-            1,
-            std::time::Instant::now() + Duration::from_secs(5),
-        )
-        .unwrap();
+        let got = wait_output(&producer, &label, 1, Duration::from_secs(5))
+            .unwrap()
+            .expect("the worker put its output");
         let expect = analyses[0].analysis.aggregate(1, &local_parts);
         assert_eq!(got, expect);
         assert_eq!(

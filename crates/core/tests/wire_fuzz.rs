@@ -8,6 +8,7 @@ use proptest::prelude::*;
 use sitra_cluster::{decode_msg, encode_msg, ClusterMsg, ClusterView, MemberInfo};
 use sitra_core::analysis::AnalysisOutput;
 use sitra_core::wire;
+use sitra_dataspaces::remote::{decode_request, decode_response, encode_request, Request};
 use sitra_dataspaces::{
     decode_steer_msg, decode_steer_reply, encode_steer_msg, encode_steer_reply, SteerMsg,
     SteerReply,
@@ -425,6 +426,72 @@ proptest! {
         let i = (at as usize) % raw.len();
         raw[i] ^= flip;
         let _ = decode_msg(Bytes::from(raw));
+    }
+
+    /// The data-ready read of the staging RPC: round-trips, errors on
+    /// every strict prefix and on trailing bytes, refuses an inverted
+    /// query region (a corrupted corner must not reach the space as a
+    /// nonsense box), and survives a flipped byte whichever decoder
+    /// the damaged frame reaches.
+    #[test]
+    fn get_wait_roundtrips_and_hostile_frames_error(
+        var in short_name(),
+        version in any::<u64>(),
+        lo in prop::array::uniform3(0usize..64),
+        ext in prop::array::uniform3(0usize..64),
+        timeout_ms in any::<u64>(),
+        at in any::<u64>(),
+        flip in 1u8..=255,
+    ) {
+        let hi = [lo[0] + ext[0], lo[1] + ext[1], lo[2] + ext[2]];
+        let req = Request::GetWait { var, version, bbox: BBox3::new(lo, hi), timeout_ms };
+        let enc = encode_request(&req);
+        prop_assert_eq!(decode_request(enc.clone()).unwrap(), req);
+        assert_prefixes_error(&enc, decode_request);
+        let mut raw = enc.to_vec();
+        raw.push(0);
+        prop_assert!(decode_request(Bytes::from(raw.clone())).is_err());
+        raw.pop();
+        // The bbox sits between the version and the trailing timeout:
+        // swap its corners in place.
+        let corners = raw.len() - 8 - 48;
+        let (lo_bytes, hi_bytes) = raw[corners..corners + 48].split_at_mut(24);
+        lo_bytes.swap_with_slice(hi_bytes);
+        if ext != [0, 0, 0] {
+            prop_assert!(decode_request(Bytes::from(raw.clone())).is_err());
+        }
+        let i = (at as usize) % raw.len();
+        raw[i] ^= flip;
+        let _ = decode_request(Bytes::from(raw.clone()));
+        let _ = decode_response(Bytes::from(raw));
+    }
+
+    /// The receipt that hands an assignment back: same bar. It is an
+    /// opcode and a sequence number, so a flipped byte either lands in
+    /// the number (still a decline, of another task — the server checks
+    /// it against the assignment it is waiting on) or in the opcode.
+    #[test]
+    fn decline_task_roundtrips_and_hostile_frames_error(
+        seq in any::<u64>(),
+        at in 0usize..9,
+        flip in 1u8..=255,
+    ) {
+        let req = Request::DeclineTask { seq };
+        let enc = encode_request(&req);
+        prop_assert_eq!(enc.len(), 9);
+        prop_assert_eq!(decode_request(enc.clone()).unwrap(), req);
+        assert_prefixes_error(&enc, decode_request);
+        let mut raw = enc.to_vec();
+        raw.push(0);
+        prop_assert!(decode_request(Bytes::from(raw.clone())).is_err());
+        raw.pop();
+        raw[at] ^= flip;
+        match decode_request(Bytes::from(raw.clone())) {
+            Ok(Request::DeclineTask { seq: other }) => prop_assert!(at > 0 && other != seq),
+            Ok(other) => prop_assert!(at == 0, "a damaged sequence number became {:?}", other),
+            Err(_) => prop_assert!(at == 0, "a damaged sequence number stopped decoding"),
+        }
+        let _ = decode_response(Bytes::from(raw));
     }
 
     /// The transport's frame decoder is total over arbitrary read

@@ -99,6 +99,44 @@ impl RemoteSpace {
         }
     }
 
+    /// Data-ready read: [`Self::get`], held server-side until a piece
+    /// of `(var, version)` intersecting `query` is stored or `timeout`
+    /// lapses (then empty).
+    pub fn get_wait(
+        &self,
+        var: &str,
+        version: u64,
+        query: &BBox3,
+        timeout: Duration,
+    ) -> Result<Vec<(BBox3, Bytes)>, RemoteError> {
+        self.conn.send(encode_request(&Request::GetWait {
+            var: var.to_string(),
+            version,
+            bbox: *query,
+            timeout_ms: timeout.as_millis() as u64,
+        }))?;
+        match self.recv_long_poll(timeout)? {
+            Response::DataReady {
+                var: v,
+                version: ver,
+                pieces,
+            } if v == var && ver == version => Ok(pieces),
+            other => Err(RemoteError::Proto(format!(
+                "expected DataReady for {var}@{version}, got {other:?}"
+            ))),
+        }
+    }
+
+    /// The reply to a request the server may legitimately hold for all
+    /// of `timeout`: the client-side wait is padded generously.
+    fn recv_long_poll(&self, timeout: Duration) -> Result<Response, RemoteError> {
+        let frame = self.conn.recv_timeout(timeout + Duration::from_secs(30))?;
+        match decode_response(frame)? {
+            Response::Error(msg) => Err(RemoteError::Server(msg)),
+            resp => Ok(resp),
+        }
+    }
+
     /// Spatial query assembled into one field over `query`.
     pub fn get_assembled(
         &self,
@@ -168,25 +206,45 @@ impl RemoteSpace {
         timeout: Duration,
         location: &str,
     ) -> Result<TaskPoll, RemoteError> {
+        let poll = self.request_task_held(bucket_id, timeout, location)?;
+        if let TaskPoll::Assigned { seq, .. } = &poll {
+            self.ack_task(*seq)?;
+        }
+        Ok(poll)
+    }
+
+    /// [`Self::request_task_located`] with the receipt left to the
+    /// caller: an assignment must be answered on this connection with
+    /// [`Self::ack_task`] or [`Self::decline_task`] before any other
+    /// request — the server requeues it otherwise.
+    pub fn request_task_held(
+        &self,
+        bucket_id: u32,
+        timeout: Duration,
+        location: &str,
+    ) -> Result<TaskPoll, RemoteError> {
         self.conn.send(encode_request(&Request::RequestTask {
             bucket_id,
             timeout_ms: timeout.as_millis() as u64,
             location: location.to_string(),
         }))?;
-        // The server may legitimately take the full timeout; pad the
-        // client-side wait generously.
-        let frame = self.conn.recv_timeout(timeout + Duration::from_secs(30))?;
-        match decode_response(frame)? {
-            Response::Task(poll) => {
-                if let TaskPoll::Assigned { seq, .. } = &poll {
-                    self.conn
-                        .send(encode_request(&Request::AckTask { seq: *seq }))?;
-                }
-                Ok(poll)
-            }
-            Response::Error(msg) => Err(RemoteError::Server(msg)),
+        match self.recv_long_poll(timeout)? {
+            Response::Task(poll) => Ok(poll),
             other => Err(RemoteError::Proto(format!("expected Task, got {other:?}"))),
         }
+    }
+
+    /// Acknowledge receipt of the assignment `seq`.
+    pub fn ack_task(&self, seq: u64) -> Result<(), RemoteError> {
+        Ok(self.conn.send(encode_request(&Request::AckTask { seq }))?)
+    }
+
+    /// Hand the assignment `seq` back: it returns to the head of its
+    /// tenant's queue for the next free bucket.
+    pub fn decline_task(&self, seq: u64) -> Result<(), RemoteError> {
+        Ok(self
+            .conn
+            .send(encode_request(&Request::DeclineTask { seq }))?)
     }
 
     /// [`Self::submit_task_admission`] with a residency hint: `hint`

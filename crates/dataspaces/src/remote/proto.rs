@@ -23,6 +23,8 @@ const REQ_CONTROL: u8 = 12;
 const REQ_SET_TENANT: u8 = 13;
 const REQ_TENANT_STATS: u8 = 14;
 const REQ_POOL_STATS: u8 = 15;
+const REQ_GET_WAIT: u8 = 18;
+const REQ_DECLINE_TASK: u8 = 19;
 
 const RESP_OK: u8 = 100;
 const RESP_PIECES: u8 = 102;
@@ -34,6 +36,7 @@ const RESP_POLICY: u8 = 107;
 const RESP_CONTROL: u8 = 108;
 const RESP_TENANT_STATS: u8 = 109;
 const RESP_POOL: u8 = 110;
+const RESP_DATA_READY: u8 = 111;
 const RESP_ERROR: u8 = 199;
 
 // Admission verdict tags (RESP_ADMISSION payload).
@@ -70,6 +73,19 @@ pub enum Request {
         version: u64,
         /// Query region.
         bbox: BBox3,
+    },
+    /// Data-ready read: a [`Request::Get`] the server holds until a
+    /// matching piece is stored or `timeout_ms` lapses, answered by
+    /// [`Response::DataReady`] (empty at the timeout).
+    GetWait {
+        /// Variable name.
+        var: String,
+        /// Version (timestep).
+        version: u64,
+        /// Query region.
+        bbox: BBox3,
+        /// Server-side wait bound in milliseconds.
+        timeout_ms: u64,
     },
     /// Highest stored version of a variable.
     LatestVersion {
@@ -109,6 +125,14 @@ pub enum Request {
     /// Acknowledge receipt of an assigned task.
     AckTask {
         /// Sequence number being acknowledged.
+        seq: u64,
+    },
+    /// Hand an assigned task back in place of the [`Request::AckTask`]:
+    /// the bucket took work from another scheduler while this request
+    /// was parked. The task returns to the head of its tenant's queue
+    /// and the connection stays up.
+    DeclineTask {
+        /// Sequence number being declined.
         seq: u64,
     },
     /// Server counters.
@@ -246,6 +270,18 @@ pub enum Response {
     Ok,
     /// Pieces matching a spatial query.
     Pieces(Vec<(BBox3, Bytes)>),
+    /// Answer to a [`Request::GetWait`]. It names what it answers: a
+    /// waiter moves from one key to the next on a single connection,
+    /// and a duplicated request frame leaves a second reply behind that
+    /// must not be taken for the next key's data.
+    DataReady {
+        /// Variable name of the request.
+        var: String,
+        /// Version of the request.
+        version: u64,
+        /// The matching pieces; empty when the wait timed out.
+        pieces: Vec<(BBox3, Bytes)>,
+    },
     /// Latest version, if any.
     Version(Option<u64>),
     /// Outcome of a bucket-ready request.
@@ -310,6 +346,29 @@ fn policy(rd: &mut Rd) -> Result<AdmissionPolicy, RemoteError> {
     }
 }
 
+fn pieces(rd: &mut Rd) -> Result<Vec<(BBox3, Bytes)>, RemoteError> {
+    let n = rd.u32()? as usize;
+    // Each piece is at least a bbox and a length prefix.
+    if n.checked_mul(52).is_none_or(|total| total > rd.remaining()) {
+        return Err(RemoteError::Proto("piece count exceeds frame".into()));
+    }
+    let mut pieces = Vec::with_capacity(n);
+    for _ in 0..n {
+        let bbox = bbox(rd)?;
+        let data = rd.bytes()?;
+        pieces.push((bbox, data));
+    }
+    Ok(pieces)
+}
+
+fn put_pieces(buf: &mut BytesMut, pieces: &[(BBox3, Bytes)]) {
+    buf.put_u32_le(pieces.len() as u32);
+    for (bbox, data) in pieces {
+        put_bbox(buf, bbox);
+        put_bytes(buf, data);
+    }
+}
+
 fn put_bbox(buf: &mut BytesMut, b: &BBox3) {
     for v in b.lo.iter().chain(b.hi.iter()) {
         buf.put_u64_le(*v as u64);
@@ -360,6 +419,18 @@ pub fn encode_request(req: &Request) -> Bytes {
             buf.put_u64_le(*version);
             put_bbox(&mut buf, bbox);
         }
+        Request::GetWait {
+            var,
+            version,
+            bbox,
+            timeout_ms,
+        } => {
+            buf.put_u8(REQ_GET_WAIT);
+            put_bytes(&mut buf, var.as_bytes());
+            buf.put_u64_le(*version);
+            put_bbox(&mut buf, bbox);
+            buf.put_u64_le(*timeout_ms);
+        }
         Request::LatestVersion { var } => {
             buf.put_u8(REQ_LATEST_VERSION);
             put_bytes(&mut buf, var.as_bytes());
@@ -386,6 +457,10 @@ pub fn encode_request(req: &Request) -> Bytes {
         }
         Request::AckTask { seq } => {
             buf.put_u8(REQ_ACK_TASK);
+            buf.put_u64_le(*seq);
+        }
+        Request::DeclineTask { seq } => {
+            buf.put_u8(REQ_DECLINE_TASK);
             buf.put_u64_le(*seq);
         }
         Request::Stats => buf.put_u8(REQ_STATS),
@@ -437,6 +512,12 @@ pub fn decode_request(frame: Bytes) -> Result<Request, RemoteError> {
             version: rd.u64()?,
             bbox: bbox(&mut rd)?,
         },
+        REQ_GET_WAIT => Request::GetWait {
+            var: rd.string()?,
+            version: rd.u64()?,
+            bbox: bbox(&mut rd)?,
+            timeout_ms: rd.u64()?,
+        },
         REQ_LATEST_VERSION => Request::LatestVersion { var: rd.string()? },
         REQ_SUBMIT_TASK => {
             let data = rd.bytes()?;
@@ -458,6 +539,7 @@ pub fn decode_request(frame: Bytes) -> Result<Request, RemoteError> {
             location: rd.string()?,
         },
         REQ_ACK_TASK => Request::AckTask { seq: rd.u64()? },
+        REQ_DECLINE_TASK => Request::DeclineTask { seq: rd.u64()? },
         REQ_STATS => Request::Stats,
         REQ_EVICT_VERSION => Request::EvictVersion { version: rd.u64()? },
         REQ_CLOSE_SCHED => Request::CloseSched,
@@ -501,11 +583,17 @@ pub fn encode_response(resp: &Response) -> Bytes {
         Response::Ok => buf.put_u8(RESP_OK),
         Response::Pieces(pieces) => {
             buf.put_u8(RESP_PIECES);
-            buf.put_u32_le(pieces.len() as u32);
-            for (bbox, data) in pieces {
-                put_bbox(&mut buf, bbox);
-                put_bytes(&mut buf, data);
-            }
+            put_pieces(&mut buf, pieces);
+        }
+        Response::DataReady {
+            var,
+            version,
+            pieces,
+        } => {
+            buf.put_u8(RESP_DATA_READY);
+            put_bytes(&mut buf, var.as_bytes());
+            buf.put_u64_le(*version);
+            put_pieces(&mut buf, pieces);
         }
         Response::Version(v) => {
             buf.put_u8(RESP_VERSION);
@@ -601,20 +689,12 @@ pub fn decode_response(frame: Bytes) -> Result<Response, RemoteError> {
     let mut rd = Rd::new(frame);
     let resp = match rd.u8()? {
         RESP_OK => Response::Ok,
-        RESP_PIECES => {
-            let n = rd.u32()? as usize;
-            // Each piece is at least a bbox and a length prefix.
-            if n.checked_mul(52).is_none_or(|total| total > rd.remaining()) {
-                return Err(RemoteError::Proto("piece count exceeds frame".into()));
-            }
-            let mut pieces = Vec::with_capacity(n);
-            for _ in 0..n {
-                let bbox = bbox(&mut rd)?;
-                let data = rd.bytes()?;
-                pieces.push((bbox, data));
-            }
-            Response::Pieces(pieces)
-        }
+        RESP_PIECES => Response::Pieces(pieces(&mut rd)?),
+        RESP_DATA_READY => Response::DataReady {
+            var: rd.string()?,
+            version: rd.u64()?,
+            pieces: pieces(&mut rd)?,
+        },
         RESP_VERSION => Response::Version(opt_u64(&mut rd)?),
         RESP_TASK => match rd.u8()? {
             0 => Response::Task(TaskPoll::Assigned {

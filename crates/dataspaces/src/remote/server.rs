@@ -16,10 +16,6 @@ use std::time::Duration;
 /// declaring the hand-off failed and requeueing.
 const ACK_TIMEOUT: Duration = Duration::from_secs(10);
 
-/// Per-request scheduler wait slice; the overall bound is the client's
-/// `timeout_ms`.
-const WAIT_SLICE: Duration = Duration::from_millis(50);
-
 /// Handler for opaque [`Request::Control`] frames. Layered services
 /// (cluster membership, handoff) install one at server start; the
 /// space/scheduler protocol never looks inside the payloads.
@@ -173,6 +169,21 @@ fn serve_connection(inner: &ServerInner, conn: &Connection) {
             Request::Get { var, version, bbox } => {
                 Response::Pieces(inner.space.get(&scope(&tenant, &var), version, &bbox))
             }
+            Request::GetWait {
+                var,
+                version,
+                bbox,
+                timeout_ms,
+            } => Response::DataReady {
+                pieces: inner.space.get_wait(
+                    &scope(&tenant, &var),
+                    version,
+                    &bbox,
+                    Duration::from_millis(timeout_ms),
+                ),
+                var,
+                version,
+            },
             Request::LatestVersion { var } => {
                 Response::Version(inner.space.latest_version(&scope(&tenant, &var)))
             }
@@ -196,7 +207,9 @@ fn serve_connection(inner: &ServerInner, conn: &Connection) {
                 }
                 continue; // response already sent
             }
-            Request::AckTask { .. } => Response::Error("unexpected ack".into()),
+            Request::AckTask { .. } | Request::DeclineTask { .. } => {
+                Response::Error("no assignment awaits a receipt".into())
+            }
             Request::Stats => {
                 let sched = inner.sched.stats();
                 let space = inner.space.stats();
@@ -316,12 +329,14 @@ fn handle_request_task(
 ) -> bool {
     let bucket = inner.sched.register_bucket_at(bucket_id, location);
     let deadline = std::time::Instant::now() + Duration::from_millis(timeout_ms);
+    // The bucket parks for the whole remaining time: close and drain
+    // wake it by dropping its parked sender. The queue is looked at
+    // before the deadline is tested, so a zero timeout is one
+    // non-blocking look; `Empty` ahead of the deadline (a same-id
+    // request that timed out withdrew this one too) parks again.
     let assigned = loop {
         let left = deadline.saturating_duration_since(std::time::Instant::now());
-        if left.is_zero() {
-            break None;
-        }
-        match bucket.poll_task(Some(left.min(WAIT_SLICE))) {
+        match bucket.poll_task(Some(left)) {
             Lease::Assigned { seq, task } => break Some((seq, task)),
             Lease::Retire => {
                 return conn
@@ -345,6 +360,7 @@ fn handle_request_task(
                     }
                 }
             }
+            Lease::Empty if std::time::Instant::now() >= deadline => break None,
             Lease::Empty => continue,
         }
     };
@@ -353,8 +369,10 @@ fn handle_request_task(
             .send(encode_response(&Response::Task(TaskPoll::Empty)))
             .is_ok();
     };
-    // Two-phase hand-off: send, then require an ack on the same
-    // connection. Either failure requeues the task at the queue head.
+    // Two-phase hand-off: send, then require a receipt on the same
+    // connection — an ack, or a decline from a bucket that took other
+    // work meanwhile. A decline or either failure requeues the task at
+    // the queue head; only the failures cost the connection.
     let tenant = inner
         .sched
         .tenant_of(seq)
@@ -388,6 +406,11 @@ fn handle_request_task(
                         ("ack_ns", t_sent.elapsed().as_nanos().to_string()),
                     ],
                 );
+                true
+            }
+            Ok(Request::DeclineTask { seq: declined }) if declined == seq => {
+                emit_requeue(bucket_id, seq, "declined");
+                inner.sched.requeue_front(seq, data);
                 true
             }
             _ => {

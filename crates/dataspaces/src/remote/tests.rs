@@ -68,6 +68,13 @@ fn sample_requests() -> Vec<Request> {
             timeout_ms: 250,
             location: "tcp://m1:7000".into(),
         },
+        Request::GetWait {
+            var: "sitra.o/viz".into(),
+            version: 12,
+            bbox: mk_bbox([0, 0, 0], [1, 1, 1]),
+            timeout_ms: 60_000,
+        },
+        Request::DeclineTask { seq: 42 },
     ]
 }
 
@@ -86,6 +93,16 @@ fn response_codec_roundtrip() {
             (mk_bbox([0, 0, 0], [1, 1, 1]), Bytes::from_static(b"abc")),
             (mk_bbox([2, 0, 0], [3, 1, 1]), Bytes::new()),
         ]),
+        Response::DataReady {
+            var: "sitra.o/viz".into(),
+            version: 12,
+            pieces: vec![(mk_bbox([0, 0, 0], [1, 1, 1]), Bytes::from_static(b"out"))],
+        },
+        Response::DataReady {
+            var: "v".into(),
+            version: 0,
+            pieces: vec![],
+        },
         Response::Version(Some(8)),
         Response::Version(None),
         Response::Task(TaskPoll::Assigned {
@@ -269,6 +286,133 @@ fn dropped_consumer_connection_requeues_task() {
     assert_eq!(stats.tasks_submitted, 1);
     assert_eq!(stats.tasks_requeued, 1);
     assert_eq!(stats.tasks_assigned, 2); // once to the doomed, once to the survivor
+    server.shutdown();
+}
+
+/// A connection bound to `tenant`.
+fn bound_to(server: &SpaceServer, tenant: &str) -> RemoteSpace {
+    let conn = RemoteSpace::connect(&server.addr()).unwrap();
+    conn.set_tenant(&TenantSpec::new(tenant)).unwrap();
+    conn
+}
+
+#[test]
+fn zero_timeout_request_still_looks_at_the_queue() {
+    // The deadline used to be tested before the first look, so a
+    // non-blocking request answered Empty over a waiting task.
+    let addr: Addr = "inproc://space-zero-timeout".parse().unwrap();
+    let server = SpaceServer::start(&addr, 1).unwrap();
+    let client = RemoteSpace::connect(&server.addr()).unwrap();
+    assert_eq!(
+        client.request_task(0, Duration::ZERO).unwrap(),
+        TaskPoll::Empty
+    );
+    client
+        .submit_task_admission(Bytes::from_static(b"waiting"))
+        .unwrap();
+    assert_eq!(
+        client.request_task(0, Duration::ZERO).unwrap(),
+        TaskPoll::Assigned {
+            seq: 0,
+            data: Bytes::from_static(b"waiting"),
+            tenant: DEFAULT_TENANT.into(),
+        }
+    );
+    server.shutdown();
+}
+
+#[test]
+fn declined_task_returns_to_the_queue_head_and_the_connection_lives() {
+    let addr: Addr = "inproc://space-decline".parse().unwrap();
+    let server = SpaceServer::start(&addr, 1).unwrap();
+    let producer = bound_to(&server, "acme");
+    for t in [&b"first"[..], b"second"] {
+        producer
+            .submit_task_admission(Bytes::copy_from_slice(t))
+            .unwrap();
+    }
+    let busy = RemoteSpace::connect(&server.addr()).unwrap();
+    let TaskPoll::Assigned { seq, data, tenant } = busy
+        .request_task_held(1, Duration::from_secs(5), "")
+        .unwrap()
+    else {
+        panic!("a task was queued");
+    };
+    assert_eq!(
+        (seq, &data[..], tenant.as_str()),
+        (0, &b"first"[..], "acme")
+    );
+    busy.decline_task(seq).unwrap();
+    // A decline has no reply; a round trip on the same connection is
+    // served after it, so the requeue below has happened.
+    busy.stats().unwrap();
+
+    // Head position, sequence number and tenant attribution are kept:
+    // the next bucket gets the declined task, not the one behind it.
+    let idle = RemoteSpace::connect(&server.addr()).unwrap();
+    assert_eq!(
+        idle.request_task(2, Duration::from_secs(5)).unwrap(),
+        TaskPoll::Assigned {
+            seq: 0,
+            data: Bytes::from_static(b"first"),
+            tenant: "acme".into(),
+        }
+    );
+    // The declining connection was not torn down: it serves on.
+    assert_eq!(
+        busy.request_task(1, Duration::from_secs(5)).unwrap(),
+        TaskPoll::Assigned {
+            seq: 1,
+            data: Bytes::from_static(b"second"),
+            tenant: "acme".into(),
+        }
+    );
+    let stats = producer.stats().unwrap();
+    assert_eq!(stats.tasks_submitted, 2);
+    assert_eq!(stats.tasks_requeued, 1);
+    assert_eq!(stats.tasks_assigned, 3);
+    let acme = producer.tenant_stats().unwrap();
+    let acme = acme.iter().find(|r| r.name == "acme").unwrap();
+    assert_eq!((acme.tasks_requeued, acme.tasks_assigned), (1, 3));
+    // A receipt with nothing to answer is refused, not obeyed.
+    busy.decline_task(7).unwrap();
+    assert!(matches!(busy.stats(), Err(RemoteError::Server(_))));
+    server.shutdown();
+}
+
+#[test]
+fn get_wait_over_the_wire_is_woken_by_a_put_and_scoped_to_the_tenant() {
+    let addr: Addr = "inproc://space-getwait".parse().unwrap();
+    let server = SpaceServer::start(&addr, 2).unwrap();
+    let b = mk_bbox([0, 0, 0], [1, 1, 1]);
+    let waiter = bound_to(&server, "acme");
+    let t0 = std::time::Instant::now();
+    assert!(waiter
+        .get_wait("out", 3, &b, Duration::from_millis(40))
+        .unwrap()
+        .is_empty());
+    assert!(t0.elapsed() >= Duration::from_millis(40));
+
+    // The put goes in once the wait is parked (one waiter registered);
+    // a put that overtook it would be found by the wait's first look.
+    std::thread::scope(|s| {
+        let writer = s.spawn(|| {
+            let writer = bound_to(&server, "acme");
+            // Another tenant's same-named object must not end the wait.
+            server
+                .space()
+                .put("out", 3, b, Bytes::from_static(b"other"));
+            writer
+                .put("out", 3, b, Bytes::from_static(b"mine"))
+                .unwrap();
+        });
+        let got = waiter
+            .get_wait("out", 3, &b, Duration::from_secs(30))
+            .unwrap();
+        assert_eq!(got, vec![(b, Bytes::from_static(b"mine"))]);
+        writer.join().unwrap();
+    });
+    assert!(t0.elapsed() < Duration::from_secs(10));
     server.shutdown();
 }
 

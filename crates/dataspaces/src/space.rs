@@ -2,11 +2,12 @@
 
 use crate::tenant::tenant_of_var;
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use sitra_mesh::{field::assemble, BBox3, ScalarField};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
+use std::time::{Duration, Instant};
 
 /// Metadata of one stored object.
 #[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
@@ -155,6 +156,12 @@ pub struct DataSpaces {
     servers: Vec<Server>,
     obs: SpaceObs,
     tenants: TenantLedger,
+    /// The `(var, version)` of every [`Self::get_wait`] caller parked on
+    /// `arrived`. Every store takes this lock after its shard write, so
+    /// a waiter that checked the space under it either saw the object
+    /// or is notified; a store nobody waits for skips the notify.
+    waiters: Mutex<Vec<(String, u64)>>,
+    arrived: Condvar,
 }
 
 impl DataSpaces {
@@ -165,6 +172,8 @@ impl DataSpaces {
             servers: (0..servers).map(|_| Server::default()).collect(),
             obs: SpaceObs::resolve(servers),
             tenants: TenantLedger::default(),
+            waiters: Mutex::new(Vec::new()),
+            arrived: Condvar::new(),
         }
     }
 
@@ -292,6 +301,14 @@ impl DataSpaces {
             }
         };
         self.obs.put_ns[s].observe(t0.elapsed());
+        if self
+            .waiters
+            .lock()
+            .iter()
+            .any(|(v, ver)| v == var && *ver == version)
+        {
+            self.arrived.notify_all();
+        }
         match replaced {
             Some(old) => self.obs.resident_bytes.add(len - old),
             None => {
@@ -334,6 +351,38 @@ impl DataSpaces {
         out.sort_by_key(|(b, _)| b.lo);
         self.obs.get_ns.observe(t0.elapsed());
         out
+    }
+
+    /// Data-ready read: [`Self::get`], blocking until at least one piece
+    /// of `(var, version)` intersects `query` or `timeout` lapses (then
+    /// empty). Woken by the store itself, never by a timer: a waiter
+    /// sleeps on a condvar that every put to its `(var, version)`
+    /// signals. Eviction does not end the wait — an evicted version can
+    /// be put again.
+    pub fn get_wait(
+        &self,
+        var: &str,
+        version: u64,
+        query: &BBox3,
+        timeout: Duration,
+    ) -> Vec<(BBox3, Bytes)> {
+        let deadline = Instant::now() + timeout;
+        let mut waiters = self.waiters.lock();
+        waiters.push((var.to_string(), version));
+        let pieces = loop {
+            let pieces = self.get(var, version, query);
+            let left = deadline.saturating_duration_since(Instant::now());
+            if !pieces.is_empty() || left.is_zero() {
+                break pieces;
+            }
+            self.arrived.wait_for(&mut waiters, left);
+        };
+        let me = waiters
+            .iter()
+            .position(|(v, ver)| v == var && *ver == version)
+            .expect("registered above");
+        waiters.swap_remove(me);
+        pieces
     }
 
     /// Spatial query assembled into one field over `query`; uncovered
@@ -596,6 +645,73 @@ mod tests {
         assert_eq!(after, before / 2);
         assert!(ds.get("T", 1, &b).is_empty());
         assert!(!ds.get("T", 2, &b).is_empty());
+    }
+
+    #[test]
+    fn get_wait_returns_on_a_matching_put_and_empty_at_its_timeout() {
+        let ds = DataSpaces::new(3);
+        let b = BBox3::from_dims([2, 2, 2]);
+        // Nothing ever arrives: empty, at the timeout and not before.
+        let t0 = Instant::now();
+        assert!(ds
+            .get_wait("out", 1, &b, Duration::from_millis(30))
+            .is_empty());
+        assert!(t0.elapsed() >= Duration::from_millis(30));
+        // Already there: no wait at all.
+        ds.put("out", 1, b, Bytes::from_static(b"early"));
+        assert_eq!(ds.get_wait("out", 1, &b, Duration::from_secs(30)).len(), 1);
+
+        // Parked, then woken by the one put that matches. The writer
+        // starts once the waiter is registered, so every put below is
+        // a wake-up of a parked waiter (a put that raced ahead would
+        // be found by the waiter's own look instead).
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| ds.get_wait("out", 2, &b, Duration::from_secs(30)));
+            while ds.waiters.lock().is_empty() {
+                std::thread::yield_now();
+            }
+            let far = BBox3::new([10, 10, 10], [11, 11, 11]);
+            ds.put("other", 2, b, Bytes::from_static(b"wrong var"));
+            ds.put("out", 3, b, Bytes::from_static(b"wrong version"));
+            ds.put("out", 2, far, Bytes::from_static(b"wrong region"));
+            assert!(!waiter.is_finished(), "a non-matching put ended the wait");
+            ds.put("out", 2, b, Bytes::from_static(b"match"));
+            let got = waiter.join().unwrap();
+            assert_eq!(got, vec![(b, Bytes::from_static(b"match"))]);
+        });
+        assert!(t0.elapsed() < Duration::from_secs(10));
+        assert!(ds.waiters.lock().is_empty());
+    }
+
+    #[test]
+    fn get_wait_is_not_confused_by_eviction() {
+        let ds = DataSpaces::new(2);
+        let b = BBox3::from_dims([2, 2, 2]);
+        // A version evicted before the wait does not satisfy it, and
+        // evicting the awaited version under a parked waiter neither
+        // ends the wait nor loses the put that follows.
+        ds.put("out", 5, b, Bytes::from_static(b"stale"));
+        ds.evict_version(5);
+        std::thread::scope(|s| {
+            let waiter = s.spawn(|| ds.get_wait("out", 5, &b, Duration::from_secs(30)));
+            while ds.waiters.lock().is_empty() {
+                std::thread::yield_now();
+            }
+            ds.evict_version(5);
+            ds.evict_version_scoped(crate::tenant::DEFAULT_TENANT, 5);
+            assert!(!waiter.is_finished(), "an eviction ended the wait");
+            ds.put("out", 5, b, Bytes::from_static(b"fresh"));
+            assert_eq!(
+                waiter.join().unwrap(),
+                vec![(b, Bytes::from_static(b"fresh"))]
+            );
+        });
+        // Evicting what a finished wait returned leaves no waiter behind.
+        ds.evict_version(5);
+        assert!(ds
+            .get_wait("out", 5, &b, Duration::from_millis(10))
+            .is_empty());
+        assert!(ds.waiters.lock().is_empty());
     }
 
     #[test]

@@ -121,6 +121,14 @@ fn arb_request() -> impl Strategy<Value = Request> {
             version,
             bbox
         }),
+        (arb_var(), any::<u64>(), arb_box(), any::<u64>()).prop_map(
+            |(var, version, bbox, timeout_ms)| Request::GetWait {
+                var,
+                version,
+                bbox,
+                timeout_ms
+            }
+        ),
         arb_var().prop_map(|var| Request::LatestVersion { var }),
         (
             arb_bytes(),
@@ -136,6 +144,7 @@ fn arb_request() -> impl Strategy<Value = Request> {
             }
         }),
         any::<u64>().prop_map(|seq| Request::AckTask { seq }),
+        any::<u64>().prop_map(|seq| Request::DeclineTask { seq }),
         Just(Request::Stats),
         any::<u64>().prop_map(|version| Request::EvictVersion { version }),
         Just(Request::CloseSched),
@@ -150,6 +159,16 @@ fn arb_response() -> impl Strategy<Value = Response> {
     prop_oneof![
         Just(Response::Ok),
         prop::collection::vec((arb_box(), arb_bytes()), 0..4).prop_map(Response::Pieces),
+        (
+            arb_var(),
+            any::<u64>(),
+            prop::collection::vec((arb_box(), arb_bytes()), 0..4)
+        )
+            .prop_map(|(var, version, pieces)| Response::DataReady {
+                var,
+                version,
+                pieces
+            }),
         arb_opt_u64().prop_map(Response::Version),
         prop_oneof![
             (any::<u64>(), arb_bytes(), arb_var()).prop_map(|(seq, data, tenant)| Response::Task(

@@ -128,6 +128,14 @@ enum Inner {
         // peer observes the hangup.
         tx: Mutex<Option<CbSender<Bytes>>>,
         rx: Mutex<Option<CbReceiver<Bytes>>>,
+        /// A spare sender into this side's *own* inbound queue, shared
+        /// with the peer. `close()` pushes one empty frame through it
+        /// so a `recv` blocked on another thread wakes and sees the
+        /// close latch; whichever side closes first takes it, so the
+        /// queue still disconnects when the peer hangs up.
+        wake: Arc<Mutex<Option<CbSender<Bytes>>>>,
+        /// The peer's `wake`, dropped on close with `tx`.
+        peer_wake: Arc<Mutex<Option<CbSender<Bytes>>>>,
         /// Outbound sequencer, created by the first held send; once it
         /// exists every delivery routes through it so held frames keep
         /// their place in the order.
@@ -168,19 +176,26 @@ impl Connection {
     pub(crate) fn inproc_pair() -> (Connection, Connection) {
         let (a2b_tx, a2b_rx) = crossbeam::channel::unbounded();
         let (b2a_tx, b2a_rx) = crossbeam::channel::unbounded();
-        let mk = |tx, rx| Connection {
+        let a_wake = Arc::new(Mutex::new(Some(b2a_tx.clone())));
+        let b_wake = Arc::new(Mutex::new(Some(a2b_tx.clone())));
+        let mk = |tx, rx, wake, peer_wake| Connection {
             id: NEXT_CONN_ID.fetch_add(1, Ordering::Relaxed),
             peer_label: "inproc".to_string(),
             inner: Inner::InProc {
                 tx: Mutex::new(Some(tx)),
                 rx: Mutex::new(Some(rx)),
+                wake,
+                peer_wake,
                 seq: Mutex::new(None),
             },
             counters: Counters::default(),
             obs: ObsCounters::resolve("inproc"),
             closed: AtomicBool::new(false),
         };
-        (mk(a2b_tx, b2a_rx), mk(b2a_tx, a2b_rx))
+        (
+            mk(a2b_tx, b2a_rx, Arc::clone(&a_wake), Arc::clone(&b_wake)),
+            mk(b2a_tx, a2b_rx, b_wake, a_wake),
+        )
     }
 
     pub(crate) fn from_tcp(stream: std::net::TcpStream) -> Result<Connection, NetError> {
@@ -376,7 +391,11 @@ impl Connection {
             Inner::InProc { rx, .. } => {
                 let guard = rx.lock();
                 let receiver = guard.as_ref().ok_or(NetError::Closed)?;
-                receiver.recv().map_err(|_| NetError::Closed)?
+                let payload = receiver.recv().map_err(|_| NetError::Closed)?;
+                if self.closed.load(Ordering::Acquire) {
+                    return Err(NetError::Closed); // woken by close()
+                }
+                payload
             }
             Inner::Tcp { inbound, .. } => {
                 let mut rx = inbound.lock();
@@ -435,10 +454,14 @@ impl Connection {
             Inner::InProc { rx, .. } => {
                 let guard = rx.lock();
                 let receiver = guard.as_ref().ok_or(NetError::Closed)?;
-                receiver.recv_timeout(timeout).map_err(|e| match e {
+                let payload = receiver.recv_timeout(timeout).map_err(|e| match e {
                     CbRecvTimeoutError::Timeout => NetError::Timeout,
                     CbRecvTimeoutError::Disconnected => NetError::Closed,
-                })
+                })?;
+                if self.closed.load(Ordering::Acquire) {
+                    return Err(NetError::Closed); // woken by close()
+                }
+                Ok(payload)
             }
             Inner::Tcp { inbound, .. } => {
                 let mut rx = inbound.lock();
@@ -460,12 +483,24 @@ impl Connection {
     pub fn close(&self) {
         self.closed.store(true, Ordering::Release);
         match &self.inner {
-            Inner::InProc { tx, rx, seq } => {
+            Inner::InProc {
+                tx,
+                rx,
+                wake,
+                peer_wake,
+                seq,
+            } => {
                 // Dropping the sequencer sender lets its task drain the
                 // queued frames, then release its channel clone — the
                 // same flush-then-close the TCP writer provides.
                 seq.lock().take();
                 tx.lock().take();
+                peer_wake.lock().take();
+                // A recv blocked on another thread holds the `rx` lock:
+                // wake it first, or taking `rx` would wait it out.
+                if let Some(wake) = wake.lock().take() {
+                    let _ = wake.send(Bytes::new());
+                }
                 rx.lock().take();
             }
             Inner::Tcp {

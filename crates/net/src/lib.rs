@@ -262,6 +262,39 @@ mod tests {
     }
 
     #[test]
+    fn local_close_wakes_a_recv_blocked_on_another_thread() {
+        // Cancelling a parked long-poll is closing its connection from
+        // the side: on every scheme the blocked receive must come back
+        // with an error at once, the peer having sent nothing.
+        for addr in [
+            "inproc://close-wakes-recv".to_string(),
+            "tcp://127.0.0.1:0".to_string(),
+            format!("shm://close-wakes-recv-{}", std::process::id()),
+        ] {
+            let l = Listener::bind(&addr.parse().unwrap()).unwrap();
+            // shm:// completes its rendezvous only against a listener
+            // that is accepting.
+            let (c, _silent_peer) = std::thread::scope(|s| {
+                let accepting = s.spawn(|| l.accept().unwrap());
+                let c = connect_retry(&l.local_addr(), &Backoff::default()).unwrap();
+                (c, accepting.join().unwrap())
+            });
+            let t0 = std::time::Instant::now();
+            std::thread::scope(|s| {
+                let blocked = s.spawn(|| c.recv_timeout(Duration::from_secs(30)));
+                // Not a synchronisation: close() must work whether the
+                // receive is already parked or about to be.
+                std::thread::sleep(Duration::from_millis(20));
+                c.close();
+                let got = blocked.join().unwrap();
+                assert!(got.is_err(), "{addr}: {got:?}");
+            });
+            assert!(matches!(c.recv(), Err(NetError::Closed)), "{addr}");
+            assert!(t0.elapsed() < Duration::from_secs(5), "{addr}");
+        }
+    }
+
+    #[test]
     fn connect_retry_gives_up() {
         let addr: Addr = "inproc://nobody-home".parse().unwrap();
         let err = connect_retry(

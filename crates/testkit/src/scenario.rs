@@ -823,15 +823,16 @@ pub fn run_tenanted_scenario(seed: u64, plan: &FaultPlan, backend: Backend) -> S
     let deadline = std::time::Instant::now() + Duration::from_secs(10);
     let label = fixture::specs()[0].label.clone();
     for (step, expect) in &rival_expected {
-        let got = sitra_core::remote::await_output(&rival, &label, *step, deadline);
-        match got {
-            Ok(out) => {
+        let left = deadline.saturating_duration_since(std::time::Instant::now());
+        match sitra_core::remote::wait_output(&rival, &label, *step, left) {
+            Ok(Some(out)) => {
                 if sitra_core::wire::encode_analysis_output(&out).as_ref() != expect.as_slice() {
                     violations.push(format!(
                         "rival-output: {label}@{step} diverges from the rival's own aggregation"
                     ));
                 }
             }
+            Ok(None) => violations.push(format!("rival-output: {label}@{step} never appeared")),
             Err(e) => violations.push(format!("rival-output: {label}@{step} never appeared: {e}")),
         }
     }
