@@ -10,7 +10,6 @@ cd "$(dirname "$0")/.."
 allowed=$(sort <<'ALLOW'
 crates/cluster/src/node.rs                  # ClusterNode::heartbeat_loop
 crates/core/src/driver/staging/local.rs     # LocalBackend's autoscale tick
-crates/dataspaces/src/remote/client.rs      # RemoteSpace::fault_drop_during_request
 ALLOW
 )
 

@@ -91,6 +91,7 @@ fn main() {
                     s.step.to_string(),
                     s.placement.clone(),
                     format!("{:.6}", s.insitu_secs),
+                    format!("{:.6}", s.ship_secs),
                     human_bytes(s.movement_bytes),
                     format!("{:.6}", s.movement_sim_secs),
                     format!("{:.6}", s.aggregate_secs),
@@ -109,6 +110,7 @@ fn main() {
                 "step",
                 "placement",
                 "in-situ s",
+                "ship s",
                 "movement",
                 "movement sim s",
                 "in-transit s",

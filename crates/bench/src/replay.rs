@@ -3,7 +3,8 @@
 //!
 //! The driver journals two event families per analysis row —
 //! `analysis.insitu` (the simulation-side half) and `analysis.aggregate`
-//! (the staging-side half) — plus one `step` event per timestep. Every
+//! (the staging-side half) — plus one `step` event per timestep, and a
+//! `staging.ship` event per task shipped to a remote staging area. Every
 //! numeric value is stringified with `Display`, which round-trips `f64`
 //! exactly, so the rows reconstructed here agree bit-for-bit with the
 //! `PipelineMetrics` the live run returned (the agreement test in
@@ -29,6 +30,9 @@ pub struct StageRow {
     pub insitu_secs: f64,
     /// In-situ seconds summed over ranks.
     pub insitu_core_secs: f64,
+    /// Wall seconds the simulation thread spent shipping the task to a
+    /// remote staging area (`staging.ship` event; 0 elsewhere).
+    pub ship_secs: f64,
     /// Bytes shipped to the aggregation stage.
     pub movement_bytes: u64,
     /// Simulated network seconds for the movement.
@@ -120,6 +124,9 @@ pub fn replay(events: &[ObsEvent]) -> Replay {
                 row.insitu_core_secs = ev.f64("insitu_core_secs").unwrap_or(0.0);
                 row.movement_bytes = ev.u64("movement_bytes").unwrap_or(0);
                 row.movement_sim_secs = ev.f64("movement_sim_secs").unwrap_or(0.0);
+            }
+            ("driver", "staging.ship") => {
+                stage_row(&mut out.stages, ev).ship_secs = ev.f64("ship_secs").unwrap_or(0.0);
             }
             ("driver" | "worker", "analysis.aggregate") => {
                 let row = stage_row(&mut out.stages, ev);
@@ -337,6 +344,18 @@ mod tests {
         let events = vec![
             ev(
                 "driver",
+                "staging.ship",
+                &[
+                    ("analysis", "viz"),
+                    ("step", "1"),
+                    ("parts", "4"),
+                    ("members", "1"),
+                    ("round_trips", "1"),
+                    ("ship_secs", "0.0625"),
+                ],
+            ),
+            ev(
+                "driver",
                 "analysis.insitu",
                 &[
                     ("analysis", "viz"),
@@ -380,6 +399,7 @@ mod tests {
         assert_eq!(s.analysis, "viz");
         assert_eq!(s.placement, "hybrid");
         assert_eq!(s.insitu_secs, 0.25);
+        assert_eq!(s.ship_secs, 0.0625);
         assert_eq!(s.movement_bytes, 4096);
         assert_eq!(s.aggregate_secs, 0.75);
         assert_eq!(s.bucket, Some(3));

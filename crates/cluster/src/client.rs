@@ -11,15 +11,21 @@
 //! a one-member client works against a bare `SpaceServer`: the pipeline
 //! driver and the bucket workers use this client for a single staging
 //! server and for a cluster alike.
+//!
+//! Whatever touches several members is sent to all of them before any
+//! reply is read, so a fan-out costs one round-trip time, not one per
+//! member.
 
 use crate::ring::{HashRing, ShardKey};
 use bytes::Bytes;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
+use sitra_dataspaces::remote::{Request, Response};
 use sitra_dataspaces::{
     Admission, RemoteError, RemoteSpace, RemoteStats, TaskPoll, TenantRow, TenantSpec,
 };
 use sitra_mesh::BBox3;
 use sitra_net::{Addr, Backoff, NetError};
+use std::collections::BTreeMap;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -33,8 +39,8 @@ fn retryable(err: &RemoteError) -> bool {
 
 struct Member {
     addr: Addr,
-    /// Held for a whole operation: one request in flight per
-    /// connection.
+    /// Held for a whole operation: one request, or one batch, in
+    /// flight per connection.
     conn: Mutex<Option<Arc<RemoteSpace>>>,
     /// The connection `conn` holds, reachable without that lock so
     /// [`ClusterClient::interrupt`] can close it under a parked
@@ -43,6 +49,23 @@ struct Member {
     /// The last dial failed; cleared by the next one that succeeds. A
     /// plain flag publishing no other data, hence `Relaxed`.
     down: AtomicBool,
+}
+
+/// A member's connection slot, locked for the length of an operation.
+type Slot<'a> = MutexGuard<'a, Option<Arc<RemoteSpace>>>;
+
+/// What [`ClusterClient::ship`] did.
+#[derive(Debug, Clone, PartialEq)]
+pub struct Shipped {
+    /// Index of the member whose scheduler answered the submission.
+    pub member: usize,
+    /// That scheduler's verdict.
+    pub admission: Admission,
+    /// Members that took rank parts.
+    pub members: usize,
+    /// Waits for replies: 1 when the submit rode the puts' batch, 2 when
+    /// it followed them, plus one per fail-over.
+    pub round_trips: usize,
 }
 
 /// Per-member counters a fan-out sums into a cluster-wide view.
@@ -131,26 +154,23 @@ impl ClusterClient {
     /// Fan out a per-tenant stats poll and merge rows by tenant name
     /// (counters summed across members).
     pub fn tenant_stats(&self) -> Vec<TenantRow> {
-        let mut by_name: std::collections::BTreeMap<String, TenantRow> = Default::default();
-        for idx in 0..self.members.len() {
-            if let Ok(rows) = self.on(idx, |c| c.tenant_stats()) {
-                for r in rows {
-                    let e = by_name.entry(r.name.clone()).or_insert_with(|| TenantRow {
-                        name: r.name.clone(),
-                        weight: r.weight,
-                        task_quota: r.task_quota,
-                        byte_quota: r.byte_quota,
-                        ..TenantRow::default()
-                    });
-                    e.queued += r.queued;
-                    e.tasks_submitted += r.tasks_submitted;
-                    e.tasks_assigned += r.tasks_assigned;
-                    e.tasks_requeued += r.tasks_requeued;
-                    e.tasks_shed += r.tasks_shed;
-                    e.tasks_rejected += r.tasks_rejected;
-                    e.resident_bytes += r.resident_bytes;
-                }
-            }
+        let mut by_name: BTreeMap<String, TenantRow> = Default::default();
+        let rows = self.answers(&[Request::TenantStats], Response::into_tenant_rows);
+        for r in rows.into_iter().flatten().flatten() {
+            let e = by_name.entry(r.name.clone()).or_insert_with(|| TenantRow {
+                name: r.name.clone(),
+                weight: r.weight,
+                task_quota: r.task_quota,
+                byte_quota: r.byte_quota,
+                ..TenantRow::default()
+            });
+            e.queued += r.queued;
+            e.tasks_submitted += r.tasks_submitted;
+            e.tasks_assigned += r.tasks_assigned;
+            e.tasks_requeued += r.tasks_requeued;
+            e.tasks_shed += r.tasks_shed;
+            e.tasks_rejected += r.tasks_rejected;
+            e.resident_bytes += r.resident_bytes;
         }
         by_name.into_values().collect()
     }
@@ -193,6 +213,53 @@ impl ClusterClient {
         dialed
     }
 
+    /// The connection in `slot`, dialed first when there is none.
+    fn connected(&self, m: &Member, slot: &mut Slot<'_>) -> Result<Arc<RemoteSpace>, RemoteError> {
+        let interrupted = || self.interrupted.load(Ordering::SeqCst);
+        if slot.is_none() && !interrupted() {
+            let conn = Arc::new(self.dial(m)?);
+            // Published under the lock `interrupt` closes connections
+            // under: it finds this one, or its flag is up for the test
+            // below.
+            *m.open.lock() = Some(Arc::clone(&conn));
+            **slot = Some(conn);
+        }
+        match &**slot {
+            Some(conn) if !interrupted() => Ok(Arc::clone(conn)),
+            _ => Err(RemoteError::Net(NetError::Closed)),
+        }
+    }
+
+    /// The outcome of an operation whose `first` attempt on `slot`'s
+    /// connection is given: a failure discards the connection, and a
+    /// transport failure (it may just have gone stale) earns `op` one
+    /// more attempt on a fresh one.
+    fn retry_once<R>(
+        &self,
+        m: &Member,
+        slot: &mut Slot<'_>,
+        first: Result<R, RemoteError>,
+        op: impl Fn(&RemoteSpace) -> Result<R, RemoteError>,
+    ) -> Result<R, RemoteError> {
+        let e = match first {
+            Ok(r) => return Ok(r),
+            Err(e) => e,
+        };
+        let forget = |slot: &mut Slot<'_>| {
+            **slot = None;
+            *m.open.lock() = None;
+        };
+        forget(slot);
+        if !retryable(&e) {
+            return Err(e);
+        }
+        let again = self.connected(m, slot).and_then(|conn| op(&conn));
+        if again.is_err() {
+            forget(slot);
+        }
+        again
+    }
+
     /// Run `op` on member `idx`'s connection, dialing lazily and
     /// reconnecting once when a stale connection fails with a
     /// transport error.
@@ -203,31 +270,59 @@ impl ClusterClient {
     ) -> Result<R, RemoteError> {
         let m = &self.members[idx];
         let mut slot = m.conn.lock();
-        for attempt in 0..2 {
-            let interrupted = || self.interrupted.load(Ordering::SeqCst);
-            if slot.is_none() && !interrupted() {
-                let conn = Arc::new(self.dial(m)?);
-                // Published under the lock `interrupt` closes
-                // connections under: either it finds this one, or the
-                // flag is already up for the test below.
-                *m.open.lock() = Some(Arc::clone(&conn));
-                *slot = Some(conn);
-            }
-            if interrupted() {
-                return Err(RemoteError::Net(NetError::Closed));
-            }
-            match op(slot.as_ref().expect("connected above")) {
-                Ok(r) => return Ok(r),
-                Err(e) => {
-                    *slot = None;
-                    *m.open.lock() = None;
-                    if attempt == 1 || !retryable(&e) {
-                        return Err(e);
-                    }
-                }
+        let first = self.connected(m, &mut slot)?;
+        self.retry_once(m, &mut slot, op(&first), op)
+    }
+
+    /// Send-all-then-gather: every `(member, requests)` entry of `work`
+    /// (ascending members, none twice) is written as one batch before
+    /// any reply is read — the slowest member's round trip, not the sum.
+    /// The reconnect-once rule of [`ClusterClient::on`] resends a
+    /// member's whole batch, so only repeatable requests belong in one.
+    fn exchange(&self, work: &[(usize, &[Request])]) -> Vec<Result<Vec<Response>, RemoteError>> {
+        let sent: Vec<_> = work
+            .iter()
+            .map(|&(idx, reqs)| {
+                let m = &self.members[idx];
+                let mut slot = m.conn.lock();
+                let batch = self
+                    .connected(m, &mut slot)
+                    .map(|conn| conn.send_batch(reqs).map(|batch| (conn, batch)));
+                (m, slot, batch)
+            })
+            .collect();
+        sent.into_iter()
+            .zip(work)
+            .map(|((m, mut slot, batch), &(_, reqs))| {
+                // A failed dial is final, as in `on`.
+                let first = batch?.and_then(|(conn, batch)| conn.gather(reqs, batch));
+                self.retry_once(m, &mut slot, first, |c| c.batch(reqs))
+            })
+            .collect()
+    }
+
+    /// `reqs` put to every member at once: what the members whose
+    /// replies all pass `extract` said, or the last error when none did.
+    fn answers<T>(
+        &self,
+        reqs: &[Request],
+        extract: fn(Response) -> Result<T, RemoteError>,
+    ) -> Result<Vec<T>, RemoteError> {
+        let work: Vec<_> = (0..self.members.len()).map(|idx| (idx, reqs)).collect();
+        let mut last_err = None;
+        let mut answered = Vec::new();
+        for replies in self.exchange(&work) {
+            let judged: Result<Vec<T>, _> =
+                replies.and_then(|r| r.into_iter().map(extract).collect());
+            match judged {
+                Ok(judged) => answered.push(judged),
+                Err(e) => last_err = Some(e),
             }
         }
-        unreachable!("loop returns on second attempt")
+        match last_err {
+            Some(e) if answered.is_empty() => Err(e),
+            _ => Ok(answered.into_iter().flatten().collect()),
+        }
     }
 
     /// Cut every operation short from another thread: parked long-polls
@@ -296,21 +391,13 @@ impl ClusterClient {
         version: u64,
         query: &BBox3,
     ) -> Result<Vec<(BBox3, Bytes)>, RemoteError> {
-        let mut pieces: Vec<(BBox3, Bytes)> = Vec::new();
-        let mut last_err = None;
-        let mut answered = false;
-        for idx in 0..self.members.len() {
-            match self.on(idx, |c| c.get(var, version, query)) {
-                Ok(got) => {
-                    answered = true;
-                    pieces.extend(got);
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        if !answered {
-            return Err(last_err.unwrap_or_else(|| RemoteError::Proto("no members".into())));
-        }
+        let get = Request::Get {
+            var: var.to_string(),
+            version,
+            bbox: *query,
+        };
+        let per_member = self.answers(&[get], Response::into_pieces)?;
+        let mut pieces: Vec<(BBox3, Bytes)> = per_member.into_iter().flatten().collect();
         pieces.sort_by_key(|(b, _)| b.lo);
         pieces.dedup_by(|a, b| a.0 == b.0);
         Ok(pieces)
@@ -342,22 +429,11 @@ impl ClusterClient {
     /// Highest stored version of `var` across the cluster, `None` when
     /// no member holds it.
     pub fn latest_version(&self, var: &str) -> Result<Option<u64>, RemoteError> {
-        let mut latest = None;
-        let mut last_err = None;
-        let mut answered = false;
-        for idx in 0..self.members.len() {
-            match self.on(idx, |c| c.latest_version(var)) {
-                Ok(v) => {
-                    answered = true;
-                    latest = latest.max(v);
-                }
-                Err(e) => last_err = Some(e),
-            }
-        }
-        if !answered {
-            return Err(last_err.unwrap_or_else(|| RemoteError::Proto("no members".into())));
-        }
-        Ok(latest)
+        let latest = Request::LatestVersion {
+            var: var.to_string(),
+        };
+        let per_member = self.answers(&[latest], Response::into_version)?;
+        Ok(per_member.into_iter().flatten().max())
     }
 
     /// Submit a task to the member owning `(route, step)`, falling over
@@ -370,48 +446,22 @@ impl ClusterClient {
         step: u64,
         data: Bytes,
     ) -> Result<(usize, Admission), RemoteError> {
-        self.submit_task_routed_hinted(route, step, data, Vec::new())
-    }
-
-    /// Where a task's input bytes live: fold each part's ring owner
-    /// into an `(endpoint, bytes)` residency map. The same pure ring
-    /// placement that routed the `put`s, so the map reflects where the
-    /// pieces actually landed without asking any server. Feed the
-    /// result to [`ClusterClient::submit_task_routed_hinted`] so a
-    /// locality-aware scheduler can steer the task toward a bucket
-    /// co-located with the heaviest shard.
-    pub fn residency_hint(
-        &self,
-        var: &str,
-        version: u64,
-        parts: &[(BBox3, u64)],
-    ) -> Vec<(String, u64)> {
-        let mut by_member: std::collections::BTreeMap<usize, u64> = Default::default();
-        for (bbox, bytes) in parts {
-            if let Some(idx) = self.ring.owner_index(&ShardKey::new(var, version, bbox)) {
-                *by_member.entry(idx).or_insert(0) += bytes;
-            }
-        }
-        by_member
-            .into_iter()
-            .map(|(idx, bytes)| (self.ring.members()[idx].clone(), bytes))
-            .collect()
-    }
-
-    /// [`ClusterClient::submit_task_routed`] carrying an `(endpoint,
-    /// bytes)` residency hint (see [`ClusterClient::residency_hint`]).
-    /// FCFS-only servers ignore the hint.
-    pub fn submit_task_routed_hinted(
-        &self,
-        route: &str,
-        step: u64,
-        data: Bytes,
-        hint: Vec<(String, u64)>,
-    ) -> Result<(usize, Admission), RemoteError> {
         let owner = self
             .ring
             .task_owner_index(route, step)
             .expect("non-empty ring");
+        self.submit_from(owner, data, Vec::new())
+    }
+
+    /// Submit to `owner`, or failing that to the next reachable member
+    /// in ring order, with the `(endpoint, bytes)` residency `hint` of
+    /// the task's input (FCFS-only servers ignore it).
+    fn submit_from(
+        &self,
+        owner: usize,
+        data: Bytes,
+        hint: Vec<(String, u64)>,
+    ) -> Result<(usize, Admission), RemoteError> {
         let n = self.members.len();
         let mut last_err = None;
         for k in 0..n {
@@ -422,6 +472,93 @@ impl ClusterClient {
             }
         }
         Err(last_err.unwrap_or_else(|| RemoteError::Proto("no members".into())))
+    }
+
+    /// Stage one task: put each `(region, payload)` of `parts` as
+    /// `(var, version)` on its ring owner and submit `task`, routed by
+    /// `(route, step)`, with the residency hint that placement implies.
+    ///
+    /// Every member's puts are sent before any reply is read. The submit
+    /// rides the same batch when every part lives on the task's owner
+    /// (always, on a single server: one flush, one wait), because one
+    /// connection is answered in order. Otherwise it goes out once every
+    /// put is acknowledged, so a worker is never assigned a task whose
+    /// pieces are still in flight; only then does an unreachable owner
+    /// make it fall over in ring order. A put that fails fails the ship.
+    pub fn ship(
+        &self,
+        var: &str,
+        version: u64,
+        parts: &[(BBox3, Bytes)],
+        route: &str,
+        step: u64,
+        task: Bytes,
+    ) -> Result<Shipped, RemoteError> {
+        let owner = self
+            .ring
+            .task_owner_index(route, step)
+            .expect("non-empty ring");
+        // Per owning member: resident bytes, and the puts that make them.
+        let mut by_owner: BTreeMap<usize, (u64, Vec<Request>)> = BTreeMap::new();
+        for (bbox, data) in parts {
+            let idx = self
+                .ring
+                .owner_index(&ShardKey::new(var, version, bbox))
+                .expect("non-empty ring");
+            let (bytes, puts) = by_owner.entry(idx).or_default();
+            *bytes += data.len() as u64;
+            puts.push(Request::Put {
+                var: var.to_string(),
+                version,
+                bbox: *bbox,
+                data: data.clone(),
+            });
+        }
+        let hint: Vec<(String, u64)> = by_owner
+            .iter()
+            .map(|(idx, (bytes, _))| (self.ring.members()[*idx].clone(), *bytes))
+            .collect();
+        let members = by_owner.len();
+        let rides = by_owner.keys().all(|&idx| idx == owner);
+        if rides {
+            by_owner
+                .entry(owner)
+                .or_default()
+                .1
+                .push(Request::SubmitTask {
+                    data: task.clone(),
+                    hint: hint.clone(),
+                });
+        }
+        let work: Vec<(usize, &[Request])> = by_owner
+            .iter()
+            .map(|(idx, (_, reqs))| (*idx, &reqs[..]))
+            .collect();
+        let mut replies = Vec::new();
+        for member_replies in self.exchange(&work) {
+            replies.extend(member_replies?);
+        }
+        // A submit that rode is the last request of the only batch.
+        let verdict = if rides {
+            replies.pop().map(Response::into_admission).transpose()?
+        } else {
+            None
+        };
+        replies.into_iter().try_for_each(Response::into_ok)?;
+        let (member, admission, round_trips) = match verdict {
+            Some(admission) => (owner, admission, 1),
+            None => {
+                let (member, admission) = self.submit_from(owner, task, hint)?;
+                let n = self.members.len();
+                (member, admission, 2 + (member + n - owner) % n)
+            }
+        };
+        Ok(Shipped {
+            member,
+            admission,
+            members,
+            round_trips,
+        })
     }
 
     /// Ask one member for a task assignment (bucket-worker side). The
@@ -469,33 +606,38 @@ impl ClusterClient {
     /// errors are swallowed: eviction is an optimization, and a dead
     /// member holds nothing worth evicting.
     pub fn evict_version(&self, version: u64) {
-        for idx in 0..self.members.len() {
-            let _ = self.on(idx, |c| c.evict_version(version));
-        }
+        self.evict_versions([version]);
+    }
+
+    /// [`ClusterClient::evict_version`] for a list of versions, sent to
+    /// each member as one batch.
+    pub fn evict_versions(&self, versions: impl IntoIterator<Item = u64>) {
+        let evictions: Vec<Request> = versions
+            .into_iter()
+            .map(|version| Request::EvictVersion { version })
+            .collect();
+        let _ = self.answers(&evictions, Response::into_ok);
     }
 
     /// Close every member's scheduler (end of run). Unreachable
     /// members are skipped.
     pub fn close_sched(&self) {
-        for idx in 0..self.members.len() {
-            let _ = self.on(idx, |c| c.close_sched());
-        }
+        let _ = self.answers(&[Request::CloseSched], Response::into_ok);
     }
 
     /// Fan out a stats poll and sum the counters.
     pub fn stats(&self) -> ClusterStats {
         let mut out = ClusterStats::default();
-        for idx in 0..self.members.len() {
-            if let Ok(s) = self.on(idx, |c| c.stats()) {
-                out.members_reporting += 1;
-                out.totals.tasks_submitted += s.tasks_submitted;
-                out.totals.tasks_assigned += s.tasks_assigned;
-                out.totals.tasks_requeued += s.tasks_requeued;
-                out.totals.tasks_shed += s.tasks_shed;
-                out.totals.tasks_rejected += s.tasks_rejected;
-                out.totals.objects += s.objects;
-                out.totals.resident_bytes += s.resident_bytes;
-            }
+        let per_member = self.answers(&[Request::Stats], Response::into_stats);
+        for s in per_member.into_iter().flatten() {
+            out.members_reporting += 1;
+            out.totals.tasks_submitted += s.tasks_submitted;
+            out.totals.tasks_assigned += s.tasks_assigned;
+            out.totals.tasks_requeued += s.tasks_requeued;
+            out.totals.tasks_shed += s.tasks_shed;
+            out.totals.tasks_rejected += s.tasks_rejected;
+            out.totals.objects += s.objects;
+            out.totals.resident_bytes += s.resident_bytes;
         }
         out
     }

@@ -32,7 +32,7 @@ pub mod node;
 pub mod proto;
 pub mod ring;
 
-pub use client::{ClusterClient, ClusterStats};
+pub use client::{ClusterClient, ClusterStats, Shipped};
 pub use membership::Suspicion;
 pub use node::{Bootstrap, ClusterError, ClusterNode, ClusterNodeOpts};
 pub use proto::{decode_msg, encode_msg, ClusterMsg, ClusterView, MemberInfo, ProtoError};

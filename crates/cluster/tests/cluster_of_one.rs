@@ -5,7 +5,7 @@
 //! `run_bucket_worker` lower to.
 
 use bytes::Bytes;
-use sitra_cluster::{ClusterClient, DEFAULT_SEED, DEFAULT_VNODES};
+use sitra_cluster::{ClusterClient, Shipped, DEFAULT_SEED, DEFAULT_VNODES};
 use sitra_dataspaces::{scoped_var, Admission, SpaceServer, TaskPoll, TenantSpec, DEFAULT_TENANT};
 use sitra_mesh::BBox3;
 use sitra_net::{Addr, Backoff};
@@ -46,13 +46,31 @@ fn roundtrip(name: &str, tenant: Option<TenantSpec>) {
         1
     );
 
-    // submit (with a residency hint, as the driver sends it) / request.
-    let hint = client.residency_hint("T", 3, &[(bbox, 5)]);
-    assert_eq!(hint, vec![(server.addr().to_string(), 5)]);
-    let (member, adm) = client
-        .submit_task_routed_hinted("route", 3, Bytes::from_static(b"task"), hint)
+    // ship (parts + task, as the driver sends them) / request: on one
+    // member the submit rides the puts' batch.
+    let shipped = client
+        .ship(
+            "T",
+            4,
+            &[(bbox, Bytes::from_static(b"part"))],
+            "route",
+            4,
+            Bytes::from_static(b"task"),
+        )
         .unwrap();
-    assert_eq!((member, adm), (0, Admission::Accepted { seq: 0 }));
+    assert_eq!(
+        shipped,
+        Shipped {
+            member: 0,
+            admission: Admission::Accepted { seq: 0 },
+            members: 1,
+            round_trips: 1,
+        }
+    );
+    assert_eq!(
+        server.space().get(&scoped_var(&tenant_name, "T"), 4, &bbox),
+        vec![(bbox, Bytes::from_static(b"part"))]
+    );
     assert_eq!(
         client.request_task(0, 9, Duration::from_secs(2)).unwrap(),
         TaskPoll::Assigned {
@@ -70,7 +88,7 @@ fn roundtrip(name: &str, tenant: Option<TenantSpec>) {
     assert_eq!(client.stats().totals.tasks_assigned, 1);
 
     // evict / close.
-    client.evict_version(3);
+    client.evict_versions([3, 4]);
     assert!(client.get("T", 3, &bbox).unwrap().is_empty());
     assert_eq!(server.space().stats().resident_bytes, 0);
     client.close_sched();

@@ -295,11 +295,12 @@ impl RemoteBackend {
     }
 
     /// Put this step's intermediates into the staging space and submit
-    /// the task through the admission-aware verb. `Ok` carries the
-    /// in-flight entry and, under an `AcceptedShed` verdict, the
-    /// sequence number of the older task the server evicted to admit
-    /// this one. `Err(reason)` means the staging path refused (or lost)
-    /// the task and the caller must degrade it immediately.
+    /// the task through the admission-aware verb, as one pipelined
+    /// [`ClusterClient::ship`]. `Ok` carries the in-flight entry and,
+    /// under an `AcceptedShed` verdict, the sequence number of the older
+    /// task the server evicted to admit this one. `Err(reason)` means
+    /// the staging path refused (or lost) the task and the caller must
+    /// degrade it immediately.
     fn try_ship(
         &mut self,
         analysis_idx: usize,
@@ -312,49 +313,57 @@ impl RemoteBackend {
         if !self.client.alive() {
             return Err("endpoint-lost");
         }
-        let label = self.ctx.analyses()[analysis_idx].label.clone();
-        let var = intermediate_var(&label);
+        let t0 = Instant::now();
+        let label = &self.ctx.analyses()[analysis_idx].label;
         self.versions.insert(step);
-        for (r, payload) in parts {
-            let bb = rank_bbox(*r);
-            if self.client.put(&var, step, bb, payload.clone()).is_err() {
-                return Err("endpoint-lost");
-            }
-        }
+        let pieces: Vec<(BBox3, Bytes)> = parts
+            .iter()
+            .map(|(r, payload)| (rank_bbox(*r), payload.clone()))
+            .collect();
         let task = encode_task(&RemoteTask {
             analysis_idx: analysis_idx as u32,
             step,
             n_ranks: self.n_ranks,
         });
-        // Where the task's input bytes now live, for the scheduler's
-        // locality placement: the ring owner of each rank piece.
-        let sized: Vec<(BBox3, u64)> = parts
-            .iter()
-            .map(|(r, payload)| (rank_bbox(*r), payload.len() as u64))
-            .collect();
-        let hint = self.client.residency_hint(&var, step, &sized);
-        let verdict = self
+        let outcome = self
             .client
-            .submit_task_routed_hinted(&label, step, task, hint);
-        let (member, seq, shed_seq) = match verdict {
-            Ok((member, Admission::Accepted { seq })) => (member, seq, None),
-            Ok((member, Admission::AcceptedShed { seq, shed_seq })) => {
-                (member, seq, Some(shed_seq))
-            }
-            Ok((_, Admission::Rejected)) => return Err("rejected"),
-            Ok((_, Admission::TimedOut)) => return Err("admission-timeout"),
-            Ok((_, Admission::Closed)) => return Err("sched-closed"),
-            Err(_) => return Err("endpoint-lost"),
+            .ship(&intermediate_var(label), step, &pieces, label, step, task);
+        // What movement cost the simulation thread, beside the in-situ
+        // stage's own `analysis.insitu` row.
+        let took = t0.elapsed();
+        sitra_obs::histogram("driver.staging.ship_ns").observe(took);
+        let (members, round_trips) = outcome
+            .as_ref()
+            .map_or((0, 0), |s| (s.members, s.round_trips));
+        sitra_obs::emit(
+            "driver",
+            "staging.ship",
+            &[
+                ("analysis", label.clone()),
+                ("step", step.to_string()),
+                ("parts", parts.len().to_string()),
+                ("members", members.to_string()),
+                ("round_trips", round_trips.to_string()),
+                ("ship_secs", took.as_secs_f64().to_string()),
+            ],
+        );
+        let shipped = outcome.map_err(|_| "endpoint-lost")?;
+        let (seq, shed_seq) = match shipped.admission {
+            Admission::Accepted { seq } => (seq, None),
+            Admission::AcceptedShed { seq, shed_seq } => (seq, Some(shed_seq)),
+            Admission::Rejected => return Err("rejected"),
+            Admission::TimedOut => return Err("admission-timeout"),
+            Admission::Closed => return Err("sched-closed"),
         };
-        let shipped = PendingRemote {
+        let pending = PendingRemote {
             analysis_idx,
             step,
             seq,
-            member,
+            member: shipped.member,
             issued,
             parts: parts.to_vec(),
         };
-        Ok((shipped, shed_seq))
+        Ok((pending, shed_seq))
     }
 
     /// Tell the collector to finish and join it. A wait still parked on
@@ -457,9 +466,7 @@ impl StagingBackend for RemoteBackend {
         // external bucket workers retire — unless the service is shared
         // with other tenants, in which case its lifetime belongs to the
         // operator, not to whichever driver finishes first.
-        for v in &self.versions {
-            self.client.evict_version(*v);
-        }
+        self.client.evict_versions(self.versions.iter().copied());
         if !self.shared_tenant {
             self.client.close_sched();
         }
@@ -522,10 +529,15 @@ mod tests {
 
     /// One two-rank task of the rig's analysis at `step`.
     fn task(ctx: &RetireCtx, step: u64) -> StagedTask {
-        let g = BBox3::from_dims([8, 4, 4]);
-        let decomp = Decomposition::new(g, [2, 1, 1]);
+        task_of(ctx, step, 2)
+    }
+
+    /// One `ranks`-rank task of the rig's analysis at `step`.
+    fn task_of(ctx: &RetireCtx, step: u64, ranks: usize) -> StagedTask {
+        let g = BBox3::from_dims([4 * ranks, 4, 4]);
+        let decomp = Decomposition::new(g, [ranks, 1, 1]);
         let whole = ScalarField::from_fn(g, |p| p[0] as f64 * 0.25 + step as f64);
-        let parts = (0..2)
+        let parts = (0..ranks)
             .map(|rank| {
                 let block = whole.extract(&decomp.block(rank));
                 let vars = vec![("T".to_string(), block.clone())];
@@ -644,5 +656,120 @@ mod tests {
         backend.close();
         assert!(t0.elapsed() < Duration::from_secs(10), "{:?}", t0.elapsed());
         server.shutdown();
+    }
+
+    #[test]
+    fn a_slow_member_never_lets_a_worker_see_a_task_short_of_parts() {
+        // Six rank parts over three members, the puts to one of them
+        // held up on the wire, a worker parked on every member: the
+        // task must not be assignable before the held puts are in, or
+        // the worker would find it short, skip it, and leave the driver
+        // to degrade it at the deadline.
+        use crate::remote::{run_cluster_bucket_worker, BucketWorkerOpts};
+        use sitra_dataspaces::remote::{encode_request, Request};
+        use sitra_net::{install_fault_injector, FaultAction, FaultInjector};
+
+        const RANKS: usize = 6;
+        const BUCKET: u32 = 78; // unique: the skip counter is global
+
+        /// Holds every frame of `len` bytes sent to `peer` for a while.
+        struct HoldPuts {
+            peer: String,
+            len: usize,
+            held: AtomicUsize,
+        }
+        impl FaultInjector for HoldPuts {
+            fn on_frame(&self, _conn: u64, peer: &str, len: usize) -> FaultAction {
+                if peer != self.peer || len != self.len {
+                    return FaultAction::Deliver;
+                }
+                self.held.fetch_add(1, Ordering::SeqCst);
+                FaultAction::Delay(Duration::from_millis(100))
+            }
+        }
+
+        let servers: Vec<SpaceServer> = (0..3)
+            .map(|_| SpaceServer::start(&"tcp://127.0.0.1:0".parse().unwrap(), 1).unwrap())
+            .collect();
+        let endpoints: Vec<String> = servers.iter().map(|s| s.addr().to_string()).collect();
+        let ctx = RetireCtx::new(vec![AnalysisSpec::new(
+            Arc::new(HybridStats::default()),
+            Placement::Hybrid,
+            1,
+        )]);
+        let label = ctx.analyses()[0].label.clone();
+        let var = intermediate_var(&label);
+        let ring = sitra_cluster::HashRing::new(
+            sitra_cluster::DEFAULT_SEED,
+            sitra_cluster::DEFAULT_VNODES,
+            endpoints.iter().cloned(),
+        );
+        let owners = |step: u64| -> Vec<usize> {
+            (0..RANKS)
+                .map(|r| {
+                    let key = sitra_cluster::ShardKey::new(&var, step, &rank_bbox(r));
+                    ring.owner_index(&key).unwrap()
+                })
+                .collect()
+        };
+        // A step whose parts reach all three members, and among them a
+        // slow member that does not own the task.
+        let step = (1..10_000)
+            .find(|&step| (0..3).all(|m| owners(step).contains(&m)))
+            .unwrap();
+        let slow = (ring.task_owner_index(&label, step).unwrap() + 1) % 3;
+        let task = task_of(&ctx, step, RANKS);
+        let golden = worker_output(&ctx, &task);
+        let put_len = encode_request(&Request::Put {
+            var,
+            version: step,
+            bbox: rank_bbox(0),
+            data: task.parts[0].1.clone(),
+        })
+        .len();
+        assert!(task
+            .parts
+            .iter()
+            .all(|p| p.1.len() == task.parts[0].1.len()));
+
+        let injector = Arc::new(HoldPuts {
+            peer: ring.members()[slow]
+                .trim_start_matches("tcp://")
+                .to_string(),
+            len: put_len,
+            held: AtomicUsize::new(0),
+        });
+        let skipped =
+            sitra_obs::global().counter(&format!("worker.tasks.skipped{{bucket={BUCKET}}}"));
+        let previous = install_fault_injector(Some(injector.clone()));
+        let mut backend = RemoteBackend::new(
+            ctx.clone(),
+            endpoints.clone(),
+            Duration::from_secs(20),
+            4,
+            RANKS as u32,
+            None,
+            None,
+        );
+        let completed = std::thread::scope(|s| {
+            let worker = s.spawn(|| {
+                let opts = BucketWorkerOpts::default();
+                run_cluster_bucket_worker(&endpoints, ctx.analyses(), BUCKET, &opts)
+            });
+            backend.submit(task);
+            backend.drain();
+            backend.close(); // closes the schedulers: the worker ends
+            worker.join().unwrap()
+        });
+        install_fault_injector(previous);
+
+        assert!(injector.held.load(Ordering::SeqCst) >= 1, "no put was held");
+        assert_eq!(completed.unwrap(), 1);
+        assert_eq!(skipped.get(), 0);
+        assert_eq!(ctx.degraded_tasks(), 0);
+        let outputs = ctx.take_outputs();
+        assert_eq!(outputs.len(), 1);
+        assert_eq!(encode_analysis_output(&outputs[0].2), golden);
+        servers.into_iter().for_each(SpaceServer::shutdown);
     }
 }

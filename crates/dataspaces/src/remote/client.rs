@@ -8,8 +8,19 @@ use crate::sched::{Admission, AdmissionPolicy};
 use crate::tenant::TenantSpec;
 use bytes::Bytes;
 use sitra_mesh::{BBox3, ScalarField};
-use sitra_net::{Addr, Backoff, ConnStats, Connection};
+use sitra_net::{Addr, Backoff, ConnStats, Connection, PIPELINE_DEPTH};
 use std::time::Duration;
+
+/// A batch sent but not fully answered ([`RemoteSpace::send_batch`] →
+/// [`RemoteSpace::gather`]): the replies read while still sending.
+pub struct Batch(Vec<Response>);
+
+fn checked(resp: Response) -> Result<Response, RemoteError> {
+    match resp {
+        Response::Error(msg) => Err(RemoteError::Server(msg)),
+        resp => Ok(resp),
+    }
+}
 
 /// Client handle to a [`SpaceServer`](super::SpaceServer), mirroring the
 /// in-process [`DataSpaces`](crate::DataSpaces) API plus the scheduler verbs.
@@ -32,20 +43,60 @@ impl RemoteSpace {
         })
     }
 
+    fn send(&self, req: &Request) -> Result<(), RemoteError> {
+        Ok(self.conn.send(encode_request(req))?)
+    }
+
+    /// The next reply: the oldest unanswered request's.
+    fn reap(&self) -> Result<Response, RemoteError> {
+        decode_response(self.conn.recv()?)
+    }
+
     fn rpc(&self, req: &Request) -> Result<Response, RemoteError> {
-        self.conn.send(encode_request(req))?;
-        let frame = self.conn.recv()?;
-        match decode_response(frame)? {
-            Response::Error(msg) => Err(RemoteError::Server(msg)),
-            resp => Ok(resp),
+        self.send(req)?;
+        checked(self.reap()?)
+    }
+
+    /// The send half of [`Self::batch`]: write `reqs` back to back (over
+    /// `tcp://` the writer task coalesces the burst into one vectored
+    /// write). Past [`PIPELINE_DEPTH`] unanswered requests one reply is
+    /// read before each further send, so a batch of any length cannot
+    /// wedge both ends on full reply queues. Each request must be one
+    /// the server answers exactly once and at once: not an
+    /// `AckTask`/`DeclineTask`, not a long-poll.
+    pub fn send_batch(&self, reqs: &[Request]) -> Result<Batch, RemoteError> {
+        let mut replies = Vec::with_capacity(reqs.len());
+        for (sent, req) in reqs.iter().enumerate() {
+            if sent - replies.len() == PIPELINE_DEPTH {
+                replies.push(self.reap()?);
+            }
+            self.send(req)?;
+        }
+        Ok(Batch(replies))
+    }
+
+    /// The reap half: read the replies that `reqs`, sent as `batch`,
+    /// still wait for — the next reads on the connection. A reply of a
+    /// kind that cannot answer its request ([`Request::answered_by`])
+    /// fails the batch: the connection has slipped and must be dropped.
+    pub fn gather(&self, reqs: &[Request], batch: Batch) -> Result<Vec<Response>, RemoteError> {
+        let Batch(mut replies) = batch;
+        while replies.len() < reqs.len() {
+            replies.push(self.reap()?);
+        }
+        match reqs.iter().zip(&replies).find(|(q, r)| !q.answered_by(r)) {
+            Some((q, r)) => Err(RemoteError::Proto(format!("{q:?} answered by {r:?}"))),
+            None => Ok(replies),
         }
     }
 
-    fn expect_ok(&self, req: &Request) -> Result<(), RemoteError> {
-        match self.rpc(req)? {
-            Response::Ok => Ok(()),
-            other => Err(RemoteError::Proto(format!("expected Ok, got {other:?}"))),
-        }
+    /// A batch in flight instead of a request in flight: send every
+    /// request, then read every reply, in order — one round-trip time
+    /// for the lot. Replies are returned unjudged ([`Response::Error`]
+    /// included; see the `Response::into_*` extractors), so one refused
+    /// request does not leave the others' replies unread.
+    pub fn batch(&self, reqs: &[Request]) -> Result<Vec<Response>, RemoteError> {
+        self.gather(reqs, self.send_batch(reqs)?)
     }
 
     /// Store an object.
@@ -56,12 +107,13 @@ impl RemoteSpace {
         bbox: BBox3,
         data: Bytes,
     ) -> Result<(), RemoteError> {
-        self.expect_ok(&Request::Put {
+        self.rpc(&Request::Put {
             var: var.to_string(),
             version,
             bbox,
             data,
-        })
+        })?
+        .into_ok()
     }
 
     /// Store a field (serializing its values).
@@ -87,16 +139,12 @@ impl RemoteSpace {
         version: u64,
         query: &BBox3,
     ) -> Result<Vec<(BBox3, Bytes)>, RemoteError> {
-        match self.rpc(&Request::Get {
+        self.rpc(&Request::Get {
             var: var.to_string(),
             version,
             bbox: *query,
-        })? {
-            Response::Pieces(p) => Ok(p),
-            other => Err(RemoteError::Proto(format!(
-                "expected Pieces, got {other:?}"
-            ))),
-        }
+        })?
+        .into_pieces()
     }
 
     /// Data-ready read: [`Self::get`], held server-side until a piece
@@ -109,12 +157,12 @@ impl RemoteSpace {
         query: &BBox3,
         timeout: Duration,
     ) -> Result<Vec<(BBox3, Bytes)>, RemoteError> {
-        self.conn.send(encode_request(&Request::GetWait {
+        self.send(&Request::GetWait {
             var: var.to_string(),
             version,
             bbox: *query,
             timeout_ms: timeout.as_millis() as u64,
-        }))?;
+        })?;
         match self.recv_long_poll(timeout)? {
             Response::DataReady {
                 var: v,
@@ -131,10 +179,7 @@ impl RemoteSpace {
     /// of `timeout`: the client-side wait is padded generously.
     fn recv_long_poll(&self, timeout: Duration) -> Result<Response, RemoteError> {
         let frame = self.conn.recv_timeout(timeout + Duration::from_secs(30))?;
-        match decode_response(frame)? {
-            Response::Error(msg) => Err(RemoteError::Server(msg)),
-            resp => Ok(resp),
-        }
+        checked(decode_response(frame)?)
     }
 
     /// Spatial query assembled into one field over `query`.
@@ -158,14 +203,10 @@ impl RemoteSpace {
 
     /// Highest stored version of `var`.
     pub fn latest_version(&self, var: &str) -> Result<Option<u64>, RemoteError> {
-        match self.rpc(&Request::LatestVersion {
+        self.rpc(&Request::LatestVersion {
             var: var.to_string(),
-        })? {
-            Response::Version(v) => Ok(v),
-            other => Err(RemoteError::Proto(format!(
-                "expected Version, got {other:?}"
-            ))),
-        }
+        })?
+        .into_version()
     }
 
     /// Data-ready: enqueue an opaque task descriptor. The server
@@ -223,11 +264,11 @@ impl RemoteSpace {
         timeout: Duration,
         location: &str,
     ) -> Result<TaskPoll, RemoteError> {
-        self.conn.send(encode_request(&Request::RequestTask {
+        self.send(&Request::RequestTask {
             bucket_id,
             timeout_ms: timeout.as_millis() as u64,
             location: location.to_string(),
-        }))?;
+        })?;
         match self.recv_long_poll(timeout)? {
             Response::Task(poll) => Ok(poll),
             other => Err(RemoteError::Proto(format!("expected Task, got {other:?}"))),
@@ -236,15 +277,13 @@ impl RemoteSpace {
 
     /// Acknowledge receipt of the assignment `seq`.
     pub fn ack_task(&self, seq: u64) -> Result<(), RemoteError> {
-        Ok(self.conn.send(encode_request(&Request::AckTask { seq }))?)
+        self.send(&Request::AckTask { seq })
     }
 
     /// Hand the assignment `seq` back: it returns to the head of its
     /// tenant's queue for the next free bucket.
     pub fn decline_task(&self, seq: u64) -> Result<(), RemoteError> {
-        Ok(self
-            .conn
-            .send(encode_request(&Request::DeclineTask { seq }))?)
+        self.send(&Request::DeclineTask { seq })
     }
 
     /// [`Self::submit_task_admission`] with a residency hint: `hint`
@@ -256,12 +295,8 @@ impl RemoteSpace {
         data: Bytes,
         hint: Vec<(String, u64)>,
     ) -> Result<Admission, RemoteError> {
-        match self.rpc(&Request::SubmitTask { data, hint })? {
-            Response::Admission(adm) => Ok(adm),
-            other => Err(RemoteError::Proto(format!(
-                "expected Admission, got {other:?}"
-            ))),
-        }
+        self.rpc(&Request::SubmitTask { data, hint })?
+            .into_admission()
     }
 
     /// Bucket-pool state: live/idle counts, desired capacity, queue
@@ -275,21 +310,18 @@ impl RemoteSpace {
 
     /// Server counters.
     pub fn stats(&self) -> Result<RemoteStats, RemoteError> {
-        match self.rpc(&Request::Stats)? {
-            Response::Stats(s) => Ok(s),
-            other => Err(RemoteError::Proto(format!("expected Stats, got {other:?}"))),
-        }
+        self.rpc(&Request::Stats)?.into_stats()
     }
 
     /// Drop all objects of `version`.
     pub fn evict_version(&self, version: u64) -> Result<(), RemoteError> {
-        self.expect_ok(&Request::EvictVersion { version })
+        self.rpc(&Request::EvictVersion { version })?.into_ok()
     }
 
     /// Close the scheduler: every bucket's next request returns
     /// [`TaskPoll::Closed`] once the queue drains.
     pub fn close_sched(&self) -> Result<(), RemoteError> {
-        self.expect_ok(&Request::CloseSched)
+        self.rpc(&Request::CloseSched)?.into_ok()
     }
 
     /// Declare this connection's tenant: registers (or updates) the
@@ -297,18 +329,14 @@ impl RemoteSpace {
     /// connection to its namespace. Must be re-sent after a reconnect —
     /// the binding is per-connection, not per-client.
     pub fn set_tenant(&self, spec: &TenantSpec) -> Result<(), RemoteError> {
-        self.expect_ok(&Request::SetTenant { spec: spec.clone() })
+        self.rpc(&Request::SetTenant { spec: spec.clone() })?
+            .into_ok()
     }
 
     /// Per-tenant scheduler counters and space residency, one row per
     /// tenant the server has seen, sorted by name.
     pub fn tenant_stats(&self) -> Result<Vec<TenantRow>, RemoteError> {
-        match self.rpc(&Request::TenantStats)? {
-            Response::TenantRows(rows) => Ok(rows),
-            other => Err(RemoteError::Proto(format!(
-                "expected TenantRows, got {other:?}"
-            ))),
-        }
+        self.rpc(&Request::TenantStats)?.into_tenant_rows()
     }
 
     /// Send an opaque control frame and return the handler's reply.
@@ -338,14 +366,12 @@ impl RemoteSpace {
     /// consumer crash at the worst moment — after the server may have
     /// popped a task for us. The server must requeue that task.
     pub fn fault_drop_during_request(&self, bucket_id: u32, timeout: Duration) {
-        let _ = self.conn.send(encode_request(&Request::RequestTask {
+        let _ = self.send(&Request::RequestTask {
             bucket_id,
             timeout_ms: timeout.as_millis() as u64,
             location: String::new(),
-        }));
-        // Give the request time to reach the server thread before the
-        // hang-up races it.
-        std::thread::sleep(Duration::from_millis(30));
+        });
+        // Every scheme delivers what is queued ahead of a close.
         self.conn.close();
     }
 }

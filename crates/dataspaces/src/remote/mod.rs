@@ -23,7 +23,7 @@ mod server;
 #[cfg(test)]
 mod tests;
 
-pub use client::RemoteSpace;
+pub use client::{Batch, RemoteSpace};
 pub use proto::{
     decode_request, decode_response, encode_request, encode_response, PoolStats, RemoteStats,
     Request, Response, TaskPoll, TenantRow,

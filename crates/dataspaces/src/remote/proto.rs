@@ -311,6 +311,93 @@ pub enum Response {
     Error(String),
 }
 
+impl Request {
+    /// Whether `resp` is of the kind that answers this request (an
+    /// error report answers any). Replies are paired with requests by
+    /// order alone, so one of the wrong kind means the connection has
+    /// slipped (a duplicated or overtaken frame) and cannot be trusted.
+    pub fn answered_by(&self, resp: &Response) -> bool {
+        use Request as Q;
+        use Response as R;
+        matches!(
+            (self, resp),
+            (_, R::Error(_))
+                | (
+                    Q::Put { .. } | Q::EvictVersion { .. } | Q::CloseSched | Q::SetTenant { .. },
+                    R::Ok
+                )
+                | (Q::Get { .. }, R::Pieces(_))
+                | (Q::GetWait { .. }, R::DataReady { .. })
+                | (Q::LatestVersion { .. }, R::Version(_))
+                | (Q::SubmitTask { .. }, R::Admission(_))
+                | (Q::SchedPolicy, R::Policy { .. })
+                | (Q::RequestTask { .. }, R::Task(_))
+                | (Q::Stats, R::Stats(_))
+                | (Q::Control { .. }, R::Control { .. })
+                | (Q::TenantStats, R::TenantRows(_))
+                | (Q::PoolStats, R::Pool(_))
+        )
+    }
+}
+
+impl Response {
+    /// This reply as the failure of a caller that wanted `want`.
+    fn unexpected(self, want: &str) -> RemoteError {
+        match self {
+            Response::Error(msg) => RemoteError::Server(msg),
+            other => RemoteError::Proto(format!("expected {want}, got {other:?}")),
+        }
+    }
+
+    /// The reply to a `Put`, `EvictVersion`, `CloseSched` or `SetTenant`.
+    pub fn into_ok(self) -> Result<(), RemoteError> {
+        match self {
+            Response::Ok => Ok(()),
+            other => Err(other.unexpected("Ok")),
+        }
+    }
+
+    /// The reply to a `Get`.
+    pub fn into_pieces(self) -> Result<Vec<(BBox3, Bytes)>, RemoteError> {
+        match self {
+            Response::Pieces(p) => Ok(p),
+            other => Err(other.unexpected("Pieces")),
+        }
+    }
+
+    /// The reply to a `LatestVersion`.
+    pub fn into_version(self) -> Result<Option<u64>, RemoteError> {
+        match self {
+            Response::Version(v) => Ok(v),
+            other => Err(other.unexpected("Version")),
+        }
+    }
+
+    /// The reply to a `SubmitTask`.
+    pub fn into_admission(self) -> Result<Admission, RemoteError> {
+        match self {
+            Response::Admission(adm) => Ok(adm),
+            other => Err(other.unexpected("Admission")),
+        }
+    }
+
+    /// The reply to a `Stats`.
+    pub fn into_stats(self) -> Result<RemoteStats, RemoteError> {
+        match self {
+            Response::Stats(s) => Ok(s),
+            other => Err(other.unexpected("Stats")),
+        }
+    }
+
+    /// The reply to a `TenantStats`.
+    pub fn into_tenant_rows(self) -> Result<Vec<TenantRow>, RemoteError> {
+        match self {
+            Response::TenantRows(rows) => Ok(rows),
+            other => Err(other.unexpected("TenantRows")),
+        }
+    }
+}
+
 // --------------------------------------------------------------------
 // Codecs (total: any byte sequence decodes to Ok or Err, never panics)
 // --------------------------------------------------------------------

@@ -692,3 +692,136 @@ fn works_over_tcp_loopback() {
     assert_eq!(cs.frames_recv, 2);
     server.shutdown();
 }
+
+/// A batch of `n` puts of `"P"@1`, one unit cell each along x.
+fn put_batch(n: usize) -> Vec<Request> {
+    (0..n)
+        .map(|i| Request::Put {
+            var: "P".into(),
+            version: 1,
+            bbox: mk_bbox([i, 0, 0], [i + 1, 1, 1]),
+            data: Bytes::from(vec![i as u8; 65]),
+        })
+        .collect()
+}
+
+/// A scripted server: accept one connection on `bind`, read
+/// `expected.len()` requests — all of them before writing anything, so a
+/// client that waited for a reply between two requests would sit out
+/// the read timeout — check them, send `replies`, and hold the
+/// connection until the client hangs up.
+fn scripted_server(
+    bind: &str,
+    expected: Vec<Request>,
+    replies: Vec<Response>,
+) -> (Addr, std::thread::JoinHandle<()>) {
+    let listener = sitra_net::Listener::bind(&bind.parse().unwrap()).unwrap();
+    let addr = listener.local_addr();
+    let server = std::thread::spawn(move || {
+        let conn = listener.accept().unwrap();
+        let got: Vec<Request> = (0..expected.len())
+            .map(|i| {
+                let frame = conn
+                    .recv_timeout(Duration::from_secs(5))
+                    .unwrap_or_else(|e| panic!("request {i} never came: {e}"));
+                decode_request(frame).unwrap()
+            })
+            .collect();
+        assert_eq!(got, expected);
+        for reply in &replies {
+            conn.send(encode_response(reply)).unwrap();
+        }
+        let _ = conn.recv();
+    });
+    (addr, server)
+}
+
+/// Three puts and the submit of the task they feed.
+fn ship_batch() -> Vec<Request> {
+    let mut reqs = put_batch(3);
+    reqs.push(Request::SubmitTask {
+        data: Bytes::from_static(b"job"),
+        hint: Vec::new(),
+    });
+    reqs
+}
+
+#[test]
+fn a_batch_is_flushed_whole_before_any_reply_is_read() {
+    for bind in ["inproc://space-batch-script", "tcp://127.0.0.1:0"] {
+        let reqs = ship_batch();
+        let verdict = Response::Admission(Admission::Accepted { seq: 7 });
+        let script = vec![Response::Ok, Response::Ok, Response::Ok, verdict.clone()];
+        let (addr, server) = scripted_server(bind, reqs.clone(), script.clone());
+        let client = RemoteSpace::connect(&addr).unwrap();
+        assert_eq!(client.batch(&reqs).unwrap(), script, "{bind}");
+        let cs = client.conn_stats();
+        assert_eq!((cs.frames_sent, cs.frames_recv), (4, 4), "{bind}");
+        client.close();
+        server.join().unwrap();
+    }
+}
+
+#[test]
+fn a_reply_of_the_wrong_kind_fails_the_batch() {
+    // Replies carry only their order. A duplicated put leaves one `Ok`
+    // too many ahead of the verdict; taking that for the submit's
+    // answer would leave the verdict to be read as the next batch's
+    // first reply, and every later reply one request late.
+    let reqs = ship_batch();
+    let slipped = vec![Response::Ok; 4];
+    let (addr, server) = scripted_server("inproc://space-batch-slip", reqs.clone(), slipped);
+    let client = RemoteSpace::connect(&addr).unwrap();
+    assert!(matches!(client.batch(&reqs), Err(RemoteError::Proto(_))));
+    client.close();
+    server.join().unwrap();
+}
+
+#[test]
+fn a_batch_longer_than_the_window_completes_over_tcp() {
+    // 2,000 requests against queues 256 frames deep: the client must
+    // reap as it goes, or both ends wedge on full reply queues.
+    let server = SpaceServer::start(&"tcp://127.0.0.1:0".parse().unwrap(), 2).unwrap();
+    let client = RemoteSpace::connect(&server.addr()).unwrap();
+    let reqs = put_batch(2000);
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::scope(|s| {
+        s.spawn(|| tx.send(client.batch(&reqs)).unwrap());
+        let replies = rx
+            .recv_timeout(Duration::from_secs(60))
+            .expect("the batch wedged")
+            .unwrap();
+        assert_eq!(replies, vec![Response::Ok; 2000]);
+    });
+    let all = mk_bbox([0, 0, 0], [2000, 1, 1]);
+    let pieces = client.get("P", 1, &all).unwrap();
+    assert_eq!(pieces.len(), 2000);
+    assert!(pieces
+        .iter()
+        .enumerate()
+        .all(|(i, (b, d))| b.lo[0] == i && d.as_slice() == [i as u8; 65]));
+    server.shutdown();
+}
+
+#[test]
+fn a_refused_request_does_not_strand_the_rest_of_its_batch() {
+    let addr: Addr = "inproc://space-batch-refusal".parse().unwrap();
+    let server = SpaceServer::start(&addr, 1).unwrap();
+    let client = RemoteSpace::connect(&server.addr()).unwrap();
+    client
+        .set_tenant(&TenantSpec::new("tiny").with_byte_quota(100))
+        .unwrap();
+    // The second 65-byte put breaks the 100-byte quota; the third
+    // request is answered all the same and the connection stays usable.
+    let mut reqs = put_batch(2);
+    reqs.push(Request::LatestVersion { var: "P".into() });
+    let replies = client.batch(&reqs).unwrap();
+    assert_eq!(replies[0], Response::Ok);
+    assert!(matches!(
+        replies[1].clone().into_ok(),
+        Err(RemoteError::Server(_))
+    ));
+    assert_eq!(replies[2], Response::Version(Some(1)));
+    assert_eq!(client.latest_version("P").unwrap(), Some(1));
+    server.shutdown();
+}

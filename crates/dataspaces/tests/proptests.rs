@@ -11,7 +11,9 @@ use sitra_dataspaces::remote::{
     decode_request, decode_response, encode_request, encode_response, PoolStats, RemoteStats,
     Request, Response, TaskPoll, TenantRow,
 };
-use sitra_dataspaces::{Admission, AdmissionPolicy, DataSpaces, Scheduler, TenantSpec};
+use sitra_dataspaces::{
+    Admission, AdmissionPolicy, DataSpaces, RemoteSpace, Scheduler, SpaceServer, TenantSpec,
+};
 use sitra_mesh::{BBox3, ScalarField};
 use std::time::Duration;
 
@@ -155,6 +157,33 @@ fn arb_request() -> impl Strategy<Value = Request> {
     ]
 }
 
+// Requests that may share a batch (answered exactly once, at once),
+// over a domain small enough that puts, gets and evictions meet.
+fn arb_batchable() -> impl Strategy<Value = Request> {
+    let var = || (0u8..2).prop_map(|v| ["a", "b"][v as usize].to_string());
+    prop_oneof![
+        (var(), 0u64..3, arb_box(), arb_bytes()).prop_map(|(var, version, bbox, data)| {
+            Request::Put {
+                var,
+                version,
+                bbox,
+                data,
+            }
+        }),
+        (var(), 0u64..3, arb_box()).prop_map(|(var, version, bbox)| Request::Get {
+            var,
+            version,
+            bbox
+        }),
+        var().prop_map(|var| Request::LatestVersion { var }),
+        arb_bytes().prop_map(|data| Request::SubmitTask {
+            data,
+            hint: Vec::new()
+        }),
+        (0u64..3).prop_map(|version| Request::EvictVersion { version }),
+    ]
+}
+
 fn arb_response() -> impl Strategy<Value = Response> {
     prop_oneof![
         Just(Response::Ok),
@@ -275,6 +304,30 @@ proptest! {
         let stats = s.stats();
         prop_assert_eq!(stats.tasks_submitted, submitted);
         prop_assert_eq!(stats.tasks_assigned, submitted);
+    }
+
+    #[test]
+    fn batch_replies_match_the_same_requests_issued_one_by_one(
+        reqs in prop::collection::vec(arb_batchable(), 0..40),
+    ) {
+        static NEXT: std::sync::atomic::AtomicUsize = std::sync::atomic::AtomicUsize::new(0);
+        let case = NEXT.fetch_add(1, std::sync::atomic::Ordering::Relaxed);
+        let serve = |side: &str| {
+            let addr = format!("inproc://prop-batch-{case}-{side}").parse().unwrap();
+            let server = SpaceServer::start(&addr, 2).unwrap();
+            let client = RemoteSpace::connect(&server.addr()).unwrap();
+            (server, client)
+        };
+        let (batched_server, batched) = serve("batched");
+        let (serial_server, serial) = serve("serial");
+        let got = batched.batch(&reqs).unwrap();
+        let want: Vec<Response> = reqs
+            .iter()
+            .flat_map(|r| serial.batch(std::slice::from_ref(r)).unwrap())
+            .collect();
+        prop_assert_eq!(got, want);
+        batched_server.shutdown();
+        serial_server.shutdown();
     }
 
     #[test]

@@ -663,6 +663,34 @@ mod tests {
     }
 
     #[test]
+    fn tcp_small_frame_does_not_pin_the_read_buffer() {
+        // A receiver that keeps a small payload (the staging space
+        // does) must keep about that many bytes, not the 16 KiB scratch
+        // buffer the read went into.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let sa = listener.local_addr().unwrap();
+        let payload = [7u8; 65];
+        let server = std::thread::spawn(move || {
+            let (mut s, _) = listener.accept().unwrap();
+            let mut wire = crate::frame::encode_header(payload.len()).to_vec();
+            wire.extend_from_slice(&payload);
+            s.write_all(&wire).unwrap();
+            s.flush().unwrap();
+            wire.len()
+        });
+        let c = tcp_connect(sa).unwrap();
+        let frame = c.recv().unwrap();
+        let read = server.join().unwrap();
+        assert_eq!(frame.as_slice(), &payload[..]);
+        assert!(
+            frame.storage_capacity() <= read,
+            "a {}-byte frame keeps {} bytes allocated",
+            frame.len(),
+            frame.storage_capacity()
+        );
+    }
+
+    #[test]
     fn tcp_peer_close_is_observed() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let sa = listener.local_addr().unwrap();

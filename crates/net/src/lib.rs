@@ -40,7 +40,7 @@ mod tcp;
 pub use conn::{ConnStats, Connection, MAX_FRAME_LEN};
 pub use fault::{install_fault_injector, FaultAction, FaultInjector};
 pub use listener::{serve, Listener, ServerHandle};
-pub use tcp::AsyncConnection;
+pub use tcp::{AsyncConnection, PIPELINE_DEPTH};
 
 use std::net::SocketAddr;
 use std::time::Duration;

@@ -40,6 +40,16 @@ use tokio::sync::mpsc;
 const WRITE_QUEUE: usize = 256;
 /// Inbound queue depth (frames). Bounded: slow consumers stall reads.
 const READ_QUEUE: usize = 256;
+/// How many requests a client may leave unanswered on one connection:
+/// half the shallower queue, so that every reply to a full window fits
+/// the client's inbound queue and the server is never stuck writing to
+/// a client that is itself stuck writing (`inproc://` queues are
+/// unbounded, a `shm://` ring has 1024 descriptors per direction).
+pub const PIPELINE_DEPTH: usize = if READ_QUEUE < WRITE_QUEUE {
+    READ_QUEUE / 2
+} else {
+    WRITE_QUEUE / 2
+};
 /// Scratch read size for the coalescing read path.
 const READ_CHUNK: usize = 16 * 1024;
 /// IOV_MAX on Linux: cap a single vectored write's slice count.
@@ -185,7 +195,9 @@ async fn reader(stream: Arc<TcpStream>, tx: mpsc::Sender<Result<Bytes, NetError>
                 Ok(n) => {
                     buf.truncate(n);
                     // `Bytes::from(Vec)` adopts the allocation; frames
-                    // wholly inside this read are sliced, not copied.
+                    // wholly inside this read are sliced, not copied —
+                    // and pin it, so the unread tail is released first.
+                    buf.shrink_to_fit();
                     if let Err(e) = dec.feed(Bytes::from(buf), &mut frames) {
                         let _ = tx.send(Err(e)).await;
                         return;

@@ -161,6 +161,10 @@ fn staging_killed_mid_run_degrades_to_insitu_with_zero_lost_steps() {
         assert_eq!(got.step, want.step);
         assert_eq!(got.degraded, want.degraded, "step {}", want.step);
     }
+    // Every task that reached the staging area journalled what shipping
+    // it cost the simulation thread (`staging.ship`).
+    let shipped = r.stages.iter().filter(|s| s.ship_secs > 0.0).count();
+    assert!(shipped >= KILL_AFTER, "{shipped} ship event(s)");
 }
 
 #[test]
