@@ -19,7 +19,7 @@ use crate::membership::Suspicion;
 use crate::proto::{decode_msg, encode_msg, ClusterMsg, ClusterView, MemberInfo, ProtoError};
 use crate::ring::{HashRing, ShardKey};
 use bytes::Bytes;
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Condvar, Mutex, RwLock};
 use sitra_dataspaces::remote::ControlHandler;
 use sitra_dataspaces::{
     AdmissionPolicy, DataSpaces, RemoteError, RemoteSpace, SchedStats, Scheduler, SpaceServer,
@@ -27,7 +27,6 @@ use sitra_dataspaces::{
 };
 use sitra_net::{Addr, Backoff, NetError};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::Duration;
@@ -153,7 +152,11 @@ struct NodeState {
     /// Serializes handoffs so two view changes cannot interleave their
     /// drain/push cycles.
     handoff_lock: Mutex<()>,
-    stop: AtomicBool,
+    /// Set once, by whatever takes the member down; the heartbeat
+    /// thread waits out its period on `stop_signal`, so it sees the
+    /// stop at once instead of after a sleep.
+    stop: Mutex<bool>,
+    stop_signal: Condvar,
     obs: NodeObs,
     /// Tenant specs this member was configured with, consulted when
     /// forwarding backlog so the declaration sent to a survivor carries
@@ -168,6 +171,25 @@ impl NodeState {
 
     fn epoch(&self) -> u64 {
         self.view.lock().epoch
+    }
+
+    fn stop(&self) {
+        *self.stop.lock() = true;
+        self.stop_signal.notify_all();
+    }
+
+    fn stopped(&self) -> bool {
+        *self.stop.lock()
+    }
+
+    /// Wait out one heartbeat period, or less if the member stops;
+    /// whether it has.
+    fn stopped_within(&self, period: Duration) -> bool {
+        let mut stopped = self.stop.lock();
+        if !*stopped {
+            self.stop_signal.wait_for(&mut stopped, period);
+        }
+        *stopped
     }
 
     fn publish_view_gauges(&self) {
@@ -246,7 +268,8 @@ impl ClusterNode {
             view: Mutex::new(initial_view),
             suspicion: Mutex::new(Suspicion::new(opts.suspect_after)),
             handoff_lock: Mutex::new(()),
-            stop: AtomicBool::new(false),
+            stop: Mutex::new(false),
+            stop_signal: Condvar::new(),
             obs: NodeObs::resolve(&listen.to_string()),
             tenants: opts.tenants.clone(),
         });
@@ -333,7 +356,7 @@ impl ClusterNode {
     }
 
     fn stop_heartbeats(&mut self) {
-        self.state.stop.store(true, Ordering::SeqCst);
+        self.state.stop();
         if let Some(h) = self.hb.take() {
             let _ = h.join();
         }
@@ -413,10 +436,7 @@ impl ClusterNode {
 
 impl Drop for ClusterNode {
     fn drop(&mut self) {
-        self.state.stop.store(true, Ordering::SeqCst);
-        if let Some(h) = self.hb.take() {
-            let _ = h.join();
-        }
+        self.stop_heartbeats();
         // The SpaceServer's own Drop stops the listener.
     }
 }
@@ -726,18 +746,14 @@ fn forward_backlog(state: &Arc<NodeState>, survivors: &[String]) {
 /// miss `suspect_after` probes in a row; adopt newer views carried back
 /// by anti-entropy.
 fn heartbeat_loop(state: &Arc<NodeState>, every: Duration) {
-    while !state.stop.load(Ordering::SeqCst) {
-        std::thread::sleep(every);
-        if state.stop.load(Ordering::SeqCst) {
-            return;
-        }
+    while !state.stopped_within(every) {
         let self_addr = state.self_addr();
         let (peers, epoch) = {
             let view = state.view.lock();
             (view.addrs(), view.epoch)
         };
         for peer in peers.iter().filter(|p| **p != self_addr) {
-            if state.stop.load(Ordering::SeqCst) {
+            if state.stopped() {
                 return;
             }
             let reply = parse_peer(peer)

@@ -113,12 +113,17 @@ fn shipping_to_one_server_is_one_flush_and_one_wait() {
         conn.send(encode_response(&verdict)).unwrap();
         let _ = conn.recv();
     });
-    let client = client(&[endpoint]);
+    let client = client(std::slice::from_ref(&endpoint));
     let shipped = client
         .ship(VAR, 7, &parts(4), ROUTE, 7, Bytes::from_static(b"task"))
         .unwrap();
     assert_eq!(shipped.admission, Admission::Accepted { seq: 3 });
     assert_eq!((shipped.members, shipped.round_trips), (1, 1));
+    // One flush, counted: every write of every connection this process
+    // has to the server, which is the four parts and the submit in one.
+    let peer = endpoint.trim_start_matches("tcp://");
+    let writes = sitra_obs::counter(&format!("net.conn.writes{{peer={peer}}}"));
+    assert_eq!(writes.get(), 1);
     drop(client);
     server.join().unwrap();
 }

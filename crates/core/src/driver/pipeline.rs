@@ -171,9 +171,8 @@ pub fn run_pipeline(
             .collect();
         sim_secs += t_extra.elapsed().as_secs_f64();
 
-        // Opportunistically retire staged work that already finished,
-        // then run this step's due analyses.
-        let mut blocked_secs = staging.collect_ready();
+        // Run this step's due analyses.
+        let mut blocked_secs = 0.0;
         for (ai, spec) in cfg.analyses.iter().enumerate() {
             if !spec.due(step) {
                 continue;

@@ -56,10 +56,6 @@ impl StagingBackend for InSituBackend {
         aggregate_secs
     }
 
-    fn collect_ready(&mut self) -> f64 {
-        0.0
-    }
-
     fn drain(&mut self) -> f64 {
         0.0
     }

@@ -20,7 +20,6 @@ use super::{BackendCaps, BackendStats, RetireCtx, Retired, StagedTask, StagingBa
 use bytes::Bytes;
 use sitra_dart::{Endpoint, EndpointId, Event, Fabric, RegionKey};
 use sitra_dataspaces::{AutoscaleConfig, Autoscaler, BucketHandle, ScaleDecision, Scheduler};
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -69,7 +68,9 @@ pub struct LocalBackend {
     rank_endpoints: Vec<Endpoint>,
     fleet: Arc<Mutex<Fleet>>,
     controller: Option<std::thread::JoinHandle<()>>,
-    controller_stop: Arc<AtomicBool>,
+    /// Dropped to stop the controller: its tick is a timed wait on the
+    /// other end.
+    controller_stop: Option<crossbeam::channel::Sender<()>>,
     /// Buckets signal here once per task retired (completed or
     /// dropped), so [`drain`](StagingBackend::drain) blocks instead of
     /// polling.
@@ -127,7 +128,7 @@ impl LocalBackend {
             workers,
             next_id: initial as u32,
         }));
-        let controller_stop = Arc::new(AtomicBool::new(false));
+        let (controller_stop, stop) = crossbeam::channel::bounded::<()>(1);
         let controller = autoscale.map(|cfg| {
             scheduler.set_pool_target(Some(cfg.min_buckets));
             let scheduler = scheduler.clone();
@@ -135,7 +136,6 @@ impl LocalBackend {
             let ctx = ctx.clone();
             let done_tx = done_tx.clone();
             let fleet = Arc::clone(&fleet);
-            let stop = Arc::clone(&controller_stop);
             std::thread::Builder::new()
                 .name("bucket-autoscaler".into())
                 .spawn(move || {
@@ -154,7 +154,7 @@ impl LocalBackend {
             rank_endpoints,
             fleet,
             controller,
-            controller_stop,
+            controller_stop: Some(controller_stop),
             done_rx,
             done_tx,
             buffer_depth,
@@ -177,11 +177,12 @@ fn controller_loop(
     ctx: &RetireCtx,
     done_tx: &crossbeam::channel::Sender<()>,
     fleet: &Arc<Mutex<Fleet>>,
-    stop: &AtomicBool,
+    stop: &crossbeam::channel::Receiver<()>,
 ) {
     let mut scaler = Autoscaler::new(cfg);
-    while !stop.load(Ordering::Relaxed) {
-        std::thread::sleep(AUTOSCALE_TICK);
+    // One tick per timeout; the backend dropping its end is the stop.
+    while let Err(crossbeam::channel::RecvTimeoutError::Timeout) = stop.recv_timeout(AUTOSCALE_TICK)
+    {
         let snap = scheduler.pool_snapshot();
         match scaler.decide(&snap) {
             ScaleDecision::Hold => {}
@@ -266,12 +267,6 @@ impl StagingBackend for LocalBackend {
         0.0
     }
 
-    fn collect_ready(&mut self) -> f64 {
-        // Buckets retire tasks themselves; there is nothing for the
-        // submitting side to collect.
-        0.0
-    }
-
     fn drain(&mut self) -> f64 {
         let t0 = Instant::now();
         // Block until every submitted task was either completed or
@@ -291,7 +286,7 @@ impl StagingBackend for LocalBackend {
         // Controller first, so no new buckets spawn under the closing
         // scheduler; then close (which unparks every idle bucket) and
         // join the whole fleet, dynamically spawned threads included.
-        self.controller_stop.store(true, Ordering::Relaxed);
+        self.controller_stop = None;
         if let Some(c) = self.controller.take() {
             let _ = c.join();
         }

@@ -96,9 +96,8 @@ pub struct BackendStats {
 
 /// Where the aggregation stage of staged analyses runs.
 ///
-/// The driver calls, per step: [`collect_ready`](Self::collect_ready)
-/// once, then [`submit`](Self::submit) for each due analysis; and at
-/// end of run [`drain`](Self::drain) then [`close`](Self::close). Each
+/// The driver calls, per step, [`submit`](Self::submit) for each due
+/// analysis; and at end of run [`drain`](Self::drain) then [`close`](Self::close). Each
 /// blocking call returns the wall seconds the *simulation* spent
 /// blocked on it, which the driver charges to the step.
 pub trait StagingBackend {
@@ -112,11 +111,6 @@ pub trait StagingBackend {
     /// (synchronous aggregation, back-pressure waits, degradation
     /// fallbacks).
     fn submit(&mut self, task: StagedTask) -> f64;
-
-    /// Opportunistically retire tasks whose results are already
-    /// available, without waiting for any that are not. Called once per
-    /// step so a slow consumer's results don't pile up until drain.
-    fn collect_ready(&mut self) -> f64;
 
     /// Block until every submitted task has retired (completed,
     /// collected, degraded, or dropped).

@@ -443,12 +443,6 @@ impl StagingBackend for RemoteBackend {
         blocked + lost.map_or(0.0, |(p, reason)| self.degrade(p, reason))
     }
 
-    fn collect_ready(&mut self) -> f64 {
-        // The collector retires outputs the moment they land; there is
-        // nothing left to pick up between steps.
-        0.0
-    }
-
     fn drain(&mut self) -> f64 {
         // Wait out every in-flight output; anything the staging path
         // lost is re-aggregated in-situ — zero lost steps.

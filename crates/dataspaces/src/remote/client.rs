@@ -57,20 +57,24 @@ impl RemoteSpace {
         checked(self.reap()?)
     }
 
-    /// The send half of [`Self::batch`]: write `reqs` back to back (over
-    /// `tcp://` the writer task coalesces the burst into one vectored
-    /// write). Past [`PIPELINE_DEPTH`] unanswered requests one reply is
-    /// read before each further send, so a batch of any length cannot
-    /// wedge both ends on full reply queues. Each request must be one
-    /// the server answers exactly once and at once: not an
-    /// `AckTask`/`DeclineTask`, not a long-poll.
+    /// The send half of [`Self::batch`]: write `reqs` back to back, a
+    /// window of [`PIPELINE_DEPTH`] per [`Connection::send_all`] (over
+    /// `tcp://` one vectored write). Before a window would take the
+    /// unanswered requests past `PIPELINE_DEPTH` the replies in its way
+    /// are read, so a batch of any length cannot wedge both ends in
+    /// `write`. Each request must be one the server answers exactly
+    /// once and at once: not an `AckTask`/`DeclineTask`, not a
+    /// long-poll.
     pub fn send_batch(&self, reqs: &[Request]) -> Result<Batch, RemoteError> {
         let mut replies = Vec::with_capacity(reqs.len());
-        for (sent, req) in reqs.iter().enumerate() {
-            if sent - replies.len() == PIPELINE_DEPTH {
+        let mut sent = 0;
+        for window in reqs.chunks(PIPELINE_DEPTH) {
+            while sent + window.len() - replies.len() > PIPELINE_DEPTH {
                 replies.push(self.reap()?);
             }
-            self.send(req)?;
+            let frames: Vec<Bytes> = window.iter().map(encode_request).collect();
+            self.conn.send_all(&frames)?;
+            sent += window.len();
         }
         Ok(Batch(replies))
     }

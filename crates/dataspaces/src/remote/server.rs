@@ -16,6 +16,11 @@ use std::time::Duration;
 /// declaring the hand-off failed and requeueing.
 const ACK_TIMEOUT: Duration = Duration::from_secs(10);
 
+/// Replies collected for one write are flushed once they add up to
+/// this much, whatever else is waiting: sharing a syscall is for acks,
+/// and a window of bulk `Get`s must not be answered out of memory.
+const REPLY_BATCH_BYTES: usize = 64 * 1024;
+
 /// Handler for opaque [`Request::Control`] frames. Layered services
 /// (cluster membership, handoff) install one at server start; the
 /// space/scheduler protocol never looks inside the payloads.
@@ -121,6 +126,15 @@ impl SpaceServer {
     }
 }
 
+#[cfg(test)]
+impl SpaceServer {
+    /// Serve `conn` on the calling thread until the peer hangs up, so a
+    /// test can read the server side's connection counters afterwards.
+    pub(super) fn serve_here(&self, conn: &Connection) {
+        serve_connection(&self.inner, conn)
+    }
+}
+
 fn serve_connection(inner: &ServerInner, conn: &Connection) {
     let reg = sitra_obs::global();
     let rpc_requests = reg.counter("space.rpc.requests");
@@ -133,6 +147,17 @@ fn serve_connection(inner: &ServerInner, conn: &Connection) {
         Some(t) => scoped_var(t, var),
         None => var.to_string(),
     };
+    // Replies to requests that arrived in one read leave in one write:
+    // while the connection holds further requests it has already read
+    // and decoded, replies collect here. They are flushed before
+    // anything that can wait — the next read off the socket, a
+    // long-poll — so no reply ever waits on the client's next move.
+    let mut replies: Vec<Bytes> = Vec::new();
+    let flush = |replies: &mut Vec<Bytes>| {
+        let sent = conn.send_all(replies).is_ok();
+        replies.clear();
+        sent
+    };
     loop {
         let frame = match conn.recv() {
             Ok(f) => f,
@@ -142,11 +167,17 @@ fn serve_connection(inner: &ServerInner, conn: &Connection) {
             Ok(r) => r,
             Err(e) => {
                 rpc_proto_errors.inc();
-                let _ = conn.send(encode_response(&Response::Error(e.to_string())));
+                replies.push(encode_response(&Response::Error(e.to_string())));
+                flush(&mut replies);
                 return;
             }
         };
         rpc_requests.inc();
+        if matches!(req, Request::RequestTask { .. } | Request::GetWait { .. })
+            && !flush(&mut replies)
+        {
+            return;
+        }
         let resp = match req {
             Request::Put {
                 var,
@@ -264,7 +295,10 @@ fn serve_connection(inner: &ServerInner, conn: &Connection) {
                 })
             }
         };
-        if conn.send(encode_response(&resp)).is_err() {
+        replies.push(encode_response(&resp));
+        let more_to_answer = conn.has_decoded_frame()
+            && replies.iter().map(Bytes::len).sum::<usize>() < REPLY_BATCH_BYTES;
+        if !more_to_answer && !flush(&mut replies) {
             return;
         }
     }

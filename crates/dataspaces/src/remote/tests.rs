@@ -270,6 +270,13 @@ fn dropped_consumer_connection_requeues_task() {
     // A consumer asks for the task and dies before acknowledging.
     let doomed = RemoteSpace::connect(&server.addr()).unwrap();
     doomed.fault_drop_during_request(9, Duration::from_secs(2));
+    // Its handler thread may not have run yet: a survivor that asked
+    // now could be served first, and the doomed request never assigned.
+    let t0 = std::time::Instant::now();
+    while producer.stats().unwrap().tasks_requeued == 0 {
+        assert!(t0.elapsed() < Duration::from_secs(5), "never requeued");
+        std::thread::yield_now();
+    }
 
     // The replacement consumer still gets the task.
     let survivor = RemoteSpace::connect(&server.addr()).unwrap();
@@ -801,6 +808,90 @@ fn a_batch_longer_than_the_window_completes_over_tcp() {
         .enumerate()
         .all(|(i, (b, d))| b.lo[0] == i && d.as_slice() == [i as u8; 65]));
     server.shutdown();
+}
+
+#[test]
+fn bulk_windows_complete_over_tcp() {
+    // The two shapes the window's no-wedge argument covers, at sizes no
+    // socket buffer absorbs: bulk requests with small replies, past the
+    // window; and small requests with bulk replies.
+    const BULK: usize = 256 * 1024;
+    let server = SpaceServer::start(&"tcp://127.0.0.1:0".parse().unwrap(), 2).unwrap();
+    let client = RemoteSpace::connect(&server.addr()).unwrap();
+    let cell = |i: usize| mk_bbox([i, 0, 0], [i + 1, 1, 1]);
+    let puts: Vec<Request> = (0..2 * sitra_net::PIPELINE_DEPTH)
+        .map(|i| Request::Put {
+            var: "B".into(),
+            version: 1,
+            bbox: cell(i),
+            data: Bytes::from(vec![i as u8; BULK]),
+        })
+        .collect();
+    let gets: Vec<Request> = (0..64)
+        .map(|i| Request::Get {
+            var: "B".into(),
+            version: 1,
+            bbox: cell(i),
+        })
+        .collect();
+    let (tx, rx) = std::sync::mpsc::channel();
+    std::thread::scope(|s| {
+        s.spawn(|| {
+            tx.send(client.batch(&puts)).unwrap();
+            tx.send(client.batch(&gets)).unwrap();
+        });
+        let next = || {
+            rx.recv_timeout(Duration::from_secs(60))
+                .expect("the batch wedged")
+                .unwrap()
+        };
+        assert_eq!(next(), vec![Response::Ok; puts.len()]);
+        for (i, reply) in next().into_iter().enumerate() {
+            let pieces = reply.into_pieces().unwrap();
+            assert_eq!(pieces.len(), 1);
+            assert!(pieces[0].1.as_slice() == vec![i as u8; BULK]);
+        }
+    });
+    server.shutdown();
+}
+
+#[test]
+fn replies_to_one_read_leave_in_one_write() {
+    // What the server loop does with `reqs`, seen from both ends of one
+    // tcp:// connection: (client stats, server stats).
+    let space = SpaceServer::start(&"inproc://space-flush-count".parse().unwrap(), 1).unwrap();
+    let exchange = |reqs: &[Request]| {
+        let listener = sitra_net::Listener::bind(&"tcp://127.0.0.1:0".parse().unwrap()).unwrap();
+        let client = RemoteSpace::connect(&listener.local_addr()).unwrap();
+        std::thread::scope(|s| {
+            let serving = s.spawn(|| {
+                let conn = listener.accept().unwrap();
+                space.serve_here(&conn);
+                conn.stats()
+            });
+            let replies = client.batch(reqs).unwrap();
+            assert!(replies.iter().all(|r| !matches!(r, Response::Error(_))));
+            let stats = client.conn_stats();
+            client.close();
+            (stats, serving.join().unwrap())
+        })
+    };
+    // Three puts and the submit they feed: one write there; and back,
+    // one write per read the batch arrived in — two at the very most.
+    let (client, server) = exchange(&ship_batch());
+    assert_eq!((client.frames_sent, client.writes), (4, 1));
+    assert_eq!(server.frames_sent, 4);
+    assert!(
+        server.writes <= server.reads.min(2),
+        "{} writes after {} reads",
+        server.writes,
+        server.reads
+    );
+    // A lone put: one write and one read on each side.
+    let (client, server) = exchange(&put_batch(1));
+    assert_eq!((client.writes, client.reads), (1, 1));
+    assert_eq!((server.writes, server.reads), (1, 1));
+    space.shutdown();
 }
 
 #[test]

@@ -1,25 +1,26 @@
 //! The connection handle: length-prefixed frames over any backend,
 //! with per-connection traffic counters.
 //!
-//! This is a *blocking facade over asynchronous plumbing*. A TCP
-//! connection's socket lives with a reader task and a writer task on
-//! the shared transport runtime ([`crate::rt`]); `send` enqueues onto
-//! the writer's bounded queue and `recv` dequeues whole frames from
-//! the reader's — both ends of hybrid channels that work from plain
-//! threads and async tasks alike. The in-process backend stays a pair
-//! of channels, and the shared-memory backend a pair of SPSC rings;
-//! all three meet the same contract, so everything above `sitra-net`
-//! is transport-agnostic.
+//! Every operation runs on the calling thread, on all three backends:
+//! a TCP connection owns its socket ([`crate::tcp`]) — `send` is a
+//! `write`, `recv` a `read` — the in-process backend is a pair of
+//! channels, and the shared-memory backend a pair of SPSC rings. All
+//! three meet the same contract, so everything above `sitra-net` is
+//! transport-agnostic.
 //!
 //! Fault injection rides the same seam: the injector is consulted
 //! synchronously in `send` (keeping scheduled-fault decision streams
 //! deterministic), but `Delay`/`Reorder` are realized with *runtime
-//! timers*, not sender sleeps — a delayed frame parks in the outbound
-//! queue (or a timer task) while the sender carries on immediately.
+//! timers*, not sender sleeps. The first held frame gives its
+//! connection an outbound *sequencer* — one task on [`crate::rt`] that
+//! from then on forwards everything the connection sends, in queue
+//! order, sleeping through holds — so a delayed frame stalls the
+//! frames behind it while the sender carries on immediately. It is the
+//! same on every backend, and fault-free connections never pay for it.
 
 use crate::fault::{self, FaultAction};
 use crate::shm;
-use crate::tcp::{self, WriteItem};
+use crate::tcp::TcpIo;
 use crate::NetError;
 use bytes::Bytes;
 use crossbeam::channel::{
@@ -31,7 +32,6 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 use tokio::sync::mpsc;
-use tokio::sync::mpsc::error::RecvTimeoutError as ChanRecvTimeoutError;
 
 /// Process-unique connection ids, assigned at construction. Fault
 /// injectors key their per-connection decision streams on this.
@@ -52,6 +52,11 @@ pub struct ConnStats {
     pub bytes_sent: u64,
     /// Payload bytes received (excluding the 4-byte header).
     pub bytes_recv: u64,
+    /// Socket writes that moved bytes (`0` on `inproc://` and
+    /// `shm://`): what "one flush" means, as a count.
+    pub writes: u64,
+    /// Socket reads that moved bytes (`0` on `inproc://` and `shm://`).
+    pub reads: u64,
 }
 
 #[derive(Default)]
@@ -91,7 +96,7 @@ impl ObsCounters {
     }
 }
 
-/// One unit of work for an in-process outbound sequencer task.
+/// One unit of work for a connection's outbound sequencer.
 enum SeqItem {
     /// Forward now (in queue order).
     Now(Bytes),
@@ -99,30 +104,7 @@ enum SeqItem {
     Held(Bytes, Instant),
 }
 
-/// Spawn the outbound sequencer for a channel-like backend: a runtime
-/// task that forwards frames in queue order, sleeping through holds.
-/// Exists only while a fault injector wants `Delay`/`Reorder` timing;
-/// fault-free connections never pay for it.
-fn spawn_sequencer<F>(forward: F) -> mpsc::UnboundedSender<SeqItem>
-where
-    F: Fn(Bytes) + Send + 'static,
-{
-    let (tx, mut rx) = mpsc::unbounded_channel();
-    crate::rt::handle().spawn(async move {
-        while let Some(item) = rx.recv().await {
-            match item {
-                SeqItem::Now(b) => forward(b),
-                SeqItem::Held(b, deadline) => {
-                    tokio::time::sleep_until(deadline).await;
-                    forward(b);
-                }
-            }
-        }
-    });
-    tx
-}
-
-enum Inner {
+enum Backend {
     InProc {
         // `Option` so close() can drop the halves, which is how the
         // peer observes the hangup.
@@ -136,61 +118,141 @@ enum Inner {
         wake: Arc<Mutex<Option<CbSender<Bytes>>>>,
         /// The peer's `wake`, dropped on close with `tx`.
         peer_wake: Arc<Mutex<Option<CbSender<Bytes>>>>,
-        /// Outbound sequencer, created by the first held send; once it
-        /// exists every delivery routes through it so held frames keep
-        /// their place in the order.
-        seq: Mutex<Option<mpsc::UnboundedSender<SeqItem>>>,
     },
-    Tcp {
-        outbound: mpsc::Sender<WriteItem>,
-        inbound: Mutex<mpsc::Receiver<Result<Bytes, NetError>>>,
-        /// Direct handle for close() when the writer queue is wedged.
-        stream: Arc<tokio::net::TcpStream>,
-        /// Shared with the writer task: cancels parked holds on close.
-        writer_closed: Arc<AtomicBool>,
-        peer: SocketAddr,
-    },
-    Shm {
-        /// Both ring halves; `close()` severs them lock-free, so it
-        /// lands even mid-send/mid-recv.
-        io: Arc<shm::ShmConn>,
-        /// Outbound sequencer for fault `Delay`/`Reorder` timing, same
-        /// lifecycle as the in-process one.
-        seq: Mutex<Option<mpsc::UnboundedSender<SeqItem>>>,
-        peer: String,
-    },
+    Tcp(TcpIo),
+    /// Both ring halves; closing severs them lock-free, so it lands
+    /// even mid-send/mid-recv.
+    Shm(shm::ShmConn),
+}
+
+/// What a connection shares with its sequencer task: the backend and
+/// the close latch.
+struct Link {
+    backend: Backend,
+    /// Local close() latch: operations after close fail fast.
+    closed: AtomicBool,
+}
+
+impl Link {
+    /// Hand `frames` to the backend, in order, on the calling thread.
+    fn deliver(&self, frames: &[Bytes]) -> Result<(), NetError> {
+        match &self.backend {
+            Backend::InProc { tx, .. } => {
+                let guard = tx.lock();
+                let sender = guard.as_ref().ok_or(NetError::Closed)?;
+                for frame in frames {
+                    sender.send(frame.clone()).map_err(|_| NetError::Closed)?;
+                }
+                Ok(())
+            }
+            Backend::Tcp(io) => io.write_frames(frames),
+            Backend::Shm(io) => {
+                let mut producer = io.producer.lock();
+                frames.iter().try_for_each(|frame| producer.send(frame))
+            }
+        }
+    }
+
+    /// Sever both directions. Everything delivered so far still reaches
+    /// the peer, ahead of the hangup.
+    fn sever(&self) {
+        match &self.backend {
+            Backend::InProc {
+                tx,
+                rx,
+                wake,
+                peer_wake,
+            } => {
+                tx.lock().take();
+                peer_wake.lock().take();
+                // A recv blocked on another thread holds the `rx` lock:
+                // wake it first, or taking `rx` would wait it out.
+                if let Some(wake) = wake.lock().take() {
+                    let _ = wake.send(Bytes::new());
+                }
+                rx.lock().take();
+            }
+            Backend::Tcp(io) => io.shutdown(),
+            Backend::Shm(io) => io.close(),
+        }
+    }
+}
+
+/// Spawn a connection's outbound sequencer: a runtime task that
+/// forwards frames in queue order, sleeping through holds, and severs
+/// the link once `close()` has dropped the last sender and the queue
+/// is drained. (Its forwards are the backend's own blocking writes; a
+/// peer that has stopped reading stalls one runtime worker — a price
+/// only fault-injected connections can be made to pay.)
+fn spawn_sequencer(link: Arc<Link>) -> mpsc::UnboundedSender<SeqItem> {
+    let (tx, mut rx) = mpsc::unbounded_channel();
+    crate::rt::handle().spawn(async move {
+        while let Some(item) = rx.recv().await {
+            let frame = match item {
+                SeqItem::Now(frame) => frame,
+                SeqItem::Held(frame, deadline) => {
+                    if !link.closed.load(Ordering::Acquire) {
+                        tokio::time::sleep_until(deadline).await;
+                    }
+                    if link.closed.load(Ordering::Acquire) {
+                        // close() cancels a parked frame and the queue
+                        // behind it: the peer sees a prefix of what was
+                        // sent, never a gap.
+                        break;
+                    }
+                    frame
+                }
+            };
+            let _ = link.deliver(std::slice::from_ref(&frame));
+        }
+        link.sever();
+    });
+    tx
 }
 
 /// One frame-oriented, bidirectional connection.
 pub struct Connection {
     id: u64,
     peer_label: String,
-    inner: Inner,
+    link: Arc<Link>,
+    /// Outbound sequencer, created by the first held send; once it
+    /// exists every delivery routes through it so held frames keep
+    /// their place in the order.
+    seq: Mutex<Option<mpsc::UnboundedSender<SeqItem>>>,
     counters: Counters,
     obs: ObsCounters,
-    /// Local close() latch: operations after close fail fast.
-    closed: AtomicBool,
 }
 
 impl Connection {
+    fn new(backend: Backend, peer_label: String) -> Connection {
+        Connection {
+            id: NEXT_CONN_ID.fetch_add(1, Ordering::Relaxed),
+            obs: ObsCounters::resolve(&peer_label),
+            peer_label,
+            link: Arc::new(Link {
+                backend,
+                closed: AtomicBool::new(false),
+            }),
+            seq: Mutex::new(None),
+            counters: Counters::default(),
+        }
+    }
+
     pub(crate) fn inproc_pair() -> (Connection, Connection) {
         let (a2b_tx, a2b_rx) = crossbeam::channel::unbounded();
         let (b2a_tx, b2a_rx) = crossbeam::channel::unbounded();
         let a_wake = Arc::new(Mutex::new(Some(b2a_tx.clone())));
         let b_wake = Arc::new(Mutex::new(Some(a2b_tx.clone())));
-        let mk = |tx, rx, wake, peer_wake| Connection {
-            id: NEXT_CONN_ID.fetch_add(1, Ordering::Relaxed),
-            peer_label: "inproc".to_string(),
-            inner: Inner::InProc {
-                tx: Mutex::new(Some(tx)),
-                rx: Mutex::new(Some(rx)),
-                wake,
-                peer_wake,
-                seq: Mutex::new(None),
-            },
-            counters: Counters::default(),
-            obs: ObsCounters::resolve("inproc"),
-            closed: AtomicBool::new(false),
+        let mk = |tx, rx, wake, peer_wake| {
+            Connection::new(
+                Backend::InProc {
+                    tx: Mutex::new(Some(tx)),
+                    rx: Mutex::new(Some(rx)),
+                    wake,
+                    peer_wake,
+                },
+                "inproc".to_string(),
+            )
         };
         (
             mk(a2b_tx, b2a_rx, Arc::clone(&a_wake), Arc::clone(&b_wake)),
@@ -199,37 +261,15 @@ impl Connection {
     }
 
     pub(crate) fn from_tcp(stream: std::net::TcpStream) -> Result<Connection, NetError> {
-        let peer = stream.peer_addr()?;
-        let parts = tcp::spawn_io(stream)?;
-        Ok(Connection {
-            id: NEXT_CONN_ID.fetch_add(1, Ordering::Relaxed),
-            peer_label: peer.to_string(),
-            inner: Inner::Tcp {
-                outbound: parts.outbound,
-                inbound: Mutex::new(parts.inbound),
-                stream: parts.stream,
-                writer_closed: parts.closed,
-                peer,
-            },
-            counters: Counters::default(),
-            obs: ObsCounters::resolve(&peer.to_string()),
-            closed: AtomicBool::new(false),
-        })
+        let peer = stream.peer_addr()?.to_string();
+        Ok(Connection::new(
+            Backend::Tcp(TcpIo::new(stream, &peer)),
+            peer,
+        ))
     }
 
     pub(crate) fn from_shm(io: shm::ShmConn, peer: String) -> Connection {
-        Connection {
-            id: NEXT_CONN_ID.fetch_add(1, Ordering::Relaxed),
-            peer_label: peer.clone(),
-            obs: ObsCounters::resolve(&peer),
-            inner: Inner::Shm {
-                io: Arc::new(io),
-                seq: Mutex::new(None),
-                peer,
-            },
-            counters: Counters::default(),
-            closed: AtomicBool::new(false),
-        }
+        Connection::new(Backend::Shm(io), peer)
     }
 
     /// This connection's process-unique id (stable for its lifetime;
@@ -238,18 +278,58 @@ impl Connection {
         self.id
     }
 
+    /// What every send checks before the injector sees the frame.
+    fn sendable(&self, payload: &Bytes) -> Result<(), NetError> {
+        if payload.len() > MAX_FRAME_LEN {
+            return Err(NetError::FrameTooLarge(payload.len()));
+        }
+        if self.link.closed.load(Ordering::Acquire) {
+            return Err(NetError::Closed);
+        }
+        Ok(())
+    }
+
     /// Send one frame. When a [`crate::fault::FaultInjector`] is
     /// installed it decides this frame's fate first; see the fault
     /// module docs for each action's semantics.
     pub fn send(&self, payload: Bytes) -> Result<(), NetError> {
-        if payload.len() > MAX_FRAME_LEN {
-            return Err(NetError::FrameTooLarge(payload.len()));
+        self.sendable(&payload)?;
+        let action = fault::frame_action(self.id, &self.peer_label, payload.len());
+        self.apply(action, payload)
+    }
+
+    /// Send `frames` back to back — over `tcp://` as one vectored
+    /// write, which is what makes a batch one flush. The injector is
+    /// consulted once per frame, in order, as for [`Self::send`]: the
+    /// frames ahead of the first fault share the write, the faulted
+    /// one and those behind it go one at a time.
+    pub fn send_all(&self, frames: &[Bytes]) -> Result<(), NetError> {
+        frames.iter().try_for_each(|frame| self.sendable(frame))?;
+        let mut clean = 0;
+        let mut faulted = None;
+        for frame in frames {
+            match fault::frame_action(self.id, &self.peer_label, frame.len()) {
+                FaultAction::Deliver => clean += 1,
+                action => {
+                    faulted = Some(action);
+                    break;
+                }
+            }
         }
-        if self.closed.load(Ordering::Acquire) {
-            return Err(NetError::Closed);
+        self.dispatch(&frames[..clean], None)?;
+        if let Some(action) = faulted {
+            self.apply(action, frames[clean].clone())?;
+            for frame in &frames[clean + 1..] {
+                self.send(frame.clone())?;
+            }
         }
-        match fault::frame_action(self.id, &self.peer_label, payload.len()) {
-            FaultAction::Deliver => self.enqueue(payload, None),
+        Ok(())
+    }
+
+    /// Carry out the injector's decision for one frame.
+    fn apply(&self, action: FaultAction, payload: Bytes) -> Result<(), NetError> {
+        match action {
+            FaultAction::Deliver => self.dispatch(std::slice::from_ref(&payload), None),
             FaultAction::Drop => {
                 // Loss on a reliable transport: the frame vanishes and
                 // the link dies with it (see fault module docs). The
@@ -257,12 +337,21 @@ impl Connection {
                 self.close();
                 Ok(())
             }
-            FaultAction::Delay(d) => self.enqueue(payload, Some(Instant::now() + d)),
-            FaultAction::Reorder(d) => self.enqueue_reordered(payload, d),
-            FaultAction::Duplicate => {
-                self.enqueue(payload.clone(), None)?;
-                self.enqueue(payload, None)
+            FaultAction::Delay(d) => {
+                self.dispatch(std::slice::from_ref(&payload), Some(Instant::now() + d))
             }
+            FaultAction::Reorder(d) => {
+                // Park the frame on a runtime timer off to the side;
+                // frames sent in the meantime overtake it.
+                let seq = self.sequencer(true).expect("sequencer just created");
+                self.count_sent(std::slice::from_ref(&payload));
+                crate::rt::handle().spawn(async move {
+                    tokio::time::sleep(d).await;
+                    let _ = seq.send(SeqItem::Now(payload));
+                });
+                Ok(())
+            }
+            FaultAction::Duplicate => self.dispatch(&[payload.clone(), payload], None),
             FaultAction::Cut => {
                 self.close();
                 Err(NetError::Closed)
@@ -270,155 +359,54 @@ impl Connection {
         }
     }
 
-    /// Queue one frame for delivery, optionally held until a deadline
-    /// (fault `Delay`: the queue stalls behind it, the sender does not).
-    fn enqueue(&self, payload: Bytes, hold_until: Option<Instant>) -> Result<(), NetError> {
-        let len = payload.len();
-        match &self.inner {
-            Inner::InProc { tx, seq, .. } => {
-                let guard = tx.lock();
-                let sender = guard.as_ref().ok_or(NetError::Closed)?;
-                let mut seq_guard = seq.lock();
-                if hold_until.is_some() && seq_guard.is_none() {
-                    let fwd = sender.clone();
-                    *seq_guard = Some(spawn_sequencer(move |b| {
-                        let _ = fwd.send(b);
-                    }));
-                }
-                match (&*seq_guard, hold_until) {
-                    (Some(s), Some(deadline)) => s
-                        .send(SeqItem::Held(payload, deadline))
-                        .map_err(|_| NetError::Closed)?,
-                    (Some(s), None) => s
-                        .send(SeqItem::Now(payload))
-                        .map_err(|_| NetError::Closed)?,
-                    // Fault-free fast path: straight into the channel.
-                    (None, _) => sender.send(payload).map_err(|_| NetError::Closed)?,
-                }
-            }
-            Inner::Tcp { outbound, .. } => {
-                let item = match hold_until {
-                    Some(deadline) => WriteItem::Held(payload, deadline),
-                    None => WriteItem::Frame(payload),
-                };
-                outbound.blocking_send(item).map_err(|_| NetError::Closed)?;
-            }
-            Inner::Shm { io, seq, .. } => {
-                let mut seq_guard = seq.lock();
-                if hold_until.is_some() && seq_guard.is_none() {
-                    let fwd = Arc::clone(io);
-                    *seq_guard = Some(spawn_sequencer(move |b: Bytes| {
-                        let _ = fwd.producer.lock().send(&b);
-                    }));
-                }
-                match (&*seq_guard, hold_until) {
-                    (Some(s), Some(deadline)) => s
-                        .send(SeqItem::Held(payload, deadline))
-                        .map_err(|_| NetError::Closed)?,
-                    (Some(s), None) => s
-                        .send(SeqItem::Now(payload))
-                        .map_err(|_| NetError::Closed)?,
-                    // Fault-free fast path: straight into the ring.
-                    (None, _) => io.producer.lock().send(&payload)?,
-                }
-            }
+    /// This connection's sequencer, if it has one — or, for a frame
+    /// that must be held, in any case.
+    fn sequencer(&self, create: bool) -> Option<mpsc::UnboundedSender<SeqItem>> {
+        let mut seq = self.seq.lock();
+        if create && seq.is_none() {
+            *seq = Some(spawn_sequencer(Arc::clone(&self.link)));
         }
-        self.counters.frames_sent.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .bytes_sent
-            .fetch_add(len as u64, Ordering::Relaxed);
-        self.obs.frames_sent.inc();
-        self.obs.bytes_sent.add(len as u64);
+        seq.clone()
+    }
+
+    /// Deliver `frames` in order, optionally held until a deadline
+    /// (fault `Delay`: the queue stalls behind it, the sender does
+    /// not): straight to the backend, or through the sequencer once
+    /// there is one.
+    fn dispatch(&self, frames: &[Bytes], hold_until: Option<Instant>) -> Result<(), NetError> {
+        match self.sequencer(hold_until.is_some()) {
+            Some(seq) => {
+                for frame in frames {
+                    let item = match hold_until {
+                        Some(deadline) => SeqItem::Held(frame.clone(), deadline),
+                        None => SeqItem::Now(frame.clone()),
+                    };
+                    seq.send(item).map_err(|_| NetError::Closed)?;
+                }
+            }
+            // Fault-free fast path.
+            None => self.link.deliver(frames)?,
+        }
+        self.count_sent(frames);
         Ok(())
     }
 
-    /// Fault `Reorder`: park the frame on a runtime timer and return
-    /// immediately; frames sent in the meantime overtake it.
-    fn enqueue_reordered(&self, payload: Bytes, delay: Duration) -> Result<(), NetError> {
-        let len = payload.len();
-        match &self.inner {
-            Inner::InProc { tx, seq, .. } => {
-                let guard = tx.lock();
-                let sender = guard.as_ref().ok_or(NetError::Closed)?;
-                let mut seq_guard = seq.lock();
-                if seq_guard.is_none() {
-                    let fwd = sender.clone();
-                    *seq_guard = Some(spawn_sequencer(move |b| {
-                        let _ = fwd.send(b);
-                    }));
-                }
-                let seq_tx = seq_guard.as_ref().expect("sequencer just created").clone();
-                crate::rt::handle().spawn(async move {
-                    tokio::time::sleep(delay).await;
-                    let _ = seq_tx.send(SeqItem::Now(payload));
-                });
-            }
-            Inner::Tcp { outbound, .. } => {
-                let out = outbound.clone();
-                crate::rt::handle().spawn(async move {
-                    tokio::time::sleep(delay).await;
-                    let _ = out.send(WriteItem::Frame(payload)).await;
-                });
-            }
-            Inner::Shm { io, seq, .. } => {
-                let mut seq_guard = seq.lock();
-                if seq_guard.is_none() {
-                    let fwd = Arc::clone(io);
-                    *seq_guard = Some(spawn_sequencer(move |b: Bytes| {
-                        let _ = fwd.producer.lock().send(&b);
-                    }));
-                }
-                let seq_tx = seq_guard.as_ref().expect("sequencer just created").clone();
-                crate::rt::handle().spawn(async move {
-                    tokio::time::sleep(delay).await;
-                    let _ = seq_tx.send(SeqItem::Now(payload));
-                });
-            }
-        }
-        self.counters.frames_sent.fetch_add(1, Ordering::Relaxed);
+    fn count_sent(&self, frames: &[Bytes]) {
+        let bytes: usize = frames.iter().map(Bytes::len).sum();
+        self.counters
+            .frames_sent
+            .fetch_add(frames.len() as u64, Ordering::Relaxed);
         self.counters
             .bytes_sent
-            .fetch_add(len as u64, Ordering::Relaxed);
-        self.obs.frames_sent.inc();
-        self.obs.bytes_sent.add(len as u64);
-        Ok(())
+            .fetch_add(bytes as u64, Ordering::Relaxed);
+        self.obs.frames_sent.add(frames.len() as u64);
+        self.obs.bytes_sent.add(bytes as u64);
     }
 
     /// Receive the next frame, blocking until one arrives or the peer
     /// hangs up.
     pub fn recv(&self) -> Result<Bytes, NetError> {
-        let payload = match &self.inner {
-            Inner::InProc { rx, .. } => {
-                let guard = rx.lock();
-                let receiver = guard.as_ref().ok_or(NetError::Closed)?;
-                let payload = receiver.recv().map_err(|_| NetError::Closed)?;
-                if self.closed.load(Ordering::Acquire) {
-                    return Err(NetError::Closed); // woken by close()
-                }
-                payload
-            }
-            Inner::Tcp { inbound, .. } => {
-                let mut rx = inbound.lock();
-                match rx.blocking_recv() {
-                    Some(Ok(b)) => b,
-                    Some(Err(e)) => {
-                        self.obs_classify(&e);
-                        return Err(e);
-                    }
-                    None => return Err(NetError::Closed),
-                }
-            }
-            Inner::Shm { io, .. } => io.consumer.lock().recv(None).inspect_err(|e| {
-                self.obs_classify(e);
-            })?,
-        };
-        self.counters.frames_recv.fetch_add(1, Ordering::Relaxed);
-        self.counters
-            .bytes_recv
-            .fetch_add(payload.len() as u64, Ordering::Relaxed);
-        self.obs.frames_recv.inc();
-        self.obs.bytes_recv.add(payload.len() as u64);
-        Ok(payload)
+        self.recv_within(None)
     }
 
     /// Route an error into the right observability counter: a frame cap
@@ -432,13 +420,18 @@ impl Connection {
         }
     }
 
-    /// Receive the next frame, giving up after `timeout`. The timeout
-    /// applies to the *start* of a frame; the reader task assembles
-    /// partial frames off to the side, so a timeout here never leaves
-    /// the stream desynchronized mid-frame.
+    /// Receive the next frame, giving up after `timeout`; a zero
+    /// timeout is one non-blocking look that returns a frame only if it
+    /// has already arrived. A timeout never leaves the stream
+    /// desynchronized mid-frame: what has been read of a partial frame
+    /// stays with the connection.
     pub fn recv_timeout(&self, timeout: Duration) -> Result<Bytes, NetError> {
+        self.recv_within(Some(timeout))
+    }
+
+    fn recv_within(&self, timeout: Option<Duration>) -> Result<Bytes, NetError> {
         let payload = self
-            .recv_timeout_inner(timeout)
+            .recv_inner(timeout)
             .inspect_err(|e| self.obs_classify(e))?;
         self.counters.frames_recv.fetch_add(1, Ordering::Relaxed);
         self.counters
@@ -449,100 +442,75 @@ impl Connection {
         Ok(payload)
     }
 
-    fn recv_timeout_inner(&self, timeout: Duration) -> Result<Bytes, NetError> {
-        match &self.inner {
-            Inner::InProc { rx, .. } => {
+    fn recv_inner(&self, timeout: Option<Duration>) -> Result<Bytes, NetError> {
+        if self.link.closed.load(Ordering::Acquire) {
+            return Err(NetError::Closed);
+        }
+        match &self.link.backend {
+            Backend::InProc { rx, .. } => {
                 let guard = rx.lock();
                 let receiver = guard.as_ref().ok_or(NetError::Closed)?;
-                let payload = receiver.recv_timeout(timeout).map_err(|e| match e {
-                    CbRecvTimeoutError::Timeout => NetError::Timeout,
-                    CbRecvTimeoutError::Disconnected => NetError::Closed,
-                })?;
-                if self.closed.load(Ordering::Acquire) {
+                let payload = match timeout {
+                    None => receiver.recv().map_err(|_| NetError::Closed)?,
+                    Some(t) => receiver.recv_timeout(t).map_err(|e| match e {
+                        CbRecvTimeoutError::Timeout => NetError::Timeout,
+                        CbRecvTimeoutError::Disconnected => NetError::Closed,
+                    })?,
+                };
+                if self.link.closed.load(Ordering::Acquire) {
                     return Err(NetError::Closed); // woken by close()
                 }
                 Ok(payload)
             }
-            Inner::Tcp { inbound, .. } => {
-                let mut rx = inbound.lock();
-                match rx.blocking_recv_timeout(timeout) {
-                    Ok(Ok(b)) => Ok(b),
-                    Ok(Err(e)) => Err(e),
-                    Err(ChanRecvTimeoutError::Timeout) => Err(NetError::Timeout),
-                    Err(ChanRecvTimeoutError::Disconnected) => Err(NetError::Closed),
-                }
-            }
-            Inner::Shm { io, .. } => io.consumer.lock().recv(Some(timeout)),
+            Backend::Tcp(io) => io.read_frame(timeout),
+            Backend::Shm(io) => io.consumer.lock().recv(timeout),
         }
     }
 
-    /// Close the connection. Frames already queued are flushed first
-    /// (`Close` travels the writer queue behind them); parked holds are
-    /// cancelled. The peer's pending and future receives fail with
-    /// [`NetError::Closed`]; local operations do too.
+    /// Whether the next receive would return a frame without waiting
+    /// *or* a syscall: one this connection has already read off its
+    /// socket and decoded. Always `false` on `inproc://` and `shm://`,
+    /// where a send costs no syscall and so there is nothing to batch.
+    pub fn has_decoded_frame(&self) -> bool {
+        match &self.link.backend {
+            Backend::Tcp(io) => io.has_decoded_frame(),
+            _ => false,
+        }
+    }
+
+    /// Close the connection. Everything sent before is delivered first
+    /// (a sequencer drains its queue, then severs the link itself) —
+    /// up to a hold still parked, which is cancelled with all behind it. The peer's pending and future
+    /// receives fail with [`NetError::Closed`]; local operations do
+    /// too, including a `recv` blocked on another thread.
     pub fn close(&self) {
-        self.closed.store(true, Ordering::Release);
-        match &self.inner {
-            Inner::InProc {
-                tx,
-                rx,
-                wake,
-                peer_wake,
-                seq,
-            } => {
-                // Dropping the sequencer sender lets its task drain the
-                // queued frames, then release its channel clone — the
-                // same flush-then-close the TCP writer provides.
-                seq.lock().take();
-                tx.lock().take();
-                peer_wake.lock().take();
-                // A recv blocked on another thread holds the `rx` lock:
-                // wake it first, or taking `rx` would wait it out.
-                if let Some(wake) = wake.lock().take() {
-                    let _ = wake.send(Bytes::new());
-                }
-                rx.lock().take();
-            }
-            Inner::Tcp {
-                outbound,
-                stream,
-                writer_closed,
-                ..
-            } => {
-                writer_closed.store(true, Ordering::Release);
-                if outbound.try_send(WriteItem::Close).is_err() {
-                    // Writer queue full (wedged peer) or writer gone:
-                    // close the socket out from under it.
-                    let _ = stream.shutdown_std(std::net::Shutdown::Both);
-                }
-            }
-            Inner::Shm { io, seq, .. } => {
-                // Everything sent is already in the ring, so severing
-                // the channels *is* flush-then-close; parked holds on
-                // the sequencer die with it.
-                seq.lock().take();
-                io.close();
-            }
+        if self.link.closed.swap(true, Ordering::AcqRel) {
+            return;
+        }
+        if self.seq.lock().take().is_none() {
+            self.link.sever();
         }
     }
 
     /// Snapshot of this connection's traffic counters.
     pub fn stats(&self) -> ConnStats {
+        let (writes, reads) = match &self.link.backend {
+            Backend::Tcp(io) => io.syscalls(),
+            _ => (0, 0),
+        };
         ConnStats {
             frames_sent: self.counters.frames_sent.load(Ordering::Relaxed),
             frames_recv: self.counters.frames_recv.load(Ordering::Relaxed),
             bytes_sent: self.counters.bytes_sent.load(Ordering::Relaxed),
             bytes_recv: self.counters.bytes_recv.load(Ordering::Relaxed),
+            writes,
+            reads,
         }
     }
 
     /// Peer description for diagnostics.
     pub fn peer(&self) -> String {
-        match &self.inner {
-            Inner::InProc { .. } => "inproc".to_string(),
-            Inner::Tcp { peer, .. } => peer.to_string(),
-            Inner::Shm { peer, .. } => peer.clone(),
-        }
+        self.peer_label.clone()
     }
 }
 
@@ -739,8 +707,8 @@ mod tests {
 
     #[test]
     fn tcp_send_then_close_still_delivers() {
-        // The close travels the writer queue behind queued frames, so
-        // nothing sent before close() is lost.
+        // Every send has handed its frame to the kernel by the time it
+        // returns, so nothing sent before close() is lost.
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let sa = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
@@ -762,5 +730,127 @@ mod tests {
         for (i, m) in got.iter().enumerate() {
             assert_eq!(m.as_slice(), &vec![i as u8; 100][..]);
         }
+    }
+
+    /// A connected loopback pair: `(dialled, accepted)`.
+    fn tcp_pair() -> (Connection, Connection) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let dialled = tcp_connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        (dialled, Connection::from_tcp(accepted).unwrap())
+    }
+
+    /// The payload sender `who` puts in its `seq`-th frame: recomputable
+    /// by the receiver from the first eight bytes alone.
+    fn patterned(who: u32, seq: u32) -> Vec<u8> {
+        let len = [8, 100, 3_000, 40_000][(seq % 4) as usize];
+        let mut v = Vec::with_capacity(len);
+        v.extend_from_slice(&who.to_le_bytes());
+        v.extend_from_slice(&seq.to_le_bytes());
+        let mut x = u64::from(who) << 32 | u64::from(seq);
+        while v.len() < len {
+            x = x
+                .wrapping_mul(6364136223846793005)
+                .wrapping_add(1442695040888963407);
+            v.push((x >> 56) as u8);
+        }
+        v
+    }
+
+    #[test]
+    fn concurrent_senders_never_interleave_frames() {
+        const PER_SENDER: u32 = 5_000;
+        let (a, b) = tcp_pair();
+        std::thread::scope(|s| {
+            for who in 0..2u32 {
+                let a = &a;
+                s.spawn(move || {
+                    for seq in 0..PER_SENDER {
+                        a.send(Bytes::from(patterned(who, seq))).unwrap();
+                    }
+                });
+            }
+            // Every frame is whole and each sender's frames are in
+            // order; only the two streams interleave.
+            let mut next = [0u32; 2];
+            for _ in 0..2 * PER_SENDER {
+                let frame = b.recv().unwrap();
+                let who = u32::from_le_bytes(frame.as_slice()[..4].try_into().unwrap());
+                let seq = u32::from_le_bytes(frame.as_slice()[4..8].try_into().unwrap());
+                assert_eq!(seq, next[who as usize], "sender {who} out of order");
+                assert!(
+                    frame.as_slice() == patterned(who, seq),
+                    "frame {who}/{seq} torn"
+                );
+                next[who as usize] += 1;
+            }
+        });
+        assert_eq!(b.stats().frames_recv, u64::from(2 * PER_SENDER));
+    }
+
+    #[test]
+    fn a_large_batch_reaches_a_reader_of_single_bytes_intact() {
+        // 1 MiB and two thousand five-byte frames behind it, in one
+        // `send_all`, against a reader that takes one byte at a time:
+        // however the kernel cuts the write up, the stream is whole.
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let c = tcp_connect(listener.local_addr().unwrap()).unwrap();
+        let (mut raw, _) = listener.accept().unwrap();
+        let mut batch = vec![Bytes::from(patterned(7, 3).repeat(27))];
+        batch.extend((0..2_000u32).map(|i| Bytes::from(vec![i as u8])));
+        let wire_len: usize = batch
+            .iter()
+            .map(|f| crate::frame::HEADER_LEN + f.len())
+            .sum();
+        let got = std::thread::scope(|s| {
+            let reader = s.spawn(move || {
+                use std::io::Read;
+                let mut dec = crate::frame::FrameDecoder::new();
+                let mut frames = Vec::new();
+                let mut byte = [0u8; 1];
+                for _ in 0..wire_len {
+                    raw.read_exact(&mut byte).unwrap();
+                    dec.feed(Bytes::from(byte.to_vec()), &mut frames).unwrap();
+                }
+                assert!(dec.is_at_boundary());
+                frames
+            });
+            c.send_all(&batch).unwrap();
+            reader.join().unwrap()
+        });
+        assert!(got == batch);
+    }
+
+    #[test]
+    fn tcp_counts_the_syscalls_that_moved_bytes() {
+        let (a, b) = tcp_pair();
+        // A lone round trip: one write and one read per side.
+        a.send(Bytes::from_static(b"ping")).unwrap();
+        b.send(b.recv().unwrap()).unwrap();
+        a.recv().unwrap();
+        for stats in [a.stats(), b.stats()] {
+            assert_eq!((stats.writes, stats.reads), (1, 1));
+        }
+        // A batch is one write, and what one read decoded is handed
+        // out without going back to the socket.
+        let batch: Vec<Bytes> = (0..5u8).map(|i| Bytes::from(vec![i; 65])).collect();
+        a.send_all(&batch).unwrap();
+        assert_eq!(a.stats().writes, 2);
+        assert!(!b.has_decoded_frame());
+        for want in &batch {
+            assert_eq!(&b.recv().unwrap(), want);
+        }
+        assert!(!b.has_decoded_frame());
+        assert_eq!(b.stats().frames_recv, 6);
+        assert!(
+            b.stats().reads < 6,
+            "{} reads for one write",
+            b.stats().reads
+        );
+        // inproc:// has no socket to count.
+        let (x, y) = Connection::inproc_pair();
+        x.send(Bytes::from_static(b"x")).unwrap();
+        y.recv().unwrap();
+        assert_eq!((x.stats().writes, y.stats().reads), (0, 0));
     }
 }

@@ -131,6 +131,7 @@ pub(crate) fn connect_allowed(addr: &str) -> bool {
 mod tests {
     use super::*;
     use crate::conn::Connection;
+    use crate::tests::pairs;
     use crate::{connect, Addr, Listener, NetError};
     use bytes::Bytes;
 
@@ -165,90 +166,149 @@ mod tests {
     #[test]
     fn duplicate_delivers_twice_and_drop_severs() {
         let _g = LOCK.lock();
-        let (a, b) = Connection::inproc_pair();
-        let prev = with_script(a.id(), vec![FaultAction::Duplicate, FaultAction::Drop]);
-        a.send(Bytes::from_static(b"dup")).unwrap();
-        assert_eq!(b.recv().unwrap(), Bytes::from_static(b"dup"));
-        assert_eq!(b.recv().unwrap(), Bytes::from_static(b"dup"));
-        // Drop: the sender believes the send succeeded, the frame is
-        // gone, and the link is dead.
-        a.send(Bytes::from_static(b"lost")).unwrap();
-        assert!(matches!(b.recv(), Err(NetError::Closed)));
-        assert!(matches!(
-            a.send(Bytes::from_static(b"after")),
-            Err(NetError::Closed)
-        ));
-        install_fault_injector(prev);
+        for (scheme, a, b) in pairs("fault-dup-drop") {
+            let prev = with_script(a.id(), vec![FaultAction::Duplicate, FaultAction::Drop]);
+            a.send(Bytes::from_static(b"dup")).unwrap();
+            assert_eq!(b.recv().unwrap(), Bytes::from_static(b"dup"), "{scheme}");
+            assert_eq!(b.recv().unwrap(), Bytes::from_static(b"dup"), "{scheme}");
+            // Drop: the sender believes the send succeeded, the frame is
+            // gone, and the link is dead.
+            a.send(Bytes::from_static(b"lost")).unwrap();
+            assert!(matches!(b.recv(), Err(NetError::Closed)), "{scheme}");
+            assert!(
+                matches!(a.send(Bytes::from_static(b"after")), Err(NetError::Closed)),
+                "{scheme}"
+            );
+            install_fault_injector(prev);
+        }
     }
 
     #[test]
     fn cut_fails_the_send_and_severs() {
         let _g = LOCK.lock();
-        let (a, b) = Connection::inproc_pair();
-        let prev = with_script(a.id(), vec![FaultAction::Cut]);
-        assert!(matches!(
-            a.send(Bytes::from_static(b"x")),
-            Err(NetError::Closed)
-        ));
-        assert!(matches!(b.recv(), Err(NetError::Closed)));
-        install_fault_injector(prev);
+        for (scheme, a, b) in pairs("fault-cut") {
+            let prev = with_script(a.id(), vec![FaultAction::Cut]);
+            assert!(
+                matches!(a.send(Bytes::from_static(b"x")), Err(NetError::Closed)),
+                "{scheme}"
+            );
+            assert!(matches!(b.recv(), Err(NetError::Closed)), "{scheme}");
+            install_fault_injector(prev);
+        }
     }
 
     #[test]
     fn delay_still_delivers() {
         let _g = LOCK.lock();
-        let (a, b) = Connection::inproc_pair();
-        let prev = with_script(
-            a.id(),
-            vec![
-                FaultAction::Delay(Duration::from_millis(5)),
-                FaultAction::Reorder(Duration::from_millis(5)),
-            ],
-        );
-        a.send(Bytes::from_static(b"slow")).unwrap();
-        a.send(Bytes::from_static(b"jitter")).unwrap();
-        assert_eq!(b.recv().unwrap(), Bytes::from_static(b"slow"));
-        assert_eq!(b.recv().unwrap(), Bytes::from_static(b"jitter"));
-        install_fault_injector(prev);
+        for (scheme, a, b) in pairs("fault-delay-delivers") {
+            let prev = with_script(
+                a.id(),
+                vec![
+                    FaultAction::Delay(Duration::from_millis(5)),
+                    FaultAction::Reorder(Duration::from_millis(5)),
+                ],
+            );
+            a.send(Bytes::from_static(b"slow")).unwrap();
+            a.send(Bytes::from_static(b"jitter")).unwrap();
+            assert_eq!(b.recv().unwrap(), Bytes::from_static(b"slow"), "{scheme}");
+            assert_eq!(b.recv().unwrap(), Bytes::from_static(b"jitter"), "{scheme}");
+            install_fault_injector(prev);
+        }
     }
 
     #[test]
-    fn delay_is_asynchronous() {
+    fn delay_holds_the_line_and_not_the_sender() {
         let _g = LOCK.lock();
-        let (a, b) = Connection::inproc_pair();
-        let prev = with_script(a.id(), vec![FaultAction::Delay(Duration::from_millis(150))]);
-        // The frame is held by a runtime timer, not a sender sleep:
-        // send() must return long before the 150ms hold elapses.
-        let t0 = std::time::Instant::now();
-        a.send(Bytes::from_static(b"held")).unwrap();
-        assert!(
-            t0.elapsed() < Duration::from_millis(100),
-            "send blocked for {:?}; Delay must not stall the sender",
-            t0.elapsed()
-        );
-        assert_eq!(b.recv().unwrap(), Bytes::from_static(b"held"));
-        assert!(t0.elapsed() >= Duration::from_millis(140));
-        install_fault_injector(prev);
+        for (scheme, a, b) in pairs("fault-delay") {
+            let prev = with_script(a.id(), vec![FaultAction::Delay(Duration::from_millis(150))]);
+            // The frame is held by a runtime timer, not a sender sleep:
+            // the sends must return long before the 150ms hold elapses.
+            let t0 = std::time::Instant::now();
+            for frame in [&b"held"[..], b"second", b"third"] {
+                a.send(Bytes::from_static(frame)).unwrap();
+            }
+            assert!(
+                t0.elapsed() < Duration::from_millis(100),
+                "{scheme}: send blocked for {:?}; Delay must not stall the sender",
+                t0.elapsed()
+            );
+            // The held frame comes out after the hold, and the frames
+            // sent behind it behind it.
+            assert_eq!(b.recv().unwrap(), Bytes::from_static(b"held"), "{scheme}");
+            assert!(t0.elapsed() >= Duration::from_millis(140), "{scheme}");
+            assert_eq!(b.recv().unwrap(), Bytes::from_static(b"second"), "{scheme}");
+            assert_eq!(b.recv().unwrap(), Bytes::from_static(b"third"), "{scheme}");
+            install_fault_injector(prev);
+        }
     }
 
     #[test]
     fn reorder_lets_later_frames_overtake() {
         let _g = LOCK.lock();
-        let (a, b) = Connection::inproc_pair();
-        let prev = with_script(
-            a.id(),
-            vec![
-                FaultAction::Reorder(Duration::from_millis(80)),
-                FaultAction::Deliver,
-            ],
-        );
-        a.send(Bytes::from_static(b"late")).unwrap();
-        a.send(Bytes::from_static(b"first")).unwrap();
-        // The reordered frame parks off to the side; the frame sent
-        // after it arrives first.
-        assert_eq!(b.recv().unwrap(), Bytes::from_static(b"first"));
-        assert_eq!(b.recv().unwrap(), Bytes::from_static(b"late"));
-        install_fault_injector(prev);
+        for (scheme, a, b) in pairs("fault-reorder") {
+            let prev = with_script(
+                a.id(),
+                vec![
+                    FaultAction::Reorder(Duration::from_millis(80)),
+                    FaultAction::Deliver,
+                ],
+            );
+            a.send(Bytes::from_static(b"late")).unwrap();
+            a.send(Bytes::from_static(b"first")).unwrap();
+            // The reordered frame parks off to the side; the frame sent
+            // after it arrives first.
+            assert_eq!(b.recv().unwrap(), Bytes::from_static(b"first"), "{scheme}");
+            assert_eq!(b.recv().unwrap(), Bytes::from_static(b"late"), "{scheme}");
+            install_fault_injector(prev);
+        }
+    }
+
+    #[test]
+    fn close_cancels_a_parked_hold_and_delivers_what_came_before_it() {
+        let _g = LOCK.lock();
+        for (scheme, a, b) in pairs("fault-close-hold") {
+            let prev = with_script(
+                a.id(),
+                vec![
+                    FaultAction::Deliver,
+                    FaultAction::Delay(Duration::from_millis(200)),
+                ],
+            );
+            for frame in [&b"before"[..], b"held", b"behind"] {
+                a.send(Bytes::from_static(frame)).unwrap();
+            }
+            a.close();
+            assert_eq!(b.recv().unwrap(), Bytes::from_static(b"before"), "{scheme}");
+            // The peer sees a prefix of what was sent and then the
+            // hangup: not the held frame, not the one behind it.
+            assert!(matches!(b.recv(), Err(NetError::Closed)), "{scheme}");
+            install_fault_injector(prev);
+        }
+    }
+
+    #[test]
+    fn a_fault_mid_batch_splits_the_batch_and_keeps_the_order() {
+        let _g = LOCK.lock();
+        for (scheme, a, b) in pairs("fault-batch") {
+            // One decision per frame, in order: the third frame of the
+            // batch is the delayed one.
+            let prev = with_script(
+                a.id(),
+                vec![
+                    FaultAction::Deliver,
+                    FaultAction::Deliver,
+                    FaultAction::Delay(Duration::from_millis(30)),
+                    FaultAction::Duplicate,
+                ],
+            );
+            let batch: Vec<Bytes> = (0..5u8).map(|i| Bytes::from(vec![i; 3])).collect();
+            a.send_all(&batch).unwrap();
+            for want in [0u8, 1, 2, 3, 3, 4] {
+                assert_eq!(b.recv().unwrap().as_slice(), [want; 3], "{scheme}");
+            }
+            assert_eq!(a.stats().frames_sent, 6, "{scheme}");
+            install_fault_injector(prev);
+        }
     }
 
     #[test]

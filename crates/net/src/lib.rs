@@ -11,19 +11,20 @@
 //!
 //! * **`inproc://name`** — crossbeam channels through a process-global
 //!   registry. Deterministic, zero-syscall; what unit tests use.
-//! * **`tcp://host:port`** — sockets driven by an async reactor: each
-//!   connection is a reader task plus a writer task on one shared
-//!   runtime, frames are [`bytes::Bytes`] end to end (zero-copy slices
-//!   out of coalesced reads), and bursts of small frames batch into
-//!   single vectored writes. The blocking [`Connection`] API is a thin
-//!   facade over those tasks.
+//! * **`tcp://host:port`** — a socket the connection owns and the
+//!   calling thread drives: `send` is one vectored `write`
+//!   ([`Connection::send_all`] puts a whole batch in it), `recv` a
+//!   `read` through the connection's own frame decoder, and frames are
+//!   [`bytes::Bytes`] end to end (zero-copy slices out of coalesced
+//!   reads). [`AsyncConnection`] is the same socket I/O for tasks on
+//!   the shared [`rt`] reactor, for harnesses that hold thousands.
 //! * **`shm://name`** — shared-memory FIFOs through `/dev/shm`, the
 //!   same-node fast path (the stand-in for the paper's DART RDMA
 //!   transport): a descriptor ring plus a block-store arena per
 //!   direction, synchronized with futexes, no sockets at all.
 //!
 //! Every connection carries [`ConnStats`] counters (frames/bytes in
-//! each direction), and [`connect_retry`] layers bounded
+//! each direction, and the socket syscalls that moved them), and [`connect_retry`] layers bounded
 //! exponential-backoff reconnection over any backend — the
 //! mechanism remote staging clients use to survive a dropped
 //! connection without losing tasks (the server side requeues any task
@@ -220,6 +221,29 @@ mod tests {
     use super::*;
     use bytes::Bytes;
 
+    /// A connected pair on every scheme — `(scheme, dialled, accepted)`
+    /// — on endpoints named after `tag`.
+    pub(crate) fn pairs(tag: &str) -> Vec<(&'static str, Connection, Connection)> {
+        [
+            ("inproc", format!("inproc://{tag}")),
+            ("tcp", "tcp://127.0.0.1:0".to_string()),
+            ("shm", format!("shm://{tag}-{}", std::process::id())),
+        ]
+        .into_iter()
+        .map(|(scheme, addr)| {
+            let l = Listener::bind(&addr.parse().unwrap()).unwrap();
+            // shm:// completes its rendezvous only against a listener
+            // that is accepting.
+            let (dialled, accepted) = std::thread::scope(|s| {
+                let accepting = s.spawn(|| l.accept().unwrap());
+                let dialled = connect_retry(&l.local_addr(), &Backoff::default()).unwrap();
+                (dialled, accepting.join().unwrap())
+            });
+            (scheme, dialled, accepted)
+        })
+        .collect()
+    }
+
     #[test]
     fn addr_parse_roundtrip() {
         let a: Addr = "inproc://stage-0".parse().unwrap();
@@ -266,19 +290,7 @@ mod tests {
         // Cancelling a parked long-poll is closing its connection from
         // the side: on every scheme the blocked receive must come back
         // with an error at once, the peer having sent nothing.
-        for addr in [
-            "inproc://close-wakes-recv".to_string(),
-            "tcp://127.0.0.1:0".to_string(),
-            format!("shm://close-wakes-recv-{}", std::process::id()),
-        ] {
-            let l = Listener::bind(&addr.parse().unwrap()).unwrap();
-            // shm:// completes its rendezvous only against a listener
-            // that is accepting.
-            let (c, _silent_peer) = std::thread::scope(|s| {
-                let accepting = s.spawn(|| l.accept().unwrap());
-                let c = connect_retry(&l.local_addr(), &Backoff::default()).unwrap();
-                (c, accepting.join().unwrap())
-            });
+        for (addr, c, _silent_peer) in pairs("close-wakes-recv") {
             let t0 = std::time::Instant::now();
             std::thread::scope(|s| {
                 let blocked = s.spawn(|| c.recv_timeout(Duration::from_secs(30)));
@@ -291,6 +303,36 @@ mod tests {
             });
             assert!(matches!(c.recv(), Err(NetError::Closed)), "{addr}");
             assert!(t0.elapsed() < Duration::from_secs(5), "{addr}");
+        }
+    }
+
+    #[test]
+    fn a_zero_timeout_is_one_non_blocking_look() {
+        for (addr, c, peer) in pairs("zero-timeout") {
+            // Nothing has been sent: the look comes back empty-handed.
+            assert!(
+                matches!(c.recv_timeout(Duration::ZERO), Err(NetError::Timeout)),
+                "{addr}"
+            );
+            // A frame that has arrived is returned by a look alone — no
+            // receive with time to wait is ever posted. (Over tcp:// the
+            // frame is the kernel's to deliver once `send` returns;
+            // looking again is the only way to see it land.)
+            peer.send(Bytes::from_static(b"landed")).unwrap();
+            let t0 = std::time::Instant::now();
+            let got = loop {
+                match c.recv_timeout(Duration::ZERO) {
+                    Err(NetError::Timeout) if t0.elapsed() < Duration::from_secs(5) => {
+                        std::thread::yield_now()
+                    }
+                    other => break other,
+                }
+            };
+            assert_eq!(got.unwrap(), Bytes::from_static(b"landed"), "{addr}");
+            assert!(
+                matches!(c.recv_timeout(Duration::ZERO), Err(NetError::Timeout)),
+                "{addr}"
+            );
         }
     }
 

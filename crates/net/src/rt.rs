@@ -1,10 +1,23 @@
-//! The shared transport reactor: one lazily started multi-threaded
-//! runtime that every connection's reader and writer task lives on.
+//! The shared transport runtime: one lazily started multi-threaded
+//! executor with an epoll reactor and a timer queue.
 //!
-//! A process gets exactly one of these regardless of how many
-//! connections, listeners, or servers it opens — connections are
-//! tasks, not threads, which is what lets a single staging server
-//! carry tens of thousands of concurrent links.
+//! Blocking [`Connection`](crate::Connection)s do not touch it: they
+//! read and write their own sockets on the calling thread, so a process
+//! that only holds those (driver, worker, `sitra-staged`) never starts
+//! these threads. What runs here is what has no thread of its own to
+//! run on:
+//!
+//! * the callers of [`AsyncConnection`](crate::AsyncConnection) — a
+//!   load generator's tasks, thousands per thread, each doing its
+//!   connection's socket I/O itself when the reactor reports the
+//!   socket ready;
+//! * fault-injection holds: a connection's outbound sequencer and the
+//!   timers that park `Delay`ed and `Reorder`ed frames
+//!   ([`crate::fault`]);
+//! * timers in general ([`timeout`]).
+//!
+//! A process gets at most one of these regardless of how many
+//! connections it opens.
 
 use std::future::Future;
 use std::sync::OnceLock;
@@ -40,8 +53,8 @@ pub use tokio::time::{timeout, Elapsed};
 /// Run a future to completion on the shared transport runtime. This is
 /// the entry point for binaries (load generators, soak harnesses) that
 /// drive many [`AsyncConnection`](crate::AsyncConnection)s directly
-/// instead of going through the blocking facade: their futures run on
-/// the same reactor the connection I/O tasks live on.
+/// instead of going through the blocking connections: their futures
+/// run next to the reactor that wakes them.
 pub fn block_on<F: Future>(future: F) -> F::Output {
     handle().block_on(future)
 }

@@ -35,7 +35,7 @@
 //! futex to complete the handshake.
 
 mod fifo;
-mod sys;
+pub(crate) mod sys;
 
 use crate::NetError;
 use bytes::Bytes;

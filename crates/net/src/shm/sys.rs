@@ -1,19 +1,21 @@
 //! Raw syscalls for the shared-memory transport: `mmap`/`munmap` for
 //! mapping `/dev/shm` segments, and cross-process `futex` wait/wake
-//! for ring synchronization. Invoked directly (inline asm) because the
-//! workspace links no libc-wrapping crates; file creation and sizing
-//! go through `std::fs`, which covers everything else this module
-//! would need.
+//! for ring synchronization — plus the one the socket transport needs,
+//! `ppoll` for a timed wait on a blocking socket. Invoked directly
+//! (inline asm) because the workspace links no libc-wrapping crates;
+//! file creation and sizing go through `std::fs`, which covers
+//! everything else this module would need.
 
 use std::io;
 use std::sync::atomic::AtomicU32;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 #[cfg(target_arch = "x86_64")]
 mod nr {
     pub const MMAP: usize = 9;
     pub const MUNMAP: usize = 11;
     pub const FUTEX: usize = 202;
+    pub const PPOLL: usize = 271;
 }
 
 #[cfg(target_arch = "aarch64")]
@@ -21,6 +23,7 @@ mod nr {
     pub const MMAP: usize = 222;
     pub const MUNMAP: usize = 215;
     pub const FUTEX: usize = 98;
+    pub const PPOLL: usize = 73;
 }
 
 #[cfg(not(any(target_arch = "x86_64", target_arch = "aarch64")))]
@@ -165,6 +168,52 @@ pub(crate) fn futex_wake(word: &AtomicU32, n: i32) {
             0,
             0,
         );
+    }
+}
+
+#[repr(C)]
+struct PollFd {
+    fd: i32,
+    events: i16,
+    revents: i16,
+}
+
+const POLLIN: i16 = 1;
+
+/// Wait until a read on `fd` would not block — bytes, a FIN or an
+/// error are waiting — or `deadline` passes (one that already has
+/// makes this a non-blocking look). `true` when readable.
+pub(crate) fn poll_readable(fd: i32, deadline: Instant) -> io::Result<bool> {
+    loop {
+        let left = deadline.saturating_duration_since(Instant::now());
+        // The kernel writes the time left back into `ts`.
+        let mut ts = Timespec {
+            tv_sec: left.as_secs() as i64,
+            tv_nsec: left.subsec_nanos() as i64,
+        };
+        let mut pfd = PollFd {
+            fd,
+            events: POLLIN,
+            revents: 0,
+        };
+        // SAFETY: `pfd` and `ts` are live, exclusively borrowed locals
+        // of the layouts ppoll(2) expects; one entry, no signal mask.
+        let ret = unsafe {
+            syscall6(
+                nr::PPOLL,
+                &mut pfd as *mut PollFd as usize,
+                1,
+                &mut ts as *mut Timespec as usize,
+                0,
+                0,
+                0,
+            )
+        };
+        match check(ret) {
+            Ok(n) => return Ok(n > 0),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
     }
 }
 

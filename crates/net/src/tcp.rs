@@ -1,122 +1,252 @@
-//! Async TCP connection internals: a reader task and a writer task per
-//! connection, both on the shared [`crate::rt`] runtime, bridged to
-//! callers over hybrid channels.
+//! TCP connection internals: a connection owns its socket, and whoever
+//! calls it does the I/O — there is no task, queue or thread between a
+//! `send` and the `write(2)`, or between the `read(2)` and a `recv`.
 //!
-//! The writer is the single owner of the socket's send side. Everything
-//! a connection wants written goes through its bounded queue — frames,
-//! fault-injected holds, and the close itself — which gives three
-//! properties for free:
+//! * **Writes** are vectored: the frames of one call go out as
+//!   `[hdr, payload, hdr, payload, ...]` in one `writev` (resumed
+//!   mid-header or mid-payload when the kernel takes less), under a
+//!   per-connection write lock, so frames sent from two threads never
+//!   interleave. A burst that should share a syscall says so itself
+//!   ([`crate::Connection::send_all`]); nothing coalesces behind the
+//!   caller's back.
+//! * **Reads** go through a connection-owned
+//!   [`crate::frame::FrameDecoder`]. One read may complete several
+//!   frames; the extra ones wait in the connection and later receives
+//!   take them without a syscall. A timeout only ever applies *between*
+//!   reads, so a partial frame stays in the decoder and the stream
+//!   never desynchronises. Large spanning frames are read directly into
+//!   their exact-size buffer via the decoder's direct-fill window.
+//! * **Backpressure** is the socket's own: a sender blocks in `write`
+//!   when the peer stops reading, and not reading is all a slow
+//!   consumer has to do.
+//! * **Close** is `shutdown(2)`: everything written before it is
+//!   already the kernel's and reaches the peer ahead of the FIN, and a
+//!   `recv` blocked on another thread wakes at once.
 //!
-//! * **Batching**: whatever has accumulated in the queue when the
-//!   writer wakes goes out as one vectored write (`[hdr, payload,
-//!   hdr, payload, ...]`), so bursts of small frames coalesce into a
-//!   single syscall without any Nagle-style delay.
-//! * **Backpressure**: the queue is bounded; senders wait (blocking or
-//!   async) when the peer falls behind, instead of buffering without
-//!   limit.
-//! * **Flush-then-close**: `Close` is an ordinary queue item, so every
-//!   frame sent before `close()` reaches the wire before the FIN.
-//!
-//! The reader owns the receive side: it awaits readiness, feeds raw
-//! reads through the [`crate::frame::FrameDecoder`], and hands whole
-//! frames to a bounded inbound channel. Not draining that channel
-//! stops the reads, which turns consumer backpressure into TCP window
-//! backpressure end to end. Large spanning frames are read directly
-//! into their exact-size buffer via the decoder's direct-fill window,
-//! skipping the scratch copy.
+//! [`AsyncConnection`] does the same I/O from inside its caller's
+//! task, readiness-driven on the shared [`crate::rt`] reactor.
 
 use crate::frame::{encode_header, FrameDecoder, HEADER_LEN};
 use crate::NetError;
 use bytes::Bytes;
-use std::io::{self, IoSlice};
+use parking_lot::Mutex;
+use std::collections::VecDeque;
+use std::io::{self, IoSlice, Read, Write};
 use std::net::Shutdown;
-use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
-use std::time::Instant;
-use tokio::net::TcpStream;
-use tokio::sync::mpsc;
+use std::os::fd::AsRawFd;
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::time::{Duration, Instant};
 
-/// Outbound queue depth (frames). Bounded: senders feel backpressure.
-const WRITE_QUEUE: usize = 256;
-/// Inbound queue depth (frames). Bounded: slow consumers stall reads.
-const READ_QUEUE: usize = 256;
-/// How many requests a client may leave unanswered on one connection:
-/// half the shallower queue, so that every reply to a full window fits
-/// the client's inbound queue and the server is never stuck writing to
-/// a client that is itself stuck writing (`inproc://` queues are
-/// unbounded, a `shm://` ring has 1024 descriptors per direction).
-pub const PIPELINE_DEPTH: usize = if READ_QUEUE < WRITE_QUEUE {
-    READ_QUEUE / 2
-} else {
-    WRITE_QUEUE / 2
-};
+/// How many requests a client may leave unanswered on one connection.
+///
+/// Nothing but the two sockets' buffers sits between the ends, so a
+/// connection wedges exactly when both block in `write` at once: the
+/// client writing a request the server is not reading, because the
+/// server is writing a reply the client is not reading. A client that
+/// reads a reply before going past this many unanswered requests keeps
+/// one direction of every window far below the smallest socket buffer
+/// (16 KiB send + 128 KiB receive by default on Linux), whichever way
+/// the bytes flow: a window of `Put`s, however large, is answered by
+/// 128 five-byte `Ok`s, so the server never blocks writing and always
+/// returns to reading; a window of `Get`s is 128 requests of a few
+/// dozen bytes, so the client never blocks writing and always reaches
+/// its reads, however large the replies. (What would wedge is a window
+/// that is large *both* ways; no request has a large body and a large
+/// reply. `inproc://` queues are unbounded, a `shm://` ring has 1024
+/// descriptors per direction.)
+pub const PIPELINE_DEPTH: usize = 128;
 /// Scratch read size for the coalescing read path.
 const READ_CHUNK: usize = 16 * 1024;
 /// IOV_MAX on Linux: cap a single vectored write's slice count.
 const MAX_SLICES: usize = 1024;
 
-/// One unit of work for the writer task.
-pub(crate) enum WriteItem {
-    /// Write a frame (header + payload).
-    Frame(Bytes),
-    /// Fault injection `Delay`: flush everything queued so far, hold
-    /// the line until `deadline`, then write this frame. Later frames
-    /// queue *behind* the hold — an in-order stall, not a reorder.
-    Held(Bytes, Instant),
-    /// Flush, then FIN both directions.
-    Close,
+/// `frames` as they go on the wire: `[hdr, payload, hdr, payload, ...]`.
+fn wire_slices<'a>(headers: &'a [[u8; HEADER_LEN]], frames: &'a [Bytes]) -> Vec<IoSlice<'a>> {
+    headers
+        .iter()
+        .zip(frames)
+        .flat_map(|(h, f)| [IoSlice::new(h), IoSlice::new(f.as_slice())])
+        .collect()
 }
 
-/// The channel ends a connection facade needs to drive one TCP link.
-pub(crate) struct TcpParts {
-    pub(crate) outbound: mpsc::Sender<WriteItem>,
-    pub(crate) inbound: mpsc::Receiver<Result<Bytes, NetError>>,
-    /// Set by `close()`; the writer consults it to cancel parked holds.
-    pub(crate) closed: Arc<AtomicBool>,
-    /// The stream itself, for a direct shutdown when the writer queue
-    /// is wedged (stalled peer) and `Close` cannot be enqueued.
-    pub(crate) stream: Arc<TcpStream>,
+/// Push all of `slices` through `write` (one vectored write per call),
+/// picking up after a partial write wherever it stopped — mid-header
+/// and mid-payload included.
+fn write_all_vectored(
+    mut rest: &mut [IoSlice<'_>],
+    mut write: impl FnMut(&[IoSlice<'_>]) -> io::Result<usize>,
+) -> io::Result<()> {
+    while !rest.is_empty() {
+        let upto = rest.len().min(MAX_SLICES);
+        match write(&rest[..upto]) {
+            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
+            Ok(n) => IoSlice::advance_slices(&mut rest, n),
+            Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+            Err(e) => return Err(e),
+        }
+    }
+    Ok(())
 }
 
-/// Adopt a connected std stream: register it with the shared runtime
-/// and spawn its reader/writer task pair.
-pub(crate) fn spawn_io(std: std::net::TcpStream) -> io::Result<TcpParts> {
-    let _ = std.set_nodelay(true);
-    let handle = crate::rt::handle();
-    let stream = Arc::new(TcpStream::from_std_on(&handle, std)?);
-    let (out_tx, out_rx) = mpsc::channel(WRITE_QUEUE);
-    let (in_tx, in_rx) = mpsc::channel(READ_QUEUE);
-    let closed = Arc::new(AtomicBool::new(false));
-    handle.spawn(reader(Arc::clone(&stream), in_tx));
-    handle.spawn(writer(Arc::clone(&stream), out_rx, Arc::clone(&closed)));
-    Ok(TcpParts {
-        outbound: out_tx,
-        inbound: in_rx,
-        closed,
-        stream,
-    })
+fn headers_of(frames: &[Bytes]) -> Vec<[u8; HEADER_LEN]> {
+    frames.iter().map(|f| encode_header(f.len())).collect()
 }
 
-/// An async connection: the same reader/writer task machinery as the
-/// blocking [`crate::Connection`], exposed to async callers directly.
-/// One task can hold thousands of these — the soak harness drives 10k
-/// concurrently from a single process.
+/// The receive side of one socket: the decoder and the frames it has
+/// completed but nobody has asked for yet.
+#[derive(Default)]
+struct Inbound {
+    dec: FrameDecoder,
+    /// Decoded frames, oldest first.
+    ready: VecDeque<Bytes>,
+    /// The decoder's output buffer, kept for its capacity.
+    fresh: Vec<Bytes>,
+}
+
+impl Inbound {
+    /// One read through the decoder. `read` is called exactly once with
+    /// the buffer to fill; `Ok(0)` from it is the peer's FIN.
+    fn fill(&mut self, read: impl FnOnce(&mut [u8]) -> io::Result<usize>) -> Result<(), NetError> {
+        if let Some(space) = self.dec.pending_space() {
+            // Direct-fill: a large frame mid-assembly reads straight
+            // into its own buffer, no scratch hop.
+            match read(space)? {
+                0 => return Err(NetError::Closed),
+                n => self.dec.commit_direct(n, &mut self.fresh),
+            }
+        } else {
+            let mut buf = vec![0u8; READ_CHUNK];
+            match read(&mut buf)? {
+                0 => return Err(NetError::Closed),
+                n => {
+                    buf.truncate(n);
+                    // `Bytes::from(Vec)` adopts the allocation; frames
+                    // wholly inside this read are sliced, not copied —
+                    // and pin it, so the unread tail is released first.
+                    buf.shrink_to_fit();
+                    self.dec.feed(Bytes::from(buf), &mut self.fresh)?;
+                }
+            }
+        }
+        self.ready.extend(self.fresh.drain(..));
+        Ok(())
+    }
+}
+
+/// The socket of one blocking [`crate::Connection`].
+pub(crate) struct TcpIo {
+    stream: std::net::TcpStream,
+    /// Held for the whole of one `write_frames`: bytes of different
+    /// calls never interleave.
+    write: Mutex<()>,
+    inbound: Mutex<Inbound>,
+    /// Socket syscalls that moved bytes, here and in `/metrics`.
+    writes: (AtomicU64, sitra_obs::Counter),
+    reads: (AtomicU64, sitra_obs::Counter),
+}
+
+impl TcpIo {
+    pub(crate) fn new(stream: std::net::TcpStream, peer: &str) -> TcpIo {
+        let _ = stream.set_nodelay(true);
+        let reg = sitra_obs::global();
+        let named = |metric: &str| reg.counter(&format!("net.conn.{metric}{{peer={peer}}}"));
+        TcpIo {
+            stream,
+            write: Mutex::new(()),
+            inbound: Mutex::new(Inbound::default()),
+            writes: (AtomicU64::new(0), named("writes")),
+            reads: (AtomicU64::new(0), named("reads")),
+        }
+    }
+
+    /// Write `frames` back to back: one vectored write, more only when
+    /// the kernel takes part of it (or past `IOV_MAX` slices).
+    pub(crate) fn write_frames(&self, frames: &[Bytes]) -> Result<(), NetError> {
+        let headers = headers_of(frames);
+        let mut slices = wire_slices(&headers, frames);
+        let _turn = self.write.lock();
+        write_all_vectored(&mut slices, |bufs| {
+            let n = (&self.stream).write_vectored(bufs)?;
+            self.writes.0.fetch_add(1, Ordering::Relaxed);
+            self.writes.1.inc();
+            Ok(n)
+        })?;
+        Ok(())
+    }
+
+    /// The next frame. `timeout` bounds the wait for bytes (`None`:
+    /// wait for ever; zero: take only what has already arrived) and is
+    /// checked between reads only, so giving up never loses a byte.
+    pub(crate) fn read_frame(&self, timeout: Option<Duration>) -> Result<Bytes, NetError> {
+        let deadline = timeout.and_then(|t| Instant::now().checked_add(t));
+        let mut inbound = self.inbound.lock();
+        loop {
+            if let Some(frame) = inbound.ready.pop_front() {
+                return Ok(frame);
+            }
+            if let Some(deadline) = deadline {
+                if !crate::shm::sys::poll_readable(self.stream.as_raw_fd(), deadline)? {
+                    return Err(NetError::Timeout);
+                }
+            }
+            inbound.fill(|buf| loop {
+                match (&self.stream).read(buf) {
+                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                    Ok(n) if n > 0 => {
+                        self.reads.0.fetch_add(1, Ordering::Relaxed);
+                        self.reads.1.inc();
+                        return Ok(n);
+                    }
+                    other => return other,
+                }
+            })?;
+        }
+    }
+
+    /// Whether a receive would return without a syscall. `false` while
+    /// another thread is inside a receive.
+    pub(crate) fn has_decoded_frame(&self) -> bool {
+        self.inbound
+            .try_lock()
+            .is_some_and(|inbound| !inbound.ready.is_empty())
+    }
+
+    /// `(writes, reads)`: socket syscalls that moved bytes.
+    pub(crate) fn syscalls(&self) -> (u64, u64) {
+        (
+            self.writes.0.load(Ordering::Relaxed),
+            self.reads.0.load(Ordering::Relaxed),
+        )
+    }
+
+    /// FIN both directions. Takes no lock, so it lands under (and
+    /// fails) a `write` or `read` blocked on another thread.
+    pub(crate) fn shutdown(&self) {
+        let _ = self.stream.shutdown(Shutdown::Both);
+    }
+}
+
+/// An async connection: the same framing as the blocking
+/// [`crate::Connection`], with the socket registered on the shared
+/// [`crate::rt`] reactor and driven from inside the caller's task.
+/// One thread can hold thousands of these — the soak harness drives
+/// 10k concurrently from a single process.
 ///
 /// TCP only (the in-process and shared-memory backends are served by
 /// the blocking facade), and the fault-injection seam is not consulted
 /// on this path: it exists for load generation, not chaos testing.
 pub struct AsyncConnection {
-    outbound: mpsc::Sender<WriteItem>,
-    inbound: mpsc::Receiver<Result<Bytes, NetError>>,
+    stream: tokio::net::TcpStream,
+    inbound: Inbound,
 }
 
 impl AsyncConnection {
     /// Adopt an already connected std TCP stream.
     pub fn from_std(stream: std::net::TcpStream) -> Result<AsyncConnection, NetError> {
-        let parts = spawn_io(stream)?;
+        let _ = stream.set_nodelay(true);
         Ok(AsyncConnection {
-            outbound: parts.outbound,
-            inbound: parts.inbound,
+            stream: tokio::net::TcpStream::from_std_on(&crate::rt::handle(), stream)?,
+            inbound: Inbound::default(),
         })
     }
 
@@ -136,185 +266,75 @@ impl AsyncConnection {
         }
     }
 
-    /// Queue one frame; waits only when the writer queue is full.
-    pub async fn send(&self, payload: Bytes) -> Result<(), NetError> {
+    /// Write one frame; waits only while the socket buffer is full.
+    pub async fn send(&mut self, payload: Bytes) -> Result<(), NetError> {
         if payload.len() > crate::MAX_FRAME_LEN {
             return Err(NetError::FrameTooLarge(payload.len()));
         }
-        self.outbound
-            .send(WriteItem::Frame(payload))
-            .await
-            .map_err(|_| NetError::Closed)
+        let header = encode_header(payload.len());
+        let mut slices = [IoSlice::new(&header), IoSlice::new(payload.as_slice())];
+        let mut rest = &mut slices[..];
+        while !rest.is_empty() {
+            match self.stream.try_write_vectored(rest) {
+                Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero).into()),
+                Ok(n) => IoSlice::advance_slices(&mut rest, n),
+                Err(e) if e.kind() == io::ErrorKind::WouldBlock => self.stream.writable().await?,
+                Err(e) => return Err(e.into()),
+            }
+        }
+        Ok(())
     }
 
-    /// Await the next frame.
+    /// Await the next frame. Dropping the future between reads loses
+    /// nothing: a partial frame stays in the decoder.
     pub async fn recv(&mut self) -> Result<Bytes, NetError> {
-        match self.inbound.recv().await {
-            Some(result) => result,
-            None => Err(NetError::Closed),
+        loop {
+            if let Some(frame) = self.inbound.ready.pop_front() {
+                return Ok(frame);
+            }
+            self.stream.readable().await?;
+            let stream = &self.stream;
+            match self.inbound.fill(|buf| stream.try_read(buf)) {
+                // `WouldBlock` (readiness was stale): wait for real.
+                Ok(()) | Err(NetError::Timeout) => {}
+                Err(e) => return Err(e),
+            }
         }
     }
 
-    /// Flush queued frames, then close both directions.
+    /// Close both directions; what was sent is already on its way.
     pub fn close(&self) {
-        let _ = self.outbound.try_send(WriteItem::Close);
+        let _ = self.stream.shutdown_std(Shutdown::Both);
     }
 }
 
-/// Reader task body: readiness loop -> decoder -> inbound channel.
-/// Exits (dropping the channel sender, which surfaces as `Closed` to
-/// the consumer) on EOF, on local close, or after reporting an error.
-async fn reader(stream: Arc<TcpStream>, tx: mpsc::Sender<Result<Bytes, NetError>>) {
-    let mut dec = FrameDecoder::new();
-    let mut frames: Vec<Bytes> = Vec::new();
-    'io: loop {
-        // Direct-fill: a large frame mid-assembly reads straight into
-        // its own buffer, no scratch hop.
-        while let Some(space) = dec.pending_space() {
-            match stream.try_read(space) {
-                Ok(0) => break 'io,
-                Ok(n) => dec.commit_direct(n, &mut frames),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if !frames.is_empty() {
-                        break;
-                    }
-                    if stream.readable().await.is_err() {
-                        break 'io;
-                    }
-                }
-                Err(e) => {
-                    let _ = tx.send(Err(NetError::from(e))).await;
-                    return;
-                }
-            }
-        }
-        if frames.is_empty() {
-            let mut buf = vec![0u8; READ_CHUNK];
-            match stream.try_read(&mut buf) {
-                Ok(0) => break 'io,
-                Ok(n) => {
-                    buf.truncate(n);
-                    // `Bytes::from(Vec)` adopts the allocation; frames
-                    // wholly inside this read are sliced, not copied —
-                    // and pin it, so the unread tail is released first.
-                    buf.shrink_to_fit();
-                    if let Err(e) = dec.feed(Bytes::from(buf), &mut frames) {
-                        let _ = tx.send(Err(e)).await;
-                        return;
-                    }
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    if stream.readable().await.is_err() {
-                        break 'io;
-                    }
-                }
-                Err(e) => {
-                    let _ = tx.send(Err(NetError::from(e))).await;
-                    return;
-                }
-            }
-        }
-        for frame in frames.drain(..) {
-            if tx.send(Ok(frame)).await.is_err() {
-                // Consumer hung up; stop reading.
-                return;
-            }
-        }
-    }
-    // EOF (or torn stream): deliver any frame completed by the final
-    // read, then drop `tx` so the consumer observes `Closed`.
-    for frame in frames.drain(..) {
-        if tx.send(Ok(frame)).await.is_err() {
-            return;
-        }
-    }
-}
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-/// Writer task body: drain the queue, batch, write vectored.
-async fn writer(
-    stream: Arc<TcpStream>,
-    mut rx: mpsc::Receiver<WriteItem>,
-    closed: Arc<AtomicBool>,
-) {
-    let mut batch: Vec<Bytes> = Vec::new();
-    loop {
-        let first = match rx.recv().await {
-            Some(item) => item,
-            None => {
-                // Facade dropped without close(); still send FIN.
-                let _ = stream.shutdown_std(Shutdown::Write);
-                return;
-            }
-        };
-        let mut items = vec![first];
-        while let Ok(item) = rx.try_recv() {
-            items.push(item);
-        }
-        let mut do_close = false;
-        for item in items {
-            match item {
-                WriteItem::Frame(b) => batch.push(b),
-                WriteItem::Held(b, deadline) => {
-                    // Everything queued before the hold goes out first.
-                    if flush(&stream, &mut batch).await.is_err() {
-                        return;
-                    }
-                    tokio::time::sleep_until(deadline).await;
-                    if closed.load(Ordering::Acquire) {
-                        // close() cancels parked frames.
-                        continue;
-                    }
-                    batch.push(b);
-                }
-                WriteItem::Close => {
-                    do_close = true;
-                    break;
-                }
-            }
-        }
-        if flush(&stream, &mut batch).await.is_err() {
-            return;
-        }
-        if do_close {
-            let _ = stream.shutdown_std(Shutdown::Both);
-            return;
-        }
+    #[test]
+    fn a_write_accepted_in_pieces_resumes_where_it_stopped() {
+        // Frames of 0..40 bytes taken 1, 2, ... 7 bytes at a time: the
+        // cuts fall inside headers, inside payloads and on boundaries.
+        let frames: Vec<Bytes> = (0..40u8)
+            .map(|i| Bytes::from(vec![i; i as usize]))
+            .collect();
+        let headers = headers_of(&frames);
+        let mut slices = wire_slices(&headers, &frames);
+        let mut wire = Vec::new();
+        let mut calls = 0;
+        write_all_vectored(&mut slices, |bufs| {
+            calls += 1;
+            let flat: Vec<u8> = bufs.iter().flat_map(|b| b.iter().copied()).collect();
+            let n = flat.len().min(1 + calls % 7);
+            wire.extend_from_slice(&flat[..n]);
+            Ok(n)
+        })
+        .unwrap();
+        let mut got = Vec::new();
+        let mut dec = FrameDecoder::new();
+        dec.feed(Bytes::from(wire), &mut got).unwrap();
+        assert!(dec.is_at_boundary());
+        assert_eq!(got, frames);
     }
-}
-
-/// Write the whole batch as (a minimal number of) vectored writes.
-async fn flush(stream: &TcpStream, batch: &mut Vec<Bytes>) -> io::Result<()> {
-    if batch.is_empty() {
-        return Ok(());
-    }
-    let headers: Vec<[u8; HEADER_LEN]> = batch.iter().map(|b| encode_header(b.len())).collect();
-    let total: usize = batch.iter().map(|b| HEADER_LEN + b.len()).sum();
-    let mut written = 0usize;
-    while written < total {
-        // Rebuild the slice list past what has already gone out; cheap
-        // relative to the syscall it feeds.
-        let mut slices: Vec<IoSlice<'_>> = Vec::with_capacity((batch.len() * 2).min(MAX_SLICES));
-        let mut skip = written;
-        'build: for (i, b) in batch.iter().enumerate() {
-            for part in [&headers[i][..], b.as_slice()] {
-                if skip >= part.len() {
-                    skip -= part.len();
-                    continue;
-                }
-                slices.push(IoSlice::new(&part[skip..]));
-                skip = 0;
-                if slices.len() == MAX_SLICES {
-                    break 'build;
-                }
-            }
-        }
-        match stream.try_write_vectored(&slices) {
-            Ok(0) => return Err(io::ErrorKind::WriteZero.into()),
-            Ok(n) => written += n,
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => stream.writable().await?,
-            Err(e) => return Err(e),
-        }
-    }
-    batch.clear();
-    Ok(())
 }
