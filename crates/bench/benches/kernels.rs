@@ -3,7 +3,7 @@
 //! (coarse render, streaming glue, derive) on a fixed proxy block.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sitra_mesh::{downsample, exchange_ghosts, Decomposition, ScalarField};
+use sitra_mesh::{downsample, exchange_ghosts, BBox3, Decomposition, ScalarField};
 use sitra_sim::{SimConfig, Simulation, Variable};
 use sitra_stats::MultiModel;
 use sitra_topology::distributed::{glue_subtrees, in_situ_subtrees, BoundaryPolicy};
@@ -79,6 +79,15 @@ fn bench_intransit(c: &mut Criterion) {
     });
     group.bench_function("hybrid_render_s4", |b| {
         let hr = HybridRenderer::new(coarse.clone());
+        b.iter(|| black_box(hr.render(&view, &tf)))
+    });
+    // The `e2e` `viz-cluster3` shape: 40³, 2×2×1 ranks, stride 2.
+    group.bench_function("hybrid_render_40cube_2x2x1_s2", |b| {
+        let field = field.extract(&BBox3::from_dims([40; 3]));
+        let d = Decomposition::new(field.bbox(), [2, 2, 1]);
+        let blocks = (0..d.rank_count()).map(|r| downsample(&field.extract(&d.block(r)), 2));
+        let hr = HybridRenderer::new(blocks.collect());
+        let view = View::full_res(field.bbox(), ViewAxis::Z, false);
         b.iter(|| black_box(hr.render(&view, &tf)))
     });
     let model = MultiModel::learn(

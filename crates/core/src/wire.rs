@@ -173,6 +173,12 @@ pub fn decode_sampled_block(b: Bytes) -> Result<SampledBlock, WireError> {
         return Err(WireError::Malformed { field: "stride" });
     }
     let n = rd.count(8, "data.len")?;
+    // One value per coarse point: the renderer indexes `data` by
+    // position in `coarse_bbox` (hostile dims may overflow the product).
+    let d = coarse_bbox.dims();
+    if d[0].checked_mul(d[1]).and_then(|v| v.checked_mul(d[2])) != Some(n) {
+        return Err(WireError::Malformed { field: "data.len" });
+    }
     let mut data = Vec::with_capacity(n);
     for _ in 0..n {
         data.push(rd.f64("data")?);

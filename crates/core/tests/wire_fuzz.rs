@@ -237,6 +237,20 @@ proptest! {
         let enc = wire::encode_sampled_block(&s);
         prop_assert_eq!(wire::decode_sampled_block(enc.clone()).unwrap(), s);
         assert_prefixes_error(&enc, wire::decode_sampled_block);
+
+        // A block whose value count is not its coarse box's point count
+        // (short, long, empty box with data) is malformed, not a
+        // renderer panic waiting for the right pixel.
+        let (mut long, mut short, mut hollow) = (s.clone(), s.clone(), s);
+        long.data.push(seed as f64);
+        short.data.pop();
+        hollow.coarse_bbox = BBox3::new(hollow.coarse_bbox.lo, hollow.coarse_bbox.lo);
+        for bad in [long, short, hollow] {
+            prop_assert_eq!(
+                wire::decode_sampled_block(wire::encode_sampled_block(&bad)),
+                Err(wire::WireError::Malformed { field: "data.len" })
+            );
+        }
     }
 
     #[test]

@@ -18,6 +18,8 @@
 //! * Field storage is row-major with x fastest:
 //!   `index = (k * ny + j) * nx + i` in local block coordinates.
 
+#![forbid(unsafe_code)]
+
 pub mod bbox;
 pub mod decomp;
 pub mod field;
@@ -28,7 +30,7 @@ pub use bbox::BBox3;
 pub use decomp::Decomposition;
 pub use field::ScalarField;
 pub use ghost::{exchange_ghosts, ghost_requests, GhostRequest};
-pub use sample::{downsample, sample_trilinear, SampledBlock};
+pub use sample::{downsample, sample_trilinear, trilinear_tap, SampledBlock};
 
 /// Number of bytes in one double-precision grid value, used throughout the
 /// workspace when converting cell counts to data-movement sizes.

@@ -81,42 +81,39 @@ pub fn downsample(field: &ScalarField, stride: usize) -> SampledBlock {
     }
 }
 
+/// One axis of trilinear interpolation on the lattice `[lo, hi)`: the two
+/// lattice coordinates bracketing `x` (clamped into the lattice) and
+/// their weights. This is the only definition of the clamping rule:
+/// [`sample_trilinear`] is its three-axis product, and `sitra-viz`'s ray
+/// marcher tabulates it once per axis.
+pub fn trilinear_tap(lo: usize, hi: usize, x: f64) -> ([usize; 2], [f64; 2]) {
+    let x = x.clamp(lo as f64, (hi - 1) as f64);
+    let base = x.floor();
+    let i0 = base as usize;
+    // Keep the +1 sample inside the box.
+    if i0 + 1 >= hi {
+        ([hi - 1; 2], [1.0, 0.0])
+    } else {
+        ([i0, i0 + 1], [1.0 - (x - base), x - base])
+    }
+}
+
 /// Trilinear interpolation of `field` at a continuous global position.
 ///
 /// The position is clamped to the field's region, so callers may sample
 /// right up to (and slightly past) the boundary without special-casing.
+/// Per-sample and unhurried: the renderers tabulate [`trilinear_tap`]
+/// instead, and this stays as the oracle their tests compare against.
 pub fn sample_trilinear(field: &ScalarField, pos: [f64; 3]) -> f64 {
     let b = field.bbox();
     debug_assert!(!b.is_empty());
-    let mut i0 = [0usize; 3];
-    let mut frac = [0f64; 3];
-    for a in 0..3 {
-        let lo = b.lo[a] as f64;
-        let hi = (b.hi[a] - 1) as f64;
-        let x = pos[a].clamp(lo, hi);
-        let base = x.floor();
-        i0[a] = base as usize;
-        // Keep the +1 sample inside the box.
-        if i0[a] + 1 >= b.hi[a] {
-            i0[a] = b.hi[a] - 1;
-            frac[a] = 0.0;
-        } else {
-            frac[a] = x - base;
-        }
-    }
+    let t: [_; 3] = std::array::from_fn(|a| trilinear_tap(b.lo[a], b.hi[a], pos[a]));
     let mut acc = 0.0;
     for dz in 0..2usize {
         for dy in 0..2usize {
             for dx in 0..2usize {
-                let p = [
-                    (i0[0] + dx).min(b.hi[0] - 1),
-                    (i0[1] + dy).min(b.hi[1] - 1),
-                    (i0[2] + dz).min(b.hi[2] - 1),
-                ];
-                let w = (if dx == 1 { frac[0] } else { 1.0 - frac[0] })
-                    * (if dy == 1 { frac[1] } else { 1.0 - frac[1] })
-                    * (if dz == 1 { frac[2] } else { 1.0 - frac[2] });
-                acc += w * field.get(p);
+                let w = t[0].1[dx] * t[1].1[dy] * t[2].1[dz];
+                acc += w * field.get([t[0].0[dx], t[1].0[dy], t[2].0[dz]]);
             }
         }
     }

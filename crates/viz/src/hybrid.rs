@@ -4,29 +4,30 @@
 //! Each rank down-samples its block onto the global coarse lattice with
 //! [`sitra_mesh::downsample`] and ships the [`sitra_mesh::SampledBlock`]
 //! to the staging area. The in-transit renderer never reconstructs the
-//! coarse volume: it builds a small **lookup table** recording the upper
-//! and lower bounds of every received block (the paper's mechanism for
-//! avoiding visibility sorting or volume reconstruction) and resolves
-//! each sample's voxel through the table during ray casting.
+//! coarse volume: a small **lookup table** of the received blocks' bounds
+//! (the paper's way around visibility sorting and reconstruction) tells
+//! where a sample's voxel lives — asked once per run of a ray inside a
+//! block (`march.rs`), not once per sample. Serial by design: the paper
+//! renders on one staging bucket, whose other cores serve other tasks.
 //!
 //! The renderer accepts the *same* [`View`] as the full-resolution in-situ
 //! path — sample positions are mapped into coarse space internally — so
 //! the two images are directly comparable (the paper's Fig. 2).
 
 use crate::image::Image;
+use crate::march::Marcher;
 use crate::render::View;
 use crate::transfer::TransferFunction;
 use sitra_mesh::{BBox3, SampledBlock, ScalarField};
-use std::cell::Cell;
+
+#[cfg(test)]
+thread_local!(static FIND_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) });
 
 /// The block-bounds lookup table of the in-transit renderer.
 #[derive(Debug)]
 pub struct BlockTable {
     /// `(coarse bounds, block index)` per received block.
     entries: Vec<(BBox3, usize)>,
-    /// Cache of the last hit — rays walk coherently, so consecutive
-    /// lookups usually land in the same block.
-    last: Cell<usize>,
 }
 
 impl BlockTable {
@@ -38,10 +39,7 @@ impl BlockTable {
             .filter(|(_, b)| !b.coarse_bbox.is_empty())
             .map(|(i, b)| (b.coarse_bbox, i))
             .collect();
-        Self {
-            entries,
-            last: Cell::new(0),
-        }
+        Self { entries }
     }
 
     /// Number of table entries.
@@ -56,22 +54,10 @@ impl BlockTable {
 
     /// Index of the block owning coarse point `p`.
     pub fn find(&self, p: [usize; 3]) -> Option<usize> {
-        let n = self.entries.len();
-        if n == 0 {
-            return None;
-        }
-        let start = self.last.get().min(n - 1);
-        // Check the cached entry first, then scan.
-        if self.entries[start].0.contains(p) {
-            return Some(self.entries[start].1);
-        }
-        for (i, (bb, idx)) in self.entries.iter().enumerate() {
-            if bb.contains(p) {
-                self.last.set(i);
-                return Some(*idx);
-            }
-        }
-        None
+        #[cfg(test)]
+        FIND_CALLS.with(|c| c.set(c.get() + 1));
+        let hit = self.entries.iter().find(|(bb, _)| bb.contains(p));
+        hit.map(|&(_, idx)| idx)
     }
 }
 
@@ -85,9 +71,9 @@ pub struct HybridRenderer {
 }
 
 impl HybridRenderer {
-    /// Ingest the blocks received from the in-situ stage. All blocks must
-    /// share one stride; blocks with empty coarse regions (thinner than
-    /// the stride) are tolerated.
+    /// Ingest the in-situ stage's blocks: one stride, one value per coarse
+    /// point, together tiling the coarse domain (a task short of parts fails
+    /// here, not at a pixel); empty blocks (thinner than the stride) are fine.
     pub fn new(blocks: Vec<SampledBlock>) -> Self {
         assert!(!blocks.is_empty(), "no blocks received");
         let stride = blocks[0].stride;
@@ -101,6 +87,11 @@ impl HybridRenderer {
             .map(|b| b.coarse_bbox)
             .reduce(|a, b| a.cover(&b))
             .expect("all blocks empty");
+        let counted = blocks.iter().all(|b| b.data.len() == b.coarse_bbox.count());
+        assert!(counted, "a block's data.len is not its point count");
+        let held: usize = blocks.iter().map(|b| b.data.len()).sum();
+        let all = coarse_domain.count();
+        assert!(held == all, "a part of {coarse_domain:?} is missing");
         let table = BlockTable::new(&blocks);
         Self {
             blocks,
@@ -125,85 +116,18 @@ impl HybridRenderer {
         self.blocks.iter().map(SampledBlock::bytes).sum()
     }
 
-    /// Value at a coarse lattice point, resolved through the table.
-    fn value_at(&self, p: [usize; 3]) -> f64 {
-        let idx = self
-            .table
-            .find(p)
-            .unwrap_or_else(|| panic!("coarse point {p:?} not covered by any block"));
-        let b = &self.blocks[idx];
-        b.data[b.coarse_bbox.local_index(p)]
-    }
-
-    /// Trilinear sample at a fractional coarse position, clamped to the
-    /// coarse domain; the 8 cell corners may live in different blocks.
-    fn sample_coarse(&self, pos: [f64; 3]) -> f64 {
-        let d = self.coarse_domain;
-        let mut i0 = [0usize; 3];
-        let mut frac = [0f64; 3];
-        for a in 0..3 {
-            let lo = d.lo[a] as f64;
-            let hi = (d.hi[a] - 1) as f64;
-            let x = pos[a].clamp(lo, hi);
-            let base = x.floor();
-            i0[a] = base as usize;
-            if i0[a] + 1 >= d.hi[a] {
-                i0[a] = d.hi[a] - 1;
-                frac[a] = 0.0;
-            } else {
-                frac[a] = x - base;
-            }
-        }
-        let mut acc = 0.0;
-        for dz in 0..2usize {
-            for dy in 0..2usize {
-                for dx in 0..2usize {
-                    let p = [
-                        (i0[0] + dx).min(d.hi[0] - 1),
-                        (i0[1] + dy).min(d.hi[1] - 1),
-                        (i0[2] + dz).min(d.hi[2] - 1),
-                    ];
-                    let w = (if dx == 1 { frac[0] } else { 1.0 - frac[0] })
-                        * (if dy == 1 { frac[1] } else { 1.0 - frac[1] })
-                        * (if dz == 1 { frac[2] } else { 1.0 - frac[2] });
-                    acc += w * self.value_at(p);
-                }
-            }
-        }
-        acc
-    }
-
-    /// Ray-cast the down-sampled data through the *full-resolution* view:
-    /// sample positions are divided by the stride so the output is
-    /// pixel-compatible with the in-situ rendering of the same view.
-    /// Serial by design — this runs on one staging bucket.
+    /// Ray-cast the down-sampled data through the *full-resolution* view
+    /// (sample positions are divided by the stride, so the image is pixel-
+    /// compatible with the in-situ one). Serial by design: one bucket.
     pub fn render(&self, view: &View, tf: &TransferFunction) -> Image {
-        let n = view.samples_per_ray();
+        let find = |p| {
+            let idx = self.table.find(p).expect("blocks tile the coarse domain");
+            (self.blocks[idx].coarse_bbox, &self.blocks[idx].data[..])
+        };
+        let marcher = Marcher::new(view, self.stride as f64, self.coarse_domain, None, find);
         let mut img = Image::new(view.width, view.height);
-        let s = self.stride as f64;
-        for py in 0..view.height {
-            for px in 0..view.width {
-                let mut rgba = [0.0f64; 4];
-                for k in 0..n {
-                    if let Some(cut) = view.opacity_cutoff {
-                        if rgba[3] >= cut {
-                            break;
-                        }
-                    }
-                    let pos = view_sample_pos(view, px, py, k);
-                    let cpos = [pos[0] / s, pos[1] / s, pos[2] / s];
-                    let val = self.sample_coarse(cpos);
-                    let c = tf.sample(val);
-                    let a = 1.0 - (1.0 - c[3]).powf(view.step);
-                    let t = (1.0 - rgba[3]) * a;
-                    rgba[0] += t * c[0];
-                    rgba[1] += t * c[1];
-                    rgba[2] += t * c[2];
-                    rgba[3] += t;
-                }
-                *img.get_mut(px, py) = rgba;
-            }
-        }
+        let rows = img.pixels_mut().chunks_mut(view.width).enumerate();
+        rows.for_each(|(py, row)| marcher.row(tf, py, row));
         img
     }
 
@@ -218,21 +142,6 @@ impl HybridRenderer {
         }
         out
     }
-}
-
-/// Re-derive a view's sample position (mirror of `View::sample_pos`,
-/// which is private to the render module).
-fn view_sample_pos(view: &View, px: usize, py: usize, k: usize) -> [f64; 3] {
-    let (r, u, v) = view.axis.dims();
-    let du = view.domain.dims()[u] as f64 / view.width as f64;
-    let dv = view.domain.dims()[v] as f64 / view.height as f64;
-    let n = view.samples_per_ray();
-    let ki = if view.flip { n - 1 - k } else { k };
-    let mut pos = [0.0; 3];
-    pos[u] = view.domain.lo[u] as f64 + (px as f64 + 0.5) * du;
-    pos[v] = view.domain.lo[v] as f64 + (py as f64 + 0.5) * dv;
-    pos[r] = view.domain.lo[r] as f64 + (ki as f64 + 0.5) * view.step;
-    pos
 }
 
 #[cfg(test)]
@@ -337,6 +246,44 @@ mod tests {
         let view = View::full_res(whole.bbox(), ViewAxis::Z, false);
         let img = hr.render(&view, &tf);
         assert!(img.pixels().iter().any(|p| p[3] > 0.0));
+    }
+
+    /// The `e2e` `viz-cluster3` shape: every ray stays inside one block
+    /// column, so each of its eight corner cursors is resolved once —
+    /// 8 lookups per ray, where the per-sample renderer made 8 × 40.
+    #[test]
+    fn table_lookups_are_per_block_run_not_per_sample() {
+        let whole = smooth(BBox3::from_dims([40, 40, 40]));
+        let hr = HybridRenderer::new(blocks_of(&whole, [2, 2, 1], 2));
+        let view = View::full_res(whole.bbox(), ViewAxis::Z, false);
+        fn sync<T: Sync>(_: &T) {}
+        sync(&hr);
+        let before = FIND_CALLS.get();
+        hr.render(&view, &TransferFunction::hot(0.0, 1.0));
+        assert_eq!(FIND_CALLS.get() - before, 8 * 40 * 40);
+        // Along x every ray crosses both block columns.
+        let view = View::full_res(whole.bbox(), ViewAxis::X, true);
+        let before = FIND_CALLS.get();
+        hr.render(&view, &TransferFunction::hot(0.0, 1.0));
+        assert_eq!(FIND_CALLS.get() - before, 8 * 2 * 40 * 40);
+    }
+
+    #[test]
+    #[should_panic(expected = "is missing")]
+    fn a_task_short_of_parts_fails_at_construction() {
+        let whole = smooth(BBox3::from_dims([8, 8, 8]));
+        let mut blocks = blocks_of(&whole, [2, 2, 1], 2);
+        blocks.remove(1);
+        let _ = HybridRenderer::new(blocks);
+    }
+
+    #[test]
+    #[should_panic(expected = "data.len")]
+    fn a_block_short_of_values_fails_at_construction() {
+        let whole = smooth(BBox3::from_dims([8, 8, 8]));
+        let mut blocks = blocks_of(&whole, [2, 1, 1], 2);
+        blocks[1].data.pop();
+        let _ = HybridRenderer::new(blocks);
     }
 
     #[test]

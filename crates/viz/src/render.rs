@@ -7,12 +7,14 @@
 //! block, so the per-block partial images composite (in block order along
 //! the view axis) to exactly the serial whole-domain rendering — the
 //! correctness invariant of the in-situ visualization path.
+//! `march.rs` walks only a rank's own pixels and stretch of each ray.
 
 use crate::image::Image;
+use crate::march::Marcher;
 use crate::transfer::TransferFunction;
 use rayon::prelude::*;
 use serde::{Deserialize, Serialize};
-use sitra_mesh::{sample_trilinear, BBox3, ScalarField};
+use sitra_mesh::{BBox3, ScalarField};
 
 /// The grid axis rays travel along.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -82,80 +84,39 @@ impl View {
         (extent / self.step).ceil() as usize
     }
 
-    /// World position of sample `k` on pixel `(px, py)`.
-    #[inline]
-    fn sample_pos(&self, px: usize, py: usize, k: usize) -> [f64; 3] {
+    /// The sample lattice, one coordinate table per grid axis: sample
+    /// `k` (front-to-back, `k = 0` nearest the viewer) of pixel
+    /// `(px, py)` sits at `(t[u][px], t[v][py], t[r][k])`.
+    pub(crate) fn sample_coords(&self) -> [Vec<f64>; 3] {
         let (r, u, v) = self.axis.dims();
-        let du = self.domain.dims()[u] as f64 / self.width as f64;
-        let dv = self.domain.dims()[v] as f64 / self.height as f64;
-        let n = self.samples_per_ray();
-        // Front-to-back: k = 0 is nearest the viewer.
-        let ki = if self.flip { n - 1 - k } else { k };
-        let mut pos = [0.0; 3];
-        pos[u] = self.domain.lo[u] as f64 + (px as f64 + 0.5) * du;
-        pos[v] = self.domain.lo[v] as f64 + (py as f64 + 0.5) * dv;
-        pos[r] = self.domain.lo[r] as f64 + (ki as f64 + 0.5) * self.step;
-        pos
+        let (lo, dims, n) = (self.domain.lo, self.domain.dims(), self.samples_per_ray());
+        let (mut count, mut d) = ([n; 3], [self.step; 3]);
+        (count[u], d[u]) = (self.width, dims[u] as f64 / self.width as f64);
+        (count[v], d[v]) = (self.height, dims[v] as f64 / self.height as f64);
+        let index = |a: usize, i: usize| if a == r && self.flip { n - 1 - i } else { i };
+        std::array::from_fn(|a| {
+            let at = |i| lo[a] as f64 + (index(a, i) as f64 + 0.5) * d[a];
+            (0..count[a]).map(at).collect()
+        })
     }
-}
-
-/// Does the half-open box own this (possibly fractional) position?
-#[inline]
-fn owns(bbox: &BBox3, pos: [f64; 3]) -> bool {
-    (0..3).all(|a| pos[a] >= bbox.lo[a] as f64 && pos[a] < bbox.hi[a] as f64)
 }
 
 /// Ray-cast the samples of `view` that fall inside `owned`, reading data
 /// from `field` (which must cover at least `owned` plus a one-point halo,
 /// clamped to the domain — i.e. a ghosted block, or the whole domain).
 ///
-/// Returns the partial premultiplied-RGBA image. Rows are processed in
-/// parallel.
+/// Returns the partial premultiplied-RGBA image; rows march in parallel.
 pub fn render_block(
     field: &ScalarField,
     owned: &BBox3,
     view: &View,
     tf: &TransferFunction,
 ) -> Image {
-    let n = view.samples_per_ray();
+    let whole = (field.bbox(), field.as_slice());
+    let marcher = Marcher::new(view, 1.0, whole.0, Some(owned), |_| whole);
     let mut img = Image::new(view.width, view.height);
-    let rows: Vec<Vec<[f64; 4]>> = (0..view.height)
-        .into_par_iter()
-        .map(|py| {
-            let mut row = vec![[0.0; 4]; view.width];
-            for (px, out) in row.iter_mut().enumerate() {
-                let mut rgba = [0.0f64; 4];
-                for k in 0..n {
-                    if let Some(cut) = view.opacity_cutoff {
-                        if rgba[3] >= cut {
-                            break;
-                        }
-                    }
-                    let pos = view.sample_pos(px, py, k);
-                    if !owns(owned, pos) {
-                        continue;
-                    }
-                    let val = sample_trilinear(field, pos);
-                    let c = tf.sample(val);
-                    // Opacity correction for the sample step, then
-                    // front-to-back premultiplied accumulation.
-                    let a = 1.0 - (1.0 - c[3]).powf(view.step);
-                    let t = (1.0 - rgba[3]) * a;
-                    rgba[0] += t * c[0];
-                    rgba[1] += t * c[1];
-                    rgba[2] += t * c[2];
-                    rgba[3] += t;
-                }
-                *out = rgba;
-            }
-            row
-        })
-        .collect();
-    for (py, row) in rows.into_iter().enumerate() {
-        for (px, p) in row.into_iter().enumerate() {
-            *img.get_mut(px, py) = p;
-        }
-    }
+    let rows = img.pixels_mut().par_chunks_mut(view.width).enumerate();
+    rows.for_each(|(py, row)| marcher.row(tf, py, row));
     img
 }
 
@@ -322,11 +283,8 @@ mod tests {
             flip: true,
             ..v.clone()
         };
-        let n = v.samples_per_ray();
-        for k in 0..n {
-            let a = v.sample_pos(1, 2, k);
-            let b = vf.sample_pos(1, 2, n - 1 - k);
-            assert_eq!(a, b);
-        }
+        let (mut a, b) = (v.sample_coords(), vf.sample_coords());
+        a[2].reverse();
+        assert_eq!(a, b);
     }
 }
