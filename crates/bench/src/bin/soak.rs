@@ -2,8 +2,11 @@
 //! `sitra-staged` process, ten thousand concurrent clients.
 //!
 //! Spawns (or connects to) a staging service and drives `--conns`
-//! concurrent [`AsyncConnection`]s against it for `--duration` seconds,
-//! each running a put/get/submit/poll mix of real staging RPCs. Every
+//! concurrent blocking [`Connection`]s against it for `--duration`
+//! seconds from a few driver threads, each connection running a
+//! put/get/submit/poll mix of real staging RPCs. A driver sends every
+//! one of its connections' next request, then reaps the replies in
+//! turn, so all connections have a request in flight at once. Every
 //! request is tagged with the connection id and iteration number, and
 //! every response is checked against the exact request that solicited
 //! it — the protocol is strict request/response lockstep per
@@ -24,19 +27,21 @@
 use bytes::Bytes;
 use sitra_dataspaces::remote::{decode_response, encode_request, Request, Response, TaskPoll};
 use sitra_mesh::BBox3;
-use sitra_net::{rt, Addr, AsyncConnection};
+use sitra_net::{connect, Addr, Connection, NetError};
 use std::io::BufRead;
 use std::process::{Child, Command, Stdio};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
 use std::time::{Duration, Instant};
 
 /// How long one response may take before it is declared lost. Generous:
-/// with 10k lockstep connections multiplexed onto a small runtime and a
+/// with 10k lockstep connections driven from a few threads against a
 /// single service process, per-operation latency under full load is
 /// seconds, not microseconds — but a *lost* response never arrives at
 /// all, and that is the failure this bound detects.
 const RESPONSE_TIMEOUT: Duration = Duration::from_secs(60);
+
+/// Driver threads; each owns an equal slice of the connections.
+const DRIVERS: usize = 4;
 
 struct Opts {
     conns: usize,
@@ -165,19 +170,6 @@ fn spawn_staged(opts: &Opts) -> (Child, Addr) {
     (child, addr)
 }
 
-/// One request/response exchange; every error is rendered as the
-/// string recorded against the connection.
-async fn rpc(conn: &mut AsyncConnection, req: &Request) -> Result<Response, String> {
-    conn.send(encode_request(req))
-        .await
-        .map_err(|e| format!("send: {e}"))?;
-    let frame = rt::timeout(RESPONSE_TIMEOUT, conn.recv())
-        .await
-        .map_err(|_| format!("lost response (no frame within {RESPONSE_TIMEOUT:?})"))?
-        .map_err(|e| format!("recv: {e}"))?;
-    decode_response(frame).map_err(|e| format!("decode: {e}"))
-}
-
 /// The deterministic payload for (connection, iteration): a 16-byte
 /// tag followed by LCG filler, so a get can verify byte integrity and
 /// a stale duplicate from an earlier iteration cannot pass as current.
@@ -195,105 +187,126 @@ fn payload_for(id: u64, iter: u64, len: usize) -> Bytes {
     Bytes::from(buf)
 }
 
-/// One connection's lockstep loop: put → get-verify → submit → poll(+ack),
-/// repeated until the deadline. Returns ops completed, or the first
-/// protocol violation observed.
-async fn drive(
-    mut conn: AsyncConnection,
+/// Read one reply, giving up after [`RESPONSE_TIMEOUT`]; every error is
+/// rendered as the string recorded against the connection.
+fn reply(conn: &Connection) -> Result<Response, String> {
+    let frame = conn.recv_timeout(RESPONSE_TIMEOUT).map_err(|e| match e {
+        NetError::Timeout => format!("lost response (no frame within {RESPONSE_TIMEOUT:?})"),
+        e => format!("recv: {e}"),
+    })?;
+    decode_response(frame).map_err(|e| format!("decode: {e}"))
+}
+
+/// One connection's lockstep state: put → get-verify → submit →
+/// poll(+ack), repeated, one request in flight at a time.
+struct Client {
     id: u64,
-    deadline: Instant,
-    payload_len: usize,
-    ops_total: Arc<AtomicU64>,
-) -> Result<u64, String> {
-    let var = format!("soak-{id}");
-    let bbox = BBox3::new([0, 0, 0], [1, 1, 1]);
-    let mut iter = 0u64;
-    let mut last_put: Option<Bytes> = None;
-    while Instant::now() < deadline {
-        match iter % 4 {
-            0 => {
-                let data = payload_for(id, iter, payload_len);
-                let req = Request::Put {
-                    var: var.clone(),
-                    version: 1,
-                    bbox,
-                    data: data.clone(),
-                };
-                match rpc(&mut conn, &req)
-                    .await
-                    .map_err(|e| format!("iter {iter} put: {e}"))?
-                {
-                    Response::Ok => last_put = Some(data),
-                    other => return Err(format!("put answered {other:?}")),
-                }
-            }
-            1 => {
-                let req = Request::Get {
-                    var: var.clone(),
-                    version: 1,
-                    bbox,
-                };
-                match rpc(&mut conn, &req)
-                    .await
-                    .map_err(|e| format!("iter {iter} get: {e}"))?
-                {
-                    Response::Pieces(pieces) => {
-                        let want = last_put.as_ref().expect("get follows put");
-                        if pieces.len() != 1 || &pieces[0].1 != want {
-                            return Err(format!(
-                                "get returned {} piece(s), integrity mismatch at iter {iter}",
-                                pieces.len()
-                            ));
-                        }
-                    }
-                    other => return Err(format!("get answered {other:?}")),
-                }
-            }
-            2 => {
-                let req = Request::SubmitTask {
-                    data: payload_for(id, iter, 24),
-                    hint: Vec::new(),
-                };
-                match rpc(&mut conn, &req)
-                    .await
-                    .map_err(|e| format!("iter {iter} submit: {e}"))?
-                {
-                    Response::Admission(adm) if adm.seq().is_some() => {}
-                    other => return Err(format!("submit answered {other:?}")),
-                }
-            }
-            _ => {
-                // A small but nonzero wait: the server only looks at
-                // the queue while the deadline has time left, so 0
-                // would always answer Empty.
-                let req = Request::RequestTask {
-                    bucket_id: id as u32,
-                    timeout_ms: 2,
-                    location: String::new(),
-                };
-                match rpc(&mut conn, &req)
-                    .await
-                    .map_err(|e| format!("iter {iter} poll: {e}"))?
-                {
-                    Response::Task(TaskPoll::Assigned { seq, .. }) => {
-                        // The two-phase hand-off ack is one-way: the
-                        // server requeues on a missing/bad ack but
-                        // never answers a good one.
-                        conn.send(encode_request(&Request::AckTask { seq }))
-                            .await
-                            .map_err(|e| format!("ack send: {e}"))?;
-                        ops_total.fetch_add(1, Ordering::Relaxed);
-                    }
-                    Response::Task(TaskPoll::Empty) => {}
-                    other => return Err(format!("poll answered {other:?}")),
-                }
-            }
-        }
-        ops_total.fetch_add(1, Ordering::Relaxed);
-        iter += 1;
+    conn: Connection,
+    iter: u64,
+    last_put: Option<Bytes>,
+}
+
+impl Client {
+    fn verb(&self) -> &'static str {
+        ["put", "get", "submit", "poll"][(self.iter % 4) as usize]
     }
-    conn.close();
-    Ok(iter)
+
+    /// Send this iteration's request (a put carries `payload` bytes).
+    fn send(&mut self, payload: usize) -> Result<(), String> {
+        let (id, iter) = (self.id, self.iter);
+        let var = format!("soak-{id}");
+        let bbox = BBox3::new([0, 0, 0], [1, 1, 1]);
+        let req = match iter % 4 {
+            0 => {
+                let data = payload_for(id, iter, payload);
+                self.last_put = Some(data.clone());
+                Request::Put {
+                    var,
+                    version: 1,
+                    bbox,
+                    data,
+                }
+            }
+            1 => Request::Get {
+                var,
+                version: 1,
+                bbox,
+            },
+            2 => Request::SubmitTask {
+                data: payload_for(id, iter, 24),
+                hint: Vec::new(),
+            },
+            // A small but nonzero wait: the server only looks at the
+            // queue while the deadline has time left, so 0 would always
+            // answer Empty.
+            _ => Request::RequestTask {
+                bucket_id: id as u32,
+                timeout_ms: 2,
+                location: String::new(),
+            },
+        };
+        self.conn
+            .send(encode_request(&req))
+            .map_err(|e| format!("iter {iter} {}: send: {e}", self.verb()))
+    }
+
+    /// Reap and check the reply to this iteration's request, counting
+    /// the operations it completed into `ops`.
+    fn reap(&mut self, ops: &AtomicU64) -> Result<(), String> {
+        let iter = self.iter;
+        let context = |e: String| format!("iter {iter} {}: {e}", self.verb());
+        let done = match (iter % 4, reply(&self.conn).map_err(context)?) {
+            (0, Response::Ok) => 1,
+            (1, Response::Pieces(pieces)) => {
+                let want = self.last_put.as_ref().expect("get follows put");
+                if pieces.len() != 1 || &pieces[0].1 != want {
+                    return Err(format!(
+                        "get returned {} piece(s), integrity mismatch at iter {iter}",
+                        pieces.len()
+                    ));
+                }
+                1
+            }
+            (2, Response::Admission(adm)) if adm.seq().is_some() => 1,
+            (3, Response::Task(TaskPoll::Assigned { seq, .. })) => {
+                // The two-phase hand-off ack is one-way: the server
+                // requeues on a missing/bad ack but never answers a
+                // good one.
+                self.conn
+                    .send(encode_request(&Request::AckTask { seq }))
+                    .map_err(|e| format!("ack send: {e}"))?;
+                2
+            }
+            (3, Response::Task(TaskPoll::Empty)) => 1,
+            (_, other) => return Err(format!("{} answered {other:?}", self.verb())),
+        };
+        ops.fetch_add(done, Ordering::Relaxed);
+        self.iter += 1;
+        Ok(())
+    }
+}
+
+/// Drive `clients` in rounds until the deadline: every live
+/// connection's next request goes out, then every reply is reaped in
+/// turn. Returns the connections that failed, with the first protocol
+/// violation each one observed.
+fn drive(
+    clients: &mut [Client],
+    payload: usize,
+    deadline: Instant,
+    ops: &AtomicU64,
+) -> Vec<(u64, String)> {
+    let mut failures = Vec::new();
+    let mut live: Vec<&mut Client> = clients.iter_mut().collect();
+    while !live.is_empty() && Instant::now() < deadline {
+        live.retain_mut(|c| {
+            c.send(payload)
+                .map_err(|e| failures.push((c.id, e)))
+                .is_ok()
+        });
+        live.retain_mut(|c| c.reap(ops).map_err(|e| failures.push((c.id, e))).is_ok());
+    }
+    failures
 }
 
 fn main() {
@@ -311,22 +324,20 @@ fn main() {
         None => spawned.as_ref().expect("spawned").1.clone(),
     };
 
-    // Dial storm: sequential on this thread (the reactor carries the
-    // I/O tasks; the dial itself is a blocking loopback connect). A
-    // listener backlog overflow shows up as refused/reset dials, so
-    // each dial gets a short retry budget.
+    // Dial storm: sequential on this thread (a blocking loopback
+    // connect). A listener backlog overflow shows up as refused/reset
+    // dials, so each dial gets a short retry budget.
     println!("soak: dialing {} connection(s) to {addr} ...", opts.conns);
     let t_dial = Instant::now();
-    let mut conns = Vec::with_capacity(opts.conns);
+    let mut clients = Vec::with_capacity(opts.conns);
     for i in 0..opts.conns {
         let mut attempts = 0;
         let conn = loop {
-            match AsyncConnection::connect(&addr) {
+            match connect(&addr) {
                 Ok(c) => break c,
-                Err(e) if attempts < 100 => {
+                Err(_) if attempts < 100 => {
                     attempts += 1;
                     std::thread::sleep(Duration::from_millis(20));
-                    let _ = e;
                 }
                 Err(e) => {
                     eprintln!("soak: dial {i} failed after {attempts} retries: {e}");
@@ -334,7 +345,12 @@ fn main() {
                 }
             }
         };
-        conns.push(conn);
+        clients.push(Client {
+            id: i as u64,
+            conn,
+            iter: 0,
+            last_put: None,
+        });
         if (i + 1) % 2000 == 0 {
             println!("soak: {} connection(s) up", i + 1);
         }
@@ -346,28 +362,20 @@ fn main() {
         opts.duration.as_secs()
     );
 
-    let ops_total = Arc::new(AtomicU64::new(0));
+    let ops_total = AtomicU64::new(0);
     let deadline = Instant::now() + opts.duration;
-    let payload = opts.payload;
-    let failures: Vec<(u64, String)> = rt::block_on(async {
-        let tasks: Vec<_> = conns
-            .into_iter()
-            .enumerate()
-            .map(|(i, conn)| {
-                let ops = Arc::clone(&ops_total);
-                rt::spawn(drive(conn, i as u64, deadline, payload, ops))
-            })
+    let per_driver = clients.len().div_ceil(DRIVERS);
+    let failures: Vec<(u64, String)> = std::thread::scope(|s| {
+        let drivers: Vec<_> = clients
+            .chunks_mut(per_driver)
+            .map(|slice| s.spawn(|| drive(slice, opts.payload, deadline, &ops_total)))
             .collect();
-        let mut failures = Vec::new();
-        for (i, task) in tasks.into_iter().enumerate() {
-            match task.await {
-                Ok(Ok(_ops)) => {}
-                Ok(Err(msg)) => failures.push((i as u64, msg)),
-                Err(_) => failures.push((i as u64, "driver task panicked".into())),
-            }
-        }
-        failures
+        drivers
+            .into_iter()
+            .flat_map(|d| d.join().expect("driver thread panicked"))
+            .collect()
     });
+    drop(clients);
     let total = ops_total.load(Ordering::Relaxed);
     println!(
         "soak: load phase done: {} op(s) total, {:.0} op/s, {} failed connection(s)",
@@ -384,11 +392,9 @@ fn main() {
 
     // Shut the service down through the protocol (the driver's own
     // path), then — if we spawned it — require a clean exit.
-    let shutdown_ok = rt::block_on(async {
-        match AsyncConnection::connect(&addr) {
-            Ok(mut c) => matches!(rpc(&mut c, &Request::CloseSched).await, Ok(Response::Ok)),
-            Err(_) => false,
-        }
+    let shutdown_ok = connect(&addr).is_ok_and(|c| {
+        c.send(encode_request(&Request::CloseSched)).is_ok()
+            && matches!(reply(&c), Ok(Response::Ok))
     });
     if !shutdown_ok {
         eprintln!("soak: CloseSched failed");

@@ -267,7 +267,7 @@ impl RemoteBackend {
     /// wait the collector reports failed (endpoint lost), is degraded
     /// to in-situ aggregation here. Returns the wall seconds spent
     /// waiting and/or aggregating locally.
-    fn await_oldest(&mut self) -> f64 {
+    fn wait_for_oldest(&mut self) -> f64 {
         let t0 = Instant::now();
         let deadline = t0 + self.deadline;
         let mut st = self.shared.state.lock();
@@ -403,7 +403,7 @@ impl StagingBackend for RemoteBackend {
         // waiting out the oldest output first.
         let mut blocked = 0.0;
         while self.shared.state.lock().pending.len() >= self.max_inflight.max(1) {
-            blocked += self.await_oldest();
+            blocked += self.wait_for_oldest();
         }
         let shipped = self.try_ship(task.analysis_idx, task.step, task.issued, &task.parts);
         // Before the collector can see the task: a degradation looks
@@ -448,7 +448,7 @@ impl StagingBackend for RemoteBackend {
         // lost is re-aggregated in-situ — zero lost steps.
         let mut blocked = 0.0;
         while !self.shared.state.lock().pending.is_empty() {
-            blocked += self.await_oldest();
+            blocked += self.wait_for_oldest();
         }
         blocked
     }

@@ -10,13 +10,14 @@
 //!
 //! Fault injection rides the same seam: the injector is consulted
 //! synchronously in `send` (keeping scheduled-fault decision streams
-//! deterministic), but `Delay`/`Reorder` are realized with *runtime
-//! timers*, not sender sleeps. The first held frame gives its
-//! connection an outbound *sequencer* — one task on [`crate::rt`] that
-//! from then on forwards everything the connection sends, in queue
-//! order, sleeping through holds — so a delayed frame stalls the
-//! frames behind it while the sender carries on immediately. It is the
-//! same on every backend, and fault-free connections never pay for it.
+//! deterministic), but `Delay`/`Reorder` never sleep the sender. The
+//! first held frame gives its connection an outbound *sequencer* — a
+//! thread of its own, `net-seq-<id>`, that from then on forwards
+//! everything the connection sends, in order, waiting out holds in a
+//! timed receive — so a delayed frame stalls the frames behind it
+//! while the sender carries on immediately, and a write blocked on one
+//! connection stalls no other. It is the same on every backend, and
+//! fault-free connections never pay for it.
 
 use crate::fault::{self, FaultAction};
 use crate::shm;
@@ -27,11 +28,11 @@ use crossbeam::channel::{
     Receiver as CbReceiver, RecvTimeoutError as CbRecvTimeoutError, Sender as CbSender,
 };
 use parking_lot::Mutex;
+use std::collections::{BTreeMap, VecDeque};
 use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
-use tokio::sync::mpsc;
 
 /// Process-unique connection ids, assigned at construction. Fault
 /// injectors key their per-connection decision streams on this.
@@ -96,12 +97,16 @@ impl ObsCounters {
     }
 }
 
-/// One unit of work for a connection's outbound sequencer.
-enum SeqItem {
-    /// Forward now (in queue order).
-    Now(Bytes),
-    /// Hold the queue until the deadline, then forward.
-    Held(Bytes, Instant),
+/// What a connection's sequencer is to do with one frame.
+#[derive(Clone, Copy)]
+enum Hold {
+    /// Forward it in line.
+    None,
+    /// Forward it in line, holding the line until then (fault `Delay`).
+    Line(Instant),
+    /// Park it off to the side until then, when it joins the line
+    /// (fault `Reorder`).
+    Aside(Instant),
 }
 
 enum Backend {
@@ -125,7 +130,7 @@ enum Backend {
     Shm(shm::ShmConn),
 }
 
-/// What a connection shares with its sequencer task: the backend and
+/// What a connection shares with its sequencer thread: the backend and
 /// the close latch.
 struct Link {
     backend: Backend,
@@ -178,36 +183,70 @@ impl Link {
     }
 }
 
-/// Spawn a connection's outbound sequencer: a runtime task that
-/// forwards frames in queue order, sleeping through holds, and severs
-/// the link once `close()` has dropped the last sender and the queue
-/// is drained. (Its forwards are the backend's own blocking writes; a
-/// peer that has stopped reading stalls one runtime worker — a price
-/// only fault-injected connections can be made to pay.)
-fn spawn_sequencer(link: Arc<Link>) -> mpsc::UnboundedSender<SeqItem> {
-    let (tx, mut rx) = mpsc::unbounded_channel();
-    crate::rt::handle().spawn(async move {
-        while let Some(item) = rx.recv().await {
-            let frame = match item {
-                SeqItem::Now(frame) => frame,
-                SeqItem::Held(frame, deadline) => {
-                    if !link.closed.load(Ordering::Acquire) {
-                        tokio::time::sleep_until(deadline).await;
-                    }
-                    if link.closed.load(Ordering::Acquire) {
-                        // close() cancels a parked frame and the queue
-                        // behind it: the peer sees a prefix of what was
-                        // sent, never a gap.
-                        break;
-                    }
-                    frame
-                }
-            };
+/// Start connection `id`'s outbound sequencer, a thread of its own
+/// (`net-seq-<id>`), and return the sender it serves. The thread is
+/// detached: one blocked writing to a peer that stopped reading ends
+/// only when that peer goes, and `close()` must not wait for it.
+fn spawn_sequencer(id: u64, link: Arc<Link>) -> std::io::Result<CbSender<(Bytes, Hold)>> {
+    let (tx, rx) = crossbeam::channel::unbounded();
+    std::thread::Builder::new()
+        .name(format!("net-seq-{id}"))
+        .spawn(move || sequence(&rx, &link))?;
+    Ok(tx)
+}
+
+/// The sequencer's loop. It forwards frames in the order they were
+/// sent, holding the line until a `Delay`ed frame is due; a `Reorder`ed
+/// frame waits off to the side and, once released, goes behind every
+/// frame sent before its release. Its only wait is the receive, with
+/// the next hold or release as deadline, so `close()` — which drops the
+/// last sender — wakes it at once. A forward is the backend's blocking
+/// write: a peer that stops reading stalls this connection and no other.
+fn sequence(rx: &CbReceiver<(Bytes, Hold)>, link: &Link) {
+    // Entries carry their send index: the close rule cuts on it.
+    let mut line: VecDeque<(u64, Bytes, Option<Instant>)> = VecDeque::new();
+    let mut aside: BTreeMap<(Instant, u64), Bytes> = BTreeMap::new();
+    for n in 0u64.. {
+        let now = Instant::now();
+        while let Some(due) = aside.first_entry().filter(|e| e.key().0 <= now) {
+            let ((_, sent), frame) = due.remove_entry();
+            line.push_back((sent, frame, None));
+        }
+        while line.front().is_some_and(|e| e.2.is_none_or(|t| t <= now)) {
+            let (_, frame, _) = line.pop_front().expect("front exists");
             let _ = link.deliver(std::slice::from_ref(&frame));
         }
-        link.sever();
-    });
-    tx
+        let wake = line.front().and_then(|e| e.2);
+        let wake = wake.into_iter().chain(aside.keys().map(|k| k.0)).min();
+        let next = match wake {
+            Some(deadline) => rx.recv_deadline(deadline),
+            None => rx.recv().map_err(|_| CbRecvTimeoutError::Disconnected),
+        };
+        match next {
+            Ok((frame, Hold::None)) => line.push_back((n, frame, None)),
+            Ok((frame, Hold::Line(t))) => line.push_back((n, frame, Some(t))),
+            Ok((frame, Hold::Aside(t))) => {
+                aside.insert((t, n), frame);
+            }
+            Err(CbRecvTimeoutError::Timeout) => {}
+            Err(CbRecvTimeoutError::Disconnected) => break,
+        }
+    }
+    // Closed. A frame still goes out only if it was sent before the
+    // first `Delay` still parked: the peer sees a prefix of what was
+    // sent, never a gap, and then the hang-up.
+    let cut = line
+        .iter()
+        .find(|e| e.2.is_some())
+        .map_or(u64::MAX, |e| e.0);
+    let lined = line.into_iter().map(|(n, frame, _)| (n, frame));
+    let parked = aside.into_iter().map(|((_, n), frame)| (n, frame));
+    let rest: Vec<Bytes> = lined
+        .chain(parked)
+        .filter_map(|(n, frame)| (n < cut).then_some(frame))
+        .collect();
+    let _ = link.deliver(&rest);
+    link.sever();
 }
 
 /// One frame-oriented, bidirectional connection.
@@ -218,7 +257,7 @@ pub struct Connection {
     /// Outbound sequencer, created by the first held send; once it
     /// exists every delivery routes through it so held frames keep
     /// their place in the order.
-    seq: Mutex<Option<mpsc::UnboundedSender<SeqItem>>>,
+    seq: Mutex<Option<CbSender<(Bytes, Hold)>>>,
     counters: Counters,
     obs: ObsCounters,
 }
@@ -316,7 +355,7 @@ impl Connection {
                 }
             }
         }
-        self.dispatch(&frames[..clean], None)?;
+        self.dispatch(&frames[..clean], Hold::None)?;
         if let Some(action) = faulted {
             self.apply(action, frames[clean].clone())?;
             for frame in &frames[clean + 1..] {
@@ -329,7 +368,7 @@ impl Connection {
     /// Carry out the injector's decision for one frame.
     fn apply(&self, action: FaultAction, payload: Bytes) -> Result<(), NetError> {
         match action {
-            FaultAction::Deliver => self.dispatch(std::slice::from_ref(&payload), None),
+            FaultAction::Deliver => self.dispatch(std::slice::from_ref(&payload), Hold::None),
             FaultAction::Drop => {
                 // Loss on a reliable transport: the frame vanishes and
                 // the link dies with it (see fault module docs). The
@@ -337,21 +376,15 @@ impl Connection {
                 self.close();
                 Ok(())
             }
-            FaultAction::Delay(d) => {
-                self.dispatch(std::slice::from_ref(&payload), Some(Instant::now() + d))
-            }
-            FaultAction::Reorder(d) => {
-                // Park the frame on a runtime timer off to the side;
-                // frames sent in the meantime overtake it.
-                let seq = self.sequencer(true).expect("sequencer just created");
-                self.count_sent(std::slice::from_ref(&payload));
-                crate::rt::handle().spawn(async move {
-                    tokio::time::sleep(d).await;
-                    let _ = seq.send(SeqItem::Now(payload));
-                });
-                Ok(())
-            }
-            FaultAction::Duplicate => self.dispatch(&[payload.clone(), payload], None),
+            FaultAction::Delay(d) => self.dispatch(
+                std::slice::from_ref(&payload),
+                Hold::Line(Instant::now() + d),
+            ),
+            FaultAction::Reorder(d) => self.dispatch(
+                std::slice::from_ref(&payload),
+                Hold::Aside(Instant::now() + d),
+            ),
+            FaultAction::Duplicate => self.dispatch(&[payload.clone(), payload], Hold::None),
             FaultAction::Cut => {
                 self.close();
                 Err(NetError::Closed)
@@ -361,27 +394,23 @@ impl Connection {
 
     /// This connection's sequencer, if it has one — or, for a frame
     /// that must be held, in any case.
-    fn sequencer(&self, create: bool) -> Option<mpsc::UnboundedSender<SeqItem>> {
+    fn sequencer(&self, create: bool) -> Result<Option<CbSender<(Bytes, Hold)>>, NetError> {
         let mut seq = self.seq.lock();
         if create && seq.is_none() {
-            *seq = Some(spawn_sequencer(Arc::clone(&self.link)));
+            *seq = Some(spawn_sequencer(self.id, Arc::clone(&self.link))?);
         }
-        seq.clone()
+        Ok(seq.clone())
     }
 
-    /// Deliver `frames` in order, optionally held until a deadline
-    /// (fault `Delay`: the queue stalls behind it, the sender does
-    /// not): straight to the backend, or through the sequencer once
-    /// there is one.
-    fn dispatch(&self, frames: &[Bytes], hold_until: Option<Instant>) -> Result<(), NetError> {
-        match self.sequencer(hold_until.is_some()) {
+    /// Deliver `frames` in order (fault `Delay` and `Reorder`: held as
+    /// `hold` says, while the sender carries on): straight to the
+    /// backend, or through the sequencer once there is one.
+    fn dispatch(&self, frames: &[Bytes], hold: Hold) -> Result<(), NetError> {
+        match self.sequencer(!matches!(hold, Hold::None))? {
             Some(seq) => {
                 for frame in frames {
-                    let item = match hold_until {
-                        Some(deadline) => SeqItem::Held(frame.clone(), deadline),
-                        None => SeqItem::Now(frame.clone()),
-                    };
-                    seq.send(item).map_err(|_| NetError::Closed)?;
+                    seq.send((frame.clone(), hold))
+                        .map_err(|_| NetError::Closed)?;
                 }
             }
             // Fault-free fast path.
@@ -479,10 +508,11 @@ impl Connection {
     }
 
     /// Close the connection. Everything sent before is delivered first
-    /// (a sequencer drains its queue, then severs the link itself) —
-    /// up to a hold still parked, which is cancelled with all behind it. The peer's pending and future
-    /// receives fail with [`NetError::Closed`]; local operations do
-    /// too, including a `recv` blocked on another thread.
+    /// — up to a `Delay` still parked, which is cancelled with all sent
+    /// behind it (a sequencer, woken by the close, severs the link
+    /// itself). The peer's pending and future receives fail with
+    /// [`NetError::Closed`]; local operations do too, including a
+    /// `recv` blocked on another thread.
     pub fn close(&self) {
         if self.link.closed.swap(true, Ordering::AcqRel) {
             return;
@@ -544,6 +574,7 @@ pub(crate) fn tcp_connect(sa: SocketAddr) -> Result<Connection, NetError> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tests::tcp_pair;
     use std::io::Write;
     use std::sync::Arc as StdArc;
 
@@ -730,14 +761,6 @@ mod tests {
         for (i, m) in got.iter().enumerate() {
             assert_eq!(m.as_slice(), &vec![i as u8; 100][..]);
         }
-    }
-
-    /// A connected loopback pair: `(dialled, accepted)`.
-    fn tcp_pair() -> (Connection, Connection) {
-        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
-        let dialled = tcp_connect(listener.local_addr().unwrap()).unwrap();
-        let (accepted, _) = listener.accept().unwrap();
-        (dialled, Connection::from_tcp(accepted).unwrap())
     }
 
     /// The payload sender `who` puts in its `seq`-th frame: recomputable

@@ -17,14 +17,18 @@
 //!   peer forever; severing the link turns the loss into
 //!   [`NetError::Closed`](crate::NetError::Closed) on the next
 //!   operation, which callers already treat as retryable.
-//! * [`FaultAction::Delay`] / [`FaultAction::Reorder`] — realized with
-//!   *runtime timers* at the frame boundary, never a sender sleep: the
-//!   send returns immediately in both cases. `Delay` parks the frame
-//!   in the outbound queue holding the line, so traffic behind it on
-//!   the same connection stalls in order (link latency). `Reorder`
-//!   parks the frame on a timer off to the side, so frames sent after
-//!   it overtake (packet-level reordering). Sibling connections are
-//!   never stalled by either.
+//! * [`FaultAction::Delay`] / [`FaultAction::Reorder`] — realized by
+//!   the connection's own sequencer thread at the frame boundary, never
+//!   a sender sleep: the send returns immediately in both cases. `Delay`
+//!   parks the frame in the outbound line, holding it, so traffic behind
+//!   it on the same connection stalls in order (link latency). `Reorder`
+//!   parks the frame off to the side until its release, so frames sent
+//!   in the meantime overtake (packet-level reordering). Sibling
+//!   connections are never stalled by either, not even when a peer
+//!   stops reading and a sequencer blocks in its write. `close()` wakes
+//!   the sequencer at once: a frame still reaches the peer only if it
+//!   was sent before the first `Delay` still parked, so the peer sees a
+//!   prefix of what was sent, never a gap.
 //! * [`FaultAction::Duplicate`] — the frame is written twice; a framed
 //!   RPC peer sees a stale extra frame and must fail cleanly (protocol
 //!   error → degraded task), never hang or panic.
@@ -131,36 +135,60 @@ pub(crate) fn connect_allowed(addr: &str) -> bool {
 mod tests {
     use super::*;
     use crate::conn::Connection;
-    use crate::tests::pairs;
+    use crate::tests::{pairs, tcp_pair};
     use crate::{connect, Addr, Listener, NetError};
     use bytes::Bytes;
+    use std::collections::HashMap;
+    use std::time::Instant;
 
     /// The injector is process-global; these tests serialize on this.
     static LOCK: parking_lot::Mutex<()> = parking_lot::Mutex::new(());
 
-    /// Applies a scripted action sequence to exactly one connection id,
-    /// delivering everything else untouched (so concurrently running
-    /// tests in this binary are unaffected).
-    struct Script {
-        conn: u64,
-        actions: parking_lot::Mutex<Vec<FaultAction>>,
-    }
+    /// Applies a scripted action sequence to each of a few connection
+    /// ids, delivering everything else untouched (so concurrently
+    /// running tests in this binary are unaffected).
+    struct Script(parking_lot::Mutex<HashMap<u64, Vec<FaultAction>>>);
 
     impl FaultInjector for Script {
         fn on_frame(&self, conn: u64, _peer: &str, _len: usize) -> FaultAction {
-            if conn != self.conn {
-                return FaultAction::Deliver;
-            }
-            self.actions.lock().pop().unwrap_or(FaultAction::Deliver)
+            let mut scripts = self.0.lock();
+            let next = scripts.get_mut(&conn).and_then(Vec::pop);
+            next.unwrap_or(FaultAction::Deliver)
         }
     }
 
-    fn with_script(conn: u64, mut actions: Vec<FaultAction>) -> Option<Arc<dyn FaultInjector>> {
-        actions.reverse(); // popped back-to-front
-        install_fault_injector(Some(Arc::new(Script {
-            conn,
-            actions: parking_lot::Mutex::new(actions),
-        })))
+    fn with_scripts(
+        scripts: impl IntoIterator<Item = (u64, Vec<FaultAction>)>,
+    ) -> Option<Arc<dyn FaultInjector>> {
+        let popped_back_to_front = scripts.into_iter().map(|(conn, mut actions)| {
+            actions.reverse();
+            (conn, actions)
+        });
+        let script = Script(parking_lot::Mutex::new(popped_back_to_front.collect()));
+        install_fault_injector(Some(Arc::new(script)))
+    }
+
+    fn with_script(conn: u64, actions: Vec<FaultAction>) -> Option<Arc<dyn FaultInjector>> {
+        with_scripts([(conn, actions)])
+    }
+
+    /// Wait (5 s at most) until connection `conn`'s sequencer thread
+    /// sleeps: parked in its timed receive on what it holds.
+    fn wait_until_parked(conn: u64) {
+        // `stat` reads `pid (comm) state ...`; a test's connection ids
+        // keep the name within the kernel's 15 bytes.
+        let parked = format!("(net-seq-{conn}) S ");
+        let t0 = Instant::now();
+        while t0.elapsed() < Duration::from_secs(5) {
+            let tasks = std::fs::read_dir("/proc/self/task").unwrap().flatten();
+            if tasks
+                .map(|t| std::fs::read_to_string(t.path().join("stat")))
+                .any(|stat| stat.is_ok_and(|stat| stat.contains(&parked)))
+            {
+                return;
+            }
+            std::thread::yield_now();
+        }
     }
 
     #[test]
@@ -221,7 +249,7 @@ mod tests {
         let _g = LOCK.lock();
         for (scheme, a, b) in pairs("fault-delay") {
             let prev = with_script(a.id(), vec![FaultAction::Delay(Duration::from_millis(150))]);
-            // The frame is held by a runtime timer, not a sender sleep:
+            // The frame is held by the sequencer, not a sender sleep:
             // the sends must return long before the 150ms hold elapses.
             let t0 = std::time::Instant::now();
             for frame in [&b"held"[..], b"second", b"third"] {
@@ -284,6 +312,72 @@ mod tests {
             assert!(matches!(b.recv(), Err(NetError::Closed)), "{scheme}");
             install_fault_injector(prev);
         }
+    }
+
+    #[test]
+    fn close_cancels_a_parked_hold_at_once() {
+        let _g = LOCK.lock();
+        for (scheme, a, b) in pairs("fault-close-at-once") {
+            let prev = with_script(a.id(), vec![FaultAction::Delay(Duration::from_secs(10))]);
+            a.send(Bytes::from_static(b"held")).unwrap();
+            wait_until_parked(a.id());
+            let t0 = Instant::now();
+            a.close();
+            let got = b.recv_timeout(Duration::from_secs(1));
+            install_fault_injector(prev);
+            assert!(matches!(got, Err(NetError::Closed)), "{scheme}: {got:?}");
+            assert!(t0.elapsed() < Duration::from_secs(1), "{scheme}");
+        }
+    }
+
+    #[test]
+    fn close_delivers_what_was_sent_before_the_parked_delay_and_nothing_behind_it() {
+        let _g = LOCK.lock();
+        for (scheme, a, b) in pairs("fault-close-rule") {
+            let long = Duration::from_secs(10);
+            let prev = with_script(
+                a.id(),
+                vec![
+                    FaultAction::Reorder(long),
+                    FaultAction::Delay(long),
+                    FaultAction::Reorder(long),
+                ],
+            );
+            for frame in [&b"early"[..], b"held", b"late", b"behind"] {
+                a.send(Bytes::from_static(frame)).unwrap();
+            }
+            a.close();
+            // The reordered frame sent before the hold goes out; the
+            // held frame, and both frames sent behind it, do not.
+            let first = b.recv_timeout(Duration::from_secs(1));
+            let then = b.recv_timeout(Duration::from_secs(1));
+            install_fault_injector(prev);
+            assert_eq!(first.unwrap(), Bytes::from_static(b"early"), "{scheme}");
+            assert!(matches!(then, Err(NetError::Closed)), "{scheme}: {then:?}");
+        }
+    }
+
+    #[test]
+    fn a_stalled_hold_does_not_stall_a_sibling_connection() {
+        let _g = LOCK.lock();
+        // Four connections whose peers never read: each sequencer
+        // forwards its held frame, then blocks writing 16 MiB.
+        let stalled: Vec<_> = (0..4).map(|_| tcp_pair()).collect();
+        let (a, b) = tcp_pair();
+        let delay = || vec![FaultAction::Delay(Duration::from_millis(5))];
+        let ids = stalled.iter().map(|(s, _)| s.id()).chain([a.id()]);
+        let prev = with_scripts(ids.map(|id| (id, delay())));
+        let bulk = Bytes::from(vec![7u8; 4 << 20]);
+        for (s, _) in &stalled {
+            s.send(Bytes::from_static(b"held")).unwrap();
+            for _ in 0..4 {
+                s.send(bulk.clone()).unwrap();
+            }
+        }
+        a.send(Bytes::from_static(b"sibling")).unwrap();
+        let got = b.recv_timeout(Duration::from_secs(3));
+        install_fault_injector(prev);
+        assert_eq!(got.unwrap(), Bytes::from_static(b"sibling"));
     }
 
     #[test]

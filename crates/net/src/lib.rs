@@ -16,8 +16,9 @@
 //!   ([`Connection::send_all`] puts a whole batch in it), `recv` a
 //!   `read` through the connection's own frame decoder, and frames are
 //!   [`bytes::Bytes`] end to end (zero-copy slices out of coalesced
-//!   reads). [`AsyncConnection`] is the same socket I/O for tasks on
-//!   the shared [`rt`] reactor, for harnesses that hold thousands.
+//!   reads). There is no runtime, reactor or I/O thread: a harness that
+//!   holds thousands of connections drives them from a few threads of
+//!   its own.
 //! * **`shm://name`** — shared-memory FIFOs through `/dev/shm`, the
 //!   same-node fast path (the stand-in for the paper's DART RDMA
 //!   transport): a descriptor ring plus a block-store arena per
@@ -34,14 +35,13 @@ mod conn;
 pub mod fault;
 pub mod frame;
 mod listener;
-pub mod rt;
 mod shm;
 mod tcp;
 
 pub use conn::{ConnStats, Connection, MAX_FRAME_LEN};
 pub use fault::{install_fault_injector, FaultAction, FaultInjector};
 pub use listener::{serve, Listener, ServerHandle};
-pub use tcp::{AsyncConnection, PIPELINE_DEPTH};
+pub use tcp::PIPELINE_DEPTH;
 
 use std::net::SocketAddr;
 use std::time::Duration;
@@ -242,6 +242,14 @@ mod tests {
             (scheme, dialled, accepted)
         })
         .collect()
+    }
+
+    /// A connected loopback pair: `(dialled, accepted)`.
+    pub(crate) fn tcp_pair() -> (Connection, Connection) {
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let dialled = conn::tcp_connect(listener.local_addr().unwrap()).unwrap();
+        let (accepted, _) = listener.accept().unwrap();
+        (dialled, Connection::from_tcp(accepted).unwrap())
     }
 
     #[test]

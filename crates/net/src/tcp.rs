@@ -1,6 +1,8 @@
 //! TCP connection internals: a connection owns its socket, and whoever
-//! calls it does the I/O — there is no task, queue or thread between a
-//! `send` and the `write(2)`, or between the `read(2)` and a `recv`.
+//! calls it does the I/O — there is no queue or thread between a `send`
+//! and the `write(2)`, or between the `read(2)` and a `recv`. (A fault
+//! hold gives a connection a sequencer thread that does its writes from
+//! then on, [`crate::conn`]; fault-free connections never have one.)
 //!
 //! * **Writes** are vectored: the frames of one call go out as
 //!   `[hdr, payload, hdr, payload, ...]` in one `writev` (resumed
@@ -22,9 +24,6 @@
 //! * **Close** is `shutdown(2)`: everything written before it is
 //!   already the kernel's and reaches the peer ahead of the FIN, and a
 //!   `recv` blocked on another thread wakes at once.
-//!
-//! [`AsyncConnection`] does the same I/O from inside its caller's
-//! task, readiness-driven on the shared [`crate::rt`] reactor.
 
 use crate::frame::{encode_header, FrameDecoder, HEADER_LEN};
 use crate::NetError;
@@ -103,36 +102,6 @@ struct Inbound {
     fresh: Vec<Bytes>,
 }
 
-impl Inbound {
-    /// One read through the decoder. `read` is called exactly once with
-    /// the buffer to fill; `Ok(0)` from it is the peer's FIN.
-    fn fill(&mut self, read: impl FnOnce(&mut [u8]) -> io::Result<usize>) -> Result<(), NetError> {
-        if let Some(space) = self.dec.pending_space() {
-            // Direct-fill: a large frame mid-assembly reads straight
-            // into its own buffer, no scratch hop.
-            match read(space)? {
-                0 => return Err(NetError::Closed),
-                n => self.dec.commit_direct(n, &mut self.fresh),
-            }
-        } else {
-            let mut buf = vec![0u8; READ_CHUNK];
-            match read(&mut buf)? {
-                0 => return Err(NetError::Closed),
-                n => {
-                    buf.truncate(n);
-                    // `Bytes::from(Vec)` adopts the allocation; frames
-                    // wholly inside this read are sliced, not copied —
-                    // and pin it, so the unread tail is released first.
-                    buf.shrink_to_fit();
-                    self.dec.feed(Bytes::from(buf), &mut self.fresh)?;
-                }
-            }
-        }
-        self.ready.extend(self.fresh.drain(..));
-        Ok(())
-    }
-}
-
 /// The socket of one blocking [`crate::Connection`].
 pub(crate) struct TcpIo {
     stream: std::net::TcpStream,
@@ -189,17 +158,39 @@ impl TcpIo {
                     return Err(NetError::Timeout);
                 }
             }
-            inbound.fill(|buf| loop {
-                match (&self.stream).read(buf) {
-                    Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                    Ok(n) if n > 0 => {
-                        self.reads.0.fetch_add(1, Ordering::Relaxed);
-                        self.reads.1.inc();
-                        return Ok(n);
-                    }
-                    other => return other,
+            let Inbound { dec, ready, fresh } = &mut *inbound;
+            if let Some(space) = dec.pending_space() {
+                // Direct-fill: a large frame mid-assembly reads straight
+                // into its own buffer, no scratch hop.
+                let n = self.read(space)?;
+                dec.commit_direct(n, fresh);
+            } else {
+                let mut buf = vec![0u8; READ_CHUNK];
+                let n = self.read(&mut buf)?;
+                buf.truncate(n);
+                // `Bytes::from(Vec)` adopts the allocation; frames wholly
+                // inside this read are sliced, not copied — and pin it,
+                // so the unread tail is released first.
+                buf.shrink_to_fit();
+                dec.feed(Bytes::from(buf), fresh)?;
+            }
+            ready.extend(fresh.drain(..));
+        }
+    }
+
+    /// One `read(2)` that moved bytes; the peer's FIN is `Closed`.
+    fn read(&self, buf: &mut [u8]) -> Result<usize, NetError> {
+        loop {
+            match (&self.stream).read(buf) {
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+                Err(e) => return Err(e.into()),
+                Ok(0) => return Err(NetError::Closed),
+                Ok(n) => {
+                    self.reads.0.fetch_add(1, Ordering::Relaxed);
+                    self.reads.1.inc();
+                    return Ok(n);
                 }
-            })?;
+            }
         }
     }
 
@@ -223,88 +214,6 @@ impl TcpIo {
     /// fails) a `write` or `read` blocked on another thread.
     pub(crate) fn shutdown(&self) {
         let _ = self.stream.shutdown(Shutdown::Both);
-    }
-}
-
-/// An async connection: the same framing as the blocking
-/// [`crate::Connection`], with the socket registered on the shared
-/// [`crate::rt`] reactor and driven from inside the caller's task.
-/// One thread can hold thousands of these — the soak harness drives
-/// 10k concurrently from a single process.
-///
-/// TCP only (the in-process and shared-memory backends are served by
-/// the blocking facade), and the fault-injection seam is not consulted
-/// on this path: it exists for load generation, not chaos testing.
-pub struct AsyncConnection {
-    stream: tokio::net::TcpStream,
-    inbound: Inbound,
-}
-
-impl AsyncConnection {
-    /// Adopt an already connected std TCP stream.
-    pub fn from_std(stream: std::net::TcpStream) -> Result<AsyncConnection, NetError> {
-        let _ = stream.set_nodelay(true);
-        Ok(AsyncConnection {
-            stream: tokio::net::TcpStream::from_std_on(&crate::rt::handle(), stream)?,
-            inbound: Inbound::default(),
-        })
-    }
-
-    /// Dial a `tcp://` address (blocking dial, async I/O thereafter).
-    pub fn connect(addr: &crate::Addr) -> Result<AsyncConnection, NetError> {
-        match addr {
-            crate::Addr::Tcp(sa) => match std::net::TcpStream::connect(sa) {
-                Ok(s) => AsyncConnection::from_std(s),
-                Err(e) if e.kind() == io::ErrorKind::ConnectionRefused => {
-                    Err(NetError::Refused(sa.to_string()))
-                }
-                Err(e) => Err(e.into()),
-            },
-            other => Err(NetError::BadAddr(format!(
-                "async connections are tcp-only, got `{other}`"
-            ))),
-        }
-    }
-
-    /// Write one frame; waits only while the socket buffer is full.
-    pub async fn send(&mut self, payload: Bytes) -> Result<(), NetError> {
-        if payload.len() > crate::MAX_FRAME_LEN {
-            return Err(NetError::FrameTooLarge(payload.len()));
-        }
-        let header = encode_header(payload.len());
-        let mut slices = [IoSlice::new(&header), IoSlice::new(payload.as_slice())];
-        let mut rest = &mut slices[..];
-        while !rest.is_empty() {
-            match self.stream.try_write_vectored(rest) {
-                Ok(0) => return Err(io::Error::from(io::ErrorKind::WriteZero).into()),
-                Ok(n) => IoSlice::advance_slices(&mut rest, n),
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => self.stream.writable().await?,
-                Err(e) => return Err(e.into()),
-            }
-        }
-        Ok(())
-    }
-
-    /// Await the next frame. Dropping the future between reads loses
-    /// nothing: a partial frame stays in the decoder.
-    pub async fn recv(&mut self) -> Result<Bytes, NetError> {
-        loop {
-            if let Some(frame) = self.inbound.ready.pop_front() {
-                return Ok(frame);
-            }
-            self.stream.readable().await?;
-            let stream = &self.stream;
-            match self.inbound.fill(|buf| stream.try_read(buf)) {
-                // `WouldBlock` (readiness was stale): wait for real.
-                Ok(()) | Err(NetError::Timeout) => {}
-                Err(e) => return Err(e),
-            }
-        }
-    }
-
-    /// Close both directions; what was sent is already on its way.
-    pub fn close(&self) {
-        let _ = self.stream.shutdown_std(Shutdown::Both);
     }
 }
 

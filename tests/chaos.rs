@@ -299,9 +299,9 @@ fn pinned_scale_plans_pass_every_oracle() {
 }
 
 /// Pinned timer-fault plans: `delay`/`reorder` rates well above what
-/// the seeded corpus generates, exercising the transport's async-timer
-/// fault realization (a delayed frame parks in the outbound queue or
-/// on a runtime timer — the sender never sleeps) end to end. Pinned
+/// the seeded corpus generates, exercising the transport's timed fault
+/// holds (a delayed or reordered frame parks with the connection's
+/// sequencer thread — the sender never sleeps) end to end. Pinned
 /// separately so `PINNED_SEEDS` keeps its exact seed→plan mapping.
 #[test]
 fn pinned_timer_fault_plans_pass_every_oracle() {
