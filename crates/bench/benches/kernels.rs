@@ -52,6 +52,22 @@ fn bench_insitu(c: &mut Criterion) {
             ))
         })
     });
+    // The `e2e` `topo-local` shape: 48³ over 2×2×1 ranks, so rank 0's
+    // ghosted block is 25×25×48.
+    let d = Decomposition::new(g, [2, 2, 1]);
+    let blocks: Vec<ScalarField> = (0..4).map(|r| field.extract(&d.block(r))).collect();
+    let (ghosted, _) = exchange_ghosts(&d, &blocks, 1);
+    group.bench_function("topo_subtree_48cube_2x2x1", |b| {
+        b.iter(|| {
+            black_box(sitra_topology::distributed::rank_subtree(
+                &d,
+                0,
+                &ghosted[0],
+                Connectivity::Six,
+                BoundaryPolicy::BoundaryMaxima,
+            ))
+        })
+    });
     group.finish();
 }
 

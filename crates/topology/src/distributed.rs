@@ -5,7 +5,7 @@ use crate::local::augmented_join_tree;
 use crate::reduce::{reduce_to_subtree, InterfaceInfo, Subtree};
 use crate::stream::{SourceId, StreamStats, StreamingMergeTree};
 use crate::tree::MergeTree;
-use crate::types::{sweep_before, Connectivity};
+use crate::types::{sweep_key, Connectivity, Stencil};
 use rayon::prelude::*;
 use sitra_mesh::{BBox3, Decomposition, ScalarField};
 
@@ -35,23 +35,18 @@ pub struct DistributedStats {
     pub stream: StreamStats,
 }
 
-/// Is `p` a maximum of `field` restricted to `region` (under `conn`,
-/// ties broken by global id)?
+/// Is local vertex `i` (at `p`) a maximum of `field` restricted to
+/// `region` in sweep order? Local index order is global id order, so it
+/// breaks ties exactly as the id does.
 fn is_restricted_maximum(
     field: &ScalarField,
-    global: &BBox3,
+    stencil: &Stencil,
     region: &BBox3,
+    i: usize,
     p: [usize; 3],
-    conn: Connectivity,
 ) -> bool {
-    let kp = (field.get(p), global.local_index(p) as u64);
-    for q in conn.neighbors_in(p, region) {
-        let kq = (field.get(q), global.local_index(q) as u64);
-        if sweep_before(kq, kp) {
-            return false;
-        }
-    }
-    true
+    let key = |j: usize| (sweep_key(field.get_linear(j)), j);
+    stencil.neighbors(i, p, region).all(|j| key(j) > key(i))
 }
 
 /// Compute each rank's in-situ subtree from its ghosted block.
@@ -81,54 +76,55 @@ pub fn rank_subtree(
     policy: BoundaryPolicy,
 ) -> Subtree {
     let global = decomp.global();
-    {
-        assert_eq!(
-            field.bbox(),
-            decomp.block(rank).grow_clamped(1, &global),
-            "rank {rank}: ghosted field does not match block"
-        );
-        let tree = augmented_join_tree(field, &global, conn);
-        let own_gbox = field.bbox();
-        reduce_to_subtree(&tree, field, rank as SourceId, |p| {
-            // Potential declarers: every rank whose ghosted box
-            // contains p (they might keep it as a critical point of
-            // their local tree even if it is not an interface
-            // vertex). `s`'s ghosted box contains `p` exactly when
-            // `block(s)` intersects the unit box around `p` grown by
-            // the halo width, so a spatial query finds them all —
-            // including ranks beyond the 26-neighborhood when blocks
-            // are thinner than the halo. Every rank runs the same
-            // query, so the sets agree at the aggregator.
-            let probe = BBox3::new(p, [p[0] + 1, p[1] + 1, p[2] + 1]).grow_clamped(1, &global);
-            let mut potential: Vec<SourceId> = vec![rank as SourceId];
-            let mut keep = false;
-            for (s, _) in decomp.ranks_overlapping(&probe) {
-                if s == rank {
-                    continue;
-                }
-                potential.push(s as SourceId);
-                if keep {
-                    continue;
-                }
-                // Pair overlap region: both ranks of the pair compute
-                // the identical region and (for BoundaryMaxima) the
-                // identical restricted maxima.
-                let region = decomp
-                    .block(s)
-                    .grow_clamped(1, &global)
-                    .intersect(&own_gbox)
-                    .expect("ghosted boxes of sharing ranks overlap");
-                debug_assert!(region.contains(p));
-                keep = match policy {
-                    BoundaryPolicy::AllShared => true,
-                    BoundaryPolicy::BoundaryMaxima => {
-                        is_restricted_maximum(field, &global, &region, p, conn)
-                    }
-                };
-            }
-            InterfaceInfo { potential, keep }
-        })
-    }
+    let gbox = field.bbox();
+    assert_eq!(
+        gbox,
+        decomp.block(rank).grow_clamped(1, &global),
+        "rank {rank}: ghosted field does not match block"
+    );
+    let tree = augmented_join_tree(field, &global, conn);
+    // Potential declarers of `p`: every rank whose ghosted box contains
+    // it (they might keep it as a critical point of their local tree even
+    // if it is not an interface vertex). That is every rank whose block
+    // meets `[p - 1, p + 1]` on each axis, so per axis coordinate there is
+    // one range of block indices, and the declarers are the product of
+    // `p`'s three ranges — ranks beyond the 26-neighborhood included when
+    // blocks are thinner than the halo. Every rank derives the same set,
+    // so the sets agree at the aggregator.
+    let block_at = |a: usize, x: usize| {
+        let mut q = global.lo;
+        q[a] = x.clamp(global.lo[a], global.hi[a] - 1);
+        decomp.coords_of_rank(decomp.rank_of_point(q))[a]
+    };
+    let ranges: [Vec<[usize; 2]>; 3] = std::array::from_fn(|a| {
+        let range = |x: usize| [block_at(a, x.saturating_sub(1)), block_at(a, x + 1)];
+        (gbox.lo[a]..gbox.hi[a]).map(range).collect()
+    });
+    let own = decomp.coords_of_rank(rank);
+    let stencil = Stencil::new(conn, &gbox);
+    reduce_to_subtree(&tree, field, rank as SourceId, |p| {
+        let [x, y, z] = std::array::from_fn(|a| ranges[a][p[a] - gbox.lo[a]]);
+        if [x, y, z] == own.map(|c| [c, c]) {
+            return None; // Off the shared shell: no other rank sees `p`.
+        }
+        let potential: Vec<SourceId> = (z[0]..=z[1])
+            .flat_map(|cz| {
+                (y[0]..=y[1]).flat_map(move |cy| (x[0]..=x[1]).map(move |cx| [cx, cy, cz]))
+            })
+            .map(|c| decomp.rank_of_coords(c) as SourceId)
+            .collect();
+        let keep = potential.iter().map(|&s| s as usize).any(|s| {
+            s != rank
+                && (policy == BoundaryPolicy::AllShared || {
+                    // Pair overlap region: both ranks of the pair compute
+                    // the identical region and restricted maxima.
+                    let region = decomp.block(s).grow_clamped(1, &global).intersect(&gbox);
+                    let region = region.expect("ghosted boxes of sharing ranks overlap");
+                    is_restricted_maximum(field, &stencil, &region, gbox.local_index(p), p)
+                })
+        });
+        Some(InterfaceInfo { potential, keep })
+    })
 }
 
 /// Glue subtrees in-transit (any order) into the global merge tree.
@@ -185,7 +181,7 @@ pub fn serial_merge_tree(field: &ScalarField, conn: Connectivity) -> MergeTree {
         tree.add_node(t.vertex_id(i), field.get_linear(i as usize));
     }
     for i in 0..field.len() as u32 {
-        if let Some(d) = t.down[i as usize] {
+        if let Some(d) = t.down_of(i) {
             tree.add_arc(t.vertex_id(i), t.vertex_id(d));
         }
     }

@@ -32,6 +32,8 @@
 //! by vertex id, giving a globally consistent total order (simulation of
 //! simplicity), so results are deterministic and decomposition-independent.
 
+#![forbid(unsafe_code)]
+
 pub mod distributed;
 pub mod local;
 pub mod reduce;

@@ -10,12 +10,22 @@
 //! solution (as the paper notes), but on a single rank's block it is fast
 //! and cache-friendly; the result is immediately sparsified by
 //! [`crate::reduce`] before leaving the node.
+//!
+//! Each vertex's sort key is computed once: a `u64` that ascends as the
+//! value descends ([`crate::types::sweep_after`] says what it does with
+//! `-0.0` and NaN), paired with the *local* index. Within one box, local
+//! index order is global id order, so one `sort_unstable` over the pairs
+//! is the global sweep order restricted to the block. The sweep then
+//! visits neighbours by stride, checking axes only on the box's surface.
 
-use crate::types::{sweep_before, Connectivity, UnionFind, VertexId};
+use crate::types::{sweep_key, Connectivity, Stencil, UnionFind, VertexId};
 use sitra_mesh::{BBox3, ScalarField};
 
+/// `AugmentedTree::down` of a vertex with no vertex below it.
+pub const NO_DOWN: u32 = u32::MAX;
+
 /// The augmented join tree of one block: for every local vertex, the next
-/// vertex strictly downward in the sweep, or `None` for the block's
+/// vertex strictly downward in the sweep, or [`NO_DOWN`] for the block's
 /// lowest vertex of its component.
 #[derive(Debug, Clone)]
 pub struct AugmentedTree {
@@ -24,22 +34,22 @@ pub struct AugmentedTree {
     /// The global domain, defining vertex ids.
     pub global: BBox3,
     /// Down pointer per local linear index.
-    pub down: Vec<Option<u32>>,
+    pub down: Vec<u32>,
     /// Number of tree children (up-arcs) per local linear index.
     pub up_count: Vec<u32>,
 }
 
 impl AugmentedTree {
+    /// The down pointer of a local vertex, `None` at a root.
+    #[inline]
+    pub fn down_of(&self, local: u32) -> Option<u32> {
+        Some(self.down[local as usize]).filter(|&d| d != NO_DOWN)
+    }
+
     /// Global vertex id of a local index.
     #[inline]
     pub fn vertex_id(&self, local: u32) -> VertexId {
         self.global.local_index(self.bbox.coord_of(local as usize)) as VertexId
-    }
-
-    /// Local index of a global coordinate.
-    #[inline]
-    pub fn local_of(&self, p: [usize; 3]) -> u32 {
-        self.bbox.local_index(p) as u32
     }
 
     /// True if the local vertex is a leaf (local maximum of the block).
@@ -52,8 +62,7 @@ impl AugmentedTree {
     /// a leaf (maximum), a merge saddle, or a component root.
     #[inline]
     pub fn is_critical(&self, local: u32) -> bool {
-        let u = self.up_count[local as usize];
-        u != 1 || self.down[local as usize].is_none()
+        self.up_count[local as usize] != 1 || self.down[local as usize] == NO_DOWN
     }
 
     /// Iterate the local indices of all critical vertices.
@@ -80,70 +89,42 @@ pub fn augmented_join_tree(
         "block {bbox:?} outside global domain {global:?}"
     );
 
-    // Sweep order: descending (value, id).
-    let mut order: Vec<u32> = (0..n as u32).collect();
-    let key = |i: u32| -> (f64, VertexId) {
-        (
-            field.get_linear(i as usize),
-            global.local_index(bbox.coord_of(i as usize)) as VertexId,
-        )
-    };
-    order.sort_unstable_by(|&a, &b| {
-        let ka = key(a);
-        let kb = key(b);
-        // Descending by value, ascending by id on ties.
-        kb.0.partial_cmp(&ka.0)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(ka.1.cmp(&kb.1))
-    });
+    // Sweep order: ascending (key, local index) = descending (value, id).
+    let values = field.as_slice();
+    let mut order: Vec<(u64, u32)> = values.iter().map(|&v| sweep_key(v)).zip(0..).collect();
+    order.sort_unstable();
 
     let mut uf = UnionFind::new(n);
-    // Per component representative: the most recently swept vertex (the
-    // current "growth point" the next arc will attach to).
-    let mut lowest: Vec<u32> = (0..n as u32).collect();
-    let mut down: Vec<Option<u32>> = vec![None; n];
+    // Per component root: the most recently swept vertex (the current
+    // "growth point" the next arc will attach to).
+    let mut lowest: Vec<u32> = vec![0; n];
+    let mut down: Vec<u32> = vec![NO_DOWN; n];
     let mut up_count: Vec<u32> = vec![0; n];
     let mut processed = vec![false; n];
 
-    let offsets = conn.offsets();
-    for &v in &order {
-        let vk = key(v);
+    let stencil = Stencil::new(conn, &bbox);
+    for &(key, v) in &order {
+        // `v` is still a singleton: only its own step unions it.
+        let mut rv = v;
         let p = bbox.coord_of(v as usize);
-        for d in &offsets {
-            let mut q = [0usize; 3];
-            let mut ok = true;
-            for a in 0..3 {
-                let c = p[a] as isize + d[a];
-                if c < bbox.lo[a] as isize || c >= bbox.hi[a] as isize {
-                    ok = false;
-                    break;
-                }
-                q[a] = c as usize;
-            }
-            if !ok {
-                continue;
-            }
-            let u = bbox.local_index(q) as u32;
-            if !processed[u as usize] {
-                continue;
-            }
-            debug_assert!(sweep_before(key(u), vk));
-            let ru = uf.find(u);
-            let rv = uf.find(v);
+        for u in stencil
+            .neighbors(v as usize, p, &bbox)
+            .filter(|&u| processed[u])
+        {
+            debug_assert!((sweep_key(values[u]), u as u32) < (key, v));
+            let ru = uf.find(u as u32);
             if ru == rv {
                 continue;
             }
             // The component of u reaches down to v: attach its growth
             // point.
-            let l = lowest[ru as usize];
-            debug_assert!(down[l as usize].is_none());
-            down[l as usize] = Some(v);
+            let l = lowest[ru as usize] as usize;
+            debug_assert_eq!(down[l], NO_DOWN);
+            down[l] = v;
             up_count[v as usize] += 1;
-            let r = uf.union(ru, rv);
-            lowest[r as usize] = v;
+            rv = uf.union(ru, rv);
         }
         processed[v as usize] = true;
-        let rv = uf.find(v);
         lowest[rv as usize] = v;
     }
 
@@ -158,6 +139,7 @@ pub fn augmented_join_tree(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::types::sweep_before;
 
     fn tree_of(values: Vec<f64>, dims: [usize; 3], conn: Connectivity) -> AugmentedTree {
         let b = BBox3::from_dims(dims);
@@ -177,9 +159,9 @@ mod tests {
         assert_eq!(leaves, vec![7]);
         // Chain: 7 -> 6 -> ... -> 0, root at 0.
         for i in 1..8u32 {
-            assert_eq!(t.down[i as usize], Some(i - 1));
+            assert_eq!(t.down_of(i), Some(i - 1));
         }
-        assert_eq!(t.down[0], None);
+        assert_eq!(t.down_of(0), None);
         assert_eq!(t.criticals().count(), 2); // leaf + root
     }
 
@@ -189,10 +171,10 @@ mod tests {
         let t = tree_of(vec![5.0, 1.0, 4.0], [3, 1, 1], Connectivity::Six);
         assert!(t.is_leaf(0));
         assert!(t.is_leaf(2));
-        assert_eq!(t.down[0], Some(1));
-        assert_eq!(t.down[2], Some(1));
+        assert_eq!(t.down_of(0), Some(1));
+        assert_eq!(t.down_of(2), Some(1));
         assert_eq!(t.up_count[1], 2);
-        assert_eq!(t.down[1], None); // saddle is also the global min/root
+        assert_eq!(t.down_of(1), None); // saddle is also the global min/root
     }
 
     #[test]
@@ -202,9 +184,9 @@ mod tests {
         assert_eq!((0..5).filter(|&i| t.is_leaf(i)).count(), 3);
         assert_eq!(t.up_count[1], 2); // 5-peak and 4-peak merge at 1
         assert_eq!(t.up_count[3], 2); // that component and the 3-peak merge at 0... at 3
-        assert_eq!(t.down[1], Some(3));
-        assert_eq!(t.down[4], Some(3));
-        assert_eq!(t.down[3], None);
+        assert_eq!(t.down_of(1), Some(3));
+        assert_eq!(t.down_of(4), Some(3));
+        assert_eq!(t.down_of(3), None);
     }
 
     #[test]
@@ -214,7 +196,7 @@ mod tests {
         let leaves: Vec<u32> = (0..27).filter(|&i| t.is_leaf(i)).collect();
         assert_eq!(leaves, vec![0]);
         // Exactly one root.
-        assert_eq!((0..27).filter(|&i| t.down[i as usize].is_none()).count(), 1);
+        assert_eq!((0..27).filter(|&i| t.down_of(i).is_none()).count(), 1);
     }
 
     #[test]
@@ -223,7 +205,7 @@ mod tests {
         let f = ScalarField::from_fn(b, |p| ((p[0] * 7 + p[1] * 13 + p[2] * 29) % 11) as f64);
         let t = augmented_join_tree(&f, &b, Connectivity::Six);
         for i in 0..f.len() as u32 {
-            if let Some(d) = t.down[i as usize] {
+            if let Some(d) = t.down_of(i) {
                 let ki = (f.get_linear(i as usize), t.vertex_id(i));
                 let kd = (f.get_linear(d as usize), t.vertex_id(d));
                 assert!(sweep_before(ki, kd), "down must strictly descend");
@@ -231,8 +213,8 @@ mod tests {
         }
         // up_count consistency.
         let mut counts = vec![0u32; f.len()];
-        for i in 0..f.len() {
-            if let Some(d) = t.down[i] {
+        for i in 0..f.len() as u32 {
+            if let Some(d) = t.down_of(i) {
                 counts[d as usize] += 1;
             }
         }
@@ -245,8 +227,8 @@ mod tests {
         let b = BBox3::from_dims([5, 3, 2]);
         let f = ScalarField::from_fn(b, |p| ((p[0] * 31 + p[1] * 17 + p[2] * 5) % 13) as f64);
         let t = augmented_join_tree(&f, &b, Connectivity::Six);
-        let edges = t.down.iter().filter(|d| d.is_some()).count();
-        let roots = t.down.iter().filter(|d| d.is_none()).count();
+        let edges = t.down.iter().filter(|&&d| d != NO_DOWN).count();
+        let roots = t.down.iter().filter(|&&d| d == NO_DOWN).count();
         assert_eq!(roots, 1);
         assert_eq!(edges, f.len() - 1);
     }
@@ -265,5 +247,82 @@ mod tests {
         assert_eq!(leaves6, 2);
         // Under 26-connectivity the two 1.0s are adjacent: one leaf.
         assert_eq!(leaves26, 1);
+    }
+
+    /// Down pointers strictly descend in the sweep (by key, then id),
+    /// `up_count` counts them, and there are `n - roots` edges. Returns
+    /// the roots.
+    fn assert_valid_tree(f: &ScalarField, t: &AugmentedTree) -> Vec<u32> {
+        let key = |i: u32| (sweep_key(f.get_linear(i as usize)), t.vertex_id(i));
+        let mut counts = vec![0u32; f.len()];
+        let mut roots = Vec::new();
+        for i in 0..f.len() as u32 {
+            match t.down_of(i) {
+                Some(d) => {
+                    assert!(key(i) < key(d), "down of {i} must strictly descend");
+                    counts[d as usize] += 1;
+                }
+                None => roots.push(i),
+            }
+        }
+        assert_eq!(counts, t.up_count);
+        let edges = t.down.iter().filter(|&&d| d != NO_DOWN).count();
+        assert_eq!(edges, f.len() - roots.len());
+        roots
+    }
+
+    #[test]
+    fn nan_is_swept_last_in_id_order() {
+        // 3 NaN 5 NaN 1: the real values are swept first (5, 3, 1), then
+        // the NaNs by id; the first NaN joins the 3- and 5-peaks, the last
+        // one joins that component to the 1-peak and is the root.
+        let nan = f64::NAN;
+        let b = BBox3::from_dims([5, 1, 1]);
+        let f = ScalarField::from_vec(b, vec![3.0, nan, 5.0, nan, 1.0]);
+        let t = augmented_join_tree(&f, &b, Connectivity::Six);
+        assert_eq!(assert_valid_tree(&f, &t), vec![3]);
+        let leaves: Vec<u32> = (0..5).filter(|&i| t.is_leaf(i)).collect();
+        assert_eq!(leaves, vec![0, 2, 4]);
+        assert_eq!(t.down_of(0), Some(1));
+        assert_eq!(t.down_of(2), Some(1));
+        assert_eq!(t.down_of(1), Some(3));
+        assert_eq!(t.down_of(4), Some(3));
+    }
+
+    #[test]
+    fn nan_sprinkled_field_builds_a_valid_tree() {
+        let b = BBox3::from_dims([6, 5, 4]);
+        let f = ScalarField::from_fn(b, |p| match (p[0] * 7 + p[1] * 3 + p[2] * 5) % 9 {
+            0 => f64::NAN,
+            h => h as f64,
+        });
+        for conn in [Connectivity::Six, Connectivity::TwentySix] {
+            let t = augmented_join_tree(&f, &b, conn);
+            let roots = assert_valid_tree(&f, &t);
+            // Connected block: one root, the highest-id NaN.
+            let last_nan = (0..f.len() as u32).rfind(|&i| f.get_linear(i as usize).is_nan());
+            assert_eq!(roots, vec![last_nan.unwrap()]);
+        }
+    }
+
+    #[test]
+    fn signed_zeros_tie_by_id() {
+        // All four values compare equal, so the id alone orders them:
+        // 0 is the only leaf and the tree is the chain 0 -> 1 -> 2 -> 3,
+        // exactly the tree of the same field with every zero positive.
+        let b = BBox3::from_dims([4, 1, 1]);
+        let mixed = ScalarField::from_vec(b, vec![-0.0, 0.0, -0.0, 0.0]);
+        let t = augmented_join_tree(&mixed, &b, Connectivity::Six);
+        assert_eq!(t.down, vec![1, 2, 3, NO_DOWN]);
+        let positive = ScalarField::from_vec(b, vec![0.0; 4]);
+        assert_eq!(
+            augmented_join_tree(&positive, &b, Connectivity::Six).down,
+            t.down
+        );
+        // Mixed with other values, both zeros sit between them.
+        let f = ScalarField::from_vec(b, vec![0.0, 1.0, -0.0, -1.0]);
+        let t = augmented_join_tree(&f, &b, Connectivity::Six);
+        assert_valid_tree(&f, &t);
+        assert_eq!(t.down, vec![2, 0, 3, NO_DOWN]);
     }
 }

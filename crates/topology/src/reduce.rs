@@ -20,6 +20,12 @@
 //!   their own pair regions). Sound because any superlevel crossing at a
 //!   dropped interface vertex is witnessed by an uphill path *within the
 //!   overlap region* to one of its kept maxima.
+//!
+//! Only the *shared shell* — the points another rank's ghosted box also
+//! holds — needs the caller's sharing query. For every other point `info`
+//! answers `None` (potential `[source]`, no interface vertex) without
+//! allocating; [`crate::distributed::rank_subtree`] tells the two apart
+//! by per-axis tables of the block indices that can see each coordinate.
 
 use crate::local::AugmentedTree;
 use crate::stream::SourceId;
@@ -101,64 +107,50 @@ pub struct InterfaceInfo {
 /// interface vertices.
 ///
 /// `field` must be the block the tree was computed from (for values);
-/// `info(p)` describes the point's sharing (see [`InterfaceInfo`]).
-/// Critical vertices are always kept; `info(p).keep` adds interface
-/// vertices. The potential set matters even for critical-only vertices:
-/// another rank may independently keep the same point, and the aggregator
-/// must know to wait for it.
+/// `info(p)` describes the point's sharing (see [`InterfaceInfo`]), or is
+/// `None` for a point no other source can see — potential `[source]`, not
+/// an interface vertex — which is most of a block and costs nothing.
+/// Critical vertices are always kept; `keep` adds interface vertices. The
+/// potential set matters even for critical-only vertices: another rank
+/// may independently keep the same point, and the aggregator must know to
+/// wait for it.
 pub fn reduce_to_subtree(
     tree: &AugmentedTree,
     field: &ScalarField,
     source: SourceId,
-    mut info: impl FnMut([usize; 3]) -> InterfaceInfo,
+    mut info: impl FnMut([usize; 3]) -> Option<InterfaceInfo>,
 ) -> Subtree {
     assert_eq!(tree.bbox, field.bbox(), "tree/field mismatch");
-    let n = tree.down.len();
-    let mut keep = vec![false; n];
-    let mut potential: Vec<Option<Vec<SourceId>>> = vec![None; n];
-    for i in 0..n as u32 {
-        let p = tree.bbox.coord_of(i as usize);
-        let fi = info(p);
-        if fi.keep || tree.is_critical(i) {
-            keep[i as usize] = true;
-            let mut pot = fi.potential;
-            if !pot.contains(&source) {
-                pot.push(source);
-            }
-            pot.sort_unstable();
-            pot.dedup();
-            potential[i as usize] = Some(pot);
+    // Index into `verts` per local vertex, `u32::MAX` if dropped.
+    let mut slot = vec![u32::MAX; tree.down.len()];
+    let mut verts: Vec<SubtreeVertex> = Vec::new();
+    for (i, p) in tree.bbox.iter().enumerate() {
+        let shared = info(p);
+        if !(shared.as_ref().is_some_and(|s| s.keep) || tree.is_critical(i as u32)) {
+            continue;
         }
+        let mut potential = shared.map_or_else(Vec::new, |s| s.potential);
+        potential.push(source);
+        potential.sort_unstable();
+        potential.dedup();
+        slot[i] = verts.len() as u32;
+        verts.push(SubtreeVertex {
+            id: tree.global.local_index(p) as VertexId,
+            value: field.get_linear(i),
+            degree: 0,
+            potential,
+            pinned: false,
+        });
     }
 
     let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
-    let mut degree: Vec<u32> = vec![0; n];
-    for i in 0..n as u32 {
-        if !keep[i as usize] {
-            continue;
-        }
+    for (i, &upper) in slot.iter().enumerate().filter(|&(_, &s)| s != u32::MAX) {
         // Walk down to the next kept vertex.
-        let mut cur = tree.down[i as usize];
-        while let Some(c) = cur {
-            if keep[c as usize] {
-                edges.push((tree.vertex_id(i), tree.vertex_id(c)));
-                degree[i as usize] += 1;
-                degree[c as usize] += 1;
-                break;
-            }
-            cur = tree.down[c as usize];
-        }
-    }
-    let mut verts: Vec<SubtreeVertex> = Vec::new();
-    for i in 0..n as u32 {
-        if keep[i as usize] {
-            verts.push(SubtreeVertex {
-                id: tree.vertex_id(i),
-                value: field.get_linear(i as usize),
-                degree: degree[i as usize],
-                potential: potential[i as usize].take().unwrap_or_else(|| vec![source]),
-                pinned: false,
-            });
+        let chain = std::iter::successors(tree.down_of(i as u32), |&c| tree.down_of(c));
+        if let Some(lower) = chain.map(|c| slot[c as usize]).find(|&s| s != u32::MAX) {
+            edges.push((verts[upper as usize].id, verts[lower as usize].id));
+            verts[upper as usize].degree += 1;
+            verts[lower as usize].degree += 1;
         }
     }
     Subtree {
@@ -190,10 +182,7 @@ mod tests {
         let b = BBox3::from_dims([6, 6, 6]);
         let f = hash_field(b);
         let t = augmented_join_tree(&f, &b, Connectivity::Six);
-        let sub = reduce_to_subtree(&t, &f, 0, |_| InterfaceInfo {
-            potential: vec![0],
-            keep: false,
-        });
+        let sub = reduce_to_subtree(&t, &f, 0, |_| None);
         assert_eq!(sub.verts.len(), t.criticals().count());
         assert!(sub.verts.len() < f.len());
     }
@@ -210,14 +199,11 @@ mod tests {
             full.add_node(t.vertex_id(i), f.get_linear(i as usize));
         }
         for i in 0..f.len() as u32 {
-            if let Some(d) = t.down[i as usize] {
+            if let Some(d) = t.down_of(i) {
                 full.add_arc(t.vertex_id(i), t.vertex_id(d));
             }
         }
-        let sub = reduce_to_subtree(&t, &f, 0, |_| InterfaceInfo {
-            potential: vec![0],
-            keep: false,
-        });
+        let sub = reduce_to_subtree(&t, &f, 0, |_| None);
         let mut s = StreamingMergeTree::new();
         sub.stream_into(&mut s);
         let (glued, _) = s.finish();
@@ -230,9 +216,11 @@ mod tests {
         let f = hash_field(b);
         let t = augmented_join_tree(&f, &b, Connectivity::Six);
         // Mark the x == 4 face as interface shared with source 1.
-        let sub = reduce_to_subtree(&t, &f, 0, |p| InterfaceInfo {
-            potential: if p[0] == 4 { vec![0, 1] } else { vec![0] },
-            keep: p[0] == 4,
+        let sub = reduce_to_subtree(&t, &f, 0, |p| {
+            (p[0] == 4).then(|| InterfaceInfo {
+                potential: vec![0, 1],
+                keep: true,
+            })
         });
         for p in b.iter().filter(|p| p[0] == 4) {
             let id = b.local_index(p) as VertexId;
@@ -255,9 +243,11 @@ mod tests {
         let b = BBox3::from_dims([6, 3, 3]);
         let f = hash_field(b);
         let t = augmented_join_tree(&f, &b, Connectivity::Six);
-        let sub = reduce_to_subtree(&t, &f, 0, |p| InterfaceInfo {
-            potential: if p[0] == 0 { vec![0, 3] } else { vec![0] },
-            keep: p[0] == 0,
+        let sub = reduce_to_subtree(&t, &f, 0, |p| {
+            (p[0] == 0).then(|| InterfaceInfo {
+                potential: vec![0, 3],
+                keep: true,
+            })
         });
         let val = |id: VertexId| sub.verts.iter().find(|v| v.id == id).unwrap().value;
         for &(a, c) in &sub.edges {

@@ -7,7 +7,7 @@
 //! segmentations (one per threshold) is exactly what the tree encodes.
 
 use crate::tree::SimplifyMap;
-use crate::types::{sweep_before, Connectivity, UnionFind, VertexId};
+use crate::types::{sweep_before, Connectivity, Stencil, UnionFind, VertexId};
 use serde::{Deserialize, Serialize};
 use sitra_mesh::ScalarField;
 
@@ -63,27 +63,12 @@ pub fn segment_superlevel(
     let vid = |i: usize| global.local_index(bbox.coord_of(i)) as VertexId;
 
     // Union adjacent above-threshold vertices.
-    let offsets = conn.offsets();
-    for i in 0..n {
+    let stencil = Stencil::new(conn, &bbox);
+    for (i, p) in bbox.iter().enumerate() {
         if field.get_linear(i) < threshold {
             continue;
         }
-        let p = bbox.coord_of(i);
-        for d in &offsets {
-            let mut q = [0usize; 3];
-            let mut ok = true;
-            for a in 0..3 {
-                let c = p[a] as isize + d[a];
-                if c < bbox.lo[a] as isize || c >= bbox.hi[a] as isize {
-                    ok = false;
-                    break;
-                }
-                q[a] = c as usize;
-            }
-            if !ok {
-                continue;
-            }
-            let j = bbox.local_index(q);
+        for j in stencil.neighbors(i, p, &bbox) {
             if field.get_linear(j) >= threshold {
                 uf.union(i as u32, j as u32);
             }

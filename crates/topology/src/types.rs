@@ -26,6 +26,12 @@ pub fn vertex_coord(global: &BBox3, id: VertexId) -> [usize; 3] {
 /// merge-tree terms. Tie-breaking on the vertex id is a simulation of
 /// simplicity: it makes every field effectively injective, so the merge
 /// tree is unique and identical no matter how the domain is decomposed.
+///
+/// The in-situ sweep sorts by `(sweep_key(value), id)` ascending, which
+/// is this order on every non-NaN value. The key folds `-0.0` into
+/// `0.0`, so the two tie and the id decides, exactly as `==` on `f64`
+/// does here. NaN, which this comparison cannot order, gets the largest
+/// key: NaN vertices are swept last, below `-inf`, in id order.
 #[inline]
 pub fn sweep_after(a: (f64, VertexId), b: (f64, VertexId)) -> bool {
     a.0 < b.0 || (a.0 == b.0 && a.1 > b.1)
@@ -37,6 +43,17 @@ pub fn sweep_before(a: (f64, VertexId), b: (f64, VertexId)) -> bool {
     sweep_after(b, a)
 }
 
+/// A `u64` that is smaller the earlier `v` is swept (see [`sweep_after`]).
+#[inline]
+pub(crate) fn sweep_key(v: f64) -> u64 {
+    // `-0.0 + 0.0` is `0.0`; every NaN becomes the pattern ordered last.
+    let bits = (v + 0.0).to_bits();
+    let bits = if v.is_nan() { u64::MAX } else { bits };
+    // Flipping every bit of a negative and the sign bit of a positive
+    // orders floats as integers; the outer `!` makes it descending.
+    !(bits ^ ((bits as i64 >> 63) as u64 | 1 << 63))
+}
+
 /// Vertex adjacency used to define superlevel-set connectivity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub enum Connectivity {
@@ -46,52 +63,81 @@ pub enum Connectivity {
     TwentySix,
 }
 
+const SIX: [[isize; 3]; 6] = [
+    [-1, 0, 0],
+    [1, 0, 0],
+    [0, -1, 0],
+    [0, 1, 0],
+    [0, 0, -1],
+    [0, 0, 1],
+];
+
+/// Every offset of the 3×3×3 cube but its centre, x fastest.
+const TWENTY_SIX: [[isize; 3]; 26] = {
+    let mut t = [[0; 3]; 26];
+    let mut k = 0;
+    while k < 26 {
+        let c = (if k < 13 { k } else { k + 1 }) as isize;
+        t[k] = [c % 3 - 1, c / 3 % 3 - 1, c / 9 - 1];
+        k += 1;
+    }
+    t
+};
+
 impl Connectivity {
     /// Neighbor offsets for this connectivity.
-    pub fn offsets(self) -> Vec<[isize; 3]> {
+    pub fn offsets(self) -> &'static [[isize; 3]] {
         match self {
-            Connectivity::Six => vec![
-                [-1, 0, 0],
-                [1, 0, 0],
-                [0, -1, 0],
-                [0, 1, 0],
-                [0, 0, -1],
-                [0, 0, 1],
-            ],
-            Connectivity::TwentySix => {
-                let mut v = Vec::with_capacity(26);
-                for dz in -1isize..=1 {
-                    for dy in -1isize..=1 {
-                        for dx in -1isize..=1 {
-                            if dx != 0 || dy != 0 || dz != 0 {
-                                v.push([dx, dy, dz]);
-                            }
-                        }
-                    }
-                }
-                v
-            }
+            Connectivity::Six => &SIX,
+            Connectivity::TwentySix => &TWENTY_SIX,
         }
     }
 
     /// Neighbors of `p` inside `bbox`.
     pub fn neighbors_in(self, p: [usize; 3], bbox: &BBox3) -> impl Iterator<Item = [usize; 3]> {
         let b = *bbox;
-        self.offsets().into_iter().filter_map(move |d| {
-            let mut q = [0usize; 3];
-            for a in 0..3 {
-                let c = p[a] as isize + d[a];
-                if c < b.lo[a] as isize || c >= b.hi[a] as isize {
-                    return None;
-                }
-                q[a] = c as usize;
-            }
-            Some(q)
-        })
+        self.offsets()
+            .iter()
+            .filter_map(move |&d| offset_in(p, d, &b))
     }
 }
 
-/// A compact union-find over dense local indices with path compression and
+/// `p + d` if it lies inside `bbox`.
+#[inline]
+fn offset_in(p: [usize; 3], d: [isize; 3], bbox: &BBox3) -> Option<[usize; 3]> {
+    let q = [0, 1, 2].map(|a| p[a].wrapping_add_signed(d[a]));
+    bbox.contains(q).then_some(q)
+}
+
+/// The neighbours of one box's vertices as local linear indices (x
+/// fastest): each offset paired with its stride, so a vertex whose
+/// neighbours all lie inside the clip box needs no per-axis check.
+pub(crate) struct Stencil(Vec<([isize; 3], isize)>);
+
+impl Stencil {
+    pub(crate) fn new(conn: Connectivity, bbox: &BBox3) -> Self {
+        let [dx, dy, _] = bbox.dims().map(|d| d as isize);
+        let stride = |d: [isize; 3]| d[0] + dx * (d[1] + dy * d[2]);
+        Self(conn.offsets().iter().map(|&d| (d, stride(d))).collect())
+    }
+
+    /// Local indices of the neighbours of local vertex `i` (global
+    /// coordinate `p`) inside `clip`, a sub-box of the stencil's box.
+    #[inline]
+    pub(crate) fn neighbors<'a>(
+        &'a self,
+        i: usize,
+        p: [usize; 3],
+        clip: &'a BBox3,
+    ) -> impl Iterator<Item = usize> + 'a {
+        let interior = (0..3).all(|a| p[a] > clip.lo[a] && p[a] + 1 < clip.hi[a]);
+        let inside = move |&&(d, _): &&_| interior || offset_in(p, d, clip).is_some();
+        let index = move |&(_, s): &(_, isize)| i.wrapping_add_signed(s);
+        self.0.iter().filter(inside).map(index)
+    }
+}
+
+/// A compact union-find over dense local indices with path halving and
 /// union by size — the workhorse of the in-situ sweep.
 #[derive(Debug, Clone)]
 pub struct UnionFind {
@@ -109,36 +155,31 @@ impl UnionFind {
         }
     }
 
-    /// Representative of `x`'s set.
-    pub fn find(&mut self, x: u32) -> u32 {
-        let mut root = x;
-        while self.parent[root as usize] != root {
-            root = self.parent[root as usize];
+    /// Representative of `x`'s set. Path halving: every vertex on the way
+    /// is relinked to its grandparent, in a single pass.
+    #[inline]
+    pub fn find(&mut self, mut x: u32) -> u32 {
+        loop {
+            let p = self.parent[x as usize];
+            let gp = self.parent[p as usize];
+            if p == gp {
+                return p;
+            }
+            self.parent[x as usize] = gp;
+            x = gp;
         }
-        // Path compression.
-        let mut cur = x;
-        while self.parent[cur as usize] != root {
-            let next = self.parent[cur as usize];
-            self.parent[cur as usize] = root;
-            cur = next;
-        }
-        root
     }
 
     /// Union the sets of `a` and `b`; returns the new representative.
     pub fn union(&mut self, a: u32, b: u32) -> u32 {
-        let ra = self.find(a);
-        let rb = self.find(b);
-        if ra == rb {
-            return ra;
+        let (mut big, mut small) = (self.find(a), self.find(b));
+        if big != small {
+            if self.size[big as usize] < self.size[small as usize] {
+                std::mem::swap(&mut big, &mut small);
+            }
+            self.parent[small as usize] = big;
+            self.size[big as usize] += self.size[small as usize];
         }
-        let (big, small) = if self.size[ra as usize] >= self.size[rb as usize] {
-            (ra, rb)
-        } else {
-            (rb, ra)
-        };
-        self.parent[small as usize] = big;
-        self.size[big as usize] += self.size[small as usize];
         big
     }
 }
