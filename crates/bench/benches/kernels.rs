@@ -141,6 +141,30 @@ fn bench_sim(c: &mut Criterion) {
             black_box(sim.block_field(Variable::Temperature, &g))
         })
     });
+    // The `e2e` `topo-local` shape: one step's Temperature over the four
+    // rank blocks of 48³ at 2×2×1, one block after another.
+    group.bench_function("blocks_48cube_2x2x1", |b| {
+        let mut sim = Simulation::new(SimConfig::small(DIMS, 1));
+        let d = Decomposition::new(sim.global(), [2, 2, 1]);
+        b.iter(|| {
+            sim.advance();
+            for r in 0..d.rank_count() {
+                black_box(sim.block_field(Variable::Temperature, &d.block(r)));
+            }
+        })
+    });
+    // Every variable, so the pressure, velocity and species branches are
+    // timed too.
+    group.bench_function("all_variables_32cube", |b| {
+        let mut sim = Simulation::new(SimConfig::small([32; 3], 7));
+        let g = sim.global();
+        b.iter(|| {
+            sim.advance();
+            for var in sitra_sim::ALL_VARIABLES {
+                black_box(sim.block_field(var, &g));
+            }
+        })
+    });
     group.finish();
 }
 

@@ -156,11 +156,6 @@ impl KernelPopulation {
             }
         }
     }
-
-    /// Total temperature contribution of all kernels at a position.
-    pub fn contribution(&self, pos: [f64; 3], step: u64) -> f64 {
-        self.kernels.iter().map(|k| k.contribution(pos, step)).sum()
-    }
 }
 
 #[cfg(test)]

@@ -24,6 +24,15 @@
 //! directly and deterministically (given the seed), so ranks fill their
 //! blocks independently and in parallel exactly as S3D ranks own their
 //! sub-domains.
+//!
+//! One evaluator fills every block ([`Simulation::sample`] is its 1×1×1
+//! case): per-step constants and per-axis tables are built once per call,
+//! so a grid point sums its modes once and its kernels once. Its rule is
+//! **bit-identity** with the per-point formulas, which
+//! `tests/reference.rs` keeps as the oracle: tabulate only products they
+//! form, and keep every sum's association.
+
+#![forbid(unsafe_code)]
 
 pub mod chemistry;
 pub mod kernels;

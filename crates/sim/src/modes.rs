@@ -94,9 +94,9 @@ impl ModeBank {
         Self { modes, rms }
     }
 
-    /// RMS amplitude of [`ModeBank::scalar`] (and of each velocity
-    /// component, approximately). Callers use it to normalize the
-    /// fluctuation level independently of the mode count and bandwidth.
+    /// RMS amplitude of the scalar mode sum `Σ amp·sin(k·x + ωt + φ)` (and
+    /// of each velocity component, approximately), which callers use to
+    /// normalize fluctuations independently of mode count and bandwidth.
     pub fn rms(&self) -> f64 {
         self.rms
     }
@@ -112,18 +112,6 @@ impl ModeBank {
             v[2] += c * m.pol[2];
         }
         v
-    }
-
-    /// A smooth scalar fluctuation field built from the same modes
-    /// (projection onto a fixed direction), used to perturb temperature
-    /// and mixture fraction.
-    pub fn scalar(&self, pos: [f64; 3], t: f64) -> f64 {
-        let mut s = 0.0;
-        for m in &self.modes {
-            let arg = m.k[0] * pos[0] + m.k[1] * pos[1] + m.k[2] * pos[2] + m.omega * t + m.phase;
-            s += m.amp * arg.sin();
-        }
-        s
     }
 
     /// The modes themselves.
@@ -182,7 +170,6 @@ mod tests {
         let bank = ModeBank::new(5, 16, 4.0, 32.0);
         let p = [5.0, 5.0, 5.0];
         assert_ne!(bank.velocity(p, 0.0), bank.velocity(p, 3.0));
-        assert_ne!(bank.scalar(p, 0.0), bank.scalar(p, 3.0));
     }
 
     #[test]
