@@ -11,7 +11,6 @@ cd "$(dirname "$0")/.."
 
 allowed=$(sort <<'ALLOW'
 crates/net/src/lib.rs  # connect_retry: the back-off between dials
-crates/net/src/shm/mod.rs  # shm_connect: waiting for a free rendezvous slot
 ALLOW
 )
 

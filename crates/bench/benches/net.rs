@@ -30,8 +30,6 @@ fn bench_frames(c: &mut Criterion) {
     for (label, addr) in [
         ("inproc", "inproc://bench-echo".to_string()),
         ("tcp", "tcp://127.0.0.1:0".to_string()),
-        // Unique per run: the rendezvous segment lives in /dev/shm.
-        ("shm", format!("shm://bench-echo-{}", std::process::id())),
     ] {
         let (handle, bound) = echo_server(&addr.parse().expect("addr"));
         let conn = connect(&bound).expect("connect");
@@ -65,7 +63,6 @@ fn bench_remote_space(c: &mut Criterion) {
     for (label, addr) in [
         ("inproc", "inproc://bench-space".to_string()),
         ("tcp", "tcp://127.0.0.1:0".to_string()),
-        ("shm", format!("shm://bench-space-{}", std::process::id())),
     ] {
         let server = SpaceServer::start(&addr.parse().expect("addr"), 4).expect("start");
         let client = RemoteSpace::connect(&server.addr()).expect("connect");

@@ -67,8 +67,8 @@ pub enum StagingMode {
     /// In-process staging-bucket threads fed through the scheduler and
     /// the DART fabric (the default).
     Local,
-    /// A remote staging service (`"tcp://host:port"`, `"shm://name"`
-    /// for a same-node shared-memory link, or `"inproc://name"`):
+    /// A remote staging service (`"tcp://host:port"` or
+    /// `"inproc://name"`):
     /// intermediates are put into the addressed
     /// [`SpaceServer`](sitra_dataspaces::SpaceServer) (e.g. a
     /// `sitra-staged` process) and tasks are queued in its scheduler for

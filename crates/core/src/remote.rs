@@ -13,7 +13,7 @@
 //!   task descriptor ([`RemoteTask`]) to the remote scheduler.
 //! * **Bucket workers** ([`run_bucket_worker`],
 //!   [`run_cluster_bucket_worker`]) — separate threads or separate
-//!   processes, connected over `inproc://`, `shm://` or `tcp://` — keep
+//!   processes, connected over `inproc://` or `tcp://` — keep
 //!   a *bucket-ready* request parked on every member at once, take the
 //!   task the moment one is queued anywhere, fetch every rank's piece,
 //!   run the aggregation stage, and put the encoded [`AnalysisOutput`]

@@ -186,7 +186,9 @@ impl RemoteSpace {
         checked(decode_response(frame)?)
     }
 
-    /// Spatial query assembled into one field over `query`.
+    /// Spatial query assembled into one field over `query`. The server
+    /// stores whatever bytes a client put, so a piece that is not one
+    /// `f64` per point of its box is [`RemoteError::Proto`].
     pub fn get_assembled(
         &self,
         var: &str,
@@ -194,14 +196,24 @@ impl RemoteSpace {
         query: &BBox3,
         fill: f64,
     ) -> Result<ScalarField, RemoteError> {
-        let pieces: Vec<ScalarField> = self
-            .get(var, version, query)?
-            .into_iter()
-            .filter_map(|(bbox, data)| {
-                bbox.intersect(query)
-                    .map(|clip| crate::codec::bytes_to_field(bbox, &data).extract(&clip))
-            })
-            .collect();
+        let mut pieces = Vec::new();
+        for (bbox, data) in self.get(var, version, query)? {
+            // Hostile dims may overflow the product.
+            let d = bbox.dims();
+            let want = d[0]
+                .checked_mul(d[1])
+                .and_then(|v| v.checked_mul(d[2]))
+                .and_then(|v| v.checked_mul(8));
+            if want != Some(data.len()) {
+                return Err(RemoteError::Proto(format!(
+                    "{var}@{version}: a {}-byte piece under {bbox:?}",
+                    data.len()
+                )));
+            }
+            if let Some(clip) = bbox.intersect(query) {
+                pieces.push(crate::codec::bytes_to_field(bbox, &data).extract(&clip));
+            }
+        }
         Ok(sitra_mesh::field::assemble(*query, &pieces, fill))
     }
 

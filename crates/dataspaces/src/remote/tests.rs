@@ -223,6 +223,23 @@ fn server_put_get_over_inproc() {
 }
 
 #[test]
+fn get_assembled_refuses_a_piece_that_does_not_fill_its_box() {
+    // The server stores opaque bytes: one client's put must not make
+    // another client's assembly panic.
+    let addr: Addr = "inproc://space-short-piece".parse().unwrap();
+    let server = SpaceServer::start(&addr, 1).unwrap();
+    let writer = RemoteSpace::connect(&server.addr()).unwrap();
+    let reader = RemoteSpace::connect(&server.addr()).unwrap();
+    let b = mk_bbox([0, 0, 0], [2, 2, 2]);
+    writer
+        .put("T", 1, b, Bytes::from_static(b"7 bytes"))
+        .unwrap();
+    let got = reader.get_assembled("T", 1, &b, f64::NAN);
+    assert!(matches!(got, Err(RemoteError::Proto(_))), "{got:?}");
+    server.shutdown();
+}
+
+#[test]
 fn scheduler_verbs_over_inproc() {
     let addr: Addr = "inproc://space-sched".parse().unwrap();
     let server = SpaceServer::start(&addr, 1).unwrap();

@@ -1,11 +1,10 @@
 //! The connection handle: length-prefixed frames over any backend,
 //! with per-connection traffic counters.
 //!
-//! Every operation runs on the calling thread, on all three backends:
-//! a TCP connection owns its socket ([`crate::tcp`]) — `send` is a
-//! `write`, `recv` a `read` — the in-process backend is a pair of
-//! channels, and the shared-memory backend a pair of SPSC rings. All
-//! three meet the same contract, so everything above `sitra-net` is
+//! Every operation runs on the calling thread, on both backends: a TCP
+//! connection owns its socket ([`crate::tcp`]) — `send` is a `write`,
+//! `recv` a `read` — and the in-process backend is a pair of channels.
+//! Both meet the same contract, so everything above `sitra-net` is
 //! transport-agnostic.
 //!
 //! Fault injection rides the same seam: the injector is consulted
@@ -20,7 +19,6 @@
 //! fault-free connections never pay for it.
 
 use crate::fault::{self, FaultAction};
-use crate::shm;
 use crate::tcp::TcpIo;
 use crate::NetError;
 use bytes::Bytes;
@@ -53,10 +51,10 @@ pub struct ConnStats {
     pub bytes_sent: u64,
     /// Payload bytes received (excluding the 4-byte header).
     pub bytes_recv: u64,
-    /// Socket writes that moved bytes (`0` on `inproc://` and
-    /// `shm://`): what "one flush" means, as a count.
+    /// Socket writes that moved bytes (`0` on `inproc://`): what "one
+    /// flush" means, as a count.
     pub writes: u64,
-    /// Socket reads that moved bytes (`0` on `inproc://` and `shm://`).
+    /// Socket reads that moved bytes (`0` on `inproc://`).
     pub reads: u64,
 }
 
@@ -125,9 +123,6 @@ enum Backend {
         peer_wake: Arc<Mutex<Option<CbSender<Bytes>>>>,
     },
     Tcp(TcpIo),
-    /// Both ring halves; closing severs them lock-free, so it lands
-    /// even mid-send/mid-recv.
-    Shm(shm::ShmConn),
 }
 
 /// What a connection shares with its sequencer thread: the backend and
@@ -151,10 +146,6 @@ impl Link {
                 Ok(())
             }
             Backend::Tcp(io) => io.write_frames(frames),
-            Backend::Shm(io) => {
-                let mut producer = io.producer.lock();
-                frames.iter().try_for_each(|frame| producer.send(frame))
-            }
         }
     }
 
@@ -178,7 +169,6 @@ impl Link {
                 rx.lock().take();
             }
             Backend::Tcp(io) => io.shutdown(),
-            Backend::Shm(io) => io.close(),
         }
     }
 }
@@ -305,10 +295,6 @@ impl Connection {
             Backend::Tcp(TcpIo::new(stream, &peer)),
             peer,
         ))
-    }
-
-    pub(crate) fn from_shm(io: shm::ShmConn, peer: String) -> Connection {
-        Connection::new(Backend::Shm(io), peer)
     }
 
     /// This connection's process-unique id (stable for its lifetime;
@@ -492,14 +478,13 @@ impl Connection {
                 Ok(payload)
             }
             Backend::Tcp(io) => io.read_frame(timeout),
-            Backend::Shm(io) => io.consumer.lock().recv(timeout),
         }
     }
 
     /// Whether the next receive would return a frame without waiting
     /// *or* a syscall: one this connection has already read off its
-    /// socket and decoded. Always `false` on `inproc://` and `shm://`,
-    /// where a send costs no syscall and so there is nothing to batch.
+    /// socket and decoded. Always `false` on `inproc://`, where a send
+    /// costs no syscall and so there is nothing to batch.
     pub fn has_decoded_frame(&self) -> bool {
         match &self.link.backend {
             Backend::Tcp(io) => io.has_decoded_frame(),
@@ -548,13 +533,6 @@ impl Drop for Connection {
     fn drop(&mut self) {
         self.close();
     }
-}
-
-pub(crate) fn shm_connect(name: &str) -> Result<Connection, NetError> {
-    // The fault-injection partition check happens inside the
-    // rendezvous (it needs the label anyway).
-    let io = shm::shm_connect(name)?;
-    Ok(Connection::from_shm(io, format!("shm://{name}")))
 }
 
 pub(crate) fn tcp_connect(sa: SocketAddr) -> Result<Connection, NetError> {

@@ -26,14 +26,11 @@ pub fn encode_header(len: usize) -> [u8; HEADER_LEN] {
 }
 
 /// A frame mid-assembly: spans chunk boundaries, so it gets its own
-/// exact-size buffer.
+/// exact-size, zeroed buffer, filled front to back.
 struct Partial {
     buf: Vec<u8>,
-    /// Total payload length (== final `buf.len()`).
-    want: usize,
-    /// Bytes of `buf`'s allocation known to be initialized; lets
-    /// [`FrameDecoder::pending_space`] zero the tail exactly once.
-    init: usize,
+    /// Bytes of `buf` received so far.
+    filled: usize,
 }
 
 /// Incremental frame decoder. Feed it reads as they arrive; it yields
@@ -64,15 +61,11 @@ impl FrameDecoder {
         let mut cursor = chunk;
         while !cursor.is_empty() {
             // Continue an in-flight spanning frame first.
-            if let Some(partial) = &mut self.partial {
-                let take = (partial.want - partial.buf.len()).min(cursor.len());
-                partial.buf.extend_from_slice(&cursor.as_slice()[..take]);
-                partial.init = partial.init.max(partial.buf.len());
+            if let Some(Partial { buf, filled }) = &mut self.partial {
+                let take = (buf.len() - *filled).min(cursor.len());
+                buf[*filled..*filled + take].copy_from_slice(&cursor.as_slice()[..take]);
                 cursor.advance_by(take);
-                if partial.buf.len() == partial.want {
-                    let done = self.partial.take().expect("partial present");
-                    out.push(Bytes::from(done.buf));
-                }
+                self.advance(take, out);
                 continue;
             }
             // Assemble the 4-byte header (it too can split across reads).
@@ -100,15 +93,11 @@ impl FrameDecoder {
                 cursor.advance_by(len);
             } else {
                 // Spans reads: exact-size assembly buffer.
-                let mut buf = Vec::with_capacity(len);
-                buf.extend_from_slice(cursor.as_slice());
-                cursor.advance_by(cursor.len());
-                let init = buf.len();
-                self.partial = Some(Partial {
-                    buf,
-                    want: len,
-                    init,
-                });
+                let filled = cursor.len();
+                let mut buf = vec![0; len];
+                buf[..filled].copy_from_slice(cursor.as_slice());
+                cursor.advance_by(filled);
+                self.partial = Some(Partial { buf, filled });
             }
         }
         Ok(())
@@ -120,33 +109,27 @@ impl FrameDecoder {
     /// frame is in flight (or it is nearly done).
     pub fn pending_space(&mut self) -> Option<&mut [u8]> {
         const DIRECT_MIN: usize = 4096;
-        let partial = self.partial.as_mut()?;
-        let filled = partial.buf.len();
-        if partial.want - filled < DIRECT_MIN {
-            return None;
-        }
-        // Zero the uninitialized tail exactly once so the spare region
-        // can be handed out as `&mut [u8]`.
-        if partial.init < partial.want {
-            partial.buf.resize(partial.want, 0);
-            partial.buf.truncate(filled);
-            partial.init = partial.want;
-        }
-        let spare = partial.buf.spare_capacity_mut();
-        // Safety: every byte of the spare region was initialized above.
-        Some(unsafe { &mut *(spare as *mut [std::mem::MaybeUninit<u8>] as *mut [u8]) })
+        let Partial { buf, filled } = self.partial.as_mut()?;
+        (buf.len() - *filled >= DIRECT_MIN).then(|| &mut buf[*filled..])
     }
 
     /// Record `n` bytes read directly into [`FrameDecoder::pending_space`];
     /// pushes the frame once complete.
     pub fn commit_direct(&mut self, n: usize, out: &mut Vec<Bytes>) {
+        let partial = self.partial.as_ref().expect("no pending frame");
+        assert!(
+            partial.filled + n <= partial.buf.len(),
+            "direct fill overruns frame"
+        );
+        self.advance(n, out);
+    }
+
+    /// Count `n` more bytes of the spanning frame as received, pushing
+    /// it once complete.
+    fn advance(&mut self, n: usize, out: &mut Vec<Bytes>) {
         let partial = self.partial.as_mut().expect("no pending frame");
-        let filled = partial.buf.len();
-        assert!(filled + n <= partial.want, "direct fill overruns frame");
-        // Safety: the bytes were just written by the caller (and the
-        // region was zero-initialized by `pending_space`).
-        unsafe { partial.buf.set_len(filled + n) };
-        if partial.buf.len() == partial.want {
+        partial.filled += n;
+        if partial.filled == partial.buf.len() {
             let done = self.partial.take().expect("partial present");
             out.push(Bytes::from(done.buf));
         }

@@ -6,7 +6,7 @@
 //! area can live in a different process (or machine) from the
 //! simulation.
 //!
-//! Three pluggable backends behind one [`Connection`] / [`Listener`]
+//! Two pluggable backends behind one [`Connection`] / [`Listener`]
 //! API:
 //!
 //! * **`inproc://name`** — crossbeam channels through a process-global
@@ -19,10 +19,9 @@
 //!   reads). There is no runtime, reactor or I/O thread: a harness that
 //!   holds thousands of connections drives them from a few threads of
 //!   its own.
-//! * **`shm://name`** — shared-memory FIFOs through `/dev/shm`, the
-//!   same-node fast path (the stand-in for the paper's DART RDMA
-//!   transport): a descriptor ring plus a block-store arena per
-//!   direction, synchronized with futexes, no sockets at all.
+//!
+//! The paper's DART/RDMA data movement is modelled by `sitra-dart`;
+//! this crate only carries the staging protocol between processes.
 //!
 //! Every connection carries [`ConnStats`] counters (frames/bytes in
 //! each direction, and the socket syscalls that moved them), and [`connect_retry`] layers bounded
@@ -31,11 +30,13 @@
 //! connection without losing tasks (the server side requeues any task
 //! whose hand-off was never acknowledged).
 
+#![deny(unsafe_code)]
+
 mod conn;
 pub mod fault;
 pub mod frame;
 mod listener;
-mod shm;
+mod sys;
 mod tcp;
 
 pub use conn::{ConnStats, Connection, MAX_FRAME_LEN};
@@ -112,8 +113,6 @@ pub enum Addr {
     InProc(String),
     /// TCP socket address.
     Tcp(SocketAddr),
-    /// Shared-memory endpoint named in `/dev/shm` (same-node only).
-    Shm(String),
 }
 
 impl std::fmt::Display for Addr {
@@ -121,7 +120,6 @@ impl std::fmt::Display for Addr {
         match self {
             Addr::InProc(name) => write!(f, "inproc://{name}"),
             Addr::Tcp(sa) => write!(f, "tcp://{sa}"),
-            Addr::Shm(name) => write!(f, "shm://{name}"),
         }
     }
 }
@@ -141,12 +139,6 @@ impl std::str::FromStr for Addr {
                 .parse::<SocketAddr>()
                 .map(Addr::Tcp)
                 .map_err(|_| NetError::BadAddr(s.to_string()));
-        }
-        if let Some(name) = s.strip_prefix("shm://") {
-            if name.is_empty() {
-                return Err(NetError::BadAddr(s.to_string()));
-            }
-            return Ok(Addr::Shm(name.to_string()));
         }
         Err(NetError::BadAddr(s.to_string()))
     }
@@ -178,7 +170,6 @@ pub fn connect(addr: &Addr) -> Result<Connection, NetError> {
     match addr {
         Addr::InProc(name) => listener::inproc_connect(name),
         Addr::Tcp(sa) => conn::tcp_connect(*sa),
-        Addr::Shm(name) => conn::shm_connect(name),
     }
 }
 
@@ -227,13 +218,10 @@ mod tests {
         [
             ("inproc", format!("inproc://{tag}")),
             ("tcp", "tcp://127.0.0.1:0".to_string()),
-            ("shm", format!("shm://{tag}-{}", std::process::id())),
         ]
         .into_iter()
         .map(|(scheme, addr)| {
             let l = Listener::bind(&addr.parse().unwrap()).unwrap();
-            // shm:// completes its rendezvous only against a listener
-            // that is accepting.
             let (dialled, accepted) = std::thread::scope(|s| {
                 let accepting = s.spawn(|| l.accept().unwrap());
                 let dialled = connect_retry(&l.local_addr(), &Backoff::default()).unwrap();
@@ -259,10 +247,10 @@ mod tests {
         assert_eq!(a.to_string(), "inproc://stage-0");
         let t: Addr = "tcp://127.0.0.1:9000".parse().unwrap();
         assert_eq!(t.to_string(), "tcp://127.0.0.1:9000");
-        let s: Addr = "shm://stage-0".parse().unwrap();
-        assert_eq!(s, Addr::Shm("stage-0".into()));
-        assert_eq!(s.to_string(), "shm://stage-0");
-        assert!("shm://".parse::<Addr>().is_err());
+        assert!(matches!(
+            "shm://stage-0".parse::<Addr>(),
+            Err(NetError::BadAddr(_))
+        ));
         assert!("inproc://".parse::<Addr>().is_err());
         assert!("udp://x".parse::<Addr>().is_err());
         assert!("tcp://nonsense".parse::<Addr>().is_err());

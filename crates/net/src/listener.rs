@@ -38,10 +38,6 @@ enum ListenerInner {
         rx: Receiver<Connection>,
     },
     Tcp(TcpListener),
-    // Arc so `serve` can keep a shutdown handle (marking the control
-    // segment closed wakes a blocked accept) after the listener moves
-    // into the acceptor thread.
-    Shm(Arc<crate::shm::ShmListener>),
 }
 
 /// A bound listening endpoint producing [`Connection`]s.
@@ -74,12 +70,6 @@ impl Listener {
                     inner: ListenerInner::Tcp(l),
                 })
             }
-            Addr::Shm(name) => {
-                let l = crate::shm::ShmListener::bind(name)?;
-                Ok(Listener {
-                    inner: ListenerInner::Shm(Arc::new(l)),
-                })
-            }
         }
     }
 
@@ -88,7 +78,6 @@ impl Listener {
         match &self.inner {
             ListenerInner::InProc { name, .. } => Addr::InProc(name.clone()),
             ListenerInner::Tcp(l) => Addr::Tcp(l.local_addr().expect("bound socket has addr")),
-            ListenerInner::Shm(l) => Addr::Shm(l.name().to_string()),
         }
     }
 
@@ -104,10 +93,6 @@ impl Listener {
                 ListenerInner::Tcp(l) => {
                     let (stream, _) = l.accept()?;
                     Connection::from_tcp(stream)?
-                }
-                ListenerInner::Shm(l) => {
-                    let io = l.accept()?;
-                    Connection::from_shm(io, format!("shm://{}", l.name()))
                 }
             };
             if crate::fault::connect_allowed(&local) {
@@ -132,9 +117,6 @@ pub struct ServerHandle {
     stop: Arc<AtomicBool>,
     addr: Addr,
     acceptor: Option<std::thread::JoinHandle<()>>,
-    /// Shutdown handle for an shm listener (the listener itself lives
-    /// in the acceptor thread).
-    shm: Option<Arc<crate::shm::ShmListener>>,
 }
 
 impl ServerHandle {
@@ -155,11 +137,6 @@ impl ServerHandle {
             Addr::Tcp(sa) => {
                 let _ = TcpStream::connect(sa);
             }
-            Addr::Shm(_) => {
-                if let Some(l) = &self.shm {
-                    l.shutdown();
-                }
-            }
         }
         if let Some(h) = self.acceptor.take() {
             let _ = h.join();
@@ -176,10 +153,6 @@ where
 {
     let stop = Arc::new(AtomicBool::new(false));
     let addr = listener.local_addr();
-    let shm = match &listener.inner {
-        ListenerInner::Shm(l) => Some(Arc::clone(l)),
-        _ => None,
-    };
     let stop2 = Arc::clone(&stop);
     let handler = Arc::new(handler);
     let acceptor = std::thread::Builder::new()
@@ -206,7 +179,6 @@ where
         stop,
         addr,
         acceptor: Some(acceptor),
-        shm,
     }
 }
 
@@ -264,41 +236,6 @@ mod tests {
         }
         server.shutdown();
         assert!(matches!(connect(&a), Err(NetError::Refused(_))));
-    }
-
-    #[test]
-    fn serve_echo_shm() {
-        let bind: Addr = format!("shm://echo-{}", std::process::id())
-            .parse()
-            .unwrap();
-        let l = Listener::bind(&bind).unwrap();
-        let server = serve(l, |conn| {
-            while let Ok(m) = conn.recv() {
-                if conn.send(m).is_err() {
-                    break;
-                }
-            }
-        });
-        let addr = server.addr();
-        let clients: Vec<_> = (0..4)
-            .map(|i| {
-                let a = addr.clone();
-                std::thread::spawn(move || {
-                    let c = connect(&a).unwrap();
-                    for round in 0..10u32 {
-                        let msg = Bytes::from(format!("shm-client-{i}-{round}"));
-                        c.send(msg.clone()).unwrap();
-                        assert_eq!(c.recv_timeout(Duration::from_secs(5)).unwrap(), msg);
-                    }
-                    c.close();
-                })
-            })
-            .collect();
-        for h in clients {
-            h.join().unwrap();
-        }
-        server.shutdown();
-        assert!(matches!(connect(&addr), Err(NetError::Refused(_))));
     }
 
     #[test]

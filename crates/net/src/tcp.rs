@@ -51,8 +51,7 @@ use std::time::{Duration, Instant};
 /// dozen bytes, so the client never blocks writing and always reaches
 /// its reads, however large the replies. (What would wedge is a window
 /// that is large *both* ways; no request has a large body and a large
-/// reply. `inproc://` queues are unbounded, a `shm://` ring has 1024
-/// descriptors per direction.)
+/// reply. `inproc://` queues are unbounded.)
 pub const PIPELINE_DEPTH: usize = 128;
 /// Scratch read size for the coalescing read path.
 const READ_CHUNK: usize = 16 * 1024;
@@ -154,7 +153,7 @@ impl TcpIo {
                 return Ok(frame);
             }
             if let Some(deadline) = deadline {
-                if !crate::shm::sys::poll_readable(self.stream.as_raw_fd(), deadline)? {
+                if !crate::sys::poll_readable(self.stream.as_raw_fd(), deadline)? {
                     return Err(NetError::Timeout);
                 }
             }

@@ -8,10 +8,9 @@
 //! sitra-staged --listen tcp://0.0.0.0:7788 --servers 4
 //! ```
 //!
-//! `--listen` accepts any `sitra-net` scheme: `tcp://host:port` for
-//! cross-machine deployment, `shm://name` for the same-node
-//! shared-memory fast path (clients must run on the same host), or
-//! `inproc://name` for tests.
+//! `--listen` accepts either `sitra-net` scheme: `tcp://host:port` for
+//! a deployment across processes or machines, or `inproc://name` for
+//! tests.
 //!
 //! `--servers N` controls the **in-process space shards inside this one
 //! instance** (lock striping for put/get parallelism); it does not
@@ -109,8 +108,8 @@ fn usage(program: &str, code: i32) -> ! {
          \x20                  [--placement POLICY] [--buckets-min N --buckets-max N]\n\
          \x20                  [--bucket-slo-ms T] [--fault-plan SPEC]\n\
          \n\
-         --listen ADDR         tcp://host:port, shm://name (same-node shared memory), or\n\
-         \x20                      inproc://name (default tcp://127.0.0.1:7788)\n\
+         --listen ADDR         tcp://host:port or inproc://name\n\
+         \x20                      (default tcp://127.0.0.1:7788)\n\
          --servers N           in-process space shards within THIS instance (lock striping;\n\
          \x20                      default 4). Cluster members are separate processes — see\n\
          \x20                      --cluster-seed / --cluster-join\n\

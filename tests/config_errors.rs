@@ -27,7 +27,13 @@ fn duplicate_analysis_labels_are_rejected_before_the_run() {
 
 #[test]
 fn unparseable_staging_endpoints_are_rejected_before_the_run() {
-    for endpoint in ["", "not-a-scheme", "udp://127.0.0.1:7788", "tcp://"] {
+    for endpoint in [
+        "",
+        "not-a-scheme",
+        "udp://127.0.0.1:7788",
+        "tcp://",
+        "shm://stage",
+    ] {
         let cfg = config(2).with_staging_endpoint(endpoint);
         let err = run_pipeline(&mut sim(SEED), &cfg)
             .expect_err(&format!("endpoint `{endpoint}` must be rejected"));

@@ -1,6 +1,6 @@
 //! Remote staging end-to-end: the pipeline driver stages hybrid
 //! analyses through a [`SpaceServer`] over **every transport scheme**
-//! (`inproc://`, real TCP loopback, and `shm://` shared memory), with
+//! (`inproc://` and real TCP loopback), with
 //! separate bucket-worker threads pulling tasks exactly as external
 //! `sitra-staged` consumers would — and the outputs must be
 //! byte-identical to the fully in-process pipeline on each.
@@ -27,14 +27,6 @@ const WORKERS: usize = 3;
 #[test]
 fn tcp_remote_staging_matches_in_process_and_survives_a_dropped_connection() {
     staging_matches_in_process_and_survives_a_drop("tcp://127.0.0.1:0");
-}
-
-#[test]
-fn shm_remote_staging_matches_in_process_and_survives_a_dropped_connection() {
-    staging_matches_in_process_and_survives_a_drop(&format!(
-        "shm://remote-staging-{}",
-        std::process::id()
-    ));
 }
 
 #[test]
