@@ -146,7 +146,8 @@ fn spawn_staged(opts: &Opts) -> (Child, Addr) {
         match lines.next() {
             Some(Ok(line)) => {
                 println!("[staged] {line}");
-                // "sitra-staged: serving N space shard(s) on ADDR"
+                // "sitra-staged: serving N space shard(s) on ADDR"; the
+                // contract is pinned by `crates/staged/tests/staged.rs`.
                 if let Some(rest) = line.split(" on ").nth(1) {
                     if line.contains("serving") {
                         break rest

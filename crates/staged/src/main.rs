@@ -12,12 +12,12 @@
 //! a deployment across processes or machines, or `inproc://name` for
 //! tests.
 //!
-//! `--servers N` controls the **in-process space shards inside this one
-//! instance** (lock striping for put/get parallelism); it does not
-//! create more cluster members. To form a **multi-instance cluster**,
-//! start several `sitra-staged` processes and either seed them with the
-//! same full member list or have late ones join through any live
-//! member:
+//! Every instance is a member of a staging cluster, and a standalone
+//! instance is a cluster of one: without a cluster flag it founds a
+//! cluster from the seed list `[--listen]`. To form a **multi-instance
+//! cluster**, start several `sitra-staged` processes and either seed
+//! them with the same full member list or have late ones join through
+//! any live member:
 //!
 //! ```text
 //! sitra-staged --listen tcp://a:7788 --cluster-seed tcp://a:7788,tcp://b:7788
@@ -25,13 +25,15 @@
 //! sitra-staged --listen tcp://c:7788 --cluster-join tcp://a:7788   # late joiner
 //! ```
 //!
-//! The driver side points `PipelineConfig::with_staging_endpoint` at a
-//! single instance (selecting the remote staging backend) or
-//! `with_staging_cluster` at the full member list (consistent-hash
-//! shard routing); workers call `run_bucket_worker` or
-//! `run_cluster_bucket_worker` respectively. The process runs until the
-//! scheduler is closed by a client (the driver does this when its run
-//! finishes) or it receives SIGINT.
+//! `--servers N` is something else: the number of in-process space
+//! shards inside this one member (lock striping for put/get
+//! parallelism). It adds no cluster members.
+//!
+//! The driver side points `PipelineConfig::with_staging_cluster` at the
+//! full member list (`with_staging_endpoint` for a member list of one)
+//! and workers call `run_cluster_bucket_worker` over the same list. The
+//! process runs until the scheduler is closed by a client (the driver
+//! does this when its run finishes) or it receives SIGINT.
 //!
 //! Observability: `--metrics-listen host:port` exposes the live
 //! [`sitra_obs`] registry (net/scheduler/space metrics) as a
@@ -39,11 +41,10 @@
 //! appends every span event as one JSON line (replayable with
 //! `obs_report`).
 
-use bytes::Bytes;
 use sitra_cluster::{Bootstrap, ClusterNode, ClusterNodeOpts};
 use sitra_dataspaces::{
-    AdmissionPolicy, AutoscaleConfig, Autoscaler, DataSpaces, LocalityPlacement, RemoteSpace,
-    ScaleDecision, SchedStats, Scheduler, SpaceServer, SteerPublisher, SteerServer, TenantSpec,
+    AdmissionPolicy, AutoscaleConfig, Autoscaler, LocalityPlacement, RemoteSpace, ScaleDecision,
+    SteerPublisher, SteerServer, TenantSpec,
 };
 use sitra_net::{Addr, Backoff};
 use sitra_testkit::{CrashPlan, FaultPlan, PlanInjector};
@@ -51,18 +52,6 @@ use std::net::SocketAddr;
 use std::path::PathBuf;
 use std::sync::Arc;
 use std::time::Duration;
-
-/// How this instance relates to other `sitra-staged` processes.
-enum ClusterRole {
-    /// Standalone: a single-instance staging service.
-    None,
-    /// Founding member: `--cluster-seed` carries the full member list
-    /// (which must include our own `--listen` address).
-    Seed(Vec<String>),
-    /// Late joiner: `--cluster-join` names any live member to join
-    /// through.
-    Join(String),
-}
 
 struct Opts {
     listen: Addr,
@@ -80,8 +69,10 @@ struct Opts {
     /// Deterministic fault injection for chaos testing (see
     /// `sitra-testkit`).
     fault_plan: Option<FaultPlan>,
-    /// Multi-instance membership role.
-    cluster: ClusterRole,
+    /// How this member finds its cluster: `--cluster-seed` (the full
+    /// member list, which must include `--listen`) or `--cluster-join`
+    /// (any live member). `None` founds a cluster of one.
+    cluster: Option<Bootstrap>,
     /// Tenants registered at start (weighted-fair scheduling + quotas).
     tenants: Vec<TenantSpec>,
     /// Task placement policy: `false` = FCFS (default), `true` =
@@ -110,9 +101,7 @@ fn usage(program: &str, code: i32) -> ! {
          \n\
          --listen ADDR         tcp://host:port or inproc://name\n\
          \x20                      (default tcp://127.0.0.1:7788)\n\
-         --servers N           in-process space shards within THIS instance (lock striping;\n\
-         \x20                      default 4). Cluster members are separate processes — see\n\
-         \x20                      --cluster-seed / --cluster-join\n\
+         --servers N           in-process space shards of this member (default 4)\n\
          --stats-every SECS    periodically print counters (default 0 = quiet)\n\
          --metrics-listen A    serve a Prometheus-style metrics snapshot over HTTP\n\
          --journal PATH        append span events as JSON lines to PATH\n\
@@ -126,8 +115,9 @@ fn usage(program: &str, code: i32) -> ! {
          \x20                      that tenant: block=MS | shed | reject). Clients bind with\n\
          \x20                      a matching tenant declaration; unknown tenants register\n\
          \x20                      on first contact with weight 1 and no quotas\n\
-         --cluster-seed LIST   found a multi-instance cluster; LIST is the comma-separated\n\
-         \x20                      full member list and must include our --listen address\n\
+         --cluster-seed LIST   found a cluster; LIST is the comma-separated full member\n\
+         \x20                      list and must include our --listen address (default:\n\
+         \x20                      a cluster of one, seeded with --listen alone)\n\
          --cluster-join ADDR   join a running cluster through the member at ADDR\n\
          \x20                      (shards rebalance to us via handoff)\n\
          --placement POLICY    task placement: fcfs (default, byte-identical to the\n\
@@ -163,7 +153,7 @@ fn parse_opts() -> Opts {
         queue_capacity: None,
         admission: AdmissionPolicy::RejectNew,
         fault_plan: None,
-        cluster: ClusterRole::None,
+        cluster: None,
         tenants: Vec::new(),
         locality_placement: false,
         buckets: None,
@@ -260,7 +250,7 @@ fn parse_opts() -> Opts {
                 }
             },
             "--cluster-seed" => {
-                if !matches!(opts.cluster, ClusterRole::None) {
+                if opts.cluster.is_some() {
                     eprintln!(
                         "{program}: --cluster-seed and --cluster-join are mutually exclusive"
                     );
@@ -282,17 +272,17 @@ fn parse_opts() -> Opts {
                         usage(program, 2);
                     }
                 }
-                opts.cluster = ClusterRole::Seed(members);
+                opts.cluster = Some(Bootstrap::Seeds(members));
             }
             "--cluster-join" => {
-                if !matches!(opts.cluster, ClusterRole::None) {
+                if opts.cluster.is_some() {
                     eprintln!(
                         "{program}: --cluster-seed and --cluster-join are mutually exclusive"
                     );
                     usage(program, 2);
                 }
                 match value("--cluster-join").parse::<Addr>() {
-                    Ok(a) => opts.cluster = ClusterRole::Join(a.to_string()),
+                    Ok(a) => opts.cluster = Some(Bootstrap::Join(a.to_string())),
                     Err(e) => {
                         eprintln!("{program}: bad --cluster-join address: {e}");
                         usage(program, 2);
@@ -365,51 +355,11 @@ fn parse_opts() -> Opts {
     opts
 }
 
-/// The service behind the stats loop: one bare [`SpaceServer`], or a
-/// [`ClusterNode`] wrapping one plus the membership plane.
-enum Service {
-    Single(SpaceServer),
-    Member(ClusterNode),
-}
-
-impl Service {
-    fn sched_stats(&self) -> SchedStats {
-        match self {
-            Service::Single(s) => s.sched_stats(),
-            Service::Member(n) => n.sched_stats(),
-        }
-    }
-    fn space(&self) -> &DataSpaces {
-        match self {
-            Service::Single(s) => s.space(),
-            Service::Member(n) => n.space(),
-        }
-    }
-    fn closed(&self) -> bool {
-        match self {
-            Service::Single(s) => s.closed(),
-            Service::Member(n) => n.closed(),
-        }
-    }
-    fn scheduler(&self) -> Scheduler<Bytes> {
-        match self {
-            Service::Single(s) => s.scheduler(),
-            Service::Member(n) => n.scheduler().clone(),
-        }
-    }
-    fn shutdown(self) {
-        match self {
-            Service::Single(s) => s.shutdown(),
-            Service::Member(n) => n.shutdown(),
-        }
-    }
-}
-
 /// Bridge this instance's stored analysis outputs to the steering
-/// endpoint: poll the space (through the public client protocol, so
-/// the bridge works unchanged for standalone and cluster members) for
-/// new versions of `label`'s output variable and publish every image
-/// as a steerable frame.
+/// endpoint: poll the space through the public client protocol at
+/// `service`, the member's bound address (a `--listen` port of 0 is not
+/// dialable), for new versions of `label`'s output variable and publish
+/// every image as a steerable frame.
 fn steer_bridge(service: &Addr, publisher: &SteerPublisher, label: &str) {
     let var = sitra_core::remote::output_var(label);
     let bbox = sitra_core::remote::output_bbox();
@@ -489,69 +439,33 @@ fn main() {
         println!("sitra-staged: metrics on http://{}/metrics", srv.addr());
         srv
     });
-    let server = match &opts.cluster {
-        ClusterRole::None => {
-            match SpaceServer::start_with(
-                &opts.listen,
-                opts.servers,
-                opts.queue_capacity,
-                opts.admission,
-            ) {
-                Ok(s) => {
-                    for spec in &opts.tenants {
-                        s.scheduler().register_tenant(spec);
-                        s.space().set_tenant_byte_quota(&spec.name, spec.byte_quota);
-                    }
-                    Service::Single(s)
-                }
-                Err(e) => {
-                    eprintln!("sitra-staged: cannot listen on {}: {e}", opts.listen);
-                    std::process::exit(1);
-                }
-            }
-        }
-        role => {
-            let bootstrap = match role {
-                ClusterRole::Seed(list) => Bootstrap::Seeds(list.clone()),
-                ClusterRole::Join(via) => Bootstrap::Join(via.clone()),
-                ClusterRole::None => unreachable!(),
-            };
-            let node_opts = ClusterNodeOpts {
-                shards: opts.servers,
-                capacity: opts.queue_capacity,
-                policy: opts.admission,
-                tenants: opts.tenants.clone(),
-                ..ClusterNodeOpts::default()
-            };
-            match ClusterNode::start(&opts.listen, bootstrap, node_opts) {
-                Ok(n) => Service::Member(n),
-                Err(e) => {
-                    eprintln!(
-                        "sitra-staged: cannot start cluster member on {}: {e}",
-                        opts.listen
-                    );
-                    std::process::exit(1);
-                }
-            }
-        }
+    let bootstrap = opts
+        .cluster
+        .clone()
+        .unwrap_or_else(|| Bootstrap::Seeds(vec![opts.listen.to_string()]));
+    let node_opts = ClusterNodeOpts {
+        shards: opts.servers,
+        capacity: opts.queue_capacity,
+        policy: opts.admission,
+        tenants: opts.tenants.clone(),
+        ..ClusterNodeOpts::default()
     };
-    match &server {
-        Service::Single(s) => println!(
-            "sitra-staged: serving {} space shard(s) on {}",
-            opts.servers,
-            s.addr()
-        ),
-        Service::Member(n) => {
-            let view = n.view();
-            println!(
-                "sitra-staged: cluster member {} ({} in-process shard(s)); view epoch {} with {} member(s)",
-                n.addr(),
-                opts.servers,
-                view.epoch,
-                view.members.len()
-            );
-        }
-    }
+    let node = ClusterNode::start(&opts.listen, bootstrap, node_opts).unwrap_or_else(|e| {
+        eprintln!("sitra-staged: cannot start on {}: {e}", opts.listen);
+        std::process::exit(1);
+    });
+    // `soak` and the staged integration test read the address after " on ".
+    println!(
+        "sitra-staged: serving {} space shard(s) on {}",
+        opts.servers,
+        node.addr()
+    );
+    let view = node.view();
+    println!(
+        "sitra-staged: view epoch {} with {} member(s)",
+        view.epoch,
+        view.members.len()
+    );
     if let Some(cap) = opts.queue_capacity {
         println!(
             "sitra-staged: task queue bounded at {cap}, admission {:?}",
@@ -565,9 +479,7 @@ fn main() {
         );
     }
     if opts.locality_placement {
-        server
-            .scheduler()
-            .set_placement(Arc::new(LocalityPlacement));
+        node.scheduler().set_placement(Arc::new(LocalityPlacement));
         println!("sitra-staged: locality-aware task placement active");
     }
     if let Some((min, max)) = opts.buckets {
@@ -578,7 +490,7 @@ fn main() {
         // desired capacity published via pool stats — the worker fleet
         // (or its supervisor) reconciles toward it.
         let cfg = AutoscaleConfig::new(min, max, opts.bucket_slo);
-        let sched = server.scheduler();
+        let sched = node.scheduler().clone();
         println!(
             "sitra-staged: bucket autoscale {}..{} buckets, p99 SLO {:?}",
             cfg.min_buckets, cfg.max_buckets, cfg.slo
@@ -641,7 +553,7 @@ fn main() {
             server.addr(),
             opts.steer_source
         );
-        let service = opts.listen.clone();
+        let service = node.addr();
         let publisher = server.publisher();
         let label = opts.steer_source.clone();
         std::thread::spawn(move || steer_bridge(&service, &publisher, &label));
@@ -651,9 +563,9 @@ fn main() {
     // Run until the driver closes the scheduler, then give in-flight
     // connections a moment to drain before exiting.
     loop {
-        let stats = server.sched_stats();
+        let stats = node.sched_stats();
         if opts.stats_every > 0 {
-            let space = server.space().stats();
+            let space = node.space().stats();
             println!(
                 "sitra-staged: submitted={} assigned={} requeued={} shed={} rejected={} objects={} bytes={}",
                 stats.tasks_submitted,
@@ -665,13 +577,13 @@ fn main() {
                 space.resident_bytes,
             );
         }
-        if server.closed() {
+        if node.closed() {
             break;
         }
         std::thread::sleep(Duration::from_secs(opts.stats_every.clamp(1, 10)));
     }
     std::thread::sleep(Duration::from_millis(200));
-    let stats = server.sched_stats();
+    let stats = node.sched_stats();
     println!(
         "sitra-staged: scheduler closed; {} task(s) assigned, {} requeued — shutting down",
         stats.tasks_assigned, stats.tasks_requeued
@@ -679,7 +591,7 @@ fn main() {
     if let Some(s) = steer {
         s.shutdown();
     }
-    server.shutdown();
+    node.shutdown();
     if let Some(m) = metrics {
         m.shutdown();
     }

@@ -15,10 +15,10 @@
 //! * [`PlanInjector`] — executes a plan through the
 //!   [`sitra_net::FaultInjector`] seam, on a virtual clock of observed
 //!   frames, recording the schedule it actually ran.
-//! * [`scenario`] — drives one seeded simulation through any of the
-//!   three `StagingBackend`s under a plan and checks the four
-//!   invariant oracles (conservation, no-loss, golden-output,
-//!   replay-identity).
+//! * [`scenario`] — drives one seeded simulation through any
+//!   [`Backend`] under a plan and checks the four invariant oracles
+//!   (conservation, no-loss, golden-output, replay-identity). The two
+//!   staging backends run one and three `sitra-cluster` members.
 //! * [`shrink`] — greedy plan minimization plus the failure report
 //!   with a paste-ready reproduction command.
 //! * [`fixture`] — the canonical seeded-simulation setup shared with

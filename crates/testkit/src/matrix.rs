@@ -27,12 +27,13 @@
 use crate::fixture;
 use crate::injector::PlanInjector;
 use crate::plan::FaultPlan;
-use crate::scenario::{self, Backend};
+use crate::scenario::{self, Backend, Staging};
+use sitra_cluster::ClusterNodeOpts;
 use sitra_core::{
     run_pipeline, AnalysisSpec, HybridViz, LagrangianFlowMap, PipelineConfig, PipelineResult,
     Placement, StagingMode,
 };
-use sitra_dataspaces::{AdmissionPolicy, SpaceServer, SteerClient, SteerFrame};
+use sitra_dataspaces::{AdmissionPolicy, SteerClient, SteerFrame};
 use sitra_flowmap::FlowRecord;
 use sitra_mesh::BBox3;
 use sitra_net::Backoff;
@@ -366,24 +367,28 @@ fn run_matrix_scenario(
             run_pipeline(&mut fixture::sim(seed), &cfg).expect("matrix local config")
         }
         Backend::Remote | Backend::Cluster => {
-            // The matrix drives the single-server remote path; the
-            // cluster backend stays in its dedicated suite.
-            let addr = scenario::unique_endpoint(seed);
-            let server =
-                SpaceServer::start_with(&addr, 1, capacity, policy).expect("start staging server");
-            let endpoint = server.addr();
+            let staging = Staging::start(
+                seed,
+                backend.members(),
+                ClusterNodeOpts {
+                    capacity,
+                    policy,
+                    ..ClusterNodeOpts::default()
+                },
+            );
             let stop = Arc::new(AtomicBool::new(false));
-            let worker = scenario::spawn_worker(&[endpoint.to_string()], specs_fn(), 0, &stop);
+            let worker = scenario::spawn_worker(staging.endpoints(), specs_fn(), 0, &stop);
 
             let mut cfg = matrix_config(2, specs_fn())
-                .with_staging_endpoint(endpoint.to_string())
+                .with_staging_cluster(staging.endpoints().to_vec())
                 .with_staging_deadline(Duration::from_millis(700))
                 .with_staging_max_inflight(2);
             cfg.steering = steer_addr.as_ref().map(|a| a.to_string());
-            let result = run_pipeline(&mut fixture::sim(seed), &cfg).expect("matrix remote config");
+            let result =
+                run_pipeline(&mut fixture::sim(seed), &cfg).expect("matrix staging config");
 
             stop.store(true, Ordering::SeqCst);
-            server.shutdown();
+            staging.shutdown();
             if worker.join().is_err() {
                 violations.push("matrix: bucket worker panicked".into());
             }
@@ -401,87 +406,13 @@ fn run_matrix_scenario(
     let events = sink.take();
     sitra_obs::install_sink(prev_sink);
 
-    // Oracle 1 — conservation (matrix roster flavour).
-    let expected: usize = specs
-        .iter()
-        .filter(|s| s.placement == Placement::Hybrid)
-        .map(|s| {
-            (1..=fixture::STEPS as u64)
-                .filter(|&step| s.due(step))
-                .count()
-        })
-        .sum();
-    if result.staged_tasks != expected {
-        violations.push(format!(
-            "conservation: staged {} tasks, roster is due {expected}",
-            result.staged_tasks
-        ));
-    }
-    let mut hybrid_outputs = 0usize;
-    let mut seen: Vec<(String, u64)> = Vec::new();
-    for (label, step, _) in &result.outputs {
-        if seen.contains(&(label.clone(), *step)) {
-            violations.push(format!("conservation: duplicate output for {label}@{step}"));
-        }
-        seen.push((label.clone(), *step));
-        let Some(spec) = specs.iter().find(|s| &s.label == label) else {
-            violations.push(format!("conservation: output for unknown label `{label}`"));
-            continue;
-        };
-        if !spec.due(*step) {
-            violations.push(format!(
-                "conservation: {label}@{step} is off the interval schedule"
-            ));
-        }
-        if spec.placement == Placement::Hybrid {
-            hybrid_outputs += 1;
-        }
-    }
-    if hybrid_outputs + result.dropped_tasks != result.staged_tasks {
-        violations.push(format!(
-            "conservation: {} hybrid outputs + {} dropped != {} staged",
-            hybrid_outputs, result.dropped_tasks, result.staged_tasks
-        ));
-    }
-
-    // Oracle 2 — no-loss. The fixture's buffers and queue bounds are
-    // sized so nothing may be dropped under any matrix policy.
-    if result.dropped_tasks != 0 {
-        violations.push(format!("no-loss: {} tasks dropped", result.dropped_tasks));
-    }
-
-    // Oracle 3 — golden output (byte identity across the whole roster).
-    if result.dropped_tasks == 0 {
-        let got = fixture::sorted_encoded_outputs(&result);
-        if got != golden_outputs {
-            let detail = golden_outputs
-                .iter()
-                .zip(&got)
-                .find(|(g, r)| g != r)
-                .map(|(g, _)| format!("first divergence at {}@{}", g.0, g.1))
-                .unwrap_or_else(|| {
-                    format!(
-                        "output count {} != golden {}",
-                        got.len(),
-                        golden_outputs.len()
-                    )
-                });
-            violations.push(format!("golden-output: outputs diverge ({detail})"));
-        }
-    }
-
-    // Oracle 4 — replay identity.
-    let (placement, driver_aggregates) = match backend {
-        Backend::InSitu => ("insitu", true),
-        Backend::Local => ("hybrid", true),
-        Backend::Remote | Backend::Cluster => ("hybrid-remote", false),
-    };
-    violations.extend(fixture::replay_violations(
-        backend.name(),
+    violations.extend(scenario::oracle_violations(
+        backend,
+        &specs,
+        policy,
+        &golden_outputs,
         &result,
         &events,
-        placement,
-        driver_aggregates,
     ));
 
     // Oracle 5 — flow-map golden endpoints. Decoded termination
@@ -619,6 +550,25 @@ mod tests {
         assert!(p.scale.is_none());
         assert!(p.instance_loss.is_none());
         assert_eq!(p.drop_per_mille, plan.drop_per_mille);
+    }
+
+    #[test]
+    fn cluster_cells_run_three_members_and_pass() {
+        let report = scenario_matrix(
+            &[Backend::Cluster],
+            &[FaultPlan::fault_free(9)],
+            matrix_specs,
+        );
+        assert_eq!(report.runs, 3);
+        assert!(
+            report.passed(),
+            "violations: {:?}",
+            report
+                .failures()
+                .iter()
+                .map(|c| &c.violations)
+                .collect::<Vec<_>>()
+        );
     }
 
     #[test]

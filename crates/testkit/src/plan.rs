@@ -58,11 +58,11 @@ pub enum CrashPlan {
     },
 }
 
-/// Whole-instance loss in a cluster scenario: the member at `member`
-/// (an index into the sorted cluster endpoint list, wrapped modulo the
-/// member count) is killed outright — no handoff, queued tasks dropped
-/// — once the virtual clock reaches `at_tick`. Single-server backends
-/// have no second instance to lose and ignore it.
+/// Whole-instance loss: the staging member at `member` (an index into
+/// the endpoint list, wrapped modulo the member count) is killed
+/// outright — no handoff, queued tasks dropped — once the virtual clock
+/// reaches `at_tick`. The in-process backends have no member to lose and
+/// ignore it.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct InstanceLoss {
     /// Index of the doomed member.

@@ -7,9 +7,10 @@
 //!    is installed) establishes the reference output set.
 //! 2. The [`PlanInjector`] and a private journal sink are installed and
 //!    the same seeded simulation is run through the backend under test
-//!    — for `Remote`, against a live [`SpaceServer`] with an external
-//!    bucket-worker thread and (when the plan says so) a scheduled
-//!    server crash, optionally with a restart on the same endpoint.
+//!    — for `Remote` and `Cluster`, against live staging members (one or
+//!    three) with an external bucket-worker thread and, when the plan
+//!    says so, a scheduled member crash (optionally restarted on the
+//!    same endpoint), instance loss, or pool resize.
 //! 3. The oracles:
 //!    * **conservation** — every due hybrid task was submitted exactly
 //!      once and retired exactly once (`submitted == outputs + dropped`,
@@ -26,13 +27,19 @@
 use crate::fixture;
 use crate::injector::{PlanInjector, ScheduleEntry};
 use crate::plan::{splitmix64, CrashPlan, FaultPlan};
+use bytes::Bytes;
+use parking_lot::Mutex;
 use sitra_cluster::{Bootstrap, ClusterClient, ClusterNode, ClusterNodeOpts};
-use sitra_core::{run_cluster_bucket_worker, run_pipeline, BucketWorkerOpts, StagingMode};
-use sitra_dataspaces::{AdmissionPolicy, SpaceServer, TenantRow, TenantSpec};
+use sitra_core::{
+    run_cluster_bucket_worker, run_pipeline, AnalysisSpec, BucketWorkerOpts, PipelineResult,
+    Placement, StagingMode,
+};
+use sitra_dataspaces::{AdmissionPolicy, Scheduler, TenantRow, TenantSpec};
 use sitra_net::{Addr, Backoff};
 use sitra_obs::{ObsEvent, VecSink};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Which `StagingBackend` a scenario drives.
@@ -42,19 +49,20 @@ pub enum Backend {
     InSitu,
     /// In-process staging buckets (`StagingMode::Local`).
     Local,
-    /// Remote staging over the socket transport (`StagingMode::Remote`).
+    /// One staging member over the socket transport.
     Remote,
-    /// A three-member `sitra-cluster` of staging instances
-    /// (`StagingMode::Cluster`), with shard routing and handoff.
+    /// A three-member `sitra-cluster` of staging instances, with shard
+    /// routing and handoff.
     Cluster,
 }
 
 impl Backend {
-    /// The three single-space backends, in the order the chaos suite
-    /// runs them. `Cluster` stays out of this list on purpose: the
-    /// pinned chaos corpus predates it, and its seeds must keep mapping
-    /// to the exact same `(backend, plan)` pairs. Cluster scenarios opt
-    /// in explicitly (`--backend cluster`, `tests/cluster.rs`).
+    /// The backends with at most one staging member, in the order the
+    /// chaos suite runs them. `Cluster` stays out of this list on
+    /// purpose: the pinned chaos corpus predates it, and its seeds must
+    /// keep mapping to the exact same `(backend, plan)` pairs. Cluster
+    /// scenarios opt in explicitly (`--backend cluster`,
+    /// `tests/cluster.rs`).
     pub const ALL: [Backend; 3] = [Backend::InSitu, Backend::Local, Backend::Remote];
 
     /// Stable name (CLI `--backend` values, artifact file names).
@@ -75,6 +83,15 @@ impl Backend {
             "remote" => Some(Backend::Remote),
             "cluster" => Some(Backend::Cluster),
             _ => None,
+        }
+    }
+
+    /// Staging members the backend runs; 0 for the in-process ones.
+    pub(crate) fn members(&self) -> usize {
+        match self {
+            Backend::InSitu | Backend::Local => 0,
+            Backend::Remote => 1,
+            Backend::Cluster => 3,
         }
     }
 }
@@ -119,7 +136,7 @@ pub(crate) fn unique_endpoint(seed: u64) -> Addr {
 }
 
 /// One resilient external bucket worker on `bucket_id` over the member
-/// list `endpoints` (one entry for a single staging server): it
+/// list `endpoints` (one entry for a lone member): it
 /// round-robins task requests across members, reconnects through
 /// transient faults while the scenario is live, and exits once every
 /// surviving scheduler closes or any member retires the bucket.
@@ -129,10 +146,10 @@ pub(crate) fn unique_endpoint(seed: u64) -> Addr {
 /// roster than the frozen chaos fixture.
 pub(crate) fn spawn_worker(
     endpoints: &[String],
-    specs: Vec<sitra_core::AnalysisSpec>,
+    specs: Vec<AnalysisSpec>,
     bucket_id: u32,
     stop: &Arc<AtomicBool>,
-) -> std::thread::JoinHandle<usize> {
+) -> JoinHandle<usize> {
     let eps = endpoints.to_vec();
     let stop = Arc::clone(stop);
     std::thread::Builder::new()
@@ -175,7 +192,7 @@ const WORKER_BACKOFF: Backoff = Backoff {
 /// worker (bucket 0).
 const SCALE_BUCKET_BASE: u32 = 100;
 
-/// The admission policy a plan's seed selects for its `SpaceServer`
+/// The admission policy a plan's seed selects for its staging members
 /// (kept out of `FaultPlan` itself: admission is server configuration,
 /// not a network fault — but varying it across seeds is free coverage).
 pub fn admission_for(plan: &FaultPlan) -> (Option<usize>, AdmissionPolicy) {
@@ -191,11 +208,125 @@ pub fn admission_for(plan: &FaultPlan) -> (Option<usize>, AdmissionPolicy) {
     }
 }
 
+/// The staging service of one scenario: `members` [`ClusterNode`]s on
+/// unique inproc endpoints, seeded with each other — one member for
+/// `Backend::Remote`, three for `Backend::Cluster`. The seed list is
+/// static: clients route over it regardless of how the live view
+/// evolves, so a killed member degrades tasks but never mis-routes them.
+pub(crate) struct Staging {
+    endpoints: Vec<String>,
+    opts: ClusterNodeOpts,
+    nodes: Mutex<Vec<Option<ClusterNode>>>,
+}
+
+impl Staging {
+    /// Start `members` members, each with `opts` (the plan's admission
+    /// or the run's tenants) and a 10 ms heartbeat.
+    pub(crate) fn start(seed: u64, members: usize, opts: ClusterNodeOpts) -> Arc<Staging> {
+        let opts = ClusterNodeOpts {
+            heartbeat_every: Duration::from_millis(10),
+            ..opts
+        };
+        let addrs: Vec<Addr> = (0..members).map(|_| unique_endpoint(seed)).collect();
+        let endpoints: Vec<String> = addrs.iter().map(Addr::to_string).collect();
+        let nodes = addrs
+            .iter()
+            .map(|a| {
+                let bootstrap = Bootstrap::Seeds(endpoints.clone());
+                Some(ClusterNode::start(a, bootstrap, opts.clone()).expect("start staging member"))
+            })
+            .collect();
+        Arc::new(Staging {
+            endpoints,
+            opts,
+            nodes: Mutex::new(nodes),
+        })
+    }
+
+    /// The static member list every client routes over.
+    pub(crate) fn endpoints(&self) -> &[String] {
+        &self.endpoints
+    }
+
+    /// Kill member `member % members` outright: no handoff, its queued
+    /// tasks die with it.
+    fn kill(&self, member: usize) {
+        let victim = self.nodes.lock()[member % self.endpoints.len()].take();
+        if let Some(n) = victim {
+            n.kill();
+        }
+    }
+
+    /// The plan's scheduled crash: kill member `1 % members` and, when
+    /// `restart`, start it again on the same endpoint with the same
+    /// options. With other members it rejoins through member 0, which
+    /// re-shards the ring and hands its shards back; a lone member
+    /// re-founds from its seed list of one.
+    fn crash(&self, restart: bool) {
+        let victim = 1 % self.endpoints.len();
+        self.kill(victim);
+        if !restart {
+            return;
+        }
+        let bootstrap = match self.endpoints.len() {
+            1 => Bootstrap::Seeds(self.endpoints.clone()),
+            _ => Bootstrap::Join(self.endpoints[0].clone()),
+        };
+        let addr: Addr = self.endpoints[victim].parse().expect("member endpoint");
+        if let Ok(n) = ClusterNode::start(&addr, bootstrap, self.opts.clone()) {
+            self.nodes.lock()[victim] = Some(n);
+        }
+    }
+
+    /// The first surviving member's scheduler.
+    fn scheduler(&self) -> Option<Scheduler<Bytes>> {
+        let nodes = self.nodes.lock();
+        nodes.iter().flatten().next().map(|n| n.scheduler().clone())
+    }
+
+    /// Stop every surviving member; closing their schedulers retires
+    /// the workers.
+    pub(crate) fn shutdown(&self) {
+        let nodes: Vec<ClusterNode> = self
+            .nodes
+            .lock()
+            .iter_mut()
+            .flat_map(Option::take)
+            .collect();
+        nodes.into_iter().for_each(ClusterNode::shutdown);
+    }
+}
+
+/// Run `action` on a thread of its own once the injector's virtual
+/// clock reaches `tick`; the thread gives up if `stop` is raised first.
+fn at_tick(
+    injector: &Arc<PlanInjector>,
+    stop: &Arc<AtomicBool>,
+    tick: u64,
+    name: &str,
+    action: impl FnOnce() + Send + 'static,
+) -> JoinHandle<()> {
+    let injector = Arc::clone(injector);
+    let stop = Arc::clone(stop);
+    std::thread::Builder::new()
+        .name(name.into())
+        .spawn(move || {
+            while !stop.load(Ordering::SeqCst) {
+                if injector.tick() >= tick {
+                    action();
+                    return;
+                }
+                std::thread::sleep(Duration::from_millis(1));
+            }
+        })
+        .expect("spawn watchdog")
+}
+
 /// Run one scenario: `sim(seed)` through `backend` under `plan`, then
 /// check every oracle. Panics never encode oracle failures — those
 /// come back in [`ScenarioOutcome::violations`].
 pub fn run_scenario(seed: u64, plan: &FaultPlan, backend: Backend) -> ScenarioOutcome {
-    let obs = sitra_obs::isolate();
+    let _obs = sitra_obs::isolate();
 
     // Golden run: fault-free, fully in-situ, before the injector or the
     // journal sink exist.
@@ -213,6 +344,7 @@ pub fn run_scenario(seed: u64, plan: &FaultPlan, backend: Backend) -> ScenarioOu
     let prev_injector = sitra_net::install_fault_injector(Some(injector.clone()));
 
     let mut violations = Vec::new();
+    let (capacity, policy) = admission_for(plan);
     let result = match backend {
         Backend::InSitu => run_pipeline(
             &mut fixture::sim(seed),
@@ -222,279 +354,99 @@ pub fn run_scenario(seed: u64, plan: &FaultPlan, backend: Backend) -> ScenarioOu
         Backend::Local => {
             run_pipeline(&mut fixture::sim(seed), &fixture::config(2)).expect("local config")
         }
-        Backend::Remote => {
-            let addr = unique_endpoint(seed);
-            let (capacity, policy) = admission_for(plan);
-            let server =
-                SpaceServer::start_with(&addr, 1, capacity, policy).expect("start staging server");
-            let endpoints = vec![server.addr().to_string()];
-            let server_slot = Arc::new(parking_lot::Mutex::new(Some(server)));
+        Backend::Remote | Backend::Cluster => {
+            let staging = Staging::start(
+                seed,
+                backend.members(),
+                ClusterNodeOpts {
+                    capacity,
+                    policy,
+                    ..ClusterNodeOpts::default()
+                },
+            );
+            let endpoints = staging.endpoints().to_vec();
 
-            // One resilient external bucket worker: reconnects through
-            // transient faults, retires when the scheduler closes (or
-            // on a protocol error, after which the driver degrades the
-            // remainder).
+            // One resilient external bucket worker over every member:
+            // it reconnects through transient faults, writes a member
+            // off after repeated connection failures, and retires once
+            // every surviving scheduler closes.
             let stop = Arc::new(AtomicBool::new(false));
             let worker = spawn_worker(&endpoints, fixture::specs(), 0, &stop);
 
-            // Scheduled pool resize: a watchdog polls the injector's
-            // virtual clock and, at the planned tick, either spawns
-            // extra resilient workers on fresh bucket ids or drains
-            // and retires live buckets through the scheduler — the
-            // same elastic path the autoscaler drives in production,
-            // here exercised under fault injection.
-            let extra_workers: Arc<parking_lot::Mutex<Vec<std::thread::JoinHandle<usize>>>> =
-                Arc::new(parking_lot::Mutex::new(Vec::new()));
-            let scale_watchdog = plan.scale.map(|ev| {
-                let injector = Arc::clone(&injector);
-                let slot = Arc::clone(&server_slot);
-                let stop = Arc::clone(&stop);
-                let extras = Arc::clone(&extra_workers);
-                let eps = endpoints.clone();
-                std::thread::Builder::new()
-                    .name("chaos-scale".into())
-                    .spawn(move || {
-                        while !stop.load(Ordering::SeqCst) {
-                            if injector.tick() >= ev.at_tick {
-                                if ev.delta > 0 {
-                                    let mut handles = extras.lock();
-                                    for i in 0..ev.delta as u32 {
-                                        handles.push(spawn_worker(
-                                            &eps,
-                                            fixture::specs(),
-                                            SCALE_BUCKET_BASE + i,
-                                            &stop,
-                                        ));
-                                    }
-                                } else {
-                                    let guard = slot.lock();
-                                    if let Some(s) = guard.as_ref() {
-                                        let sched = s.scheduler();
-                                        for _ in 0..-ev.delta {
-                                            sched.drain_one_bucket();
-                                        }
-                                    }
-                                }
-                                break;
-                            }
-                            std::thread::sleep(Duration::from_millis(1));
+            // Scheduled pool resize: grow spawns extra resilient workers
+            // on fresh bucket ids; shrink drains and retires live
+            // buckets on the first surviving member — the same elastic
+            // path the autoscaler drives. On a cluster one member's
+            // Retire lease retires the whole round-robin worker.
+            let extra_workers: Arc<Mutex<Vec<JoinHandle<usize>>>> = Arc::default();
+            let scale = plan.scale.map(|ev| {
+                let (staging, extras) = (Arc::clone(&staging), Arc::clone(&extra_workers));
+                let (eps, workers_stop) = (endpoints.clone(), Arc::clone(&stop));
+                at_tick(&injector, &stop, ev.at_tick, "chaos-scale", move || {
+                    if ev.delta > 0 {
+                        let mut handles = extras.lock();
+                        for i in 0..ev.delta as u32 {
+                            let bucket = SCALE_BUCKET_BASE + i;
+                            handles.push(spawn_worker(
+                                &eps,
+                                fixture::specs(),
+                                bucket,
+                                &workers_stop,
+                            ));
                         }
-                    })
-                    .expect("spawn scale watchdog")
-            });
-
-            // Scheduled crash: from inside the driver's collection path
-            // after N collected outputs, kill the server — and when the
-            // plan says restart, bring a fresh one up on the same
-            // endpoint so the driver and worker reconnect to it.
-            let mut cfg = fixture::config(2)
-                .with_staging_endpoint(endpoints[0].clone())
-                .with_staging_deadline(Duration::from_millis(700))
-                .with_staging_max_inflight(2);
-            if let Some(CrashPlan::AfterOutputs { outputs, restart }) = plan.crash {
-                let slot = Arc::clone(&server_slot);
-                let collected = Arc::new(AtomicUsize::new(0));
-                let addr = addr.clone();
-                cfg = cfg.with_staging_output_hook(Arc::new(move |_label, _step| {
-                    if collected.fetch_add(1, Ordering::SeqCst) + 1 == outputs {
-                        if let Some(s) = slot.lock().take() {
-                            s.shutdown();
-                        }
-                        if restart {
-                            let (capacity, policy) = (None, AdmissionPolicy::RejectNew);
-                            if let Ok(s) = SpaceServer::start_with(&addr, 1, capacity, policy) {
-                                *slot.lock() = Some(s);
-                            }
+                    } else if let Some(sched) = staging.scheduler() {
+                        for _ in 0..-ev.delta {
+                            sched.drain_one_bucket();
                         }
                     }
-                }));
-            }
-
-            let result = run_pipeline(&mut fixture::sim(seed), &cfg).expect("remote config");
-
-            // Tear down: close whatever server is still alive (closing
-            // its scheduler retires the workers), then join them.
-            stop.store(true, Ordering::SeqCst);
-            if let Some(w) = scale_watchdog {
-                let _ = w.join();
-            }
-            if let Some(s) = server_slot.lock().take() {
-                s.shutdown();
-            }
-            match worker.join() {
-                Ok(_) => {}
-                Err(_) => violations.push("remote: bucket worker panicked".into()),
-            }
-            let extras: Vec<_> = extra_workers.lock().drain(..).collect();
-            for w in extras {
-                if w.join().is_err() {
-                    violations.push("remote: scale-up worker panicked".into());
-                }
-            }
-            result
-        }
-        Backend::Cluster => {
-            // A three-member cluster on unique inproc endpoints, every
-            // member configured with the plan's admission policy. The
-            // seed list is static: clients route over it regardless of
-            // how the live view evolves, so a mid-run kill degrades
-            // tasks but never mis-routes them.
-            let addrs: Vec<Addr> = (0..3).map(|_| unique_endpoint(seed)).collect();
-            let endpoints: Vec<String> = addrs.iter().map(|a| a.to_string()).collect();
-            let (capacity, policy) = admission_for(plan);
-            let node_opts = move || ClusterNodeOpts {
-                capacity,
-                policy,
-                heartbeat_every: Duration::from_millis(10),
-                suspect_after: 3,
-                ..ClusterNodeOpts::default()
-            };
-            let nodes: Vec<Option<ClusterNode>> = addrs
-                .iter()
-                .map(|a| {
-                    Some(
-                        ClusterNode::start(a, Bootstrap::Seeds(endpoints.clone()), node_opts())
-                            .expect("start cluster member"),
-                    )
                 })
-                .collect();
-            let node_slots = Arc::new(parking_lot::Mutex::new(nodes));
-
-            // One resilient external bucket worker over the whole
-            // cluster: it round-robins task requests across members,
-            // writes a member off after repeated connection failures,
-            // and retires once every surviving scheduler closes.
-            let stop = Arc::new(AtomicBool::new(false));
-            let worker = spawn_worker(&endpoints, fixture::specs(), 0, &stop);
-
-            // Scheduled pool resize, cluster flavour: grow spawns
-            // extra cluster-wide workers; shrink drains buckets on the
-            // first surviving member — one member's Retire lease
-            // retires the whole round-robin worker, exactly the
-            // cross-member retirement path worth pinning under faults.
-            let extra_workers: Arc<parking_lot::Mutex<Vec<std::thread::JoinHandle<usize>>>> =
-                Arc::new(parking_lot::Mutex::new(Vec::new()));
-            let scale_watchdog = plan.scale.map(|ev| {
-                let injector = Arc::clone(&injector);
-                let slots = Arc::clone(&node_slots);
-                let stop = Arc::clone(&stop);
-                let extras = Arc::clone(&extra_workers);
-                let eps = endpoints.clone();
-                std::thread::Builder::new()
-                    .name("chaos-scale".into())
-                    .spawn(move || {
-                        while !stop.load(Ordering::SeqCst) {
-                            if injector.tick() >= ev.at_tick {
-                                if ev.delta > 0 {
-                                    let mut handles = extras.lock();
-                                    for i in 0..ev.delta as u32 {
-                                        handles.push(spawn_worker(
-                                            &eps,
-                                            fixture::specs(),
-                                            SCALE_BUCKET_BASE + i,
-                                            &stop,
-                                        ));
-                                    }
-                                } else {
-                                    let sched = slots
-                                        .lock()
-                                        .iter()
-                                        .flatten()
-                                        .next()
-                                        .map(|n| n.scheduler().clone());
-                                    if let Some(sched) = sched {
-                                        for _ in 0..-ev.delta {
-                                            sched.drain_one_bucket();
-                                        }
-                                    }
-                                }
-                                break;
-                            }
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
-                    })
-                    .expect("spawn scale watchdog")
             });
 
-            // Instance loss: a watchdog polls the injector's virtual
-            // clock and kills the planned member at its tick — an
-            // abrupt crash (queued tasks dropped on the floor), not a
-            // graceful leave.
-            let watchdog = plan.instance_loss.map(|loss| {
-                let injector = Arc::clone(&injector);
-                let slots = Arc::clone(&node_slots);
-                let stop = Arc::clone(&stop);
-                std::thread::Builder::new()
-                    .name("chaos-instance-loss".into())
-                    .spawn(move || {
-                        while !stop.load(Ordering::SeqCst) {
-                            if injector.tick() >= loss.at_tick {
-                                if let Some(n) = slots.lock()[loss.member as usize % 3].take() {
-                                    n.kill();
-                                }
-                                break;
-                            }
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
-                    })
-                    .expect("spawn watchdog")
+            // Instance loss: an abrupt kill of the planned member at its
+            // tick, not a graceful leave.
+            let loss = plan.instance_loss.map(|loss| {
+                let staging = Arc::clone(&staging);
+                at_tick(
+                    &injector,
+                    &stop,
+                    loss.at_tick,
+                    "chaos-instance-loss",
+                    move || staging.kill(loss.member as usize),
+                )
             });
 
+            // Scheduled crash, fired from inside the driver's
+            // collection path after N collected outputs.
             let mut cfg = fixture::config(2)
-                .with_staging_cluster(endpoints.clone())
+                .with_staging_cluster(endpoints)
                 .with_staging_deadline(Duration::from_millis(700))
                 .with_staging_max_inflight(2);
-            // A scheduled crash maps onto member 1; a restart maps onto
-            // a rejoin through member 0, which re-shards the ring and
-            // hands the rejoiner its shards back.
             if let Some(CrashPlan::AfterOutputs { outputs, restart }) = plan.crash {
-                let slots = Arc::clone(&node_slots);
-                let collected = Arc::new(AtomicUsize::new(0));
-                let victim = addrs[1].clone();
-                let rejoin_via = endpoints[0].clone();
+                let staging = Arc::clone(&staging);
+                let collected = AtomicUsize::new(0);
                 cfg = cfg.with_staging_output_hook(Arc::new(move |_label, _step| {
                     if collected.fetch_add(1, Ordering::SeqCst) + 1 == outputs {
-                        if let Some(n) = slots.lock()[1].take() {
-                            n.kill();
-                        }
-                        if restart {
-                            if let Ok(n) = ClusterNode::start(
-                                &victim,
-                                Bootstrap::Join(rejoin_via.clone()),
-                                node_opts(),
-                            ) {
-                                slots.lock()[1] = Some(n);
-                            }
-                        }
+                        staging.crash(restart);
                     }
                 }));
             }
 
-            let result = run_pipeline(&mut fixture::sim(seed), &cfg).expect("cluster config");
+            let result = run_pipeline(&mut fixture::sim(seed), &cfg).expect("staging config");
 
-            // Tear down: stop the watchdog, shut every surviving member
-            // down (closing their schedulers retires the worker), then
-            // join the helper threads.
+            // Tear down: stop the watchdogs, shut every surviving member
+            // down, then join the workers.
             stop.store(true, Ordering::SeqCst);
-            if let Some(w) = watchdog {
+            for w in [scale, loss].into_iter().flatten() {
                 let _ = w.join();
             }
-            if let Some(w) = scale_watchdog {
-                let _ = w.join();
-            }
-            for slot in node_slots.lock().iter_mut() {
-                if let Some(n) = slot.take() {
-                    n.shutdown();
-                }
-            }
-            match worker.join() {
-                Ok(_) => {}
-                Err(_) => violations.push("cluster: bucket worker panicked".into()),
+            staging.shutdown();
+            if worker.join().is_err() {
+                violations.push(format!("{}: bucket worker panicked", backend.name()));
             }
             let extras: Vec<_> = extra_workers.lock().drain(..).collect();
             for w in extras {
                 if w.join().is_err() {
-                    violations.push("cluster: scale-up worker panicked".into());
+                    violations.push(format!("{}: scale-up worker panicked", backend.name()));
                 }
             }
             result
@@ -506,18 +458,59 @@ pub fn run_scenario(seed: u64, plan: &FaultPlan, backend: Backend) -> ScenarioOu
     let events = sink.take();
     sitra_obs::install_sink(prev_sink);
 
+    violations.extend(oracle_violations(
+        backend,
+        &fixture::specs(),
+        policy,
+        &golden_outputs,
+        &result,
+        &events,
+    ));
+    ScenarioOutcome {
+        backend,
+        plan: plan.clone(),
+        violations,
+        staged_tasks: result.staged_tasks,
+        dropped_tasks: result.dropped_tasks,
+        degraded_tasks: result.degraded_tasks,
+        outputs: result.outputs.len(),
+        schedule: injector.schedule(),
+        events,
+    }
+}
+
+/// Oracles 1–4 over one run of the roster `specs`, given the fault-free
+/// golden outputs and the run's journal. `policy` is the staging
+/// service's admission policy; only the staging backends have one.
+pub(crate) fn oracle_violations(
+    backend: Backend,
+    specs: &[AnalysisSpec],
+    policy: AdmissionPolicy,
+    golden_outputs: &[(String, u64, Vec<u8>)],
+    result: &PipelineResult,
+    events: &[ObsEvent],
+) -> Vec<String> {
+    let mut violations = Vec::new();
+
     // Oracle 1 — conservation. Every due hybrid task is submitted to
     // the backend exactly once; every submitted task retires exactly
     // once, and every retirement except Dropped leaves exactly one
     // output behind.
-    let expected = fixture::expected_hybrid_tasks();
+    let expected: usize = specs
+        .iter()
+        .filter(|s| s.placement == Placement::Hybrid)
+        .map(|s| {
+            (1..=fixture::STEPS as u64)
+                .filter(|&step| s.due(step))
+                .count()
+        })
+        .sum();
     if result.staged_tasks != expected {
         violations.push(format!(
             "conservation: staged {} tasks, roster is due {expected}",
             result.staged_tasks
         ));
     }
-    let specs = fixture::specs();
     let mut hybrid_outputs = 0usize;
     let mut seen: Vec<(String, u64)> = Vec::new();
     for (label, step, _) in &result.outputs {
@@ -534,7 +527,7 @@ pub fn run_scenario(seed: u64, plan: &FaultPlan, backend: Backend) -> ScenarioOu
                 "conservation: {label}@{step} is off the interval schedule"
             ));
         }
-        if spec.placement == sitra_core::Placement::Hybrid {
+        if spec.placement == Placement::Hybrid {
             hybrid_outputs += 1;
         }
     }
@@ -551,20 +544,18 @@ pub fn run_scenario(seed: u64, plan: &FaultPlan, backend: Backend) -> ScenarioOu
         ));
     }
 
-    // Oracle 2 — no-loss. This fixture's buffer depth exceeds anything
-    // the run can queue, so nothing may ever be dropped; and when the
-    // server admits under `Block`, nothing may be shed either.
+    // Oracle 2 — no-loss. The fixture's buffers and queue bounds are
+    // sized so nothing may ever be dropped; and when the staging service
+    // admits under `Block`, nothing may be shed either.
     if result.dropped_tasks != 0 {
         violations.push(format!("no-loss: {} tasks dropped", result.dropped_tasks));
     }
-    if backend == Backend::Remote || backend == Backend::Cluster {
-        if let (_, AdmissionPolicy::Block { .. }) = admission_for(plan) {
-            let shed = obs.registry().snapshot().counter("sched.tasks.shed");
-            if shed != 0 {
-                violations.push(format!(
-                    "no-loss: {shed} tasks shed under AdmissionPolicy::Block"
-                ));
-            }
+    if backend.members() > 0 && matches!(policy, AdmissionPolicy::Block { .. }) {
+        let shed = sitra_obs::global().snapshot().counter("sched.tasks.shed");
+        if shed != 0 {
+            violations.push(format!(
+                "no-loss: {shed} tasks shed under AdmissionPolicy::Block"
+            ));
         }
     }
 
@@ -573,7 +564,7 @@ pub fn run_scenario(seed: u64, plan: &FaultPlan, backend: Backend) -> ScenarioOu
     // tasks re-aggregate in-situ from the retained parts, so the
     // answer cannot change, only its latency.
     if result.dropped_tasks == 0 {
-        let got = fixture::sorted_encoded_outputs(&result);
+        let got = fixture::sorted_encoded_outputs(result);
         if got != golden_outputs {
             let detail = golden_outputs
                 .iter()
@@ -599,23 +590,12 @@ pub fn run_scenario(seed: u64, plan: &FaultPlan, backend: Backend) -> ScenarioOu
     };
     violations.extend(fixture::replay_violations(
         backend.name(),
-        &result,
-        &events,
+        result,
+        events,
         placement,
         driver_aggregates,
     ));
-
-    ScenarioOutcome {
-        backend,
-        plan: plan.clone(),
-        violations,
-        staged_tasks: result.staged_tasks,
-        dropped_tasks: result.dropped_tasks,
-        degraded_tasks: result.degraded_tasks,
-        outputs: result.outputs.len(),
-        schedule: injector.schedule(),
-        events,
-    }
+    violations
 }
 
 /// The driver pipeline's tenant in a multi-tenant scenario.
@@ -716,8 +696,7 @@ pub fn run_tenanted_scenario(seed: u64, plan: &FaultPlan, backend: Backend) -> S
         plan.crash.is_none() && plan.instance_loss.is_none() && plan.scale.is_none(),
         "tenanted scenarios model network faults only"
     );
-    let obs = sitra_obs::isolate();
-    let _keep = &obs;
+    let _obs = sitra_obs::isolate();
 
     let golden = run_pipeline(
         &mut fixture::sim(seed),
@@ -733,46 +712,15 @@ pub fn run_tenanted_scenario(seed: u64, plan: &FaultPlan, backend: Backend) -> S
     // Bring the staging service up and pre-stage the rival workload on
     // a clean network (the injector only arms for the run under test;
     // the rival's *competition* is scheduler-side, not network-side).
-    // Only bring-up and tear-down differ between the two deployments:
-    // every client below is a `ClusterClient` over `endpoints`, with
-    // one entry for the single server.
-    enum Service {
-        Remote(SpaceServer),
-        Cluster(Vec<ClusterNode>),
-    }
-    let (service, endpoints) = match backend {
-        Backend::Remote => {
-            let addr = unique_endpoint(seed);
-            let server =
-                SpaceServer::start_with(&addr, 1, None, AdmissionPolicy::RejectNew).expect("start");
-            server.scheduler().register_tenant(&sim_spec);
-            server.scheduler().register_tenant(&rival_spec);
-            let endpoints = vec![server.addr().to_string()];
-            (Service::Remote(server), endpoints)
-        }
-        Backend::Cluster => {
-            let addrs: Vec<Addr> = (0..3).map(|_| unique_endpoint(seed)).collect();
-            let endpoints: Vec<String> = addrs.iter().map(|a| a.to_string()).collect();
-            let nodes = addrs
-                .iter()
-                .map(|a| {
-                    ClusterNode::start(
-                        a,
-                        Bootstrap::Seeds(endpoints.clone()),
-                        ClusterNodeOpts {
-                            heartbeat_every: Duration::from_millis(10),
-                            suspect_after: 3,
-                            tenants: vec![sim_spec.clone(), rival_spec.clone()],
-                            ..ClusterNodeOpts::default()
-                        },
-                    )
-                    .expect("start cluster member")
-                })
-                .collect();
-            (Service::Cluster(nodes), endpoints)
-        }
-        _ => unreachable!(),
-    };
+    let staging = Staging::start(
+        seed,
+        backend.members(),
+        ClusterNodeOpts {
+            tenants: vec![sim_spec.clone(), rival_spec.clone()],
+            ..ClusterNodeOpts::default()
+        },
+    );
+    let endpoints = staging.endpoints().to_vec();
 
     let rival = ClusterClient::new(
         sitra_cluster::DEFAULT_SEED,
@@ -803,13 +751,11 @@ pub fn run_tenanted_scenario(seed: u64, plan: &FaultPlan, backend: Backend) -> S
     let stop = Arc::new(AtomicBool::new(false));
     let worker = spawn_worker(&endpoints, fixture::specs(), 0, &stop);
 
-    let cfg = match backend {
-        Backend::Remote => fixture::config(2).with_staging_endpoint(endpoints[0].clone()),
-        _ => fixture::config(2).with_staging_cluster(endpoints.clone()),
-    }
-    .with_tenant(sim_spec.clone())
-    .with_staging_deadline(Duration::from_millis(700))
-    .with_staging_max_inflight(2);
+    let cfg = fixture::config(2)
+        .with_staging_cluster(endpoints)
+        .with_tenant(sim_spec.clone())
+        .with_staging_deadline(Duration::from_millis(700))
+        .with_staging_max_inflight(2);
     let result = run_pipeline(&mut fixture::sim(seed), &cfg).expect("tenanted config");
 
     // Disarm before the rival collects: the competition we're judging
@@ -848,39 +794,20 @@ pub fn run_tenanted_scenario(seed: u64, plan: &FaultPlan, backend: Backend) -> S
 
     // Tear down.
     stop.store(true, Ordering::SeqCst);
-    match service {
-        Service::Remote(server) => server.shutdown(),
-        Service::Cluster(nodes) => nodes.into_iter().for_each(ClusterNode::shutdown),
-    }
-    match worker.join() {
-        Ok(_) => {}
-        Err(_) => violations.push("tenanted: bucket worker panicked".into()),
+    staging.shutdown();
+    if worker.join().is_err() {
+        violations.push("tenanted: bucket worker panicked".into());
     }
 
     // The standard oracles on the sim tenant's run: the rival's
     // presence must not change what the pipeline computes.
-    let expected = fixture::expected_hybrid_tasks();
-    if result.staged_tasks != expected {
-        violations.push(format!(
-            "conservation: staged {} tasks, roster is due {expected}",
-            result.staged_tasks
-        ));
-    }
-    if result.dropped_tasks != 0 {
-        violations.push(format!("no-loss: {} tasks dropped", result.dropped_tasks));
-    }
-    if result.dropped_tasks == 0 {
-        let got = fixture::sorted_encoded_outputs(&result);
-        if got != golden_outputs {
-            violations.push("golden-output: sim outputs diverge under rival load".into());
-        }
-    }
-    violations.extend(fixture::replay_violations(
-        backend.name(),
+    violations.extend(oracle_violations(
+        backend,
+        &fixture::specs(),
+        AdmissionPolicy::RejectNew,
+        &golden_outputs,
         &result,
         &events,
-        "hybrid-remote",
-        false,
     ));
 
     ScenarioOutcome {
