@@ -7,20 +7,40 @@ use sitra_mesh::{downsample, exchange_ghosts, BBox3, Decomposition, ScalarField}
 use sitra_sim::{SimConfig, Simulation, Variable};
 use sitra_stats::MultiModel;
 use sitra_topology::distributed::{glue_subtrees, in_situ_subtrees, BoundaryPolicy};
-use sitra_topology::Connectivity;
+use sitra_topology::{Connectivity, Subtree};
 use sitra_viz::{render_block, HybridRenderer, TransferFunction, View, ViewAxis};
 use std::hint::black_box;
 
 const DIMS: [usize; 3] = [48, 48, 48];
 
-fn fixture() -> (ScalarField, TransferFunction) {
-    let mut sim = Simulation::new(SimConfig::small(DIMS, 42));
+/// Temperature over the whole `dims` domain after three proxy steps.
+fn temperature(dims: [usize; 3]) -> ScalarField {
+    let mut sim = Simulation::new(SimConfig::small(dims, 42));
     for _ in 0..3 {
         sim.advance();
     }
-    let f = sim.block_field(Variable::Temperature, &sim.global());
+    sim.block_field(Variable::Temperature, &sim.global())
+}
+
+fn fixture() -> (ScalarField, TransferFunction) {
+    let f = temperature(DIMS);
     let (mn, mx) = f.min_max().unwrap();
     (f, TransferFunction::hot(mn, mx))
+}
+
+/// Every rank's subtree of `field` over a `parts` rank grid.
+fn subtrees(field: &ScalarField, parts: [usize; 3]) -> Vec<Subtree> {
+    let d = Decomposition::new(field.bbox(), parts);
+    let blocks: Vec<ScalarField> = (0..d.rank_count())
+        .map(|r| field.extract(&d.block(r)))
+        .collect();
+    let (ghosted, _) = exchange_ghosts(&d, &blocks, 1);
+    in_situ_subtrees(
+        &d,
+        &ghosted,
+        Connectivity::Six,
+        BoundaryPolicy::BoundaryMaxima,
+    )
 }
 
 fn bench_insitu(c: &mut Criterion) {
@@ -75,14 +95,7 @@ fn bench_intransit(c: &mut Criterion) {
     let (field, tf) = fixture();
     let g = field.bbox();
     let d = Decomposition::new(g, [2, 2, 2]);
-    let blocks: Vec<ScalarField> = (0..8).map(|r| field.extract(&d.block(r))).collect();
-    let (ghosted, _) = exchange_ghosts(&d, &blocks, 1);
-    let subs = in_situ_subtrees(
-        &d,
-        &ghosted,
-        Connectivity::Six,
-        BoundaryPolicy::BoundaryMaxima,
-    );
+    let subs = subtrees(&field, [2, 2, 2]);
     let coarse: Vec<_> = (0..8)
         .map(|r| downsample(&field.extract(&d.block(r)), 4))
         .collect();
@@ -93,6 +106,14 @@ fn bench_intransit(c: &mut Criterion) {
     group.bench_function("topo_glue_8_subtrees", |b| {
         b.iter(|| black_box(glue_subtrees(&subs)))
     });
+    // The glue alone as the rank count grows: the `e2e` `topo-local`
+    // shape, then 16³ blocks per rank at 64 and 512 ranks.
+    for (n, [px, py, pz]) in [(48, [2, 2, 1]), (64, [4, 4, 4]), (128, [8, 8, 8])] {
+        let subs = subtrees(&temperature([n; 3]), [px, py, pz]);
+        group.bench_function(&format!("topo_glue_{n}cube_{px}x{py}x{pz}"), |b| {
+            b.iter(|| black_box(glue_subtrees(&subs)))
+        });
+    }
     group.bench_function("hybrid_render_s4", |b| {
         let hr = HybridRenderer::new(coarse.clone());
         b.iter(|| black_box(hr.render(&view, &tf)))

@@ -19,6 +19,15 @@ fn main() {
     println!("calibrating kernels on a 96^3 proxy domain (2x2x2 ranks, 48^3 blocks) ...");
     let rates = calibrate([96, 96, 96], 42);
     println!("{rates:#?}");
+    let ranks = paper::PARTS_4896.iter().product::<usize>() as f64;
+    println!(
+        "glue: seconds per vertex ∝ ranks^{:.2} (fitted on 8 to {} ranks); at {ranks} ranks a \
+         vertex costs {:.1}x what it does at {}",
+        rates.glue_rank_exponent,
+        rates.glue_ranks,
+        (ranks / rates.glue_ranks).powf(rates.glue_rank_exponent),
+        rates.glue_ranks
+    );
     let rows = project_table2(&rates, &MovementModel::default());
 
     let table: Vec<Vec<String>> = rows

@@ -11,11 +11,11 @@
 //! factor, where crossovers sit) is the reproduction target.
 
 use serde::{Deserialize, Serialize};
-use sitra_mesh::{downsample, Decomposition, ScalarField};
+use sitra_mesh::{downsample, BBox3, Decomposition, ScalarField};
 use sitra_sim::{SimConfig, Simulation, Variable};
 use sitra_stats::MultiModel;
 use sitra_topology::distributed::{glue_subtrees, in_situ_subtrees, BoundaryPolicy};
-use sitra_topology::Connectivity;
+use sitra_topology::{Connectivity, Subtree};
 use sitra_viz::{render_block, HybridRenderer, TransferFunction, View, ViewAxis};
 use std::time::Instant;
 
@@ -64,11 +64,21 @@ pub struct KernelRates {
     pub subtree_cells_per_sec: f64,
     /// In-transit serial rendering of coarse data, coarse cells/second.
     pub coarse_render_cells_per_sec: f64,
-    /// In-transit streaming gluing, subtree vertices/second.
+    /// In-transit streaming gluing, subtree vertices/second at
+    /// `glue_ranks` ranks, from the fit below.
     pub glue_verts_per_sec: f64,
+    /// The largest rank count the glue was timed at.
+    pub glue_ranks: f64,
+    /// Fitted exponent of the glue's seconds per vertex in the rank
+    /// count (`∝ ranks^k`): path merging walks longer chains the more
+    /// ranks there are, so the rate at one rank count does not carry to
+    /// another.
+    pub glue_rank_exponent: f64,
     /// Subtree payload bytes per block cell on the proxy data (data
     /// dependent; measured).
     pub subtree_bytes_per_cell: f64,
+    /// Subtree vertices per block cell on the proxy data (measured).
+    pub subtree_verts_per_cell: f64,
     /// `derive` seconds for a 14-variable model (constant).
     pub derive_secs: f64,
 }
@@ -77,6 +87,33 @@ fn time<R>(f: impl FnOnce() -> R) -> (R, f64) {
     let t = Instant::now();
     let r = f();
     (r, t.elapsed().as_secs_f64())
+}
+
+/// Least-squares fit of `y = c·x^k` on logarithms; returns `(c, k)`.
+fn power_law(points: &[(f64, f64)]) -> (f64, f64) {
+    let logs: Vec<(f64, f64)> = points.iter().map(|&(x, y)| (x.ln(), y.ln())).collect();
+    let n = logs.len() as f64;
+    let mx = logs.iter().map(|p| p.0).sum::<f64>() / n;
+    let my = logs.iter().map(|p| p.1).sum::<f64>() / n;
+    let sxy: f64 = logs.iter().map(|&(x, y)| (x - mx) * (y - my)).sum();
+    let sxx: f64 = logs.iter().map(|&(x, _)| (x - mx).powi(2)).sum();
+    let k = sxy / sxx;
+    ((my - k * mx).exp(), k)
+}
+
+/// Every rank's subtree of `field` over a `parts` rank grid.
+fn subtrees(field: &ScalarField, parts: [usize; 3]) -> Vec<Subtree> {
+    let d = Decomposition::new(field.bbox(), parts);
+    let blocks: Vec<ScalarField> = (0..d.rank_count())
+        .map(|r| field.extract(&d.block(r)))
+        .collect();
+    let (ghosted, _) = sitra_mesh::exchange_ghosts(&d, &blocks, 1);
+    in_situ_subtrees(
+        &d,
+        &ghosted,
+        Connectivity::Six,
+        BoundaryPolicy::BoundaryMaxima,
+    )
 }
 
 /// Measure the real kernels on a representative block of proxy data.
@@ -121,16 +158,28 @@ pub fn calibrate(block_dims: [usize; 3], seed: u64) -> KernelRates {
         )
     });
     let sub_cells = ghosted[0].len() as f64;
-    let subs = in_situ_subtrees(
-        &d,
-        &ghosted,
-        Connectivity::Six,
-        BoundaryPolicy::BoundaryMaxima,
-    );
+    let subs = subtrees(&field, [2, 2, 2]);
     let total_verts: usize = subs.iter().map(|s| s.verts.len()).sum();
     let total_bytes: usize = subs.iter().map(|s| s.bytes()).sum();
-    let (_, glue_t) = time(|| glue_subtrees(&subs));
     let _ = sub0;
+
+    // The glue at 2³, 4³ and 6³ ranks of equal blocks (16³ at a 96³
+    // calibration domain), cut from the calibration field: best of five
+    // seconds per vertex at each, fitted as a power of the rank count.
+    let edge = (block_dims.iter().min().unwrap() / 6).max(2);
+    let glue: Vec<(f64, f64)> = [2, 4, 6]
+        .iter()
+        .map(|&p| {
+            let subs = subtrees(&field.extract(&BBox3::from_dims([p * edge; 3])), [p; 3]);
+            let verts: usize = subs.iter().map(|s| s.verts.len()).sum();
+            let secs = (0..5)
+                .map(|_| time(|| glue_subtrees(&subs)).1)
+                .fold(f64::INFINITY, f64::min);
+            ((p * p * p) as f64, secs.max(1e-9) / verts.max(1) as f64)
+        })
+        .collect();
+    let (glue_c, glue_k) = power_law(&glue);
+    let glue_ranks = glue.last().unwrap().0;
 
     // In-transit coarse rendering rate.
     let stride = 2;
@@ -163,8 +212,11 @@ pub fn calibrate(block_dims: [usize; 3], seed: u64) -> KernelRates {
         learn_cells_per_sec: cells / learn_t.max(1e-9),
         subtree_cells_per_sec: sub_cells / sub_t.max(1e-9),
         coarse_render_cells_per_sec: coarse_cells / coarse_t.max(1e-9),
-        glue_verts_per_sec: total_verts as f64 / glue_t.max(1e-9),
+        glue_verts_per_sec: 1.0 / (glue_c * glue_ranks.powf(glue_k)),
+        glue_ranks,
+        glue_rank_exponent: glue_k,
         subtree_bytes_per_cell: total_bytes as f64 / g.count() as f64,
+        subtree_verts_per_cell: total_verts as f64 / g.count() as f64,
         derive_secs: derive_t,
     }
 }
@@ -256,15 +308,17 @@ pub fn project_table2(rates: &KernelRates, movement: &MovementModel) -> Vec<Tabl
         movement_mb: ds_bytes / mb,
         intransit_secs: coarse_cells / rates.coarse_render_cells_per_sec,
     });
-    // Hybrid topology.
+    // Hybrid topology: the glue rate carried from the calibration rank
+    // count to this one along the fitted power law.
     let sub_bytes = rates.subtree_bytes_per_cell * global_cells;
-    let sub_verts = sub_bytes / 24.0; // ≈ bytes per encoded vertex
+    let sub_verts = rates.subtree_verts_per_cell * global_cells;
+    let glue_slowdown = (n_ranks / rates.glue_ranks).powf(rates.glue_rank_exponent);
     rows.push(Table2Row {
         label: "hybrid topology".into(),
         insitu_secs: block_cells / rates.subtree_cells_per_sec,
         movement_secs: movement.movement_secs(sub_bytes, n_ranks as usize),
         movement_mb: sub_bytes / mb,
-        intransit_secs: sub_verts / rates.glue_verts_per_sec,
+        intransit_secs: sub_verts * glue_slowdown / rates.glue_verts_per_sec,
     });
     // Hybrid statistics.
     let model_bytes = n_ranks * paper::N_VARS as f64 * 61.0; // wire size/var
@@ -333,6 +387,9 @@ mod tests {
         assert!(r.coarse_render_cells_per_sec > 0.0);
         assert!(r.glue_verts_per_sec > 0.0);
         assert!(r.subtree_bytes_per_cell > 0.0);
+        assert!(r.subtree_verts_per_cell > 0.0);
+        assert_eq!(r.glue_ranks, 216.0);
+        assert!(r.glue_rank_exponent.is_finite());
         // Down-sampling is far cheaper than rendering — the core of the
         // hybrid-viz claim.
         assert!(r.downsample_cells_per_sec > 3.0 * r.viz_cells_per_sec);
@@ -354,6 +411,19 @@ mod tests {
         assert!(get("hybrid topology").movement_mb > get("hybrid descriptive").movement_mb);
         // stats in-transit stage is trivial; topology's dominates.
         assert!(get("hybrid topology").intransit_secs > get("hybrid descriptive").intransit_secs);
+    }
+
+    #[test]
+    fn power_law_fit_returns_the_exponent() {
+        for (c, k) in [(3.0e-7, 0.4), (1.0, 0.0), (2.5, -1.25), (1.0e-6, 1.7)] {
+            let points: Vec<(f64, f64)> = [8.0, 64.0, 216.0, 512.0]
+                .iter()
+                .map(|&x: &f64| (x, c * x.powf(k)))
+                .collect();
+            let (fc, fk) = power_law(&points);
+            assert!((fk - k).abs() < 1e-9, "exponent {fk} for {k}");
+            assert!((fc / c - 1.0).abs() < 1e-9, "coefficient {fc} for {c}");
+        }
     }
 
     #[test]

@@ -176,16 +176,12 @@ pub fn serial_split_tree(field: &ScalarField, conn: Connectivity) -> MergeTree {
 pub fn serial_merge_tree(field: &ScalarField, conn: Connectivity) -> MergeTree {
     let global = field.bbox();
     let t = augmented_join_tree(field, &global, conn);
-    let mut tree = MergeTree::new();
-    for i in 0..field.len() as u32 {
-        tree.add_node(t.vertex_id(i), field.get_linear(i as usize));
-    }
-    for i in 0..field.len() as u32 {
-        if let Some(d) = t.down_of(i) {
-            tree.add_arc(t.vertex_id(i), t.vertex_id(d));
-        }
-    }
-    tree
+    let nodes = 0..field.len() as u32;
+    MergeTree::from_parts(
+        nodes.clone().map(|i| t.vertex_id(i)).collect(),
+        field.as_slice().to_vec(),
+        nodes.map(|i| t.down_of(i)).collect(),
+    )
 }
 
 #[cfg(test)]

@@ -16,9 +16,7 @@
 //!   subtrees with a streaming algorithm that accepts vertices and edges
 //!   in *any* order, maintains a merge tree of everything seen so far via
 //!   path merging, and *finalizes* (splices out and evicts) regular
-//!   vertices whose last incident edge has been processed — keeping the
-//!   in-memory footprint close to the number of critical points rather
-//!   than the number of intermediate vertices.
+//!   vertices whose last incident edge has been processed.
 //!
 //! On top of the tree, [`tree`] provides persistence-based simplification,
 //! [`segment`] threshold segmentations labeled by surviving maxima, and

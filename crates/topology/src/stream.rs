@@ -3,13 +3,14 @@
 //! A single staging bucket receives subtree vertices and edges from all
 //! ranks *in arbitrary order* and maintains the merge tree of everything
 //! seen so far by **path merging**: inserting an edge merges the two
-//! endpoint chains like sorted lists. To keep the memory footprint low
-//! (the paper's key requirement for the serial in-transit stage), a vertex
-//! is *finalized* once no more information about it can arrive; a
-//! finalized **regular** vertex (exactly one up-arc, one down-arc) can
-//! never become critical again, so it is spliced out of its chain and
-//! evicted from memory. What remains in memory is essentially the set of
-//! critical points plus not-yet-finalized boundary vertices.
+//! endpoint chains like sorted lists. A vertex is *finalized* once no
+//! more information about it can arrive; a finalized **regular** vertex
+//! (exactly one up-arc, one down-arc) can never become critical again,
+//! so it is spliced out of its chain and evicted from memory. Subtrees
+//! arrive already reduced to critical and interface vertices, so only
+//! the few the glue finds regular go early: on the proxy's temperature
+//! the peak live set (`StreamStats::peak_live / vertices`) is 0.97 of all
+//! declared vertices at 4 ranks, 0.84 at 64 and 0.79 at 512.
 //!
 //! Finalization protocol: every piece of the stream comes from a *source*
 //! (one rank's subtree). A vertex declaration names the set of sources
@@ -25,28 +26,46 @@
 //! Once all incident edges are seen, the vertex's criticality class is
 //! fixed; later path merges may re-parent it but never change its degree,
 //! and splicing it out preserves chain order for all future merges.
+//!
+//! Layout: each live vertex owns a slot of a dense arena, found by one
+//! id lookup per declaration or edge endpoint. A slot holds the id, the
+//! value and its packed sweep key, the `down` slot, and its up-arcs as a
+//! count plus the xor of the up slots (at count 1, the up slot to splice
+//! to), so path merging compares `(key, id)` and walks `down` without
+//! lookups. Each source keeps the set of slots waiting on it, so ending
+//! it touches only what it releases. Evicted slots are reused.
 
 use crate::tree::MergeTree;
-use crate::types::{sweep_before, VertexId};
-use std::collections::{HashMap, HashSet};
+use crate::types::{sweep_key, IdMap, VertexId};
+use std::collections::hash_map::Entry;
 
 /// Identifier of one stream source (typically the producing rank).
 pub type SourceId = u32;
 
-#[derive(Debug, Clone)]
-struct Entry {
+/// The `down` of a root (and of a free slot).
+const NONE: u32 = u32::MAX;
+
+#[derive(Debug, Clone, Copy, Default)]
+struct Slot {
+    id: VertexId,
     value: f64,
-    down: Option<VertexId>,
-    ups: Vec<VertexId>,
+    /// `sweep_key(value)`: ascending `(key, id)` is the sweep order.
+    key: u64,
+    /// Declaration order, which `finish` keeps.
+    seq: u32,
+    down: u32,
+    /// Up-arcs: their count and the xor of their slots.
+    up_count: u32,
+    up_xor: u32,
     /// Incident edges declared but not yet inserted.
     remaining: u32,
     /// Pinned vertices are exempt from finalization eviction — consumers
     /// (e.g. feature-based statistics) will look them up in the final
     /// tree even if they are globally regular.
     pinned: bool,
-    /// Potential sources that have neither declared this vertex nor ended
-    /// their stream.
-    pending: Vec<SourceId>,
+    /// How many potential sources have neither declared this vertex nor
+    /// ended their stream.
+    pending: u32,
 }
 
 /// Statistics of one streaming aggregation run.
@@ -60,13 +79,19 @@ pub struct StreamStats {
     pub peak_live: usize,
     /// Vertices evicted early by finalization.
     pub evicted: usize,
+    /// Path-merge steps over all inserted edges (at least one per edge).
+    pub chain_steps: usize,
 }
 
 /// Order-independent streaming merge-tree builder; see module docs.
 #[derive(Debug, Default)]
 pub struct StreamingMergeTree {
-    entries: HashMap<VertexId, Entry>,
-    ended: HashSet<SourceId>,
+    slots: Vec<Slot>,
+    free: Vec<u32>,
+    index: IdMap<VertexId, u32>,
+    /// Per source: the slots still pending on it, or `None` once it has
+    /// ended.
+    sources: IdMap<SourceId, Option<IdMap<u32, ()>>>,
     stats: StreamStats,
 }
 
@@ -83,7 +108,7 @@ impl StreamingMergeTree {
 
     /// Number of vertices currently held in memory.
     pub fn live(&self) -> usize {
-        self.entries.len()
+        self.index.len()
     }
 
     /// Declare a vertex from `source` with the number of incident edges
@@ -103,84 +128,88 @@ impl StreamingMergeTree {
             "vertex {id}: declaring source {source} not in its potential set"
         );
         assert!(
-            !self.ended.contains(&source),
+            !matches!(self.sources.get(&source), Some(None)),
             "vertex {id}: source {source} already ended"
         );
-        let first = !self.entries.contains_key(&id);
-        let ended = &self.ended;
-        let e = self.entries.entry(id).or_insert_with(|| Entry {
-            value,
-            down: None,
-            ups: Vec::new(),
-            remaining: 0,
-            pinned: false,
-            pending: potential
-                .iter()
-                .copied()
-                .filter(|s| !ended.contains(s))
-                .collect(),
-        });
-        assert_eq!(e.value, value, "vertex {id} declared with differing values");
-        if first {
-            self.stats.vertices += 1;
-        }
-        if let Some(pos) = e.pending.iter().position(|&s| s == source) {
-            e.pending.swap_remove(pos);
-        } else {
-            panic!("vertex {id} declared twice by source {source}");
-        }
-        e.remaining += incident_edges;
-        self.stats.peak_live = self.stats.peak_live.max(self.entries.len());
+        let x = match self.index.entry(id) {
+            Entry::Occupied(o) => {
+                let x = *o.get();
+                let v = self.slots[x as usize].value;
+                assert_eq!(v, value, "vertex {id} declared with differing values");
+                let waiting = self.sources.get_mut(&source).and_then(Option::as_mut);
+                assert!(
+                    waiting.is_some_and(|w| w.remove(&x).is_some()),
+                    "vertex {id} declared twice by source {source}"
+                );
+                self.slots[x as usize].pending -= 1;
+                x
+            }
+            Entry::Vacant(e) => {
+                let x = self.free.pop().unwrap_or(self.slots.len() as u32);
+                if x as usize == self.slots.len() {
+                    self.slots.push(Slot::default());
+                }
+                e.insert(x);
+                // A free slot has no arcs, edges, pin or pending source yet.
+                let s = &mut self.slots[x as usize];
+                for &p in potential.iter().filter(|&&p| p != source) {
+                    if let Some(w) = self.sources.entry(p).or_insert(Some(IdMap::default())) {
+                        s.pending += w.insert(x, ()).is_none() as u32;
+                    }
+                }
+                (s.id, s.value, s.key, s.down) = (id, value, sweep_key(value), NONE);
+                s.seq = self.stats.vertices as u32;
+                self.stats.vertices += 1;
+                x
+            }
+        };
+        self.slots[x as usize].remaining += incident_edges;
+        self.stats.peak_live = self.stats.peak_live.max(self.index.len());
     }
 
     /// Announce that `source` will send nothing further. Vertices waiting
     /// only on this source become finalizable.
     pub fn end_source(&mut self, source: SourceId) {
-        assert!(self.ended.insert(source), "source {source} ended twice");
-        let affected: Vec<VertexId> = self
-            .entries
-            .iter_mut()
-            .filter_map(|(&id, e)| {
-                if let Some(pos) = e.pending.iter().position(|&s| s == source) {
-                    e.pending.swap_remove(pos);
-                    Some(id)
-                } else {
-                    None
-                }
-            })
-            .collect();
-        for id in affected {
-            self.try_finalize(id);
+        let waiting = self.sources.insert(source, None);
+        assert!(
+            !matches!(waiting, Some(None)),
+            "source {source} ended twice"
+        );
+        for (x, ()) in waiting.flatten().unwrap_or_default() {
+            self.slots[x as usize].pending -= 1;
+            self.try_finalize(x);
         }
     }
 
     /// Exempt a declared vertex from eviction: it will appear in the
     /// final tree even when globally regular. Any source may pin.
     pub fn pin_vertex(&mut self, id: VertexId) {
-        self.entries
-            .get_mut(&id)
-            .unwrap_or_else(|| panic!("pin of undeclared vertex {id}"))
-            .pinned = true;
+        let x = *self
+            .index
+            .get(&id)
+            .unwrap_or_else(|| panic!("pin of undeclared vertex {id}"));
+        self.slots[x as usize].pinned = true;
     }
 
-    fn key(&self, id: VertexId) -> (f64, VertexId) {
-        (self.entries[&id].value, id)
+    /// True when slot `a` is strictly higher (earlier in the sweep) than `b`.
+    fn before(&self, a: u32, b: u32) -> bool {
+        let (a, b) = (&self.slots[a as usize], &self.slots[b as usize]);
+        (a.key, a.id) < (b.key, b.id)
     }
 
-    fn set_down(&mut self, u: VertexId, new_down: Option<VertexId>) {
-        let old = self.entries.get_mut(&u).unwrap().down;
-        if old == new_down {
-            return;
-        }
-        if let Some(o) = old {
-            let e = self.entries.get_mut(&o).unwrap();
-            if let Some(pos) = e.ups.iter().position(|&x| x == u) {
-                e.ups.swap_remove(pos);
+    /// Point slot `u` down at `new_down`, moving its up-arc over.
+    fn set_down(&mut self, u: u32, new_down: u32) {
+        let old = std::mem::replace(&mut self.slots[u as usize].down, new_down);
+        for (d, joins) in [(old, false), (new_down, true)] {
+            if d != NONE && old != new_down {
+                let s = &mut self.slots[d as usize];
+                s.up_count = if joins {
+                    s.up_count + 1
+                } else {
+                    s.up_count - 1
+                };
+                s.up_xor ^= u;
             }
-        }
-        self.entries.get_mut(&u).unwrap().down = new_down;
-        if let Some(n) = new_down {
-            self.entries.get_mut(&n).unwrap().ups.push(u);
         }
     }
 
@@ -188,107 +217,91 @@ impl StreamingMergeTree {
     /// The edge may connect vertices in any order and arbitrary position;
     /// chains are merged to maintain the join tree of all edges seen.
     pub fn insert_edge(&mut self, a: VertexId, b: VertexId) {
-        assert!(
-            self.entries.contains_key(&a),
-            "edge endpoint {a} not declared"
-        );
-        assert!(
-            self.entries.contains_key(&b),
-            "edge endpoint {b} not declared"
-        );
+        let [x, y] = [a, b].map(|id| {
+            *self
+                .index
+                .get(&id)
+                .unwrap_or_else(|| panic!("edge endpoint {id} not declared"))
+        });
         assert_ne!(a, b, "self-loop");
         self.stats.edges += 1;
 
         // Path-merge the two chains.
-        let (mut u, mut v) = (a, b);
-        loop {
-            if u == v {
-                break;
-            }
-            if sweep_before(self.key(v), self.key(u)) {
+        let (mut u, mut v) = (x, y);
+        while u != v {
+            self.stats.chain_steps += 1;
+            if self.before(v, u) {
                 std::mem::swap(&mut u, &mut v);
             }
             // u is strictly higher than v.
-            match self.entries[&u].down {
-                None => {
-                    self.set_down(u, Some(v));
+            match self.slots[u as usize].down {
+                w if w == v => break,
+                NONE => {
+                    self.set_down(u, v);
                     break;
                 }
-                Some(w) => {
-                    if w == v {
-                        break;
-                    }
-                    if sweep_before(self.key(v), self.key(w)) {
-                        // v belongs between u and w: splice, then merge the
-                        // rest of v's chain with w's chain.
-                        self.set_down(u, Some(v));
-                        u = v;
-                        v = w;
-                    } else {
-                        u = w;
-                    }
+                w if self.before(v, w) => {
+                    // v belongs between u and w: splice, then merge the
+                    // rest of v's chain with w's chain.
+                    self.set_down(u, v);
+                    (u, v) = (v, w);
                 }
+                w => u = w,
             }
         }
 
         // Account the processed edge and attempt finalization.
-        for id in [a, b] {
-            let e = self.entries.get_mut(&id).unwrap();
-            assert!(e.remaining > 0, "more edges than declared for {id}");
-            e.remaining -= 1;
+        for (x, id) in [(x, a), (y, b)] {
+            let s = &mut self.slots[x as usize];
+            assert!(s.remaining > 0, "more edges than declared for {id}");
+            s.remaining -= 1;
         }
-        self.try_finalize(a);
-        self.try_finalize(b);
+        self.try_finalize(x);
+        self.try_finalize(y);
     }
 
-    /// Evict `id` if it is finalized and regular.
-    fn try_finalize(&mut self, id: VertexId) {
-        let Some(e) = self.entries.get(&id) else {
-            return;
-        };
-        if e.pinned
-            || !e.pending.is_empty()
-            || e.remaining != 0
-            || e.ups.len() != 1
-            || e.down.is_none()
-        {
+    /// Evict slot `x` if it is finalized and regular.
+    fn try_finalize(&mut self, x: u32) {
+        let s = self.slots[x as usize];
+        if s.pinned || s.pending != 0 || s.remaining != 0 || s.up_count != 1 || s.down == NONE {
             return;
         }
-        let up = e.ups[0];
-        let down = e.down.unwrap();
-        // Splice: up now points past id to down.
-        self.set_down(id, None);
-        self.set_down(up, Some(down));
-        self.entries.remove(&id);
+        // Splice: the one up-arc now points past x to its down.
+        self.set_down(x, NONE);
+        self.set_down(s.up_xor, s.down);
+        self.index.remove(&s.id);
+        self.free.push(x);
         self.stats.evicted += 1;
     }
 
     /// Finish the stream: every declared edge must have arrived and every
     /// vertex must be fully resolved (callers must [`Self::end_source`]
-    /// every source). Returns the merge tree of the union of all subtrees
-    /// (with any remaining regular vertices still present; call
-    /// [`MergeTree::canonical`] to splice them).
-    pub fn finish(mut self) -> (MergeTree, StreamStats) {
-        let leftover: Vec<VertexId> = self
-            .entries
+    /// every source). Returns the merge tree of the union of all subtrees,
+    /// nodes in declaration order (with any remaining regular vertices
+    /// still present; call [`MergeTree::canonical`] to splice them).
+    pub fn finish(self) -> (MergeTree, StreamStats) {
+        let mut live: Vec<u32> = self.index.into_values().collect();
+        live.sort_unstable_by_key(|&x| self.slots[x as usize].seq);
+        let mut node = vec![NONE; self.slots.len()];
+        for (n, &x) in live.iter().enumerate() {
+            node[x as usize] = n as u32;
+        }
+        let live: Vec<Slot> = live.iter().map(|&x| self.slots[x as usize]).collect();
+        let leftover: Vec<VertexId> = live
             .iter()
-            .filter(|(_, e)| e.remaining > 0 || !e.pending.is_empty())
-            .map(|(&id, _)| id)
+            .filter(|s| s.remaining > 0 || s.pending > 0)
+            .map(|s| s.id)
             .collect();
         assert!(
             leftover.is_empty(),
             "stream finished with undelivered edges or sources at {leftover:?}"
         );
-        self.stats.peak_live = self.stats.peak_live.max(self.entries.len());
-        let mut tree = MergeTree::new();
-        for (&id, e) in &self.entries {
-            tree.add_node(id, e.value);
-        }
-        for (&id, e) in &self.entries {
-            if let Some(d) = e.down {
-                tree.add_arc(id, d);
-            }
-        }
+        let down = |s: &Slot| (s.down != NONE).then(|| node[s.down as usize]);
+        let tree = MergeTree::from_parts(
+            live.iter().map(|s| s.id).collect(),
+            live.iter().map(|s| s.value).collect(),
+            live.iter().map(down).collect(),
+        );
         (tree, self.stats)
     }
 }

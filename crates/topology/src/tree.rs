@@ -1,7 +1,7 @@
 //! The merge tree proper: canonical critical-point structure,
 //! persistence-based branch decomposition, and simplification.
 
-use crate::types::{sweep_before, VertexId};
+use crate::types::{sweep_before, sweep_key, IdMap, UnionFind, VertexId};
 use std::collections::HashMap;
 
 /// A merge (join) tree over global vertex ids.
@@ -15,7 +15,7 @@ pub struct MergeTree {
     ids: Vec<VertexId>,
     values: Vec<f64>,
     down: Vec<Option<u32>>,
-    index: HashMap<VertexId, u32>,
+    index: IdMap<VertexId, u32>,
 }
 
 impl MergeTree {
@@ -32,6 +32,22 @@ impl MergeTree {
     /// True if the tree has no nodes.
     pub fn is_empty(&self) -> bool {
         self.ids.is_empty()
+    }
+
+    /// A tree of parallel node vectors, `down` by node index; ids must be
+    /// distinct and arcs descend.
+    pub(crate) fn from_parts(ids: Vec<VertexId>, values: Vec<f64>, down: Vec<Option<u32>>) -> Self {
+        let index = ids
+            .iter()
+            .enumerate()
+            .map(|(i, &id)| (id, i as u32))
+            .collect();
+        Self {
+            ids,
+            values,
+            down,
+            index,
+        }
     }
 
     /// Insert a node if absent; returns its slot. Panics if the same id is
@@ -123,13 +139,7 @@ impl MergeTree {
     }
 
     fn sort_by_sweep(&self, idxs: &mut [u32]) {
-        idxs.sort_unstable_by(|&a, &b| {
-            let ka = (self.values[a as usize], self.ids[a as usize]);
-            let kb = (self.values[b as usize], self.ids[b as usize]);
-            kb.0.partial_cmp(&ka.0)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then(ka.1.cmp(&kb.1))
-        });
+        idxs.sort_unstable_by_key(|&i| (sweep_key(self.values[i as usize]), self.ids[i as usize]));
     }
 
     /// The canonical form: regular nodes (exactly one up-arc and a
@@ -162,6 +172,47 @@ impl MergeTree {
         CanonicalTree { nodes, arcs }
     }
 
+    /// The up-arcs of every node.
+    fn ups_of(&self) -> Vec<Vec<u32>> {
+        let mut ups_of: Vec<Vec<u32>> = vec![Vec::new(); self.len()];
+        for (u, d) in self.down.iter().enumerate() {
+            if let Some(l) = d {
+                ups_of[*l as usize].push(u as u32);
+            }
+        }
+        ups_of
+    }
+
+    /// The elder-rule walk: every merge of a younger branch into an
+    /// elder one, as `(younger maximum, elder maximum, saddle)` slots.
+    fn branch_merges(&self) -> Vec<(u32, u32, u32)> {
+        let mut order: Vec<u32> = (0..self.len() as u32).collect();
+        self.sort_by_sweep(&mut order);
+        let ups_of = self.ups_of();
+        // branch[i]: the maximum owning the branch through node i.
+        // Process top-down: by the time we reach a node, all its up-arcs
+        // have assigned branches.
+        let mut branch: Vec<Option<u32>> = vec![None; self.len()];
+        let mut merges = Vec::new();
+        for &i in &order {
+            let mut children: Vec<u32> = ups_of[i as usize]
+                .iter()
+                .map(|&u| branch[u as usize].expect("processed above"))
+                .collect();
+            if children.is_empty() {
+                branch[i as usize] = Some(i);
+                continue;
+            }
+            // The elder child branch continues through this node; the
+            // younger ones die here.
+            self.sort_by_sweep(&mut children);
+            children.dedup();
+            branch[i as usize] = Some(children[0]);
+            merges.extend(children[1..].iter().map(|&y| (y, children[0], i)));
+        }
+        merges
+    }
+
     /// Branch decomposition by the elder rule.
     ///
     /// Every node is assigned to the branch of the *sweep-highest* maximum
@@ -170,47 +221,14 @@ impl MergeTree {
     /// saddle where its branch dies (`None` for the globally-highest
     /// maximum of each component, which persists forever).
     pub fn branch_decomposition(&self) -> Vec<Branch> {
-        let n = self.len();
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        self.sort_by_sweep(&mut order);
         let up = self.up_counts();
-        // branch[i]: the maximum owning the branch through node i.
-        let mut branch: Vec<Option<u32>> = vec![None; n];
-        let mut dies: HashMap<u32, Option<(VertexId, f64)>> = HashMap::new();
-        // Process top-down: by the time we reach a node, all its up-arcs
-        // have assigned branches.
-        let mut ups_of: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (u, d) in self.down.iter().enumerate() {
-            if let Some(l) = d {
-                ups_of[*l as usize].push(u as u32);
-            }
-        }
-        for &i in &order {
-            let iu = i as usize;
-            if up[iu] == 0 {
-                branch[iu] = Some(i);
-                dies.insert(i, None);
-                continue;
-            }
-            // The elder child branch continues through this node.
-            let mut child_branches: Vec<u32> = ups_of[iu]
-                .iter()
-                .map(|&u| branch[u as usize].expect("processed above"))
-                .collect();
-            child_branches.sort_unstable_by(|&a, &b| {
-                let ka = (self.values[a as usize], self.ids[a as usize]);
-                let kb = (self.values[b as usize], self.ids[b as usize]);
-                kb.0.partial_cmp(&ka.0)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(ka.1.cmp(&kb.1))
-            });
-            child_branches.dedup();
-            let elder = child_branches[0];
-            branch[iu] = Some(elder);
-            // Younger branches die here.
-            for &y in &child_branches[1..] {
-                dies.insert(y, Some((self.ids[iu], self.values[iu])));
-            }
+        let mut dies: HashMap<u32, Option<(VertexId, f64)>> = (0..self.len() as u32)
+            .filter(|&i| up[i as usize] == 0)
+            .map(|i| (i, None))
+            .collect();
+        for (young, _, saddle) in self.branch_merges() {
+            let s = saddle as usize;
+            dies.insert(young, Some((self.ids[s], self.values[s])));
         }
         let mut out: Vec<Branch> = dies
             .into_iter()
@@ -246,30 +264,12 @@ impl MergeTree {
         let mut order: Vec<u32> = (0..n as u32).collect();
         self.sort_by_sweep(&mut order);
         // Union-find over node slots, restricted to nodes >= t.
-        let mut parent: Vec<u32> = (0..n as u32).collect();
-        fn find(parent: &mut [u32], x: u32) -> u32 {
-            let mut r = x;
-            while parent[r as usize] != r {
-                r = parent[r as usize];
-            }
-            let mut c = x;
-            while parent[c as usize] != r {
-                let nx = parent[c as usize];
-                parent[c as usize] = r;
-                c = nx;
-            }
-            r
-        }
+        let mut uf = UnionFind::new(n);
         // Highest node (by sweep) in each component — always a maximum,
         // because components grow top-down.
         let mut top: Vec<u32> = (0..n as u32).collect();
         let above = |i: u32| self.values[i as usize] >= t;
-        let mut ups_of: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (u, d) in self.down.iter().enumerate() {
-            if let Some(l) = d {
-                ups_of[*l as usize].push(u as u32);
-            }
-        }
+        let ups_of = self.ups_of();
         for &i in &order {
             if !above(i) {
                 break;
@@ -277,28 +277,25 @@ impl MergeTree {
             // Union with every up-neighbor (all ups are sweep-higher by
             // the arc invariant, hence already processed and above t).
             for &u in &ups_of[i as usize] {
-                let ru = find(&mut parent, u);
-                let ri = find(&mut parent, i);
+                let (ru, ri) = (uf.find(u), uf.find(i));
                 if ru != ri {
                     // Keep the sweep-higher top.
-                    let tu = top[ru as usize];
-                    let ti = top[ri as usize];
+                    let (tu, ti) = (top[ru as usize], top[ri as usize]);
                     let ku = (self.values[tu as usize], self.ids[tu as usize]);
                     let ki = (self.values[ti as usize], self.ids[ti as usize]);
-                    let newtop = if sweep_before(ku, ki) { tu } else { ti };
-                    parent[ru as usize] = ri;
-                    top[ri as usize] = newtop;
+                    top[uf.union(ru, ri) as usize] = if sweep_before(ku, ki) { tu } else { ti };
                 }
             }
         }
-        let mut out = HashMap::new();
-        for i in 0..n as u32 {
-            if above(i) {
-                let r = find(&mut parent, i);
-                out.insert(self.ids[i as usize], self.ids[top[r as usize] as usize]);
-            }
-        }
-        out
+        (0..n as u32)
+            .filter(|&i| above(i))
+            .map(|i| {
+                (
+                    self.ids[i as usize],
+                    self.ids[top[uf.find(i) as usize] as usize],
+                )
+            })
+            .collect()
     }
 
     /// Maxima whose branch persistence is at least `threshold`, plus a map
@@ -311,46 +308,13 @@ impl MergeTree {
             .filter(|b| b.persistence >= threshold)
             .map(|b| b.leaf)
             .collect();
-        // For absorbed maxima: follow the branch of the saddle where they
-        // die, repeatedly, until a surviving maximum is reached.
-        // Build: leaf -> (dies_at saddle), and saddle -> owning branch.
-        let n = self.len();
-        let mut ups_of: Vec<Vec<u32>> = vec![Vec::new(); n];
-        for (u, d) in self.down.iter().enumerate() {
-            if let Some(l) = d {
-                ups_of[*l as usize].push(u as u32);
-            }
-        }
-        // Recompute branch ownership (same walk as branch_decomposition).
-        let mut order: Vec<u32> = (0..n as u32).collect();
-        self.sort_by_sweep(&mut order);
-        let up = self.up_counts();
-        let mut branch: Vec<Option<u32>> = vec![None; n];
-        let mut parent_branch: HashMap<VertexId, VertexId> = HashMap::new();
-        for &i in &order {
-            let iu = i as usize;
-            if up[iu] == 0 {
-                branch[iu] = Some(i);
-                continue;
-            }
-            let mut child_branches: Vec<u32> = ups_of[iu]
-                .iter()
-                .map(|&u| branch[u as usize].unwrap())
-                .collect();
-            child_branches.sort_unstable_by(|&a, &b| {
-                let ka = (self.values[a as usize], self.ids[a as usize]);
-                let kb = (self.values[b as usize], self.ids[b as usize]);
-                kb.0.partial_cmp(&ka.0)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-                    .then(ka.1.cmp(&kb.1))
-            });
-            child_branches.dedup();
-            let elder = child_branches[0];
-            branch[iu] = Some(elder);
-            for &y in &child_branches[1..] {
-                parent_branch.insert(self.ids[y as usize], self.ids[elder as usize]);
-            }
-        }
+        // For absorbed maxima: follow the branch each one merges into,
+        // repeatedly, until a surviving maximum is reached.
+        let parent_branch: HashMap<VertexId, VertexId> = self
+            .branch_merges()
+            .into_iter()
+            .map(|(young, elder, _)| (self.ids[young as usize], self.ids[elder as usize]))
+            .collect();
         let surviving_set: std::collections::HashSet<VertexId> =
             surviving.iter().copied().collect();
         let mut absorb: HashMap<VertexId, VertexId> = HashMap::new();

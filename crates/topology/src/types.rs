@@ -2,6 +2,8 @@
 
 use serde::{Deserialize, Serialize};
 use sitra_mesh::BBox3;
+use std::collections::HashMap;
+use std::hash::{BuildHasherDefault, Hasher};
 
 /// Globally unique vertex identifier: the linear index of the grid point
 /// within the *global* domain (x fastest). Using global ids makes subtrees
@@ -53,6 +55,32 @@ pub(crate) fn sweep_key(v: f64) -> u64 {
     // orders floats as integers; the outer `!` makes it descending.
     !(bits ^ ((bits as i64 >> 63) as u64 | 1 << 63))
 }
+
+/// Hashes one integer id (a vertex or source id) with a multiply and a
+/// fold, so the low bits a table indexes by depend on every bit of it.
+/// Ids come from the grid, not from an adversary.
+#[derive(Debug, Clone, Copy, Default)]
+pub(crate) struct IdHasher(u64);
+
+impl Hasher for IdHasher {
+    fn finish(&self) -> u64 {
+        let h = self.0.wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        h ^ (h >> 32)
+    }
+
+    fn write(&mut self, bytes: &[u8]) {
+        self.0 = bytes
+            .iter()
+            .fold(self.0, |h, &b| h.rotate_left(8) ^ b as u64);
+    }
+
+    fn write_u64(&mut self, x: u64) {
+        self.0 ^= x;
+    }
+}
+
+/// A `HashMap` keyed by integer ids through [`IdHasher`].
+pub(crate) type IdMap<K, V> = HashMap<K, V, BuildHasherDefault<IdHasher>>;
 
 /// Vertex adjacency used to define superlevel-set connectivity.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

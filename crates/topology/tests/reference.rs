@@ -1,22 +1,31 @@
-//! The in-situ topology stage the packed-key sweep replaced, kept as its
-//! oracle. `reference_rank_subtree` is the old `rank_subtree`: a sort
-//! whose comparator rebuilds both `(value, id)` keys on every comparison,
-//! a sweep that bounds-checks every neighbour axis by axis, and a
+//! The topology stages the faster versions replaced, kept as their
+//! oracles.
+//!
+//! The in-situ stage the packed-key sweep replaced:
+//! `reference_rank_subtree` is the old `rank_subtree`, a sort whose
+//! comparator rebuilds both `(value, id)` keys on every comparison, a
+//! sweep that bounds-checks every neighbour axis by axis, and a
 //! reduction that runs a `ranks_overlapping` query and allocates a
 //! potential-source list for every vertex of the block. The new stage
 //! must reproduce its `Subtree` **exactly** — `==` and identical
 //! `encode_subtree` bytes — for both connectivities, both boundary
 //! policies and every rank of every decomposition, thin blocks and
 //! signed zeros included.
+//!
+//! The in-transit gluer the slot arena replaced: [`old_stream`] is the
+//! `HashMap`-per-vertex `StreamingMergeTree`, unchanged. The arena must
+//! give it an equal tree and equal `StreamStats` for every field,
+//! decomposition, connectivity, policy, pin set and arrival order.
 
 use proptest::prelude::*;
 use sitra_core::wire::encode_subtree;
 use sitra_mesh::{exchange_ghosts, BBox3, Decomposition, ScalarField};
+use sitra_topology::distributed::in_situ_subtrees;
 use sitra_topology::distributed::{rank_subtree, BoundaryPolicy};
 use sitra_topology::reduce::{Subtree, SubtreeVertex};
 use sitra_topology::stream::SourceId;
 use sitra_topology::types::sweep_before;
-use sitra_topology::{Connectivity, VertexId};
+use sitra_topology::{Connectivity, MergeTree, StreamingMergeTree, VertexId};
 
 const CONNS: [Connectivity; 2] = [Connectivity::Six, Connectivity::TwentySix];
 const POLICIES: [BoundaryPolicy; 2] = [BoundaryPolicy::AllShared, BoundaryPolicy::BoundaryMaxima];
@@ -206,13 +215,282 @@ fn reference_rank_subtree(
     }
 }
 
+/// The streaming gluer before the slot arena: one `HashMap` entry per
+/// vertex holding two `Vec`s, and an `end_source` that scans every live
+/// entry.
+mod old_stream {
+    use sitra_topology::tree::MergeTree;
+    use sitra_topology::types::{sweep_before, VertexId};
+    use std::collections::{HashMap, HashSet};
+
+    /// Identifier of one stream source (typically the producing rank).
+    pub type SourceId = u32;
+
+    #[derive(Debug, Clone)]
+    struct Entry {
+        value: f64,
+        down: Option<VertexId>,
+        ups: Vec<VertexId>,
+        /// Incident edges declared but not yet inserted.
+        remaining: u32,
+        /// Pinned vertices are exempt from finalization eviction — consumers
+        /// (e.g. feature-based statistics) will look them up in the final
+        /// tree even if they are globally regular.
+        pinned: bool,
+        /// Potential sources that have neither declared this vertex nor ended
+        /// their stream.
+        pending: Vec<SourceId>,
+    }
+
+    /// Statistics of one streaming aggregation run.
+    #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
+    pub struct StreamStats {
+        /// Distinct vertices declared.
+        pub vertices: usize,
+        /// Edges inserted.
+        pub edges: usize,
+        /// Peak number of simultaneously live (in-memory) vertices.
+        pub peak_live: usize,
+        /// Vertices evicted early by finalization.
+        pub evicted: usize,
+    }
+
+    /// Order-independent streaming merge-tree builder; see module docs.
+    #[derive(Debug, Default)]
+    pub struct StreamingMergeTree {
+        entries: HashMap<VertexId, Entry>,
+        ended: HashSet<SourceId>,
+        stats: StreamStats,
+    }
+
+    impl StreamingMergeTree {
+        /// An empty builder.
+        pub fn new() -> Self {
+            Self::default()
+        }
+
+        /// Progress statistics so far.
+        pub fn stats(&self) -> StreamStats {
+            self.stats
+        }
+
+        /// Number of vertices currently held in memory.
+        pub fn live(&self) -> usize {
+            self.entries.len()
+        }
+
+        /// Declare a vertex from `source` with the number of incident edges
+        /// this source will eventually send. `potential` lists *all* sources
+        /// that might declare this vertex (including `source` itself); every
+        /// declaring source must announce the same value and potential set.
+        pub fn declare_vertex(
+            &mut self,
+            source: SourceId,
+            id: VertexId,
+            value: f64,
+            incident_edges: u32,
+            potential: &[SourceId],
+        ) {
+            assert!(
+                potential.contains(&source),
+                "vertex {id}: declaring source {source} not in its potential set"
+            );
+            assert!(
+                !self.ended.contains(&source),
+                "vertex {id}: source {source} already ended"
+            );
+            let first = !self.entries.contains_key(&id);
+            let ended = &self.ended;
+            let e = self.entries.entry(id).or_insert_with(|| Entry {
+                value,
+                down: None,
+                ups: Vec::new(),
+                remaining: 0,
+                pinned: false,
+                pending: potential
+                    .iter()
+                    .copied()
+                    .filter(|s| !ended.contains(s))
+                    .collect(),
+            });
+            assert_eq!(e.value, value, "vertex {id} declared with differing values");
+            if first {
+                self.stats.vertices += 1;
+            }
+            if let Some(pos) = e.pending.iter().position(|&s| s == source) {
+                e.pending.swap_remove(pos);
+            } else {
+                panic!("vertex {id} declared twice by source {source}");
+            }
+            e.remaining += incident_edges;
+            self.stats.peak_live = self.stats.peak_live.max(self.entries.len());
+        }
+
+        /// Announce that `source` will send nothing further. Vertices waiting
+        /// only on this source become finalizable.
+        pub fn end_source(&mut self, source: SourceId) {
+            assert!(self.ended.insert(source), "source {source} ended twice");
+            let affected: Vec<VertexId> = self
+                .entries
+                .iter_mut()
+                .filter_map(|(&id, e)| {
+                    if let Some(pos) = e.pending.iter().position(|&s| s == source) {
+                        e.pending.swap_remove(pos);
+                        Some(id)
+                    } else {
+                        None
+                    }
+                })
+                .collect();
+            for id in affected {
+                self.try_finalize(id);
+            }
+        }
+
+        /// Exempt a declared vertex from eviction: it will appear in the
+        /// final tree even when globally regular. Any source may pin.
+        pub fn pin_vertex(&mut self, id: VertexId) {
+            self.entries
+                .get_mut(&id)
+                .unwrap_or_else(|| panic!("pin of undeclared vertex {id}"))
+                .pinned = true;
+        }
+
+        fn key(&self, id: VertexId) -> (f64, VertexId) {
+            (self.entries[&id].value, id)
+        }
+
+        fn set_down(&mut self, u: VertexId, new_down: Option<VertexId>) {
+            let old = self.entries.get_mut(&u).unwrap().down;
+            if old == new_down {
+                return;
+            }
+            if let Some(o) = old {
+                let e = self.entries.get_mut(&o).unwrap();
+                if let Some(pos) = e.ups.iter().position(|&x| x == u) {
+                    e.ups.swap_remove(pos);
+                }
+            }
+            self.entries.get_mut(&u).unwrap().down = new_down;
+            if let Some(n) = new_down {
+                self.entries.get_mut(&n).unwrap().ups.push(u);
+            }
+        }
+
+        /// Insert one subtree edge. Both endpoints must have been declared.
+        /// The edge may connect vertices in any order and arbitrary position;
+        /// chains are merged to maintain the join tree of all edges seen.
+        pub fn insert_edge(&mut self, a: VertexId, b: VertexId) {
+            assert!(
+                self.entries.contains_key(&a),
+                "edge endpoint {a} not declared"
+            );
+            assert!(
+                self.entries.contains_key(&b),
+                "edge endpoint {b} not declared"
+            );
+            assert_ne!(a, b, "self-loop");
+            self.stats.edges += 1;
+
+            // Path-merge the two chains.
+            let (mut u, mut v) = (a, b);
+            loop {
+                if u == v {
+                    break;
+                }
+                if sweep_before(self.key(v), self.key(u)) {
+                    std::mem::swap(&mut u, &mut v);
+                }
+                // u is strictly higher than v.
+                match self.entries[&u].down {
+                    None => {
+                        self.set_down(u, Some(v));
+                        break;
+                    }
+                    Some(w) => {
+                        if w == v {
+                            break;
+                        }
+                        if sweep_before(self.key(v), self.key(w)) {
+                            // v belongs between u and w: splice, then merge the
+                            // rest of v's chain with w's chain.
+                            self.set_down(u, Some(v));
+                            u = v;
+                            v = w;
+                        } else {
+                            u = w;
+                        }
+                    }
+                }
+            }
+
+            // Account the processed edge and attempt finalization.
+            for id in [a, b] {
+                let e = self.entries.get_mut(&id).unwrap();
+                assert!(e.remaining > 0, "more edges than declared for {id}");
+                e.remaining -= 1;
+            }
+            self.try_finalize(a);
+            self.try_finalize(b);
+        }
+
+        /// Evict `id` if it is finalized and regular.
+        fn try_finalize(&mut self, id: VertexId) {
+            let Some(e) = self.entries.get(&id) else {
+                return;
+            };
+            if e.pinned
+                || !e.pending.is_empty()
+                || e.remaining != 0
+                || e.ups.len() != 1
+                || e.down.is_none()
+            {
+                return;
+            }
+            let up = e.ups[0];
+            let down = e.down.unwrap();
+            // Splice: up now points past id to down.
+            self.set_down(id, None);
+            self.set_down(up, Some(down));
+            self.entries.remove(&id);
+            self.stats.evicted += 1;
+        }
+
+        /// Finish the stream: every declared edge must have arrived and every
+        /// vertex must be fully resolved (callers must [`Self::end_source`]
+        /// every source). Returns the merge tree of the union of all subtrees
+        /// (with any remaining regular vertices still present; call
+        /// [`MergeTree::canonical`] to splice them).
+        pub fn finish(mut self) -> (MergeTree, StreamStats) {
+            let leftover: Vec<VertexId> = self
+                .entries
+                .iter()
+                .filter(|(_, e)| e.remaining > 0 || !e.pending.is_empty())
+                .map(|(&id, _)| id)
+                .collect();
+            assert!(
+                leftover.is_empty(),
+                "stream finished with undelivered edges or sources at {leftover:?}"
+            );
+            self.stats.peak_live = self.stats.peak_live.max(self.entries.len());
+            let mut tree = MergeTree::new();
+            for (&id, e) in &self.entries {
+                tree.add_node(id, e.value);
+            }
+            for (&id, e) in &self.entries {
+                if let Some(d) = e.down {
+                    tree.add_arc(id, d);
+                }
+            }
+            (tree, self.stats)
+        }
+    }
+}
+
 /// Every rank's subtree under every connectivity and policy must match
 /// the reference exactly.
 fn check_all_ranks(whole: &ScalarField, d: &Decomposition) -> Result<(), TestCaseError> {
-    let blocks: Vec<ScalarField> = (0..d.rank_count())
-        .map(|r| whole.extract(&d.block(r)))
-        .collect();
-    let (ghosted, _) = exchange_ghosts(d, &blocks, 1);
+    let ghosted = ghosted(whole, d);
     for conn in CONNS {
         for policy in POLICIES {
             for (r, g) in ghosted.iter().enumerate() {
@@ -226,15 +504,27 @@ fn check_all_ranks(whole: &ScalarField, d: &Decomposition) -> Result<(), TestCas
     Ok(())
 }
 
+/// Every rank's ghosted block of `whole`.
+fn ghosted(whole: &ScalarField, d: &Decomposition) -> Vec<ScalarField> {
+    let blocks: Vec<ScalarField> = (0..d.rank_count())
+        .map(|r| whole.extract(&d.block(r)))
+        .collect();
+    exchange_ghosts(d, &blocks, 1).0
+}
+
 /// The tie-heavy generator of `proptests.rs` (few distinct values, thin
 /// blocks), with the option of giving each zero a hashed sign so that
-/// `0.0` and `-0.0` meet in one field.
-fn field_and_decomp() -> impl Strategy<Value = (ScalarField, Decomposition)> {
+/// `0.0` and `-0.0` meet in one field. `parts` bounds the rank grid
+/// (exclusive), `nvals` draws the number of distinct values.
+fn field_and_decomp(
+    parts: [usize; 3],
+    nvals: impl Strategy<Value = usize>,
+) -> impl Strategy<Value = (ScalarField, Decomposition)> {
     (
         (2usize..8, 2usize..7, 2usize..6),
-        (1usize..4, 1usize..3, 1usize..3),
+        (1..parts[0], 1..parts[1], 1..parts[2]),
         2u64..=u64::MAX,
-        2usize..12,
+        nvals,
         any::<bool>(),
     )
         .prop_map(|((nx, ny, nz), (px, py, pz), seed, nvals, signed_zeros)| {
@@ -261,9 +551,120 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
     #[test]
-    fn rank_subtree_matches_reference((f, d) in field_and_decomp()) {
+    fn rank_subtree_matches_reference((f, d) in field_and_decomp([4, 3, 3], 2usize..12)) {
         check_all_ranks(&f, &d)?;
     }
+
+    /// 1–27 ranks, so blocks thinner than the halo give potential sets
+    /// larger than 8; few values (ties) or many.
+    #[test]
+    fn glue_matches_reference(
+        (f, d) in field_and_decomp([4, 4, 4], prop_oneof![2usize..12, 12usize..100_000]),
+        seed in any::<u64>(),
+    ) {
+        check_glue(&f, &d, seed)?;
+    }
+}
+
+/// A splitmix64 step: the test's only source of arrival orders.
+fn next(rng: &mut u64) -> u64 {
+    *rng = rng.wrapping_add(0x9E37_79B9_7F4A_7C15);
+    let z = (*rng ^ (*rng >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+    let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+    z ^ (z >> 31)
+}
+
+/// One call into a gluer.
+enum Op {
+    Declare(usize, usize),
+    Edge(VertexId, VertexId),
+    End(SourceId),
+}
+
+/// Apply one op to either gluer (both have the same methods).
+macro_rules! apply {
+    ($sink:expr, $parts:expr, $op:expr) => {
+        match *$op {
+            Op::Declare(p, i) => {
+                let (sub, v) = (&$parts[p], &$parts[p].verts[i]);
+                $sink.declare_vertex(sub.source, v.id, v.value, v.degree, &v.potential);
+                if v.pinned {
+                    $sink.pin_vertex(v.id);
+                }
+            }
+            Op::Edge(a, b) => $sink.insert_edge(a, b),
+            Op::End(s) => $sink.end_source(s),
+        }
+    };
+}
+
+/// Every node of a glued tree, regular vertices included, as sorted
+/// `(id, value bits, down)`.
+fn raw(t: &MergeTree) -> Vec<(VertexId, u64, Option<VertexId>)> {
+    let node = |&id: &VertexId| (id, t.value(id).unwrap().to_bits(), t.down_of(id));
+    let mut nodes: Vec<_> = t.node_ids().iter().map(node).collect();
+    nodes.sort_unstable();
+    nodes
+}
+
+/// Glue every connectivity × policy's subtrees of `whole` with both
+/// gluers. Each part pins some of its leaves (local maxima, as
+/// `FeatureStats` does), shuffles and flips its edges, and the parts'
+/// op streams (declarations, then edges, then the end) interleave at
+/// random. Trees, with regular vertices and their values, and stats
+/// must agree.
+fn check_glue(whole: &ScalarField, d: &Decomposition, seed: u64) -> Result<(), TestCaseError> {
+    let ghosted = ghosted(whole, d);
+    let mut rng = seed;
+    for conn in CONNS {
+        for policy in POLICIES {
+            let mut parts = in_situ_subtrees(d, &ghosted, conn, policy);
+            let mut queues: Vec<Vec<Op>> = Vec::new();
+            for (p, sub) in parts.iter_mut().enumerate() {
+                for v in &mut sub.verts {
+                    let leaf = !sub.edges.iter().any(|e| e.1 == v.id);
+                    v.pinned = leaf && next(&mut rng).is_multiple_of(3);
+                }
+                let mut ops: Vec<Op> = (0..sub.verts.len()).map(|i| Op::Declare(p, i)).collect();
+                let mut edges = sub.edges.clone();
+                for i in (1..edges.len()).rev() {
+                    edges.swap(i, (next(&mut rng) % (i as u64 + 1)) as usize);
+                }
+                for (a, b) in edges {
+                    let flip = next(&mut rng) & 1 == 1;
+                    ops.push(if flip { Op::Edge(b, a) } else { Op::Edge(a, b) });
+                }
+                ops.push(Op::End(sub.source));
+                ops.reverse();
+                queues.push(ops);
+            }
+            let mut new = StreamingMergeTree::new();
+            let mut old = old_stream::StreamingMergeTree::new();
+            while !queues.is_empty() {
+                let q = (next(&mut rng) % queues.len() as u64) as usize;
+                let op = queues[q].pop().expect("queues are never left empty");
+                apply!(new, parts, &op);
+                apply!(old, parts, &op);
+                prop_assert_eq!(new.live(), old.live());
+                prop_assert_eq!(new.stats().evicted, old.stats().evicted);
+                if queues[q].is_empty() {
+                    queues.swap_remove(q);
+                }
+            }
+            let ((t, s), (rt, rs)) = (new.finish(), old.finish());
+            let ctx = format!("{conn:?} {policy:?} {} ranks", d.rank_count());
+            prop_assert_eq!(t.canonical(), rt.canonical(), "{}", ctx);
+            prop_assert_eq!(raw(&t), raw(&rt), "{}", ctx);
+            prop_assert_eq!(
+                (s.vertices, s.edges, s.evicted, s.peak_live),
+                (rs.vertices, rs.edges, rs.evicted, rs.peak_live),
+                "{}",
+                ctx
+            );
+            prop_assert!(s.chain_steps >= s.edges);
+        }
+    }
+    Ok(())
 }
 
 /// A smooth field at the `topo-local` rank layout (2×2×1), large enough
@@ -275,7 +676,9 @@ fn smooth_field_matches_reference_at_2x2x1() {
         let (x, y, z) = (p[0] as f64, p[1] as f64, p[2] as f64);
         (0.7 * x).sin() * (0.5 * y).cos() + (0.9 * z).sin()
     });
-    check_all_ranks(&whole, &Decomposition::new(g, [2, 2, 1])).unwrap();
+    let d = Decomposition::new(g, [2, 2, 1]);
+    check_all_ranks(&whole, &d).unwrap();
+    check_glue(&whole, &d, 7).unwrap();
 }
 
 /// Zeros of both signs over a smooth field, on a decomposition with
@@ -290,5 +693,7 @@ fn signed_zero_plateau_matches_reference() {
             _ => v,
         }
     });
-    check_all_ranks(&whole, &Decomposition::new(g, [9, 2, 1])).unwrap();
+    let d = Decomposition::new(g, [9, 2, 1]);
+    check_all_ranks(&whole, &d).unwrap();
+    check_glue(&whole, &d, 11).unwrap();
 }
