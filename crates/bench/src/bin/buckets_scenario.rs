@@ -1,6 +1,6 @@
-//! Elastic bucket-pool scenario: locality-aware placement versus FCFS
-//! on a three-member ring shape, and the autoscaler recovering tail
-//! latency under a backlog burst.
+//! Elastic bucket-pool scenario: buckets registered at their endpoints
+//! versus the same buckets unlocated on a three-member ring shape, and
+//! the autoscaler recovering tail latency under a backlog burst.
 //!
 //! ```text
 //! cargo run --release -p sitra-bench --bin buckets_scenario
@@ -11,11 +11,13 @@
 //! * **locality** — three schedulers (one per ring member), each with
 //!   one bucket worker *at* every member's endpoint, fed a seeded task
 //!   stream whose input shards are owned by the real consistent-hash
-//!   ring. The identical stream runs once under FCFS and once under
-//!   [`LocalityPlacement`]; the moved-byte count is recomputed from
+//!   ring. The identical stream runs once with every bucket registered
+//!   at its endpoint, so placement can match it against the tasks'
+//!   residency hints, and once with the same buckets unlocated, which
+//!   leaves placement FCFS. The moved-byte count is recomputed from
 //!   each run's assignment log (task bytes minus whatever was resident
-//!   at the chosen bucket's location), so FCFS gets credit for its
-//!   accidental co-locations too.
+//!   at the chosen bucket's endpoint), so the unlocated run gets credit
+//!   for its accidental co-locations too.
 //! * **autoscale** — a burst of tasks floods a pool pinned at one
 //!   bucket, followed by a steady trickle. With the autoscaler on, the
 //!   pool grows toward `max` and the tail of the steady phase waits
@@ -25,16 +27,18 @@
 //!
 //! Emits the same `{"group","id","mean_ns","iters"}` rows the criterion
 //! benches write to `BENCH_buckets.json` (override with
-//! `BENCH_JSON=path`). Movement/saved rows carry bytes and wait rows
-//! carry microseconds in `mean_ns`; `locality_saved_bytes`,
-//! `autoscale_peak_buckets`, and `slo_recovered` are the CI floor
-//! gates. `BUCKETS_SMOKE=1` shrinks both shapes for the CI smoke job.
+//! `BENCH_JSON=path`), plus a `"unit"` key: movement/saved rows carry
+//! bytes (`B`), wait rows microseconds (`us`), the rest a `count` in
+//! `mean_ns`. The row ids predate the located/unlocated framing:
+//! `fcfs_movement_bytes` is the unlocated run, `locality_*` the located
+//! one. `locality_saved_bytes`, `autoscale_peak_buckets`, and
+//! `slo_recovered` are the CI floor gates. `BUCKETS_SMOKE=1` shrinks
+//! both shapes for the CI smoke job.
 
 use bytes::Bytes;
 use sitra_cluster::{HashRing, ShardKey, DEFAULT_SEED, DEFAULT_VNODES};
 use sitra_dataspaces::{
-    AutoscaleConfig, Autoscaler, Lease, LocalityPlacement, ResidencyHint, ScaleDecision, Scheduler,
-    DEFAULT_TENANT,
+    AutoscaleConfig, Autoscaler, Lease, ResidencyHint, ScaleDecision, Scheduler, DEFAULT_TENANT,
 };
 use sitra_mesh::BBox3;
 use std::collections::HashMap;
@@ -45,7 +49,8 @@ use std::time::{Duration, Instant};
 
 const MEMBERS: usize = 3;
 /// Every member's scheduler gets one bucket at each member's endpoint,
-/// so placement always has a co-located candidate to find.
+/// so placement always has a co-located candidate to find when the
+/// buckets are registered there.
 const PARTS_PER_TASK: usize = 4;
 const PART_BYTES: u64 = 256 * 1024;
 
@@ -94,29 +99,22 @@ fn spawn_bucket(
 }
 
 /// One locality run: the seeded task stream through three per-member
-/// schedulers under the given placement. Returns
-/// `(moved_bytes, saved_bytes)`, with `moved` recomputed from the
-/// assignment logs so both policies are scored by what they actually
-/// did, not by what they reported.
-fn run_locality(tasks: usize, locality: bool) -> (u64, u64) {
+/// schedulers, the buckets registered at their endpoints when
+/// `located`. Returns `(moved_bytes, saved_bytes)`, with `moved`
+/// recomputed from the assignment logs so both runs are scored by what
+/// they actually did, not by what they reported.
+fn run_locality(tasks: usize, located: bool) -> (u64, u64) {
     let eps = endpoints();
     let ring = HashRing::new(DEFAULT_SEED, DEFAULT_VNODES, eps.clone());
-    let scheds: Vec<Scheduler<Bytes>> = (0..MEMBERS)
-        .map(|_| {
-            let s = Scheduler::new();
-            if locality {
-                s.set_placement(Arc::new(LocalityPlacement));
-            }
-            s
-        })
-        .collect();
-    // Bucket id == index of the endpoint the bucket lives at.
+    let scheds: Vec<Scheduler<Bytes>> = (0..MEMBERS).map(|_| Scheduler::new()).collect();
+    // Bucket id == index of the endpoint the bucket lives at, whether
+    // or not the scheduler is told.
     let workers: Vec<_> = scheds
         .iter()
         .flat_map(|s| {
             eps.iter()
                 .enumerate()
-                .map(|(i, ep)| spawn_bucket(s.clone(), i as u32, Some(ep.clone()), None))
+                .map(|(i, ep)| spawn_bucket(s.clone(), i as u32, located.then(|| ep.clone()), None))
         })
         .collect();
 
@@ -316,33 +314,36 @@ fn main() {
         .append(true)
         .open(&json_path)
         .expect("open BENCH_JSON");
-    let mut row = |id: &str, value: u64| {
+    let mut row = |id: &str, value: u64, unit: &str| {
         writeln!(
             out,
-            "{{\"group\":\"buckets\",\"id\":\"{id}\",\"mean_ns\":{value},\"iters\":1}}"
+            "{{\"group\":\"buckets\",\"id\":\"{id}\",\"mean_ns\":{value},\"iters\":1,\"unit\":\"{unit}\"}}"
         )
         .expect("write row");
     };
 
     println!("buckets scenario: {tasks} locality tasks, {burst}+{steady} autoscale tasks");
 
-    let (fcfs_moved, fcfs_saved) = run_locality(tasks, false);
+    let (unloc_moved, unloc_saved) = run_locality(tasks, false);
     let (loc_moved, loc_saved) = run_locality(tasks, true);
-    assert_eq!(fcfs_saved, 0, "FCFS must never report locality savings");
-    assert!(loc_saved > 0, "locality placement saved nothing");
+    assert_eq!(
+        unloc_saved, 0,
+        "unlocated buckets must never report savings"
+    );
+    assert!(loc_saved > 0, "located buckets saved nothing");
     assert!(
-        loc_moved < fcfs_moved,
-        "locality moved {loc_moved} B, FCFS moved {fcfs_moved} B — no reduction"
+        loc_moved < unloc_moved,
+        "located moved {loc_moved} B, unlocated moved {unloc_moved} B — no reduction"
     );
     println!(
-        "  locality: FCFS moved {:.1} MiB, locality moved {:.1} MiB (saved {:.1} MiB)",
-        fcfs_moved as f64 / (1 << 20) as f64,
+        "  locality: unlocated moved {:.1} MiB, located moved {:.1} MiB (saved {:.1} MiB)",
+        unloc_moved as f64 / (1 << 20) as f64,
         loc_moved as f64 / (1 << 20) as f64,
         loc_saved as f64 / (1 << 20) as f64,
     );
-    row("fcfs_movement_bytes", fcfs_moved);
-    row("locality_movement_bytes", loc_moved);
-    row("locality_saved_bytes", loc_saved);
+    row("fcfs_movement_bytes", unloc_moved, "B");
+    row("locality_movement_bytes", loc_moved, "B");
+    row("locality_saved_bytes", loc_saved, "B");
 
     let (fixed_p99_us, _) = run_autoscale(burst, steady, false);
     let (auto_p99_us, peak) = run_autoscale(burst, steady, true);
@@ -355,10 +356,10 @@ fn main() {
         fixed_p99_us as f64 / 1e3,
         auto_p99_us as f64 / 1e3,
     );
-    row("fixed_tail_p99_us", fixed_p99_us);
-    row("autoscale_tail_p99_us", auto_p99_us);
-    row("autoscale_peak_buckets", peak as u64);
-    row("slo_recovered", recovered);
+    row("fixed_tail_p99_us", fixed_p99_us, "us");
+    row("autoscale_tail_p99_us", auto_p99_us, "us");
+    row("autoscale_peak_buckets", peak as u64, "count");
+    row("slo_recovered", recovered, "count");
 
     println!("rows appended to {}", json_path.display());
 }

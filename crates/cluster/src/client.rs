@@ -455,7 +455,7 @@ impl ClusterClient {
 
     /// Submit to `owner`, or failing that to the next reachable member
     /// in ring order, with the `(endpoint, bytes)` residency `hint` of
-    /// the task's input (FCFS-only servers ignore it).
+    /// the task's input (changing nothing where no bucket is located).
     fn submit_from(
         &self,
         owner: usize,
@@ -574,7 +574,7 @@ impl ClusterClient {
     }
 
     /// [`ClusterClient::request_task`] declaring the bucket's home
-    /// endpoint, so a locality-aware scheduler on the polled member can
+    /// endpoint, so the scheduler on the polled member can
     /// prefer this bucket for tasks whose input is resident there. An
     /// empty `location` leaves the bucket unlocated.
     pub fn request_task_located(

@@ -344,7 +344,7 @@ impl ClusterNode {
     }
 
     /// This member's task scheduler, for operator-side configuration
-    /// (placement policy, capacity targets, drain commands).
+    /// (tenants, capacity targets, drain commands).
     pub fn scheduler(&self) -> &Scheduler<Bytes> {
         &self.state.sched
     }

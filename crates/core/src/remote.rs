@@ -122,8 +122,8 @@ pub struct BucketWorkerOpts {
     /// path. `None` disables it.
     pub drop_connection_after: Option<usize>,
     /// Where this bucket's results land (the worker's home endpoint):
-    /// declared with every bucket-ready request so a locality-aware
-    /// scheduler can steer co-resident tasks here. `None` leaves the
+    /// declared with every bucket-ready request so the scheduler can
+    /// steer co-resident tasks here. `None` leaves the
     /// bucket unlocated (an empty label on the wire).
     pub location: Option<String>,
 }
@@ -449,6 +449,15 @@ impl BucketWorker<'_> {
     /// the driver's deadline and degrades the task to an in-situ
     /// re-aggregation.
     ///
+    /// The parts are whatever bytes any `tcp://` client put under the
+    /// intermediate key, and [`crate::Analysis::aggregate`] cannot
+    /// fail: a truncated part panics in its decoder, two ranks
+    /// declaring one vertex differently trip the merge tree's assert.
+    /// The call runs under a panic guard that turns such a task into a
+    /// skip, so one bad producer cannot end the worker. A fallible
+    /// aggregation would say this in the type, but `e2e/src/probe.rs`
+    /// implements the trait, so its signature stays as it is.
+    ///
     /// The bucket pool is shared across tenants, so the assignment
     /// itself names the namespace: this worker's connections stay
     /// unbound and every space access is scoped explicitly. For the
@@ -497,7 +506,12 @@ impl BucketWorker<'_> {
             return Ok(false);
         }
         let t_agg = Instant::now();
-        let out = spec.analysis.aggregate(task.step, &parts);
+        let aggregated = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            spec.analysis.aggregate(task.step, &parts)
+        }));
+        let Ok(out) = aggregated else {
+            return Ok(false);
+        };
         let aggregate_secs = t_agg.elapsed().as_secs_f64();
         if self
             .client
@@ -1032,6 +1046,59 @@ mod tests {
             encode_analysis_output(&got),
             encode_analysis_output(&expect)
         );
+        server.shutdown();
+    }
+
+    #[test]
+    fn worker_skips_a_task_whose_parts_are_malformed_and_serves_the_next() {
+        // Step 1's two parts are truncated bytes: the stats decoder
+        // panics on them. The worker must skip that task and go on to
+        // aggregate the valid step-2 task.
+        const BUCKET: u32 = 78; // unique: the skip counter is global
+        let addr: Addr = "inproc://core-worker-malformed".parse().unwrap();
+        let server = SpaceServer::start(&addr, 2).unwrap();
+        let analyses = stats_roster();
+        let label = analyses[0].label.clone();
+        let producer = client_of(&server);
+        for rank in 0..2 {
+            producer
+                .put(
+                    &intermediate_var(&label),
+                    1,
+                    rank_bbox(rank),
+                    Bytes::from_static(b"\x01\x00"),
+                )
+                .unwrap();
+        }
+        let task = encode_task(&RemoteTask {
+            analysis_idx: 0,
+            step: 1,
+            n_ranks: 2,
+        });
+        let (_, adm) = producer.submit_task_routed(&label, 1, task).unwrap();
+        assert!(adm.seq().is_some());
+        let local_parts = stage_task(&producer, &analyses, 2, 0..2);
+        producer.close_sched();
+
+        let skipped =
+            sitra_obs::global().counter(&format!("worker.tasks.skipped{{bucket={BUCKET}}}"));
+        let before = skipped.get();
+        let done = run_bucket_worker(
+            &server.addr(),
+            &analyses,
+            BUCKET,
+            &BucketWorkerOpts::default(),
+        );
+        assert_eq!(done.unwrap(), 1);
+        assert_eq!(skipped.get() - before, 1);
+        let got = wait_output(&producer, &label, 2, Duration::from_secs(5))
+            .unwrap()
+            .expect("the worker put step 2's output");
+        assert_eq!(got, analyses[0].analysis.aggregate(2, &local_parts));
+        let stored = producer
+            .get(&output_var(&label), 1, &output_bbox())
+            .unwrap();
+        assert!(stored.is_empty(), "a malformed task was stored");
         server.shutdown();
     }
 

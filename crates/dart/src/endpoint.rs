@@ -237,16 +237,6 @@ impl Fabric {
         *self.inner.stats.lock()
     }
 
-    /// Snapshot a peer's exported region without going through the
-    /// progress engine — the local read a [`crate::gateway::RegionGateway`]
-    /// performs on behalf of an off-fabric consumer. Returns `None` when
-    /// the endpoint is unregistered or the region was withdrawn.
-    pub fn read_exported_region(&self, peer: EndpointId, key: RegionKey) -> Option<Bytes> {
-        let eps = self.inner.endpoints.read();
-        let data = eps.get(&peer)?.regions.read().get(&key).cloned();
-        data
-    }
-
     /// The network model in force.
     pub fn model(&self) -> NetworkModel {
         self.inner.model

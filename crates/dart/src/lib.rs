@@ -27,11 +27,9 @@
 //! replay at paper scale obtains its communication costs.
 
 pub mod endpoint;
-pub mod gateway;
 pub mod model;
 
 pub use endpoint::{
     DartError, Endpoint, EndpointId, Event, Fabric, FabricStats, Path, RegionKey, TransferId,
 };
-pub use gateway::{GatewayClient, RegionGateway};
 pub use model::NetworkModel;

@@ -32,8 +32,7 @@ pub mod tenant;
 
 pub use codec::{bytes_to_field, field_to_bytes};
 pub use pool::{
-    AutoscaleConfig, Autoscaler, BucketCandidate, BucketState, FcfsPlacement, LocalityPlacement,
-    Placement, PoolSnapshot, ResidencyHint, ScaleDecision,
+    AutoscaleConfig, Autoscaler, BucketState, PoolSnapshot, ResidencyHint, ScaleDecision,
 };
 pub use remote::{
     ControlHandler, PoolStats, RemoteError, RemoteSpace, RemoteStats, SpaceServer, TaskPoll,

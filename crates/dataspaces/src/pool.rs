@@ -1,5 +1,5 @@
-//! The elastic bucket pool: per-bucket lifecycle state, pluggable task
-//! placement, and the pure autoscaling policy.
+//! The elastic bucket pool: per-bucket lifecycle state, the one task
+//! placement rule, and the pure autoscaling policy.
 //!
 //! The paper's scheduler treats staging buckets as an anonymous FCFS
 //! free list — enough for a fixed-size staging partition, but a service
@@ -7,20 +7,19 @@
 //! buckets exist, what state each is in, and where each one runs:
 //!
 //! * `BucketPool` (crate-internal) replaces the scheduler's bare
-//!   free-bucket queue. It
-//!   keeps the parked (idle) buckets in arrival order — preserving the
-//!   paper's FCFS bucket semantics — plus a metadata row per bucket:
-//!   lifecycle [`BucketState`] and an optional *location* label (the
-//!   endpoint or cluster member the bucket is co-resident with).
-//! * [`Placement`] chooses which parked bucket receives the next task.
-//!   [`FcfsPlacement`] (the default) always picks the head of the
-//!   parked queue, which makes the degenerate fixed-pool configuration
-//!   byte-identical to the pre-pool scheduler — the pinned chaos corpus
-//!   and `backend_equivalence` hold bit-for-bit. [`LocalityPlacement`]
-//!   scores candidates by the resident input bytes named in a
-//!   [`ResidencyHint`] and prefers the bucket co-located with the shard
-//!   holding the most input, crediting the avoided movement to the
-//!   scheduler's `locality_bytes_saved` metric.
+//!   free-bucket queue. It keeps the parked (idle) buckets in arrival
+//!   order plus a metadata row per bucket: lifecycle [`BucketState`]
+//!   and an optional *location* label (the endpoint or cluster member
+//!   the bucket is co-resident with).
+//! * Placement is one rule, `BucketPool::take_for`: the parked bucket
+//!   whose location holds the most of the task's input bytes (named by
+//!   a [`ResidencyHint`]) gets the task, and those bytes are credited
+//!   to the scheduler's `locality_bytes_saved`. Ties, tasks with no
+//!   hint, and unlocated buckets fall back to the head of the parked
+//!   list — the paper's FCFS order. A deployment that registers no
+//!   bucket location is therefore byte-identical to the plain free
+//!   list: the pinned chaos corpus and `backend_equivalence` hold
+//!   bit-for-bit.
 //! * [`Autoscaler`] is the capacity controller: a pure decision
 //!   function from a [`PoolSnapshot`] (queue depth, bucket counts, p99
 //!   task queue-wait) to a [`ScaleDecision`], driven by a latency SLO.
@@ -39,11 +38,10 @@
 use crate::sched::BucketId;
 use crossbeam::channel::Sender;
 use std::collections::{HashMap, VecDeque};
-use std::sync::Arc;
 use std::time::Duration;
 
 /// What [`BucketPool::take_for`] hands back: the chosen bucket, its
-/// task channel, and the movement bytes the placement avoided.
+/// task channel, and the input bytes resident at its location.
 pub(crate) type TakenBucket<T> = (BucketId, Sender<(u64, T)>, u64);
 
 /// Lifecycle state of one staging bucket.
@@ -106,97 +104,19 @@ impl ResidencyHint {
     }
 }
 
-/// One parked bucket as seen by a [`Placement`] policy.
-#[derive(Debug, Clone, Copy)]
-pub struct BucketCandidate<'a> {
-    /// The bucket's id.
-    pub id: BucketId,
-    /// The bucket's registered location, if any.
-    pub location: Option<&'a str>,
-}
-
-/// Chooses which parked bucket receives the next task. `candidates` is
-/// the parked list in FCFS (arrival) order and is never empty. Returns
-/// the index of the chosen candidate plus the input bytes the choice
-/// avoids moving (0 when the policy did not use locality).
-pub trait Placement: Send + Sync {
-    /// Policy name, for journal events and stats surfaces.
-    fn name(&self) -> &'static str;
-
-    /// Pick a candidate for a task with optional residency `hint`.
-    fn choose(
-        &self,
-        candidates: &[BucketCandidate<'_>],
-        hint: Option<&ResidencyHint>,
-    ) -> (usize, u64);
-}
-
-/// The default policy: first parked, first served — exactly the
-/// pre-pool free-list behaviour, byte-identical in assignment order.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct FcfsPlacement;
-
-impl Placement for FcfsPlacement {
-    fn name(&self) -> &'static str {
-        "fcfs"
-    }
-
-    fn choose(
-        &self,
-        _candidates: &[BucketCandidate<'_>],
-        _hint: Option<&ResidencyHint>,
-    ) -> (usize, u64) {
-        (0, 0)
-    }
-}
-
-/// Locality-aware placement: prefer the parked bucket whose location
-/// holds the most of the task's input bytes; the bytes resident there
-/// are movement avoided. Ties — and tasks without a hint — fall back to
-/// FCFS order, so a locality pool degrades gracefully to the default
-/// policy when producers do not hint.
-#[derive(Debug, Default, Clone, Copy)]
-pub struct LocalityPlacement;
-
-impl Placement for LocalityPlacement {
-    fn name(&self) -> &'static str {
-        "locality"
-    }
-
-    fn choose(
-        &self,
-        candidates: &[BucketCandidate<'_>],
-        hint: Option<&ResidencyHint>,
-    ) -> (usize, u64) {
-        let Some(hint) = hint else { return (0, 0) };
-        let mut best = (0usize, 0u64);
-        for (i, cand) in candidates.iter().enumerate() {
-            let here = cand.location.map_or(0, |loc| hint.bytes_at(loc));
-            // Strictly-greater keeps ties FCFS: the earliest-parked
-            // bucket among equals wins, like the default policy.
-            if here > best.1 {
-                best = (i, here);
-            }
-        }
-        best
-    }
-}
-
 struct BucketMeta {
     state: BucketState,
     location: Option<String>,
 }
 
 /// The scheduler's bucket roster: parked buckets in FCFS order plus
-/// per-bucket lifecycle state, capacity target, and the placement
-/// policy. Owned by the scheduler's lock; every method is called with
-/// that lock held.
+/// per-bucket lifecycle state and capacity target. Owned by the
+/// scheduler's lock; every method is called with that lock held.
 pub(crate) struct BucketPool<T> {
     /// Parked (idle) buckets in arrival order, each with the one-shot
     /// channel its blocked lease request is waiting on.
     parked: VecDeque<(BucketId, Sender<(u64, T)>)>,
     meta: HashMap<BucketId, BucketMeta>,
-    placement: Arc<dyn Placement>,
     /// Desired bucket count, when a capacity controller has set one.
     /// `None` = legacy fixed pool: no retirement ever fires.
     target: Option<usize>,
@@ -207,17 +127,8 @@ impl<T> BucketPool<T> {
         BucketPool {
             parked: VecDeque::new(),
             meta: HashMap::new(),
-            placement: Arc::new(FcfsPlacement),
             target: None,
         }
-    }
-
-    pub(crate) fn set_placement(&mut self, placement: Arc<dyn Placement>) {
-        self.placement = placement;
-    }
-
-    pub(crate) fn placement_name(&self) -> &'static str {
-        self.placement.name()
     }
 
     pub(crate) fn set_target(&mut self, target: Option<usize>) {
@@ -239,8 +150,8 @@ impl<T> BucketPool<T> {
         }
     }
 
-    /// Note that `id` exists and is active (first lease request or an
-    /// immediate assignment without parking).
+    /// Note that `id` exists and is active (registration, or taken off
+    /// the free list by an assignment).
     pub(crate) fn note_busy(&mut self, id: BucketId) {
         let m = self.meta.entry(id).or_insert(BucketMeta {
             state: BucketState::Busy,
@@ -273,17 +184,6 @@ impl<T> BucketPool<T> {
         }
     }
 
-    /// Movement bytes avoided when `id` takes a task directly off the
-    /// queue (nobody else was parked, so there is no choice to make —
-    /// but the assignment still avoids moving whatever input already
-    /// sits at the bucket's location). The policy scores the single
-    /// candidate; FCFS scores everything 0.
-    pub(crate) fn immediate_saved(&self, id: BucketId, hint: Option<&ResidencyHint>) -> u64 {
-        let location = self.meta.get(&id).and_then(|m| m.location.as_deref());
-        let cand = [BucketCandidate { id, location }];
-        self.placement.choose(&cand, hint).1
-    }
-
     pub(crate) fn has_parked(&self) -> bool {
         !self.parked.is_empty()
     }
@@ -304,28 +204,23 @@ impl<T> BucketPool<T> {
         self.meta.get(&id).map(|m| m.state)
     }
 
-    /// Pick a parked bucket for a task via the placement policy and
-    /// remove it from the free list. Returns the bucket, its channel,
-    /// and the movement bytes the placement avoided.
+    /// The placement rule: take the parked bucket whose location holds
+    /// the most of `hint`'s bytes off the free list, the head of the
+    /// list when none holds any (ties keep the earlier-parked bucket).
+    /// Returns the bucket, its channel, and the bytes resident at its
+    /// location — the movement the choice avoided.
     pub(crate) fn take_for(&mut self, hint: Option<&ResidencyHint>) -> Option<TakenBucket<T>> {
-        if self.parked.is_empty() {
-            return None;
+        let (mut idx, mut saved) = (0, 0);
+        if let Some(hint) = hint {
+            for (i, (id, _)) in self.parked.iter().enumerate() {
+                let location = self.meta.get(id).and_then(|m| m.location.as_deref());
+                let here = location.map_or(0, |loc| hint.bytes_at(loc));
+                if here > saved {
+                    (idx, saved) = (i, here);
+                }
+            }
         }
-        let (idx, saved) = {
-            let cands: Vec<BucketCandidate<'_>> = self
-                .parked
-                .iter()
-                .map(|(id, _)| BucketCandidate {
-                    id: *id,
-                    location: self.meta.get(id).and_then(|m| m.location.as_deref()),
-                })
-                .collect();
-            self.placement.choose(&cands, hint)
-        };
-        // A policy returning an out-of-range index is clamped rather
-        // than trusted: placement must never lose a task.
-        let idx = idx.min(self.parked.len() - 1);
-        let (id, tx) = self.parked.remove(idx).expect("idx clamped in range");
+        let (id, tx) = self.parked.remove(idx)?;
         self.note_busy(id);
         Some((id, tx, saved))
     }
@@ -502,44 +397,6 @@ impl Autoscaler {
 mod tests {
     use super::*;
 
-    fn cand(id: BucketId, location: Option<&'static str>) -> BucketCandidate<'static> {
-        BucketCandidate { id, location }
-    }
-
-    #[test]
-    fn fcfs_placement_always_picks_the_head() {
-        let p = FcfsPlacement;
-        let cands = [cand(3, Some("a")), cand(1, Some("b")), cand(2, None)];
-        let hint = ResidencyHint::single("b", 1 << 20);
-        assert_eq!(p.choose(&cands, Some(&hint)), (0, 0));
-        assert_eq!(p.choose(&cands, None), (0, 0));
-    }
-
-    #[test]
-    fn locality_placement_prefers_the_heaviest_location() {
-        let p = LocalityPlacement;
-        let cands = [
-            cand(0, Some("m0")),
-            cand(1, Some("m1")),
-            cand(2, Some("m2")),
-        ];
-        let mut hint = ResidencyHint::default();
-        hint.add("m1", 300);
-        hint.add("m2", 900);
-        hint.add("m0", 100);
-        assert_eq!(p.choose(&cands, Some(&hint)), (2, 900));
-        // No hint: FCFS fallback.
-        assert_eq!(p.choose(&cands, None), (0, 0));
-        // Ties keep FCFS order among equals.
-        let tie = ResidencyHint {
-            bytes_at: vec![("m0".into(), 500), ("m2".into(), 500)],
-        };
-        assert_eq!(p.choose(&cands, Some(&tie)), (0, 500));
-        // Unlocated buckets score zero.
-        let unloc = [cand(7, None), cand(8, Some("m2"))];
-        assert_eq!(p.choose(&unloc, Some(&hint)), (1, 900));
-    }
-
     #[test]
     fn residency_hint_accumulates_and_sums() {
         let mut h = ResidencyHint::default();
@@ -631,6 +488,49 @@ mod tests {
         }
         assert!(pool.take_for(None).is_none());
         drop(chans);
+    }
+
+    #[test]
+    fn pool_take_for_prefers_the_heaviest_location() {
+        let mut pool: BucketPool<u32> = BucketPool::new();
+        let park_all = |pool: &mut BucketPool<u32>, ids: &[BucketId]| -> Vec<_> {
+            ids.iter()
+                .map(|&id| {
+                    let (tx, rx) = crossbeam::channel::bounded(1);
+                    pool.park(id, tx);
+                    rx
+                })
+                .collect()
+        };
+        for (id, loc) in [(0, "m0"), (1, "m1"), (2, "m2")] {
+            pool.set_location(id, Some(loc.to_string()));
+        }
+        let _rxs = park_all(&mut pool, &[0, 1, 2, 7]);
+        let mut hint = ResidencyHint::default();
+        hint.add("m1", 300);
+        hint.add("m2", 900);
+        hint.add("m0", 100);
+        let (id, _, saved) = pool.take_for(Some(&hint)).unwrap();
+        assert_eq!((id, saved), (2, 900));
+        // Ties keep FCFS order among equals.
+        let tie = ResidencyHint {
+            bytes_at: vec![("m1".into(), 500), ("m0".into(), 500)],
+        };
+        let (id, _, saved) = pool.take_for(Some(&tie)).unwrap();
+        assert_eq!((id, saved), (0, 500));
+        // A hint naming no parked bucket's location, or no hint at
+        // all: the head of the list, nothing saved.
+        let (id, _, saved) = pool
+            .take_for(Some(&ResidencyHint::single("m9", 64)))
+            .unwrap();
+        assert_eq!((id, saved), (1, 0));
+        let _more = park_all(&mut pool, &[2]);
+        // Unlocated bucket 7 is the head; located bucket 2 behind it
+        // wins on its bytes.
+        let (id, _, saved) = pool.take_for(Some(&hint)).unwrap();
+        assert_eq!((id, saved), (2, 900));
+        let (id, _, saved) = pool.take_for(None).unwrap();
+        assert_eq!((id, saved), (7, 0));
     }
 
     #[test]

@@ -4,7 +4,7 @@ use super::proto::{
     decode_response, encode_request, PoolStats, RemoteStats, Request, Response, TaskPoll, TenantRow,
 };
 use super::RemoteError;
-use crate::sched::{Admission, AdmissionPolicy};
+use crate::sched::Admission;
 use crate::tenant::TenantSpec;
 use bytes::Bytes;
 use sitra_mesh::{BBox3, ScalarField};
@@ -234,17 +234,6 @@ impl RemoteSpace {
         self.submit_task_hinted(data, Vec::new())
     }
 
-    /// The server scheduler's queue capacity (`None` = unbounded) and
-    /// admission policy.
-    pub fn sched_policy(&self) -> Result<(Option<u64>, AdmissionPolicy), RemoteError> {
-        match self.rpc(&Request::SchedPolicy)? {
-            Response::Policy { capacity, policy } => Ok((capacity, policy)),
-            other => Err(RemoteError::Proto(format!(
-                "expected Policy, got {other:?}"
-            ))),
-        }
-    }
-
     /// Bucket-ready: request the next task, waiting up to `timeout` on
     /// the server. An assigned task is acknowledged automatically
     /// before this returns.
@@ -254,7 +243,7 @@ impl RemoteSpace {
 
     /// [`Self::request_task`] with a location label: registers the
     /// bucket as co-resident with `location` (empty = unlocated) so the
-    /// server's locality placement can steer matching tasks here. May
+    /// server's placement can steer matching tasks here. May
     /// return [`TaskPoll::Retire`] when the capacity controller drains
     /// this bucket.
     pub fn request_task_located(
@@ -303,9 +292,9 @@ impl RemoteSpace {
     }
 
     /// [`Self::submit_task_admission`] with a residency hint: `hint`
-    /// rows name where the task's input bytes live so a locality-aware
-    /// server placement can steer the assignment. Advisory — an FCFS
-    /// server behaves exactly as for an empty hint.
+    /// rows name where the task's input bytes live so the server's
+    /// placement can steer the assignment. Advisory — a hint naming no
+    /// bucket's location behaves exactly as an empty one.
     pub fn submit_task_hinted(
         &self,
         data: Bytes,

@@ -18,7 +18,6 @@ const REQ_ACK_TASK: u8 = 6;
 const REQ_STATS: u8 = 7;
 const REQ_EVICT_VERSION: u8 = 8;
 const REQ_CLOSE_SCHED: u8 = 9;
-const REQ_SCHED_POLICY: u8 = 11;
 const REQ_CONTROL: u8 = 12;
 const REQ_SET_TENANT: u8 = 13;
 const REQ_TENANT_STATS: u8 = 14;
@@ -32,7 +31,6 @@ const RESP_VERSION: u8 = 103;
 const RESP_TASK: u8 = 104;
 const RESP_STATS: u8 = 105;
 const RESP_ADMISSION: u8 = 106;
-const RESP_POLICY: u8 = 107;
 const RESP_CONTROL: u8 = 108;
 const RESP_TENANT_STATS: u8 = 109;
 const RESP_POOL: u8 = 110;
@@ -46,7 +44,7 @@ const ADM_REJECTED: u8 = 2;
 const ADM_TIMED_OUT: u8 = 3;
 const ADM_CLOSED: u8 = 4;
 
-// Admission policy tags (RESP_POLICY payload).
+// Admission policy tags (tenant specs of REQ_SET_TENANT).
 const POL_BLOCK: u8 = 0;
 const POL_SHED_OLDEST: u8 = 1;
 const POL_REJECT_NEW: u8 = 2;
@@ -100,14 +98,12 @@ pub enum Request {
         /// Encoded task.
         data: Bytes,
         /// Resident input bytes per location label — where the task's
-        /// input lives, so a locality-aware server placement can steer
-        /// the assignment. Empty = no hint. A server with FCFS
-        /// placement (the default) ignores it entirely — same verdict,
+        /// input lives, so the server's placement can steer the
+        /// assignment to a co-located bucket. Empty = no hint. A hint
+        /// naming no bucket's location changes nothing — same verdict,
         /// same assignment order.
         hint: Vec<(String, u64)>,
     },
-    /// Query the scheduler's queue capacity and admission policy.
-    SchedPolicy,
     /// Bucket-ready: ask for the next task, waiting up to `timeout_ms`.
     /// The server may answer [`TaskPoll::Retire`] when the capacity
     /// controller drains the bucket.
@@ -117,8 +113,8 @@ pub enum Request {
         /// Server-side wait bound in milliseconds.
         timeout_ms: u64,
         /// The bucket's location label (its cluster member endpoint),
-        /// registering it as co-resident with `location` so locality
-        /// placement can match it against task hints. Empty =
+        /// registering it as co-resident with `location` so placement
+        /// can match it against task hints. Empty =
         /// unlocated.
         location: String,
     },
@@ -237,10 +233,8 @@ pub struct PoolStats {
     pub queue_depth: u64,
     /// p99 of recent task queue-waits, microseconds.
     pub p99_wait_us: u64,
-    /// Input bytes locality placement has avoided moving.
+    /// Input bytes placement has avoided moving.
     pub locality_bytes_saved: u64,
-    /// Name of the placement policy in force (`fcfs`, `locality`).
-    pub placement: String,
 }
 
 /// Combined server-side counters.
@@ -290,14 +284,6 @@ pub enum Response {
     Stats(RemoteStats),
     /// Verdict of a task submission.
     Admission(Admission),
-    /// The scheduler's queue capacity (`None` = unbounded) and
-    /// admission policy.
-    Policy {
-        /// Queue capacity, if bounded.
-        capacity: Option<u64>,
-        /// Policy applied at capacity.
-        policy: AdmissionPolicy,
-    },
     /// Reply of the server's control handler to a [`Request::Control`].
     Control {
         /// Opaque payload produced by the control handler.
@@ -330,7 +316,6 @@ impl Request {
                 | (Q::GetWait { .. }, R::DataReady { .. })
                 | (Q::LatestVersion { .. }, R::Version(_))
                 | (Q::SubmitTask { .. }, R::Admission(_))
-                | (Q::SchedPolicy, R::Policy { .. })
                 | (Q::RequestTask { .. }, R::Task(_))
                 | (Q::Stats, R::Stats(_))
                 | (Q::Control { .. }, R::Control { .. })
@@ -531,7 +516,6 @@ pub fn encode_request(req: &Request) -> Bytes {
                 buf.put_u64_le(*bytes);
             }
         }
-        Request::SchedPolicy => buf.put_u8(REQ_SCHED_POLICY),
         Request::RequestTask {
             bucket_id,
             timeout_ms,
@@ -619,7 +603,6 @@ pub fn decode_request(frame: Bytes) -> Result<Request, RemoteError> {
             }
             Request::SubmitTask { data, hint }
         }
-        REQ_SCHED_POLICY => Request::SchedPolicy,
         REQ_REQUEST_TASK => Request::RequestTask {
             bucket_id: rd.u32()?,
             timeout_ms: rd.u64()?,
@@ -727,11 +710,6 @@ pub fn encode_response(resp: &Response) -> Bytes {
                 Admission::Closed => buf.put_u8(ADM_CLOSED),
             }
         }
-        Response::Policy { capacity, policy } => {
-            buf.put_u8(RESP_POLICY);
-            put_opt_u64(&mut buf, *capacity);
-            put_policy(&mut buf, policy);
-        }
         Response::Control { data } => {
             buf.put_u8(RESP_CONTROL);
             put_bytes(&mut buf, data);
@@ -761,7 +739,6 @@ pub fn encode_response(resp: &Response) -> Bytes {
             buf.put_u64_le(p.queue_depth);
             buf.put_u64_le(p.p99_wait_us);
             buf.put_u64_le(p.locality_bytes_saved);
-            put_bytes(&mut buf, p.placement.as_bytes());
         }
         Response::Error(msg) => {
             buf.put_u8(RESP_ERROR);
@@ -814,10 +791,6 @@ pub fn decode_response(frame: Bytes) -> Result<Response, RemoteError> {
             ADM_CLOSED => Response::Admission(Admission::Closed),
             v => return Err(RemoteError::Proto(format!("unknown admission verdict {v}"))),
         },
-        RESP_POLICY => Response::Policy {
-            capacity: opt_u64(&mut rd)?,
-            policy: policy(&mut rd)?,
-        },
         RESP_CONTROL => Response::Control { data: rd.bytes()? },
         RESP_TENANT_STATS => {
             let n = rd.u32()? as usize;
@@ -851,7 +824,6 @@ pub fn decode_response(frame: Bytes) -> Result<Response, RemoteError> {
             queue_depth: rd.u64()?,
             p99_wait_us: rd.u64()?,
             locality_bytes_saved: rd.u64()?,
-            placement: rd.string()?,
         }),
         RESP_ERROR => Response::Error(rd.string()?),
         t => return Err(RemoteError::Proto(format!("unknown response tag {t}"))),

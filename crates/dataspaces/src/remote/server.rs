@@ -223,10 +223,6 @@ fn serve_connection(inner: &ServerInner, conn: &Connection) {
                 let hint = (!hint.is_empty()).then_some(ResidencyHint { bytes_at: hint });
                 Response::Admission(inner.sched.submit_admission_hinted_as(t, data, hint))
             }
-            Request::SchedPolicy => Response::Policy {
-                capacity: inner.sched.capacity().map(|c| c as u64),
-                policy: inner.sched.policy(),
-            },
             Request::RequestTask {
                 bucket_id,
                 timeout_ms,
@@ -291,7 +287,6 @@ fn serve_connection(inner: &ServerInner, conn: &Connection) {
                     queue_depth: snap.queue_depth as u64,
                     p99_wait_us: snap.p99_wait.as_micros() as u64,
                     locality_bytes_saved: inner.sched.stats().locality_bytes_saved,
-                    placement: inner.sched.placement_name().to_string(),
                 })
             }
         };

@@ -41,7 +41,6 @@ fn sample_requests() -> Vec<Request> {
         Request::Stats,
         Request::EvictVersion { version: 3 },
         Request::CloseSched,
-        Request::SchedPolicy,
         Request::Control {
             data: Bytes::from_static(b"\x00opaque"),
         },
@@ -120,7 +119,6 @@ fn response_codec_roundtrip() {
             queue_depth: 9,
             p99_wait_us: 1500,
             locality_bytes_saved: 1 << 20,
-            placement: "locality".into(),
         }),
         Response::Pool(PoolStats::default()),
         Response::Stats(RemoteStats {
@@ -140,20 +138,6 @@ fn response_codec_roundtrip() {
         Response::Admission(Admission::Rejected),
         Response::Admission(Admission::TimedOut),
         Response::Admission(Admission::Closed),
-        Response::Policy {
-            capacity: Some(32),
-            policy: AdmissionPolicy::Block {
-                max_wait: Duration::from_millis(250),
-            },
-        },
-        Response::Policy {
-            capacity: None,
-            policy: AdmissionPolicy::ShedOldest,
-        },
-        Response::Policy {
-            capacity: Some(1),
-            policy: AdmissionPolicy::RejectNew,
-        },
         Response::Control {
             data: Bytes::from_static(b"reply"),
         },
@@ -446,10 +430,6 @@ fn admission_verbs_over_inproc() {
     let server = SpaceServer::start_with(&addr, 1, Some(2), AdmissionPolicy::ShedOldest).unwrap();
     let producer = RemoteSpace::connect(&server.addr()).unwrap();
     assert_eq!(
-        producer.sched_policy().unwrap(),
-        (Some(2), AdmissionPolicy::ShedOldest)
-    );
-    assert_eq!(
         producer
             .submit_task_admission(Bytes::from_static(b"t0"))
             .unwrap(),
@@ -645,9 +625,6 @@ fn byte_quota_refusal_is_a_server_error() {
 fn pool_verbs_over_inproc() {
     let addr: Addr = "inproc://space-pool".parse().unwrap();
     let server = SpaceServer::start(&addr, 1).unwrap();
-    server
-        .scheduler()
-        .set_placement(Arc::new(crate::pool::LocalityPlacement));
     let producer = RemoteSpace::connect(&server.addr()).unwrap();
 
     // Empty located poll: bucket registers at its location, times out.
@@ -680,7 +657,6 @@ fn pool_verbs_over_inproc() {
         }
     );
     let pool = producer.pool_stats().unwrap();
-    assert_eq!(pool.placement, "locality");
     assert_eq!(pool.buckets, 1);
     assert_eq!(pool.queue_depth, 0);
     assert_eq!(pool.locality_bytes_saved, 2048);

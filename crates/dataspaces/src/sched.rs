@@ -40,7 +40,7 @@
 //! ([`TenantSpec`]), making the verdict per-tenant: a tenant over its
 //! quota sheds *its own* oldest task, never a neighbour's.
 
-use crate::pool::{BucketPool, Placement, PoolSnapshot, ResidencyHint};
+use crate::pool::{BucketPool, PoolSnapshot, ResidencyHint};
 use crate::tenant::{TenantSpec, DEFAULT_TENANT};
 use crossbeam::channel::{bounded, Receiver};
 use parking_lot::{Condvar, Mutex};
@@ -131,10 +131,10 @@ pub struct SchedStats {
     /// Submissions refused at capacity ([`AdmissionPolicy::RejectNew`],
     /// or [`AdmissionPolicy::Block`] deadlines that elapsed).
     pub tasks_rejected: u64,
-    /// Input bytes that locality-aware placement avoided moving by
-    /// assigning tasks to buckets co-located with their resident input
-    /// shards. Always 0 under the default FCFS placement. The
-    /// counterpart of the driver's `movement_bytes`.
+    /// Input bytes placement avoided moving by assigning tasks to
+    /// buckets co-located with their resident input shards. Always 0
+    /// when no bucket registered a location. The counterpart of the
+    /// driver's `movement_bytes`.
     pub locality_bytes_saved: u64,
 }
 
@@ -257,7 +257,7 @@ struct Inner<T> {
     pool: BucketPool<T>,
     /// Residency hints for queued tasks, keyed by sequence number and
     /// consumed at first assignment. A requeued task carries no hint
-    /// and falls back to FCFS placement — correctness never depends on
+    /// and falls back to FCFS order — correctness never depends on
     /// a hint surviving the two-phase hand-off.
     hints: HashMap<u64, ResidencyHint>,
     /// Recent task queue-wait samples (ns), a bounded ring feeding the
@@ -297,7 +297,7 @@ impl<T> Inner<T> {
         Duration::from_nanos(v[(v.len() * 99 / 100).min(v.len() - 1)])
     }
 
-    /// Credit a locality-placement save to stats, metric, and journal.
+    /// Credit a placement save to stats, metric, and journal.
     fn note_locality_saved(&mut self, seq: u64, bucket: BucketId, saved: u64) {
         if saved == 0 {
             return;
@@ -545,16 +545,6 @@ impl<T: Send + 'static> Scheduler<T> {
         sched
     }
 
-    /// The queue capacity (`None` = unbounded).
-    pub fn capacity(&self) -> Option<usize> {
-        self.shared.mu.lock().capacity
-    }
-
-    /// The admission policy applied at capacity.
-    pub fn policy(&self) -> AdmissionPolicy {
-        self.shared.mu.lock().policy
-    }
-
     /// Register (or update) a tenant: weight, task quota, and policy
     /// override. Existing queued tasks keep their positions.
     pub fn register_tenant(&self, spec: &TenantSpec) {
@@ -589,6 +579,10 @@ impl<T: Send + 'static> Scheduler<T> {
         }
     }
 
+    /// Hand queued tasks to parked buckets while both exist — the only
+    /// place a task meets a bucket. Every data-ready and bucket-ready
+    /// event ends here, so a queued task and a parked bucket never
+    /// coexist once the lock is released.
     fn drain(shared: &Shared<T>, g: &mut Inner<T>) {
         let mut popped = false;
         while g.total_queued > 0 && g.pool.has_parked() {
@@ -640,11 +634,11 @@ impl<T: Send + 'static> Scheduler<T> {
     }
 
     /// [`Self::submit_admission_as`] with a [`ResidencyHint`] describing
-    /// where the task's input bytes live, so a locality-aware
-    /// [`Placement`] can steer the assignment toward a co-located
-    /// bucket. The hint is advisory: under FCFS placement (the default)
-    /// it is ignored and the admission verdict, sequence number, and
-    /// assignment order are identical to the unhinted verb.
+    /// where the task's input bytes live, so placement can steer the
+    /// assignment toward a co-located bucket. The hint is advisory:
+    /// when no parked bucket's location holds any of its bytes the
+    /// admission verdict, sequence number, and assignment order are
+    /// identical to the unhinted verb.
     pub fn submit_admission_hinted_as(
         &self,
         tenant: &str,
@@ -877,8 +871,8 @@ impl<T: Send + 'static> Scheduler<T> {
     }
 
     /// Register a bucket with a *location* label (the endpoint or
-    /// cluster member it is co-resident with), so a locality-aware
-    /// [`Placement`] can match it against task residency hints.
+    /// cluster member it is co-resident with), so placement can match
+    /// it against task residency hints.
     pub fn register_bucket_at(&self, id: BucketId, location: Option<&str>) -> BucketHandle<T> {
         {
             let mut g = self.shared.mu.lock();
@@ -889,17 +883,6 @@ impl<T: Send + 'static> Scheduler<T> {
             id,
             sched: self.clone(),
         }
-    }
-
-    /// Install a [`Placement`] policy for subsequent assignments. The
-    /// default is [`crate::pool::FcfsPlacement`].
-    pub fn set_placement(&self, placement: Arc<dyn Placement>) {
-        self.shared.mu.lock().pool.set_placement(placement);
-    }
-
-    /// Name of the placement policy in force.
-    pub fn placement_name(&self) -> &'static str {
-        self.shared.mu.lock().pool.placement_name()
     }
 
     /// Mark bucket `id` for drain-then-retire: if parked it wakes at
@@ -1037,8 +1020,12 @@ impl<T: Send + 'static> BucketHandle<T> {
     /// ([`Lease::Retire`]), or — with a timeout — nothing arrives in
     /// time ([`Lease::Empty`]; the bucket is withdrawn from the free
     /// list, rescuing any task that raced in). FCFS within a tenant,
-    /// weighted round-robin across tenants, placement-policy choice on
-    /// the bucket list (FCFS by default).
+    /// weighted round-robin across tenants, the bucket chosen by the
+    /// pool's placement rule.
+    ///
+    /// The request parks and then runs the same drain a submission
+    /// runs: with a task queued no other bucket is parked, so this one
+    /// takes it at once.
     pub fn poll_task(&self, timeout: Option<Duration>) -> Lease<T> {
         let t_ready = Instant::now();
         let rx: Receiver<(u64, T)> = {
@@ -1047,25 +1034,12 @@ impl<T: Send + 'static> BucketHandle<T> {
                 sitra_obs::emit("sched", "bucket.retire", &[("bucket", self.id.to_string())]);
                 return Lease::Retire;
             }
-            if let Some((seq, task, enqueued)) = g.pop_next() {
-                g.pool.note_busy(self.id);
-                let hint = g.hints.remove(&seq);
-                let saved = g.pool.immediate_saved(self.id, hint.as_ref());
-                g.note_locality_saved(seq, self.id, saved);
-                g.stats.tasks_assigned += 1;
-                g.stats.assignment_log.push((seq, self.id));
-                g.obs.assigned.inc();
-                g.note_wait(enqueued);
-                g.obs.bucket_idle.observe(t_ready.elapsed());
-                g.obs.queue_depth.set(g.total_queued as i64);
-                self.sched.shared.freed.notify_all();
-                return Lease::Assigned { seq, task };
-            }
-            if g.closed {
+            if g.closed && g.total_queued == 0 {
                 return Lease::Closed;
             }
             let (tx, rx) = bounded(1);
             g.pool.park(self.id, tx);
+            Scheduler::drain(&self.sched.shared, &mut g);
             rx
         };
         let got = match timeout {
@@ -1876,9 +1850,9 @@ mod tests {
     // ---------------- bucket pool ----------------
 
     #[test]
-    fn hinted_submission_under_fcfs_is_byte_identical() {
-        // A residency hint must be a pure no-op with the default
-        // placement: same verdicts, same sequence numbers, same
+    fn hint_naming_no_bucket_location_is_byte_identical() {
+        // A residency hint that names no bucket's location must be a
+        // pure no-op: same verdicts, same sequence numbers, same
         // assignment order as the unhinted verb, and no bytes credited.
         let s: Scheduler<u32> = Scheduler::new();
         let hint = ResidencyHint::single("somewhere", 1 << 20);
@@ -1899,10 +1873,8 @@ mod tests {
     }
 
     #[test]
-    fn locality_placement_steers_to_colocated_bucket() {
+    fn placement_steers_to_colocated_bucket() {
         let s: Scheduler<u32> = Scheduler::new();
-        s.set_placement(Arc::new(crate::pool::LocalityPlacement));
-        assert_eq!(s.placement_name(), "locality");
         let b1 = s.register_bucket_at(1, Some("m0"));
         let b2 = s.register_bucket_at(2, Some("m1"));
         // Park bucket 1 first, bucket 2 second (FCFS order 1 then 2).

@@ -12,7 +12,8 @@ use sitra_dataspaces::remote::{
     Request, Response, TaskPoll, TenantRow,
 };
 use sitra_dataspaces::{
-    Admission, AdmissionPolicy, DataSpaces, RemoteSpace, Scheduler, SpaceServer, TenantSpec,
+    Admission, AdmissionPolicy, DataSpaces, RemoteSpace, ResidencyHint, Scheduler, SpaceServer,
+    TenantSpec,
 };
 use sitra_mesh::{BBox3, ScalarField};
 use std::time::Duration;
@@ -137,7 +138,6 @@ fn arb_request() -> impl Strategy<Value = Request> {
             prop::collection::vec((arb_var(), any::<u64>()), 0..4)
         )
             .prop_map(|(data, hint)| Request::SubmitTask { data, hint }),
-        Just(Request::SchedPolicy),
         (any::<u32>(), any::<u64>(), arb_var()).prop_map(|(bucket_id, timeout_ms, location)| {
             Request::RequestTask {
                 bucket_id,
@@ -219,28 +219,33 @@ fn arb_response() -> impl Strategy<Value = Response> {
             })
         }),
         arb_admission().prop_map(Response::Admission),
-        (arb_opt_u64(), arb_policy())
-            .prop_map(|(capacity, policy)| Response::Policy { capacity, policy }),
         arb_bytes().prop_map(|data| Response::Control { data }),
         prop::collection::vec(arb_tenant_row(), 0..4).prop_map(Response::TenantRows),
-        (
-            prop::collection::vec(any::<u64>(), 5..6),
-            arb_opt_u64(),
-            arb_var()
-        )
-            .prop_map(|(v, desired, placement)| {
-                Response::Pool(PoolStats {
-                    buckets: v[0],
-                    idle: v[1],
-                    desired,
-                    queue_depth: v[2],
-                    p99_wait_us: v[3],
-                    locality_bytes_saved: v[4],
-                    placement,
-                })
-            }),
+        (prop::collection::vec(any::<u64>(), 5..6), arb_opt_u64()).prop_map(|(v, desired)| {
+            Response::Pool(PoolStats {
+                buckets: v[0],
+                idle: v[1],
+                desired,
+                queue_depth: v[2],
+                p99_wait_us: v[3],
+                locality_bytes_saved: v[4],
+            })
+        }),
         arb_var().prop_map(Response::Error),
     ]
+}
+
+/// One step of a single-thread scheduler sequence.
+#[derive(Debug, Clone)]
+enum SchedOp {
+    /// Submit as tenant `a` or `b`, with an optional residency hint
+    /// `(member, bytes)`.
+    Submit {
+        tenant: usize,
+        hint: Option<(usize, u64)>,
+    },
+    /// One zero-timeout lease poll by bucket `i` (modulo the roster).
+    Poll(usize),
 }
 
 proptest! {
@@ -304,6 +309,63 @@ proptest! {
         let stats = s.stats();
         prop_assert_eq!(stats.tasks_submitted, submitted);
         prop_assert_eq!(stats.tasks_assigned, submitted);
+    }
+
+    #[test]
+    fn hints_naming_no_bucket_location_change_nothing(
+        located in prop::collection::vec(any::<bool>(), 1..4),
+        capacity in 1usize..6,
+        shed in any::<bool>(),
+        ops in prop::collection::vec(
+            prop_oneof![
+                (0usize..2, any::<bool>(), 0usize..3, 1u64..1 << 20).prop_map(
+                    |(tenant, hinted, member, bytes)| SchedOp::Submit {
+                        tenant,
+                        hint: hinted.then_some((member, bytes)),
+                    }
+                ),
+                (0usize..4).prop_map(SchedOp::Poll),
+            ],
+            1..80,
+        ),
+    ) {
+        // One pass of `ops` on a fresh scheduler, with or without the
+        // hints: every verdict, every lease, and the stats.
+        let run = |hinted: bool| {
+            let policy = if shed { AdmissionPolicy::ShedOldest } else { AdmissionPolicy::RejectNew };
+            let s: Scheduler<usize> = Scheduler::bounded(capacity, policy);
+            let buckets: Vec<_> = located
+                .iter()
+                .enumerate()
+                .map(|(i, &at)| {
+                    let location = format!("tcp://bucket{i}:7000");
+                    s.register_bucket_at(i as u32, at.then_some(location.as_str()))
+                })
+                .collect();
+            let mut seen = Vec::new();
+            for (i, op) in ops.iter().enumerate() {
+                match *op {
+                    SchedOp::Submit { tenant, hint } => {
+                        let hint = hint.filter(|_| hinted).map(|(member, bytes)| {
+                            ResidencyHint::single(format!("tcp://member{member}:7000"), bytes)
+                        });
+                        let verdict = s.submit_admission_hinted_as(["a", "b"][tenant], i, hint);
+                        seen.push(format!("{verdict:?}"));
+                    }
+                    SchedOp::Poll(b) => {
+                        let lease = buckets[b % buckets.len()].poll_task(Some(Duration::ZERO));
+                        seen.push(format!("{lease:?}"));
+                    }
+                }
+            }
+            (seen, s.stats())
+        };
+        let (plain_seen, plain) = run(false);
+        let (hinted_seen, hinted) = run(true);
+        prop_assert_eq!(hinted_seen, plain_seen);
+        prop_assert_eq!(&hinted.assignment_log, &plain.assignment_log);
+        prop_assert_eq!(hinted.locality_bytes_saved, 0);
+        prop_assert_eq!(hinted.tasks_assigned, hinted.assignment_log.len() as u64);
     }
 
     #[test]

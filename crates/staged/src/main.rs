@@ -43,8 +43,8 @@
 
 use sitra_cluster::{Bootstrap, ClusterNode, ClusterNodeOpts};
 use sitra_dataspaces::{
-    AdmissionPolicy, AutoscaleConfig, Autoscaler, LocalityPlacement, RemoteSpace, ScaleDecision,
-    SteerPublisher, SteerServer, TenantSpec,
+    AdmissionPolicy, AutoscaleConfig, Autoscaler, RemoteSpace, ScaleDecision, SteerPublisher,
+    SteerServer, TenantSpec,
 };
 use sitra_net::{Addr, Backoff};
 use sitra_testkit::{CrashPlan, FaultPlan, PlanInjector};
@@ -75,10 +75,6 @@ struct Opts {
     cluster: Option<Bootstrap>,
     /// Tenants registered at start (weighted-fair scheduling + quotas).
     tenants: Vec<TenantSpec>,
-    /// Task placement policy: `false` = FCFS (default), `true` =
-    /// locality-aware (prefer the bucket co-located with the shard
-    /// holding the most input bytes).
-    locality_placement: bool,
     /// Bucket-pool capacity bounds for the autoscale controller
     /// (min, max); `None` leaves capacity entirely to the workers.
     buckets: Option<(usize, usize)>,
@@ -96,8 +92,8 @@ fn usage(program: &str, code: i32) -> ! {
          \x20                  [--metrics-listen HOST:PORT] [--journal PATH]\n\
          \x20                  [--queue-capacity N] [--admission POLICY] [--admission-wait-ms T]\n\
          \x20                  [--tenant SPEC]... [--cluster-seed LIST | --cluster-join ADDR]\n\
-         \x20                  [--placement POLICY] [--buckets-min N --buckets-max N]\n\
-         \x20                  [--bucket-slo-ms T] [--fault-plan SPEC]\n\
+         \x20                  [--buckets-min N --buckets-max N] [--bucket-slo-ms T]\n\
+         \x20                  [--fault-plan SPEC]\n\
          \n\
          --listen ADDR         tcp://host:port or inproc://name\n\
          \x20                      (default tcp://127.0.0.1:7788)\n\
@@ -120,10 +116,6 @@ fn usage(program: &str, code: i32) -> ! {
          \x20                      a cluster of one, seeded with --listen alone)\n\
          --cluster-join ADDR   join a running cluster through the member at ADDR\n\
          \x20                      (shards rebalance to us via handoff)\n\
-         --placement POLICY    task placement: fcfs (default, byte-identical to the\n\
-         \x20                      classic scheduler) | locality (prefer the bucket\n\
-         \x20                      co-located with the most resident input bytes; workers\n\
-         \x20                      declare a location, producers a residency hint)\n\
          --buckets-min N       autoscale floor: the capacity controller never drains the\n\
          \x20                      pool below N live buckets (requires --buckets-max)\n\
          --buckets-max N       autoscale ceiling: desired capacity never exceeds N. The\n\
@@ -155,7 +147,6 @@ fn parse_opts() -> Opts {
         fault_plan: None,
         cluster: None,
         tenants: Vec::new(),
-        locality_placement: false,
         buckets: None,
         bucket_slo: Duration::from_millis(100),
         steer_listen: None,
@@ -289,14 +280,6 @@ fn parse_opts() -> Opts {
                     }
                 }
             }
-            "--placement" => match value("--placement").as_str() {
-                "fcfs" => opts.locality_placement = false,
-                "locality" => opts.locality_placement = true,
-                other => {
-                    eprintln!("{program}: unknown placement policy `{other}`");
-                    usage(program, 2);
-                }
-            },
             "--buckets-min" => match value("--buckets-min").parse() {
                 Ok(n) if n > 0 => buckets_min = Some(n),
                 _ => {
@@ -477,10 +460,6 @@ fn main() {
             "sitra-staged: tenant `{}` weight {} byte_quota {:?} task_quota {:?} policy {:?}",
             t.name, t.weight, t.byte_quota, t.task_quota, t.policy
         );
-    }
-    if opts.locality_placement {
-        node.scheduler().set_placement(Arc::new(LocalityPlacement));
-        println!("sitra-staged: locality-aware task placement active");
     }
     if let Some((min, max)) = opts.buckets {
         // The service cannot spawn worker processes, so the controller

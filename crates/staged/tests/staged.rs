@@ -1,7 +1,7 @@
 //! `sitra-staged` as a process: a standalone instance on an OS-assigned
 //! port bridges stored viz outputs to its steering endpoint, carries the
 //! tenants it was started with, and exits cleanly once a client closes
-//! its scheduler.
+//! its scheduler; a flag it does not have is a usage error.
 
 use sitra_core::remote::{output_bbox, output_var};
 use sitra_core::wire::encode_analysis_output;
@@ -107,4 +107,16 @@ fn standalone_instance_steers_binds_tenants_and_exits_on_close() {
         std::thread::sleep(Duration::from_millis(20));
     };
     assert!(status.success(), "sitra-staged exited with {status}");
+}
+
+#[test]
+fn placement_is_not_a_flag() {
+    let out = Command::new(env!("CARGO_BIN_EXE_sitra-staged"))
+        .args(["--listen", "tcp://127.0.0.1:0", "--placement", "locality"])
+        .output()
+        .expect("run sitra-staged");
+    assert_eq!(out.status.code(), Some(2), "{out:?}");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("unknown flag --placement"), "{stderr}");
+    assert!(stderr.contains("usage: "), "{stderr}");
 }
