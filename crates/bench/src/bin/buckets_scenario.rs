@@ -23,7 +23,11 @@
 //!   pool grows toward `max` and the tail of the steady phase waits
 //!   almost nothing; with the pool fixed at `min`, the backlog eats the
 //!   steady phase alive. The p99 queue-wait of the last quarter of the
-//!   stream is the score.
+//!   stream is the score. The elastic run drives the shipped capacity
+//!   controller, `Scheduler::autoscale` (the loop the local staging
+//!   backend and `sitra-staged` run, ticking every SLO/4 — 5 ms at the
+//!   20 ms SLO here); only its grow callback, which spawns bench
+//!   buckets, is the bench's own.
 //!
 //! Emits the same `{"group","id","mean_ns","iters"}` rows the criterion
 //! benches write to `BENCH_buckets.json` (override with
@@ -37,13 +41,11 @@
 
 use bytes::Bytes;
 use sitra_cluster::{HashRing, ShardKey, DEFAULT_SEED, DEFAULT_VNODES};
-use sitra_dataspaces::{
-    AutoscaleConfig, Autoscaler, Lease, ResidencyHint, ScaleDecision, Scheduler, DEFAULT_TENANT,
-};
+use sitra_dataspaces::{AutoscaleConfig, Lease, ResidencyHint, Scheduler, DEFAULT_TENANT};
 use sitra_mesh::BBox3;
 use std::collections::HashMap;
 use std::io::Write;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -201,53 +203,30 @@ fn run_autoscale(burst: usize, steady: usize, elastic: bool) -> (u64, usize) {
         None,
         Some((Arc::clone(&waits), t0)),
     )]));
-    sched.set_pool_target(Some(cfg.min_buckets));
 
-    // The elastic controller: the same decide→grow/drain loop the
-    // in-process staging backend runs, at a bench-friendly tick.
-    let stop = Arc::new(AtomicBool::new(false));
-    let peak = Arc::new(Mutex::new(1usize));
+    // The elastic pool runs the scheduler's own capacity controller —
+    // the one the local staging backend and `sitra-staged` run — with a
+    // grow callback that spawns bench buckets. The peak is the largest
+    // pool the controller grew to.
+    let peak = Arc::new(AtomicUsize::new(1));
     let controller = elastic.then(|| {
-        let sched = sched.clone();
-        let workers = Arc::clone(&workers);
-        let waits = Arc::clone(&waits);
-        let stop = Arc::clone(&stop);
-        let peak = Arc::clone(&peak);
-        std::thread::spawn(move || {
-            let mut scaler = Autoscaler::new(cfg);
-            let mut next_id = 1u32;
-            while !stop.load(Ordering::SeqCst) {
-                std::thread::sleep(Duration::from_millis(5));
-                let snap = sched.pool_snapshot();
-                {
-                    let mut p = peak.lock().expect("peak");
-                    *p = (*p).max(snap.buckets);
-                }
-                match scaler.decide(&snap) {
-                    ScaleDecision::Grow(k) => {
-                        let mut pool = workers.lock().expect("workers");
-                        for _ in 0..k {
-                            pool.push(spawn_bucket(
-                                sched.clone(),
-                                next_id,
-                                None,
-                                Some((Arc::clone(&waits), t0)),
-                            ));
-                            next_id += 1;
-                        }
-                        sched.set_pool_target(Some(snap.buckets + k));
-                    }
-                    ScaleDecision::Shrink(k) => {
-                        let mut drained = 0;
-                        for _ in 0..k {
-                            if sched.drain_one_bucket().is_some() {
-                                drained += 1;
-                            }
-                        }
-                        sched.set_pool_target(Some(snap.buckets.saturating_sub(drained).max(1)));
-                    }
-                    ScaleDecision::Hold => {}
-                }
+        let (s, workers, waits, peak) = (
+            sched.clone(),
+            Arc::clone(&workers),
+            Arc::clone(&waits),
+            Arc::clone(&peak),
+        );
+        sched.autoscale(cfg, move |k| {
+            peak.fetch_max(s.pool_snapshot().buckets + k, Ordering::SeqCst);
+            let mut pool = workers.lock().expect("workers");
+            for _ in 0..k {
+                let id = pool.len() as u32;
+                pool.push(spawn_bucket(
+                    s.clone(),
+                    id,
+                    None,
+                    Some((Arc::clone(&waits), t0)),
+                ));
             }
         })
     });
@@ -275,10 +254,7 @@ fn run_autoscale(burst: usize, steady: usize, elastic: bool) -> (u64, usize) {
         std::thread::sleep(Duration::from_millis(2));
     }
     std::thread::sleep(WORK * 4);
-    stop.store(true, Ordering::SeqCst);
-    if let Some(c) = controller {
-        c.join().expect("controller");
-    }
+    drop(controller);
     sched.close();
     let pool: Vec<_> = workers.lock().expect("workers").drain(..).collect();
     for w in pool {
@@ -299,7 +275,7 @@ fn run_autoscale(burst: usize, steady: usize, elastic: bool) -> (u64, usize) {
     assert!(!tail.is_empty(), "no tail samples — stream too short");
     tail.sort();
     let p99 = tail[(tail.len() - 1) * 99 / 100];
-    let peak_buckets = *peak.lock().expect("peak");
+    let peak_buckets = peak.load(Ordering::SeqCst);
     (p99.as_micros() as u64, peak_buckets)
 }
 

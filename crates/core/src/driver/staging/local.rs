@@ -19,7 +19,7 @@
 use super::{BackendCaps, BackendStats, RetireCtx, Retired, StagedTask, StagingBackend};
 use bytes::Bytes;
 use sitra_dart::{Endpoint, EndpointId, Event, Fabric, RegionKey};
-use sitra_dataspaces::{AutoscaleConfig, Autoscaler, BucketHandle, ScaleDecision, Scheduler};
+use sitra_dataspaces::{AutoscaleConfig, AutoscaleHandle, BucketHandle, Scheduler};
 use std::sync::{Arc, Mutex};
 use std::time::{Duration, Instant};
 
@@ -43,15 +43,9 @@ fn region_key(analysis_idx: usize, step: u64) -> RegionKey {
     ((analysis_idx as u64 + 1) << 40) | (step & ((1 << 40) - 1))
 }
 
-/// How often the capacity controller re-evaluates the pool. Short
-/// enough that a backlog burst is answered within a few SLO windows at
-/// laptop scale; the [`Autoscaler`]'s sustain hysteresis keeps the
-/// short tick from thrashing.
-const AUTOSCALE_TICK: Duration = Duration::from_millis(20);
-
-/// The worker fleet shared between the backend and its capacity
-/// controller: spawned bucket threads (joined at close) and the next
-/// fresh bucket id.
+/// The worker fleet shared between the backend and the grow callback
+/// of its capacity controller: spawned bucket threads (joined at
+/// close) and the next fresh bucket id.
 struct Fleet {
     workers: Vec<std::thread::JoinHandle<()>>,
     next_id: u32,
@@ -60,24 +54,23 @@ struct Fleet {
 /// In-process staging buckets fed through the scheduler and the DART
 /// fabric (the default hybrid backend). With
 /// [`crate::PipelineConfig::with_bucket_autoscale`] the pool is
-/// elastic: a controller thread grows it under sustained backlog and
+/// elastic: the scheduler's capacity controller
+/// ([`Scheduler::autoscale`]) grows it under sustained backlog — its
+/// grow callback spawns bucket threads into the fleet — and
 /// drains-then-retires idle buckets inside the SLO.
 pub struct LocalBackend {
     ctx: RetireCtx,
     scheduler: Scheduler<TaskDesc>,
     rank_endpoints: Vec<Endpoint>,
     fleet: Arc<Mutex<Fleet>>,
-    controller: Option<std::thread::JoinHandle<()>>,
-    /// Dropped to stop the controller: its tick is a timed wait on the
-    /// other end.
-    controller_stop: Option<crossbeam::channel::Sender<()>>,
+    /// The capacity controller, if the pool is elastic; dropped (which
+    /// joins it) before the scheduler closes.
+    autoscale: Option<AutoscaleHandle>,
     /// Buckets signal here once per task retired (completed or
     /// dropped), so [`drain`](StagingBackend::drain) blocks instead of
-    /// polling.
+    /// polling. Every sender lives in a bucket or in the grow
+    /// callback, so it disconnects once the whole fleet has exited.
     done_rx: crossbeam::channel::Receiver<()>,
-    /// Kept open for the controller to hand to freshly spawned buckets;
-    /// dropped at close so `done_rx` disconnects when the fleet exits.
-    done_tx: Option<crossbeam::channel::Sender<()>>,
     buffer_depth: u64,
     outstanding: usize,
     submitted: usize,
@@ -128,107 +121,30 @@ impl LocalBackend {
             workers,
             next_id: initial as u32,
         }));
-        let (controller_stop, stop) = crossbeam::channel::bounded::<()>(1);
-        let controller = autoscale.map(|cfg| {
-            scheduler.set_pool_target(Some(cfg.min_buckets));
-            let scheduler = scheduler.clone();
-            let fabric = Arc::clone(fabric);
-            let ctx = ctx.clone();
-            let done_tx = done_tx.clone();
+        let autoscale = autoscale.map(|cfg| {
+            let sched = scheduler.clone();
+            let (fabric, ctx, done_tx) = (Arc::clone(fabric), ctx.clone(), done_tx.clone());
             let fleet = Arc::clone(&fleet);
-            std::thread::Builder::new()
-                .name("bucket-autoscaler".into())
-                .spawn(move || {
-                    controller_loop(cfg, &scheduler, &fabric, &ctx, &done_tx, &fleet, &stop)
-                })
-                .expect("spawn autoscaler")
+            scheduler.autoscale(cfg, move |k| {
+                let mut f = fleet.lock().expect("fleet lock");
+                for _ in 0..k {
+                    let b = f.next_id;
+                    f.next_id += 1;
+                    let h = spawn_bucket(&sched, &fabric, &ctx, &done_tx, b);
+                    f.workers.push(h);
+                }
+            })
         });
-        // Fixed pool: drop the sender now so `done_rx` disconnects if
-        // every bucket exits early (the pre-elastic safety valve in
-        // `drain`). Elastic pool: the controller needs it to equip
-        // freshly spawned buckets, so it lives until close.
-        let done_tx = controller.is_some().then_some(done_tx);
         LocalBackend {
             ctx,
             scheduler,
             rank_endpoints,
             fleet,
-            controller,
-            controller_stop: Some(controller_stop),
+            autoscale,
             done_rx,
-            done_tx,
             buffer_depth,
             outstanding: 0,
             submitted: 0,
-        }
-    }
-}
-
-/// The capacity controller: tick, snapshot the pool, apply the
-/// [`Autoscaler`]'s verdict. Growth spawns fresh bucket threads;
-/// shrinkage drains the most dispensable bucket (idle preferred) and
-/// lets its thread retire itself on the next lease. Every scale action
-/// lands in the journal as a `pool.scale` event so `sitra-bench` replay
-/// can reconstruct the capacity timeline.
-fn controller_loop(
-    cfg: AutoscaleConfig,
-    scheduler: &Scheduler<TaskDesc>,
-    fabric: &Arc<Fabric>,
-    ctx: &RetireCtx,
-    done_tx: &crossbeam::channel::Sender<()>,
-    fleet: &Arc<Mutex<Fleet>>,
-    stop: &crossbeam::channel::Receiver<()>,
-) {
-    let mut scaler = Autoscaler::new(cfg);
-    // One tick per timeout; the backend dropping its end is the stop.
-    while let Err(crossbeam::channel::RecvTimeoutError::Timeout) = stop.recv_timeout(AUTOSCALE_TICK)
-    {
-        let snap = scheduler.pool_snapshot();
-        match scaler.decide(&snap) {
-            ScaleDecision::Hold => {}
-            ScaleDecision::Grow(k) => {
-                let mut f = fleet.lock().expect("fleet lock");
-                for _ in 0..k {
-                    let b = f.next_id;
-                    f.next_id += 1;
-                    let h = spawn_bucket(scheduler, fabric, ctx, done_tx, b);
-                    f.workers.push(h);
-                }
-                scheduler.set_pool_target(Some(snap.buckets + k));
-                sitra_obs::emit(
-                    "sched",
-                    "pool.scale",
-                    &[
-                        ("action", "grow".to_string()),
-                        ("delta", k.to_string()),
-                        ("buckets", (snap.buckets + k).to_string()),
-                        ("queue_depth", snap.queue_depth.to_string()),
-                        ("p99_us", snap.p99_wait.as_micros().to_string()),
-                    ],
-                );
-            }
-            ScaleDecision::Shrink(k) => {
-                let mut drained = 0usize;
-                for _ in 0..k {
-                    if scheduler.drain_one_bucket().is_some() {
-                        drained += 1;
-                    }
-                }
-                if drained > 0 {
-                    scheduler.set_pool_target(Some(snap.buckets.saturating_sub(drained)));
-                    sitra_obs::emit(
-                        "sched",
-                        "pool.scale",
-                        &[
-                            ("action", "shrink".to_string()),
-                            ("delta", drained.to_string()),
-                            ("buckets", snap.buckets.saturating_sub(drained).to_string()),
-                            ("queue_depth", snap.queue_depth.to_string()),
-                            ("p99_us", snap.p99_wait.as_micros().to_string()),
-                        ],
-                    );
-                }
-            }
         }
     }
 }
@@ -286,12 +202,8 @@ impl StagingBackend for LocalBackend {
         // Controller first, so no new buckets spawn under the closing
         // scheduler; then close (which unparks every idle bucket) and
         // join the whole fleet, dynamically spawned threads included.
-        self.controller_stop = None;
-        if let Some(c) = self.controller.take() {
-            let _ = c.join();
-        }
+        self.autoscale = None;
         self.scheduler.close();
-        self.done_tx = None;
         let workers = std::mem::take(&mut self.fleet.lock().expect("fleet lock").workers);
         for w in workers {
             let _ = w.join();

@@ -3,6 +3,7 @@
 //! validated against serial recomputation.
 
 use bytes::Bytes;
+use sitra_core::wire::encode_analysis_output;
 use sitra_core::{
     run_pipeline, Analysis, AnalysisOutput, AnalysisSpec, ConfigError, HybridStats, HybridTopology,
     HybridViz, InSituCtx, InSituViz, PipelineConfig, Placement,
@@ -401,4 +402,57 @@ fn invalid_staging_endpoint_rejected() {
             if endpoint == "not-a-transport://nope"),
         "expected InvalidEndpoint, got {err:?}"
     );
+}
+
+#[test]
+fn elastic_local_pool_matches_the_fixed_pool_byte_for_byte() {
+    // A slow analysis beside two real ones, so the elastic pool sees a
+    // backlog its controller may grow into. How often it grows depends
+    // on timing; what it must never change is the outputs.
+    let run = |elastic: bool| {
+        let mut cfg = PipelineConfig::new([2, 2, 1], 2, 6);
+        cfg.analyses = vec![
+            AnalysisSpec::new(
+                Arc::new(SlowStats {
+                    inner: HybridStats::default(),
+                    delay: std::time::Duration::from_millis(25),
+                }),
+                Placement::Hybrid,
+                1,
+            ),
+            AnalysisSpec::new(Arc::new(HybridTopology::default()), Placement::Hybrid, 2),
+            AnalysisSpec::new(
+                Arc::new(HybridViz {
+                    stride: 2,
+                    view: view(),
+                    tf: tf(),
+                }),
+                Placement::Hybrid,
+                1,
+            ),
+        ];
+        if elastic {
+            cfg = cfg.with_bucket_autoscale(1, 4, std::time::Duration::from_millis(20));
+        }
+        let result = run_pipeline(&mut sim(), &cfg).expect("valid config");
+        let mut outputs: Vec<(String, u64, Vec<u8>)> = result
+            .outputs
+            .iter()
+            .map(|(name, step, out)| (name.clone(), *step, encode_analysis_output(out).to_vec()))
+            .collect();
+        outputs.sort();
+        (result, outputs)
+    };
+    let (fixed, fixed_outputs) = run(false);
+    let (elastic, elastic_outputs) = run(true);
+    // 6 slow-stats + 3 topology + 6 viz tasks, every one retired with
+    // an output.
+    assert_eq!(fixed_outputs.len(), 15);
+    assert_eq!(elastic_outputs, fixed_outputs);
+    for result in [&fixed, &elastic] {
+        assert_eq!(result.staged_tasks, 15);
+        assert_eq!(result.dropped_tasks, 0);
+        assert_eq!(result.degraded_tasks, 0);
+        assert_eq!(result.metrics.degraded_steps(), 0);
+    }
 }

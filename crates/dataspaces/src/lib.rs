@@ -31,9 +31,7 @@ pub mod steer;
 pub mod tenant;
 
 pub use codec::{bytes_to_field, field_to_bytes};
-pub use pool::{
-    AutoscaleConfig, Autoscaler, BucketState, PoolSnapshot, ResidencyHint, ScaleDecision,
-};
+pub use pool::{AutoscaleConfig, AutoscaleHandle, BucketState, PoolSnapshot, ResidencyHint};
 pub use remote::{
     ControlHandler, PoolStats, RemoteError, RemoteSpace, RemoteStats, SpaceServer, TaskPoll,
     TenantRow,

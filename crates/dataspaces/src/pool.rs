@@ -20,13 +20,16 @@
 //!   bucket location is therefore byte-identical to the plain free
 //!   list: the pinned chaos corpus and `backend_equivalence` hold
 //!   bit-for-bit.
-//! * [`Autoscaler`] is the capacity controller: a pure decision
-//!   function from a [`PoolSnapshot`] (queue depth, bucket counts, p99
-//!   task queue-wait) to a [`ScaleDecision`], driven by a latency SLO.
-//!   Keeping it pure makes every scaling trajectory unit-testable with
-//!   synthetic snapshots; the impure parts (spawning worker threads,
-//!   draining buckets) live with whoever owns the workers — the local
-//!   staging backend or `sitra-staged`.
+//! * The capacity controller, [`Scheduler::autoscale`], is the one
+//!   loop every elastic pool runs: each tick it reads a
+//!   [`PoolSnapshot`] (queue depth, bucket counts, p99 task
+//!   queue-wait), asks the pure policy (`Autoscaler`, driven by a
+//!   latency SLO) for a verdict, drains buckets itself on a shrink and
+//!   hands growth to the caller, who alone knows how to start a worker
+//!   — the local staging backend spawns threads, `sitra-staged` only
+//!   publishes the desired count, the `buckets_scenario` bench spawns
+//!   its bench buckets. Keeping the policy pure makes every scaling
+//!   trajectory unit-testable with synthetic snapshots.
 //!
 //! Lifecycle: a worker registers and leases tasks (Idle ⇄ Busy); a
 //! shrink decision marks it Draining — it finishes its current task,
@@ -35,8 +38,8 @@
 //! hand-off requeues the unacknowledged task exactly as for any other
 //! lost consumer.
 
-use crate::sched::BucketId;
-use crossbeam::channel::Sender;
+use crate::sched::{BucketId, Scheduler};
+use crossbeam::channel::{RecvTimeoutError, Sender};
 use std::collections::{HashMap, VecDeque};
 use std::time::Duration;
 
@@ -322,7 +325,7 @@ pub struct PoolSnapshot {
 
 /// One tick's verdict.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum ScaleDecision {
+pub(crate) enum ScaleDecision {
     /// Capacity is right (or a change is still sustaining).
     Hold,
     /// Add this many buckets.
@@ -334,9 +337,9 @@ pub enum ScaleDecision {
 /// The pure autoscaling policy: feed it a [`PoolSnapshot`] per control
 /// tick, apply whatever it decides. Deterministic — identical snapshot
 /// sequences produce identical decision sequences, which is what makes
-/// scale trajectories unit-testable and journal replays faithful.
+/// scale trajectories unit-testable.
 #[derive(Debug, Clone)]
-pub struct Autoscaler {
+pub(crate) struct Autoscaler {
     cfg: AutoscaleConfig,
     hot_ticks: u32,
     cold_ticks: u32,
@@ -344,7 +347,7 @@ pub struct Autoscaler {
 
 impl Autoscaler {
     /// A controller with `cfg`.
-    pub fn new(cfg: AutoscaleConfig) -> Self {
+    pub(crate) fn new(cfg: AutoscaleConfig) -> Self {
         Autoscaler {
             cfg,
             hot_ticks: 0,
@@ -352,13 +355,8 @@ impl Autoscaler {
         }
     }
 
-    /// The configuration in force.
-    pub fn config(&self) -> &AutoscaleConfig {
-        &self.cfg
-    }
-
     /// One control tick.
-    pub fn decide(&mut self, s: &PoolSnapshot) -> ScaleDecision {
+    pub(crate) fn decide(&mut self, s: &PoolSnapshot) -> ScaleDecision {
         let buckets = s.buckets.max(1);
         // Hot: backlog waiting with nobody idle, or the SLO breached.
         let hot = (s.queue_depth > 0 && s.idle == 0) || s.p99_wait > self.cfg.slo;
@@ -393,9 +391,96 @@ impl Autoscaler {
     }
 }
 
+/// A running capacity controller ([`Scheduler::autoscale`]). Dropping
+/// it stops the loop and joins its thread, so no grow callback runs
+/// after the drop returns.
+pub struct AutoscaleHandle {
+    stop: Sender<()>,
+    thread: Option<std::thread::JoinHandle<()>>,
+}
+
+impl Drop for AutoscaleHandle {
+    fn drop(&mut self) {
+        let _ = self.stop.send(());
+        if let Some(t) = self.thread.take() {
+            let _ = t.join();
+        }
+    }
+}
+
+impl<T: Send + 'static> Scheduler<T> {
+    /// Run the capacity controller on its own thread. The pool target
+    /// starts at `cfg.min_buckets`; every `cfg.slo / 4` (at least 1 ms)
+    /// the loop snapshots the pool and applies the policy's verdict.
+    /// `Grow(k)` calls `grow(k)` — starting workers is the caller's
+    /// business — and raises the target; `Shrink(k)` drains up to `k`
+    /// buckets (each retires at its next lease) and lowers the target
+    /// if any was drained. Each action is journalled as one
+    /// `pool.scale` event.
+    pub fn autoscale(
+        &self,
+        cfg: AutoscaleConfig,
+        mut grow: impl FnMut(usize) + Send + 'static,
+    ) -> AutoscaleHandle {
+        self.set_pool_target(Some(cfg.min_buckets));
+        let tick = (cfg.slo / 4).max(Duration::from_millis(1));
+        let (stop, stopped) = crossbeam::channel::bounded::<()>(1);
+        let sched = self.clone();
+        let thread = std::thread::Builder::new()
+            .name("bucket-autoscaler".into())
+            .spawn(move || {
+                let mut scaler = Autoscaler::new(cfg);
+                while let Err(RecvTimeoutError::Timeout) = stopped.recv_timeout(tick) {
+                    let snap = sched.pool_snapshot();
+                    let (action, delta, buckets) = match scaler.decide(&snap) {
+                        ScaleDecision::Hold => continue,
+                        ScaleDecision::Grow(k) => {
+                            grow(k);
+                            ("grow", k, snap.buckets + k)
+                        }
+                        ScaleDecision::Shrink(k) => {
+                            let drained = (0..k)
+                                .filter(|_| sched.drain_one_bucket().is_some())
+                                .count();
+                            if drained == 0 {
+                                continue;
+                            }
+                            ("shrink", drained, snap.buckets.saturating_sub(drained))
+                        }
+                    };
+                    sched.set_pool_target(Some(buckets));
+                    sitra_obs::emit(
+                        "sched",
+                        "pool.scale",
+                        &[
+                            ("action", action.to_string()),
+                            ("delta", delta.to_string()),
+                            ("buckets", buckets.to_string()),
+                            ("queue_depth", snap.queue_depth.to_string()),
+                            ("p99_us", snap.p99_wait.as_micros().to_string()),
+                        ],
+                    );
+                }
+            })
+            .expect("spawn autoscaler");
+        AutoscaleHandle {
+            stop,
+            thread: Some(thread),
+        }
+    }
+
+    /// Record the controller's desired bucket count, published through
+    /// [`Scheduler::pool_target`] and the wire's pool stats so a worker
+    /// fleet (or its supervisor) can reconcile toward it.
+    pub(crate) fn set_pool_target(&self, target: Option<usize>) {
+        self.with_pool(|pool| pool.set_target(target));
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::sched::Lease;
 
     #[test]
     fn residency_hint_accumulates_and_sums() {
@@ -469,6 +554,101 @@ mod tests {
         for _ in 0..10 {
             assert_eq!(a.decide(&floor), ScaleDecision::Hold);
         }
+    }
+
+    /// Wait up to 5 s for `cond`.
+    fn eventually(mut cond: impl FnMut() -> bool) -> bool {
+        let deadline = std::time::Instant::now() + Duration::from_secs(5);
+        while !cond() {
+            if std::time::Instant::now() > deadline {
+                return false;
+            }
+            std::thread::sleep(Duration::from_millis(1));
+        }
+        true
+    }
+
+    #[test]
+    fn controller_starts_at_min_and_holds_an_empty_pool() {
+        let s: Scheduler<u32> = Scheduler::new();
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let ctl = s.autoscale(
+            AutoscaleConfig::new(2, 4, Duration::from_millis(4)),
+            move |k| tx.send(k).unwrap(),
+        );
+        assert_eq!(s.pool_target(), Some(2));
+        // No backlog and no idle bucket: neither hot nor cold.
+        assert!(rx.recv_timeout(Duration::from_millis(50)).is_err());
+        drop(ctl);
+        assert_eq!(s.pool_target(), Some(2));
+    }
+
+    #[test]
+    fn controller_grows_a_backlogged_pool_through_the_callback() {
+        let s: Scheduler<u32> = Scheduler::new();
+        // Registered but never parked: busy, so nobody is idle.
+        let _busy = s.register_bucket(0);
+        s.submit(1);
+        s.submit(2);
+        let (tx, rx) = crossbeam::channel::unbounded();
+        let _ctl = s.autoscale(
+            AutoscaleConfig::new(1, 4, Duration::from_millis(20)),
+            move |k| tx.send(k).unwrap(),
+        );
+        let k = rx.recv_timeout(Duration::from_secs(5)).expect("grow");
+        assert_eq!(k, 2, "two queued tasks per live bucket");
+        // The callback starts no worker here, so the pool stays one
+        // bucket and every grow targets `1 + k`.
+        assert!(eventually(|| s.pool_target() == Some(1 + k)));
+    }
+
+    #[test]
+    fn controller_retires_an_idle_bucket_above_min() {
+        let s: Scheduler<u32> = Scheduler::new();
+        let (leases, lease_rx) = crossbeam::channel::unbounded();
+        let parked: Vec<_> = (0..3)
+            .map(|id| {
+                let bucket = s.register_bucket(id);
+                let leases = leases.clone();
+                std::thread::spawn(move || leases.send(bucket.poll_task(None)).unwrap())
+            })
+            .collect();
+        assert!(eventually(|| s.pool_snapshot().idle == 3));
+        let ctl = s.autoscale(
+            AutoscaleConfig::new(1, 4, Duration::from_millis(20)),
+            |_| panic!("an idle pool must not grow"),
+        );
+        let lease = lease_rx
+            .recv_timeout(Duration::from_secs(5))
+            .expect("lease");
+        assert_eq!(lease, Lease::Retire);
+        drop(ctl);
+        s.close();
+        for t in parked {
+            t.join().unwrap();
+        }
+    }
+
+    #[test]
+    fn dropping_the_controller_joins_and_stops_the_callback() {
+        use std::sync::atomic::{AtomicUsize, Ordering::SeqCst};
+        let s: Scheduler<u32> = Scheduler::new();
+        let _busy = s.register_bucket(0);
+        s.submit(1);
+        let calls = std::sync::Arc::new(AtomicUsize::new(0));
+        let slo = Duration::from_millis(400);
+        let tick = slo / 4;
+        let counter = std::sync::Arc::clone(&calls);
+        let ctl = s.autoscale(AutoscaleConfig::new(1, 8, slo), move |_| {
+            counter.fetch_add(1, SeqCst);
+        });
+        assert!(eventually(|| calls.load(SeqCst) > 0));
+        let t = std::time::Instant::now();
+        drop(ctl);
+        assert!(t.elapsed() < 3 * tick, "drop took {:?}", t.elapsed());
+        let after = calls.load(SeqCst);
+        std::thread::sleep(3 * tick);
+        assert_eq!(calls.load(SeqCst), after);
     }
 
     #[test]

@@ -927,16 +927,15 @@ impl<T: Send + 'static> Scheduler<T> {
         self.shared.mu.lock().pool.state(id)
     }
 
-    /// Record the capacity controller's desired bucket count, surfaced
-    /// through pool stats so external supervisors (e.g. `sitra-bench`
-    /// replay or a worker fleet manager) can reconcile toward it.
-    pub fn set_pool_target(&self, target: Option<usize>) {
-        self.shared.mu.lock().pool.set_target(target);
-    }
-
-    /// The desired bucket count, if a controller has set one.
+    /// The desired bucket count, if a capacity controller
+    /// ([`Scheduler::autoscale`]) is running.
     pub fn pool_target(&self) -> Option<usize> {
         self.shared.mu.lock().pool.target()
+    }
+
+    /// Run `f` on the bucket pool under the scheduler lock.
+    pub(crate) fn with_pool<R>(&self, f: impl FnOnce(&mut BucketPool<T>) -> R) -> R {
+        f(&mut self.shared.mu.lock().pool)
     }
 
     /// Close the scheduler: no further submissions; parked and future

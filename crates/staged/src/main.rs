@@ -43,8 +43,7 @@
 
 use sitra_cluster::{Bootstrap, ClusterNode, ClusterNodeOpts};
 use sitra_dataspaces::{
-    AdmissionPolicy, AutoscaleConfig, Autoscaler, RemoteSpace, ScaleDecision, SteerPublisher,
-    SteerServer, TenantSpec,
+    AdmissionPolicy, AutoscaleConfig, RemoteSpace, SteerPublisher, SteerServer, TenantSpec,
 };
 use sitra_net::{Addr, Backoff};
 use sitra_testkit::{CrashPlan, FaultPlan, PlanInjector};
@@ -122,7 +121,8 @@ fn usage(program: &str, code: i32) -> ! {
          \x20                      controller drains-then-retires excess buckets itself and\n\
          \x20                      publishes the desired count via pool stats for the worker\n\
          \x20                      fleet to grow toward\n\
-         --bucket-slo-ms T     p99 queue-wait SLO driving the autoscaler (default 100)\n\
+         --bucket-slo-ms T     p99 queue-wait SLO driving the autoscaler (default 100);\n\
+         \x20                      the controller re-evaluates the pool every T/4\n\
          --steer-listen ADDR   serve steerable visualization on ADDR (any sitra-net\n\
          \x20                      scheme): subscribers pull frames reduced by their own\n\
          \x20                      downsample rate and steer it with feedback messages\n\
@@ -461,66 +461,22 @@ fn main() {
             t.name, t.weight, t.byte_quota, t.task_quota, t.policy
         );
     }
-    if let Some((min, max)) = opts.buckets {
-        // The service cannot spawn worker processes, so the controller
-        // splits the autoscaler's verdict: shrinkage is enacted here
-        // (drain-then-retire the most dispensable bucket; its worker
-        // exits on the retire lease), while growth only raises the
-        // desired capacity published via pool stats — the worker fleet
-        // (or its supervisor) reconciles toward it.
+    // The service cannot spawn worker processes, so its capacity
+    // controller's grow callback does nothing: growth only raises the
+    // desired capacity published via pool stats, and the worker fleet
+    // (or its supervisor) reconciles toward it. Shrinkage is enacted by
+    // the controller itself (a drained bucket's worker exits on its
+    // retire lease). Dropped at shutdown, which stops the controller.
+    // The banner follows the start, so a reader of it sees the target.
+    let autoscale = opts.buckets.map(|(min, max)| {
         let cfg = AutoscaleConfig::new(min, max, opts.bucket_slo);
-        let sched = node.scheduler().clone();
+        let controller = node.scheduler().autoscale(cfg, |_| {});
         println!(
             "sitra-staged: bucket autoscale {}..{} buckets, p99 SLO {:?}",
             cfg.min_buckets, cfg.max_buckets, cfg.slo
         );
-        std::thread::spawn(move || {
-            let mut scaler = Autoscaler::new(cfg);
-            loop {
-                std::thread::sleep(Duration::from_millis(20));
-                let snap = sched.pool_snapshot();
-                match scaler.decide(&snap) {
-                    ScaleDecision::Hold => {}
-                    ScaleDecision::Grow(k) => {
-                        sched.set_pool_target(Some((snap.buckets + k).min(cfg.max_buckets)));
-                        sitra_obs::emit(
-                            "sched",
-                            "pool.scale",
-                            &[
-                                ("action", "grow".to_string()),
-                                ("delta", k.to_string()),
-                                ("buckets", (snap.buckets + k).to_string()),
-                                ("queue_depth", snap.queue_depth.to_string()),
-                                ("p99_us", snap.p99_wait.as_micros().to_string()),
-                            ],
-                        );
-                    }
-                    ScaleDecision::Shrink(k) => {
-                        let mut drained = 0usize;
-                        for _ in 0..k {
-                            if sched.drain_one_bucket().is_some() {
-                                drained += 1;
-                            }
-                        }
-                        if drained > 0 {
-                            sched.set_pool_target(Some(snap.buckets.saturating_sub(drained)));
-                            sitra_obs::emit(
-                                "sched",
-                                "pool.scale",
-                                &[
-                                    ("action", "shrink".to_string()),
-                                    ("delta", drained.to_string()),
-                                    ("buckets", snap.buckets.saturating_sub(drained).to_string()),
-                                    ("queue_depth", snap.queue_depth.to_string()),
-                                    ("p99_us", snap.p99_wait.as_micros().to_string()),
-                                ],
-                            );
-                        }
-                    }
-                }
-            }
-        });
-    }
+        controller
+    });
 
     let steer = opts.steer_listen.as_ref().map(|addr| {
         let server = SteerServer::start(addr).unwrap_or_else(|e| {
@@ -567,6 +523,7 @@ fn main() {
         "sitra-staged: scheduler closed; {} task(s) assigned, {} requeued — shutting down",
         stats.tasks_assigned, stats.tasks_requeued
     );
+    drop(autoscale);
     if let Some(s) = steer {
         s.shutdown();
     }

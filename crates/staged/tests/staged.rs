@@ -1,6 +1,7 @@
 //! `sitra-staged` as a process: a standalone instance on an OS-assigned
 //! port bridges stored viz outputs to its steering endpoint, carries the
-//! tenants it was started with, and exits cleanly once a client closes
+//! tenants it was started with, runs the capacity controller its
+//! `--buckets-*` flags ask for, and exits cleanly once a client closes
 //! its scheduler; a flag it does not have is a usage error.
 
 use sitra_core::remote::{output_bbox, output_var};
@@ -15,6 +16,25 @@ use std::time::{Duration, Instant};
 
 /// Kills the service if the test fails before it exits on its own.
 struct Staged(Child);
+
+impl Staged {
+    /// Exit status 0 within 5 s, as after a client closed the
+    /// scheduler.
+    fn exits_cleanly_within_5s(mut self) {
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let status = loop {
+            if let Some(status) = self.0.try_wait().expect("wait on sitra-staged") {
+                break status;
+            }
+            assert!(
+                Instant::now() < deadline,
+                "sitra-staged still running 5 s after its scheduler closed"
+            );
+            std::thread::sleep(Duration::from_millis(20));
+        };
+        assert!(status.success(), "sitra-staged exited with {status}");
+    }
+}
 
 impl Drop for Staged {
     fn drop(&mut self) {
@@ -33,7 +53,7 @@ fn standalone_instance_steers_binds_tenants_and_exits_on_close() {
         .spawn()
         .expect("spawn sitra-staged");
     let stdout = child.stdout.take().expect("piped stdout");
-    let mut staged = Staged(child);
+    let staged = Staged(child);
 
     // The banners: "serving N space shard(s) on ADDR" (the rule `soak`
     // parses) and "steerable viz on ADDR (source `LABEL`)".
@@ -95,18 +115,47 @@ fn standalone_instance_steers_binds_tenants_and_exits_on_close() {
     assert_eq!(sim.weight, 3);
 
     space.close_sched().expect("close the scheduler");
-    let deadline = Instant::now() + Duration::from_secs(5);
-    let status = loop {
-        if let Some(status) = staged.0.try_wait().expect("wait on sitra-staged") {
-            break status;
+    staged.exits_cleanly_within_5s();
+}
+
+#[test]
+fn autoscaled_instance_announces_its_controller_and_exits_on_close() {
+    let mut child = Command::new(env!("CARGO_BIN_EXE_sitra-staged"))
+        .args(["--listen", "tcp://127.0.0.1:0"])
+        .args(["--buckets-min", "1", "--buckets-max", "4"])
+        .args(["--bucket-slo-ms", "50"])
+        .stdout(Stdio::piped())
+        .spawn()
+        .expect("spawn sitra-staged");
+    let stdout = child.stdout.take().expect("piped stdout");
+    let staged = Staged(child);
+
+    let mut lines = std::io::BufReader::new(stdout).lines();
+    let (mut space_addr, mut autoscale) = (None::<Addr>, None::<String>);
+    while space_addr.is_none() || autoscale.is_none() {
+        let line = lines
+            .next()
+            .expect("sitra-staged exited before its banners")
+            .expect("read sitra-staged stdout");
+        if line.contains("serving") {
+            let rest = line.split(" on ").nth(1).expect("serving ... on ADDR");
+            space_addr = Some(rest.trim().parse().expect("staging address"));
+        } else if line.contains("bucket autoscale") {
+            autoscale = Some(line);
         }
-        assert!(
-            Instant::now() < deadline,
-            "sitra-staged still running 5 s after its scheduler closed"
-        );
-        std::thread::sleep(Duration::from_millis(20));
-    };
-    assert!(status.success(), "sitra-staged exited with {status}");
+    }
+    std::thread::spawn(move || lines.map_while(Result::ok).for_each(drop));
+    let autoscale = autoscale.unwrap();
+    assert!(autoscale.contains("1..4 buckets"), "{autoscale}");
+    assert!(autoscale.contains("50ms"), "{autoscale}");
+
+    // The controller publishes its floor as the desired capacity.
+    let space =
+        RemoteSpace::connect_retry(&space_addr.unwrap(), &Backoff::default()).expect("dial");
+    assert_eq!(space.pool_stats().expect("pool stats").desired, Some(1));
+
+    space.close_sched().expect("close the scheduler");
+    staged.exits_cleanly_within_5s();
 }
 
 #[test]
