@@ -1,11 +1,9 @@
 #!/usr/bin/env bash
 # ROADMAP item 3: no `thread::sleep` in non-test code of the crates on
-# the task path and of the transport under them. A file's test code
-# starts at `#[cfg(test)]` followed by `mod tests` (a lone
-# `#[cfg(test)]` item earlier in the file does not end the scan);
-# `tests.rs` files are test code throughout. The allow-list (`path  #
-# which sleep`, one line per sleep) holds only waits with nothing to
-# wait on: a wait is a timed wait on whatever ends it.
+# the task path and of the transport under them (non-test code as
+# `non-test-scan.sh` defines it). The allow-list (`path  # which
+# sleep`, one line per sleep) holds only waits with nothing to wait on:
+# a wait is a timed wait on whatever ends it.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -14,13 +12,8 @@ crates/net/src/lib.rs  # connect_retry: the back-off between dials
 ALLOW
 )
 
-found=$(find crates/core/src crates/dataspaces/src crates/cluster/src crates/net/src \
-    -name '*.rs' ! -name 'tests.rs' | sort | while read -r f; do
-    awk -v f="$f" '
-        cfg && /^[[:space:]]*mod tests/ { exit }
-        { cfg = /#\[cfg\(test\)\]/ }
-        /thread::sleep/ { print f }' "$f"
-done)
+found=$(.github/non-test-scan.sh 'thread::sleep' \
+    crates/core/src crates/dataspaces/src crates/cluster/src crates/net/src)
 
 # `<` a sleep that is not allowed, `>` an allowance with no sleep left.
 if ! diff <(echo "$found") <(sed 's/ *#.*//' <<<"$allowed"); then

@@ -35,5 +35,5 @@ pub mod ring;
 pub use client::{ClusterClient, ClusterStats, Shipped};
 pub use membership::Suspicion;
 pub use node::{Bootstrap, ClusterError, ClusterNode, ClusterNodeOpts};
-pub use proto::{decode_msg, encode_msg, ClusterMsg, ClusterView, MemberInfo, ProtoError};
+pub use proto::{decode_msg, encode_msg, ClusterMsg, ClusterView, MemberInfo};
 pub use ring::{HashRing, ShardKey, DEFAULT_SEED, DEFAULT_VNODES};

@@ -16,7 +16,7 @@
 //! re-added to the view.
 
 use crate::membership::Suspicion;
-use crate::proto::{decode_msg, encode_msg, ClusterMsg, ClusterView, MemberInfo, ProtoError};
+use crate::proto::{decode_msg, encode_msg, ClusterMsg, ClusterView, MemberInfo};
 use crate::ring::{HashRing, ShardKey};
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, RwLock};
@@ -445,7 +445,7 @@ impl Drop for ClusterNode {
 fn handle_control(state: &Arc<NodeState>, data: Bytes) -> Bytes {
     let msg = match decode_msg(data) {
         Ok(m) => m,
-        Err(ProtoError(_)) => {
+        Err(_) => {
             state.obs.proto_errors.inc();
             return encode_msg(&ClusterMsg::Ack {
                 epoch: state.epoch(),

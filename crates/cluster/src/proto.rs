@@ -5,34 +5,11 @@
 //! The codec is **total**: any byte sequence decodes to `Ok` or `Err`,
 //! never a panic — the same contract the data-plane codecs honor, and
 //! the one `crates/core/tests/wire_fuzz.rs` hammers with truncations and
-//! single-byte corruption.
+//! single-byte corruption. It reads through the shared wire cursor and
+//! reports its [`WireError`].
 
 use bytes::{BufMut, Bytes, BytesMut};
-use sitra_dataspaces::codec::{put_bytes, Rd};
-use sitra_dataspaces::RemoteError;
-
-/// A malformed control frame.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ProtoError(pub String);
-
-impl std::fmt::Display for ProtoError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "cluster protocol violation: {}", self.0)
-    }
-}
-
-impl std::error::Error for ProtoError {}
-
-/// The shared wire cursor reports [`RemoteError::Proto`]; a control
-/// frame's decode failure is a [`ProtoError`] with the same message.
-impl From<RemoteError> for ProtoError {
-    fn from(e: RemoteError) -> Self {
-        match e {
-            RemoteError::Proto(msg) => ProtoError(msg),
-            other => ProtoError(other.to_string()),
-        }
-    }
-}
+use sitra_dataspaces::codec::{put_str, Rd, WireError};
 
 /// One cluster member: its identity is its advertised endpoint string
 /// (what clients and peers dial).
@@ -103,21 +80,19 @@ fn put_view(buf: &mut BytesMut, view: &ClusterView) {
     buf.put_u64_le(view.epoch);
     buf.put_u32_le(view.members.len() as u32);
     for m in &view.members {
-        put_bytes(buf, m.addr.as_bytes());
+        put_str(buf, &m.addr);
     }
 }
 
-fn read_view(rd: &mut Rd) -> Result<ClusterView, ProtoError> {
-    let epoch = rd.u64()?;
-    let n = rd.u32()? as usize;
-    // Each member costs at least a 4-byte length prefix; a count the
-    // frame cannot possibly hold is rejected before allocating.
-    if n.checked_mul(4).is_none_or(|total| total > rd.remaining()) {
-        return Err(ProtoError("member count exceeds frame".into()));
-    }
+fn read_view(rd: &mut Rd) -> Result<ClusterView, WireError> {
+    let epoch = rd.u64("epoch")?;
+    // Each member costs at least a 4-byte length prefix.
+    let n = rd.count_u32(4, "members.len")?;
     let mut members = Vec::with_capacity(n);
     for _ in 0..n {
-        members.push(MemberInfo { addr: rd.string()? });
+        members.push(MemberInfo {
+            addr: rd.string("member.addr")?,
+        });
     }
     Ok(ClusterView { epoch, members })
 }
@@ -129,15 +104,15 @@ pub fn encode_msg(msg: &ClusterMsg) -> Bytes {
         ClusterMsg::Hello => buf.put_u8(MSG_HELLO),
         ClusterMsg::Join { from } => {
             buf.put_u8(MSG_JOIN);
-            put_bytes(&mut buf, from.addr.as_bytes());
+            put_str(&mut buf, &from.addr);
         }
         ClusterMsg::Leave { addr } => {
             buf.put_u8(MSG_LEAVE);
-            put_bytes(&mut buf, addr.as_bytes());
+            put_str(&mut buf, addr);
         }
         ClusterMsg::Heartbeat { from, epoch } => {
             buf.put_u8(MSG_HEARTBEAT);
-            put_bytes(&mut buf, from.as_bytes());
+            put_str(&mut buf, from);
             buf.put_u64_le(*epoch);
         }
         ClusterMsg::View { view } => {
@@ -153,23 +128,29 @@ pub fn encode_msg(msg: &ClusterMsg) -> Bytes {
 }
 
 /// Decode a control message. Total: never panics on malformed input.
-pub fn decode_msg(frame: Bytes) -> Result<ClusterMsg, ProtoError> {
+pub fn decode_msg(frame: Bytes) -> Result<ClusterMsg, WireError> {
     let mut rd = Rd::new(frame);
-    let msg = match rd.u8()? {
+    let msg = match rd.u8("msg.tag")? {
         MSG_HELLO => ClusterMsg::Hello,
         MSG_JOIN => ClusterMsg::Join {
-            from: MemberInfo { addr: rd.string()? },
+            from: MemberInfo {
+                addr: rd.string("from")?,
+            },
         },
-        MSG_LEAVE => ClusterMsg::Leave { addr: rd.string()? },
+        MSG_LEAVE => ClusterMsg::Leave {
+            addr: rd.string("addr")?,
+        },
         MSG_HEARTBEAT => ClusterMsg::Heartbeat {
-            from: rd.string()?,
-            epoch: rd.u64()?,
+            from: rd.string("from")?,
+            epoch: rd.u64("epoch")?,
         },
         MSG_VIEW => ClusterMsg::View {
             view: read_view(&mut rd)?,
         },
-        MSG_ACK => ClusterMsg::Ack { epoch: rd.u64()? },
-        t => return Err(ProtoError(format!("unknown message tag {t}"))),
+        MSG_ACK => ClusterMsg::Ack {
+            epoch: rd.u64("epoch")?,
+        },
+        _ => return Err(WireError::Malformed { field: "msg.tag" }),
     };
     rd.finish()?;
     Ok(msg)

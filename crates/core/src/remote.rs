@@ -38,6 +38,7 @@ use crate::wire::{decode_analysis_output, encode_analysis_output, WireError};
 use bytes::{BufMut, Bytes, BytesMut};
 use parking_lot::{Condvar, Mutex};
 use sitra_cluster::ClusterClient;
+use sitra_dataspaces::codec::Rd;
 use sitra_dataspaces::remote::{RemoteError, TaskPoll};
 use sitra_dataspaces::scoped_var;
 use sitra_mesh::BBox3;
@@ -93,16 +94,14 @@ pub fn encode_task(t: &RemoteTask) -> Bytes {
 
 /// Decode a task descriptor. Total: errors instead of panicking.
 pub fn decode_task(b: &Bytes) -> Result<RemoteTask, WireError> {
-    if b.len() != 16 {
-        return Err(WireError::Truncated { field: "task" });
-    }
-    let le4 = |o: usize| u32::from_le_bytes(b[o..o + 4].try_into().unwrap());
-    let le8 = |o: usize| u64::from_le_bytes(b[o..o + 8].try_into().unwrap());
-    Ok(RemoteTask {
-        analysis_idx: le4(0),
-        step: le8(4),
-        n_ranks: le4(12),
-    })
+    let mut rd = Rd::new(b.clone());
+    let task = RemoteTask {
+        analysis_idx: rd.u32("task.analysis_idx")?,
+        step: rd.u64("task.step")?,
+        n_ranks: rd.u32("task.n_ranks")?,
+    };
+    rd.finish()?;
+    Ok(task)
 }
 
 /// Knobs of a remote bucket worker.

@@ -1,4 +1,4 @@
-//! Compact binary codecs for analysis intermediates.
+//! Compact binary codecs for analysis intermediates and outputs.
 //!
 //! The intermediates are what actually moves from the primary to the
 //! secondary resources, so their encodings are fixed-layout little-endian
@@ -6,149 +6,26 @@
 //! real transfer sizes, directly comparable to the paper's Table II
 //! "data movement size" column.
 //!
-//! Decoders are total: any byte sequence — truncated, corrupted, or
-//! adversarial — yields a [`WireError`] rather than a panic or an
-//! unbounded allocation. This matters once intermediates cross process
-//! boundaries (the `sitra-net` remote staging path), where a peer's
-//! bytes cannot be trusted to be well-formed.
+//! The layouts here are the analysis-specific ones; the cursor, the
+//! error and the layouts other formats share (strings, bboxes, images,
+//! bounded element counts) are `sitra_dataspaces::codec`'s, so every
+//! decoder in the workspace reads through one [`Rd`]. Decoders are
+//! total: any byte sequence — truncated, corrupted, or adversarial,
+//! zero-dimension images included — yields a [`WireError`] rather than a
+//! panic or an unbounded allocation. This matters once intermediates
+//! cross process boundaries (the `sitra-net` remote staging path), where
+//! a peer's bytes cannot be trusted to be well-formed.
 
 use crate::analysis::AnalysisOutput;
 use bytes::{BufMut, Bytes, BytesMut};
+use sitra_dataspaces::codec::{put_bbox, put_image, put_str, Rd};
 use sitra_flowmap::{FlowRecord, Termination};
-use sitra_mesh::{BBox3, SampledBlock};
+use sitra_mesh::SampledBlock;
 use sitra_stats::{CoMoments, Derived, Moments, MultiModel};
 use sitra_topology::reduce::{Subtree, SubtreeVertex};
 use sitra_topology::tree::CanonicalTree;
 
-/// Decoding failure: the buffer does not hold a valid intermediate.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum WireError {
-    /// The buffer ended before `field` could be read.
-    Truncated {
-        /// Name of the field being read when the bytes ran out.
-        field: &'static str,
-    },
-    /// A field was read but its value is structurally invalid.
-    Malformed {
-        /// Name of the offending field.
-        field: &'static str,
-    },
-    /// Decoding finished with bytes left over (framing mismatch).
-    TrailingBytes {
-        /// How many bytes remained.
-        extra: usize,
-    },
-}
-
-impl std::fmt::Display for WireError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            WireError::Truncated { field } => write!(f, "buffer truncated reading `{field}`"),
-            WireError::Malformed { field } => write!(f, "malformed field `{field}`"),
-            WireError::TrailingBytes { extra } => {
-                write!(f, "{extra} trailing bytes after decoded value")
-            }
-        }
-    }
-}
-
-impl std::error::Error for WireError {}
-
-/// Bounds-checked little-endian reader over a byte buffer.
-struct Reader {
-    buf: Bytes,
-    pos: usize,
-}
-
-impl Reader {
-    fn new(buf: Bytes) -> Self {
-        Reader { buf, pos: 0 }
-    }
-
-    fn remaining(&self) -> usize {
-        self.buf.len() - self.pos
-    }
-
-    fn take(&mut self, n: usize, field: &'static str) -> Result<Bytes, WireError> {
-        if self.remaining() < n {
-            return Err(WireError::Truncated { field });
-        }
-        let b = self.buf.slice(self.pos..self.pos + n);
-        self.pos += n;
-        Ok(b)
-    }
-
-    fn array<const N: usize>(&mut self, field: &'static str) -> Result<[u8; N], WireError> {
-        if self.remaining() < N {
-            return Err(WireError::Truncated { field });
-        }
-        let mut a = [0u8; N];
-        a.copy_from_slice(&self.buf[self.pos..self.pos + N]);
-        self.pos += N;
-        Ok(a)
-    }
-
-    fn u8(&mut self, field: &'static str) -> Result<u8, WireError> {
-        Ok(self.array::<1>(field)?[0])
-    }
-
-    fn u32(&mut self, field: &'static str) -> Result<u32, WireError> {
-        Ok(u32::from_le_bytes(self.array(field)?))
-    }
-
-    fn u64(&mut self, field: &'static str) -> Result<u64, WireError> {
-        Ok(u64::from_le_bytes(self.array(field)?))
-    }
-
-    fn i64(&mut self, field: &'static str) -> Result<i64, WireError> {
-        Ok(i64::from_le_bytes(self.array(field)?))
-    }
-
-    fn f64(&mut self, field: &'static str) -> Result<f64, WireError> {
-        Ok(f64::from_le_bytes(self.array(field)?))
-    }
-
-    /// A claimed element count, validated against the bytes actually
-    /// present (`min_elem_size` per element) so a corrupt length prefix
-    /// cannot drive an unbounded allocation.
-    fn count(&mut self, min_elem_size: usize, field: &'static str) -> Result<usize, WireError> {
-        let n = self.u64(field)? as usize;
-        if n.checked_mul(min_elem_size)
-            .is_none_or(|total| total > self.remaining())
-        {
-            return Err(WireError::Truncated { field });
-        }
-        Ok(n)
-    }
-
-    fn finish(self) -> Result<(), WireError> {
-        if self.remaining() != 0 {
-            return Err(WireError::TrailingBytes {
-                extra: self.remaining(),
-            });
-        }
-        Ok(())
-    }
-}
-
-fn put_bbox(buf: &mut BytesMut, b: &BBox3) {
-    for v in b.lo.iter().chain(b.hi.iter()) {
-        buf.put_u64_le(*v as u64);
-    }
-}
-
-fn read_bbox(rd: &mut Reader, field: &'static str) -> Result<BBox3, WireError> {
-    let mut vals = [0usize; 6];
-    for v in &mut vals {
-        *v = rd.u64(field)? as usize;
-    }
-    let (lo, hi) = ([vals[0], vals[1], vals[2]], [vals[3], vals[4], vals[5]]);
-    // BBox3::new asserts lo <= hi; validate instead of panicking.
-    if lo.iter().zip(&hi).any(|(l, h)| l > h) {
-        return Err(WireError::Malformed { field });
-    }
-    Ok(BBox3::new(lo, hi))
-}
+pub use sitra_dataspaces::codec::WireError;
 
 /// Encode a down-sampled block (hybrid visualization intermediate).
 pub fn encode_sampled_block(s: &SampledBlock) -> Bytes {
@@ -165,14 +42,14 @@ pub fn encode_sampled_block(s: &SampledBlock) -> Bytes {
 
 /// Decode a down-sampled block.
 pub fn decode_sampled_block(b: Bytes) -> Result<SampledBlock, WireError> {
-    let mut rd = Reader::new(b);
-    let src_bbox = read_bbox(&mut rd, "src_bbox")?;
-    let coarse_bbox = read_bbox(&mut rd, "coarse_bbox")?;
+    let mut rd = Rd::new(b);
+    let src_bbox = rd.bbox("src_bbox")?;
+    let coarse_bbox = rd.bbox("coarse_bbox")?;
     let stride = rd.u64("stride")? as usize;
     if stride == 0 {
         return Err(WireError::Malformed { field: "stride" });
     }
-    let n = rd.count(8, "data.len")?;
+    let n = rd.count_u64(8, "data.len")?;
     // One value per coarse point: the renderer indexes `data` by
     // position in `coarse_bbox` (hostile dims may overflow the product).
     let d = coarse_bbox.dims();
@@ -197,18 +74,21 @@ pub fn encode_multimodel(m: &MultiModel) -> Bytes {
     let mut buf = BytesMut::new();
     buf.put_u32_le(m.vars.len() as u32);
     for (name, mom) in &m.vars {
-        let nb = name.as_bytes();
-        buf.put_u32_le(nb.len() as u32);
-        buf.put_slice(nb);
-        buf.put_u64_le(mom.n);
-        for v in [mom.min, mom.max, mom.mean, mom.m2, mom.m3, mom.m4] {
-            buf.put_f64_le(v);
-        }
+        put_str(&mut buf, name);
+        put_moments(&mut buf, mom);
     }
     buf.freeze()
 }
 
-fn read_moments(rd: &mut Reader) -> Result<Moments, WireError> {
+/// A moment block: `u64` count, then min, max, mean, m2, m3, m4.
+fn put_moments(buf: &mut BytesMut, m: &Moments) {
+    buf.put_u64_le(m.n);
+    for v in [m.min, m.max, m.mean, m.m2, m.m3, m.m4] {
+        buf.put_f64_le(v);
+    }
+}
+
+fn read_moments(rd: &mut Rd) -> Result<Moments, WireError> {
     let n = rd.u64("moments.n")?;
     let mut f = [0.0f64; 6];
     for v in &mut f {
@@ -227,21 +107,12 @@ fn read_moments(rd: &mut Reader) -> Result<Moments, WireError> {
 
 /// Decode a multi-variable statistics model.
 pub fn decode_multimodel(b: Bytes) -> Result<MultiModel, WireError> {
-    let mut rd = Reader::new(b);
-    let nvars = rd.u32("nvars")? as usize;
+    let mut rd = Rd::new(b);
     // Each variable is at least a length prefix plus the moment block.
-    if nvars
-        .checked_mul(4 + 56)
-        .is_none_or(|total| total > rd.remaining())
-    {
-        return Err(WireError::Truncated { field: "nvars" });
-    }
+    let nvars = rd.count_u32(4 + 56, "nvars")?;
     let mut vars = Vec::with_capacity(nvars);
     for _ in 0..nvars {
-        let nlen = rd.u32("name.len")? as usize;
-        let raw = rd.take(nlen, "name")?;
-        let name =
-            String::from_utf8(raw.to_vec()).map_err(|_| WireError::Malformed { field: "name" })?;
+        let name = rd.string("name")?;
         vars.push((name, read_moments(&mut rd)?));
     }
     rd.finish()?;
@@ -271,22 +142,17 @@ pub fn encode_subtree(s: &Subtree) -> Bytes {
     buf.freeze()
 }
 
-fn read_subtree(rd: &mut Reader) -> Result<Subtree, WireError> {
+fn read_subtree(rd: &mut Rd) -> Result<Subtree, WireError> {
     let source = rd.u32("source")?;
     // A vertex is at least id + value + degree + pinned + potential.len.
-    let nverts = rd.count(8 + 8 + 4 + 1 + 4, "verts.len")?;
+    let nverts = rd.count_u64(8 + 8 + 4 + 1 + 4, "verts.len")?;
     let mut verts = Vec::with_capacity(nverts);
     for _ in 0..nverts {
         let id = rd.u64("vert.id")?;
         let value = rd.f64("vert.value")?;
         let degree = rd.u32("vert.degree")?;
         let pinned = rd.u8("vert.pinned")? != 0;
-        let np = rd.u32("potential.len")? as usize;
-        if np.checked_mul(4).is_none_or(|total| total > rd.remaining()) {
-            return Err(WireError::Truncated {
-                field: "potential.len",
-            });
-        }
+        let np = rd.count_u32(4, "potential.len")?;
         let mut potential = Vec::with_capacity(np);
         for _ in 0..np {
             potential.push(rd.u32("potential")?);
@@ -299,7 +165,7 @@ fn read_subtree(rd: &mut Reader) -> Result<Subtree, WireError> {
             pinned,
         });
     }
-    let nedges = rd.count(16, "edges.len")?;
+    let nedges = rd.count_u64(16, "edges.len")?;
     let mut edges = Vec::with_capacity(nedges);
     for _ in 0..nedges {
         let a = rd.u64("edge.a")?;
@@ -315,7 +181,7 @@ fn read_subtree(rd: &mut Reader) -> Result<Subtree, WireError> {
 
 /// Decode a merge-tree subtree.
 pub fn decode_subtree(b: Bytes) -> Result<Subtree, WireError> {
-    let mut rd = Reader::new(b);
+    let mut rd = Rd::new(b);
     let sub = read_subtree(&mut rd)?;
     rd.finish()?;
     Ok(sub)
@@ -334,7 +200,7 @@ pub fn encode_comoments(m: &CoMoments) -> Bytes {
 
 /// Decode a bivariate co-moment model.
 pub fn decode_comoments(b: Bytes) -> Result<CoMoments, WireError> {
-    let mut rd = Reader::new(b);
+    let mut rd = Rd::new(b);
     let n = rd.u64("n")?;
     let mut f = [0.0f64; 5];
     for v in &mut f {
@@ -361,21 +227,18 @@ pub fn encode_feature_stats(sub: &Subtree, feats: &[(u64, Moments)]) -> Bytes {
     buf.put_u64_le(feats.len() as u64);
     for (id, m) in feats {
         buf.put_u64_le(*id);
-        buf.put_u64_le(m.n);
-        for v in [m.min, m.max, m.mean, m.m2, m.m3, m.m4] {
-            buf.put_f64_le(v);
-        }
+        put_moments(&mut buf, m);
     }
     buf.freeze()
 }
 
 /// Decode a feature-statistics intermediate.
 pub fn decode_feature_stats(b: Bytes) -> Result<(Subtree, Vec<(u64, Moments)>), WireError> {
-    let mut rd = Reader::new(b);
+    let mut rd = Rd::new(b);
     let tlen = rd.u64("subtree.len")? as usize;
     let tree_bytes = rd.take(tlen, "subtree")?;
     let sub = decode_subtree(tree_bytes)?;
-    let n = rd.count(8 + 56, "feats.len")?;
+    let n = rd.count_u64(8 + 56, "feats.len")?;
     let mut feats = Vec::with_capacity(n);
     for _ in 0..n {
         let id = rd.u64("feat.id")?;
@@ -390,38 +253,15 @@ pub fn decode_feature_stats(b: Bytes) -> Result<(Subtree, Vec<(u64, Moments)>), 
 pub fn encode_partial_image(order_key: i64, img: &sitra_viz::Image) -> Bytes {
     let mut buf = BytesMut::with_capacity(img.pixels().len() * 32 + 24);
     buf.put_i64_le(order_key);
-    buf.put_u64_le(img.width() as u64);
-    buf.put_u64_le(img.height() as u64);
-    for p in img.pixels() {
-        for c in p {
-            buf.put_f64_le(*c);
-        }
-    }
+    put_image(&mut buf, img);
     buf.freeze()
 }
 
 /// Decode a partial image.
 pub fn decode_partial_image(b: Bytes) -> Result<(i64, sitra_viz::Image), WireError> {
-    let mut rd = Reader::new(b);
+    let mut rd = Rd::new(b);
     let key = rd.i64("order_key")?;
-    let w = rd.u64("width")? as usize;
-    let h = rd.u64("height")? as usize;
-    // Validate the full pixel payload before allocating the image.
-    let pixels = w
-        .checked_mul(h)
-        .ok_or(WireError::Malformed { field: "dims" })?;
-    if pixels
-        .checked_mul(32)
-        .is_none_or(|total| total != rd.remaining())
-    {
-        return Err(WireError::Truncated { field: "pixels" });
-    }
-    let mut img = sitra_viz::Image::new(w, h);
-    for p in img.pixels_mut() {
-        for c in p.iter_mut() {
-            *c = rd.f64("pixel")?;
-        }
-    }
+    let img = rd.image()?;
     rd.finish()?;
     Ok((key, img))
 }
@@ -442,8 +282,8 @@ fn put_flow_records(buf: &mut BytesMut, recs: &[FlowRecord]) {
     }
 }
 
-fn read_flow_records(rd: &mut Reader) -> Result<Vec<FlowRecord>, WireError> {
-    let n = rd.count(FLOW_RECORD_SIZE, "flow.len")?;
+fn read_flow_records(rd: &mut Rd) -> Result<Vec<FlowRecord>, WireError> {
+    let n = rd.count_u64(FLOW_RECORD_SIZE, "flow.len")?;
     let mut recs = Vec::with_capacity(n);
     for _ in 0..n {
         let seed = rd.u64("flow.seed")?;
@@ -476,7 +316,7 @@ pub fn encode_flow_records(recs: &[FlowRecord]) -> Bytes {
 
 /// Decode a flow-map termination-record list.
 pub fn decode_flow_records(b: Bytes) -> Result<Vec<FlowRecord>, WireError> {
-    let mut rd = Reader::new(b);
+    let mut rd = Rd::new(b);
     let recs = read_flow_records(&mut rd)?;
     rd.finish()?;
     Ok(recs)
@@ -488,17 +328,6 @@ const OUT_STATS: u8 = 2;
 const OUT_SCALARS: u8 = 3;
 const OUT_FLOWMAP: u8 = 4;
 
-fn put_str(buf: &mut BytesMut, s: &str) {
-    buf.put_u32_le(s.len() as u32);
-    buf.put_slice(s.as_bytes());
-}
-
-fn read_str(rd: &mut Reader, field: &'static str) -> Result<String, WireError> {
-    let n = rd.u32(field)? as usize;
-    let raw = rd.take(n, field)?;
-    String::from_utf8(raw.to_vec()).map_err(|_| WireError::Malformed { field })
-}
-
 /// Encode a completed analysis result for shipment from a remote staging
 /// bucket back to the driver. Byte-for-byte deterministic: two equal
 /// outputs always encode identically, which is what the remote-staging
@@ -509,13 +338,7 @@ pub fn encode_analysis_output(out: &AnalysisOutput) -> Bytes {
     match out {
         AnalysisOutput::Image(img) => {
             buf.put_u8(OUT_IMAGE);
-            buf.put_u64_le(img.width() as u64);
-            buf.put_u64_le(img.height() as u64);
-            for p in img.pixels() {
-                for c in p {
-                    buf.put_f64_le(*c);
-                }
-            }
+            put_image(&mut buf, img);
         }
         AnalysisOutput::Tree(tree) => {
             buf.put_u8(OUT_TREE);
@@ -567,37 +390,18 @@ pub fn encode_analysis_output(out: &AnalysisOutput) -> Bytes {
 
 /// Decode an analysis result. Total: never panics on arbitrary input.
 pub fn decode_analysis_output(b: Bytes) -> Result<AnalysisOutput, WireError> {
-    let mut rd = Reader::new(b);
+    let mut rd = Rd::new(b);
     let out = match rd.u8("output.tag")? {
-        OUT_IMAGE => {
-            let w = rd.u64("width")? as usize;
-            let h = rd.u64("height")? as usize;
-            let pixels = w
-                .checked_mul(h)
-                .ok_or(WireError::Malformed { field: "dims" })?;
-            if pixels
-                .checked_mul(32)
-                .is_none_or(|total| total != rd.remaining())
-            {
-                return Err(WireError::Truncated { field: "pixels" });
-            }
-            let mut img = sitra_viz::Image::new(w, h);
-            for p in img.pixels_mut() {
-                for c in p.iter_mut() {
-                    *c = rd.f64("pixel")?;
-                }
-            }
-            AnalysisOutput::Image(img)
-        }
+        OUT_IMAGE => AnalysisOutput::Image(rd.image()?),
         OUT_TREE => {
-            let nnodes = rd.count(16, "nodes.len")?;
+            let nnodes = rd.count_u64(16, "nodes.len")?;
             let mut nodes = Vec::with_capacity(nnodes);
             for _ in 0..nnodes {
                 let id = rd.u64("node.id")?;
                 let v = rd.f64("node.value")?;
                 nodes.push((id, v));
             }
-            let narcs = rd.count(16, "arcs.len")?;
+            let narcs = rd.count_u64(16, "arcs.len")?;
             let mut arcs = Vec::with_capacity(narcs);
             for _ in 0..narcs {
                 let a = rd.u64("arc.a")?;
@@ -607,16 +411,11 @@ pub fn decode_analysis_output(b: Bytes) -> Result<AnalysisOutput, WireError> {
             AnalysisOutput::Tree(CanonicalTree { nodes, arcs })
         }
         OUT_STATS => {
-            let n = rd.u32("stats.len")? as usize;
             // Each row is at least a name prefix plus count + 7 moments.
-            if n.checked_mul(4 + 8 + 56)
-                .is_none_or(|total| total > rd.remaining())
-            {
-                return Err(WireError::Truncated { field: "stats.len" });
-            }
+            let n = rd.count_u32(4 + 8 + 56, "stats.len")?;
             let mut rows = Vec::with_capacity(n);
             for _ in 0..n {
-                let name = read_str(&mut rd, "stat.name")?;
+                let name = rd.string("stat.name")?;
                 let count = rd.u64("stat.count")?;
                 let mut f = [0.0f64; 7];
                 for v in &mut f {
@@ -639,17 +438,10 @@ pub fn decode_analysis_output(b: Bytes) -> Result<AnalysisOutput, WireError> {
             AnalysisOutput::Stats(rows)
         }
         OUT_SCALARS => {
-            let n = rd.u32("scalars.len")? as usize;
-            if n.checked_mul(4 + 8)
-                .is_none_or(|total| total > rd.remaining())
-            {
-                return Err(WireError::Truncated {
-                    field: "scalars.len",
-                });
-            }
+            let n = rd.count_u32(4 + 8, "scalars.len")?;
             let mut rows = Vec::with_capacity(n);
             for _ in 0..n {
-                let name = read_str(&mut rd, "scalar.name")?;
+                let name = rd.string("scalar.name")?;
                 rows.push((name, rd.f64("scalar")?));
             }
             AnalysisOutput::Scalars(rows)
@@ -668,7 +460,7 @@ pub fn decode_analysis_output(b: Bytes) -> Result<AnalysisOutput, WireError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use sitra_mesh::{downsample, ScalarField};
+    use sitra_mesh::{downsample, BBox3, ScalarField};
 
     #[test]
     fn sampled_block_roundtrip() {

@@ -1,14 +1,61 @@
-//! Field serialization for transport through the space and DART, and
-//! the one bounds-checked wire cursor ([`Rd`]) every RPC codec in
-//! `sitra-dataspaces` and `sitra-cluster` decodes with.
+//! The workspace's one wire codec: the bounds-checked read cursor
+//! ([`Rd`]), its field-tagged error ([`WireError`]), and the byte
+//! layouts more than one format shares — a length-prefixed byte string
+//! and UTF-8 string, a bbox, an image, and a bounded element count.
+//! Every decoder in `sitra-dataspaces` (staging RPC, steering),
+//! `sitra-cluster` (membership) and `sitra-core` (analysis
+//! intermediates, outputs, task descriptors) reads through [`Rd`], so a
+//! layout decision is made here once. Also: field serialization for the
+//! space and DART.
+//!
+//! Decoders built on [`Rd`] are total: any byte sequence — truncated,
+//! corrupted or adversarial — yields a [`WireError`], never a panic or
+//! an allocation sized by a length prefix the bytes cannot back. A read
+//! that succeeds allocates nothing beyond the value it returns, and the
+//! error is a `Copy` value: its text is only formatted when reported.
 
-use crate::remote::RemoteError;
 use bytes::{BufMut, Bytes, BytesMut};
 use sitra_mesh::{BBox3, ScalarField};
+use sitra_viz::Image;
 
-/// A bounds-checked read cursor over one frame. Total: every accessor
-/// returns [`RemoteError::Proto`] instead of panicking on short or
-/// malformed input, so a decoder built from it never panics either.
+/// Decoding failure: the buffer does not hold a valid value.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WireError {
+    /// The buffer ended before `field` could be read.
+    Truncated {
+        /// Name of the field being read when the bytes ran out.
+        field: &'static str,
+    },
+    /// A field was read but its value is structurally invalid.
+    Malformed {
+        /// Name of the offending field.
+        field: &'static str,
+    },
+    /// Decoding finished with bytes left over (framing mismatch).
+    TrailingBytes {
+        /// How many bytes remained.
+        extra: usize,
+    },
+}
+
+impl std::fmt::Display for WireError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            WireError::Truncated { field } => write!(f, "buffer truncated reading `{field}`"),
+            WireError::Malformed { field } => write!(f, "malformed field `{field}`"),
+            WireError::TrailingBytes { extra } => {
+                write!(f, "{extra} trailing bytes after decoded value")
+            }
+        }
+    }
+}
+
+impl std::error::Error for WireError {}
+
+/// A bounds-checked little-endian read cursor over one frame. Every
+/// read names the field it reads, which is what a failure reports. The
+/// per-value reads are `#[inline]`: decoders in other crates call them
+/// in loops over every pixel, vertex and record.
 pub struct Rd {
     buf: Bytes,
     pos: usize,
@@ -20,16 +67,25 @@ impl Rd {
         Rd { buf, pos: 0 }
     }
 
-    /// Bytes not yet consumed (bound element counts against this
-    /// before allocating for them).
-    pub fn remaining(&self) -> usize {
+    #[inline]
+    fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
-    /// The next `N` bytes.
-    pub fn array<const N: usize>(&mut self) -> Result<[u8; N], RemoteError> {
+    /// The next `n` bytes (zero-copy slice of the frame).
+    pub fn take(&mut self, n: usize, field: &'static str) -> Result<Bytes, WireError> {
+        if self.remaining() < n {
+            return Err(WireError::Truncated { field });
+        }
+        let b = self.buf.slice(self.pos..self.pos + n);
+        self.pos += n;
+        Ok(b)
+    }
+
+    #[inline]
+    fn array<const N: usize>(&mut self, field: &'static str) -> Result<[u8; N], WireError> {
         if self.remaining() < N {
-            return Err(RemoteError::Proto("truncated".into()));
+            return Err(WireError::Truncated { field });
         }
         let mut a = [0u8; N];
         a.copy_from_slice(&self.buf[self.pos..self.pos + N]);
@@ -38,51 +94,154 @@ impl Rd {
     }
 
     /// One byte.
-    pub fn u8(&mut self) -> Result<u8, RemoteError> {
-        Ok(self.array::<1>()?[0])
+    #[inline]
+    pub fn u8(&mut self, field: &'static str) -> Result<u8, WireError> {
+        Ok(self.array::<1>(field)?[0])
     }
 
     /// A little-endian `u32`.
-    pub fn u32(&mut self) -> Result<u32, RemoteError> {
-        Ok(u32::from_le_bytes(self.array()?))
+    #[inline]
+    pub fn u32(&mut self, field: &'static str) -> Result<u32, WireError> {
+        Ok(u32::from_le_bytes(self.array(field)?))
     }
 
     /// A little-endian `u64`.
-    pub fn u64(&mut self) -> Result<u64, RemoteError> {
-        Ok(u64::from_le_bytes(self.array()?))
+    #[inline]
+    pub fn u64(&mut self, field: &'static str) -> Result<u64, WireError> {
+        Ok(u64::from_le_bytes(self.array(field)?))
     }
 
-    /// A `u32`-length-prefixed byte string (zero-copy slice of the
-    /// frame).
-    pub fn bytes(&mut self) -> Result<Bytes, RemoteError> {
-        let n = self.u32()? as usize;
-        if self.remaining() < n {
-            return Err(RemoteError::Proto("truncated payload".into()));
+    /// A little-endian `i64`.
+    #[inline]
+    pub fn i64(&mut self, field: &'static str) -> Result<i64, WireError> {
+        Ok(i64::from_le_bytes(self.array(field)?))
+    }
+
+    /// A little-endian `f64`.
+    #[inline]
+    pub fn f64(&mut self, field: &'static str) -> Result<f64, WireError> {
+        Ok(f64::from_le_bytes(self.array(field)?))
+    }
+
+    /// The element-count bound: `n` elements of at least `min_size`
+    /// bytes each must fit in what is left of the frame, so a corrupt
+    /// count cannot drive an unbounded allocation.
+    #[inline]
+    fn bound(&self, n: u64, min_size: usize, field: &'static str) -> Result<usize, WireError> {
+        usize::try_from(n)
+            .ok()
+            .filter(|n| {
+                n.checked_mul(min_size)
+                    .is_some_and(|t| t <= self.remaining())
+            })
+            .ok_or(WireError::Truncated { field })
+    }
+
+    /// A `u32` count of elements of at least `min_size` bytes each;
+    /// a count the rest of the frame cannot hold is `Truncated`.
+    #[inline]
+    pub fn count_u32(&mut self, min_size: usize, field: &'static str) -> Result<usize, WireError> {
+        let n = self.u32(field)?;
+        self.bound(n.into(), min_size, field)
+    }
+
+    /// A `u64` count of elements of at least `min_size` bytes each;
+    /// a count the rest of the frame cannot hold is `Truncated`.
+    #[inline]
+    pub fn count_u64(&mut self, min_size: usize, field: &'static str) -> Result<usize, WireError> {
+        let n = self.u64(field)?;
+        self.bound(n, min_size, field)
+    }
+
+    /// A `u32`-length-prefixed byte string, as [`put_bytes`] writes it
+    /// (zero-copy slice of the frame).
+    pub fn bytes(&mut self, field: &'static str) -> Result<Bytes, WireError> {
+        let n = self.u32(field)? as usize;
+        self.take(n, field)
+    }
+
+    /// A `u32`-length-prefixed UTF-8 string, as [`put_str`] writes it.
+    pub fn string(&mut self, field: &'static str) -> Result<String, WireError> {
+        let raw = self.bytes(field)?;
+        std::str::from_utf8(&raw)
+            .map(str::to_owned)
+            .map_err(|_| WireError::Malformed { field })
+    }
+
+    /// A bbox as [`put_bbox`] writes it; an inverted one (`lo > hi` on
+    /// some axis) is malformed.
+    pub fn bbox(&mut self, field: &'static str) -> Result<BBox3, WireError> {
+        let mut v = [0usize; 6];
+        for slot in &mut v {
+            *slot = self.u64(field)? as usize;
         }
-        let b = self.buf.slice(self.pos..self.pos + n);
-        self.pos += n;
-        Ok(b)
+        let (lo, hi) = ([v[0], v[1], v[2]], [v[3], v[4], v[5]]);
+        if lo.iter().zip(&hi).any(|(l, h)| l > h) {
+            return Err(WireError::Malformed { field });
+        }
+        Ok(BBox3::new(lo, hi))
     }
 
-    /// A `u32`-length-prefixed UTF-8 string.
-    pub fn string(&mut self) -> Result<String, RemoteError> {
-        let raw = self.bytes()?;
-        String::from_utf8(raw.to_vec()).map_err(|_| RemoteError::Proto("non-utf8 string".into()))
+    /// An image as [`put_image`] writes it, filling the rest of the
+    /// frame. A zero width or height is malformed.
+    pub fn image(&mut self) -> Result<Image, WireError> {
+        let w = self.u64("width")? as usize;
+        let h = self.u64("height")? as usize;
+        let pixels = w
+            .checked_mul(h)
+            .filter(|&p| p > 0)
+            .ok_or(WireError::Malformed { field: "dims" })?;
+        // Validate the full pixel payload before allocating the image.
+        if pixels.checked_mul(32) != Some(self.remaining()) {
+            return Err(WireError::Truncated { field: "pixels" });
+        }
+        let mut img = Image::new(w, h);
+        for p in img.pixels_mut() {
+            for c in p.iter_mut() {
+                *c = self.f64("pixel")?;
+            }
+        }
+        Ok(img)
     }
 
     /// Succeeds only when the whole frame was consumed.
-    pub fn finish(self) -> Result<(), RemoteError> {
-        if self.remaining() != 0 {
-            return Err(RemoteError::Proto("trailing bytes".into()));
+    pub fn finish(self) -> Result<(), WireError> {
+        match self.remaining() {
+            0 => Ok(()),
+            extra => Err(WireError::TrailingBytes { extra }),
         }
-        Ok(())
     }
 }
 
-/// Write `data` the way [`Rd::bytes`] / [`Rd::string`] read it back.
+/// A `u32` length prefix, then `data`.
 pub fn put_bytes(buf: &mut BytesMut, data: &[u8]) {
     buf.put_u32_le(data.len() as u32);
     buf.put_slice(data);
+}
+
+/// A string as a [`put_bytes`] byte string of its UTF-8.
+pub fn put_str(buf: &mut BytesMut, s: &str) {
+    put_bytes(buf, s.as_bytes());
+}
+
+/// A bbox: `lo` then `hi`, six little-endian `u64`s.
+pub fn put_bbox(buf: &mut BytesMut, b: &BBox3) {
+    for v in b.lo.iter().chain(b.hi.iter()) {
+        buf.put_u64_le(*v as u64);
+    }
+}
+
+/// An image: `u64` width, `u64` height, then every pixel row-major as
+/// four little-endian `f64` (premultiplied RGBA), to the end of the
+/// frame.
+pub fn put_image(buf: &mut BytesMut, img: &Image) {
+    buf.put_u64_le(img.width() as u64);
+    buf.put_u64_le(img.height() as u64);
+    for p in img.pixels() {
+        for c in p {
+            buf.put_f64_le(*c);
+        }
+    }
 }
 
 /// Serialize a field's values as little-endian f64 (the bbox travels in

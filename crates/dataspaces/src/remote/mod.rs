@@ -30,6 +30,7 @@ pub use proto::{
 };
 pub use server::{ControlHandler, SpaceServer};
 
+use crate::codec::WireError;
 use sitra_net::NetError;
 
 /// Failure of a remote-space operation.
@@ -73,6 +74,13 @@ impl std::fmt::Display for RemoteError {
 }
 
 impl std::error::Error for RemoteError {}
+
+/// A frame that does not decode is a protocol violation.
+impl From<WireError> for RemoteError {
+    fn from(e: WireError) -> Self {
+        RemoteError::Proto(e.to_string())
+    }
+}
 
 impl From<NetError> for RemoteError {
     fn from(e: NetError) -> Self {

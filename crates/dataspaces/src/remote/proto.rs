@@ -2,7 +2,7 @@
 //! byte sequence decodes to `Ok` or `Err`, never panics).
 
 use super::RemoteError;
-use crate::codec::{put_bytes, Rd};
+use crate::codec::{put_bbox, put_bytes, put_str, Rd, WireError};
 use crate::sched::{Admission, AdmissionPolicy};
 use crate::tenant::TenantSpec;
 use bytes::{BufMut, Bytes, BytesMut};
@@ -387,27 +387,15 @@ impl Response {
 // Codecs (total: any byte sequence decodes to Ok or Err, never panics)
 // --------------------------------------------------------------------
 
-fn bbox(rd: &mut Rd) -> Result<BBox3, RemoteError> {
-    let mut v = [0usize; 6];
-    for slot in &mut v {
-        *slot = rd.u64()? as usize;
-    }
-    let (lo, hi) = ([v[0], v[1], v[2]], [v[3], v[4], v[5]]);
-    if lo.iter().zip(&hi).any(|(l, h)| l > h) {
-        return Err(RemoteError::Proto("inverted bbox".into()));
-    }
-    Ok(BBox3::new(lo, hi))
-}
-
-fn opt_u64(rd: &mut Rd) -> Result<Option<u64>, RemoteError> {
-    let has = rd.u8()? != 0;
-    let v = rd.u64()?;
+fn opt_u64(rd: &mut Rd, field: &'static str) -> Result<Option<u64>, WireError> {
+    let has = rd.u8(field)? != 0;
+    let v = rd.u64(field)?;
     Ok(has.then_some(v))
 }
 
 fn policy(rd: &mut Rd) -> Result<AdmissionPolicy, RemoteError> {
-    let tag = rd.u8()?;
-    let wait_ms = rd.u64()?;
+    let tag = rd.u8("policy")?;
+    let wait_ms = rd.u64("policy.wait_ms")?;
     match tag {
         POL_BLOCK => Ok(AdmissionPolicy::Block {
             max_wait: Duration::from_millis(wait_ms),
@@ -418,16 +406,13 @@ fn policy(rd: &mut Rd) -> Result<AdmissionPolicy, RemoteError> {
     }
 }
 
-fn pieces(rd: &mut Rd) -> Result<Vec<(BBox3, Bytes)>, RemoteError> {
-    let n = rd.u32()? as usize;
+fn pieces(rd: &mut Rd) -> Result<Vec<(BBox3, Bytes)>, WireError> {
     // Each piece is at least a bbox and a length prefix.
-    if n.checked_mul(52).is_none_or(|total| total > rd.remaining()) {
-        return Err(RemoteError::Proto("piece count exceeds frame".into()));
-    }
+    let n = rd.count_u32(52, "pieces.len")?;
     let mut pieces = Vec::with_capacity(n);
     for _ in 0..n {
-        let bbox = bbox(rd)?;
-        let data = rd.bytes()?;
+        let bbox = rd.bbox("piece.bbox")?;
+        let data = rd.bytes("piece.data")?;
         pieces.push((bbox, data));
     }
     Ok(pieces)
@@ -438,12 +423,6 @@ fn put_pieces(buf: &mut BytesMut, pieces: &[(BBox3, Bytes)]) {
     for (bbox, data) in pieces {
         put_bbox(buf, bbox);
         put_bytes(buf, data);
-    }
-}
-
-fn put_bbox(buf: &mut BytesMut, b: &BBox3) {
-    for v in b.lo.iter().chain(b.hi.iter()) {
-        buf.put_u64_le(*v as u64);
     }
 }
 
@@ -480,14 +459,14 @@ pub fn encode_request(req: &Request) -> Bytes {
             data,
         } => {
             buf.put_u8(REQ_PUT);
-            put_bytes(&mut buf, var.as_bytes());
+            put_str(&mut buf, var);
             buf.put_u64_le(*version);
             put_bbox(&mut buf, bbox);
             put_bytes(&mut buf, data);
         }
         Request::Get { var, version, bbox } => {
             buf.put_u8(REQ_GET);
-            put_bytes(&mut buf, var.as_bytes());
+            put_str(&mut buf, var);
             buf.put_u64_le(*version);
             put_bbox(&mut buf, bbox);
         }
@@ -498,21 +477,21 @@ pub fn encode_request(req: &Request) -> Bytes {
             timeout_ms,
         } => {
             buf.put_u8(REQ_GET_WAIT);
-            put_bytes(&mut buf, var.as_bytes());
+            put_str(&mut buf, var);
             buf.put_u64_le(*version);
             put_bbox(&mut buf, bbox);
             buf.put_u64_le(*timeout_ms);
         }
         Request::LatestVersion { var } => {
             buf.put_u8(REQ_LATEST_VERSION);
-            put_bytes(&mut buf, var.as_bytes());
+            put_str(&mut buf, var);
         }
         Request::SubmitTask { data, hint } => {
             buf.put_u8(REQ_SUBMIT_TASK);
             put_bytes(&mut buf, data);
             buf.put_u32_le(hint.len() as u32);
             for (location, bytes) in hint {
-                put_bytes(&mut buf, location.as_bytes());
+                put_str(&mut buf, location);
                 buf.put_u64_le(*bytes);
             }
         }
@@ -524,7 +503,7 @@ pub fn encode_request(req: &Request) -> Bytes {
             buf.put_u8(REQ_REQUEST_TASK);
             buf.put_u32_le(*bucket_id);
             buf.put_u64_le(*timeout_ms);
-            put_bytes(&mut buf, location.as_bytes());
+            put_str(&mut buf, location);
         }
         Request::AckTask { seq } => {
             buf.put_u8(REQ_ACK_TASK);
@@ -546,7 +525,7 @@ pub fn encode_request(req: &Request) -> Bytes {
         }
         Request::SetTenant { spec } => {
             buf.put_u8(REQ_SET_TENANT);
-            put_bytes(&mut buf, spec.name.as_bytes());
+            put_str(&mut buf, &spec.name);
             buf.put_u32_le(spec.weight);
             put_opt_u64(&mut buf, spec.byte_quota);
             put_opt_u64(&mut buf, spec.task_quota.map(|t| t as u64));
@@ -571,62 +550,69 @@ pub fn encode_request(req: &Request) -> Bytes {
 /// Decode a request frame. Total: never panics on malformed input.
 pub fn decode_request(frame: Bytes) -> Result<Request, RemoteError> {
     let mut rd = Rd::new(frame);
-    let req = match rd.u8()? {
+    let req = match rd.u8("request.tag")? {
         REQ_PUT => Request::Put {
-            var: rd.string()?,
-            version: rd.u64()?,
-            bbox: bbox(&mut rd)?,
-            data: rd.bytes()?,
+            var: rd.string("var")?,
+            version: rd.u64("version")?,
+            bbox: rd.bbox("bbox")?,
+            data: rd.bytes("data")?,
         },
         REQ_GET => Request::Get {
-            var: rd.string()?,
-            version: rd.u64()?,
-            bbox: bbox(&mut rd)?,
+            var: rd.string("var")?,
+            version: rd.u64("version")?,
+            bbox: rd.bbox("bbox")?,
         },
         REQ_GET_WAIT => Request::GetWait {
-            var: rd.string()?,
-            version: rd.u64()?,
-            bbox: bbox(&mut rd)?,
-            timeout_ms: rd.u64()?,
+            var: rd.string("var")?,
+            version: rd.u64("version")?,
+            bbox: rd.bbox("bbox")?,
+            timeout_ms: rd.u64("timeout_ms")?,
         },
-        REQ_LATEST_VERSION => Request::LatestVersion { var: rd.string()? },
+        REQ_LATEST_VERSION => Request::LatestVersion {
+            var: rd.string("var")?,
+        },
         REQ_SUBMIT_TASK => {
-            let data = rd.bytes()?;
-            let n = rd.u32()? as usize;
+            let data = rd.bytes("data")?;
             // Each row is at least a length prefix plus the byte count.
-            if n.checked_mul(12).is_none_or(|total| total > rd.remaining()) {
-                return Err(RemoteError::Proto("hint row count exceeds frame".into()));
-            }
+            let n = rd.count_u32(12, "hint.len")?;
             let mut hint = Vec::with_capacity(n);
             for _ in 0..n {
-                hint.push((rd.string()?, rd.u64()?));
+                hint.push((rd.string("hint.location")?, rd.u64("hint.bytes")?));
             }
             Request::SubmitTask { data, hint }
         }
         REQ_REQUEST_TASK => Request::RequestTask {
-            bucket_id: rd.u32()?,
-            timeout_ms: rd.u64()?,
-            location: rd.string()?,
+            bucket_id: rd.u32("bucket_id")?,
+            timeout_ms: rd.u64("timeout_ms")?,
+            location: rd.string("location")?,
         },
-        REQ_ACK_TASK => Request::AckTask { seq: rd.u64()? },
-        REQ_DECLINE_TASK => Request::DeclineTask { seq: rd.u64()? },
+        REQ_ACK_TASK => Request::AckTask {
+            seq: rd.u64("seq")?,
+        },
+        REQ_DECLINE_TASK => Request::DeclineTask {
+            seq: rd.u64("seq")?,
+        },
         REQ_STATS => Request::Stats,
-        REQ_EVICT_VERSION => Request::EvictVersion { version: rd.u64()? },
+        REQ_EVICT_VERSION => Request::EvictVersion {
+            version: rd.u64("version")?,
+        },
         REQ_CLOSE_SCHED => Request::CloseSched,
-        REQ_CONTROL => Request::Control { data: rd.bytes()? },
+        REQ_CONTROL => Request::Control {
+            data: rd.bytes("data")?,
+        },
         REQ_SET_TENANT => {
-            let name = rd.string()?;
+            let name = rd.string("tenant.name")?;
             if name.is_empty() || name.contains(crate::tenant::TENANT_SEP) {
                 return Err(RemoteError::Proto(format!("bad tenant name `{name}`")));
             }
-            let weight = rd.u32()?;
-            let byte_quota = opt_u64(&mut rd)?;
-            let task_quota = opt_u64(&mut rd)?.map(|t| t as usize);
+            let weight = rd.u32("tenant.weight")?;
+            let byte_quota = opt_u64(&mut rd, "tenant.byte_quota")?;
+            let task_quota = opt_u64(&mut rd, "tenant.task_quota")?.map(|t| t as usize);
             // A policy-less SetTenant still carries a filler policy
             // (the encoder writes a zero `Block`), so the field is
             // always parsed in full and a truncated frame is an error
             // either way.
-            let has_policy = rd.u8()? != 0;
+            let has_policy = rd.u8("tenant.policy")? != 0;
             let policy = Some(policy(&mut rd)?).filter(|_| has_policy);
             Request::SetTenant {
                 spec: TenantSpec {
@@ -661,7 +647,7 @@ pub fn encode_response(resp: &Response) -> Bytes {
             pieces,
         } => {
             buf.put_u8(RESP_DATA_READY);
-            put_bytes(&mut buf, var.as_bytes());
+            put_str(&mut buf, var);
             buf.put_u64_le(*version);
             put_pieces(&mut buf, pieces);
         }
@@ -676,7 +662,7 @@ pub fn encode_response(resp: &Response) -> Bytes {
                     buf.put_u8(0);
                     buf.put_u64_le(*seq);
                     put_bytes(&mut buf, data);
-                    put_bytes(&mut buf, tenant.as_bytes());
+                    put_str(&mut buf, tenant);
                 }
                 TaskPoll::Empty => buf.put_u8(1),
                 TaskPoll::Closed => buf.put_u8(2),
@@ -718,7 +704,7 @@ pub fn encode_response(resp: &Response) -> Bytes {
             buf.put_u8(RESP_TENANT_STATS);
             buf.put_u32_le(rows.len() as u32);
             for r in rows {
-                put_bytes(&mut buf, r.name.as_bytes());
+                put_str(&mut buf, &r.name);
                 buf.put_u32_le(r.weight);
                 buf.put_u64_le(r.queued);
                 put_opt_u64(&mut buf, r.task_quota);
@@ -742,7 +728,7 @@ pub fn encode_response(resp: &Response) -> Bytes {
         }
         Response::Error(msg) => {
             buf.put_u8(RESP_ERROR);
-            put_bytes(&mut buf, msg.as_bytes());
+            put_str(&mut buf, msg);
         }
     }
     buf.freeze()
@@ -751,20 +737,20 @@ pub fn encode_response(resp: &Response) -> Bytes {
 /// Decode a response frame. Total: never panics on malformed input.
 pub fn decode_response(frame: Bytes) -> Result<Response, RemoteError> {
     let mut rd = Rd::new(frame);
-    let resp = match rd.u8()? {
+    let resp = match rd.u8("response.tag")? {
         RESP_OK => Response::Ok,
         RESP_PIECES => Response::Pieces(pieces(&mut rd)?),
         RESP_DATA_READY => Response::DataReady {
-            var: rd.string()?,
-            version: rd.u64()?,
+            var: rd.string("var")?,
+            version: rd.u64("version")?,
             pieces: pieces(&mut rd)?,
         },
-        RESP_VERSION => Response::Version(opt_u64(&mut rd)?),
-        RESP_TASK => match rd.u8()? {
+        RESP_VERSION => Response::Version(opt_u64(&mut rd, "version")?),
+        RESP_TASK => match rd.u8("task.status")? {
             0 => Response::Task(TaskPoll::Assigned {
-                seq: rd.u64()?,
-                data: rd.bytes()?,
-                tenant: rd.string()?,
+                seq: rd.u64("seq")?,
+                data: rd.bytes("data")?,
+                tenant: rd.string("tenant")?,
             }),
             1 => Response::Task(TaskPoll::Empty),
             2 => Response::Task(TaskPoll::Closed),
@@ -772,60 +758,61 @@ pub fn decode_response(frame: Bytes) -> Result<Response, RemoteError> {
             s => return Err(RemoteError::Proto(format!("unknown task status {s}"))),
         },
         RESP_STATS => Response::Stats(RemoteStats {
-            tasks_submitted: rd.u64()?,
-            tasks_assigned: rd.u64()?,
-            tasks_requeued: rd.u64()?,
-            tasks_shed: rd.u64()?,
-            tasks_rejected: rd.u64()?,
-            objects: rd.u64()?,
-            resident_bytes: rd.u64()?,
+            tasks_submitted: rd.u64("stats")?,
+            tasks_assigned: rd.u64("stats")?,
+            tasks_requeued: rd.u64("stats")?,
+            tasks_shed: rd.u64("stats")?,
+            tasks_rejected: rd.u64("stats")?,
+            objects: rd.u64("stats")?,
+            resident_bytes: rd.u64("stats")?,
         }),
-        RESP_ADMISSION => match rd.u8()? {
-            ADM_ACCEPTED => Response::Admission(Admission::Accepted { seq: rd.u64()? }),
+        RESP_ADMISSION => match rd.u8("admission")? {
+            ADM_ACCEPTED => Response::Admission(Admission::Accepted {
+                seq: rd.u64("seq")?,
+            }),
             ADM_ACCEPTED_SHED => Response::Admission(Admission::AcceptedShed {
-                seq: rd.u64()?,
-                shed_seq: rd.u64()?,
+                seq: rd.u64("seq")?,
+                shed_seq: rd.u64("shed_seq")?,
             }),
             ADM_REJECTED => Response::Admission(Admission::Rejected),
             ADM_TIMED_OUT => Response::Admission(Admission::TimedOut),
             ADM_CLOSED => Response::Admission(Admission::Closed),
             v => return Err(RemoteError::Proto(format!("unknown admission verdict {v}"))),
         },
-        RESP_CONTROL => Response::Control { data: rd.bytes()? },
+        RESP_CONTROL => Response::Control {
+            data: rd.bytes("data")?,
+        },
         RESP_TENANT_STATS => {
-            let n = rd.u32()? as usize;
             // Each row is at least a name length prefix plus the fixed
             // numeric fields.
-            if n.checked_mul(78).is_none_or(|total| total > rd.remaining()) {
-                return Err(RemoteError::Proto("tenant row count exceeds frame".into()));
-            }
+            let n = rd.count_u32(78, "tenants.len")?;
             let mut rows = Vec::with_capacity(n);
             for _ in 0..n {
                 rows.push(TenantRow {
-                    name: rd.string()?,
-                    weight: rd.u32()?,
-                    queued: rd.u64()?,
-                    task_quota: opt_u64(&mut rd)?,
-                    tasks_submitted: rd.u64()?,
-                    tasks_assigned: rd.u64()?,
-                    tasks_requeued: rd.u64()?,
-                    tasks_shed: rd.u64()?,
-                    tasks_rejected: rd.u64()?,
-                    resident_bytes: rd.u64()?,
-                    byte_quota: opt_u64(&mut rd)?,
+                    name: rd.string("tenant.name")?,
+                    weight: rd.u32("tenant.weight")?,
+                    queued: rd.u64("tenant")?,
+                    task_quota: opt_u64(&mut rd, "tenant.task_quota")?,
+                    tasks_submitted: rd.u64("tenant")?,
+                    tasks_assigned: rd.u64("tenant")?,
+                    tasks_requeued: rd.u64("tenant")?,
+                    tasks_shed: rd.u64("tenant")?,
+                    tasks_rejected: rd.u64("tenant")?,
+                    resident_bytes: rd.u64("tenant")?,
+                    byte_quota: opt_u64(&mut rd, "tenant.byte_quota")?,
                 });
             }
             Response::TenantRows(rows)
         }
         RESP_POOL => Response::Pool(PoolStats {
-            buckets: rd.u64()?,
-            idle: rd.u64()?,
-            desired: opt_u64(&mut rd)?,
-            queue_depth: rd.u64()?,
-            p99_wait_us: rd.u64()?,
-            locality_bytes_saved: rd.u64()?,
+            buckets: rd.u64("pool")?,
+            idle: rd.u64("pool")?,
+            desired: opt_u64(&mut rd, "pool.desired")?,
+            queue_depth: rd.u64("pool")?,
+            p99_wait_us: rd.u64("pool")?,
+            locality_bytes_saved: rd.u64("pool")?,
         }),
-        RESP_ERROR => Response::Error(rd.string()?),
+        RESP_ERROR => Response::Error(rd.string("error")?),
         t => return Err(RemoteError::Proto(format!("unknown response tag {t}"))),
     };
     rd.finish()?;

@@ -38,7 +38,7 @@ use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
-use crate::codec::{put_bytes, Rd};
+use crate::codec::{put_image, put_str, Rd, WireError};
 use crate::remote::RemoteError;
 
 // --------------------------------------------------------------------
@@ -115,36 +115,12 @@ pub enum SteerReply {
     },
 }
 
-fn rate(rd: &mut Rd) -> Result<u32, RemoteError> {
-    let r = rd.u32()?;
-    if r == 0 {
-        return Err(RemoteError::Proto("zero downsample rate".into()));
+/// A downsample rate; zero is malformed.
+fn rate(rd: &mut Rd) -> Result<u32, WireError> {
+    match rd.u32("rate")? {
+        0 => Err(WireError::Malformed { field: "rate" }),
+        r => Ok(r),
     }
-    Ok(r)
-}
-
-fn image(rd: &mut Rd) -> Result<Image, RemoteError> {
-    let w = rd.u64()? as usize;
-    let h = rd.u64()? as usize;
-    let pixels = w
-        .checked_mul(h)
-        .ok_or_else(|| RemoteError::Proto("image dims overflow".into()))?;
-    if pixels == 0 {
-        return Err(RemoteError::Proto("empty image".into()));
-    }
-    if pixels
-        .checked_mul(32)
-        .is_none_or(|total| total != rd.remaining())
-    {
-        return Err(RemoteError::Proto("image payload length mismatch".into()));
-    }
-    let mut img = Image::new(w, h);
-    for p in img.pixels_mut() {
-        for c in p.iter_mut() {
-            *c = f64::from_le_bytes(rd.array()?);
-        }
-    }
-    Ok(img)
 }
 
 /// Encode a steering message.
@@ -153,7 +129,7 @@ pub fn encode_steer_msg(msg: &SteerMsg) -> Bytes {
     match msg {
         SteerMsg::Subscribe { subscriber, rate } => {
             buf.put_u8(MSG_SUBSCRIBE);
-            put_bytes(&mut buf, subscriber.as_bytes());
+            put_str(&mut buf, subscriber);
             buf.put_u32_le(*rate);
         }
         SteerMsg::NextFrame { after } => {
@@ -171,12 +147,14 @@ pub fn encode_steer_msg(msg: &SteerMsg) -> Bytes {
 /// Decode a steering message. Total: never panics on arbitrary bytes.
 pub fn decode_steer_msg(frame: Bytes) -> Result<SteerMsg, RemoteError> {
     let mut rd = Rd::new(frame);
-    let msg = match rd.u8()? {
+    let msg = match rd.u8("msg.tag")? {
         MSG_SUBSCRIBE => SteerMsg::Subscribe {
-            subscriber: rd.string()?,
+            subscriber: rd.string("subscriber")?,
             rate: rate(&mut rd)?,
         },
-        MSG_NEXT_FRAME => SteerMsg::NextFrame { after: rd.u64()? },
+        MSG_NEXT_FRAME => SteerMsg::NextFrame {
+            after: rd.u64("after")?,
+        },
         MSG_STEER => SteerMsg::Steer {
             rate: rate(&mut rd)?,
         },
@@ -202,13 +180,7 @@ pub fn encode_steer_reply(reply: &SteerReply) -> Bytes {
             buf.put_u8(REPLY_FRAME);
             buf.put_u64_le(*version);
             buf.put_u32_le(*rate);
-            buf.put_u64_le(image.width() as u64);
-            buf.put_u64_le(image.height() as u64);
-            for p in image.pixels() {
-                for c in p {
-                    buf.put_f64_le(*c);
-                }
-            }
+            put_image(&mut buf, image);
         }
         SteerReply::SteerAck {
             rate,
@@ -223,7 +195,7 @@ pub fn encode_steer_reply(reply: &SteerReply) -> Bytes {
         }
         SteerReply::Error { reason } => {
             buf.put_u8(REPLY_ERROR);
-            put_bytes(&mut buf, reason.as_bytes());
+            put_str(&mut buf, reason);
         }
     }
     buf.freeze()
@@ -232,22 +204,22 @@ pub fn encode_steer_reply(reply: &SteerReply) -> Bytes {
 /// Decode a steering reply. Total: never panics on arbitrary bytes.
 pub fn decode_steer_reply(frame: Bytes) -> Result<SteerReply, RemoteError> {
     let mut rd = Rd::new(frame);
-    let reply = match rd.u8()? {
+    let reply = match rd.u8("reply.tag")? {
         REPLY_SUB_ACK => SteerReply::SubAck {
             rate: rate(&mut rd)?,
         },
         REPLY_FRAME => SteerReply::Frame {
-            version: rd.u64()?,
+            version: rd.u64("version")?,
             rate: rate(&mut rd)?,
-            image: image(&mut rd)?,
+            image: rd.image()?,
         },
         REPLY_STEER_ACK => SteerReply::SteerAck {
             rate: rate(&mut rd)?,
-            latest_version: rd.u64()?,
+            latest_version: rd.u64("latest_version")?,
         },
         REPLY_NO_FRAME => SteerReply::NoFrame,
         REPLY_ERROR => SteerReply::Error {
-            reason: rd.string()?,
+            reason: rd.string("reason")?,
         },
         t => return Err(RemoteError::Proto(format!("unknown steer reply tag {t}"))),
     };
