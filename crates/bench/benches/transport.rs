@@ -67,7 +67,7 @@ fn bench_dataspaces(c: &mut Criterion) {
     }
     group.bench_function("get_assembled_center_query", |bch| {
         let q = BBox3::new([16, 16, 8], [48, 48, 24]);
-        bch.iter(|| black_box(ds.get_assembled("T", 1, &q, f64::NAN)))
+        bch.iter(|| black_box(ds.get_assembled("T", 1, &q, f64::NAN).unwrap()))
     });
     group.finish();
 }

@@ -459,7 +459,7 @@ proptest! {
     ) {
         let hi = [lo[0] + ext[0], lo[1] + ext[1], lo[2] + ext[2]];
         let req = Request::GetWait { var, version, bbox: BBox3::new(lo, hi), timeout_ms };
-        let enc = encode_request(&req);
+        let enc = encode_request(&req).join();
         prop_assert_eq!(decode_request(enc.clone()).unwrap(), req);
         assert_prefixes_error(&enc, decode_request);
         let mut raw = enc.to_vec();
@@ -491,7 +491,7 @@ proptest! {
         flip in 1u8..=255,
     ) {
         let req = Request::DeclineTask { seq };
-        let enc = encode_request(&req);
+        let enc = encode_request(&req).join();
         prop_assert_eq!(enc.len(), 9);
         prop_assert_eq!(decode_request(enc.clone()).unwrap(), req);
         assert_prefixes_error(&enc, decode_request);

@@ -172,21 +172,24 @@ fn samples() -> Vec<(&'static str, Bytes)> {
                 version: 17,
                 bbox: BBox3::new([1, 2, 3], [4, 5, 6]),
                 data: Bytes::from_static(b"payload bytes"),
-            }),
+            })
+            .join(),
         ),
         (
             "response.pieces",
             encode_response(&Response::Pieces(vec![
                 piece([0, 0, 0], 1),
                 piece([7, 1, 2], 3),
-            ])),
+            ]))
+            .join(),
         ),
         (
             "response.tenant_rows",
             encode_response(&Response::TenantRows(vec![
                 tenant_row("sim", Some(64)),
                 tenant_row("viewer", None),
-            ])),
+            ]))
+            .join(),
         ),
         (
             "steer.frame",

@@ -6,7 +6,13 @@
 //! `sitra-cluster` (membership) and `sitra-core` (analysis
 //! intermediates, outputs, task descriptors) reads through [`Rd`], so a
 //! layout decision is made here once. Also: field serialization for the
-//! space and DART.
+//! space, and [`assemble`], the one routine that turns the pieces of a
+//! spatial query into a field.
+//!
+//! Encoders write into a [`FrameBuf`], which shares a bulk byte string
+//! with the frame ([`FrameBuf::put_shared`]) instead of copying it: the
+//! encoded message is a [`Frame`] of parts, and `sitra-net` gathers
+//! them on the way out.
 //!
 //! Decoders built on [`Rd`] are total: any byte sequence — truncated,
 //! corrupted or adversarial — yields a [`WireError`], never a panic or
@@ -16,7 +22,9 @@
 
 use bytes::{BufMut, Bytes, BytesMut};
 use sitra_mesh::{BBox3, ScalarField};
+use sitra_net::Frame;
 use sitra_viz::Image;
+use std::ops::{Deref, DerefMut};
 
 /// Decoding failure: the buffer does not hold a valid value.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -254,19 +262,112 @@ pub fn field_to_bytes(field: &ScalarField) -> Bytes {
     Bytes::from(out)
 }
 
-/// Reconstruct a field over `bbox` from little-endian f64 bytes. Panics
-/// if the byte length does not match the region.
-pub fn bytes_to_field(bbox: BBox3, data: &Bytes) -> ScalarField {
-    assert_eq!(
-        data.len(),
-        bbox.count() * 8,
-        "payload length does not match region"
-    );
-    let mut vals = Vec::with_capacity(bbox.count());
-    for c in data.chunks_exact(8) {
-        vals.push(f64::from_le_bytes(c.try_into().unwrap()));
+/// The pieces of a spatial query — each a box and its values as
+/// [`field_to_bytes`] writes them — assembled into one field over
+/// `query`, decoded straight from the piece bytes: points no piece
+/// covers are `fill`, and where pieces overlap the later one wins. A
+/// piece whose bytes are not one `f64` per point of its box is an
+/// error (`Truncated` when short, `TrailingBytes` when long), checked
+/// for every piece before its overlap is read.
+pub fn assemble(
+    query: &BBox3,
+    pieces: &[(BBox3, Bytes)],
+    fill: f64,
+) -> Result<ScalarField, WireError> {
+    let mut out = ScalarField::new_fill(*query, fill);
+    let qd = query.dims();
+    for (bbox, data) in pieces {
+        // Hostile dims may overflow the product.
+        let d = bbox.dims();
+        let want = d[0]
+            .checked_mul(d[1])
+            .and_then(|v| v.checked_mul(d[2]))
+            .and_then(|v| v.checked_mul(8));
+        match want {
+            Some(n) if n == data.len() => {}
+            Some(n) if n < data.len() => {
+                return Err(WireError::TrailingBytes {
+                    extra: data.len() - n,
+                })
+            }
+            _ => {
+                return Err(WireError::Truncated {
+                    field: "piece.data",
+                })
+            }
+        }
+        let Some(clip) = bbox.intersect(query) else {
+            continue;
+        };
+        let row = clip.dims()[0];
+        let dst = out.as_mut_slice();
+        for k in clip.lo[2]..clip.hi[2] {
+            for j in clip.lo[1]..clip.hi[1] {
+                let src0 =
+                    ((k - bbox.lo[2]) * d[1] + (j - bbox.lo[1])) * d[0] + (clip.lo[0] - bbox.lo[0]);
+                let dst0 = ((k - query.lo[2]) * qd[1] + (j - query.lo[1])) * qd[0]
+                    + (clip.lo[0] - query.lo[0]);
+                let src = &data[src0 * 8..(src0 + row) * 8];
+                for (v, b) in dst[dst0..dst0 + row].iter_mut().zip(src.chunks_exact(8)) {
+                    *v = f64::from_le_bytes(b.try_into().expect("8-byte chunk"));
+                }
+            }
+        }
     }
-    ScalarField::from_vec(bbox, vals)
+    Ok(out)
+}
+
+/// A frame under construction. Fixed-width fields and strings are
+/// written into one head buffer (the `BufMut` of the `BytesMut` it
+/// derefs to); a byte string written with [`Self::put_shared`] keeps
+/// its length prefix there and rides as a part of its own, a clone of
+/// the caller's `Bytes` rather than a copy.
+#[derive(Default)]
+pub struct FrameBuf {
+    head: BytesMut,
+    /// Shared byte strings, each with the head length it follows.
+    shared: Vec<(usize, Bytes)>,
+}
+
+impl FrameBuf {
+    /// An empty frame.
+    pub fn new() -> FrameBuf {
+        FrameBuf::default()
+    }
+
+    /// The [`put_bytes`] layout — a `u32` length prefix, then `data` —
+    /// with `data` shared instead of copied.
+    pub fn put_shared(&mut self, data: &Bytes) {
+        self.head.put_u32_le(data.len() as u32);
+        self.shared.push((self.head.len(), data.clone()));
+    }
+
+    /// The finished frame: head slices and shared strings, in order.
+    pub fn finish(self) -> Frame {
+        let head = self.head.freeze();
+        let mut frame = Frame::new();
+        let mut at = 0;
+        for (cut, data) in self.shared {
+            frame.push(head.slice(at..cut));
+            frame.push(data);
+            at = cut;
+        }
+        frame.push(head.slice(at..));
+        frame
+    }
+}
+
+impl Deref for FrameBuf {
+    type Target = BytesMut;
+    fn deref(&self) -> &BytesMut {
+        &self.head
+    }
+}
+
+impl DerefMut for FrameBuf {
+    fn deref_mut(&mut self) -> &mut BytesMut {
+        &mut self.head
+    }
 }
 
 #[cfg(test)]
@@ -279,14 +380,14 @@ mod tests {
         let f = ScalarField::from_fn(b, |p| p[0] as f64 * 0.5 - p[2] as f64);
         let bytes = field_to_bytes(&f);
         assert_eq!(bytes.len(), 27 * 8);
-        assert_eq!(bytes_to_field(b, &bytes), f);
+        assert_eq!(assemble(&b, &[(b, bytes)], 0.0).unwrap(), f);
     }
 
     #[test]
     fn preserves_special_values() {
         let b = BBox3::from_dims([4, 1, 1]);
         let f = ScalarField::from_vec(b, vec![f64::NAN, f64::INFINITY, -0.0, 1e-300]);
-        let back = bytes_to_field(b, &field_to_bytes(&f));
+        let back = assemble(&b, &[(b, field_to_bytes(&f))], 0.0).unwrap();
         assert!(back.get_linear(0).is_nan());
         assert_eq!(back.get_linear(1), f64::INFINITY);
         assert_eq!(back.get_linear(2).to_bits(), (-0.0f64).to_bits());
@@ -294,9 +395,44 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn wrong_length_panics() {
+    fn a_piece_that_does_not_fill_its_box_is_an_error() {
         let b = BBox3::from_dims([2, 2, 2]);
-        let _ = bytes_to_field(b, &Bytes::from(vec![0u8; 7]));
+        let piece = |n: usize| [(b, Bytes::from(vec![0u8; n]))];
+        assert_eq!(
+            assemble(&b, &piece(7), 0.0),
+            Err(WireError::Truncated {
+                field: "piece.data"
+            })
+        );
+        assert_eq!(
+            assemble(&b, &piece(72), 0.0),
+            Err(WireError::TrailingBytes { extra: 8 })
+        );
+        // Checked even when the piece misses the query.
+        let elsewhere = BBox3::new([5, 5, 5], [6, 6, 6]);
+        assert!(assemble(&elsewhere, &piece(7), 0.0).is_err());
+        // A box whose point count overflows is not backed by any bytes.
+        let huge = BBox3::new([0, 0, 0], [usize::MAX, usize::MAX, 2]);
+        assert!(assemble(&b, &[(huge, Bytes::new())], 0.0).is_err());
+    }
+
+    #[test]
+    fn a_frame_buf_shares_its_byte_strings_and_keeps_the_layout() {
+        let bulk = Bytes::from(vec![7u8; 300]);
+        let mut shared = FrameBuf::new();
+        let mut copied = BytesMut::new();
+        for buf in [&mut *shared, &mut copied] {
+            buf.put_u8(1);
+        }
+        shared.put_shared(&bulk);
+        put_bytes(&mut copied, &bulk);
+        for buf in [&mut *shared, &mut copied] {
+            put_str(buf, "tail");
+        }
+        shared.put_shared(&Bytes::new());
+        put_bytes(&mut copied, &[]);
+        let frame = shared.finish();
+        assert!(frame.parts().iter().any(|p| p.as_ptr() == bulk.as_ptr()));
+        assert_eq!(frame.join(), copied.freeze());
     }
 }

@@ -19,8 +19,9 @@
 //!   first-come-first-served from the free-bucket list. This asynchronous
 //!   pull model is what absorbs the heterogeneity of analysis run times
 //!   and temporally multiplexes successive timesteps over buckets.
-//! * [`codec`] — `ScalarField` ⇄ bytes for shipping blocks through the
-//!   space or the DART transport.
+//! * [`codec`] — the wire codec: the read cursor, the shared byte
+//!   layouts, `ScalarField` → bytes for shipping blocks through the
+//!   space, and the one assembly of a query's pieces into a field.
 
 pub mod codec;
 pub mod pool;
@@ -30,7 +31,7 @@ pub mod space;
 pub mod steer;
 pub mod tenant;
 
-pub use codec::{bytes_to_field, field_to_bytes};
+pub use codec::field_to_bytes;
 pub use pool::{AutoscaleConfig, AutoscaleHandle, BucketState, PoolSnapshot, ResidencyHint};
 pub use remote::{
     ControlHandler, PoolStats, RemoteError, RemoteSpace, RemoteStats, SpaceServer, TaskPoll,

@@ -8,7 +8,7 @@ use crate::sched::Admission;
 use crate::tenant::TenantSpec;
 use bytes::Bytes;
 use sitra_mesh::{BBox3, ScalarField};
-use sitra_net::{Addr, Backoff, ConnStats, Connection, PIPELINE_DEPTH};
+use sitra_net::{Addr, Backoff, ConnStats, Connection, Frame, PIPELINE_DEPTH};
 use std::time::Duration;
 
 /// A batch sent but not fully answered ([`RemoteSpace::send_batch`] →
@@ -72,7 +72,7 @@ impl RemoteSpace {
             while sent + window.len() - replies.len() > PIPELINE_DEPTH {
                 replies.push(self.reap()?);
             }
-            let frames: Vec<Bytes> = window.iter().map(encode_request).collect();
+            let frames: Vec<Frame> = window.iter().map(encode_request).collect();
             self.conn.send_all(&frames)?;
             sent += window.len();
         }
@@ -196,25 +196,9 @@ impl RemoteSpace {
         query: &BBox3,
         fill: f64,
     ) -> Result<ScalarField, RemoteError> {
-        let mut pieces = Vec::new();
-        for (bbox, data) in self.get(var, version, query)? {
-            // Hostile dims may overflow the product.
-            let d = bbox.dims();
-            let want = d[0]
-                .checked_mul(d[1])
-                .and_then(|v| v.checked_mul(d[2]))
-                .and_then(|v| v.checked_mul(8));
-            if want != Some(data.len()) {
-                return Err(RemoteError::Proto(format!(
-                    "{var}@{version}: a {}-byte piece under {bbox:?}",
-                    data.len()
-                )));
-            }
-            if let Some(clip) = bbox.intersect(query) {
-                pieces.push(crate::codec::bytes_to_field(bbox, &data).extract(&clip));
-            }
-        }
-        Ok(sitra_mesh::field::assemble(*query, &pieces, fill))
+        let pieces = self.get(var, version, query)?;
+        crate::codec::assemble(query, &pieces, fill)
+            .map_err(|e| RemoteError::Proto(format!("{var}@{version}: {e}")))
     }
 
     /// Highest stored version of `var`.

@@ -1,12 +1,18 @@
 //! Protocol messages of the staging RPC and their codecs (total: any
 //! byte sequence decodes to `Ok` or `Err`, never panics).
+//!
+//! An encoded message is a [`Frame`]: every byte-string field (a
+//! `Put`'s or `SubmitTask`'s body, each piece of a `Pieces` or
+//! `DataReady` reply, a task, a control payload) is shared with the
+//! frame rather than copied into it ([`FrameBuf::put_shared`]).
 
 use super::RemoteError;
-use crate::codec::{put_bbox, put_bytes, put_str, Rd, WireError};
+use crate::codec::{put_bbox, put_str, FrameBuf, Rd, WireError};
 use crate::sched::{Admission, AdmissionPolicy};
 use crate::tenant::TenantSpec;
 use bytes::{BufMut, Bytes, BytesMut};
 use sitra_mesh::BBox3;
+use sitra_net::Frame;
 use std::time::Duration;
 
 const REQ_PUT: u8 = 1;
@@ -418,11 +424,11 @@ fn pieces(rd: &mut Rd) -> Result<Vec<(BBox3, Bytes)>, WireError> {
     Ok(pieces)
 }
 
-fn put_pieces(buf: &mut BytesMut, pieces: &[(BBox3, Bytes)]) {
+fn put_pieces(buf: &mut FrameBuf, pieces: &[(BBox3, Bytes)]) {
     buf.put_u32_le(pieces.len() as u32);
     for (bbox, data) in pieces {
         put_bbox(buf, bbox);
-        put_bytes(buf, data);
+        buf.put_shared(data);
     }
 }
 
@@ -449,8 +455,8 @@ fn put_policy(buf: &mut BytesMut, policy: &AdmissionPolicy) {
 }
 
 /// Encode a request frame.
-pub fn encode_request(req: &Request) -> Bytes {
-    let mut buf = BytesMut::new();
+pub fn encode_request(req: &Request) -> Frame {
+    let mut buf = FrameBuf::new();
     match req {
         Request::Put {
             var,
@@ -462,7 +468,7 @@ pub fn encode_request(req: &Request) -> Bytes {
             put_str(&mut buf, var);
             buf.put_u64_le(*version);
             put_bbox(&mut buf, bbox);
-            put_bytes(&mut buf, data);
+            buf.put_shared(data);
         }
         Request::Get { var, version, bbox } => {
             buf.put_u8(REQ_GET);
@@ -488,7 +494,7 @@ pub fn encode_request(req: &Request) -> Bytes {
         }
         Request::SubmitTask { data, hint } => {
             buf.put_u8(REQ_SUBMIT_TASK);
-            put_bytes(&mut buf, data);
+            buf.put_shared(data);
             buf.put_u32_le(hint.len() as u32);
             for (location, bytes) in hint {
                 put_str(&mut buf, location);
@@ -521,7 +527,7 @@ pub fn encode_request(req: &Request) -> Bytes {
         Request::CloseSched => buf.put_u8(REQ_CLOSE_SCHED),
         Request::Control { data } => {
             buf.put_u8(REQ_CONTROL);
-            put_bytes(&mut buf, data);
+            buf.put_shared(data);
         }
         Request::SetTenant { spec } => {
             buf.put_u8(REQ_SET_TENANT);
@@ -544,7 +550,7 @@ pub fn encode_request(req: &Request) -> Bytes {
         Request::TenantStats => buf.put_u8(REQ_TENANT_STATS),
         Request::PoolStats => buf.put_u8(REQ_POOL_STATS),
     }
-    buf.freeze()
+    buf.finish()
 }
 
 /// Decode a request frame. Total: never panics on malformed input.
@@ -633,8 +639,8 @@ pub fn decode_request(frame: Bytes) -> Result<Request, RemoteError> {
 }
 
 /// Encode a response frame.
-pub fn encode_response(resp: &Response) -> Bytes {
-    let mut buf = BytesMut::new();
+pub fn encode_response(resp: &Response) -> Frame {
+    let mut buf = FrameBuf::new();
     match resp {
         Response::Ok => buf.put_u8(RESP_OK),
         Response::Pieces(pieces) => {
@@ -661,7 +667,7 @@ pub fn encode_response(resp: &Response) -> Bytes {
                 TaskPoll::Assigned { seq, data, tenant } => {
                     buf.put_u8(0);
                     buf.put_u64_le(*seq);
-                    put_bytes(&mut buf, data);
+                    buf.put_shared(data);
                     put_str(&mut buf, tenant);
                 }
                 TaskPoll::Empty => buf.put_u8(1),
@@ -698,7 +704,7 @@ pub fn encode_response(resp: &Response) -> Bytes {
         }
         Response::Control { data } => {
             buf.put_u8(RESP_CONTROL);
-            put_bytes(&mut buf, data);
+            buf.put_shared(data);
         }
         Response::TenantRows(rows) => {
             buf.put_u8(RESP_TENANT_STATS);
@@ -731,7 +737,7 @@ pub fn encode_response(resp: &Response) -> Bytes {
             put_str(&mut buf, msg);
         }
     }
-    buf.freeze()
+    buf.finish()
 }
 
 /// Decode a response frame. Total: never panics on malformed input.

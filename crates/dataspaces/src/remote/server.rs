@@ -8,7 +8,7 @@ use crate::sched::{AdmissionPolicy, Lease, SchedStats, Scheduler};
 use crate::space::DataSpaces;
 use crate::tenant::{scoped_var, DEFAULT_TENANT};
 use bytes::Bytes;
-use sitra_net::{serve, Addr, Connection, Listener, NetError, ServerHandle};
+use sitra_net::{serve, Addr, Connection, Frame, Listener, NetError, ServerHandle};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -152,8 +152,8 @@ fn serve_connection(inner: &ServerInner, conn: &Connection) {
     // and decoded, replies collect here. They are flushed before
     // anything that can wait — the next read off the socket, a
     // long-poll — so no reply ever waits on the client's next move.
-    let mut replies: Vec<Bytes> = Vec::new();
-    let flush = |replies: &mut Vec<Bytes>| {
+    let mut replies: Vec<Frame> = Vec::new();
+    let flush = |replies: &mut Vec<Frame>| {
         let sent = conn.send_all(replies).is_ok();
         replies.clear();
         sent
@@ -292,7 +292,7 @@ fn serve_connection(inner: &ServerInner, conn: &Connection) {
         };
         replies.push(encode_response(&resp));
         let more_to_answer = conn.has_decoded_frame()
-            && replies.iter().map(Bytes::len).sum::<usize>() < REPLY_BATCH_BYTES;
+            && replies.iter().map(Frame::len).sum::<usize>() < REPLY_BATCH_BYTES;
         if !more_to_answer && !flush(&mut replies) {
             return;
         }

@@ -80,7 +80,7 @@ fn sample_requests() -> Vec<Request> {
 #[test]
 fn request_codec_roundtrip() {
     for r in sample_requests() {
-        assert_eq!(decode_request(encode_request(&r)).unwrap(), r);
+        assert_eq!(decode_request(encode_request(&r).join()).unwrap(), r);
     }
 }
 
@@ -165,7 +165,7 @@ fn response_codec_roundtrip() {
         Response::Error("boom".into()),
     ];
     for r in resps {
-        assert_eq!(decode_response(encode_response(&r)).unwrap(), r);
+        assert_eq!(decode_response(encode_response(&r).join()).unwrap(), r);
     }
 }
 
@@ -179,7 +179,7 @@ fn codecs_reject_garbage_without_panicking() {
     // Truncations of every valid message error out too (a policy-less
     // SetTenant cut inside its filler policy used to decode).
     for r in sample_requests() {
-        let enc = encode_request(&r);
+        let enc = encode_request(&r).join();
         for cut in 0..enc.len() {
             assert!(
                 decode_request(enc.slice(0..cut)).is_err(),

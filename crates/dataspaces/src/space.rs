@@ -1,10 +1,11 @@
 //! The versioned, bbox-indexed shared space, sharded over servers.
 
+use crate::codec::WireError;
 use crate::tenant::tenant_of_var;
 use bytes::Bytes;
 use parking_lot::{Condvar, Mutex, RwLock};
 use serde::{Deserialize, Serialize};
-use sitra_mesh::{field::assemble, BBox3, ScalarField};
+use sitra_mesh::{BBox3, ScalarField};
 use std::collections::HashMap;
 use std::hash::{Hash, Hasher};
 use std::time::{Duration, Instant};
@@ -386,16 +387,17 @@ impl DataSpaces {
     }
 
     /// Spatial query assembled into one field over `query`; uncovered
-    /// points become `fill`.
-    pub fn get_assembled(&self, var: &str, version: u64, query: &BBox3, fill: f64) -> ScalarField {
-        let pieces: Vec<ScalarField> = self
-            .get(var, version, query)
-            .into_iter()
-            .map(|(bbox, data)| {
-                crate::codec::bytes_to_field(bbox, &data).extract(&bbox.intersect(query).unwrap())
-            })
-            .collect();
-        assemble(*query, &pieces, fill)
+    /// points become `fill`. The space stores whatever bytes were put,
+    /// so a piece that is not one `f64` per point of its box is an
+    /// error ([`crate::codec::assemble`]).
+    pub fn get_assembled(
+        &self,
+        var: &str,
+        version: u64,
+        query: &BBox3,
+        fill: f64,
+    ) -> Result<ScalarField, WireError> {
+        crate::codec::assemble(query, &self.get(var, version, query), fill)
     }
 
     /// The highest version stored under `var`, if any (the "query
@@ -541,7 +543,7 @@ mod tests {
             BBox3::new([2, 2, 2], [9, 6, 5]),
             BBox3::new([0, 0, 0], [1, 1, 1]),
         ] {
-            let got = ds.get_assembled("T", 7, &q, f64::NAN);
+            let got = ds.get_assembled("T", 7, &q, f64::NAN).unwrap();
             assert_eq!(got, whole.extract(&q), "query {q:?}");
         }
     }
@@ -558,7 +560,10 @@ mod tests {
         ds.put_field("T", 1, &ScalarField::new_fill(b, 2.0));
         let pieces = ds.get("T", 1, &b);
         assert_eq!(pieces.len(), 1, "re-put must not duplicate the piece");
-        assert_eq!(ds.get_assembled("T", 1, &b, 0.0).get([0, 0, 0]), 2.0);
+        assert_eq!(
+            ds.get_assembled("T", 1, &b, 0.0).unwrap().get([0, 0, 0]),
+            2.0
+        );
         let stats = ds.stats();
         assert_eq!(stats.objects_per_server.iter().sum::<u64>(), 1);
     }
@@ -569,8 +574,14 @@ mod tests {
         let b = BBox3::from_dims([4, 4, 4]);
         ds.put_field("T", 1, &ScalarField::new_fill(b, 1.0));
         ds.put_field("T", 2, &ScalarField::new_fill(b, 2.0));
-        assert_eq!(ds.get_assembled("T", 1, &b, 0.0).get([0, 0, 0]), 1.0);
-        assert_eq!(ds.get_assembled("T", 2, &b, 0.0).get([0, 0, 0]), 2.0);
+        assert_eq!(
+            ds.get_assembled("T", 1, &b, 0.0).unwrap().get([0, 0, 0]),
+            1.0
+        );
+        assert_eq!(
+            ds.get_assembled("T", 2, &b, 0.0).unwrap().get([0, 0, 0]),
+            2.0
+        );
         assert!(ds.get("T", 3, &b).is_empty());
     }
 
@@ -581,7 +592,20 @@ mod tests {
         ds.put_field("T", 1, &ScalarField::new_fill(b, 300.0));
         ds.put_field("P", 1, &ScalarField::new_fill(b, 1.0));
         assert_eq!(ds.get("T", 1, &b).len(), 1);
-        assert_eq!(ds.get_assembled("P", 1, &b, 0.0).get([1, 1, 1]), 1.0);
+        assert_eq!(
+            ds.get_assembled("P", 1, &b, 0.0).unwrap().get([1, 1, 1]),
+            1.0
+        );
+    }
+
+    #[test]
+    fn get_assembled_refuses_a_piece_that_does_not_fill_its_box() {
+        // The space stores opaque bytes: a short piece is an error for
+        // the reader, not a panic.
+        let ds = DataSpaces::new(1);
+        let b = BBox3::from_dims([2, 2, 2]);
+        ds.put("T", 1, b, Bytes::from_static(b"7 bytes"));
+        assert!(ds.get_assembled("T", 1, &b, f64::NAN).is_err());
     }
 
     #[test]
@@ -590,7 +614,7 @@ mod tests {
         let stored = BBox3::new([0, 0, 0], [2, 2, 2]);
         ds.put_field("T", 1, &ScalarField::new_fill(stored, 5.0));
         let q = BBox3::from_dims([4, 2, 2]);
-        let f = ds.get_assembled("T", 1, &q, -1.0);
+        let f = ds.get_assembled("T", 1, &q, -1.0).unwrap();
         assert_eq!(f.get([1, 1, 1]), 5.0);
         assert_eq!(f.get([3, 1, 1]), -1.0);
     }
@@ -740,7 +764,7 @@ mod tests {
         for (var, v, bbox, data) in drained {
             ds.put(&var, v, bbox, data);
         }
-        assert_eq!(ds.get_assembled("T", 1, &g, f64::NAN), whole);
+        assert_eq!(ds.get_assembled("T", 1, &g, f64::NAN).unwrap(), whole);
     }
 
     #[test]
@@ -830,6 +854,6 @@ mod tests {
                 });
             }
         });
-        assert_eq!(ds.get_assembled("T", 1, &g, f64::NAN), whole);
+        assert_eq!(ds.get_assembled("T", 1, &g, f64::NAN).unwrap(), whole);
     }
 }

@@ -3,8 +3,9 @@
 //! Matthes et al.'s ISAAC couples a running simulation to live viewers
 //! whose feedback steers what the in-situ side renders next. The analog
 //! here: a [`SteerServer`] listens on its **own** `sitra-net` endpoint
-//! (deliberately separate from the staging RPC protocol, whose request
-//! tags are frozen), the staging side [`SteerServer::publish`]es each
+//! (deliberately separate from the staging RPC protocol: the two share
+//! no tags, so either can add or retire a message without touching the
+//! other), the staging side [`SteerServer::publish`]es each
 //! new visualization frame as a monotonically versioned snapshot, and
 //! subscribers pull reduced frames and push steering feedback:
 //!

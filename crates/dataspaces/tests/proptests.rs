@@ -3,7 +3,8 @@
 //! lossless FCFS queue under arbitrary interleavings, and the RPC wire
 //! codecs — including the admission/backpressure control frames — are
 //! total (any bytes decode to Ok or Err, never a panic) and round-trip
-//! every representable frame.
+//! every representable frame. The one-pass assembly of a query's pieces
+//! is bit-identical to the decode → extract → paste chain it replaced.
 
 use bytes::Bytes;
 use proptest::prelude::*;
@@ -12,8 +13,8 @@ use sitra_dataspaces::remote::{
     Request, Response, TaskPoll, TenantRow,
 };
 use sitra_dataspaces::{
-    Admission, AdmissionPolicy, DataSpaces, RemoteSpace, ResidencyHint, Scheduler, SpaceServer,
-    TenantSpec,
+    codec, field_to_bytes, Admission, AdmissionPolicy, DataSpaces, RemoteSpace, ResidencyHint,
+    Scheduler, SpaceServer, TenantSpec,
 };
 use sitra_mesh::{BBox3, ScalarField};
 use std::time::Duration;
@@ -248,8 +249,59 @@ enum SchedOp {
     Poll(usize),
 }
 
+/// The assembly [`codec::assemble`] replaced, kept as its reference:
+/// decode each intersecting piece into a field of its own, copy out the
+/// overlap, then paste the copies in order over a filled field.
+fn reference_assemble(query: &BBox3, pieces: &[(BBox3, Bytes)], fill: f64) -> ScalarField {
+    let clipped: Vec<ScalarField> = pieces
+        .iter()
+        .filter_map(|(bbox, data)| {
+            let clip = bbox.intersect(query)?;
+            let values = data
+                .chunks_exact(8)
+                .map(|c| f64::from_le_bytes(c.try_into().unwrap()))
+                .collect();
+            Some(ScalarField::from_vec(*bbox, values).extract(&clip))
+        })
+        .collect();
+    sitra_mesh::field::assemble(*query, &clipped, fill)
+}
+
+fn bits(f: &ScalarField) -> Vec<u64> {
+    f.as_slice().iter().map(|v| v.to_bits()).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn one_pass_assembly_matches_the_decode_extract_paste_chain(
+        pieces in prop::collection::vec((arb_box(), any::<u64>()), 0..6),
+        query in arb_box(),
+        nan_fill in any::<bool>(),
+    ) {
+        // Boxes in 0..15 per axis: pieces overlap each other and cover
+        // the query fully, partly or not at all. Every third piece is
+        // NaNs with distinct payloads, the rest arbitrary bit patterns.
+        let fill = if nan_fill { f64::NAN } else { -0.0 };
+        let pieces: Vec<(BBox3, Bytes)> = pieces
+            .into_iter()
+            .map(|(bbox, seed)| {
+                let field = ScalarField::from_fn(bbox, |p| {
+                    let at = (p[0] as u64) << 40 | (p[1] as u64) << 20 | p[2] as u64;
+                    match seed % 3 {
+                        0 => f64::from_bits(0x7ff8_0000_0000_0000 | at),
+                        _ => f64::from_bits(seed ^ at),
+                    }
+                });
+                (bbox, field_to_bytes(&field))
+            })
+            .collect();
+        let got = codec::assemble(&query, &pieces, fill).unwrap();
+        let want = reference_assemble(&query, &pieces, fill);
+        prop_assert_eq!(got.bbox(), want.bbox());
+        prop_assert_eq!(bits(&got), bits(&want));
+    }
 
     #[test]
     fn space_queries_match_reference(puts in prop::collection::vec((arb_box(), 0u64..3), 1..20),
@@ -394,13 +446,13 @@ proptest! {
 
     #[test]
     fn request_codec_roundtrips(req in arb_request()) {
-        let enc = encode_request(&req);
+        let enc = encode_request(&req).join();
         prop_assert_eq!(decode_request(enc).unwrap(), req);
     }
 
     #[test]
     fn response_codec_roundtrips(resp in arb_response()) {
-        let enc = encode_response(&resp);
+        let enc = encode_response(&resp).join();
         prop_assert_eq!(decode_response(enc).unwrap(), resp);
     }
 
@@ -418,10 +470,10 @@ proptest! {
                                         cut in any::<usize>()) {
         // Every strict prefix of a valid frame is an error: the codecs
         // have no optional trailing fields.
-        let enc = encode_response(&resp);
+        let enc = encode_response(&resp).join();
         let n = cut % enc.len();
         prop_assert!(decode_response(enc.slice(..n)).is_err());
-        let enc = encode_request(&req);
+        let enc = encode_request(&req).join();
         let n = cut % enc.len();
         prop_assert!(decode_request(enc.slice(..n)).is_err());
     }
@@ -434,7 +486,7 @@ proptest! {
         // A flipped byte either still decodes (it landed in a payload
         // value) or is a structured error — never a panic, whichever
         // decoder the damaged frame reaches.
-        for enc in [encode_response(&resp), encode_request(&req)] {
+        for enc in [encode_response(&resp).join(), encode_request(&req).join()] {
             let mut raw = enc.to_vec();
             let i = at % raw.len();
             raw[i] ^= flip;
@@ -449,10 +501,10 @@ proptest! {
                                         extra in prop::collection::vec(any::<u8>(), 1..16)) {
         // Trailing garbage after a complete frame must be rejected
         // (`finish` trailing-bytes check), not silently absorbed.
-        let mut buf = encode_response(&resp).to_vec();
+        let mut buf = encode_response(&resp).join().to_vec();
         buf.extend_from_slice(&extra);
         prop_assert!(decode_response(Bytes::from(buf)).is_err());
-        let mut buf = encode_request(&req).to_vec();
+        let mut buf = encode_request(&req).join().to_vec();
         buf.extend_from_slice(&extra);
         prop_assert!(decode_request(Bytes::from(buf)).is_err());
     }

@@ -7,6 +7,13 @@
 //! Both meet the same contract, so everything above `sitra-net` is
 //! transport-agnostic.
 //!
+//! A frame is sent as a [`Frame`], parts whose concatenation is the
+//! payload (`Bytes` is the one-part case). A fault-free `tcp://` link
+//! writes the parts as they are; they are joined once, into one
+//! allocation, where a frame has to be one buffer: on the `inproc://`
+//! queue, on entering the sequencer, and for a frame the injector
+//! faults — which it sees once, at its full length.
+//!
 //! Fault injection rides the same seam: the injector is consulted
 //! synchronously in `send` (keeping scheduled-fault decision streams
 //! deterministic), but `Delay`/`Reorder` never sleep the sender. The
@@ -19,6 +26,7 @@
 //! fault-free connections never pay for it.
 
 use crate::fault::{self, FaultAction};
+use crate::frame::Frame;
 use crate::tcp::TcpIo;
 use crate::NetError;
 use bytes::Bytes;
@@ -135,13 +143,13 @@ struct Link {
 
 impl Link {
     /// Hand `frames` to the backend, in order, on the calling thread.
-    fn deliver(&self, frames: &[Bytes]) -> Result<(), NetError> {
+    fn deliver(&self, frames: &[Frame]) -> Result<(), NetError> {
         match &self.backend {
             Backend::InProc { tx, .. } => {
                 let guard = tx.lock();
                 let sender = guard.as_ref().ok_or(NetError::Closed)?;
                 for frame in frames {
-                    sender.send(frame.clone()).map_err(|_| NetError::Closed)?;
+                    sender.send(frame.join()).map_err(|_| NetError::Closed)?;
                 }
                 Ok(())
             }
@@ -204,7 +212,7 @@ fn sequence(rx: &CbReceiver<(Bytes, Hold)>, link: &Link) {
         }
         while line.front().is_some_and(|e| e.2.is_none_or(|t| t <= now)) {
             let (_, frame, _) = line.pop_front().expect("front exists");
-            let _ = link.deliver(std::slice::from_ref(&frame));
+            let _ = link.deliver(&[frame.into()]);
         }
         let wake = line.front().and_then(|e| e.2);
         let wake = wake.into_iter().chain(aside.keys().map(|k| k.0)).min();
@@ -231,9 +239,9 @@ fn sequence(rx: &CbReceiver<(Bytes, Hold)>, link: &Link) {
         .map_or(u64::MAX, |e| e.0);
     let lined = line.into_iter().map(|(n, frame, _)| (n, frame));
     let parked = aside.into_iter().map(|((_, n), frame)| (n, frame));
-    let rest: Vec<Bytes> = lined
+    let rest: Vec<Frame> = lined
         .chain(parked)
-        .filter_map(|(n, frame)| (n < cut).then_some(frame))
+        .filter_map(|(n, frame)| (n < cut).then(|| frame.into()))
         .collect();
     let _ = link.deliver(&rest);
     link.sever();
@@ -304,7 +312,7 @@ impl Connection {
     }
 
     /// What every send checks before the injector sees the frame.
-    fn sendable(&self, payload: &Bytes) -> Result<(), NetError> {
+    fn sendable(&self, payload: &Frame) -> Result<(), NetError> {
         if payload.len() > MAX_FRAME_LEN {
             return Err(NetError::FrameTooLarge(payload.len()));
         }
@@ -314,21 +322,20 @@ impl Connection {
         Ok(())
     }
 
-    /// Send one frame. When a [`crate::fault::FaultInjector`] is
-    /// installed it decides this frame's fate first; see the fault
-    /// module docs for each action's semantics.
-    pub fn send(&self, payload: Bytes) -> Result<(), NetError> {
-        self.sendable(&payload)?;
-        let action = fault::frame_action(self.id, &self.peer_label, payload.len());
-        self.apply(action, payload)
+    /// Send one frame: [`Self::send_all`] of one. When a
+    /// [`crate::fault::FaultInjector`] is installed it decides this
+    /// frame's fate first; see the fault module docs for each action's
+    /// semantics.
+    pub fn send(&self, payload: impl Into<Frame>) -> Result<(), NetError> {
+        self.send_all(&[payload.into()])
     }
 
     /// Send `frames` back to back — over `tcp://` as one vectored
     /// write, which is what makes a batch one flush. The injector is
-    /// consulted once per frame, in order, as for [`Self::send`]: the
-    /// frames ahead of the first fault share the write, the faulted
-    /// one and those behind it go one at a time.
-    pub fn send_all(&self, frames: &[Bytes]) -> Result<(), NetError> {
+    /// consulted once per frame, in order: the frames ahead of the
+    /// first fault share the write, the faulted one (joined) and those
+    /// behind it go one at a time.
+    pub fn send_all(&self, frames: &[Frame]) -> Result<(), NetError> {
         frames.iter().try_for_each(|frame| self.sendable(frame))?;
         let mut clean = 0;
         let mut faulted = None;
@@ -343,7 +350,7 @@ impl Connection {
         }
         self.dispatch(&frames[..clean], Hold::None)?;
         if let Some(action) = faulted {
-            self.apply(action, frames[clean].clone())?;
+            self.apply(action, frames[clean].join())?;
             for frame in &frames[clean + 1..] {
                 self.send(frame.clone())?;
             }
@@ -353,8 +360,9 @@ impl Connection {
 
     /// Carry out the injector's decision for one frame.
     fn apply(&self, action: FaultAction, payload: Bytes) -> Result<(), NetError> {
+        let frame = Frame::from(payload);
         match action {
-            FaultAction::Deliver => self.dispatch(std::slice::from_ref(&payload), Hold::None),
+            FaultAction::Deliver => self.dispatch(&[frame], Hold::None),
             FaultAction::Drop => {
                 // Loss on a reliable transport: the frame vanishes and
                 // the link dies with it (see fault module docs). The
@@ -362,15 +370,9 @@ impl Connection {
                 self.close();
                 Ok(())
             }
-            FaultAction::Delay(d) => self.dispatch(
-                std::slice::from_ref(&payload),
-                Hold::Line(Instant::now() + d),
-            ),
-            FaultAction::Reorder(d) => self.dispatch(
-                std::slice::from_ref(&payload),
-                Hold::Aside(Instant::now() + d),
-            ),
-            FaultAction::Duplicate => self.dispatch(&[payload.clone(), payload], Hold::None),
+            FaultAction::Delay(d) => self.dispatch(&[frame], Hold::Line(Instant::now() + d)),
+            FaultAction::Reorder(d) => self.dispatch(&[frame], Hold::Aside(Instant::now() + d)),
+            FaultAction::Duplicate => self.dispatch(&[frame.clone(), frame], Hold::None),
             FaultAction::Cut => {
                 self.close();
                 Err(NetError::Closed)
@@ -391,11 +393,11 @@ impl Connection {
     /// Deliver `frames` in order (fault `Delay` and `Reorder`: held as
     /// `hold` says, while the sender carries on): straight to the
     /// backend, or through the sequencer once there is one.
-    fn dispatch(&self, frames: &[Bytes], hold: Hold) -> Result<(), NetError> {
+    fn dispatch(&self, frames: &[Frame], hold: Hold) -> Result<(), NetError> {
         match self.sequencer(!matches!(hold, Hold::None))? {
             Some(seq) => {
                 for frame in frames {
-                    seq.send((frame.clone(), hold))
+                    seq.send((frame.join(), hold))
                         .map_err(|_| NetError::Closed)?;
                 }
             }
@@ -406,8 +408,8 @@ impl Connection {
         Ok(())
     }
 
-    fn count_sent(&self, frames: &[Bytes]) {
-        let bytes: usize = frames.iter().map(Bytes::len).sum();
+    fn count_sent(&self, frames: &[Frame]) {
+        let bytes: usize = frames.iter().map(Frame::len).sum();
         self.counters
             .frames_sent
             .fetch_add(frames.len() as u64, Ordering::Relaxed);
@@ -816,7 +818,8 @@ mod tests {
                 assert!(dec.is_at_boundary());
                 frames
             });
-            c.send_all(&batch).unwrap();
+            let frames: Vec<Frame> = batch.iter().cloned().map(Frame::from).collect();
+            c.send_all(&frames).unwrap();
             reader.join().unwrap()
         });
         assert!(got == batch);
@@ -835,7 +838,8 @@ mod tests {
         // A batch is one write, and what one read decoded is handed
         // out without going back to the socket.
         let batch: Vec<Bytes> = (0..5u8).map(|i| Bytes::from(vec![i; 65])).collect();
-        a.send_all(&batch).unwrap();
+        let frames: Vec<Frame> = batch.iter().cloned().map(Frame::from).collect();
+        a.send_all(&frames).unwrap();
         assert_eq!(a.stats().writes, 2);
         assert!(!b.has_decoded_frame());
         for want in &batch {

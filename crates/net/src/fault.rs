@@ -136,7 +136,7 @@ mod tests {
     use super::*;
     use crate::conn::Connection;
     use crate::tests::{pairs, tcp_pair};
-    use crate::{connect, Addr, Listener, NetError};
+    use crate::{connect, Addr, Frame, Listener, NetError};
     use bytes::Bytes;
     use std::collections::HashMap;
     use std::time::Instant;
@@ -395,12 +395,43 @@ mod tests {
                     FaultAction::Duplicate,
                 ],
             );
-            let batch: Vec<Bytes> = (0..5u8).map(|i| Bytes::from(vec![i; 3])).collect();
+            let batch: Vec<Frame> = (0..5u8).map(|i| Bytes::from(vec![i; 3]).into()).collect();
             a.send_all(&batch).unwrap();
             for want in [0u8, 1, 2, 3, 3, 4] {
                 assert_eq!(b.recv().unwrap().as_slice(), [want; 3], "{scheme}");
             }
             assert_eq!(a.stats().frames_sent, 6, "{scheme}");
+            install_fault_injector(prev);
+        }
+    }
+
+    #[test]
+    fn a_frame_given_as_parts_arrives_whole_under_duplicate_and_delay() {
+        let _g = LOCK.lock();
+        let payload: Vec<u8> = (0..70_000u32).map(|i| (i % 253) as u8).collect();
+        let mut gathered = Frame::new();
+        for cut in [0, 11, 40_000, payload.len()].windows(2) {
+            gathered.push(Bytes::copy_from_slice(&payload[cut[0]..cut[1]]));
+        }
+        assert_eq!(gathered.len(), payload.len());
+        for (scheme, a, b) in pairs("fault-gathered") {
+            let prev = with_script(
+                a.id(),
+                vec![
+                    FaultAction::Duplicate,
+                    FaultAction::Delay(Duration::from_millis(20)),
+                ],
+            );
+            a.send(gathered.clone()).unwrap();
+            a.send(gathered.clone()).unwrap();
+            a.send(gathered.clone()).unwrap();
+            for _ in 0..4 {
+                let got = b.recv_timeout(Duration::from_secs(5)).unwrap();
+                assert!(got.as_slice() == payload.as_slice(), "{scheme}");
+            }
+            let sent = a.stats();
+            assert_eq!(sent.frames_sent, 4, "{scheme}");
+            assert_eq!(sent.bytes_sent, 4 * payload.len() as u64, "{scheme}");
             install_fault_injector(prev);
         }
     }

@@ -8,6 +8,11 @@
 //! chunk's allocation), never copied. A frame spanning chunks is
 //! assembled into an exact-size buffer — one copy, no reallocation —
 //! and a hostile length prefix is rejected *before* any allocation.
+//!
+//! On the way out a payload is a [`Frame`]: parts whose concatenation
+//! is the payload, so a bulk byte string can go to the socket from the
+//! buffer that holds it instead of being copied into a message buffer
+//! first.
 
 use crate::{NetError, MAX_FRAME_LEN};
 use bytes::Bytes;
@@ -23,6 +28,72 @@ pub const HEADER_LEN: usize = 4;
 pub fn encode_header(len: usize) -> [u8; HEADER_LEN] {
     assert!(len <= MAX_FRAME_LEN, "frame of {len} bytes exceeds cap");
     (len as u32).to_le_bytes()
+}
+
+/// One outbound payload, given as parts whose concatenation is the
+/// payload. The wire never sees the parts: a `tcp://` write gathers
+/// them behind the frame's header, and a path that needs the payload
+/// as one buffer — the `inproc://` queue, a fault sequencer — calls
+/// [`Frame::join`] once. `Bytes` converts into a one-part frame.
+#[derive(Clone, Debug, Default)]
+pub struct Frame {
+    /// Non-empty parts, in order.
+    parts: Vec<Bytes>,
+    len: usize,
+}
+
+impl Frame {
+    /// An empty payload.
+    pub fn new() -> Frame {
+        Frame::default()
+    }
+
+    /// Append `part` to the payload (an empty part is skipped).
+    pub fn push(&mut self, part: Bytes) {
+        if !part.is_empty() {
+            self.len += part.len();
+            self.parts.push(part);
+        }
+    }
+
+    /// Payload length: the sum of the parts'.
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True for an empty payload.
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// The parts, in order.
+    pub fn parts(&self) -> &[Bytes] {
+        &self.parts
+    }
+
+    /// The payload as one buffer: a one-part frame's part itself, or
+    /// else every part copied once into one exact-size allocation.
+    pub fn join(&self) -> Bytes {
+        match self.parts.as_slice() {
+            [] => Bytes::new(),
+            [only] => only.clone(),
+            parts => {
+                let mut buf = Vec::with_capacity(self.len);
+                for part in parts {
+                    buf.extend_from_slice(part);
+                }
+                Bytes::from(buf)
+            }
+        }
+    }
+}
+
+impl From<Bytes> for Frame {
+    fn from(payload: Bytes) -> Frame {
+        let mut frame = Frame::new();
+        frame.push(payload);
+        frame
+    }
 }
 
 /// A frame mid-assembly: spans chunk boundaries, so it gets its own
@@ -160,6 +231,25 @@ mod tests {
         let mut v = encode_header(payload.len()).to_vec();
         v.extend_from_slice(payload);
         v
+    }
+
+    #[test]
+    fn a_frame_joins_its_parts_once_and_a_single_part_not_at_all() {
+        let body = Bytes::from(vec![9u8; 1000]);
+        let one = Frame::from(body.clone());
+        assert_eq!(one.join().as_ptr(), body.as_ptr());
+        let mut gathered = Frame::new();
+        for part in [&b"head"[..], b"", &body, b"tail"] {
+            gathered.push(Bytes::copy_from_slice(part));
+        }
+        assert_eq!(gathered.parts().len(), 3);
+        assert_eq!(gathered.len(), 1008);
+        let joined = gathered.join();
+        assert_eq!(joined.storage_capacity(), 1008);
+        assert_eq!(&joined[..4], b"head");
+        assert_eq!(&joined[4..1004], &body[..]);
+        assert_eq!(&joined[1004..], b"tail");
+        assert!(Frame::new().join().is_empty());
     }
 
     #[test]

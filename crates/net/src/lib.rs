@@ -14,11 +14,12 @@
 //! * **`tcp://host:port`** — a socket the connection owns and the
 //!   calling thread drives: `send` is one vectored `write`
 //!   ([`Connection::send_all`] puts a whole batch in it), `recv` a
-//!   `read` through the connection's own frame decoder, and frames are
-//!   [`bytes::Bytes`] end to end (zero-copy slices out of coalesced
-//!   reads). There is no runtime, reactor or I/O thread: a harness that
-//!   holds thousands of connections drives them from a few threads of
-//!   its own.
+//!   `read` through the connection's own frame decoder. A frame goes
+//!   out as a [`Frame`] of parts, gathered by the write rather than
+//!   joined, and comes in as one [`bytes::Bytes`] (a zero-copy slice
+//!   out of a coalesced read). There is no runtime, reactor or I/O
+//!   thread: a harness that holds thousands of connections drives them
+//!   from a few threads of its own.
 //!
 //! The paper's DART/RDMA data movement is modelled by `sitra-dart`;
 //! this crate only carries the staging protocol between processes.
@@ -41,6 +42,7 @@ mod tcp;
 
 pub use conn::{ConnStats, Connection, MAX_FRAME_LEN};
 pub use fault::{install_fault_injector, FaultAction, FaultInjector};
+pub use frame::Frame;
 pub use listener::{serve, Listener, ServerHandle};
 pub use tcp::PIPELINE_DEPTH;
 
@@ -329,6 +331,34 @@ mod tests {
                 matches!(c.recv_timeout(Duration::ZERO), Err(NetError::Timeout)),
                 "{addr}"
             );
+        }
+    }
+
+    #[test]
+    fn a_frame_given_as_parts_arrives_as_their_concatenation() {
+        // Parts of every size class: empty, a few bytes, and bulk large
+        // enough that the receiver assembles it across reads.
+        let bulk: Vec<u8> = (0..300_000u32).map(|i| (i % 251) as u8).collect();
+        let parts: [&[u8]; 5] = [b"head", b"", &bulk, b"x", &bulk[..1000]];
+        let mut frame = Frame::new();
+        for part in parts {
+            frame.push(Bytes::copy_from_slice(part));
+        }
+        let want = parts.concat();
+        for (scheme, a, b) in pairs("gathered-frame") {
+            let batch = [
+                frame.clone(),
+                Bytes::from_static(b"after").into(),
+                frame.clone(),
+            ];
+            std::thread::scope(|s| {
+                s.spawn(|| a.send_all(&batch).unwrap());
+                for expect in [&want[..], b"after", &want[..]] {
+                    let got = b.recv_timeout(Duration::from_secs(5)).unwrap();
+                    assert!(got.as_slice() == expect, "{scheme}");
+                }
+            });
+            assert_eq!(a.stats().bytes_sent, 2 * want.len() as u64 + 5, "{scheme}");
         }
     }
 

@@ -5,10 +5,12 @@
 //! then on, [`crate::conn`]; fault-free connections never have one.)
 //!
 //! * **Writes** are vectored: the frames of one call go out as
-//!   `[hdr, payload, hdr, payload, ...]` in one `writev` (resumed
-//!   mid-header or mid-payload when the kernel takes less), under a
+//!   `[hdr, part, part, ..., hdr, part, ...]` in one `writev` (resumed
+//!   mid-header or mid-part when the kernel takes less), under a
 //!   per-connection write lock, so frames sent from two threads never
-//!   interleave. A burst that should share a syscall says so itself
+//!   interleave. A [`crate::Frame`]'s parts are never joined here: a
+//!   bulk byte string goes to the kernel from the buffer that holds
+//!   it. A burst that should share a syscall says so itself
 //!   ([`crate::Connection::send_all`]); nothing coalesces behind the
 //!   caller's back.
 //! * **Reads** go through a connection-owned
@@ -25,7 +27,7 @@
 //!   already the kernel's and reaches the peer ahead of the FIN, and a
 //!   `recv` blocked on another thread wakes at once.
 
-use crate::frame::{encode_header, FrameDecoder, HEADER_LEN};
+use crate::frame::{encode_header, Frame, FrameDecoder, HEADER_LEN};
 use crate::NetError;
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -58,18 +60,21 @@ const READ_CHUNK: usize = 16 * 1024;
 /// IOV_MAX on Linux: cap a single vectored write's slice count.
 const MAX_SLICES: usize = 1024;
 
-/// `frames` as they go on the wire: `[hdr, payload, hdr, payload, ...]`.
-fn wire_slices<'a>(headers: &'a [[u8; HEADER_LEN]], frames: &'a [Bytes]) -> Vec<IoSlice<'a>> {
+/// `frames` as they go on the wire: each header, then its frame's parts.
+fn wire_slices<'a>(headers: &'a [[u8; HEADER_LEN]], frames: &'a [Frame]) -> Vec<IoSlice<'a>> {
     headers
         .iter()
         .zip(frames)
-        .flat_map(|(h, f)| [IoSlice::new(h), IoSlice::new(f.as_slice())])
+        .flat_map(|(h, f)| {
+            let parts = f.parts().iter().map(|p| IoSlice::new(p.as_slice()));
+            std::iter::once(IoSlice::new(h)).chain(parts)
+        })
         .collect()
 }
 
 /// Push all of `slices` through `write` (one vectored write per call),
 /// picking up after a partial write wherever it stopped — mid-header
-/// and mid-payload included.
+/// and mid-part included.
 fn write_all_vectored(
     mut rest: &mut [IoSlice<'_>],
     mut write: impl FnMut(&[IoSlice<'_>]) -> io::Result<usize>,
@@ -86,7 +91,7 @@ fn write_all_vectored(
     Ok(())
 }
 
-fn headers_of(frames: &[Bytes]) -> Vec<[u8; HEADER_LEN]> {
+fn headers_of(frames: &[Frame]) -> Vec<[u8; HEADER_LEN]> {
     frames.iter().map(|f| encode_header(f.len())).collect()
 }
 
@@ -129,7 +134,7 @@ impl TcpIo {
 
     /// Write `frames` back to back: one vectored write, more only when
     /// the kernel takes part of it (or past `IOV_MAX` slices).
-    pub(crate) fn write_frames(&self, frames: &[Bytes]) -> Result<(), NetError> {
+    pub(crate) fn write_frames(&self, frames: &[Frame]) -> Result<(), NetError> {
         let headers = headers_of(frames);
         let mut slices = wire_slices(&headers, frames);
         let _turn = self.write.lock();
@@ -222,11 +227,27 @@ mod tests {
 
     #[test]
     fn a_write_accepted_in_pieces_resumes_where_it_stopped() {
-        // Frames of 0..40 bytes taken 1, 2, ... 7 bytes at a time: the
-        // cuts fall inside headers, inside payloads and on boundaries.
-        let frames: Vec<Bytes> = (0..40u8)
+        // Frames of 0..40 bytes, every third given as parts of up to 5
+        // bytes, taken 1, 2, ... 7 bytes at a time: the cuts fall inside
+        // headers, inside parts and on boundaries.
+        let payloads: Vec<Bytes> = (0..40u8)
             .map(|i| Bytes::from(vec![i; i as usize]))
             .collect();
+        let frames: Vec<Frame> = payloads
+            .iter()
+            .enumerate()
+            .map(|(i, p)| match i % 3 {
+                0 => {
+                    let mut frame = Frame::new();
+                    for at in (0..p.len()).step_by(5) {
+                        frame.push(p.slice(at..p.len().min(at + 5)));
+                    }
+                    frame
+                }
+                _ => Frame::from(p.clone()),
+            })
+            .collect();
+        assert!(frames.iter().any(|f| f.parts().len() > 2));
         let headers = headers_of(&frames);
         let mut slices = wire_slices(&headers, &frames);
         let mut wire = Vec::new();
@@ -243,6 +264,6 @@ mod tests {
         let mut dec = FrameDecoder::new();
         dec.feed(Bytes::from(wire), &mut got).unwrap();
         assert!(dec.is_at_boundary());
-        assert_eq!(got, frames);
+        assert_eq!(got, payloads);
     }
 }

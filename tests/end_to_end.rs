@@ -69,7 +69,7 @@ fn simulation_feeds_all_analytics_consistently() {
     for blk in &blocks {
         ds.put_field("T", 1, blk);
     }
-    assert_eq!(ds.get_assembled("T", 1, &g, f64::NAN), whole);
+    assert_eq!(ds.get_assembled("T", 1, &g, f64::NAN).unwrap(), whole);
 }
 
 #[test]
