@@ -834,6 +834,7 @@ mod tests {
 
     #[test]
     fn polling_before_subscribing_is_an_error() {
+        let _obs = sitra_obs::isolate(); // The replay test's sink sees every steer event.
         let server = SteerServer::start(&addr("unbound")).expect("start");
         let conn = sitra_net::connect(&server.addr()).expect("dial");
         conn.send(encode_steer_msg(&SteerMsg::NextFrame { after: 0 }))
@@ -847,6 +848,7 @@ mod tests {
 
     #[test]
     fn reconnect_redeclares_current_rate() {
+        let _obs = sitra_obs::isolate(); // The replay test's sink sees every steer event.
         let server = SteerServer::start(&addr("reconnect")).expect("start");
         let mut client =
             SteerClient::connect(&server.addr(), "flaky", 2, Backoff::default()).expect("dial");
@@ -867,6 +869,7 @@ mod tests {
 
     #[test]
     fn shutdown_drains_blocked_pollers_with_no_frame() {
+        let _obs = sitra_obs::isolate(); // The replay test's sink sees every steer event.
         let server = SteerServer::start(&addr("drain")).expect("start");
         let addr = server.addr();
         let puller = std::thread::spawn(move || {

@@ -46,7 +46,24 @@ fn is_restricted_maximum(
     p: [usize; 3],
 ) -> bool {
     let key = |j: usize| (sweep_key(field.get_linear(j)), j);
-    stencil.neighbors(i, p, region).all(|j| key(j) > key(i))
+    let ki = key(i);
+    let class = Stencil::class(p, region);
+    stencil.neighbors(i, class).all(|j| key(j) > ki)
+}
+
+/// Does `f` hold for some rank coordinate of the box whose per-axis
+/// inclusive ranges are `r`? Visits them x fastest.
+fn any_in(r: [[usize; 2]; 3], mut f: impl FnMut([usize; 3]) -> bool) -> bool {
+    for z in r[2][0]..=r[2][1] {
+        for y in r[1][0]..=r[1][1] {
+            for x in r[0][0]..=r[0][1] {
+                if f([x, y, z]) {
+                    return true;
+                }
+            }
+        }
+    }
+    false
 }
 
 /// Compute each rank's in-situ subtree from its ghosted block.
@@ -101,29 +118,54 @@ pub fn rank_subtree(
         (gbox.lo[a]..gbox.hi[a]).map(range).collect()
     });
     let own = decomp.coords_of_rank(rank);
+    // Every rank a shell point can name, as a box of rank coordinates,
+    // with its overlap region with this block: the pair region in which
+    // both ranks of the pair compute the identical restricted maxima.
+    // (`block_at` ascends with the coordinate, so the first and last
+    // ranges bound the rest.)
+    let near = BBox3::new(
+        std::array::from_fn(|a| ranges[a][0][0]),
+        std::array::from_fn(|a| ranges[a][ranges[a].len() - 1][1] + 1),
+    );
+    let sharers: Vec<(usize, Option<BBox3>)> = near
+        .iter()
+        .map(|c| decomp.rank_of_coords(c))
+        .map(|s| (s, decomp.block(s).grow_clamped(1, &global).intersect(&gbox)))
+        .collect();
+    // Per coordinate, x's then y's then z's: does another rank see it?
+    let [nx, ny, _] = gbox.dims();
+    let seen: Vec<bool> = (0..3)
+        .flat_map(|a| ranges[a].iter().map(move |r| *r != [own[a]; 2]))
+        .collect();
     let stencil = Stencil::new(conn, &gbox);
-    reduce_to_subtree(&tree, field, rank as SourceId, |p| {
-        let [x, y, z] = std::array::from_fn(|a| ranges[a][p[a] - gbox.lo[a]]);
-        if [x, y, z] == own.map(|c| [c, c]) {
+    reduce_to_subtree(&tree, field, rank as SourceId, |p, critical| {
+        let q = [0, 1, 2].map(|a| p[a] - gbox.lo[a]);
+        if !(seen[q[0]] | seen[nx + q[1]] | seen[nx + ny + q[2]]) {
             return None; // Off the shared shell: no other rank sees `p`.
         }
-        let potential: Vec<SourceId> = (z[0]..=z[1])
-            .flat_map(|cz| {
-                (y[0]..=y[1]).flat_map(move |cy| (x[0]..=x[1]).map(move |cx| [cx, cy, cz]))
-            })
-            .map(|c| decomp.rank_of_coords(c) as SourceId)
-            .collect();
-        let keep = potential.iter().map(|&s| s as usize).any(|s| {
+        let r: [[usize; 2]; 3] = std::array::from_fn(|a| ranges[a][q[a]]);
+        let sharer = |c: [usize; 3]| sharers[near.local_index(c)];
+        let keep = any_in(r, |c| {
+            let (s, region) = sharer(c);
             s != rank
                 && (policy == BoundaryPolicy::AllShared || {
-                    // Pair overlap region: both ranks of the pair compute
-                    // the identical region and restricted maxima.
-                    let region = decomp.block(s).grow_clamped(1, &global).intersect(&gbox);
                     let region = region.expect("ghosted boxes of sharing ranks overlap");
                     is_restricted_maximum(field, &stencil, &region, gbox.local_index(p), p)
                 })
         });
-        Some(InterfaceInfo { potential, keep })
+        if !(keep || critical) {
+            return None; // Dropped either way: skip the list.
+        }
+        let len: usize = r.iter().map(|r| r[1] - r[0] + 1).product();
+        let mut list = Vec::with_capacity(len + 1);
+        any_in(r, |c| {
+            list.push(sharer(c).0 as SourceId);
+            false
+        });
+        Some(InterfaceInfo {
+            potential: list,
+            keep,
+        })
     })
 }
 

@@ -13,13 +13,19 @@
 //!
 //! Each vertex's sort key is computed once: a `u64` that ascends as the
 //! value descends ([`crate::types::sweep_after`] says what it does with
-//! `-0.0` and NaN), paired with the *local* index. Within one box, local
-//! index order is global id order, so one `sort_unstable` over the pairs
-//! is the global sweep order restricted to the block. The sweep then
-//! visits neighbours by stride, checking axes only on the box's surface.
+//! `-0.0` and NaN). Within one box, local index order is global id
+//! order, so ascending `(key, local index)` is the global sweep order
+//! restricted to the block; a stable radix sort of the keys over
+//! ascending indices produces it without a comparison. The sweep then
+//! reads one mask byte per vertex: six bits say which face neighbours lie
+//! in the box and pick that class's neighbour strides (one table for
+//! either connectivity), and the top bit says the vertex is swept.
 
 use crate::types::{sweep_key, Connectivity, Stencil, UnionFind, VertexId};
 use sitra_mesh::{BBox3, ScalarField};
+
+/// The mask bit of a vertex the sweep has passed (above the class bits).
+const PROCESSED: u8 = 0x80;
 
 /// `AugmentedTree::down` of a vertex with no vertex below it.
 pub const NO_DOWN: u32 = u32::MAX;
@@ -71,6 +77,56 @@ impl AugmentedTree {
     }
 }
 
+/// Attaches the growth point `l` of a component reaching down to `v`.
+#[inline]
+fn attach(down: &mut [u32], l: u32, v: u32) {
+    debug_assert_eq!(down[l as usize], NO_DOWN);
+    down[l as usize] = v;
+}
+
+/// The sweep order of `values`: local indices by ascending
+/// `(sweep_key(value), index)`.
+///
+/// A stable least-significant-digit radix sort of the keys, 8 bits a
+/// pass. One pass over the keys builds every digit's histogram; a digit
+/// that is the same in every key is skipped. Each pass moves only the
+/// `u32` indices and reads the keys through them, so the scratch is the
+/// keys and two index arrays. The indices start ascending, and stability
+/// keeps them so within equal keys: the index is the tie-break.
+fn sweep_order(values: &[f64]) -> Vec<u32> {
+    let digit = |k: u64, d: usize| (k >> (8 * d)) as u8 as usize;
+    let mut counts = [[0u32; 256]; 8];
+    let keys: Vec<u64> = values
+        .iter()
+        .map(|&v| {
+            let k = sweep_key(v);
+            for (d, count) in counts.iter_mut().enumerate() {
+                count[digit(k, d)] += 1;
+            }
+            k
+        })
+        .collect();
+    let mut order: Vec<u32> = (0..keys.len() as u32).collect();
+    let mut spare = vec![0; keys.len()];
+    for (d, count) in counts.iter().enumerate() {
+        if count[digit(keys[0], d)] as usize == keys.len() {
+            continue;
+        }
+        let mut next = [0u32; 256];
+        let mut sum = 0;
+        for (next, &c) in next.iter_mut().zip(count) {
+            (*next, sum) = (sum, sum + c);
+        }
+        for &i in &order {
+            let b = digit(keys[i as usize], d);
+            spare[next[b] as usize] = i;
+            next[b] += 1;
+        }
+        std::mem::swap(&mut order, &mut spare);
+    }
+    order
+}
+
 /// Compute the augmented join tree of `field` under `conn` connectivity.
 ///
 /// `global` is the full domain (defines vertex ids and hence the global
@@ -89,42 +145,55 @@ pub fn augmented_join_tree(
         "block {bbox:?} outside global domain {global:?}"
     );
 
-    // Sweep order: ascending (key, local index) = descending (value, id).
-    let values = field.as_slice();
-    let mut order: Vec<(u64, u32)> = values.iter().map(|&v| sweep_key(v)).zip(0..).collect();
-    order.sort_unstable();
-
+    let order = sweep_order(field.as_slice());
+    let key = |i: usize| (sweep_key(field.get_linear(i)), i);
     let mut uf = UnionFind::new(n);
     // Per component root: the most recently swept vertex (the current
     // "growth point" the next arc will attach to).
     let mut lowest: Vec<u32> = vec![0; n];
     let mut down: Vec<u32> = vec![NO_DOWN; n];
     let mut up_count: Vec<u32> = vec![0; n];
-    let mut processed = vec![false; n];
+    // Per vertex: its stencil class, and `PROCESSED` once swept.
+    let mut mask = Stencil::classes(&bbox);
 
     let stencil = Stencil::new(conn, &bbox);
-    for &(key, v) in &order {
-        // `v` is still a singleton: only its own step unions it.
-        let mut rv = v;
-        let p = bbox.coord_of(v as usize);
-        for u in stencil
-            .neighbors(v as usize, p, &bbox)
-            .filter(|&u| processed[u])
-        {
-            debug_assert!((sweep_key(values[u]), u as u32) < (key, v));
-            let ru = uf.find(u as u32);
-            if ru == rv {
+    for &v in &order {
+        let strides = stencil.strides(mask[v as usize]);
+        let at = |k: u32| (v as usize).wrapping_add_signed(strides[k as usize]);
+        // Which neighbours are swept, gathered without a branch each (it
+        // is a coin toss the branch predictor loses).
+        let mut swept = strides.iter().enumerate().fold(0u32, |bits, (k, &s)| {
+            let u = (v as usize).wrapping_add_signed(s);
+            bits | ((mask[u] & PROCESSED) as u32) >> 7 << k
+        });
+        mask[v as usize] |= PROCESSED;
+        if swept == 0 {
+            lowest[v as usize] = v; // A maximum starts a component.
+            continue;
+        }
+        // The first swept neighbour's component takes `v` in: `v` is
+        // still a singleton, so it cannot share that set yet.
+        let u = at(swept.trailing_zeros());
+        swept &= swept - 1;
+        debug_assert!(key(u) < key(v as usize));
+        let mut rv = uf.find(u as u32);
+        attach(&mut down, lowest[rv as usize], v);
+        uf.adopt(rv, v);
+        let mut ups = 1;
+        while swept != 0 {
+            let u = at(swept.trailing_zeros()) as u32;
+            swept &= swept - 1;
+            if uf.under(u, rv) {
                 continue;
             }
-            // The component of u reaches down to v: attach its growth
-            // point.
-            let l = lowest[ru as usize] as usize;
-            debug_assert_eq!(down[l], NO_DOWN);
-            down[l] = v;
-            up_count[v as usize] += 1;
-            rv = uf.union(ru, rv);
+            let ru = uf.find(u);
+            if ru != rv {
+                attach(&mut down, lowest[ru as usize], v);
+                rv = uf.link(ru, rv);
+                ups += 1;
+            }
         }
-        processed[v as usize] = true;
+        up_count[v as usize] = ups;
         lowest[rv as usize] = v;
     }
 
@@ -302,6 +371,83 @@ mod tests {
             // Connected block: one root, the highest-id NaN.
             let last_nan = (0..f.len() as u32).rfind(|&i| f.get_linear(i as usize).is_nan());
             assert_eq!(roots, vec![last_nan.unwrap()]);
+        }
+    }
+
+    /// A splitmix64 stream from `seed`.
+    fn draws(mut seed: u64) -> impl Iterator<Item = u64> {
+        std::iter::repeat_with(move || {
+            seed = seed.wrapping_add(0x9E37_79B9_7F4A_7C15);
+            let z = (seed ^ (seed >> 30)).wrapping_mul(0xBF58_476D_1CE4_E5B9);
+            let z = (z ^ (z >> 27)).wrapping_mul(0x94D0_49BB_1331_11EB);
+            z ^ (z >> 31)
+        })
+    }
+
+    /// `sweep_order` is the comparison sort of `(key, index)` pairs.
+    fn assert_sweep_order(values: &[f64]) {
+        let mut pairs: Vec<(u64, u32)> = values.iter().map(|&v| sweep_key(v)).zip(0..).collect();
+        pairs.sort_unstable();
+        let want: Vec<u32> = pairs.into_iter().map(|(_, i)| i).collect();
+        assert_eq!(sweep_order(values), want, "{} values", values.len());
+    }
+
+    #[test]
+    fn radix_order_matches_comparison_sort_at_every_size() {
+        for n in [1, 2, 255, 256, 257, 70_000] {
+            let random: Vec<f64> = draws(n as u64).take(n).map(f64::from_bits).collect();
+            assert_sweep_order(&random);
+            assert_sweep_order(&vec![0.25; n]);
+            // Few distinct values: long runs of equal keys.
+            let few: Vec<f64> = draws(7).take(n).map(|r| (r % 5) as f64).collect();
+            assert_sweep_order(&few);
+        }
+    }
+
+    #[test]
+    fn radix_order_on_keys_differing_in_one_byte() {
+        // The value whose key is `k`: the inverse of `sweep_key` on keys
+        // of numbers.
+        let of_key = |k: u64| f64::from_bits(if k >> 63 == 0 { !k ^ 1 << 63 } else { k });
+        let top = draws(1).map(|r| of_key(r >> 56 << 56 | 0x0080_1234_5678_9abc));
+        let mantissa = draws(2).map(|r| of_key(0x4000_0000_0000_0000 | r & 0xff));
+        let [top, mantissa]: [Vec<f64>; 2] =
+            [top.take(3000).collect(), mantissa.take(3000).collect()];
+        for (values, fixed) in [(top, !(0xff << 56)), (mantissa, !0xff)] {
+            let keys: Vec<u64> = values.iter().map(|&v| sweep_key(v)).collect();
+            assert!(keys.iter().all(|k| k & fixed == keys[0] & fixed));
+            assert!(keys.iter().any(|k| k != &keys[0]));
+            assert_sweep_order(&values);
+        }
+    }
+
+    #[test]
+    fn radix_order_with_nans_zeros_infinities_and_subnormals() {
+        let special = [
+            f64::NAN,
+            -f64::NAN,
+            f64::from_bits(0x7ff0_0000_0000_0001),
+            f64::from_bits(0x7fff_ffff_ffff_ffff),
+            0.0,
+            -0.0,
+            f64::INFINITY,
+            f64::NEG_INFINITY,
+            f64::from_bits(1),
+            -f64::from_bits(1),
+            f64::from_bits(0x000f_ffff_ffff_ffff),
+            f64::MIN_POSITIVE,
+            f64::MAX,
+            f64::MIN,
+        ];
+        for n in [1, 2, 255, 256, 257, 70_000] {
+            let mixed: Vec<f64> = draws(n as u64 + 3)
+                .take(n)
+                .map(|r| match r % 3 {
+                    0 => f64::from_bits(r),
+                    _ => special[(r >> 8) as usize % special.len()],
+                })
+                .collect();
+            assert_sweep_order(&mixed);
         }
     }
 

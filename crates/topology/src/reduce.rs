@@ -26,6 +26,9 @@
 //! answers `None` (potential `[source]`, no interface vertex) without
 //! allocating; [`crate::distributed::rank_subtree`] tells the two apart
 //! by per-axis tables of the block indices that can see each coordinate.
+//! On the shell it decides `keep` first and builds a potential list only
+//! for a vertex that is kept or critical: any other is dropped, so it
+//! answers `None` there too.
 
 use crate::local::AugmentedTree;
 use crate::stream::SourceId;
@@ -107,9 +110,12 @@ pub struct InterfaceInfo {
 /// interface vertices.
 ///
 /// `field` must be the block the tree was computed from (for values);
-/// `info(p)` describes the point's sharing (see [`InterfaceInfo`]), or is
-/// `None` for a point no other source can see — potential `[source]`, not
-/// an interface vertex — which is most of a block and costs nothing.
+/// `info(p, critical)` describes the point's sharing (see
+/// [`InterfaceInfo`]), or is `None` for a point no other source can see —
+/// potential `[source]`, not an interface vertex — which is most of a
+/// block and costs nothing. `critical` says whether the point is critical
+/// in `tree`; `info` may also answer `None` for a point it does not keep
+/// when `critical` is false, since that point is dropped either way.
 /// Critical vertices are always kept; `keep` adds interface vertices. The
 /// potential set matters even for critical-only vertices: another rank
 /// may independently keep the same point, and the aggregator must know to
@@ -118,29 +124,39 @@ pub fn reduce_to_subtree(
     tree: &AugmentedTree,
     field: &ScalarField,
     source: SourceId,
-    mut info: impl FnMut([usize; 3]) -> Option<InterfaceInfo>,
+    mut info: impl FnMut([usize; 3], bool) -> Option<InterfaceInfo>,
 ) -> Subtree {
     assert_eq!(tree.bbox, field.bbox(), "tree/field mismatch");
     // Index into `verts` per local vertex, `u32::MAX` if dropped.
     let mut slot = vec![u32::MAX; tree.down.len()];
     let mut verts: Vec<SubtreeVertex> = Vec::new();
-    for (i, p) in tree.bbox.iter().enumerate() {
-        let shared = info(p);
-        if !(shared.as_ref().is_some_and(|s| s.keep) || tree.is_critical(i as u32)) {
-            continue;
+    let b = tree.bbox;
+    let mut i = 0;
+    for z in b.lo[2]..b.hi[2] {
+        for y in b.lo[1]..b.hi[1] {
+            for x in b.lo[0]..b.hi[0] {
+                let p = [x, y, z];
+                let critical = tree.is_critical(i as u32);
+                let shared = info(p, critical);
+                if shared.as_ref().is_some_and(|s| s.keep) || critical {
+                    let mut potential = shared.map_or_else(|| vec![source], |s| s.potential);
+                    if !potential.contains(&source) {
+                        potential.push(source);
+                    }
+                    potential.sort_unstable();
+                    potential.dedup();
+                    slot[i] = verts.len() as u32;
+                    verts.push(SubtreeVertex {
+                        id: tree.global.local_index(p) as VertexId,
+                        value: field.get_linear(i),
+                        degree: 0,
+                        potential,
+                        pinned: false,
+                    });
+                }
+                i += 1;
+            }
         }
-        let mut potential = shared.map_or_else(Vec::new, |s| s.potential);
-        potential.push(source);
-        potential.sort_unstable();
-        potential.dedup();
-        slot[i] = verts.len() as u32;
-        verts.push(SubtreeVertex {
-            id: tree.global.local_index(p) as VertexId,
-            value: field.get_linear(i),
-            degree: 0,
-            potential,
-            pinned: false,
-        });
     }
 
     let mut edges: Vec<(VertexId, VertexId)> = Vec::new();
@@ -182,7 +198,7 @@ mod tests {
         let b = BBox3::from_dims([6, 6, 6]);
         let f = hash_field(b);
         let t = augmented_join_tree(&f, &b, Connectivity::Six);
-        let sub = reduce_to_subtree(&t, &f, 0, |_| None);
+        let sub = reduce_to_subtree(&t, &f, 0, |_, _| None);
         assert_eq!(sub.verts.len(), t.criticals().count());
         assert!(sub.verts.len() < f.len());
     }
@@ -203,7 +219,7 @@ mod tests {
                 full.add_arc(t.vertex_id(i), t.vertex_id(d));
             }
         }
-        let sub = reduce_to_subtree(&t, &f, 0, |_| None);
+        let sub = reduce_to_subtree(&t, &f, 0, |_, _| None);
         let mut s = StreamingMergeTree::new();
         sub.stream_into(&mut s);
         let (glued, _) = s.finish();
@@ -216,7 +232,7 @@ mod tests {
         let f = hash_field(b);
         let t = augmented_join_tree(&f, &b, Connectivity::Six);
         // Mark the x == 4 face as interface shared with source 1.
-        let sub = reduce_to_subtree(&t, &f, 0, |p| {
+        let sub = reduce_to_subtree(&t, &f, 0, |p, _| {
             (p[0] == 4).then(|| InterfaceInfo {
                 potential: vec![0, 1],
                 keep: true,
@@ -243,7 +259,7 @@ mod tests {
         let b = BBox3::from_dims([6, 3, 3]);
         let f = hash_field(b);
         let t = augmented_join_tree(&f, &b, Connectivity::Six);
-        let sub = reduce_to_subtree(&t, &f, 0, |p| {
+        let sub = reduce_to_subtree(&t, &f, 0, |p, _| {
             (p[0] == 0).then(|| InterfaceInfo {
                 potential: vec![0, 3],
                 keep: true,

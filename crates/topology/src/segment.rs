@@ -64,11 +64,11 @@ pub fn segment_superlevel(
 
     // Union adjacent above-threshold vertices.
     let stencil = Stencil::new(conn, &bbox);
-    for (i, p) in bbox.iter().enumerate() {
+    for (i, &class) in Stencil::classes(&bbox).iter().enumerate() {
         if field.get_linear(i) < threshold {
             continue;
         }
-        for j in stencil.neighbors(i, p, &bbox) {
+        for j in stencil.neighbors(i, class) {
             if field.get_linear(j) >= threshold {
                 uf.union(i as u32, j as u32);
             }

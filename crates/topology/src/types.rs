@@ -137,31 +137,77 @@ fn offset_in(p: [usize; 3], d: [isize; 3], bbox: &BBox3) -> Option<[usize; 3]> {
     bbox.contains(q).then_some(q)
 }
 
+/// The six class bits of a vertex: bit `2a` is set when its neighbour at
+/// `-1` on axis `a` lies inside the box, bit `2a + 1` for `+1`.
+const FACES: u8 = 0x3f;
+
 /// The neighbours of one box's vertices as local linear indices (x
-/// fastest): each offset paired with its stride, so a vertex whose
-/// neighbours all lie inside the clip box needs no per-axis check.
-pub(crate) struct Stencil(Vec<([isize; 3], isize)>);
+/// fastest). A vertex's *class* (see [`FACES`]) says which of its face
+/// neighbours lie inside the clip box; it selects one of 64 stride lists,
+/// in which an offset appears when every axis it steps along has its bit
+/// set. One table serves both connectivities, and no vertex needs a
+/// per-axis check once its class is known.
+pub(crate) struct Stencil {
+    /// Class `c`'s strides are `strides[start[c]..start[c + 1]]`.
+    start: [u16; 65],
+    strides: Vec<isize>,
+}
 
 impl Stencil {
     pub(crate) fn new(conn: Connectivity, bbox: &BBox3) -> Self {
         let [dx, dy, _] = bbox.dims().map(|d| d as isize);
-        let stride = |d: [isize; 3]| d[0] + dx * (d[1] + dy * d[2]);
-        Self(conn.offsets().iter().map(|&d| (d, stride(d))).collect())
+        let mut start = [0; 65];
+        let mut strides = Vec::new();
+        for class in 0..64 {
+            let bit = |a: usize, d: isize| class >> (2 * a + (d > 0) as usize) & 1 == 1;
+            let inside = |d: &&[isize; 3]| (0..3).all(|a| d[a] == 0 || bit(a, d[a]));
+            let stride = |d: &[isize; 3]| d[0] + dx * (d[1] + dy * d[2]);
+            strides.extend(conn.offsets().iter().filter(inside).map(stride));
+            start[class + 1] = strides.len() as u16;
+        }
+        Self { start, strides }
     }
 
-    /// Local indices of the neighbours of local vertex `i` (global
-    /// coordinate `p`) inside `clip`, a sub-box of the stencil's box.
+    /// The class of global coordinate `p` in `clip`.
     #[inline]
-    pub(crate) fn neighbors<'a>(
-        &'a self,
-        i: usize,
-        p: [usize; 3],
-        clip: &'a BBox3,
-    ) -> impl Iterator<Item = usize> + 'a {
-        let interior = (0..3).all(|a| p[a] > clip.lo[a] && p[a] + 1 < clip.hi[a]);
-        let inside = move |&&(d, _): &&_| interior || offset_in(p, d, clip).is_some();
-        let index = move |&(_, s): &(_, isize)| i.wrapping_add_signed(s);
-        self.0.iter().filter(inside).map(index)
+    pub(crate) fn class(p: [usize; 3], clip: &BBox3) -> u8 {
+        (0..3).fold(0, |c, a| {
+            c | ((p[a] > clip.lo[a]) as u8) << (2 * a)
+                | ((p[a] + 1 < clip.hi[a]) as u8) << (2 * a + 1)
+        })
+    }
+
+    /// Every vertex's class in `bbox`, by local index: one nested z/y/x
+    /// pass, without a division. The two high bits are left clear for
+    /// the caller.
+    pub(crate) fn classes(bbox: &BBox3) -> Vec<u8> {
+        let [nx, ny, nz] = bbox.dims();
+        let bits = |x: usize, n: usize| (x > 0) as u8 | ((x + 1 < n) as u8) << 1;
+        let mut classes = Vec::with_capacity(bbox.count());
+        for z in 0..nz {
+            for y in 0..ny {
+                let zy = bits(z, nz) << 4 | bits(y, ny) << 2;
+                classes.extend((0..nx).map(|x| zy | bits(x, nx)));
+            }
+        }
+        classes
+    }
+
+    /// The neighbour strides of class `class` (bits outside [`FACES`]
+    /// are ignored).
+    #[inline]
+    pub(crate) fn strides(&self, class: u8) -> &[isize] {
+        let c = (class & FACES) as usize;
+        &self.strides[self.start[c] as usize..self.start[c + 1] as usize]
+    }
+
+    /// Local indices of the neighbours of local vertex `i` of class
+    /// `class`.
+    #[inline]
+    pub(crate) fn neighbors(&self, i: usize, class: u8) -> impl Iterator<Item = usize> + '_ {
+        self.strides(class)
+            .iter()
+            .map(move |&s| i.wrapping_add_signed(s))
     }
 }
 
@@ -198,9 +244,32 @@ impl UnionFind {
         }
     }
 
+    /// True when `x` is the root `root` or hangs directly off it: a
+    /// same-set test that needs no walk when it holds.
+    #[inline]
+    pub(crate) fn under(&self, x: u32, root: u32) -> bool {
+        self.parent[x as usize] == root
+    }
+
+    /// Hangs the singleton `x` under the root `root` — the union a
+    /// size comparison would choose.
+    #[inline]
+    pub(crate) fn adopt(&mut self, root: u32, x: u32) {
+        debug_assert_eq!(self.size[x as usize], 1);
+        self.parent[x as usize] = root;
+        self.size[root as usize] += 1;
+    }
+
     /// Union the sets of `a` and `b`; returns the new representative.
     pub fn union(&mut self, a: u32, b: u32) -> u32 {
-        let (mut big, mut small) = (self.find(a), self.find(b));
+        let (a, b) = (self.find(a), self.find(b));
+        self.link(a, b)
+    }
+
+    /// Union the sets whose representatives are `big` and `small`;
+    /// returns the new representative.
+    #[inline]
+    pub(crate) fn link(&mut self, mut big: u32, mut small: u32) -> u32 {
         if big != small {
             if self.size[big as usize] < self.size[small as usize] {
                 std::mem::swap(&mut big, &mut small);

@@ -1,16 +1,20 @@
 //! The topology stages the faster versions replaced, kept as their
 //! oracles.
 //!
-//! The in-situ stage the packed-key sweep replaced:
-//! `reference_rank_subtree` is the old `rank_subtree`, a sort whose
-//! comparator rebuilds both `(value, id)` keys on every comparison, a
-//! sweep that bounds-checks every neighbour axis by axis, and a
-//! reduction that runs a `ranks_overlapping` query and allocates a
-//! potential-source list for every vertex of the block. The new stage
-//! must reproduce its `Subtree` **exactly** — `==` and identical
-//! `encode_subtree` bytes — for both connectivities, both boundary
-//! policies and every rank of every decomposition, thin blocks and
-//! signed zeros included.
+//! The in-situ stage the packed-key sweep and then the radix-ordered
+//! mask-stencil sweep replaced: `reference_rank_subtree` is the stage
+//! before both, a comparison sort whose comparator rebuilds both
+//! `(value, id)` keys on every comparison, a sweep that bounds-checks
+//! every neighbour axis by axis, and a reduction that runs a
+//! `ranks_overlapping` query and allocates a potential-source list for
+//! every vertex of the block. Its comparator spells out the sweep order
+//! (NaN below every number, in id order; `-0.0` equal to `0.0`) instead
+//! of using the packed key. The new stage must reproduce its `Subtree`
+//! **exactly** — bit-identical values and identical `encode_subtree`
+//! bytes — for both connectivities, both boundary policies and every
+//! rank of every decomposition: tie-heavy fields with thin blocks and
+//! signed zeros, and full-entropy fields of arbitrary bit patterns in
+//! which every byte of the sort key varies.
 //!
 //! The in-transit gluer the slot arena replaced: [`old_stream`] is the
 //! `HashMap`-per-vertex `StreamingMergeTree`, unchanged. The arena must
@@ -24,8 +28,8 @@ use sitra_topology::distributed::in_situ_subtrees;
 use sitra_topology::distributed::{rank_subtree, BoundaryPolicy};
 use sitra_topology::reduce::{Subtree, SubtreeVertex};
 use sitra_topology::stream::SourceId;
-use sitra_topology::types::sweep_before;
 use sitra_topology::{Connectivity, MergeTree, StreamingMergeTree, VertexId};
+use std::cmp::Ordering;
 
 const CONNS: [Connectivity; 2] = [Connectivity::Six, Connectivity::TwentySix];
 const POLICIES: [BoundaryPolicy; 2] = [BoundaryPolicy::AllShared, BoundaryPolicy::BoundaryMaxima];
@@ -70,6 +74,16 @@ fn find(parent: &mut [u32], x: u32) -> u32 {
     r
 }
 
+/// The sweep order on `(value, id)`, written out: higher values first,
+/// `-0.0` equal to `0.0`, NaN below every number, and ties by id.
+fn sweep_cmp(a: (f64, VertexId), b: (f64, VertexId)) -> Ordering {
+    match (a.0.is_nan(), b.0.is_nan()) {
+        (false, false) => b.0.partial_cmp(&a.0).expect("numbers compare"),
+        (a_nan, b_nan) => a_nan.cmp(&b_nan),
+    }
+    .then(a.1.cmp(&b.1))
+}
+
 /// The old augmented join tree: `(down, up_count)` per local index.
 fn reference_join_tree(
     field: &ScalarField,
@@ -85,12 +99,7 @@ fn reference_join_tree(
         )
     };
     let mut order: Vec<u32> = (0..n as u32).collect();
-    order.sort_unstable_by(|&a, &b| {
-        let (ka, kb) = (key(a), key(b));
-        kb.0.partial_cmp(&ka.0)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then(ka.1.cmp(&kb.1))
-    });
+    order.sort_unstable_by(|&a, &b| sweep_cmp(key(a), key(b)));
     let mut parent: Vec<u32> = (0..n as u32).collect();
     let mut lowest: Vec<u32> = (0..n as u32).collect();
     let mut down: Vec<Option<u32>> = vec![None; n];
@@ -132,7 +141,7 @@ fn reference_restricted_maximum(
     offsets(conn)
         .into_iter()
         .filter_map(|d| step(p, d, region))
-        .all(|q| !sweep_before((field.get(q), global.local_index(q) as u64), kp))
+        .all(|q| sweep_cmp((field.get(q), global.local_index(q) as u64), kp) == Ordering::Greater)
 }
 
 /// The old `rank_subtree`: join tree, then a per-vertex sharing query
@@ -487,17 +496,49 @@ mod old_stream {
     }
 }
 
-/// Every rank's subtree under every connectivity and policy must match
-/// the reference exactly.
+/// A subtree with every value as its bit pattern: NaNs compare by
+/// payload, and `-0.0` differs from `0.0`.
+fn bitwise(s: &Subtree) -> Vec<(VertexId, u64, u32, Vec<SourceId>, bool)> {
+    let vertex = |v: &SubtreeVertex| {
+        let SubtreeVertex {
+            id,
+            value,
+            degree,
+            ref potential,
+            pinned,
+        } = *v;
+        (id, value.to_bits(), degree, potential.clone(), pinned)
+    };
+    s.verts.iter().map(vertex).collect()
+}
+
+/// [`check_ranks`] under both connectivities.
 fn check_all_ranks(whole: &ScalarField, d: &Decomposition) -> Result<(), TestCaseError> {
+    check_ranks(whole, d, &CONNS)
+}
+
+/// Every rank's subtree under each of `conns` and every policy must
+/// match the reference exactly.
+fn check_ranks(
+    whole: &ScalarField,
+    d: &Decomposition,
+    conns: &[Connectivity],
+) -> Result<(), TestCaseError> {
     let ghosted = ghosted(whole, d);
-    for conn in CONNS {
+    for &conn in conns {
         for policy in POLICIES {
             for (r, g) in ghosted.iter().enumerate() {
                 let got = rank_subtree(d, r, g, conn, policy);
                 let want = reference_rank_subtree(d, r, g, conn, policy);
-                prop_assert_eq!(&got, &want, "rank {} {:?} {:?}", r, conn, policy);
-                prop_assert_eq!(encode_subtree(&got), encode_subtree(&want));
+                let ctx = format!("rank {r} {conn:?} {policy:?}");
+                prop_assert_eq!(bitwise(&got), bitwise(&want), "{}", ctx);
+                prop_assert_eq!(
+                    (got.source, &got.edges),
+                    (want.source, &want.edges),
+                    "{}",
+                    ctx
+                );
+                prop_assert_eq!(encode_subtree(&got), encode_subtree(&want), "{}", ctx);
             }
         }
     }
@@ -547,13 +588,64 @@ fn field_and_decomp(
         })
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
+/// Values every byte of whose sort key varies: arbitrary `f64` bit
+/// patterns, with NaNs of several payloads, both zeros, both infinities
+/// and subnormals mixed in. Otherwise as [`field_and_decomp`].
+fn entropy_field_and_decomp(
+    parts: [usize; 3],
+) -> impl Strategy<Value = (ScalarField, Decomposition)> {
+    const SPECIAL: [u64; 12] = [
+        0x7ff8_0000_0000_0000, // the quiet NaN
+        0x7ff0_0000_0000_0001, // a signalling NaN
+        0xfff8_0000_0000_0000, // a negative NaN
+        0x7fff_ffff_ffff_ffff, // the largest NaN payload
+        0x0000_0000_0000_0000, // 0.0
+        0x8000_0000_0000_0000, // -0.0
+        0x7ff0_0000_0000_0000, // inf
+        0xfff0_0000_0000_0000, // -inf
+        0x0000_0000_0000_0001, // the smallest subnormal
+        0x000f_ffff_ffff_ffff, // the largest subnormal
+        0x8000_0000_0000_0001, // a negative subnormal
+        0x0010_0000_0000_0000, // the smallest normal
+    ];
+    (
+        (2usize..8, 2usize..7, 2usize..6),
+        (1..parts[0], 1..parts[1], 1..parts[2]),
+        any::<u64>(),
+    )
+        .prop_map(|((nx, ny, nz), (px, py, pz), seed)| {
+            let g = BBox3::from_dims([nx, ny, nz]);
+            let mut rng = seed;
+            let f = ScalarField::from_fn(g, |_| {
+                let r = next(&mut rng);
+                let bits = match r % 4 {
+                    0 => SPECIAL[(r >> 8) as usize % SPECIAL.len()],
+                    _ => next(&mut rng),
+                };
+                f64::from_bits(bits)
+            });
+            let d = Decomposition::new(g, [px.min(nx), py.min(ny), pz.min(nz)]);
+            (f, d)
+        })
+}
 
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
+
+    /// Tie-heavy fields and full-entropy fields, about half each.
     #[test]
-    fn rank_subtree_matches_reference((f, d) in field_and_decomp([4, 3, 3], 2usize..12)) {
+    fn rank_subtree_matches_reference(
+        (f, d) in prop_oneof![
+            field_and_decomp([4, 3, 3], 2usize..12),
+            entropy_field_and_decomp([4, 3, 3]),
+        ],
+    ) {
         check_all_ranks(&f, &d)?;
     }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
 
     /// 1–27 ranks, so blocks thinner than the halo give potential sets
     /// larger than 8; few values (ties) or many.
@@ -679,6 +771,20 @@ fn smooth_field_matches_reference_at_2x2x1() {
     let d = Decomposition::new(g, [2, 2, 1]);
     check_all_ranks(&whole, &d).unwrap();
     check_glue(&whole, &d, 7).unwrap();
+}
+
+/// The 26-connected twin of the test above, on a block large enough
+/// that every one of the 27 stencil classes a 26-neighbourhood can clip
+/// to occurs on every rank.
+#[test]
+fn smooth_field_matches_reference_at_2x2x1_twenty_six() {
+    let g = BBox3::from_dims([22, 20, 14]);
+    let whole = ScalarField::from_fn(g, |p| {
+        let (x, y, z) = (p[0] as f64, p[1] as f64, p[2] as f64);
+        (0.6 * x + 0.2 * z).cos() * (0.45 * y).sin() + (0.8 * z - 0.3 * x).sin()
+    });
+    let d = Decomposition::new(g, [2, 2, 1]);
+    check_ranks(&whole, &d, &[Connectivity::TwentySix]).unwrap();
 }
 
 /// Zeros of both signs over a smooth field, on a decomposition with
