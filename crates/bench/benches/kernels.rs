@@ -3,7 +3,7 @@
 //! (coarse render, streaming glue, derive) on a fixed proxy block.
 
 use criterion::{criterion_group, criterion_main, Criterion};
-use sitra_mesh::{downsample, exchange_ghosts, BBox3, Decomposition, ScalarField};
+use sitra_mesh::{downsample, exchange_ghosts, BBox3, Decomposition, SampledBlock, ScalarField};
 use sitra_sim::{SimConfig, Simulation, Variable};
 use sitra_stats::MultiModel;
 use sitra_topology::distributed::{glue_subtrees, in_situ_subtrees, BoundaryPolicy};
@@ -41,6 +41,14 @@ fn subtrees(field: &ScalarField, parts: [usize; 3]) -> Vec<Subtree> {
         Connectivity::Six,
         BoundaryPolicy::BoundaryMaxima,
     )
+}
+
+/// `field` split over a `parts` rank grid, each block down-sampled by `stride`.
+fn blocks_of(field: &ScalarField, parts: [usize; 3], stride: usize) -> Vec<SampledBlock> {
+    let d = Decomposition::new(field.bbox(), parts);
+    (0..d.rank_count())
+        .map(|r| downsample(&field.extract(&d.block(r)), stride))
+        .collect()
 }
 
 fn bench_insitu(c: &mut Criterion) {
@@ -94,11 +102,8 @@ fn bench_insitu(c: &mut Criterion) {
 fn bench_intransit(c: &mut Criterion) {
     let (field, tf) = fixture();
     let g = field.bbox();
-    let d = Decomposition::new(g, [2, 2, 2]);
     let subs = subtrees(&field, [2, 2, 2]);
-    let coarse: Vec<_> = (0..8)
-        .map(|r| downsample(&field.extract(&d.block(r)), 4))
-        .collect();
+    let coarse = blocks_of(&field, [2, 2, 2], 4);
     let view = View::full_res(g, ViewAxis::Z, false);
 
     let mut group = c.benchmark_group("intransit");
@@ -121,12 +126,27 @@ fn bench_intransit(c: &mut Criterion) {
     // The `e2e` `viz-cluster3` shape: 40³, 2×2×1 ranks, stride 2.
     group.bench_function("hybrid_render_40cube_2x2x1_s2", |b| {
         let field = field.extract(&BBox3::from_dims([40; 3]));
-        let d = Decomposition::new(field.bbox(), [2, 2, 1]);
-        let blocks = (0..d.rank_count()).map(|r| downsample(&field.extract(&d.block(r)), 2));
-        let hr = HybridRenderer::new(blocks.collect());
+        let hr = HybridRenderer::new(blocks_of(&field, [2, 2, 1], 2));
         let view = View::full_res(field.bbox(), ViewAxis::Z, false);
         b.iter(|| black_box(hr.render(&view, &tf)))
     });
+    // The rank count grows, the block does not: 8³ blocks at stride 2 on
+    // an 8×8×8 grid and on the paper's 4,480 ranks (16×28×10), the
+    // proxy temperature tiled across the domain. Rays along z cross 8
+    // and 10 blocks.
+    for grid in [[8, 8, 8], [16, 28, 10]] {
+        let dims = grid.map(|g| 8 * g);
+        let tiled = ScalarField::from_fn(BBox3::from_dims(dims), |p| {
+            field.get([p[0] % DIMS[0], p[1] % DIMS[1], p[2] % DIMS[2]])
+        });
+        let blocks = blocks_of(&tiled, grid, 2);
+        let n = blocks.len();
+        let hr = HybridRenderer::new(blocks);
+        let view = View::full_res(tiled.bbox(), ViewAxis::Z, false);
+        group.bench_function(&format!("hybrid_render_{n}_blocks"), |b| {
+            b.iter(|| black_box(hr.render(&view, &tf)))
+        });
+    }
     let model = MultiModel::learn(
         &sitra_sim::ALL_VARIABLES
             .iter()

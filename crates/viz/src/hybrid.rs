@@ -6,9 +6,11 @@
 //! to the staging area. The in-transit renderer never reconstructs the
 //! coarse volume: a small **lookup table** of the received blocks' bounds
 //! (the paper's way around visibility sorting and reconstruction) tells
-//! where a sample's voxel lives — asked once per run of a ray inside a
-//! block (`march.rs`), not once per sample. Serial by design: the paper
-//! renders on one staging bucket, whose other cores serve other tasks.
+//! where a sample's voxel lives — asked once per run of a lattice column
+//! inside a block while a ray gathers its corner columns (`march.rs`),
+//! not once per sample, and answered with one binary search per axis.
+//! Serial by design: the paper renders on one staging bucket, whose
+//! other cores serve other tasks.
 //!
 //! The renderer accepts the *same* [`View`] as the full-resolution in-situ
 //! path — sample positions are mapped into coarse space internally — so
@@ -24,22 +26,63 @@ use sitra_mesh::{BBox3, SampledBlock, ScalarField};
 thread_local!(static FIND_CALLS: std::cell::Cell<usize> = const { std::cell::Cell::new(0) });
 
 /// The block-bounds lookup table of the in-transit renderer.
+///
+/// Indexed per axis: the sorted distinct `lo` of the blocks cut the
+/// coarse domain into a grid of cells, and each cell names the first
+/// block holding its low corner. Blocks that tile the domain as a grid
+/// (a [`sitra_mesh::Decomposition`]'s) give one cell per block, each
+/// inside its block, so a lookup is one binary search per axis.
 #[derive(Debug)]
 pub struct BlockTable {
     /// `(coarse bounds, block index)` per received block.
     entries: Vec<(BBox3, usize)>,
+    /// Per axis, the sorted distinct `lo` of the entries.
+    cuts: [Vec<usize>; 3],
+    /// Per cell, x fastest: the first entry holding the cell's low corner.
+    /// Empty when the blocks are too far from a grid to index.
+    cells: Vec<Option<usize>>,
 }
 
 impl BlockTable {
     /// Build the table from the received blocks' coarse bounds.
     pub fn new(blocks: &[SampledBlock]) -> Self {
-        let entries = blocks
+        let entries: Vec<(BBox3, usize)> = blocks
             .iter()
             .enumerate()
             .filter(|(_, b)| !b.coarse_bbox.is_empty())
             .map(|(i, b)| (b.coarse_bbox, i))
             .collect();
-        Self { entries }
+        let cuts = std::array::from_fn(|a| {
+            let mut cuts: Vec<usize> = entries.iter().map(|(bb, _)| bb.lo[a]).collect();
+            cuts.sort_unstable();
+            cuts.dedup();
+            cuts
+        });
+        let n = cuts.each_ref().map(Vec::len);
+        let mut cells = vec![];
+        // A grid has one cell per entry; staggered blocks could need n³.
+        if n[0] * n[1] * n[2] <= 64 * entries.len() {
+            cells = vec![None; n[0] * n[1] * n[2]];
+            // Last to first, so the first entry holding a corner keeps it.
+            for (e, (bb, _)) in entries.iter().enumerate().rev() {
+                let span = |a: usize| {
+                    let below = |x: usize| cuts[a].partition_point(|&c| c < x);
+                    below(bb.lo[a])..below(bb.hi[a])
+                };
+                for k in span(2) {
+                    for j in span(1) {
+                        for i in span(0) {
+                            cells[(k * n[1] + j) * n[0] + i] = Some(e);
+                        }
+                    }
+                }
+            }
+        }
+        Self {
+            entries,
+            cuts,
+            cells,
+        }
     }
 
     /// Number of table entries.
@@ -52,10 +95,38 @@ impl BlockTable {
         self.entries.is_empty()
     }
 
-    /// Index of the block owning coarse point `p`.
+    /// Index of the block owning coarse point `p`: the first block whose
+    /// bounds hold it.
     pub fn find(&self, p: [usize; 3]) -> Option<usize> {
         #[cfg(test)]
         FIND_CALLS.with(|c| c.set(c.get() + 1));
+        // Every entry holding `p` holds its cell's low corner, so the
+        // cell's owner answers unless blocks overlap or `p` is in no block.
+        match self.cell(p).and_then(|c| self.cells[c]) {
+            Some(e) if self.entries[e].0.contains(p) => Some(self.entries[e].1),
+            _ => self.scan(p),
+        }
+    }
+
+    /// The cell holding `p`, if the table is indexed and `p` is not below
+    /// every block on some axis.
+    fn cell(&self, p: [usize; 3]) -> Option<usize> {
+        if self.cells.is_empty() {
+            return None;
+        }
+        let mut cell = 0;
+        for a in (0..3).rev() {
+            let i = self.cuts[a]
+                .partition_point(|&c| c <= p[a])
+                .checked_sub(1)?;
+            cell = cell * self.cuts[a].len() + i;
+        }
+        Some(cell)
+    }
+
+    /// [`BlockTable::find`] without the index.
+    #[cold]
+    fn scan(&self, p: [usize; 3]) -> Option<usize> {
         let hit = self.entries.iter().find(|(bb, _)| bb.contains(p));
         hit.map(|&(_, idx)| idx)
     }
@@ -179,6 +250,48 @@ mod tests {
         assert_eq!(table.find([99, 0, 0]), None);
     }
 
+    /// The index answers what a scan of the entries answers, first entry
+    /// first: on a grid, staggered blocks, an overlap and a gap, a layout
+    /// too far from a grid to index, and points outside every block.
+    #[test]
+    fn indexed_find_is_the_scan() {
+        let block = |lo, hi| {
+            let bb = BBox3::new(lo, hi);
+            let data = vec![0.0; bb.count()];
+            SampledBlock {
+                src_bbox: bb,
+                stride: 1,
+                coarse_bbox: bb,
+                data,
+            }
+        };
+        let layouts = [
+            blocks_of(&smooth(BBox3::from_dims([12, 9, 7])), [3, 2, 2], 2),
+            vec![
+                block([0, 0, 0], [4, 2, 2]),
+                block([0, 2, 0], [2, 4, 2]),
+                block([2, 2, 0], [4, 4, 2]),
+            ],
+            vec![
+                block([0, 0, 0], [3, 3, 3]),
+                block([2, 2, 2], [5, 5, 5]),
+                block([6, 0, 0], [7, 1, 1]),
+            ],
+            (0..9).map(|i| block([i; 3], [i + 1; 3])).collect(),
+        ];
+        for blocks in layouts {
+            let table = BlockTable::new(&blocks);
+            let scan = |p| {
+                let holds =
+                    |b: &SampledBlock| !b.coarse_bbox.is_empty() && b.coarse_bbox.contains(p);
+                blocks.iter().position(holds)
+            };
+            for p in BBox3::from_dims([11; 3]).iter() {
+                assert_eq!(table.find(p), scan(p), "{p:?}");
+            }
+        }
+    }
+
     #[test]
     fn assembled_field_matches_global_downsample() {
         let whole = smooth(BBox3::from_dims([15, 13, 11]));
@@ -249,8 +362,10 @@ mod tests {
     }
 
     /// The `e2e` `viz-cluster3` shape: every ray stays inside one block
-    /// column, so each of its eight corner cursors is resolved once —
-    /// 8 lookups per ray, where the per-sample renderer made 8 × 40.
+    /// column, so each lattice column a row of rays reads (20 along u, 2
+    /// along v) is gathered in one run — 40 lookups per row of 40 rays,
+    /// where one cursor per corner made 8 per ray and the per-sample
+    /// renderer 8 × 40.
     #[test]
     fn table_lookups_are_per_block_run_not_per_sample() {
         let whole = smooth(BBox3::from_dims([40, 40, 40]));
@@ -260,12 +375,12 @@ mod tests {
         sync(&hr);
         let before = FIND_CALLS.get();
         hr.render(&view, &TransferFunction::hot(0.0, 1.0));
-        assert_eq!(FIND_CALLS.get() - before, 8 * 40 * 40);
+        assert_eq!(FIND_CALLS.get() - before, 20 * 2 * 40);
         // Along x every ray crosses both block columns.
         let view = View::full_res(whole.bbox(), ViewAxis::X, true);
         let before = FIND_CALLS.get();
         hr.render(&view, &TransferFunction::hot(0.0, 1.0));
-        assert_eq!(FIND_CALLS.get() - before, 8 * 2 * 40 * 40);
+        assert_eq!(FIND_CALLS.get() - before, 2 * 20 * 2 * 40);
     }
 
     #[test]

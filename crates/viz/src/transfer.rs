@@ -75,6 +75,7 @@ impl TransferFunction {
     }
 
     /// Straight RGBA for a scalar value (clamped to the range).
+    #[inline]
     pub fn sample(&self, v: f64) -> [f64; 4] {
         let t = ((v - self.lo) / (self.hi - self.lo)).clamp(0.0, 1.0);
         // Find the bracketing control points.

@@ -3,13 +3,16 @@
 //! old `render_block` / `HybridRenderer::render` loops (whole view
 //! geometry, ownership test, trilinear clamp and eight table lookups
 //! recomputed for every sample), and the marcher must reproduce their
-//! images **bit for bit** — `assert_eq!` on pixels, no tolerance — on
-//! every axis, flip, step, cutoff, stride, decomposition and view shape.
+//! images **bit for bit** — pixels compared as `to_bits`, no tolerance,
+//! so NaN pixels count too — on every axis, flip, step, cutoff, stride,
+//! decomposition and view shape, over fields that may hold NaN, ±inf,
+//! ±0, subnormals and values far outside the transfer range.
 
 use proptest::prelude::*;
 use sitra_mesh::{
     downsample, exchange_ghosts, sample_trilinear, BBox3, Decomposition, SampledBlock, ScalarField,
 };
+use sitra_sim::{SimConfig, Simulation, Variable};
 use sitra_viz::{render_block, HybridRenderer, Image, TransferFunction, View, ViewAxis};
 
 /// World position of sample `k` on pixel `(px, py)`.
@@ -152,15 +155,33 @@ fn reference_hybrid_render(blocks: &[SampledBlock], view: &View, tf: &TransferFu
     img
 }
 
+/// Values that are not ordinary samples of a field in `[0, 1]`.
+const SPECIALS: [f64; 12] = [
+    f64::NAN,
+    f64::INFINITY,
+    f64::NEG_INFINITY,
+    0.0,
+    -0.0,
+    5e-324,
+    -2.5e-310,
+    f64::MIN_POSITIVE,
+    1e300,
+    -1e300,
+    7.5,
+    -3.0,
+];
+
 /// A hash-noise field over `dims`, split `parts` ways (blocks may come
-/// out thinner than the stride).
+/// out thinner than the stride). About `specials` points in 64 are
+/// replaced by one of [`SPECIALS`]; most cases draw none.
 fn arb_field_decomp() -> impl Strategy<Value = (ScalarField, Decomposition)> {
     (
         prop::array::uniform3(3usize..11),
         prop::array::uniform3(1usize..4),
         0u64..1000,
+        (0u64..64).prop_map(|s| s.saturating_sub(48)),
     )
-        .prop_map(|(dims, parts, seed)| {
+        .prop_map(|(dims, parts, seed, specials)| {
             let g = BBox3::from_dims(dims);
             let f = ScalarField::from_fn(g, |p| {
                 let h = (p[0] as u64)
@@ -168,7 +189,11 @@ fn arb_field_decomp() -> impl Strategy<Value = (ScalarField, Decomposition)> {
                     .wrapping_add((p[1] as u64).wrapping_mul(0xC2B2AE3D27D4EB4F))
                     .wrapping_add((p[2] as u64).wrapping_mul(0x165667B19E3779F9))
                     .wrapping_mul(seed * 2 + 1);
-                ((h >> 40) % 1000) as f64 / 1000.0
+                if (h >> 16) % 64 < specials {
+                    SPECIALS[(h >> 24) as usize % SPECIALS.len()]
+                } else {
+                    ((h >> 40) % 1000) as f64 / 1000.0
+                }
             });
             let parts = [0, 1, 2].map(|a| parts[a].min(dims[a]));
             (f, Decomposition::new(g, parts))
@@ -220,6 +245,66 @@ fn tf() -> TransferFunction {
     TransferFunction::hot(0.0, 1.0)
 }
 
+/// An image's pixels as bits: `==` on floats fails on NaN. Every NaN
+/// maps to one value: Rust leaves the sign and payload of a NaN result
+/// to the compiler's choice of operand order, and the oracle and the
+/// marcher do choose differently.
+fn bits(img: &Image) -> Vec<[u64; 4]> {
+    let bits = |x: f64| if x.is_nan() { f64::NAN } else { x }.to_bits();
+    img.pixels().iter().map(|p| p.map(bits)).collect()
+}
+
+/// The in-transit marcher against the reference over `field` split
+/// `parts` ways at `stride`.
+fn check_hybrid(
+    field: &ScalarField,
+    parts: [usize; 3],
+    stride: usize,
+    view: &View,
+    tf: &TransferFunction,
+) {
+    let d = Decomposition::new(field.bbox(), parts);
+    let blocks: Vec<SampledBlock> = (0..d.rank_count())
+        .map(|r| downsample(&field.extract(&d.block(r)), stride))
+        .collect();
+    let want = reference_hybrid_render(&blocks, view, tf);
+    let got = HybridRenderer::new(blocks).render(view, tf);
+    assert!(
+        bits(&got) == bits(&want),
+        "{parts:?} stride {stride} {view:?}"
+    );
+}
+
+/// The `e2e` `viz-cluster3` shape: 40³ proxy temperature at step 5,
+/// 2×2×1 ranks, stride 2, rays along z.
+#[test]
+fn in_transit_marcher_is_the_reference_at_the_e2e_shape() {
+    let mut sim = Simulation::new(SimConfig::small([40; 3], 7));
+    for _ in 0..5 {
+        sim.advance();
+    }
+    let field = sim.block_field(Variable::Temperature, &sim.global());
+    let view = View::full_res(field.bbox(), ViewAxis::Z, false);
+    let tf = TransferFunction::hot(250.0, 2500.0);
+    check_hybrid(&field, [2, 2, 1], 2, &view, &tf);
+}
+
+/// Four blocks along the ray axis at strides 2 and 3: every gathered
+/// column crosses three seams, front to back and back to front.
+#[test]
+fn in_transit_marcher_is_the_reference_across_ray_axis_seams() {
+    let field = ScalarField::from_fn(BBox3::from_dims([9, 7, 26]), |p| {
+        ((p[0] * 7 + p[1] * 13 + p[2] * 29) % 31) as f64 / 31.0
+    });
+    for (stride, flip, step) in [(2, false, 1.0), (3, true, 0.5), (2, true, 0.7)] {
+        let view = View {
+            step,
+            ..View::full_res(field.bbox(), ViewAxis::Z, flip)
+        };
+        check_hybrid(&field, [2, 1, 4], stride, &view, &tf());
+    }
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(96))]
 
@@ -232,12 +317,12 @@ proptest! {
             let owned = d.block(r);
             let got = render_block(ghosted, &owned, &view, &tf());
             let want = reference_render_block(ghosted, &owned, &view, &tf());
-            prop_assert_eq!(got.pixels(), want.pixels(), "rank {} of {:?}", r, view);
+            prop_assert_eq!(bits(&got), bits(&want), "rank {} of {:?}", r, view);
         }
         // The whole field as one block (the serial path).
         let got = render_block(&f, &f.bbox(), &view, &tf());
         let want = reference_render_block(&f, &f.bbox(), &view, &tf());
-        prop_assert_eq!(got.pixels(), want.pixels(), "serial {:?}", view);
+        prop_assert_eq!(bits(&got), bits(&want), "serial {:?}", view);
     }
 
     #[test]
@@ -250,6 +335,6 @@ proptest! {
             .collect();
         let want = reference_hybrid_render(&blocks, &view, &tf());
         let got = HybridRenderer::new(blocks).render(&view, &tf());
-        prop_assert_eq!(got.pixels(), want.pixels(), "stride {} {:?}", stride, view);
+        prop_assert_eq!(bits(&got), bits(&want), "stride {} {:?}", stride, view);
     }
 }
