@@ -41,7 +41,9 @@
 
 use bytes::Bytes;
 use sitra_cluster::{HashRing, ShardKey, DEFAULT_SEED, DEFAULT_VNODES};
-use sitra_dataspaces::{AutoscaleConfig, Lease, ResidencyHint, Scheduler, DEFAULT_TENANT};
+use sitra_dataspaces::{
+    AutoscaleConfig, Lease, ResidencyHint, Scheduler, Submission, DEFAULT_TENANT,
+};
 use sitra_mesh::BBox3;
 use std::collections::HashMap;
 use std::io::Write;
@@ -142,11 +144,11 @@ fn run_locality(tasks: usize, located: bool) -> (u64, u64) {
         let hint = ResidencyHint {
             bytes_at: bytes_at.iter().map(|(l, b)| (l.clone(), *b)).collect(),
         };
-        let verdict = scheds[member].submit_admission_hinted_as(
-            DEFAULT_TENANT,
-            Bytes::from(vec![0u8; 16]),
-            Some(hint),
-        );
+        let verdict = scheds[member].submit(Submission {
+            tenant: DEFAULT_TENANT,
+            hint,
+            task: Bytes::from(vec![0u8; 16]),
+        });
         let seq = verdict.seq().expect("unbounded scheduler admits");
         hints[member].insert(seq, bytes_at);
         // Pace submissions so buckets park between tasks and placement

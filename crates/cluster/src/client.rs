@@ -570,23 +570,7 @@ impl ClusterClient {
         bucket_id: u32,
         timeout: Duration,
     ) -> Result<TaskPoll, RemoteError> {
-        self.request_task_located(member_idx, bucket_id, timeout, "")
-    }
-
-    /// [`ClusterClient::request_task`] declaring the bucket's home
-    /// endpoint, so the scheduler on the polled member can
-    /// prefer this bucket for tasks whose input is resident there. An
-    /// empty `location` leaves the bucket unlocated.
-    pub fn request_task_located(
-        &self,
-        member_idx: usize,
-        bucket_id: u32,
-        timeout: Duration,
-        location: &str,
-    ) -> Result<TaskPoll, RemoteError> {
-        self.on(member_idx, |c| {
-            c.request_task_located(bucket_id, timeout, location)
-        })
+        self.on(member_idx, |c| c.request_task(bucket_id, timeout))
     }
 
     /// Fault injection for tests:

@@ -683,7 +683,7 @@ fn rebalance(state: &Arc<NodeState>) {
 /// *this* layer) holds; it then drains to any bucket still connected to
 /// us.
 fn forward_backlog(state: &Arc<NodeState>, survivors: &[String]) {
-    let backlog = state.sched.drain_queued_labeled();
+    let backlog = state.sched.drain_queued();
     if backlog.is_empty() {
         return;
     }
@@ -726,7 +726,7 @@ fn forward_backlog(state: &Arc<NodeState>, survivors: &[String]) {
         if delivered {
             forwarded += 1;
         } else {
-            state.sched.requeue_front_as(&tenant, seq, task);
+            state.sched.requeue_front(&tenant, seq, task);
         }
     }
     if forwarded > 0 {

@@ -172,12 +172,15 @@ impl StagingBackend for LocalBackend {
             }
             parts.push((*r, self.rank_endpoints[*r].id(), key));
         }
-        self.scheduler.submit(TaskDesc {
-            analysis_idx: task.analysis_idx,
-            step: task.step,
-            issued: task.issued,
-            parts,
-        });
+        self.scheduler
+            .submit(TaskDesc {
+                analysis_idx: task.analysis_idx,
+                step: task.step,
+                issued: task.issued,
+                parts,
+            })
+            .seq()
+            .expect("the local scheduler admits every task");
         self.outstanding += 1;
         self.submitted += 1;
         0.0

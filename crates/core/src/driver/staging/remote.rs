@@ -478,7 +478,7 @@ mod tests {
     use crate::placement::{AnalysisSpec, Placement};
     use crate::remote::{output_bbox, output_var};
     use crate::wire::encode_analysis_output;
-    use sitra_dataspaces::{AdmissionPolicy, SpaceServer};
+    use sitra_dataspaces::{AdmissionPolicy, DataSpaces, Scheduler, SpaceServer};
     use sitra_mesh::{Decomposition, ScalarField};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
@@ -490,11 +490,13 @@ mod tests {
         deadline: Duration,
         capacity: Option<usize>,
     ) -> (SpaceServer, RemoteBackend, RetireCtx, Arc<AtomicUsize>) {
-        let server = SpaceServer::start_with(
+        let server = SpaceServer::start_custom(
             &format!("inproc://core-collector-{name}").parse().unwrap(),
-            1,
-            capacity,
-            AdmissionPolicy::ShedOldest,
+            Arc::new(DataSpaces::new(1)),
+            capacity.map_or_else(Scheduler::new, |cap| {
+                Scheduler::bounded(cap, AdmissionPolicy::ShedOldest)
+            }),
+            None,
         )
         .unwrap();
         let ctx = RetireCtx::new(vec![AnalysisSpec::new(

@@ -38,8 +38,8 @@ pub use remote::{
     TenantRow,
 };
 pub use sched::{
-    Admission, AdmissionPolicy, BucketHandle, Lease, SchedStats, Scheduler, TenantSchedStats,
-    TenantSnapshot,
+    Admission, AdmissionPolicy, BucketHandle, Lease, SchedStats, Scheduler, Submission,
+    TenantSchedStats, TenantSnapshot,
 };
 pub use space::{DataSpaces, ObjectMeta, QuotaExceeded, SpaceStats};
 pub use steer::{

@@ -203,10 +203,6 @@ impl<T> BucketPool<T> {
             .count()
     }
 
-    pub(crate) fn state(&self, id: BucketId) -> Option<BucketState> {
-        self.meta.get(&id).map(|m| m.state)
-    }
-
     /// The placement rule: take the parked bucket whose location holds
     /// the most of `hint`'s bytes off the free list, the head of the
     /// list when none holds any (ties keep the earlier-parked bucket).
@@ -718,18 +714,18 @@ mod tests {
         let mut pool: BucketPool<u32> = BucketPool::new();
         let (tx, rx) = crossbeam::channel::bounded(1);
         pool.park(7, tx);
-        assert_eq!(pool.state(7), Some(BucketState::Idle));
+        assert_eq!(pool.meta[&7].state, BucketState::Idle);
         // Draining a parked bucket removes it from the free list and
         // drops its sender, waking the parked lease request empty.
         assert!(pool.begin_drain(7));
         assert!(!pool.has_parked());
         assert!(rx.recv().is_err());
         assert!(pool.take_retirement(7));
-        assert_eq!(pool.state(7), Some(BucketState::Retired));
+        assert_eq!(pool.meta[&7].state, BucketState::Retired);
         // Busy bucket: drains on its next lease request.
         pool.note_busy(9);
         assert!(pool.begin_drain(9));
-        assert_eq!(pool.state(9), Some(BucketState::Draining));
+        assert_eq!(pool.meta[&9].state, BucketState::Draining);
         assert!(pool.take_retirement(9));
         // Retirement is idempotent; draining an already-retired bucket
         // is a no-op.

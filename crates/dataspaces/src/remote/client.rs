@@ -218,35 +218,25 @@ impl RemoteSpace {
         self.submit_task_hinted(data, Vec::new())
     }
 
-    /// Bucket-ready: request the next task, waiting up to `timeout` on
-    /// the server. An assigned task is acknowledged automatically
-    /// before this returns.
+    /// Bucket-ready: request the next task for an unlocated bucket,
+    /// waiting up to `timeout` on the server. An assigned task is
+    /// acknowledged before this returns.
     pub fn request_task(&self, bucket_id: u32, timeout: Duration) -> Result<TaskPoll, RemoteError> {
-        self.request_task_located(bucket_id, timeout, "")
-    }
-
-    /// [`Self::request_task`] with a location label: registers the
-    /// bucket as co-resident with `location` (empty = unlocated) so the
-    /// server's placement can steer matching tasks here. May
-    /// return [`TaskPoll::Retire`] when the capacity controller drains
-    /// this bucket.
-    pub fn request_task_located(
-        &self,
-        bucket_id: u32,
-        timeout: Duration,
-        location: &str,
-    ) -> Result<TaskPoll, RemoteError> {
-        let poll = self.request_task_held(bucket_id, timeout, location)?;
+        let poll = self.request_task_held(bucket_id, timeout, "")?;
         if let TaskPoll::Assigned { seq, .. } = &poll {
             self.ack_task(*seq)?;
         }
         Ok(poll)
     }
 
-    /// [`Self::request_task_located`] with the receipt left to the
-    /// caller: an assignment must be answered on this connection with
-    /// [`Self::ack_task`] or [`Self::decline_task`] before any other
-    /// request — the server requeues it otherwise.
+    /// Bucket-ready with a location label and the receipt left to the
+    /// caller. `location` registers the bucket as co-resident with that
+    /// endpoint (empty = unlocated) so the server's placement can steer
+    /// matching tasks here. An assignment must be answered on this
+    /// connection with [`Self::ack_task`] or [`Self::decline_task`]
+    /// before any other request — the server requeues it otherwise. May
+    /// return [`TaskPoll::Retire`] when the capacity controller drains
+    /// this bucket.
     pub fn request_task_held(
         &self,
         bucket_id: u32,

@@ -12,10 +12,11 @@
 //!
 //! **Task hand-off is acknowledged.** A bucket that is assigned a task
 //! must acknowledge receipt on the same connection; if the connection
-//! dies first, the server puts the task back at the head of the queue
-//! ([`Scheduler::requeue_front`](crate::Scheduler::requeue_front)) where the next free bucket picks it
-//! up. A crashing or reconnecting consumer therefore never loses a
-//! task — the invariant the remote-staging integration test asserts.
+//! dies first, the server puts the task back at the head of its
+//! tenant's queue ([`Scheduler::requeue_front`](crate::Scheduler::requeue_front))
+//! where the next free bucket picks it up. A crashing or reconnecting
+//! consumer therefore never loses a task — the invariant the
+//! remote-staging integration test asserts.
 
 mod client;
 mod proto;

@@ -4,7 +4,7 @@ use super::proto::{
     decode_request, encode_response, PoolStats, RemoteStats, Request, Response, TaskPoll, TenantRow,
 };
 use crate::pool::ResidencyHint;
-use crate::sched::{AdmissionPolicy, Lease, SchedStats, Scheduler};
+use crate::sched::{Lease, SchedStats, Scheduler, Submission};
 use crate::space::DataSpaces;
 use crate::tenant::{scoped_var, DEFAULT_TENANT};
 use bytes::Bytes;
@@ -44,23 +44,8 @@ impl SpaceServer {
     /// Bind `addr` and start serving with `shards` space shards and an
     /// unbounded task queue.
     pub fn start(addr: &Addr, shards: usize) -> Result<SpaceServer, NetError> {
-        Self::start_with(addr, shards, None, AdmissionPolicy::RejectNew)
-    }
-
-    /// Bind `addr` and start serving with `shards` space shards and a
-    /// task queue bounded at `capacity` (when `Some`), applying `policy`
-    /// to submissions that find it full.
-    pub fn start_with(
-        addr: &Addr,
-        shards: usize,
-        capacity: Option<usize>,
-        policy: AdmissionPolicy,
-    ) -> Result<SpaceServer, NetError> {
-        let sched = match capacity {
-            Some(cap) => Scheduler::bounded(cap, policy),
-            None => Scheduler::new(),
-        };
-        Self::start_custom(addr, Arc::new(DataSpaces::new(shards)), sched, None)
+        let space = Arc::new(DataSpaces::new(shards));
+        Self::start_custom(addr, space, Scheduler::new(), None)
     }
 
     /// Bind `addr` and serve an externally constructed space and
@@ -219,9 +204,11 @@ fn serve_connection(inner: &ServerInner, conn: &Connection) {
                 Response::Version(inner.space.latest_version(&scope(&tenant, &var)))
             }
             Request::SubmitTask { data, hint } => {
-                let t = tenant.as_deref().unwrap_or(DEFAULT_TENANT);
-                let hint = (!hint.is_empty()).then_some(ResidencyHint { bytes_at: hint });
-                Response::Admission(inner.sched.submit_admission_hinted_as(t, data, hint))
+                Response::Admission(inner.sched.submit(Submission {
+                    tenant: tenant.as_deref().unwrap_or(DEFAULT_TENANT),
+                    hint: ResidencyHint { bytes_at: hint },
+                    task: data,
+                }))
             }
             Request::RequestTask {
                 bucket_id,
@@ -410,12 +397,12 @@ fn handle_request_task(
         .send(encode_response(&Response::Task(TaskPoll::Assigned {
             seq,
             data: data.clone(),
-            tenant,
+            tenant: tenant.clone(),
         })))
         .is_ok();
     if !sent {
         emit_requeue(bucket_id, seq, "send-failed");
-        inner.sched.requeue_front(seq, data);
+        inner.sched.requeue_front(&tenant, seq, data);
         return false;
     }
     let t_sent = std::time::Instant::now();
@@ -439,18 +426,18 @@ fn handle_request_task(
             }
             Ok(Request::DeclineTask { seq: declined }) if declined == seq => {
                 emit_requeue(bucket_id, seq, "declined");
-                inner.sched.requeue_front(seq, data);
+                inner.sched.requeue_front(&tenant, seq, data);
                 true
             }
             _ => {
                 emit_requeue(bucket_id, seq, "bad-ack");
-                inner.sched.requeue_front(seq, data);
+                inner.sched.requeue_front(&tenant, seq, data);
                 false
             }
         },
         Err(_) => {
             emit_requeue(bucket_id, seq, "ack-timeout");
-            inner.sched.requeue_front(seq, data);
+            inner.sched.requeue_front(&tenant, seq, data);
             false
         }
     }

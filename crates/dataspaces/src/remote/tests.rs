@@ -427,7 +427,9 @@ fn get_wait_over_the_wire_is_woken_by_a_put_and_scoped_to_the_tenant() {
 #[test]
 fn admission_verbs_over_inproc() {
     let addr: Addr = "inproc://space-admission".parse().unwrap();
-    let server = SpaceServer::start_with(&addr, 1, Some(2), AdmissionPolicy::ShedOldest).unwrap();
+    let sched = Scheduler::bounded(2, AdmissionPolicy::ShedOldest);
+    let server =
+        SpaceServer::start_custom(&addr, Arc::new(DataSpaces::new(1)), sched, None).unwrap();
     let producer = RemoteSpace::connect(&server.addr()).unwrap();
     assert_eq!(
         producer
@@ -485,7 +487,9 @@ fn admission_verbs_over_inproc() {
 #[test]
 fn reject_new_over_rpc_reports_rejection() {
     let addr: Addr = "inproc://space-reject".parse().unwrap();
-    let server = SpaceServer::start_with(&addr, 1, Some(1), AdmissionPolicy::RejectNew).unwrap();
+    let sched = Scheduler::bounded(1, AdmissionPolicy::RejectNew);
+    let server =
+        SpaceServer::start_custom(&addr, Arc::new(DataSpaces::new(1)), sched, None).unwrap();
     let producer = RemoteSpace::connect(&server.addr()).unwrap();
     assert_eq!(
         producer
@@ -631,7 +635,7 @@ fn pool_verbs_over_inproc() {
     let bucket = RemoteSpace::connect(&server.addr()).unwrap();
     assert_eq!(
         bucket
-            .request_task_located(0, Duration::from_millis(40), "tcp://m0:1")
+            .request_task_held(0, Duration::from_millis(40), "tcp://m0:1")
             .unwrap(),
         TaskPoll::Empty
     );
@@ -646,10 +650,12 @@ fn pool_verbs_over_inproc() {
             .unwrap(),
         Admission::Accepted { seq: 0 }
     );
+    let poll = bucket
+        .request_task_held(0, Duration::from_secs(2), "tcp://m0:1")
+        .unwrap();
+    bucket.ack_task(0).unwrap();
     assert_eq!(
-        bucket
-            .request_task_located(0, Duration::from_secs(2), "tcp://m0:1")
-            .unwrap(),
+        poll,
         TaskPoll::Assigned {
             seq: 0,
             data: Bytes::from_static(b"near"),
@@ -664,10 +670,10 @@ fn pool_verbs_over_inproc() {
 
     // Draining the bucket turns its next poll into Retire; other
     // verbs keep working on the same connection afterwards.
-    server.scheduler().begin_drain(0);
+    assert_eq!(server.scheduler().drain_one_bucket(), Some(0));
     assert_eq!(
         bucket
-            .request_task_located(0, Duration::from_secs(2), "tcp://m0:1")
+            .request_task_held(0, Duration::from_secs(2), "tcp://m0:1")
             .unwrap(),
         TaskPoll::Retire
     );

@@ -34,7 +34,7 @@
 //! decide what happens when it does not. [`Scheduler::bounded`] attaches
 //! a capacity and an [`AdmissionPolicy`] — block the producer (with a
 //! deadline), shed the oldest queued task, or reject the new one — and
-//! [`Scheduler::submit_admission`] reports the verdict so producers can
+//! [`Scheduler::submit`] reports the verdict so producers can
 //! degrade gracefully instead of growing an unbounded backlog. Tenants
 //! additionally carry their own task quota and may override the policy
 //! ([`TenantSpec`]), making the verdict per-tenant: a tenant over its
@@ -73,7 +73,7 @@ pub enum AdmissionPolicy {
     RejectNew,
 }
 
-/// The verdict of [`Scheduler::submit_admission`].
+/// The verdict of [`Scheduler::submit`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Admission {
     /// Enqueued (or handed straight to a parked bucket).
@@ -104,6 +104,29 @@ impl Admission {
         match self {
             Admission::Accepted { seq } | Admission::AcceptedShed { seq, .. } => Some(*seq),
             _ => None,
+        }
+    }
+}
+
+/// One data-ready event for [`Scheduler::submit`]: the task, the tenant
+/// it is queued under, and where its input bytes live. A bare task
+/// converts into a submission by the default tenant with no hint.
+#[derive(Debug, Clone)]
+pub struct Submission<'a, T> {
+    /// The submitting tenant.
+    pub tenant: &'a str,
+    /// Where the task's input bytes live (empty = no placement hint).
+    pub hint: ResidencyHint,
+    /// The task payload.
+    pub task: T,
+}
+
+impl<T> From<T> for Submission<'_, T> {
+    fn from(task: T) -> Self {
+        Submission {
+            tenant: DEFAULT_TENANT,
+            hint: ResidencyHint::default(),
+            task,
         }
     }
 }
@@ -568,17 +591,6 @@ impl<T: Send + 'static> Scheduler<T> {
         );
     }
 
-    /// Data-ready: enqueue a task for the default tenant. Returns its
-    /// sequence number. If a bucket is parked, the task is handed over
-    /// immediately.
-    pub fn submit(&self, task: T) -> u64 {
-        match self.submit_admission(task) {
-            Admission::Accepted { seq } | Admission::AcceptedShed { seq, .. } => seq,
-            Admission::Closed => panic!("scheduler closed"),
-            verdict => panic!("task not admitted: {verdict:?}"),
-        }
-    }
-
     /// Hand queued tasks to parked buckets while both exist — the only
     /// place a task meets a bucket. Every data-ready and bucket-ready
     /// event ends here, so a queued task and a parked bucket never
@@ -609,42 +621,21 @@ impl<T: Send + 'static> Scheduler<T> {
         }
     }
 
-    /// Data-ready without the panic: like [`Self::submit`] but returns
-    /// `None` when the task is not admitted (scheduler closed, or a
-    /// bounded queue refused it), for callers where a late submission is
-    /// an error to report, not a bug to crash on.
-    pub fn try_submit(&self, task: T) -> Option<u64> {
-        self.submit_admission(task).seq()
-    }
-
-    /// Data-ready with an explicit admission verdict, as the default
-    /// tenant. See [`Self::submit_admission_as`].
-    pub fn submit_admission(&self, task: T) -> Admission {
-        self.submit_admission_as(DEFAULT_TENANT, task)
-    }
-
-    /// Data-ready with an explicit admission verdict: enqueue the task
-    /// under `tenant`, applying the tenant's [`AdmissionPolicy`] (or the
-    /// scheduler's) when the global queue is at capacity or the tenant
-    /// is at its task quota. This is the verb the remote protocol
-    /// surfaces so producers learn *why* a submission was refused (and
-    /// which task was shed) instead of a bare failure.
-    pub fn submit_admission_as(&self, tenant: &str, task: T) -> Admission {
-        self.submit_admission_hinted_as(tenant, task, None)
-    }
-
-    /// [`Self::submit_admission_as`] with a [`ResidencyHint`] describing
-    /// where the task's input bytes live, so placement can steer the
+    /// Data-ready: enqueue `s.task` under `s.tenant`, applying the
+    /// tenant's [`AdmissionPolicy`] (or the scheduler's) when the global
+    /// queue is at capacity or the tenant is at its task quota, and
+    /// report the verdict — producers learn *why* a submission was
+    /// refused (and which task was shed) instead of a bare failure. A
+    /// bare task submits as the default tenant with no hint. If a
+    /// bucket is parked, the task is handed over immediately.
+    ///
+    /// A non-empty [`ResidencyHint`] lets placement steer the
     /// assignment toward a co-located bucket. The hint is advisory:
     /// when no parked bucket's location holds any of its bytes the
-    /// admission verdict, sequence number, and assignment order are
-    /// identical to the unhinted verb.
-    pub fn submit_admission_hinted_as(
-        &self,
-        tenant: &str,
-        task: T,
-        hint: Option<ResidencyHint>,
-    ) -> Admission {
+    /// verdict, sequence number, and assignment order are those of an
+    /// unhinted submission.
+    pub fn submit<'a>(&self, s: impl Into<Submission<'a, T>>) -> Admission {
+        let Submission { tenant, hint, task } = s.into();
         let mut g = self.shared.mu.lock();
         if g.closed {
             return Admission::Closed;
@@ -705,10 +696,8 @@ impl<T: Send + 'static> Scheduler<T> {
         if let Some(shed) = shed_seq {
             g.hints.remove(&shed);
         }
-        if let Some(h) = hint {
-            if !h.is_empty() {
-                g.hints.insert(seq, h);
-            }
+        if !hint.is_empty() {
+            g.hints.insert(seq, hint);
         }
         Self::emit_admit(
             &g,
@@ -761,31 +750,20 @@ impl<T: Send + 'static> Scheduler<T> {
         self.shared.mu.lock().closed
     }
 
-    /// Put an assigned task back at the *head* of its tenant's queue,
-    /// keeping its original sequence number: the hand-off to a bucket
-    /// failed (its connection died before acknowledging receipt) and the
-    /// task must go to the next free bucket instead of being lost. The
-    /// tenant rotation is advanced so the requeued task is the next
+    /// Put a task back at the *head* of `tenant`'s queue, keeping its
+    /// original sequence number: the hand-off to a bucket failed (its
+    /// connection died before acknowledging receipt) and the task must
+    /// go to the next free bucket instead of being lost. `tenant` is
+    /// the owner the caller looked up with [`Self::tenant_of`], or the
+    /// one [`Self::drain_queued`] labelled the task with. The tenant
+    /// rotation is advanced so the requeued task is the next
     /// assignment. Works even after [`Self::close`] so in-flight tasks
     /// drain, and bypasses the admission policy — an in-flight task was
     /// already admitted once and must never be the one to lose out.
-    pub fn requeue_front(&self, seq: u64, task: T) {
-        let mut g = self.shared.mu.lock();
-        let idx = g.inflight.remove(&seq).unwrap_or(0);
-        Self::requeue_front_at(&self.shared, &mut g, idx, seq, task);
-    }
-
-    /// [`requeue_front`](Self::requeue_front) with an explicit tenant,
-    /// for callers that drained the queue (so the scheduler no longer
-    /// knows the owner) and are putting a task back where it came from.
-    pub fn requeue_front_as(&self, tenant: &str, seq: u64, task: T) {
+    pub fn requeue_front(&self, tenant: &str, seq: u64, task: T) {
         let mut g = self.shared.mu.lock();
         g.inflight.remove(&seq);
         let idx = g.tenant_idx(tenant);
-        Self::requeue_front_at(&self.shared, &mut g, idx, seq, task);
-    }
-
-    fn requeue_front_at(shared: &Shared<T>, g: &mut Inner<T>, idx: usize, seq: u64, task: T) {
         g.stats.tasks_requeued += 1;
         g.obs.requeued.inc();
         g.tenants[idx].stats.tasks_requeued += 1;
@@ -803,7 +781,7 @@ impl<T: Send + 'static> Scheduler<T> {
         g.total_queued += 1;
         g.activate_front(idx);
         g.note_depth(idx);
-        Self::drain(shared, g);
+        Self::drain(&self.shared, &mut g);
     }
 
     /// Acknowledge that an assigned task reached its consumer: the
@@ -823,16 +801,6 @@ impl<T: Send + 'static> Scheduler<T> {
             .map(|&idx| g.tenants[idx].name.to_string())
     }
 
-    /// Remove and return every queued (not yet assigned) task in global
-    /// FCFS (sequence) order. See [`Self::drain_queued_labeled`] for the
-    /// tenant-preserving variant.
-    pub fn drain_queued(&self) -> Vec<(u64, T)> {
-        self.drain_queued_labeled()
-            .into_iter()
-            .map(|(_, seq, t)| (seq, t))
-            .collect()
-    }
-
     /// Remove and return every queued (not yet assigned) task as
     /// `(tenant, seq, task)` in sequence order. This is the
     /// graceful-leave primitive: a cluster member shutting down drains
@@ -841,7 +809,7 @@ impl<T: Send + 'static> Scheduler<T> {
     /// scheduler. In-flight (assigned but unacknowledged) tasks are not
     /// touched — their two-phase hand-off already guarantees requeue or
     /// completion.
-    pub fn drain_queued_labeled(&self) -> Vec<(String, u64, T)> {
+    pub fn drain_queued(&self) -> Vec<(String, u64, T)> {
         let mut g = self.shared.mu.lock();
         let mut drained: Vec<(String, u64, T)> = Vec::with_capacity(g.total_queued);
         for tq in g.tenants.iter_mut() {
@@ -885,19 +853,6 @@ impl<T: Send + 'static> Scheduler<T> {
         }
     }
 
-    /// Mark bucket `id` for drain-then-retire: if parked it wakes at
-    /// once with [`Lease::Retire`]; if busy it finishes its current task
-    /// and retires on its next lease request. Returns false when the
-    /// bucket is unknown or already draining/retired. No task is ever
-    /// assigned to a draining bucket.
-    pub fn begin_drain(&self, id: BucketId) -> bool {
-        let ok = self.shared.mu.lock().pool.begin_drain(id);
-        if ok {
-            sitra_obs::emit("sched", "bucket.drain", &[("bucket", id.to_string())]);
-        }
-        ok
-    }
-
     /// Pick one bucket to drain-then-retire — the most recently parked
     /// idle bucket when one exists (the longest-idle keep serving FCFS),
     /// else a busy one. Returns the chosen id.
@@ -920,11 +875,6 @@ impl<T: Send + 'static> Scheduler<T> {
             queue_depth: g.total_queued,
             p99_wait: g.p99_wait(),
         }
-    }
-
-    /// Lifecycle state of bucket `id`, `None` if it never registered.
-    pub fn bucket_state(&self, id: BucketId) -> Option<crate::pool::BucketState> {
-        self.shared.mu.lock().pool.state(id)
     }
 
     /// The desired bucket count, if a capacity controller
@@ -1093,21 +1043,20 @@ impl<T: Send + 'static> BucketHandle<T> {
             _ => None,
         }
     }
-
-    /// Like [`Self::request_task`] but gives up after `timeout`. A timed
-    /// out request withdraws the bucket from the free list. Use
-    /// [`Self::poll_task`] to distinguish a timeout from close/retire.
-    pub fn request_task_timeout(&self, timeout: Duration) -> Option<(u64, T)> {
-        match self.poll_task(Some(timeout)) {
-            Lease::Assigned { seq, task } => Some((seq, task)),
-            _ => None,
-        }
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// An unhinted submission by `tenant`.
+    fn by<T>(tenant: &str, task: T) -> Submission<'_, T> {
+        Submission {
+            tenant,
+            hint: ResidencyHint::default(),
+            task,
+        }
+    }
 
     #[test]
     fn immediate_assignment_when_task_waiting() {
@@ -1212,7 +1161,7 @@ mod tests {
     fn timeout_withdraws_bucket() {
         let s: Scheduler<u32> = Scheduler::new();
         let b = s.register_bucket(1);
-        assert_eq!(b.request_task_timeout(Duration::from_millis(30)), None);
+        assert_eq!(b.poll_task(Some(Duration::from_millis(30))), Lease::Empty);
         // The bucket is no longer parked: a submitted task stays queued.
         s.submit(5);
         assert_eq!(s.queue_depth(), 1);
@@ -1235,20 +1184,12 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
-    fn submit_after_close_panics() {
+    fn submit_after_close_is_refused() {
         let s: Scheduler<u32> = Scheduler::new();
-        s.close();
-        s.submit(1);
-    }
-
-    #[test]
-    fn try_submit_after_close_returns_none() {
-        let s: Scheduler<u32> = Scheduler::new();
-        assert_eq!(s.try_submit(1), Some(0));
+        assert_eq!(s.submit(1), Admission::Accepted { seq: 0 });
         s.close();
         assert!(s.is_closed());
-        assert_eq!(s.try_submit(2), None);
+        assert_eq!(s.submit(2), Admission::Closed);
         // The pre-close task still drains.
         let b = s.register_bucket(0);
         assert_eq!(b.request_task(), Some((0, 1)));
@@ -1271,13 +1212,15 @@ mod tests {
             std::thread::spawn(move || {
                 let mut got = Vec::new();
                 loop {
-                    match b.request_task_timeout(Duration::from_micros(50)) {
-                        Some((_, t)) => got.push(t),
-                        None => {
+                    match b.poll_task(Some(Duration::from_micros(50))) {
+                        Lease::Assigned { task, .. } => got.push(task),
+                        _ => {
                             if s.is_closed() {
                                 // Rescue anything assigned during close.
-                                while let Some((_, t)) = b.request_task_timeout(Duration::ZERO) {
-                                    got.push(t);
+                                while let Lease::Assigned { task, .. } =
+                                    b.poll_task(Some(Duration::ZERO))
+                                {
+                                    got.push(task);
                                 }
                                 return got;
                             }
@@ -1342,7 +1285,7 @@ mod tests {
         let (seq_a, task_a) = b.request_task().unwrap();
         assert_eq!((seq_a, task_a), (0, "a"));
         // Hand-off failed: "a" goes back to the head, ahead of "b".
-        s.requeue_front(seq_a, task_a);
+        s.requeue_front(DEFAULT_TENANT, seq_a, task_a);
         assert_eq!(b.request_task(), Some((0, "a")));
         assert_eq!(b.request_task(), Some((1, "b")));
         let st = s.stats();
@@ -1360,7 +1303,7 @@ mod tests {
         s.close();
         // The in-flight task's hand-off fails after close; it must still
         // reach the next bucket request rather than vanish.
-        s.requeue_front(seq, task);
+        s.requeue_front(DEFAULT_TENANT, seq, task);
         assert_eq!(b.request_task(), Some((0, 7)));
         assert_eq!(b.request_task(), None);
     }
@@ -1376,7 +1319,7 @@ mod tests {
         let h = std::thread::spawn(move || b1.request_task());
         std::thread::sleep(Duration::from_millis(50));
         // ...and the failed hand-off's requeue reaches it directly.
-        s.requeue_front(seq, task);
+        s.requeue_front(DEFAULT_TENANT, seq, task);
         assert_eq!(h.join().unwrap(), Some((0, 1)));
     }
 
@@ -1386,7 +1329,15 @@ mod tests {
         s.submit("a");
         s.submit("b");
         s.submit("c");
-        assert_eq!(s.drain_queued(), vec![(0, "a"), (1, "b"), (2, "c")]);
+        let default = DEFAULT_TENANT.to_string();
+        assert_eq!(
+            s.drain_queued(),
+            vec![
+                (default.clone(), 0, "a"),
+                (default.clone(), 1, "b"),
+                (default, 2, "c")
+            ]
+        );
         assert_eq!(s.queue_depth(), 0);
         assert!(s.drain_queued().is_empty());
         // The scheduler stays usable: new submissions flow normally.
@@ -1398,10 +1349,10 @@ mod tests {
     #[test]
     fn reject_new_refuses_at_capacity() {
         let s: Scheduler<u32> = Scheduler::bounded(2, AdmissionPolicy::RejectNew);
-        assert_eq!(s.submit_admission(0), Admission::Accepted { seq: 0 });
-        assert_eq!(s.submit_admission(1), Admission::Accepted { seq: 1 });
-        assert_eq!(s.submit_admission(2), Admission::Rejected);
-        assert_eq!(s.try_submit(3), None);
+        assert_eq!(s.submit(0), Admission::Accepted { seq: 0 });
+        assert_eq!(s.submit(1), Admission::Accepted { seq: 1 });
+        assert_eq!(s.submit(2), Admission::Rejected);
+        assert_eq!(s.submit(3).seq(), None);
         assert_eq!(s.queue_depth(), 2);
         let st = s.stats();
         assert_eq!(st.tasks_submitted, 2);
@@ -1409,7 +1360,7 @@ mod tests {
         // Draining one frees a slot.
         let b = s.register_bucket(0);
         assert_eq!(b.request_task(), Some((0, 0)));
-        assert_eq!(s.submit_admission(4), Admission::Accepted { seq: 2 });
+        assert_eq!(s.submit(4), Admission::Accepted { seq: 2 });
     }
 
     #[test]
@@ -1418,7 +1369,7 @@ mod tests {
         s.submit(10);
         s.submit(11);
         assert_eq!(
-            s.submit_admission(12),
+            s.submit(12),
             Admission::AcceptedShed {
                 seq: 2,
                 shed_seq: 0
@@ -1443,7 +1394,7 @@ mod tests {
         s.submit(1);
         // Nothing frees space: the submitter waits out the deadline.
         let t0 = Instant::now();
-        assert_eq!(s.submit_admission(2), Admission::TimedOut);
+        assert_eq!(s.submit(2), Admission::TimedOut);
         assert!(t0.elapsed() >= Duration::from_millis(80));
         assert_eq!(s.stats().tasks_rejected, 1);
 
@@ -1460,7 +1411,7 @@ mod tests {
             std::thread::sleep(Duration::from_millis(50));
             b.request_task()
         });
-        assert_eq!(s2.submit_admission(2), Admission::Accepted { seq: 1 });
+        assert_eq!(s2.submit(2), Admission::Accepted { seq: 1 });
         assert_eq!(popper.join().unwrap(), Some((0, 1)));
     }
 
@@ -1476,7 +1427,7 @@ mod tests {
         );
         s.submit(1);
         let t0 = Instant::now();
-        assert_eq!(s.submit_admission(2), Admission::TimedOut);
+        assert_eq!(s.submit(2), Admission::TimedOut);
         assert!(
             t0.elapsed() < Duration::from_millis(20),
             "zero max_wait took {:?} to report TimedOut",
@@ -1487,7 +1438,7 @@ mod tests {
         assert_eq!(s.queue_depth(), 1);
         let b = s.register_bucket(0);
         assert_eq!(b.request_task(), Some((0, 1)));
-        assert_eq!(s.submit_admission(3), Admission::Accepted { seq: 1 });
+        assert_eq!(s.submit(3), Admission::Accepted { seq: 1 });
     }
 
     #[test]
@@ -1500,7 +1451,7 @@ mod tests {
         );
         s.submit(1);
         let s2 = s.clone();
-        let h = std::thread::spawn(move || s2.submit_admission(2));
+        let h = std::thread::spawn(move || s2.submit(2));
         std::thread::sleep(Duration::from_millis(50));
         let t0 = Instant::now();
         s.close();
@@ -1519,10 +1470,10 @@ mod tests {
                 let b = s.register_bucket(0);
                 let s = s.clone();
                 std::thread::spawn(move || loop {
-                    match b.request_task_timeout(Duration::from_micros(200)) {
-                        Some(_) => {}
-                        None if s.is_closed() => return,
-                        None => {}
+                    match b.poll_task(Some(Duration::from_micros(200))) {
+                        Lease::Assigned { .. } => {}
+                        _ if s.is_closed() => return,
+                        _ => {}
                     }
                 })
             };
@@ -1532,7 +1483,7 @@ mod tests {
                     std::thread::spawn(move || {
                         let mut max_seen = 0;
                         for i in 0..200 {
-                            s.submit_admission(p * 1000 + i);
+                            s.submit(p * 1000 + i);
                             max_seen = max_seen.max(s.queue_depth());
                         }
                         max_seen
@@ -1582,8 +1533,10 @@ mod tests {
                             None => {
                                 // Closed: rescue whatever close() handed
                                 // to the queue but not to us.
-                                while let Some((_, t)) = b.request_task_timeout(Duration::ZERO) {
-                                    got.push(t);
+                                while let Lease::Assigned { task, .. } =
+                                    b.poll_task(Some(Duration::ZERO))
+                                {
+                                    got.push(task);
                                 }
                                 if s.queue_depth() == 0 {
                                     return got;
@@ -1598,7 +1551,7 @@ mod tests {
                 std::thread::spawn(move || {
                     let mut accepted = Vec::new();
                     for i in 0..50u64 {
-                        match s.submit_admission(i) {
+                        match s.submit(i) {
                             Admission::Accepted { .. } => accepted.push(i),
                             _ => break, // closed under us
                         }
@@ -1633,7 +1586,7 @@ mod tests {
         // would monopolize the first 70 assignments.
         for t in ["a", "b", "c"] {
             for i in 0..70u64 {
-                assert!(s.submit_admission_as(t, (t, i)).seq().is_some());
+                assert!(s.submit(by(t, (t, i))).seq().is_some());
             }
         }
         let b = s.register_bucket(0);
@@ -1660,7 +1613,7 @@ mod tests {
         let s: Scheduler<u64> = Scheduler::new();
         s.register_tenant(&TenantSpec::new("only").with_weight(3));
         for i in 0..20 {
-            s.submit_admission_as("only", i);
+            s.submit(by("only", i));
         }
         let b = s.register_bucket(0);
         for i in 0..20 {
@@ -1672,12 +1625,12 @@ mod tests {
     fn task_quota_enforced_per_tenant() {
         let s: Scheduler<u64> = Scheduler::new();
         s.register_tenant(&TenantSpec::new("small").with_task_quota(2));
-        assert!(s.submit_admission_as("small", 0).seq().is_some());
-        assert!(s.submit_admission_as("small", 1).seq().is_some());
+        assert!(s.submit(by("small", 0)).seq().is_some());
+        assert!(s.submit(by("small", 1)).seq().is_some());
         // Over quota: global policy (RejectNew) refuses.
-        assert_eq!(s.submit_admission_as("small", 2), Admission::Rejected);
+        assert_eq!(s.submit(by("small", 2)), Admission::Rejected);
         // An unrelated tenant is unaffected.
-        assert!(s.submit_admission_as("big", 3).seq().is_some());
+        assert!(s.submit(by("big", 3)).seq().is_some());
         let snap = s.tenant_stats();
         let small = snap.iter().find(|t| t.name == "small").unwrap();
         assert_eq!(small.stats.tasks_submitted, 2);
@@ -1693,15 +1646,12 @@ mod tests {
                 .with_task_quota(2)
                 .with_policy(AdmissionPolicy::ShedOldest),
         );
-        s.submit_admission_as("victim?", ("victim?", 0));
-        let s0 = s
-            .submit_admission_as("shedder", ("shedder", 0))
-            .seq()
-            .unwrap();
-        s.submit_admission_as("shedder", ("shedder", 1));
+        s.submit(by("victim?", ("victim?", 0)));
+        let s0 = s.submit(by("shedder", ("shedder", 0))).seq().unwrap();
+        s.submit(by("shedder", ("shedder", 1)));
         // Over its quota, the shedder evicts its OWN oldest (seq s0),
         // never the other tenant's task.
-        match s.submit_admission_as("shedder", ("shedder", 2)) {
+        match s.submit(by("shedder", ("shedder", 2))) {
             Admission::AcceptedShed { shed_seq, .. } => assert_eq!(shed_seq, s0),
             v => panic!("expected AcceptedShed, got {v:?}"),
         }
@@ -1726,16 +1676,16 @@ mod tests {
                 max_wait: Duration::from_millis(80),
             },
         ));
-        s.submit_admission_as("blocked", 0);
+        s.submit(by("blocked", 0));
         // Deadline elapses: TimedOut.
         let t0 = Instant::now();
-        assert_eq!(s.submit_admission_as("blocked", 1), Admission::TimedOut);
+        assert_eq!(s.submit(by("blocked", 1)), Admission::TimedOut);
         assert!(t0.elapsed() >= Duration::from_millis(60));
         // A consumer freeing the tenant's slot unblocks the submitter.
         let b = s.register_bucket(0);
         let h = std::thread::spawn({
             let s = s.clone();
-            move || s.submit_admission_as("blocked", 2)
+            move || s.submit(by("blocked", 2))
         });
         std::thread::sleep(Duration::from_millis(30));
         assert!(b.request_task().is_some());
@@ -1747,14 +1697,14 @@ mod tests {
         let s: Scheduler<(&'static str, u64)> = Scheduler::new();
         s.register_tenant(&TenantSpec::new("x"));
         s.register_tenant(&TenantSpec::new("y"));
-        s.submit_admission_as("x", ("x", 0));
-        s.submit_admission_as("y", ("y", 0));
+        s.submit(by("x", ("x", 0)));
+        s.submit(by("y", ("y", 0)));
         let b = s.register_bucket(0);
         let (seq, task) = b.request_task().unwrap();
         assert_eq!(task.0, "x");
         // Failed hand-off: x's task must be the next assignment again,
         // ahead of y's, and still be attributed to tenant x.
-        s.requeue_front(seq, task);
+        s.requeue_front(&s.tenant_of(seq).unwrap(), seq, task);
         let (seq2, task2) = b.request_task().unwrap();
         assert_eq!((seq2, task2.0), (seq, "x"));
         assert_eq!(b.request_task().unwrap().1 .0, "y");
@@ -1770,12 +1720,12 @@ mod tests {
     }
 
     #[test]
-    fn drain_queued_labeled_preserves_tenants() {
+    fn drain_queued_preserves_tenants() {
         let s: Scheduler<u64> = Scheduler::new();
-        s.submit_admission_as("p", 10);
-        s.submit_admission_as("q", 11);
-        s.submit_admission_as("p", 12);
-        let drained = s.drain_queued_labeled();
+        s.submit(by("p", 10));
+        s.submit(by("q", 11));
+        s.submit(by("p", 12));
+        let drained = s.drain_queued();
         assert_eq!(
             drained,
             vec![
@@ -1787,7 +1737,7 @@ mod tests {
         assert_eq!(s.queue_depth(), 0);
         // Resubmission under the same tenants keeps the accounting.
         for (tenant, _, task) in drained {
-            assert!(s.submit_admission_as(&tenant, task).seq().is_some());
+            assert!(s.submit(by(&tenant, task)).seq().is_some());
         }
         let snap = s.tenant_stats();
         assert_eq!(
@@ -1817,7 +1767,7 @@ mod tests {
         let mut shed = [0u64; 4];
         for i in 0..200u64 {
             let t = (i % 4) as usize;
-            match s.submit_admission_as(&format!("t{t}"), (t, i)) {
+            match s.submit(by(&format!("t{t}"), (t, i))) {
                 Admission::Accepted { .. } => admitted[t] += 1,
                 Admission::AcceptedShed { .. } => {
                     admitted[t] += 1;
@@ -1828,7 +1778,7 @@ mod tests {
         }
         let b = s.register_bucket(0);
         let mut popped = [0u64; 4];
-        while let Some((_, (t, _))) = b.request_task_timeout(Duration::ZERO) {
+        while let Lease::Assigned { task: (t, _), .. } = b.poll_task(Some(Duration::ZERO)) {
             popped[t] += 1;
         }
         let snap = s.tenant_stats();
@@ -1856,11 +1806,19 @@ mod tests {
         let s: Scheduler<u32> = Scheduler::new();
         let hint = ResidencyHint::single("somewhere", 1 << 20);
         assert_eq!(
-            s.submit_admission_hinted_as(DEFAULT_TENANT, 10, Some(hint.clone())),
+            s.submit(Submission {
+                tenant: DEFAULT_TENANT,
+                hint: hint.clone(),
+                task: 10
+            }),
             Admission::Accepted { seq: 0 }
         );
         assert_eq!(
-            s.submit_admission_hinted_as(DEFAULT_TENANT, 11, Some(hint)),
+            s.submit(Submission {
+                tenant: DEFAULT_TENANT,
+                hint,
+                task: 11
+            }),
             Admission::Accepted { seq: 1 }
         );
         let b = s.register_bucket_at(4, Some("elsewhere"));
@@ -1885,7 +1843,11 @@ mod tests {
         // lands on the co-located bucket 2, crediting the saved bytes.
         let hint = ResidencyHint::single("m1", 4096);
         assert!(s
-            .submit_admission_hinted_as(DEFAULT_TENANT, 7, Some(hint))
+            .submit(Submission {
+                tenant: DEFAULT_TENANT,
+                hint,
+                task: 7
+            })
             .seq()
             .is_some());
         assert_eq!(h2.join().unwrap(), Some((0, 7)));
@@ -1898,24 +1860,24 @@ mod tests {
     }
 
     #[test]
-    fn begin_drain_retires_parked_and_busy_buckets() {
+    fn drain_one_bucket_retires_parked_and_busy_buckets() {
         let s: Scheduler<u32> = Scheduler::new();
         // Parked bucket: wakes with Retire at once.
         let b = s.register_bucket(5);
         let h = std::thread::spawn(move || b.poll_task(None));
         std::thread::sleep(Duration::from_millis(50));
-        assert!(s.begin_drain(5));
+        assert_eq!(s.drain_one_bucket(), Some(5));
         assert_eq!(h.join().unwrap(), Lease::Retire);
         // Busy bucket: finishes its task, retires on the next poll even
         // with work queued — the backlog goes to live buckets only.
         s.submit(1);
         let b2 = s.register_bucket(6);
         assert!(matches!(b2.poll_task(None), Lease::Assigned { .. }));
-        assert!(s.begin_drain(6));
+        assert_eq!(s.drain_one_bucket(), Some(6));
         s.submit(2);
         assert_eq!(b2.poll_task(Some(Duration::ZERO)), Lease::Retire);
-        // Draining an already-retired bucket is a no-op.
-        assert!(!s.begin_drain(6));
+        // With every bucket retired there is nothing left to drain.
+        assert_eq!(s.drain_one_bucket(), None);
         // The queued task reaches a live bucket, not the retired one.
         let b3 = s.register_bucket(7);
         assert_eq!(b3.request_task(), Some((1, 2)));

@@ -13,8 +13,8 @@ use sitra_dataspaces::remote::{
     Request, Response, TaskPoll, TenantRow,
 };
 use sitra_dataspaces::{
-    codec, field_to_bytes, Admission, AdmissionPolicy, DataSpaces, RemoteSpace, ResidencyHint,
-    Scheduler, SpaceServer, TenantSpec,
+    codec, field_to_bytes, Admission, AdmissionPolicy, DataSpaces, Lease, RemoteSpace,
+    ResidencyHint, Scheduler, SpaceServer, Submission, TenantSpec,
 };
 use sitra_mesh::{BBox3, ScalarField};
 use std::time::Duration;
@@ -345,15 +345,15 @@ proptest! {
             if op {
                 s.submit(submitted);
                 submitted += 1;
-            } else if let Some((seq, task)) =
-                bucket.request_task_timeout(Duration::from_millis(5))
+            } else if let Lease::Assigned { seq, task } =
+                bucket.poll_task(Some(Duration::from_millis(5)))
             {
                 prop_assert_eq!(seq, task, "seq equals payload by construction");
                 received.push(task);
             }
         }
         // Drain the rest.
-        while let Some((_, task)) = bucket.request_task_timeout(Duration::from_millis(5)) {
+        while let Lease::Assigned { task, .. } = bucket.poll_task(Some(Duration::from_millis(5))) {
             received.push(task);
         }
         // FCFS: received in submission order, none lost.
@@ -398,10 +398,14 @@ proptest! {
             for (i, op) in ops.iter().enumerate() {
                 match *op {
                     SchedOp::Submit { tenant, hint } => {
-                        let hint = hint.filter(|_| hinted).map(|(member, bytes)| {
-                            ResidencyHint::single(format!("tcp://member{member}:7000"), bytes)
-                        });
-                        let verdict = s.submit_admission_hinted_as(["a", "b"][tenant], i, hint);
+                        let hint = hint.filter(|_| hinted).map_or_else(
+                            ResidencyHint::default,
+                            |(member, bytes)| {
+                                ResidencyHint::single(format!("tcp://member{member}:7000"), bytes)
+                            },
+                        );
+                        let tenant = ["a", "b"][tenant];
+                        let verdict = s.submit(Submission { tenant, hint, task: i });
                         seen.push(format!("{verdict:?}"));
                     }
                     SchedOp::Poll(b) => {

@@ -74,10 +74,14 @@ impl TransferFunction {
         self.hi
     }
 
-    /// Straight RGBA for a scalar value (clamped to the range).
+    /// Straight RGBA for a scalar value (clamped to the range). NaN maps
+    /// to the `lo` colour, where −∞ lands, so one NaN sample cannot turn
+    /// a pixel — and every composite it enters — into NaN.
     #[inline]
     pub fn sample(&self, v: f64) -> [f64; 4] {
-        let t = ((v - self.lo) / (self.hi - self.lo)).clamp(0.0, 1.0);
+        let t = (v - self.lo) / (self.hi - self.lo);
+        // `clamp(0.0, 1.0)` for every number; `>=` is false for NaN.
+        let t = if t >= 0.0 { t.min(1.0) } else { 0.0 };
         // Find the bracketing control points.
         let mut i = 0;
         while i + 2 < self.points.len() && self.points[i + 1].0 <= t {
@@ -109,6 +113,14 @@ mod tests {
         );
         assert_eq!(tf.sample(0.0), [0.0; 4]);
         assert_eq!(tf.sample(10.0), [1.0, 0.5, 0.25, 1.0]);
+    }
+
+    #[test]
+    fn nan_samples_as_the_lo_colour() {
+        let tf = TransferFunction::hot(0.0, 10.0);
+        assert_eq!(tf.sample(f64::NAN), tf.sample(f64::NEG_INFINITY));
+        assert_eq!(tf.sample(f64::NAN), tf.sample(0.0));
+        assert!(tf.sample(f64::INFINITY * 0.0).iter().all(|c| !c.is_nan()));
     }
 
     #[test]

@@ -177,7 +177,8 @@ fn pinned_cluster_plans_pass_every_oracle() {
 fn pinned_tenant_plans_pass_every_oracle() {
     const PLANS: &[(u64, &str, Backend)] = &[
         // Connection cuts mid-hand-off: assigned tasks requeue and must
-        // keep their tenant attribution through `requeue_front`.
+        // keep their tenant attribution: the server passes the owner it
+        // looked up with `tenant_of` to `requeue_front`.
         (0xE1, "seed=0xe1,cut=5,drop=4", Backend::Remote),
         // Lossy, reordering network over the three-member cluster: the
         // rival's routed submissions and the sim tenant's driver
