@@ -103,14 +103,6 @@ pub enum ConfigError {
     },
     /// [`StagingMode::Cluster`] was selected with an empty member list.
     EmptyCluster,
-    /// A steering endpoint was configured on a fully in-situ pipeline:
-    /// with [`StagingMode::InSitu`] there is no staging service for
-    /// subscribers to interact with, so the endpoint would silently
-    /// never serve a frame.
-    SteeringWithoutStaging {
-        /// The configured steering endpoint.
-        endpoint: String,
-    },
 }
 
 impl std::fmt::Display for ConfigError {
@@ -126,11 +118,6 @@ impl std::fmt::Display for ConfigError {
             ConfigError::EmptyCluster => {
                 write!(f, "cluster staging requires at least one member endpoint")
             }
-            ConfigError::SteeringWithoutStaging { endpoint } => write!(
-                f,
-                "steering endpoint `{endpoint}` requires a staging backend; \
-                 a fully in-situ pipeline has no staging service to steer"
-            ),
         }
     }
 }
@@ -189,9 +176,9 @@ pub struct PipelineConfig {
     /// a [`sitra_dataspaces::SteerServer`] there and publishes every
     /// collected [`AnalysisOutput::Image`] as a versioned frame, so
     /// subscribers can pull reduced frames and steer their downsample
-    /// rate while the pipeline runs. Requires a staging backend
-    /// (rejected with [`ConfigError::SteeringWithoutStaging`] under
-    /// [`StagingMode::InSitu`]). `None` (the default) disables it.
+    /// rate while the pipeline runs. Every [`StagingMode`] publishes,
+    /// [`StagingMode::InSitu`] included: in-situ and staged outputs
+    /// retire through the same seam. `None` (the default) disables it.
     pub steering: Option<String>,
 }
 

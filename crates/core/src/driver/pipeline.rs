@@ -63,11 +63,6 @@ pub fn run_pipeline(
     // retirement seam so subscribers see frames as they retire.
     let steer = match &cfg.steering {
         Some(endpoint) => {
-            if cfg.staging == StagingMode::InSitu {
-                return Err(ConfigError::SteeringWithoutStaging {
-                    endpoint: endpoint.clone(),
-                });
-            }
             let addr =
                 endpoint
                     .parse::<sitra_net::Addr>()

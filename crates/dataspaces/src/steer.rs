@@ -5,9 +5,10 @@
 //! here: a [`SteerServer`] listens on its **own** `sitra-net` endpoint
 //! (deliberately separate from the staging RPC protocol: the two share
 //! no tags, so either can add or retire a message without touching the
-//! other), the staging side [`SteerServer::publish`]es each
-//! new visualization frame as a monotonically versioned snapshot, and
-//! subscribers pull reduced frames and push steering feedback:
+//! other), the pipeline driver [`SteerPublisher::publish`]es each
+//! retired image output as a monotonically versioned snapshot, under
+//! every staging mode, and subscribers pull reduced frames and push
+//! steering feedback:
 //!
 //! * **Subscribe** binds a subscriber name and an initial downsample
 //!   `rate` to the connection — re-sent on every reconnect, exactly the
@@ -35,7 +36,6 @@ use sitra_net::{
 use sitra_obs::ObsEvent;
 use sitra_viz::Image;
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -264,13 +264,15 @@ pub struct SteerAccounting {
 struct LatestFrame {
     version: u64,
     image: Option<Arc<Image>>,
+    /// Set by [`SteerServer::shutdown`] under the lock, so a waiter
+    /// either sees it or is parked when the notify comes.
+    closed: bool,
 }
 
 struct Shared {
     latest: Mutex<LatestFrame>,
     cond: Condvar,
     subs: Mutex<BTreeMap<String, SteerAccounting>>,
-    closed: AtomicBool,
 }
 
 /// The steerable-visualization service: publish frames on one side,
@@ -288,10 +290,10 @@ impl SteerServer {
             latest: Mutex::new(LatestFrame {
                 version: 0,
                 image: None,
+                closed: false,
             }),
             cond: Condvar::new(),
             subs: Mutex::new(BTreeMap::new()),
-            closed: AtomicBool::new(false),
         });
         let shared2 = Arc::clone(&shared);
         let handle = serve(listener, move |conn| serve_subscriber(&shared2, &conn));
@@ -303,13 +305,6 @@ impl SteerServer {
         self.handle.addr()
     }
 
-    /// Publish one frame; returns its (monotonically increasing)
-    /// version. Subscribers blocked in `NextFrame` wake immediately;
-    /// each receives the frame reduced by its own current rate.
-    pub fn publish(&self, img: &Image) -> u64 {
-        publish_shared(&self.shared, img)
-    }
-
     /// A cheap cloneable publishing handle, detachable from the server's
     /// lifetime (the producer side holds this; the server owner keeps
     /// shutdown rights).
@@ -317,11 +312,6 @@ impl SteerServer {
         SteerPublisher {
             shared: Arc::clone(&self.shared),
         }
-    }
-
-    /// Version of the newest published frame (0 = none yet).
-    pub fn latest_version(&self) -> u64 {
-        self.shared.latest.lock().version
     }
 
     /// Live per-subscriber accounting, keyed by subscriber name.
@@ -332,7 +322,7 @@ impl SteerServer {
     /// Stop serving: blocked `NextFrame` waiters drain with `NoFrame`,
     /// then the acceptor joins.
     pub fn shutdown(self) {
-        self.shared.closed.store(true, Ordering::SeqCst);
+        self.shared.latest.lock().closed = true;
         self.shared.cond.notify_all();
         self.handle.shutdown();
     }
@@ -346,30 +336,28 @@ pub struct SteerPublisher {
 }
 
 impl SteerPublisher {
-    /// See [`SteerServer::publish`].
+    /// Publish one frame; returns its (monotonically increasing)
+    /// version. Subscribers blocked in `NextFrame` wake immediately;
+    /// each receives the frame reduced by its own current rate.
     pub fn publish(&self, img: &Image) -> u64 {
-        publish_shared(&self.shared, img)
+        let version = {
+            let mut latest = self.shared.latest.lock();
+            latest.version += 1;
+            latest.image = Some(Arc::new(img.clone()));
+            latest.version
+        };
+        sitra_obs::emit(
+            "steer",
+            "publish",
+            &[
+                ("version", version.to_string()),
+                ("width", img.width().to_string()),
+                ("height", img.height().to_string()),
+            ],
+        );
+        self.shared.cond.notify_all();
+        version
     }
-}
-
-fn publish_shared(shared: &Shared, img: &Image) -> u64 {
-    let version = {
-        let mut latest = shared.latest.lock();
-        latest.version += 1;
-        latest.image = Some(Arc::new(img.clone()));
-        latest.version
-    };
-    sitra_obs::emit(
-        "steer",
-        "publish",
-        &[
-            ("version", version.to_string()),
-            ("width", img.width().to_string()),
-            ("height", img.height().to_string()),
-        ],
-    );
-    shared.cond.notify_all();
-    version
 }
 
 fn serve_subscriber(shared: &Shared, conn: &Connection) {
@@ -474,11 +462,10 @@ fn handle_msg(shared: &Shared, bound: &mut Option<String>, msg: SteerMsg) -> Ste
                             break (latest.version, Arc::clone(img));
                         }
                     }
-                    if shared.closed.load(Ordering::SeqCst) {
+                    if latest.closed {
                         return SteerReply::NoFrame;
                     }
-                    // Bounded wait so a shutdown is never missed.
-                    shared.cond.wait_for(&mut latest, Duration::from_millis(25));
+                    shared.cond.wait(&mut latest);
                 }
             };
             // Reduce under the subscriber's rate *now* — after any
@@ -800,7 +787,8 @@ mod tests {
         let mut client =
             SteerClient::connect(&server.addr(), "viewer", 2, Backoff::default()).expect("dial");
 
-        let v1 = server.publish(&test_image(8, 6, 1.0));
+        let publisher = server.publisher();
+        let v1 = publisher.publish(&test_image(8, 6, 1.0));
         let f1 = client
             .next_frame(Duration::from_secs(5))
             .expect("frame 1")
@@ -811,7 +799,7 @@ mod tests {
 
         // Feedback: the ack precedes any frame at the new rate.
         client.steer(3, Duration::from_secs(5)).expect("ack");
-        let v2 = server.publish(&test_image(8, 6, 2.0));
+        let v2 = publisher.publish(&test_image(8, 6, 2.0));
         let f2 = client
             .next_frame(Duration::from_secs(5))
             .expect("frame 2")
@@ -856,7 +844,7 @@ mod tests {
         // Sever the transport under the client; the next pull must
         // redial, re-subscribe at rate 5, and deliver at rate 5.
         client.conn = None;
-        server.publish(&test_image(10, 10, 3.0));
+        server.publisher().publish(&test_image(10, 10, 3.0));
         let f = client
             .next_frame(Duration::from_secs(5))
             .expect("frame")

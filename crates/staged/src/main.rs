@@ -40,12 +40,14 @@
 //! Prometheus-style text snapshot over HTTP, and `--journal PATH`
 //! appends every span event as one JSON line (replayable with
 //! `obs_report`).
+//!
+//! A member serves no visualization frames: the pipeline driver
+//! publishes every image output on its own viewer endpoint under every
+//! staging mode, so a viewer dials the driver, never a member.
 
 use sitra_cluster::{Bootstrap, ClusterNode, ClusterNodeOpts};
-use sitra_dataspaces::{
-    AdmissionPolicy, AutoscaleConfig, RemoteSpace, SteerPublisher, SteerServer, TenantSpec,
-};
-use sitra_net::{Addr, Backoff};
+use sitra_dataspaces::{AdmissionPolicy, AutoscaleConfig, TenantSpec};
+use sitra_net::Addr;
 use sitra_testkit::{CrashPlan, FaultPlan, PlanInjector};
 use std::net::SocketAddr;
 use std::path::PathBuf;
@@ -79,10 +81,6 @@ struct Opts {
     buckets: Option<(usize, usize)>,
     /// p99 queue-wait SLO driving the autoscaler.
     bucket_slo: Duration,
-    /// Serve steerable visualization to subscribers on this endpoint.
-    steer_listen: Option<Addr>,
-    /// Analysis label whose stored outputs feed the steering endpoint.
-    steer_source: String,
 }
 
 fn usage(program: &str, code: i32) -> ! {
@@ -123,11 +121,6 @@ fn usage(program: &str, code: i32) -> ! {
          \x20                      fleet to grow toward\n\
          --bucket-slo-ms T     p99 queue-wait SLO driving the autoscaler (default 100);\n\
          \x20                      the controller re-evaluates the pool every T/4\n\
-         --steer-listen ADDR   serve steerable visualization on ADDR (any sitra-net\n\
-         \x20                      scheme): subscribers pull frames reduced by their own\n\
-         \x20                      downsample rate and steer it with feedback messages\n\
-         --steer-source LABEL  analysis label whose stored outputs feed the steering\n\
-         \x20                      endpoint (default viz-hybrid)\n\
          --fault-plan SPEC     inject deterministic faults on every server-side frame\n\
          \x20                      (chaos testing; SPEC as printed by the sitra-testkit\n\
          \x20                      chaos binary, e.g. seed=0x2a,drop=8,crash=at:400)"
@@ -149,8 +142,6 @@ fn parse_opts() -> Opts {
         tenants: Vec::new(),
         buckets: None,
         bucket_slo: Duration::from_millis(100),
-        steer_listen: None,
-        steer_source: "viz-hybrid".to_string(),
     };
     let mut admission_wait = Duration::from_millis(1000);
     let mut buckets_min: Option<usize> = None;
@@ -301,14 +292,6 @@ fn parse_opts() -> Opts {
                     usage(program, 2);
                 }
             },
-            "--steer-listen" => match value("--steer-listen").parse() {
-                Ok(a) => opts.steer_listen = Some(a),
-                Err(e) => {
-                    eprintln!("{program}: bad --steer-listen address: {e}");
-                    usage(program, 2);
-                }
-            },
-            "--steer-source" => opts.steer_source = value("--steer-source"),
             "--fault-plan" => match FaultPlan::parse(&value("--fault-plan")) {
                 Ok(p) => opts.fault_plan = Some(p),
                 Err(e) => {
@@ -336,47 +319,6 @@ fn parse_opts() -> Opts {
         }
     }
     opts
-}
-
-/// Bridge this instance's stored analysis outputs to the steering
-/// endpoint: poll the space through the public client protocol at
-/// `service`, the member's bound address (a `--listen` port of 0 is not
-/// dialable), for new versions of `label`'s output variable and publish
-/// every image as a steerable frame.
-fn steer_bridge(service: &Addr, publisher: &SteerPublisher, label: &str) {
-    let var = sitra_core::remote::output_var(label);
-    let bbox = sitra_core::remote::output_bbox();
-    let Ok(space) = RemoteSpace::connect_retry(service, &Backoff::default()) else {
-        eprintln!("sitra-staged: steer bridge cannot reach the space — steering disabled");
-        return;
-    };
-    let mut last = 0u64;
-    loop {
-        match space.latest_version(&var) {
-            Ok(Some(latest)) if latest > last => {
-                // Publish in version order; a version whose pieces were
-                // already evicted is skipped, not retried.
-                for version in (last + 1)..=latest {
-                    let Ok(pieces) = space.get(&var, version, &bbox) else {
-                        return;
-                    };
-                    for (_, data) in pieces {
-                        if let Ok(sitra_core::AnalysisOutput::Image(img)) =
-                            sitra_core::wire::decode_analysis_output(data)
-                        {
-                            publisher.publish(&img);
-                        }
-                    }
-                }
-                last = latest;
-            }
-            Ok(_) => {}
-            // The service is gone (shutdown or crash): stop bridging.
-            Err(e) if !e.is_retryable() => return,
-            Err(_) => {}
-        }
-        std::thread::sleep(Duration::from_millis(10));
-    }
 }
 
 fn main() {
@@ -478,23 +420,6 @@ fn main() {
         controller
     });
 
-    let steer = opts.steer_listen.as_ref().map(|addr| {
-        let server = SteerServer::start(addr).unwrap_or_else(|e| {
-            eprintln!("sitra-staged: cannot serve steering on {addr}: {e}");
-            std::process::exit(1);
-        });
-        println!(
-            "sitra-staged: steerable viz on {} (source `{}`)",
-            server.addr(),
-            opts.steer_source
-        );
-        let service = node.addr();
-        let publisher = server.publisher();
-        let label = opts.steer_source.clone();
-        std::thread::spawn(move || steer_bridge(&service, &publisher, &label));
-        server
-    });
-
     // Run until the driver closes the scheduler, then give in-flight
     // connections a moment to drain before exiting.
     loop {
@@ -524,9 +449,6 @@ fn main() {
         stats.tasks_assigned, stats.tasks_requeued
     );
     drop(autoscale);
-    if let Some(s) = steer {
-        s.shutdown();
-    }
     node.shutdown();
     if let Some(m) = metrics {
         m.shutdown();

@@ -310,8 +310,10 @@ fn run_matrix_scenario(
 
     let mut violations = Vec::new();
 
-    // A steering subscriber rides along on every backend that stages
-    // (a fully in-situ pipeline rejects the endpoint by design).
+    // A steering subscriber rides along on every backend that stages.
+    // A fully in-situ pipeline serves steering too, but its cell runs
+    // without a subscriber: it has no staging connection for a fault to
+    // hit, and the staged cells already drive the steering path.
     let steer_addr = (backend != Backend::InSitu).then(|| scenario::unique_endpoint(seed));
     let steer_stop = Arc::new(AtomicBool::new(false));
     let subscriber = steer_addr.as_ref().map(|addr| {

@@ -6,8 +6,8 @@
 
 mod common;
 
-use common::{config, sim, specs};
-use sitra::core::{run_pipeline, ConfigError, PipelineConfig, StagingMode};
+use common::{config, run_journaled, sim, specs};
+use sitra::core::{run_pipeline, AnalysisOutput, ConfigError, PipelineConfig, StagingMode};
 
 const SEED: u64 = 11;
 
@@ -96,27 +96,45 @@ fn every_cluster_member_endpoint_is_validated_before_the_run() {
 }
 
 #[test]
-fn steering_on_an_insitu_pipeline_is_rejected_before_the_run() {
-    // A steering endpoint on a fully in-situ pipeline is a
-    // contradiction — there is no staging service for a viewer to
-    // steer — and must be rejected before any simulation step runs.
-    let cfg = config(2)
-        .with_staging_mode(StagingMode::InSitu)
-        .with_steering_endpoint("inproc://steer-insitu");
-    let err =
-        run_pipeline(&mut sim(SEED), &cfg).expect_err("steering without staging must not run");
-    assert_eq!(
-        err,
-        ConfigError::SteeringWithoutStaging {
-            endpoint: "inproc://steer-insitu".to_string(),
-        }
-    );
-    assert_eq!(
-        err.to_string(),
-        "steering endpoint `inproc://steer-insitu` requires a staging backend; \
-         a fully in-situ pipeline has no staging service to steer"
-    );
+fn steering_on_an_insitu_pipeline_publishes_every_image_output() {
+    // In-situ and staged outputs retire through the same seam, so a
+    // steering endpoint serves frames under every staging mode: one
+    // `steer.publish` per image output, fully in-situ included.
+    let _obs = sitra::obs::isolate();
+    for (mode, endpoint) in [
+        (StagingMode::InSitu, "inproc://steer-insitu"),
+        (StagingMode::Local, "inproc://steer-local"),
+    ] {
+        let cfg = config(2)
+            .with_staging_mode(mode.clone())
+            .with_steering_endpoint(endpoint);
+        let (result, events) = run_journaled(SEED, cfg);
+        assert_eq!(result.dropped_tasks, 0, "{mode:?}");
+        let mut images: Vec<(usize, usize)> = result
+            .outputs
+            .iter()
+            .filter_map(|(_, _, out)| match out {
+                AnalysisOutput::Image(img) => Some((img.width(), img.height())),
+                _ => None,
+            })
+            .collect();
+        let mut published: Vec<(usize, usize)> = events
+            .iter()
+            .filter(|e| e.component == "steer" && e.name == "publish")
+            .map(|e| {
+                let dim = |k| e.u64(k).expect("publish dims") as usize;
+                (dim("width"), dim("height"))
+            })
+            .collect();
+        assert!(!images.is_empty(), "{mode:?}: the roster renders images");
+        images.sort_unstable();
+        published.sort_unstable();
+        assert_eq!(published, images, "{mode:?}: one publish per image output");
+    }
+}
 
+#[test]
+fn unparseable_steering_endpoint_is_rejected_before_the_run() {
     // An unparseable steering endpoint is an endpoint error like any
     // other, carrying the offending string.
     let cfg = config(2).with_steering_endpoint("bogus://steer");
@@ -128,13 +146,6 @@ fn steering_on_an_insitu_pipeline_is_rejected_before_the_run() {
         }
         other => panic!("expected InvalidEndpoint, got {other:?}"),
     }
-
-    // Positive control: the same endpoint on the default local-staging
-    // config binds and runs clean — the rejection is about the staging
-    // mode, not the steering feature.
-    let cfg = config(2).with_steering_endpoint("inproc://steer-config-ok");
-    let result = run_pipeline(&mut sim(SEED), &cfg).expect("steering over local staging runs");
-    assert_eq!(result.dropped_tasks, 0);
 }
 
 #[test]
