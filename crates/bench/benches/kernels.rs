@@ -3,6 +3,8 @@
 //! (coarse render, streaming glue, derive) on a fixed proxy block.
 
 use criterion::{criterion_group, criterion_main, Criterion};
+use sitra_core::analysis::{Analysis, HybridTopology};
+use sitra_core::wire::{encode_analysis_output, encode_subtree};
 use sitra_mesh::{downsample, exchange_ghosts, BBox3, Decomposition, SampledBlock, ScalarField};
 use sitra_sim::{SimConfig, Simulation, Variable};
 use sitra_stats::MultiModel;
@@ -119,6 +121,25 @@ fn bench_intransit(c: &mut Criterion) {
             b.iter(|| black_box(glue_subtrees(&subs)))
         });
     }
+    // The whole in-transit topology task at the `topo-local` shape:
+    // decode the four encoded parts, glue, canonical tree, encode the
+    // output (the glue rows above start from decoded subtrees and stop
+    // at the `MergeTree`).
+    let parts: Vec<_> = subtrees(&field, [2, 2, 1])
+        .iter()
+        .map(encode_subtree)
+        .collect();
+    group.bench_function("topo_aggregate_48cube_2x2x1", |b| {
+        b.iter(|| {
+            let mut agg = HybridTopology::default()
+                .streaming_aggregator(0)
+                .expect("topology streams");
+            for (rank, part) in parts.iter().enumerate() {
+                agg.feed(rank, part.clone());
+            }
+            black_box(encode_analysis_output(&agg.finish()))
+        })
+    });
     group.bench_function("hybrid_render_s4", |b| {
         let hr = HybridRenderer::new(coarse.clone());
         b.iter(|| black_box(hr.render(&view, &tf)))

@@ -335,8 +335,7 @@ impl Analysis for HybridTopology {
                     .stream_into(&mut self.0);
             }
             fn finish(self: Box<Self>) -> AnalysisOutput {
-                let (tree, _) = self.0.finish();
-                AnalysisOutput::Tree(tree.canonical())
+                AnalysisOutput::Tree(self.0.finish_canonical().0)
             }
         }
         Some(Box::new(Glue(StreamingMergeTree::new())))

@@ -130,29 +130,13 @@ pub fn run_pipeline(
         sim.advance();
         let step = sim.step();
 
-        // Generate per-rank blocks of the analysis variable, in
-        // parallel across ranks.
-        let blocks: Vec<ScalarField> = (0..n_ranks)
+        // Generate per-rank blocks of the analysis variable and of the
+        // extra variables, in one parallel call across ranks.
+        let per_rank: Vec<(ScalarField, Vec<(String, ScalarField)>)> = (0..n_ranks)
             .into_par_iter()
-            .map(|r| sim.block_field(cfg.analysis_variable, &decomp.block(r)))
-            .collect();
-        let mut sim_secs = t_step.elapsed().as_secs_f64();
-
-        let t_ghost = Instant::now();
-        let (ghosted, _) = exchange_ghosts(&decomp, &blocks, 1);
-        let ghost_secs = t_ghost.elapsed().as_secs_f64();
-
-        // Per-rank variable lists: the already-materialized block
-        // serves as the analysis variable's entry (moved in, not
-        // re-generated or cloned); extra variables are generated on
-        // demand.
-        let t_extra = Instant::now();
-        let extra: Vec<Vec<(String, ScalarField)>> = blocks
-            .into_iter()
-            .enumerate()
-            .into_par_iter()
-            .map(|(r, block)| {
-                let mut v = vec![(cfg.analysis_variable.name().to_string(), block)];
+            .map(|r| {
+                let block = sim.block_field(cfg.analysis_variable, &decomp.block(r));
+                let mut v = Vec::with_capacity(1 + cfg.extra_variables.len());
                 for var in &cfg.extra_variables {
                     if *var != cfg.analysis_variable {
                         v.push((
@@ -161,10 +145,25 @@ pub fn run_pipeline(
                         ));
                     }
                 }
-                v
+                (block, v)
             })
             .collect();
-        sim_secs += t_extra.elapsed().as_secs_f64();
+        let (blocks, mut extra): (Vec<ScalarField>, Vec<_>) = per_rank.into_iter().unzip();
+        let mut sim_secs = t_step.elapsed().as_secs_f64();
+
+        let t_ghost = Instant::now();
+        let (ghosted, _) = exchange_ghosts(&decomp, &blocks, 1);
+        let ghost_secs = t_ghost.elapsed().as_secs_f64();
+
+        // Per-rank variable lists: the already-materialized block
+        // serves as the analysis variable's entry (moved in, not
+        // re-generated or cloned), ahead of the extra variables.
+        let t_vars = Instant::now();
+        let name = cfg.analysis_variable.name();
+        for (v, block) in extra.iter_mut().zip(blocks) {
+            v.insert(0, (name.to_string(), block));
+        }
+        sim_secs += t_vars.elapsed().as_secs_f64();
 
         // Run this step's due analyses.
         let mut blocked_secs = 0.0;

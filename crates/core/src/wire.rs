@@ -23,7 +23,9 @@ use sitra_flowmap::{FlowRecord, Termination};
 use sitra_mesh::SampledBlock;
 use sitra_stats::{CoMoments, Derived, Moments, MultiModel};
 use sitra_topology::reduce::{Subtree, SubtreeVertex};
+use sitra_topology::stream::{SourceId, StreamingMergeTree};
 use sitra_topology::tree::CanonicalTree;
+use sitra_topology::VertexId;
 
 pub use sitra_dataspaces::codec::WireError;
 
@@ -121,7 +123,7 @@ pub fn decode_multimodel(b: Bytes) -> Result<MultiModel, WireError> {
 
 /// Encode a merge-tree subtree (hybrid topology intermediate).
 pub fn encode_subtree(s: &Subtree) -> Bytes {
-    let mut buf = BytesMut::new();
+    let mut buf = BytesMut::with_capacity(s.bytes());
     buf.put_u32_le(s.source);
     buf.put_u64_le(s.verts.len() as u64);
     for v in &s.verts {
@@ -142,27 +144,97 @@ pub fn encode_subtree(s: &Subtree) -> Bytes {
     buf.freeze()
 }
 
-fn read_subtree(rd: &mut Rd) -> Result<Subtree, WireError> {
+/// A subtree as [`decode_subtree`] returns it: the fields of a
+/// [`Subtree`], with the vertices' potential sets one after another in a
+/// single list, so that decoding allocates a few lists per part instead
+/// of one per vertex. It compares equal to the `Subtree` it encodes.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct DecodedSubtree {
+    /// The producing source (rank).
+    pub source: SourceId,
+    /// Kept vertices.
+    pub verts: Vec<DecodedVertex>,
+    /// Every vertex's potential set, in vertex order.
+    pub potential: Vec<SourceId>,
+    /// Edges between kept vertices, upper first.
+    pub edges: Vec<(VertexId, VertexId)>,
+}
+
+/// One vertex of a [`DecodedSubtree`]: a [`SubtreeVertex`] whose
+/// potential set ends at `potential_end` of the subtree's list and
+/// starts where the previous vertex's ends.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DecodedVertex {
+    /// Global vertex id.
+    pub id: VertexId,
+    /// Field value.
+    pub value: f64,
+    /// Incident edge count within this subtree.
+    pub degree: u32,
+    /// Kept in the final tree even if globally regular.
+    pub pinned: bool,
+    /// End of this vertex's potential set in the subtree's list.
+    pub potential_end: usize,
+}
+
+impl DecodedSubtree {
+    /// The vertices, each with its potential set.
+    pub fn vertices(&self) -> impl Iterator<Item = (&DecodedVertex, &[SourceId])> {
+        let starts = std::iter::once(0).chain(self.verts.iter().map(|v| v.potential_end));
+        (self.verts.iter().zip(starts))
+            .map(|(v, start)| (v, &self.potential[start..v.potential_end]))
+    }
+
+    /// Feed this subtree into a streaming aggregator and announce its
+    /// end, as [`Subtree::stream_into`] does.
+    pub fn stream_into(&self, sink: &mut StreamingMergeTree) {
+        sink.reserve(self.verts.len());
+        for (v, potential) in self.vertices() {
+            sink.declare_vertex(self.source, v.id, v.value, v.degree, potential);
+            if v.pinned {
+                sink.pin_vertex(v.id);
+            }
+        }
+        for &(a, b) in &self.edges {
+            sink.insert_edge(a, b);
+        }
+        sink.end_source(self.source);
+    }
+}
+
+impl PartialEq<Subtree> for DecodedSubtree {
+    fn eq(&self, s: &Subtree) -> bool {
+        let same = |((d, p), v): ((&DecodedVertex, &[SourceId]), &SubtreeVertex)| {
+            (d.id, d.value, d.degree, d.pinned, p)
+                == (v.id, v.value, v.degree, v.pinned, &v.potential[..])
+        };
+        (self.source, &self.edges, self.verts.len()) == (s.source, &s.edges, s.verts.len())
+            && self.vertices().zip(&s.verts).all(same)
+    }
+}
+
+fn read_subtree(rd: &mut Rd) -> Result<DecodedSubtree, WireError> {
     let source = rd.u32("source")?;
     // A vertex is at least id + value + degree + pinned + potential.len.
     let nverts = rd.count_u64(8 + 8 + 4 + 1 + 4, "verts.len")?;
     let mut verts = Vec::with_capacity(nverts);
+    // Most vertices are seen by their own source alone.
+    let mut potential = Vec::with_capacity(nverts);
     for _ in 0..nverts {
         let id = rd.u64("vert.id")?;
         let value = rd.f64("vert.value")?;
         let degree = rd.u32("vert.degree")?;
         let pinned = rd.u8("vert.pinned")? != 0;
-        let np = rd.count_u32(4, "potential.len")?;
-        let mut potential = Vec::with_capacity(np);
-        for _ in 0..np {
+        for _ in 0..rd.count_u32(4, "potential.len")? {
             potential.push(rd.u32("potential")?);
         }
-        verts.push(SubtreeVertex {
+        let potential_end = potential.len();
+        verts.push(DecodedVertex {
             id,
             value,
             degree,
-            potential,
             pinned,
+            potential_end,
         });
     }
     let nedges = rd.count_u64(16, "edges.len")?;
@@ -172,15 +244,16 @@ fn read_subtree(rd: &mut Rd) -> Result<Subtree, WireError> {
         let bb = rd.u64("edge.b")?;
         edges.push((a, bb));
     }
-    Ok(Subtree {
+    Ok(DecodedSubtree {
         source,
         verts,
+        potential,
         edges,
     })
 }
 
 /// Decode a merge-tree subtree.
-pub fn decode_subtree(b: Bytes) -> Result<Subtree, WireError> {
+pub fn decode_subtree(b: Bytes) -> Result<DecodedSubtree, WireError> {
     let mut rd = Rd::new(b);
     let sub = read_subtree(&mut rd)?;
     rd.finish()?;
@@ -233,7 +306,7 @@ pub fn encode_feature_stats(sub: &Subtree, feats: &[(u64, Moments)]) -> Bytes {
 }
 
 /// Decode a feature-statistics intermediate.
-pub fn decode_feature_stats(b: Bytes) -> Result<(Subtree, Vec<(u64, Moments)>), WireError> {
+pub fn decode_feature_stats(b: Bytes) -> Result<(DecodedSubtree, Vec<(u64, Moments)>), WireError> {
     let mut rd = Rd::new(b);
     let tlen = rd.u64("subtree.len")? as usize;
     let tree_bytes = rd.take(tlen, "subtree")?;
@@ -334,7 +407,11 @@ const OUT_FLOWMAP: u8 = 4;
 /// integration test leans on to prove the TCP path exactly reproduces
 /// the in-process pipeline.
 pub fn encode_analysis_output(out: &AnalysisOutput) -> Bytes {
-    let mut buf = BytesMut::new();
+    // A tree's length is known: the tag, two counts, 16 B a node or arc.
+    let mut buf = BytesMut::with_capacity(match out {
+        AnalysisOutput::Tree(t) => 17 + 16 * (t.nodes.len() + t.arcs.len()),
+        _ => 0,
+    });
     match out {
         AnalysisOutput::Image(img) => {
             buf.put_u8(OUT_IMAGE);

@@ -263,6 +263,8 @@ proptest! {
     #[test]
     fn subtree_roundtrips_and_prefixes_error(s in subtree_strategy()) {
         let enc = wire::encode_subtree(&s);
+        // What the metrics count as moved is what is encoded.
+        prop_assert_eq!(s.bytes(), enc.len());
         prop_assert_eq!(wire::decode_subtree(enc.clone()).unwrap(), s);
         assert_prefixes_error(&enc, wire::decode_subtree);
     }

@@ -218,12 +218,10 @@ pub fn serial_split_tree(field: &ScalarField, conn: Connectivity) -> MergeTree {
 pub fn serial_merge_tree(field: &ScalarField, conn: Connectivity) -> MergeTree {
     let global = field.bbox();
     let t = augmented_join_tree(field, &global, conn);
-    let nodes = 0..field.len() as u32;
-    MergeTree::from_parts(
-        nodes.clone().map(|i| t.vertex_id(i)).collect(),
-        field.as_slice().to_vec(),
-        nodes.map(|i| t.down_of(i)).collect(),
-    )
+    let v = field.as_slice();
+    MergeTree::from_forest(v.len(), |i| {
+        Some((t.vertex_id(i), v[i as usize], t.down_of(i), 0))
+    })
 }
 
 #[cfg(test)]

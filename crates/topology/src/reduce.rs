@@ -55,7 +55,8 @@ pub struct SubtreeVertex {
     pub pinned: bool,
 }
 
-/// The intermediate data of one rank's in-situ topology stage.
+/// The intermediate data of one rank's in-situ topology stage, as built and
+/// encoded; in transit it decodes flat (`sitra_core::wire::DecodedSubtree`).
 #[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
 pub struct Subtree {
     /// The producing source (rank).
@@ -67,19 +68,16 @@ pub struct Subtree {
 }
 
 impl Subtree {
-    /// Wire size: id (8) + value (8) + degree (4) per vertex, 4 bytes per
-    /// potential-source entry beyond the implicit own source, 16 per edge.
+    /// Wire size, what `sitra_core::wire::encode_subtree` writes: 20 B of
+    /// header, 25 B per vertex plus 4 per potential source, 16 per edge.
     pub fn bytes(&self) -> usize {
-        let vert_bytes: usize = self
-            .verts
-            .iter()
-            .map(|v| 20 + 4 * v.potential.len().saturating_sub(1))
-            .sum();
-        vert_bytes + self.edges.len() * 16
+        let vert_bytes: usize = self.verts.iter().map(|v| 25 + 4 * v.potential.len()).sum();
+        20 + vert_bytes + self.edges.len() * 16
     }
 
     /// Feed this subtree into a streaming aggregator and announce its end.
     pub fn stream_into(&self, sink: &mut crate::stream::StreamingMergeTree) {
+        sink.reserve(self.verts.len());
         for v in &self.verts {
             sink.declare_vertex(self.source, v.id, v.value, v.degree, &v.potential);
             if v.pinned {
@@ -293,6 +291,6 @@ mod tests {
             ],
             edges: vec![(0, 1)],
         };
-        assert_eq!(sub.bytes(), 20 + (20 + 4) + 16);
+        assert_eq!(sub.bytes(), 20 + (25 + 4) + (25 + 8) + 16);
     }
 }

@@ -27,22 +27,24 @@
 //! fixed; later path merges may re-parent it but never change its degree,
 //! and splicing it out preserves chain order for all future merges.
 //!
-//! Layout: each live vertex owns a slot of a dense arena, found by one
-//! id lookup per declaration or edge endpoint. A slot holds the id, the
-//! value and its packed sweep key, the `down` slot, and its up-arcs as a
-//! count plus the xor of the up slots (at count 1, the up slot to splice
-//! to), so path merging compares `(key, id)` and walks `down` without
-//! lookups. Each source keeps the set of slots waiting on it, so ending
-//! it touches only what it releases. Evicted slots are reused.
+//! Layout: each live vertex owns a slot of a dense arena, sized from the
+//! declared vertex counts and found by one id lookup per declaration or
+//! edge endpoint. A slot holds the id, the value and its packed sweep
+//! key, the `down` slot, its up-arcs as a count plus the xor of the up
+//! slots (so path merging compares `(key, id)` and walks `down` without
+//! lookups), and a bit per potential source still owing it. Each source
+//! lists the slots that may wait on it, so ending it touches only those.
+//! Evicted slots are reused. `finish_canonical` reads the canonical tree
+//! straight off the slots.
 
-use crate::tree::MergeTree;
+use crate::tree::{canonical_of, CanonicalTree, ForestNode, MergeTree};
 use crate::types::{sweep_key, IdMap, VertexId};
 use std::collections::hash_map::Entry;
 
 /// Identifier of one stream source (typically the producing rank).
 pub type SourceId = u32;
 
-/// The `down` of a root (and of a free slot).
+/// The `down` of a root (and of a free slot), and the `seq` of a free slot.
 const NONE: u32 = u32::MAX;
 
 #[derive(Debug, Clone, Copy, Default)]
@@ -51,7 +53,7 @@ struct Slot {
     value: f64,
     /// `sweep_key(value)`: ascending `(key, id)` is the sweep order.
     key: u64,
-    /// Declaration order, which `finish` keeps.
+    /// Declaration number, telling a reused slot apart; `NONE` when free.
     seq: u32,
     down: u32,
     /// Up-arcs: their count and the xor of their slots.
@@ -63,10 +65,12 @@ struct Slot {
     /// (e.g. feature-based statistics) will look them up in the final
     /// tree even if they are globally regular.
     pinned: bool,
-    /// How many potential sources have neither declared this vertex nor
-    /// ended their stream.
-    pending: u32,
+    /// Bit `i`: the `i`th potential source has neither declared nor ended.
+    waiting: u64,
 }
+
+/// `(slot, seq, bit)` of a vertex that may wait on a source at `bit`.
+type Wait = (u32, u32, u32);
 
 /// Statistics of one streaming aggregation run.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
@@ -89,9 +93,8 @@ pub struct StreamingMergeTree {
     slots: Vec<Slot>,
     free: Vec<u32>,
     index: IdMap<VertexId, u32>,
-    /// Per source: the slots still pending on it, or `None` once it has
-    /// ended.
-    sources: IdMap<SourceId, Option<IdMap<u32, ()>>>,
+    /// Per source, the vertices that may wait on it; `None` once ended.
+    sources: IdMap<SourceId, Option<Vec<Wait>>>,
     stats: StreamStats,
 }
 
@@ -111,9 +114,15 @@ impl StreamingMergeTree {
         self.index.len()
     }
 
+    /// Make room for `vertices` more declarations in the arena and lookup.
+    pub fn reserve(&mut self, vertices: usize) {
+        self.index.reserve(vertices);
+        self.slots.reserve(vertices.saturating_sub(self.free.len()));
+    }
+
     /// Declare a vertex from `source` with the number of incident edges
-    /// this source will eventually send. `potential` lists *all* sources
-    /// that might declare this vertex (including `source` itself); every
+    /// this source will eventually send. `potential` lists *all* (at most
+    /// 64) sources that might declare this vertex, `source` included; every
     /// declaring source must announce the same value and potential set.
     pub fn declare_vertex(
         &mut self,
@@ -123,43 +132,39 @@ impl StreamingMergeTree {
         incident_edges: u32,
         potential: &[SourceId],
     ) {
-        assert!(
-            potential.contains(&source),
-            "vertex {id}: declaring source {source} not in its potential set"
-        );
-        assert!(
-            !matches!(self.sources.get(&source), Some(None)),
-            "vertex {id}: source {source} already ended"
-        );
+        let own = potential.iter().position(|&p| p == source);
+        let own = own.unwrap_or_else(|| panic!("vertex {id}: {source} not in its potential set"));
+        assert!(potential.len() <= 64, "vertex {id}: potential set over 64");
+        let open = !matches!(self.sources.get(&source), Some(None));
+        assert!(open, "vertex {id}: source {source} already ended");
         let x = match self.index.entry(id) {
             Entry::Occupied(o) => {
-                let x = *o.get();
-                let v = self.slots[x as usize].value;
-                assert_eq!(v, value, "vertex {id} declared with differing values");
-                let waiting = self.sources.get_mut(&source).and_then(Option::as_mut);
-                assert!(
-                    waiting.is_some_and(|w| w.remove(&x).is_some()),
-                    "vertex {id} declared twice by source {source}"
-                );
-                self.slots[x as usize].pending -= 1;
-                x
+                let s = &mut self.slots[*o.get() as usize];
+                assert_eq!(s.value, value, "vertex {id} declared with differing values");
+                let owed = s.waiting & 1 << own != 0;
+                assert!(owed, "vertex {id}: {source} declared it twice");
+                s.waiting &= !(1 << own);
+                *o.get()
             }
             Entry::Vacant(e) => {
                 let x = self.free.pop().unwrap_or(self.slots.len() as u32);
+                e.insert(x);
+                let seq = self.stats.vertices as u32;
+                self.stats.vertices += 1;
+                let mut waiting = 0;
+                for (bit, &p) in potential.iter().enumerate().filter(|&(_, &p)| p != source) {
+                    if let Some(waits) = self.sources.entry(p).or_insert(Some(Vec::new())) {
+                        waits.push((x, seq, bit as u32));
+                        waiting |= 1 << bit;
+                    }
+                }
                 if x as usize == self.slots.len() {
                     self.slots.push(Slot::default());
                 }
-                e.insert(x);
-                // A free slot has no arcs, edges, pin or pending source yet.
+                // A free slot has no arcs, edges or pin yet.
                 let s = &mut self.slots[x as usize];
-                for &p in potential.iter().filter(|&&p| p != source) {
-                    if let Some(w) = self.sources.entry(p).or_insert(Some(IdMap::default())) {
-                        s.pending += w.insert(x, ()).is_none() as u32;
-                    }
-                }
-                (s.id, s.value, s.key, s.down) = (id, value, sweep_key(value), NONE);
-                s.seq = self.stats.vertices as u32;
-                self.stats.vertices += 1;
+                (s.id, s.value, s.key, s.seq) = (id, value, sweep_key(value), seq);
+                (s.down, s.waiting) = (NONE, waiting);
                 x
             }
         };
@@ -170,25 +175,27 @@ impl StreamingMergeTree {
     /// Announce that `source` will send nothing further. Vertices waiting
     /// only on this source become finalizable.
     pub fn end_source(&mut self, source: SourceId) {
-        let waiting = self.sources.insert(source, None);
-        assert!(
-            !matches!(waiting, Some(None)),
-            "source {source} ended twice"
-        );
-        for (x, ()) in waiting.flatten().unwrap_or_default() {
-            self.slots[x as usize].pending -= 1;
-            self.try_finalize(x);
+        let waits = self.sources.insert(source, None);
+        assert!(!matches!(waits, Some(None)), "source {source} ended twice");
+        for (x, seq, bit) in waits.flatten().unwrap_or_default() {
+            let s = &mut self.slots[x as usize];
+            if s.seq == seq && s.waiting & 1 << bit != 0 {
+                s.waiting &= !(1 << bit);
+                self.try_finalize(x);
+            }
         }
     }
 
     /// Exempt a declared vertex from eviction: it will appear in the
     /// final tree even when globally regular. Any source may pin.
     pub fn pin_vertex(&mut self, id: VertexId) {
-        let x = *self
-            .index
-            .get(&id)
-            .unwrap_or_else(|| panic!("pin of undeclared vertex {id}"));
+        let x = self.slot_of(id);
         self.slots[x as usize].pinned = true;
+    }
+
+    /// The slot of declared vertex `id`.
+    fn slot_of(&self, id: VertexId) -> u32 {
+        *(self.index.get(&id)).unwrap_or_else(|| panic!("vertex {id} not declared"))
     }
 
     /// True when slot `a` is strictly higher (earlier in the sweep) than `b`.
@@ -217,12 +224,7 @@ impl StreamingMergeTree {
     /// The edge may connect vertices in any order and arbitrary position;
     /// chains are merged to maintain the join tree of all edges seen.
     pub fn insert_edge(&mut self, a: VertexId, b: VertexId) {
-        let [x, y] = [a, b].map(|id| {
-            *self
-                .index
-                .get(&id)
-                .unwrap_or_else(|| panic!("edge endpoint {id} not declared"))
-        });
+        let [x, y] = [a, b].map(|id| self.slot_of(id));
         assert_ne!(a, b, "self-loop");
         self.stats.edges += 1;
 
@@ -263,45 +265,43 @@ impl StreamingMergeTree {
     /// Evict slot `x` if it is finalized and regular.
     fn try_finalize(&mut self, x: u32) {
         let s = self.slots[x as usize];
-        if s.pinned || s.pending != 0 || s.remaining != 0 || s.up_count != 1 || s.down == NONE {
+        if s.pinned || s.waiting != 0 || s.remaining != 0 || s.up_count != 1 || s.down == NONE {
             return;
         }
         // Splice: the one up-arc now points past x to its down.
         self.set_down(x, NONE);
         self.set_down(s.up_xor, s.down);
+        self.slots[x as usize].seq = NONE;
         self.index.remove(&s.id);
         self.free.push(x);
         self.stats.evicted += 1;
     }
 
+    /// Slot `x` as the tree builders read it, `None` if free. Panics if
+    /// the vertex still expects an edge or a source.
+    fn node(&self, x: u32) -> Option<ForestNode> {
+        let s = &self.slots[x as usize];
+        let resolved = s.seq == NONE || (s.remaining == 0 && s.waiting == 0);
+        assert!(resolved, "stream finished with vertex {} unresolved", s.id);
+        let down = (s.down != NONE).then_some(s.down);
+        (s.seq != NONE).then_some((s.id, s.value, down, s.up_count))
+    }
+
     /// Finish the stream: every declared edge must have arrived and every
     /// vertex must be fully resolved (callers must [`Self::end_source`]
-    /// every source). Returns the merge tree of the union of all subtrees,
-    /// nodes in declaration order (with any remaining regular vertices
-    /// still present; call [`MergeTree::canonical`] to splice them).
+    /// every source). Returns the merge tree of the union of all subtrees
+    /// (with any remaining regular vertices still present; call
+    /// [`MergeTree::canonical`] to splice them).
     pub fn finish(self) -> (MergeTree, StreamStats) {
-        let mut live: Vec<u32> = self.index.into_values().collect();
-        live.sort_unstable_by_key(|&x| self.slots[x as usize].seq);
-        let mut node = vec![NONE; self.slots.len()];
-        for (n, &x) in live.iter().enumerate() {
-            node[x as usize] = n as u32;
-        }
-        let live: Vec<Slot> = live.iter().map(|&x| self.slots[x as usize]).collect();
-        let leftover: Vec<VertexId> = live
-            .iter()
-            .filter(|s| s.remaining > 0 || s.pending > 0)
-            .map(|s| s.id)
-            .collect();
-        assert!(
-            leftover.is_empty(),
-            "stream finished with undelivered edges or sources at {leftover:?}"
-        );
-        let down = |s: &Slot| (s.down != NONE).then(|| node[s.down as usize]);
-        let tree = MergeTree::from_parts(
-            live.iter().map(|s| s.id).collect(),
-            live.iter().map(|s| s.value).collect(),
-            live.iter().map(down).collect(),
-        );
+        let tree = MergeTree::from_forest(self.slots.len(), |x| self.node(x));
+        (tree, self.stats)
+    }
+
+    /// [`Self::finish`] and then [`MergeTree::canonical`], without the
+    /// merge tree: the canonical tree is read off the live slots in one
+    /// pass. Same preconditions and panics as `finish`.
+    pub fn finish_canonical(self) -> (CanonicalTree, StreamStats) {
+        let tree = canonical_of(self.slots.len(), |x| self.node(x));
         (tree, self.stats)
     }
 }
@@ -518,6 +518,33 @@ mod tests {
         let (t, _) = s.finish();
         assert_eq!(t.maxima(), vec![3]);
         assert_eq!(t.roots(), vec![3]);
+    }
+
+    #[test]
+    fn a_reused_slot_ignores_what_its_evicted_vertex_waited_for() {
+        // Chain 10 -> 5 -> 1 from source 0; source 1 declares 5 and 1 and
+        // repeats the edge, so 5 is evicted while source 1's list still
+        // names its slot. Vertex 7, owed by source 3 at the same position
+        // of its potential set as source 1 was for 5, reuses that slot:
+        // ending source 1 must leave it waiting for source 3.
+        let mut s = StreamingMergeTree::new();
+        s.declare_vertex(0, 10, 9.0, 1, &[0]);
+        s.declare_vertex(0, 5, 5.0, 2, &[0, 1]);
+        s.declare_vertex(0, 1, 1.0, 1, &[0, 1]);
+        s.insert_edge(10, 5);
+        s.insert_edge(5, 1);
+        s.declare_vertex(1, 5, 5.0, 1, &[0, 1]);
+        s.declare_vertex(1, 1, 1.0, 1, &[0, 1]);
+        s.insert_edge(5, 1);
+        assert_eq!((s.live(), s.stats().evicted), (2, 1));
+        s.declare_vertex(0, 7, 3.0, 0, &[0, 3]);
+        s.end_source(1);
+        s.declare_vertex(3, 7, 3.0, 0, &[0, 3]);
+        s.end_source(3);
+        s.end_source(0);
+        let (c, _) = s.finish_canonical();
+        assert_eq!(c.nodes, vec![(1, 1.0), (7, 3.0), (10, 9.0)]);
+        assert_eq!(c.arcs, vec![(10, 1)]);
     }
 
     #[test]

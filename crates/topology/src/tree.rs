@@ -34,19 +34,20 @@ impl MergeTree {
         self.ids.is_empty()
     }
 
-    /// A tree of parallel node vectors, `down` by node index; ids must be
-    /// distinct and arcs descend.
-    pub(crate) fn from_parts(ids: Vec<VertexId>, values: Vec<f64>, down: Vec<Option<u32>>) -> Self {
-        let index = ids
-            .iter()
-            .enumerate()
-            .map(|(i, &id)| (id, i as u32))
-            .collect();
+    /// The tree of the forest whose node `i < len` is `node(i)` (`None` for a
+    /// hole; up-arc counts unread); ids must be distinct and arcs descend.
+    pub(crate) fn from_forest(len: usize, node: impl Fn(u32) -> Option<ForestNode>) -> Self {
+        let (mut at, mut nodes) = (vec![0; len], Vec::new());
+        for (i, n) in (0..len as u32).filter_map(|i| Some((i, node(i)?))) {
+            at[i as usize] = nodes.len() as u32;
+            nodes.push(n);
+        }
+        let ids: Vec<VertexId> = nodes.iter().map(|n| n.0).collect();
         Self {
+            index: ids.iter().zip(0..).map(|(&id, i)| (id, i)).collect(),
             ids,
-            values,
-            down,
-            index,
+            values: nodes.iter().map(|n| n.1).collect(),
+            down: nodes.iter().map(|n| n.2.map(|d| at[d as usize])).collect(),
         }
     }
 
@@ -149,27 +150,8 @@ impl MergeTree {
     /// serial one.
     pub fn canonical(&self) -> CanonicalTree {
         let up = self.up_counts();
-        let keep = |i: u32| up[i as usize] != 1 || self.down[i as usize].is_none();
-        let mut nodes: Vec<(VertexId, f64)> = Vec::new();
-        let mut arcs: Vec<(VertexId, VertexId)> = Vec::new();
-        for i in 0..self.len() as u32 {
-            if !keep(i) {
-                continue;
-            }
-            nodes.push((self.ids[i as usize], self.values[i as usize]));
-            // Walk down through regular nodes to the next kept node.
-            let mut cur = self.down[i as usize];
-            while let Some(c) = cur {
-                if keep(c) {
-                    arcs.push((self.ids[i as usize], self.ids[c as usize]));
-                    break;
-                }
-                cur = self.down[c as usize];
-            }
-        }
-        nodes.sort_unstable_by_key(|n| n.0);
-        arcs.sort_unstable();
-        CanonicalTree { nodes, arcs }
+        let node = |i: usize| Some((self.ids[i], self.values[i], self.down[i], up[i]));
+        canonical_of(self.len(), |i| node(i as usize))
     }
 
     /// The up-arcs of every node.
@@ -339,6 +321,34 @@ pub struct CanonicalTree {
     pub nodes: Vec<(VertexId, f64)>,
     /// `(upper, lower)` arcs between critical nodes, sorted.
     pub arcs: Vec<(VertexId, VertexId)>,
+}
+
+/// A node as [`canonical_of`] reads it: id, value, down node, up-arcs.
+pub(crate) type ForestNode = (VertexId, f64, Option<u32>, u32);
+
+/// The canonical form of the forest whose node `i < len` is `node(i)`
+/// (`None` for a hole); the one rule behind [`MergeTree::canonical`] and
+/// [`crate::StreamingMergeTree::finish_canonical`].
+pub(crate) fn canonical_of(len: usize, node: impl Fn(u32) -> Option<ForestNode>) -> CanonicalTree {
+    let keep = |n: &ForestNode| n.3 != 1 || n.2.is_none();
+    let mut kept: Vec<ForestNode> = (0..len as u32).filter_map(&node).filter(keep).collect();
+    // Stable: nodes come in ascending runs (one per subtree) to merge.
+    kept.sort_by_key(|n| n.0);
+    // Walk down through regular nodes to the next kept one. A node has
+    // at most one arc down, so arcs in node order are sorted.
+    let arcs = kept.iter().filter_map(|&n| {
+        let mut c = n;
+        loop {
+            c = node(c.2?).expect("arcs end at nodes");
+            if keep(&c) {
+                return Some((n.0, c.0));
+            }
+        }
+    });
+    CanonicalTree {
+        arcs: arcs.collect(),
+        nodes: kept.iter().map(|n| (n.0, n.1)).collect(),
+    }
 }
 
 /// One branch of the decomposition: a maximum and where it dies.

@@ -19,12 +19,17 @@
 //! The in-transit gluer the slot arena replaced: [`old_stream`] is the
 //! `HashMap`-per-vertex `StreamingMergeTree`, unchanged. The arena must
 //! give it an equal tree and equal `StreamStats` for every field,
-//! decomposition, connectivity, policy, pin set and arrival order.
+//! decomposition, connectivity, policy, pin set and arrival order, and
+//! the arena's canonical tree, read straight off its slots, must be the
+//! old gluer's tree made canonical. The topology aggregator, fed the
+//! encoded parts in every rank order (a random sample of orders beyond
+//! four ranks), must return `glue_subtrees(..).canonical()`.
 
 use proptest::prelude::*;
+use sitra_core::analysis::{Analysis, AnalysisOutput, HybridTopology};
 use sitra_core::wire::encode_subtree;
 use sitra_mesh::{exchange_ghosts, BBox3, Decomposition, ScalarField};
-use sitra_topology::distributed::in_situ_subtrees;
+use sitra_topology::distributed::{glue_subtrees, in_situ_subtrees};
 use sitra_topology::distributed::{rank_subtree, BoundaryPolicy};
 use sitra_topology::reduce::{Subtree, SubtreeVertex};
 use sitra_topology::stream::SourceId;
@@ -731,11 +736,13 @@ fn check_glue(whole: &ScalarField, d: &Decomposition, seed: u64) -> Result<(), T
                 queues.push(ops);
             }
             let mut new = StreamingMergeTree::new();
+            let mut canon = StreamingMergeTree::new();
             let mut old = old_stream::StreamingMergeTree::new();
             while !queues.is_empty() {
                 let q = (next(&mut rng) % queues.len() as u64) as usize;
                 let op = queues[q].pop().expect("queues are never left empty");
                 apply!(new, parts, &op);
+                apply!(canon, parts, &op);
                 apply!(old, parts, &op);
                 prop_assert_eq!(new.live(), old.live());
                 prop_assert_eq!(new.stats().evicted, old.stats().evicted);
@@ -746,6 +753,9 @@ fn check_glue(whole: &ScalarField, d: &Decomposition, seed: u64) -> Result<(), T
             let ((t, s), (rt, rs)) = (new.finish(), old.finish());
             let ctx = format!("{conn:?} {policy:?} {} ranks", d.rank_count());
             prop_assert_eq!(t.canonical(), rt.canonical(), "{}", ctx);
+            let (c, cs) = canon.finish_canonical();
+            prop_assert_eq!(&c, &rt.canonical(), "{}", ctx);
+            prop_assert_eq!(cs, s, "{}", ctx);
             prop_assert_eq!(raw(&t), raw(&rt), "{}", ctx);
             prop_assert_eq!(
                 (s.vertices, s.edges, s.evicted, s.peak_live),
@@ -754,9 +764,40 @@ fn check_glue(whole: &ScalarField, d: &Decomposition, seed: u64) -> Result<(), T
                 ctx
             );
             prop_assert!(s.chain_steps >= s.edges);
+
+            let want = AnalysisOutput::Tree(glue_subtrees(&parts).0.canonical());
+            let encoded: Vec<_> = parts.iter().map(encode_subtree).collect();
+            for order in rank_orders(parts.len(), &mut rng) {
+                let mut agg = HybridTopology::default()
+                    .streaming_aggregator(0)
+                    .expect("topology streams");
+                for r in order.iter().copied() {
+                    agg.feed(r, encoded[r].clone());
+                }
+                prop_assert_eq!(agg.finish(), want.clone(), "{} order {:?}", ctx, order);
+            }
         }
     }
     Ok(())
+}
+
+/// Every order of `n` ranks for up to four ranks, else `n` random ones.
+fn rank_orders(n: usize, rng: &mut u64) -> Vec<Vec<usize>> {
+    if n <= 4 {
+        let all = (0..n.pow(n as u32)).map(|k| (0..n).map(|i| k / n.pow(i as u32) % n).collect());
+        return all
+            .filter(|o: &Vec<usize>| (0..n).all(|r| o.contains(&r)))
+            .collect();
+    }
+    (0..n)
+        .map(|_| {
+            let mut o: Vec<usize> = (0..n).collect();
+            for i in (1..n).rev() {
+                o.swap(i, (next(rng) % (i as u64 + 1)) as usize);
+            }
+            o
+        })
+        .collect()
 }
 
 /// A smooth field at the `topo-local` rank layout (2×2×1), large enough
