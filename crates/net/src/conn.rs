@@ -670,6 +670,46 @@ mod tests {
     }
 
     #[test]
+    fn tcp_kept_spanning_frame_does_not_pin_a_larger_spare() {
+        // A connection reads a large frame into its last large frame's
+        // buffer once that is free; a much smaller frame that the
+        // receiver keeps must not land in (and pin) a buffer sized for
+        // the large one, whether it is short of the spare threshold or
+        // past it.
+        const KEPT: [usize; 2] = [100 << 10, 300 << 10];
+        let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
+        let sa = listener.local_addr().unwrap();
+        let server = std::thread::spawn(move || {
+            let (s, _) = listener.accept().unwrap();
+            let c = Connection::from_tcp(s).unwrap();
+            for len in KEPT {
+                c.send(Bytes::from(vec![1u8; 1 << 20])).unwrap();
+                // The next frame goes out once the large one is dropped.
+                assert_eq!(c.recv().unwrap(), b"dropped"[..]);
+                c.send(Bytes::from(vec![2u8; len])).unwrap();
+            }
+            let _ = c.recv();
+        });
+        let c = tcp_connect(sa).unwrap();
+        let mut kept = Vec::new();
+        for len in KEPT {
+            assert_eq!(c.recv().unwrap().len(), 1 << 20);
+            c.send(Bytes::from_static(b"dropped")).unwrap();
+            let frame = c.recv().unwrap();
+            assert_eq!(frame.as_slice(), &vec![2u8; len][..]);
+            assert!(
+                frame.storage_capacity() <= 2 * frame.len(),
+                "a {}-byte frame keeps {} bytes allocated",
+                frame.len(),
+                frame.storage_capacity()
+            );
+            kept.push(frame);
+        }
+        c.close();
+        server.join().unwrap();
+    }
+
+    #[test]
     fn tcp_peer_close_is_observed() {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let sa = listener.local_addr().unwrap();

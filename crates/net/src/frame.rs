@@ -6,8 +6,9 @@
 //! The decoder is **zero-copy for coalesced frames**: a frame lying
 //! entirely inside one fed chunk is sliced out of it (sharing the
 //! chunk's allocation), never copied. A frame spanning chunks is
-//! assembled into an exact-size buffer — one copy, no reallocation —
-//! and a hostile length prefix is rejected *before* any allocation.
+//! assembled into a buffer of its own — one copy, no reallocation,
+//! and, once a connection is warm, no fresh memory either — and a
+//! hostile length prefix is rejected *before* any allocation.
 //!
 //! On the way out a payload is a [`Frame`]: parts whose concatenation
 //! is the payload, so a bulk byte string can go to the socket from the
@@ -19,6 +20,12 @@ use bytes::Bytes;
 
 /// Length-prefix size in bytes.
 pub const HEADER_LEN: usize = 4;
+
+/// The shortest spanning frame whose buffer the decoder keeps for the
+/// next one: glibc's default mmap threshold. A shorter buffer, freed,
+/// stays in the heap's free lists for the next allocation anyway, so
+/// keeping it would only add to what the process holds.
+const SPARE_MIN: usize = 128 * 1024;
 
 /// Encode the length prefix for a payload of `len` bytes.
 ///
@@ -96,8 +103,9 @@ impl From<Bytes> for Frame {
     }
 }
 
-/// A frame mid-assembly: spans chunk boundaries, so it gets its own
-/// exact-size, zeroed buffer, filled front to back.
+/// A frame mid-assembly: spans chunk boundaries, so it gets a buffer
+/// of exactly its length — the decoder's spare or a fresh zeroed one —
+/// filled front to back.
 struct Partial {
     buf: Vec<u8>,
     /// Bytes of `buf` received so far.
@@ -108,6 +116,15 @@ struct Partial {
 /// complete frames in order and fails exactly once on a corrupt
 /// length prefix (after which the stream is desynchronized and the
 /// decoder refuses further input).
+///
+/// A spanning frame of at least 128 KiB is read into the last such
+/// frame's buffer when every view of that frame has dropped and the
+/// buffer's capacity is between the new length and twice it; otherwise
+/// the old buffer is let go and a fresh zeroed one allocated. A bulk
+/// reply dropped before the next arrives thus lands in memory already
+/// mapped, and a kept frame pins at most twice its bytes. Retention:
+/// one idle buffer per decoder at most, the last such frame's, with a
+/// capacity of at most twice that frame's length.
 #[derive(Default)]
 pub struct FrameDecoder {
     /// Partially received header bytes (< 4).
@@ -115,6 +132,9 @@ pub struct FrameDecoder {
     header_len: usize,
     partial: Option<Partial>,
     poisoned: bool,
+    /// The last spanning frame of at least [`SPARE_MIN`] bytes, held to
+    /// take its buffer back.
+    spare: Bytes,
 }
 
 impl FrameDecoder {
@@ -165,13 +185,27 @@ impl FrameDecoder {
             } else {
                 // Spans reads: exact-size assembly buffer.
                 let filled = cursor.len();
-                let mut buf = vec![0; len];
+                let mut buf = self.assembly_buffer(len);
                 buf[..filled].copy_from_slice(cursor.as_slice());
                 cursor.advance_by(filled);
                 self.partial = Some(Partial { buf, filled });
             }
         }
         Ok(())
+    }
+
+    /// A `len`-byte buffer for a spanning frame: the spare's, when
+    /// nothing else holds it and it fits (see [`FrameDecoder`]).
+    fn assembly_buffer(&mut self, len: usize) -> Vec<u8> {
+        if len >= SPARE_MIN {
+            if let Ok(mut buf) = std::mem::take(&mut self.spare).try_into_vec() {
+                if (len..=2 * len).contains(&buf.capacity()) {
+                    buf.resize(len, 0);
+                    return buf;
+                }
+            }
+        }
+        vec![0; len]
     }
 
     /// Direct-fill window for a large spanning frame: the unfilled tail
@@ -202,7 +236,11 @@ impl FrameDecoder {
         partial.filled += n;
         if partial.filled == partial.buf.len() {
             let done = self.partial.take().expect("partial present");
-            out.push(Bytes::from(done.buf));
+            let frame = Bytes::from(done.buf);
+            if frame.len() >= SPARE_MIN {
+                self.spare = frame.clone();
+            }
+            out.push(frame);
         }
     }
 
@@ -226,6 +264,7 @@ impl AdvanceBy for Bytes {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
 
     fn frame(payload: &[u8]) -> Vec<u8> {
         let mut v = encode_header(payload.len()).to_vec();
@@ -321,5 +360,145 @@ mod tests {
         }
         assert_eq!(out.len(), 1);
         assert_eq!(out[0].as_slice(), payload.as_slice());
+    }
+
+    /// `len` bytes that differ from frame to frame (`tag`).
+    fn payload(tag: usize, len: usize) -> Vec<u8> {
+        (0..len).map(|i| (i * 7 + tag * 31) as u8).collect()
+    }
+
+    /// Feed one frame in two reads, so it spans them, and return it.
+    fn spanning(dec: &mut FrameDecoder, body: &[u8]) -> Bytes {
+        let wire = frame(body);
+        let mut out = Vec::new();
+        dec.feed(Bytes::from(wire[..HEADER_LEN + 1].to_vec()), &mut out)
+            .unwrap();
+        dec.feed(Bytes::from(wire[HEADER_LEN + 1..].to_vec()), &mut out)
+            .unwrap();
+        assert_eq!(out.len(), 1);
+        out.pop().unwrap()
+    }
+
+    #[test]
+    fn a_spanning_frame_takes_the_last_ones_buffer_once_no_view_is_left() {
+        const BIG: usize = 2 * SPARE_MIN;
+        let mut dec = FrameDecoder::new();
+        let first = spanning(&mut dec, &payload(0, BIG));
+        let (ptr, view) = (first.as_ptr(), first.slice(100..200));
+        drop(first);
+        drop(view);
+        let same = spanning(&mut dec, &payload(1, BIG));
+        assert_eq!((same.as_ptr(), same.storage_capacity()), (ptr, BIG));
+        assert_eq!(same.as_slice(), payload(1, BIG));
+        drop(same);
+        // Down to half the capacity still fits, and so does growing
+        // back within it; a short spanning frame leaves the spare be.
+        let shorter = spanning(&mut dec, &payload(2, BIG / 2));
+        assert_eq!(shorter.as_ptr(), ptr);
+        assert_eq!(shorter.as_slice(), payload(2, BIG / 2));
+        drop(shorter);
+        let short = spanning(&mut dec, &payload(3, 1000));
+        assert_eq!(short.storage_capacity(), 1000);
+        drop(short);
+        let longer = spanning(&mut dec, &payload(4, BIG - 1));
+        assert_eq!(longer.as_ptr(), ptr);
+        assert_eq!(longer.as_slice(), payload(4, BIG - 1));
+    }
+
+    #[test]
+    fn a_buffer_is_never_taken_while_a_view_of_it_lives() {
+        const LEN: usize = SPARE_MIN + 1000;
+        let mut dec = FrameDecoder::new();
+        let held = spanning(&mut dec, &payload(0, LEN));
+        let part = held.slice(1_000..2_000);
+        for tag in 1..=3 {
+            let next = spanning(&mut dec, &payload(tag, LEN));
+            assert_eq!(next.as_slice(), payload(tag, LEN));
+            assert_ne!(next.as_ptr(), held.as_ptr());
+        }
+        assert_eq!(held.as_slice(), payload(0, LEN));
+        assert_eq!(part.as_slice(), &payload(0, LEN)[1_000..2_000]);
+    }
+
+    #[test]
+    fn a_frame_the_spare_does_not_fit_gets_a_fresh_buffer() {
+        // Larger than the spare's capacity: growing it would copy it.
+        let mut dec = FrameDecoder::new();
+        drop(spanning(&mut dec, &payload(0, SPARE_MIN)));
+        let larger = spanning(&mut dec, &payload(1, 3 * SPARE_MIN / 2));
+        assert_eq!(larger.storage_capacity(), 3 * SPARE_MIN / 2);
+        assert_eq!(larger.as_slice(), payload(1, 3 * SPARE_MIN / 2));
+        drop(larger);
+        // Under half of it: the frame would pin the rest.
+        drop(spanning(&mut dec, &payload(2, 4 * SPARE_MIN)));
+        let smaller = spanning(&mut dec, &payload(3, 3 * SPARE_MIN / 2));
+        assert_eq!(smaller.storage_capacity(), 3 * SPARE_MIN / 2);
+        assert_eq!(smaller.as_slice(), payload(3, 3 * SPARE_MIN / 2));
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(32))]
+
+        /// Random frame sizes, short and past the spare threshold, in
+        /// random read splits (some frames end a read, as a reply does
+        /// when the next one waits for a request), with each delivered
+        /// frame dropped, kept whole or kept as a slice: every frame is
+        /// byte-exact when delivered, and every kept one still is at
+        /// the end.
+        #[test]
+        fn reused_buffers_never_corrupt_a_frame(
+            lens in prop::collection::vec(0usize..3000, 1..24),
+            large in prop::collection::vec(any::<bool>(), 1..8),
+            cuts in prop::collection::vec(1usize..5000, 1..20),
+            ends_read in prop::collection::vec(any::<bool>(), 1..8),
+            keeps in prop::collection::vec(0u8..6, 1..16),
+        ) {
+            let lens: Vec<usize> = lens
+                .iter()
+                .enumerate()
+                .map(|(tag, &len)| match large[tag % large.len()] {
+                    true => SPARE_MIN + 40 * len,
+                    false => len,
+                })
+                .collect();
+            let (mut wire, mut read_ends) = (Vec::new(), Vec::new());
+            for (tag, &len) in lens.iter().enumerate() {
+                wire.extend_from_slice(&frame(&payload(tag, len)));
+                if ends_read[tag % ends_read.len()] {
+                    read_ends.push(wire.len());
+                }
+            }
+            let mut dec = FrameDecoder::new();
+            let (mut out, mut kept, mut delivered) = (Vec::new(), Vec::new(), 0);
+            let (mut rest, mut at) = (Bytes::from(wire), 0);
+            for i in 0.. {
+                if rest.is_empty() {
+                    break;
+                }
+                let mut take = cuts[i % cuts.len()].min(rest.len());
+                if let Some(end) = read_ends.iter().find(|&&end| end > at) {
+                    take = take.min(end - at);
+                }
+                at += take;
+                dec.feed(rest.split_to(take), &mut out).unwrap();
+                for got in out.drain(..) {
+                    let tag = delivered;
+                    delivered += 1;
+                    prop_assert_eq!(got, payload(tag, lens[tag]));
+                    match keeps[tag % keeps.len()] {
+                        0 => kept.push((tag, 0..got.len(), got)),
+                        1 => {
+                            let range = got.len() / 3..got.len() / 2;
+                            kept.push((tag, range.clone(), got.slice(range)));
+                        }
+                        _ => {}
+                    }
+                }
+            }
+            prop_assert_eq!(delivered, lens.len());
+            for (tag, range, got) in kept {
+                prop_assert_eq!(got.as_slice(), &payload(tag, lens[tag])[range]);
+            }
+        }
     }
 }

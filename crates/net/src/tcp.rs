@@ -19,7 +19,8 @@
 //!   take them without a syscall. A timeout only ever applies *between*
 //!   reads, so a partial frame stays in the decoder and the stream
 //!   never desynchronises. Large spanning frames are read directly into
-//!   their exact-size buffer via the decoder's direct-fill window.
+//!   their buffer via the decoder's direct-fill window; once nothing
+//!   holds the last one's, the next reuses it.
 //! * **Backpressure** is the socket's own: a sender blocks in `write`
 //!   when the peer stops reading, and not reading is all a slow
 //!   consumer has to do.
