@@ -73,16 +73,12 @@ fn main() {
             expected_bte += 1;
         }
     }
-    // Bulk puts complete asynchronously: wait for the destination events
-    // before reading the counters.
-    let mut received = 0;
-    while received < expected_bte {
-        match b.poll_event(std::time::Duration::from_secs(10)) {
-            Some(sitra_dart::Event::PutReceived { .. }) => received += 1,
-            Some(_) => {}
-            None => panic!("timed out waiting for BTE completions"),
-        }
-    }
+    // A bulk put completes before `send_auto` returns: its destination
+    // event is already queued.
+    let received = std::iter::from_fn(|| b.try_event())
+        .filter(|e| matches!(e, sitra_dart::Event::PutReceived { .. }))
+        .count();
+    assert_eq!(received, expected_bte, "a BTE put left no completion");
     let stats = fabric.stats();
     println!(
         "live fabric: {} SMSG messages ({} B), {} BTE transfers ({} B) — routing verified",

@@ -21,7 +21,7 @@ use bytes::Bytes;
 use sitra_dart::{Endpoint, EndpointId, Event, Fabric, RegionKey};
 use sitra_dataspaces::{AutoscaleConfig, AutoscaleHandle, BucketHandle, Scheduler};
 use std::sync::{Arc, Mutex};
-use std::time::{Duration, Instant};
+use std::time::Instant;
 
 const CAPS: BackendCaps = BackendCaps {
     name: "local",
@@ -172,6 +172,13 @@ impl StagingBackend for LocalBackend {
             }
             parts.push((*r, self.rank_endpoints[*r].id(), key));
         }
+        // The producers never act on their source-side completions
+        // (`GetServed`); discard them so they do not pile up for the
+        // whole run. What arrives after this is bounded by the regions
+        // still exported: one back-pressure ring per analysis.
+        for ep in &self.rank_endpoints {
+            while ep.try_event().is_some() {}
+        }
         self.scheduler
             .submit(TaskDesc {
                 analysis_idx: task.analysis_idx,
@@ -228,68 +235,37 @@ fn bucket_loop(
 ) {
     while let Some((_seq, task)) = bucket.request_task() {
         let spec = &ctx.analyses()[task.analysis_idx];
-        // Pull every payload from the producers' memory.
-        let mut pending = std::collections::HashMap::new();
+        // Pull every payload from the producers' memory. A get is served
+        // before `rdma_get` returns, so its completion is already the
+        // next event on this bucket's queue. Streaming aggregation, when
+        // the analysis supports it, combines each payload as it lands;
+        // otherwise all parts are buffered and aggregated at once.
+        let mut streaming = spec.analysis.streaming_aggregator(task.step);
+        let streamed = streaming.is_some();
+        let mut parts: Vec<(usize, Bytes)> = Vec::with_capacity(task.parts.len());
+        let mut movement_sim = 0.0;
+        let mut aggregate_secs = 0.0;
         let mut overrun = false;
         for (rank, peer, key) in &task.parts {
-            match ep.rdma_get(*peer, *key) {
-                Ok(id) => {
-                    pending.insert(id, *rank);
+            if ep.rdma_get(*peer, *key).is_err() {
+                // Producer already withdrew this step (back-pressure).
+                overrun = true;
+                break;
+            }
+            let Some(Event::GetComplete { data, sim_time, .. }) = ep.try_event() else {
+                panic!("bucket {bucket_id}: an issued get left no completion");
+            };
+            movement_sim += sim_time;
+            match &mut streaming {
+                Some(agg) => {
+                    let t = Instant::now();
+                    agg.feed(*rank, data);
+                    aggregate_secs += t.elapsed().as_secs_f64();
                 }
-                Err(_) => {
-                    // Producer already withdrew this step (back-pressure).
-                    overrun = true;
-                    break;
-                }
+                None => parts.push((*rank, data)),
             }
         }
         if overrun {
-            ctx.retire(Retired::Dropped);
-            let _ = done.send(());
-            continue;
-        }
-        // Streaming aggregation when the analysis supports it: payloads
-        // are combined the moment each pull completes, overlapping the
-        // aggregation with the remaining transfers. Otherwise buffer all
-        // parts and aggregate at once.
-        let mut streaming = spec.analysis.streaming_aggregator(task.step);
-        let streamed = streaming.is_some();
-        let mut parts: Vec<(usize, Bytes)> = Vec::with_capacity(pending.len());
-        let mut movement_sim = 0.0;
-        let mut aggregate_secs = 0.0;
-        let mut failed_mid_pull = false;
-        while !pending.is_empty() {
-            match ep.poll_event(Duration::from_secs(30)) {
-                Some(Event::GetComplete {
-                    id, data, sim_time, ..
-                }) => {
-                    if let Some(rank) = pending.remove(&id) {
-                        movement_sim += sim_time;
-                        match &mut streaming {
-                            Some(agg) => {
-                                let t = Instant::now();
-                                agg.feed(rank, data);
-                                aggregate_secs += t.elapsed().as_secs_f64();
-                            }
-                            None => parts.push((rank, data)),
-                        }
-                    }
-                }
-                Some(Event::GetFailed { id, .. }) => {
-                    // A producer withdrew the region mid-pull: the task is
-                    // a staging overrun.
-                    if pending.remove(&id).is_some() {
-                        failed_mid_pull = true;
-                    }
-                    if pending.is_empty() {
-                        break;
-                    }
-                }
-                Some(_) => {}
-                None => panic!("bucket {bucket_id}: transfer timed out"),
-            }
-        }
-        if failed_mid_pull {
             ctx.retire(Retired::Dropped);
             let _ = done.send(());
             continue;
@@ -317,4 +293,48 @@ fn bucket_loop(
         let _ = done.send(());
     }
     ep.unregister();
+}
+
+#[cfg(test)]
+mod tests {
+    use super::super::tests::task_of;
+    use super::*;
+    use crate::analysis::HybridStats;
+    use crate::placement::{AnalysisSpec, Placement};
+    use sitra_dart::NetworkModel;
+
+    const RANKS: usize = 4;
+
+    #[test]
+    fn producer_endpoints_hold_at_most_one_window_of_events() {
+        const DEPTH: u64 = 4;
+        let ctx = RetireCtx::new(vec![AnalysisSpec::new(
+            Arc::new(HybridStats::default()),
+            Placement::Hybrid,
+            1,
+        )]);
+        let fabric = Fabric::new(NetworkModel::gemini());
+        let mut backend = LocalBackend::new(ctx.clone(), &fabric, RANKS, 2, DEPTH, None);
+        // Retiring each step before the next one is submitted completes
+        // every task, so each one leaves a `GetServed` on every rank.
+        for step in 1..=200 {
+            backend.submit(task_of(&ctx, step, RANKS));
+            backend.drain();
+        }
+        assert_eq!(ctx.dropped_tasks(), 0);
+        for ep in &backend.rank_endpoints {
+            let mut held = 0;
+            while let Some(ev) = ep.try_event() {
+                assert!(matches!(ev, Event::GetServed { .. }), "{ev:?}");
+                held += 1;
+            }
+            assert!(
+                held <= DEPTH,
+                "rank endpoint {} held {held} events",
+                ep.id()
+            );
+        }
+        assert_eq!(backend.close().submitted, 200);
+        assert_eq!(ctx.take_outputs().len(), 200);
+    }
 }

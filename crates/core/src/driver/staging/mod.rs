@@ -121,3 +121,43 @@ pub trait StagingBackend {
     /// [`drain`](Self::drain).
     fn close(&mut self) -> BackendStats;
 }
+
+#[cfg(test)]
+mod tests {
+    use super::{RetireCtx, StagedTask};
+    use crate::analysis::InSituCtx;
+    use sitra_mesh::{BBox3, Decomposition, ScalarField};
+    use std::time::Instant;
+
+    /// One `ranks`-rank task of `ctx`'s first analysis at `step`, on a
+    /// `4·ranks × 4 × 4` grid split along x.
+    pub(super) fn task_of(ctx: &RetireCtx, step: u64, ranks: usize) -> StagedTask {
+        let g = BBox3::from_dims([4 * ranks, 4, 4]);
+        let decomp = Decomposition::new(g, [ranks, 1, 1]);
+        let whole = ScalarField::from_fn(g, |p| p[0] as f64 * 0.25 + step as f64);
+        let parts = (0..ranks)
+            .map(|rank| {
+                let block = whole.extract(&decomp.block(rank));
+                let vars = vec![("T".to_string(), block.clone())];
+                let payload = ctx.analyses()[0].analysis.in_situ(&InSituCtx {
+                    rank,
+                    step,
+                    decomp: &decomp,
+                    ghosted: &block,
+                    vars: &vars,
+                });
+                (rank, payload)
+            })
+            .collect();
+        StagedTask {
+            analysis_idx: 0,
+            step,
+            issued: Instant::now(),
+            parts,
+            insitu_secs: 0.0,
+            insitu_core_secs: 0.0,
+            movement_bytes: 0,
+            movement_sim_secs: 0.0,
+        }
+    }
+}

@@ -473,13 +473,13 @@ impl StagingBackend for RemoteBackend {
 
 #[cfg(test)]
 mod tests {
+    use super::super::tests::task_of;
     use super::*;
-    use crate::analysis::{HybridStats, InSituCtx};
+    use crate::analysis::HybridStats;
     use crate::placement::{AnalysisSpec, Placement};
     use crate::remote::{output_bbox, output_var};
     use crate::wire::encode_analysis_output;
     use sitra_dataspaces::{AdmissionPolicy, DataSpaces, Scheduler, SpaceServer};
-    use sitra_mesh::{Decomposition, ScalarField};
     use std::sync::atomic::{AtomicUsize, Ordering};
 
     /// A backend over a fresh worker-less server (so an output only
@@ -526,37 +526,6 @@ mod tests {
     /// One two-rank task of the rig's analysis at `step`.
     fn task(ctx: &RetireCtx, step: u64) -> StagedTask {
         task_of(ctx, step, 2)
-    }
-
-    /// One `ranks`-rank task of the rig's analysis at `step`.
-    fn task_of(ctx: &RetireCtx, step: u64, ranks: usize) -> StagedTask {
-        let g = BBox3::from_dims([4 * ranks, 4, 4]);
-        let decomp = Decomposition::new(g, [ranks, 1, 1]);
-        let whole = ScalarField::from_fn(g, |p| p[0] as f64 * 0.25 + step as f64);
-        let parts = (0..ranks)
-            .map(|rank| {
-                let block = whole.extract(&decomp.block(rank));
-                let vars = vec![("T".to_string(), block.clone())];
-                let payload = ctx.analyses()[0].analysis.in_situ(&InSituCtx {
-                    rank,
-                    step,
-                    decomp: &decomp,
-                    ghosted: &block,
-                    vars: &vars,
-                });
-                (rank, payload)
-            })
-            .collect();
-        StagedTask {
-            analysis_idx: 0,
-            step,
-            issued: Instant::now(),
-            parts,
-            insitu_secs: 0.0,
-            insitu_core_secs: 0.0,
-            movement_bytes: 0,
-            movement_sim_secs: 0.0,
-        }
     }
 
     /// What a worker would put for `task`.

@@ -1,4 +1,4 @@
-//! The fabric, endpoints, registered regions, and the progress engine.
+//! The fabric, endpoints and registered regions.
 
 use crate::model::NetworkModel;
 use bytes::Bytes;
@@ -6,9 +6,8 @@ use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, RwLock};
 use serde::{Deserialize, Serialize};
 use std::collections::HashMap;
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Identifies a registered endpoint (node).
@@ -73,17 +72,6 @@ pub enum Event {
         /// Simulated transfer duration.
         sim_time: f64,
     },
-    /// A `get` this endpoint issued could not be served: the region or
-    /// its owner disappeared between issue and service (producers may
-    /// withdraw regions at any time — staging back-pressure).
-    GetFailed {
-        /// Transfer transaction id.
-        id: TransferId,
-        /// The intended owner.
-        from: EndpointId,
-        /// The missing region.
-        key: RegionKey,
-    },
     /// A peer pulled one of this endpoint's regions (source-side
     /// completion — fired without this endpoint's participation).
     GetServed {
@@ -136,23 +124,6 @@ struct EndpointShared {
     events: Sender<Event>,
 }
 
-enum Request {
-    Get {
-        id: TransferId,
-        requester: EndpointId,
-        owner: EndpointId,
-        key: RegionKey,
-    },
-    Put {
-        id: TransferId,
-        writer: EndpointId,
-        target: EndpointId,
-        key: RegionKey,
-        data: Bytes,
-    },
-    Shutdown,
-}
-
 /// Live counters mirroring [`FabricStats`] into the global
 /// [`sitra_obs`] registry, so a metrics endpoint can watch fabric
 /// traffic without polling `Fabric::stats()`.
@@ -182,37 +153,46 @@ struct FabricInner {
     obs: FabricObs,
     next_endpoint: AtomicU64,
     next_transfer: AtomicU64,
-    req_tx: Sender<Request>,
+    closed: AtomicBool,
 }
 
-/// The transport fabric: a registry of endpoints plus a progress engine
-/// executing bulk transfers asynchronously.
+impl FabricInner {
+    /// Charge one BTE transfer of `len` bytes to the statistics and
+    /// return its simulated duration.
+    fn charge_bte(&self, len: usize) -> f64 {
+        let sim = self.model.transfer_time(len, Path::Bte);
+        {
+            let mut s = self.stats.lock();
+            s.bte_transfers += 1;
+            s.bte_bytes += len as u64;
+            s.sim_seconds += sim;
+        }
+        self.obs.bte_transfers.inc();
+        self.obs.bte_bytes.add(len as u64);
+        sim
+    }
+}
+
+/// The transport fabric: a registry of endpoints. Bulk transfers are
+/// served on the issuing thread; completion is reported through the
+/// endpoints' event queues.
 pub struct Fabric {
     inner: Arc<FabricInner>,
-    progress: Mutex<Option<JoinHandle<()>>>,
 }
 
 impl Fabric {
     /// Bring up a fabric with the given network model.
     pub fn new(model: NetworkModel) -> Arc<Self> {
-        let (req_tx, req_rx) = unbounded::<Request>();
-        let inner = Arc::new(FabricInner {
-            endpoints: RwLock::new(HashMap::new()),
-            model,
-            stats: Mutex::new(FabricStats::default()),
-            obs: FabricObs::resolve(),
-            next_endpoint: AtomicU64::new(1),
-            next_transfer: AtomicU64::new(1),
-            req_tx,
-        });
-        let worker_inner = Arc::clone(&inner);
-        let progress = std::thread::Builder::new()
-            .name("dart-progress".into())
-            .spawn(move || progress_loop(worker_inner, req_rx))
-            .expect("spawn progress thread");
         Arc::new(Self {
-            inner,
-            progress: Mutex::new(Some(progress)),
+            inner: Arc::new(FabricInner {
+                endpoints: RwLock::new(HashMap::new()),
+                model,
+                stats: Mutex::new(FabricStats::default()),
+                obs: FabricObs::resolve(),
+                next_endpoint: AtomicU64::new(1),
+                next_transfer: AtomicU64::new(1),
+                closed: AtomicBool::new(false),
+            }),
         })
     }
 
@@ -242,110 +222,10 @@ impl Fabric {
         self.inner.model
     }
 
-    /// Stop the progress engine (idempotent). In-flight requests finish.
+    /// Close the fabric to bulk transfers (idempotent): every later
+    /// `rdma_get`/`rdma_put` fails with [`DartError::Closed`].
     pub fn shutdown(&self) {
-        if let Some(h) = self.progress.lock().take() {
-            let _ = self.inner.req_tx.send(Request::Shutdown);
-            let _ = h.join();
-        }
-    }
-}
-
-impl Drop for Fabric {
-    fn drop(&mut self) {
-        self.shutdown();
-    }
-}
-
-fn progress_loop(inner: Arc<FabricInner>, rx: Receiver<Request>) {
-    while let Ok(req) = rx.recv() {
-        match req {
-            Request::Shutdown => break,
-            Request::Get {
-                id,
-                requester,
-                owner,
-                key,
-            } => {
-                let endpoints = inner.endpoints.read();
-                let fail = |endpoints: &HashMap<EndpointId, Arc<EndpointShared>>| {
-                    if let Some(req_ep) = endpoints.get(&requester) {
-                        let _ = req_ep.events.send(Event::GetFailed {
-                            id,
-                            from: owner,
-                            key,
-                        });
-                    }
-                };
-                let Some(own) = endpoints.get(&owner) else {
-                    fail(&endpoints);
-                    continue;
-                };
-                let data = own.regions.read().get(&key).cloned();
-                let Some(data) = data else {
-                    fail(&endpoints);
-                    continue;
-                };
-                let sim = inner.model.transfer_time(data.len(), Path::Bte);
-                {
-                    let mut s = inner.stats.lock();
-                    s.bte_transfers += 1;
-                    s.bte_bytes += data.len() as u64;
-                    s.sim_seconds += sim;
-                }
-                inner.obs.bte_transfers.inc();
-                inner.obs.bte_bytes.add(data.len() as u64);
-                // Source-side completion (the owner's CPU was never
-                // involved in serving the data).
-                let _ = own.events.send(Event::GetServed {
-                    id,
-                    by: requester,
-                    key,
-                });
-                if let Some(req_ep) = endpoints.get(&requester) {
-                    let _ = req_ep.events.send(Event::GetComplete {
-                        id,
-                        from: owner,
-                        data,
-                        sim_time: sim,
-                    });
-                }
-            }
-            Request::Put {
-                id,
-                writer,
-                target,
-                key,
-                data,
-            } => {
-                let endpoints = inner.endpoints.read();
-                let Some(tgt) = endpoints.get(&target) else {
-                    continue;
-                };
-                let sim = inner.model.transfer_time(data.len(), Path::Bte);
-                {
-                    let mut s = inner.stats.lock();
-                    s.bte_transfers += 1;
-                    s.bte_bytes += data.len() as u64;
-                    s.sim_seconds += sim;
-                }
-                inner.obs.bte_transfers.inc();
-                inner.obs.bte_bytes.add(data.len() as u64);
-                tgt.regions.write().insert(key, data);
-                let _ = tgt.events.send(Event::PutReceived {
-                    id,
-                    from: writer,
-                    key,
-                });
-                if let Some(w) = endpoints.get(&writer) {
-                    let _ = w.events.send(Event::PutComplete {
-                        id,
-                        to: target,
-                        sim_time: sim,
-                    });
-                }
-            }
-        }
+        self.inner.closed.store(true, Ordering::Release);
     }
 }
 
@@ -379,53 +259,63 @@ impl Endpoint {
         }
     }
 
-    /// Asynchronously pull `key` from `peer` (BTE RDMA get). Completion
-    /// arrives as [`Event::GetComplete`] on this endpoint and
-    /// [`Event::GetServed`] on the peer. Errors are detected eagerly when
-    /// the region or peer does not exist at issue time.
+    /// One-sided pull of `key` from `peer` (BTE RDMA get), served on
+    /// the calling thread without involving `peer`. When this returns
+    /// `Ok`, [`Event::GetComplete`] is already queued on this endpoint
+    /// and [`Event::GetServed`] on the peer; a region or peer that does
+    /// not exist fails here, so an issued get always completes.
     pub fn rdma_get(&self, peer: EndpointId, key: RegionKey) -> Result<TransferId, DartError> {
-        {
-            let eps = self.fabric.endpoints.read();
-            let p = eps.get(&peer).ok_or(DartError::UnknownEndpoint(peer))?;
-            if !p.regions.read().contains_key(&key) {
-                return Err(DartError::UnknownRegion(peer, key));
-            }
+        if self.fabric.closed.load(Ordering::Acquire) {
+            return Err(DartError::Closed);
         }
+        let eps = self.fabric.endpoints.read();
+        let owner = eps.get(&peer).ok_or(DartError::UnknownEndpoint(peer))?;
+        let data = owner.regions.read().get(&key).cloned();
+        let data = data.ok_or(DartError::UnknownRegion(peer, key))?;
         let id = self.fabric.next_transfer.fetch_add(1, Ordering::Relaxed);
-        self.fabric
-            .req_tx
-            .send(Request::Get {
-                id,
-                requester: self.id,
-                owner: peer,
-                key,
-            })
-            .map_err(|_| DartError::Closed)?;
+        let sim = self.fabric.charge_bte(data.len());
+        let _ = owner.events.send(Event::GetServed {
+            id,
+            by: self.id,
+            key,
+        });
+        let _ = eps[&self.id].events.send(Event::GetComplete {
+            id,
+            from: peer,
+            data,
+            sim_time: sim,
+        });
         Ok(id)
     }
 
-    /// Asynchronously write `data` into `peer`'s region `key` (BTE RDMA
-    /// put). The region is created at the target if absent.
+    /// One-sided write of `data` into `peer`'s region `key` (BTE RDMA
+    /// put), served on the calling thread. The region is created at the
+    /// target if absent. When this returns `Ok`, [`Event::PutComplete`]
+    /// is queued on this endpoint and [`Event::PutReceived`] on the peer.
     pub fn rdma_put(
         &self,
         peer: EndpointId,
         key: RegionKey,
         data: Bytes,
     ) -> Result<TransferId, DartError> {
-        if !self.fabric.endpoints.read().contains_key(&peer) {
-            return Err(DartError::UnknownEndpoint(peer));
+        if self.fabric.closed.load(Ordering::Acquire) {
+            return Err(DartError::Closed);
         }
+        let eps = self.fabric.endpoints.read();
+        let target = eps.get(&peer).ok_or(DartError::UnknownEndpoint(peer))?;
         let id = self.fabric.next_transfer.fetch_add(1, Ordering::Relaxed);
-        self.fabric
-            .req_tx
-            .send(Request::Put {
-                id,
-                writer: self.id,
-                target: peer,
-                key,
-                data,
-            })
-            .map_err(|_| DartError::Closed)?;
+        let sim = self.fabric.charge_bte(data.len());
+        target.regions.write().insert(key, data);
+        let _ = target.events.send(Event::PutReceived {
+            id,
+            from: self.id,
+            key,
+        });
+        let _ = eps[&self.id].events.send(Event::PutComplete {
+            id,
+            to: peer,
+            sim_time: sim,
+        });
         Ok(id)
     }
 
@@ -684,9 +574,9 @@ mod tests {
         for h in handles {
             assert_eq!(h.join().unwrap(), 200_000);
         }
-        // Owner saw 8 served events.
+        // Owner saw 8 served events, all queued before the gets returned.
         let mut served = 0;
-        while let Some(Event::GetServed { .. }) = owner.poll_event(Duration::from_millis(200)) {
+        while let Some(Event::GetServed { .. }) = owner.try_event() {
             served += 1;
         }
         assert_eq!(served, 8);
@@ -705,5 +595,91 @@ mod tests {
             a.rdma_put(b.id(), 1, Bytes::new()).unwrap_err(),
             DartError::Closed
         );
+        a.smsg_send(b.id(), Bytes::from_static(b"hi")).unwrap();
+    }
+
+    #[test]
+    fn rdma_get_after_shutdown_is_closed() {
+        let f = fabric();
+        let owner = f.register();
+        let puller = f.register();
+        owner.export(3, Bytes::from_static(b"data"));
+        f.shutdown();
+        assert_eq!(puller.rdma_get(owner.id(), 3), Err(DartError::Closed));
+        assert_eq!(puller.try_event(), None);
+        assert_eq!(owner.try_event(), None);
+        assert_eq!(f.stats().bte_transfers, 0);
+    }
+
+    #[test]
+    fn both_completions_are_queued_when_rdma_get_returns() {
+        let f = fabric();
+        let owner = f.register();
+        let puller = f.register();
+        owner.export(4, Bytes::from_static(b"block"));
+        let id = puller.rdma_get(owner.id(), 4).unwrap();
+        match puller.try_event() {
+            Some(Event::GetComplete { id: gid, data, .. }) => {
+                assert_eq!(gid, id);
+                assert_eq!(&data[..], b"block");
+            }
+            other => panic!("GetComplete not queued at return: {other:?}"),
+        }
+        match owner.try_event() {
+            Some(Event::GetServed { id: gid, by, key }) => {
+                assert_eq!((gid, by, key), (id, puller.id(), 4));
+            }
+            other => panic!("GetServed not queued at return: {other:?}"),
+        }
+        assert_eq!(puller.try_event(), None);
+        assert_eq!(owner.try_event(), None);
+    }
+
+    #[test]
+    fn gets_racing_an_unexport_err_at_issue_or_complete_once() {
+        const ROUNDS: u64 = 500;
+        let f = fabric();
+        let owner = f.register();
+        let oid = owner.id();
+        for key in 0..ROUNDS {
+            owner.export(key, Bytes::from(vec![key as u8; 64]));
+        }
+        let pullers: Vec<_> = (0..2)
+            .map(|_| {
+                let ep = f.register();
+                std::thread::spawn(move || {
+                    let mut issued = Vec::new();
+                    for key in 0..ROUNDS {
+                        match ep.rdma_get(oid, key) {
+                            Ok(id) => issued.push(id),
+                            Err(e) => assert_eq!(e, DartError::UnknownRegion(oid, key)),
+                        }
+                    }
+                    let mut completed = Vec::new();
+                    while let Some(ev) = ep.try_event() {
+                        match ev {
+                            Event::GetComplete { id, .. } => completed.push(id),
+                            other => panic!("unexpected {other:?}"),
+                        }
+                    }
+                    assert_eq!(completed, issued, "every issued get completes once");
+                    issued.len()
+                })
+            })
+            .collect();
+        let withdraw = std::thread::spawn(move || {
+            for key in 0..ROUNDS {
+                owner.unexport(key);
+            }
+            owner
+        });
+        let issued: usize = pullers.into_iter().map(|h| h.join().unwrap()).sum();
+        let owner = withdraw.join().unwrap();
+        let mut served = 0;
+        while let Some(Event::GetServed { .. }) = owner.try_event() {
+            served += 1;
+        }
+        assert_eq!(served, issued);
+        assert_eq!(f.stats().bte_transfers as usize, issued);
     }
 }

@@ -13,15 +13,18 @@
 //! * **SMSG/FMA** — low-latency small-message sends, delivered directly
 //!   to the peer's event queue;
 //! * **BTE** — bulk RDMA `get`/`put` against *registered memory regions*,
-//!   executed by a progress engine without involving the region owner's
-//!   CPU, with completion events generated at **both** the source and the
-//!   destination of the transfer (the mechanism DataSpaces uses to track
-//!   transaction status and schedule analysis).
+//!   served without involving the region owner's CPU, with completion
+//!   events generated at **both** the source and the destination of the
+//!   transfer (the mechanism DataSpaces uses to track transaction status
+//!   and schedule analysis).
 //!
 //! Since we run on one machine, "RDMA" is a reference-counted buffer
-//! clone ([`bytes::Bytes`], so payloads are never deep-copied) performed
-//! by a dedicated progress thread — preserving the essential property
-//! that bulk pulls are asynchronous with respect to both endpoints. A
+//! clone ([`bytes::Bytes`], so payloads are never deep-copied), served
+//! on the issuing thread: by the time `rdma_get` returns, the data is
+//! on the requester's event queue and the source-side completion on the
+//! owner's. Completion stays event-driven and one-sided — the owner
+//! runs no code for a pull and learns of it only from its queue — and
+//! there is no progress thread to hand the transfer to and back. A
 //! pluggable [`NetworkModel`] charges each transfer the latency and
 //! bandwidth of the modeled fabric, which is how the discrete-event
 //! replay at paper scale obtains its communication costs.
