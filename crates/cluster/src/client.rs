@@ -15,6 +15,13 @@
 //! Whatever touches several members is sent to all of them before any
 //! reply is read, so a fan-out costs one round-trip time, not one per
 //! member.
+//!
+//! Evictions ride ship batches: [`ClusterClient::queue_eviction`] only
+//! notes a version per member, and the next [`ClusterClient::ship`]
+//! that sends a batch to a member appends that member's evictions after
+//! its puts and its submit — no extra round trip, and no member dialed
+//! for them alone. [`ClusterClient::evict_versions`] sends whatever is
+//! still queued (end of run).
 
 use crate::ring::{HashRing, ShardKey};
 use bytes::Bytes;
@@ -49,6 +56,9 @@ struct Member {
     /// The last dial failed; cleared by the next one that succeeds. A
     /// plain flag publishing no other data, hence `Relaxed`.
     down: AtomicBool,
+    /// Versions queued for eviction here
+    /// ([`ClusterClient::queue_eviction`]), not sent yet.
+    evictions: Mutex<Vec<u64>>,
 }
 
 /// A member's connection slot, locked for the length of an operation.
@@ -119,6 +129,7 @@ impl ClusterClient {
                     conn: Mutex::new(None),
                     open: Mutex::new(None),
                     down: AtomicBool::new(false),
+                    evictions: Mutex::new(Vec::new()),
                 })
             })
             .collect::<Result<Vec<_>, RemoteError>>()?;
@@ -485,6 +496,10 @@ impl ClusterClient {
     /// put is acknowledged, so a worker is never assigned a task whose
     /// pieces are still in flight; only then does an unreachable owner
     /// make it fall over in ring order. A put that fails fails the ship.
+    ///
+    /// Each member's queued evictions ([`ClusterClient::queue_eviction`])
+    /// ride its batch after the puts and the submit; their replies never
+    /// fail the ship, and a batch that fails keeps them queued.
     pub fn ship(
         &self,
         var: &str,
@@ -530,13 +545,33 @@ impl ClusterClient {
                     hint: hint.clone(),
                 });
         }
+        // Last in each batch, so the submit's reply position holds.
+        let evicting: Vec<Vec<u64>> = by_owner
+            .iter_mut()
+            .map(|(idx, (_, reqs))| self.take_evictions(*idx, reqs))
+            .collect();
         let work: Vec<(usize, &[Request])> = by_owner
             .iter()
             .map(|(idx, (_, reqs))| (*idx, &reqs[..]))
             .collect();
         let mut replies = Vec::new();
-        for member_replies in self.exchange(&work) {
-            replies.extend(member_replies?);
+        let mut failed = None;
+        for ((&(idx, _), evicted), member_replies) in
+            work.iter().zip(evicting).zip(self.exchange(&work))
+        {
+            match member_replies {
+                Ok(mut r) => {
+                    r.truncate(r.len().saturating_sub(evicted.len()));
+                    replies.extend(r);
+                }
+                Err(e) => {
+                    self.members[idx].evictions.lock().extend(evicted);
+                    failed.get_or_insert(e);
+                }
+            }
+        }
+        if let Some(e) = failed {
+            return Err(e);
         }
         // A submit that rode is the last request of the only batch.
         let verdict = if rides {
@@ -594,13 +629,49 @@ impl ClusterClient {
     }
 
     /// [`ClusterClient::evict_version`] for a list of versions, sent to
-    /// each member as one batch.
+    /// each member as one batch together with every eviction still
+    /// queued for it. A member with nothing to evict is not contacted.
     pub fn evict_versions(&self, versions: impl IntoIterator<Item = u64>) {
         let evictions: Vec<Request> = versions
             .into_iter()
             .map(|version| Request::EvictVersion { version })
             .collect();
-        let _ = self.answers(&evictions, Response::into_ok);
+        let batches: Vec<(usize, Vec<Request>)> = (0..self.members.len())
+            .filter_map(|idx| {
+                let mut reqs = evictions.clone();
+                self.take_evictions(idx, &mut reqs);
+                (!reqs.is_empty()).then_some((idx, reqs))
+            })
+            .collect();
+        let work: Vec<(usize, &[Request])> = batches
+            .iter()
+            .map(|(idx, reqs)| (*idx, &reqs[..]))
+            .collect();
+        let _ = self.exchange(&work);
+    }
+
+    /// Append member `idx`'s queued evictions to `reqs`, and return
+    /// their versions, which leave the queue.
+    fn take_evictions(&self, idx: usize, reqs: &mut Vec<Request>) -> Vec<u64> {
+        let versions = std::mem::take(&mut *self.members[idx].evictions.lock());
+        reqs.extend(
+            versions
+                .iter()
+                .map(|&version| Request::EvictVersion { version }),
+        );
+        versions
+    }
+
+    /// Evict `version` on every member without a round trip of its own:
+    /// the eviction rides the next [`ClusterClient::ship`] batch sent to
+    /// each member, and [`ClusterClient::evict_versions`] sends what no
+    /// ship took. Nothing is dialed or sent here. Queue only a version
+    /// that no later ship puts: the eviction follows the puts of the
+    /// batch it rides.
+    pub fn queue_eviction(&self, version: u64) {
+        for m in &self.members {
+            m.evictions.lock().push(version);
+        }
     }
 
     /// Close every member's scheduler (end of run). Unreachable

@@ -1,7 +1,8 @@
 //! [`ClusterClient::ship`]: one flush and one wait on a single server,
 //! puts to every member at once and the submit only after the last
 //! acknowledgement on several, a whole-batch retry across a cut link,
-//! and ring-order fail-over of the submit.
+//! ring-order fail-over of the submit, and queued evictions riding the
+//! batches (no extra round trip, no member dialed for them alone).
 
 use bytes::Bytes;
 use parking_lot::Mutex;
@@ -297,4 +298,145 @@ fn with_every_member_down_the_ship_fails_and_the_client_reports_it() {
     );
     assert!(matches!(shipped, Err(RemoteError::Net(_))), "{shipped:?}");
     assert!(!client.alive(), "the driver degrades at once from here on");
+}
+
+/// The counter `net.conn.{metric}` of every connection this process has
+/// to `endpoint`.
+fn conn_counter(metric: &str, endpoint: &str) -> u64 {
+    let peer = endpoint.trim_start_matches("tcp://");
+    sitra_obs::counter(&format!("net.conn.{metric}{{peer={peer}}}")).get()
+}
+
+/// The servers of `endpoints`, in the client's (ring) member order.
+fn in_ring_order(servers: &[SpaceServer], endpoints: &[String]) -> Vec<usize> {
+    let ring = HashRing::new(DEFAULT_SEED, DEFAULT_VNODES, endpoints.iter().cloned());
+    ring.members()
+        .iter()
+        .map(|ep| {
+            servers
+                .iter()
+                .position(|s| &s.addr().to_string() == ep)
+                .unwrap()
+        })
+        .collect()
+}
+
+/// Objects a server holds at `version` of [`VAR`].
+fn held(server: &SpaceServer, version: u64) -> usize {
+    let all = BBox3::new([0, 0, 0], [64, 1, 1]);
+    server.space().get(VAR, version, &all).len()
+}
+
+#[test]
+fn queued_evictions_ride_the_batch_and_cost_no_round_trip() {
+    let (servers, endpoints) = tcp_servers(1);
+    let client = client(&endpoints);
+    let task = Bytes::from_static(b"task");
+    client
+        .ship(VAR, 1, &parts(4), ROUTE, 1, task.clone())
+        .unwrap();
+    assert_eq!(held(&servers[0], 1), 4);
+
+    client.queue_eviction(1);
+    assert_eq!(held(&servers[0], 1), 4, "queueing sends nothing");
+    let writes = conn_counter("writes", &endpoints[0]);
+    let shipped = client.ship(VAR, 2, &parts(4), ROUTE, 2, task).unwrap();
+    assert_eq!(shipped.admission, Admission::Accepted { seq: 1 });
+    assert_eq!((shipped.members, shipped.round_trips), (1, 1));
+    assert_eq!(
+        conn_counter("writes", &endpoints[0]) - writes,
+        1,
+        "one flush"
+    );
+    assert_eq!(held(&servers[0], 1), 0, "the eviction rode the batch");
+    assert_eq!(held(&servers[0], 2), 4, "after this ship's own puts");
+    servers.into_iter().for_each(SpaceServer::shutdown);
+}
+
+#[test]
+fn the_verdict_is_read_past_the_evictions_whether_or_not_the_submit_rides() {
+    let (servers, endpoints) = tcp_servers(3);
+    let at = in_ring_order(&servers, &endpoints);
+    // One part on the task's owner (the submit rides), then six parts
+    // over all three members (it follows the puts).
+    let (riding, owner_a, _) =
+        step_where(&endpoints, 1, |task_owner, owners| owners == [task_owner]);
+    let (following, owner_b, _) = step_where(&endpoints, 6, |_, owners| {
+        (0..3).all(|m| owners.contains(&m))
+    });
+    for s in &servers {
+        s.space()
+            .put(VAR, 1000, rank_bbox(0), Bytes::from_static(b"old"));
+        s.space()
+            .put(VAR, 1001, rank_bbox(0), Bytes::from_static(b"old"));
+    }
+    let client = client(&endpoints);
+    let task = Bytes::from_static(b"task");
+
+    client.queue_eviction(1000);
+    let shipped = client
+        .ship(VAR, riding, &parts(1), ROUTE, riding, task.clone())
+        .unwrap();
+    assert_eq!(shipped.member, owner_a);
+    assert_eq!(shipped.admission, Admission::Accepted { seq: 0 });
+    assert_eq!(shipped.round_trips, 1);
+    for m in 0..3 {
+        let want = usize::from(m != owner_a);
+        assert_eq!(held(&servers[at[m]], 1000), want, "member {m}");
+    }
+
+    client.queue_eviction(1001);
+    let shipped = client
+        .ship(VAR, following, &parts(6), ROUTE, following, task)
+        .unwrap();
+    assert_eq!(shipped.member, owner_b);
+    let seq = u64::from(owner_b == owner_a);
+    assert_eq!(shipped.admission, Admission::Accepted { seq });
+    assert_eq!((shipped.members, shipped.round_trips), (3, 2));
+    for s in &servers {
+        assert_eq!((held(s, 1000), held(s, 1001)), (0, 0));
+    }
+    assert_eq!(client.stats().totals.tasks_submitted, 2);
+    servers.into_iter().for_each(SpaceServer::shutdown);
+}
+
+#[test]
+fn a_member_no_put_goes_to_is_not_dialed_and_keeps_its_queue() {
+    let (servers, endpoints) = tcp_servers(3);
+    let at = in_ring_order(&servers, &endpoints);
+    let (step, owner, _) = step_where(&endpoints, 1, |task_owner, owners| owners == [task_owner]);
+    for s in &servers {
+        s.space()
+            .put(VAR, 1000, rank_bbox(0), Bytes::from_static(b"old"));
+    }
+    let client = client(&endpoints);
+    client.queue_eviction(1000);
+    client
+        .ship(
+            VAR,
+            step,
+            &parts(1),
+            ROUTE,
+            step,
+            Bytes::from_static(b"task"),
+        )
+        .unwrap();
+    let ring = HashRing::new(DEFAULT_SEED, DEFAULT_VNODES, endpoints.iter().cloned());
+    for m in (0..3).filter(|&m| m != owner) {
+        assert_eq!(conn_counter("opened", &ring.members()[m]), 0, "member {m}");
+        assert_eq!(held(&servers[at[m]], 1000), 1, "member {m}");
+    }
+    assert_eq!(held(&servers[at[owner]], 1000), 0);
+
+    // What no ship took is swept by the end-of-run eviction.
+    client.evict_versions([]);
+    for s in &servers {
+        assert_eq!(held(s, 1000), 0);
+    }
+    assert_eq!(
+        held(&servers[at[owner]], step),
+        1,
+        "not queued, not evicted"
+    );
+    servers.into_iter().for_each(SpaceServer::shutdown);
 }

@@ -10,16 +10,18 @@
 //! aggregate, and retire the task. Successive steps naturally land on
 //! different buckets (temporal multiplexing).
 //!
-//! Back-pressure: producers retain a bounded ring of exported step
-//! payloads ([`crate::PipelineConfig::staging_buffer_depth`]); if the
-//! staging area falls that far behind, the oldest payloads are
-//! withdrawn and the overrun tasks retire as dropped — the same signal
-//! a real staging deployment must watch.
+//! Back-pressure: producers retain a bounded ring of exported payloads
+//! per analysis ([`crate::PipelineConfig::staging_buffer_depth`] of its
+//! due steps, whatever its interval); if the staging area falls that far
+//! behind, the oldest payloads are withdrawn and the overrun tasks
+//! retire as dropped — the same signal a real staging deployment must
+//! watch.
 
 use super::{BackendCaps, BackendStats, RetireCtx, Retired, StagedTask, StagingBackend};
 use bytes::Bytes;
 use sitra_dart::{Endpoint, EndpointId, Event, Fabric, RegionKey};
 use sitra_dataspaces::{AutoscaleConfig, AutoscaleHandle, BucketHandle, Scheduler};
+use std::collections::VecDeque;
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
@@ -71,6 +73,9 @@ pub struct LocalBackend {
     /// polling. Every sender lives in a bucket or in the grow
     /// callback, so it disconnects once the whole fleet has exited.
     done_rx: crossbeam::channel::Receiver<()>,
+    /// Per analysis, the regions its last due steps exported on every
+    /// rank, oldest first: the back-pressure ring.
+    exported: Vec<VecDeque<RegionKey>>,
     buffer_depth: u64,
     outstanding: usize,
     submitted: usize,
@@ -136,6 +141,7 @@ impl LocalBackend {
             })
         });
         LocalBackend {
+            exported: vec![VecDeque::new(); ctx.analyses().len()],
             ctx,
             scheduler,
             rank_endpoints,
@@ -160,17 +166,24 @@ impl StagingBackend for LocalBackend {
         // must find the row even when it wins the race with this
         // thread.
         self.ctx.record_insitu(&task, &CAPS, true);
-        // Export payloads and withdraw stale ones (the back-pressure
-        // ring).
+        // Export payloads and withdraw the analysis's oldest once its
+        // ring holds more than the buffer depth (the back-pressure ring).
         let key = region_key(task.analysis_idx, task.step);
+        let ring = &mut self.exported[task.analysis_idx];
+        ring.push_back(key);
+        let stale = if ring.len() as u64 > self.buffer_depth {
+            ring.pop_front()
+        } else {
+            None
+        };
         let mut parts = Vec::with_capacity(task.parts.len());
         for (r, payload) in &task.parts {
-            self.rank_endpoints[*r].export(key, payload.clone());
-            if task.step > self.buffer_depth {
-                self.rank_endpoints[*r]
-                    .unexport(region_key(task.analysis_idx, task.step - self.buffer_depth));
+            let ep = &self.rank_endpoints[*r];
+            ep.export(key, payload.clone());
+            if let Some(stale) = stale {
+                ep.unexport(stale);
             }
-            parts.push((*r, self.rank_endpoints[*r].id(), key));
+            parts.push((*r, ep.id(), key));
         }
         // The producers never act on their source-side completions
         // (`GetServed`); discard them so they do not pile up for the
@@ -336,5 +349,40 @@ mod tests {
         }
         assert_eq!(backend.close().submitted, 200);
         assert_eq!(ctx.take_outputs().len(), 200);
+    }
+
+    #[test]
+    fn an_interval_that_does_not_divide_the_depth_still_withdraws() {
+        // Interval 3 against depth 4: `step - depth` is never a due
+        // step, so only a ring of the analysis's own exports bounds it.
+        const DEPTH: u64 = 4;
+        let ctx = RetireCtx::new(vec![AnalysisSpec::new(
+            Arc::new(HybridStats::default()),
+            Placement::Hybrid,
+            3,
+        )]);
+        let fabric = Fabric::new(NetworkModel::gemini());
+        let mut backend = LocalBackend::new(ctx.clone(), &fabric, RANKS, 2, DEPTH, None);
+        let steps: Vec<u64> = (1..=100).map(|k| 3 * k).collect();
+        for (i, &step) in steps.iter().enumerate() {
+            backend.submit(task_of(&ctx, step, RANKS));
+            for ep in &backend.rank_endpoints {
+                let held = steps[..=i]
+                    .iter()
+                    .filter(|&&s| ep.read_region(region_key(0, s)).is_some())
+                    .count();
+                assert!(
+                    held as u64 <= DEPTH,
+                    "rank endpoint {} holds {held} regions at step {step}",
+                    ep.id()
+                );
+            }
+            backend.drain();
+        }
+        assert_eq!(ctx.dropped_tasks(), 0);
+        assert_eq!(backend.close().submitted, 100);
+        let mut got: Vec<u64> = ctx.take_outputs().iter().map(|o| o.1).collect();
+        got.sort_unstable();
+        assert_eq!(got, steps);
     }
 }

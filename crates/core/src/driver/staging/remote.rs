@@ -16,6 +16,14 @@
 //! unreachable — retires as [`Retired::Degraded`]: its aggregation
 //! re-runs in-situ from the retained intermediates and the run
 //! continues with zero lost steps.
+//!
+//! Staging memory is bounded by the window: a step's version is evicted
+//! once it has retired — the driver has moved past it and no task of
+//! that step or an earlier one is still in flight. The eviction is
+//! queued on the client and rides the next ship's batch to each member
+//! ([`ClusterClient::queue_eviction`]), so it costs no round trip of its
+//! own. `close` sweeps what no ship took, and again every step with a
+//! degraded task, whose worker may still put a late output.
 
 use super::{BackendCaps, BackendStats, RetireCtx, Retired, StagedTask, StagingBackend};
 use crate::driver::StagingOutputHook;
@@ -175,9 +183,12 @@ pub struct RemoteBackend {
     client: ClusterClient,
     shared: Arc<Collector>,
     collector: Option<JoinHandle<()>>,
-    /// Every version (step) that had intermediates put remotely, for
-    /// eviction at close time.
+    /// Versions (steps) that had intermediates put remotely and have not
+    /// retired yet; each is queued for eviction as it retires.
     versions: BTreeSet<u64>,
+    /// Steps with a degraded task: its worker may still put a late
+    /// output after the step's eviction, so `close` evicts them again.
+    late: BTreeSet<u64>,
     deadline: Duration,
     max_inflight: usize,
     n_ranks: u32,
@@ -242,6 +253,7 @@ impl RemoteBackend {
             shared,
             collector: Some(collector),
             versions: BTreeSet::new(),
+            late: BTreeSet::new(),
             deadline,
             max_inflight,
             n_ranks,
@@ -252,7 +264,8 @@ impl RemoteBackend {
 
     /// Re-run a task's aggregation in-situ through the shared
     /// retirement path; returns the wall seconds burned.
-    fn degrade(&self, p: PendingRemote, reason: &'static str) -> f64 {
+    fn degrade(&mut self, p: PendingRemote, reason: &'static str) -> f64 {
+        self.late.insert(p.step);
         self.ctx.retire(Retired::Degraded {
             analysis_idx: p.analysis_idx,
             step: p.step,
@@ -292,6 +305,20 @@ impl RemoteBackend {
         drop(st);
         let waited = t0.elapsed().as_secs_f64();
         waited + lost.map_or(0.0, |(p, reason)| self.degrade(p, reason))
+    }
+
+    /// Queue the eviction of every version that has retired before the
+    /// driver ships `step`: older than `step` and than every task still
+    /// in flight (`pending` is in submission order, so step order).
+    fn evict_retired(&mut self, step: u64) {
+        let oldest = match self.shared.state.lock().pending.first() {
+            Some(p) => p.step.min(step),
+            None => step,
+        };
+        let live = self.versions.split_off(&oldest);
+        for version in std::mem::replace(&mut self.versions, live) {
+            self.client.queue_eviction(version);
+        }
     }
 
     /// Put this step's intermediates into the staging space and submit
@@ -405,6 +432,7 @@ impl StagingBackend for RemoteBackend {
         while self.shared.state.lock().pending.len() >= self.max_inflight.max(1) {
             blocked += self.wait_for_oldest();
         }
+        self.evict_retired(task.step);
         let shipped = self.try_ship(task.analysis_idx, task.step, task.issued, &task.parts);
         // Before the collector can see the task: a degradation looks
         // its metrics row up.
@@ -455,12 +483,16 @@ impl StagingBackend for RemoteBackend {
 
     fn close(&mut self) -> BackendStats {
         self.stop_collector();
-        // Reclaim the staging memory (scoped to this tenant's namespace
-        // when one is bound), then close the remote scheduler so
-        // external bucket workers retire — unless the service is shared
-        // with other tenants, in which case its lifetime belongs to the
-        // operator, not to whichever driver finishes first.
-        self.client.evict_versions(self.versions.iter().copied());
+        // Reclaim the rest of the staging memory (scoped to this
+        // tenant's namespace when one is bound): the steps not retired
+        // by a later ship, the evictions no ship took, and the steps a
+        // degraded task's worker may have put a late output into. Then
+        // close the remote scheduler so external bucket workers retire —
+        // unless the service is shared with other tenants, in which case
+        // its lifetime belongs to the operator, not to whichever driver
+        // finishes first.
+        self.client
+            .evict_versions(self.versions.union(&self.late).copied());
         if !self.shared_tenant {
             self.client.close_sched();
         }
@@ -582,6 +614,54 @@ mod tests {
             assert_eq!(encode_analysis_output(out), expected, "round {round}");
         }
         backend.close();
+        server.shutdown();
+    }
+
+    #[test]
+    fn a_late_output_of_a_degraded_task_is_reclaimed_at_close() {
+        // No worker: step 1 degrades at its deadline, step 2's ship
+        // evicts step 1, and only then does step 1's output land, as a
+        // slow worker's would. Close must reclaim it.
+        let (server, mut backend, ctx, hooked) = rig("late", Duration::from_millis(30), None);
+        let label = ctx.analyses()[0].label.clone();
+        let ranks = BBox3::new([0, 0, 0], [2, 1, 1]);
+        let first = task(&ctx, 1);
+        let late = worker_output(&ctx, &first);
+        backend.submit(first);
+        backend.drain();
+        assert_eq!(ctx.degraded_tasks(), 1);
+        assert_eq!(
+            server
+                .space()
+                .get(&intermediate_var(&label), 1, &ranks)
+                .len(),
+            2
+        );
+
+        let second = task(&ctx, 2);
+        let on_time = worker_output(&ctx, &second);
+        backend.submit(second);
+        assert!(
+            server
+                .space()
+                .get(&intermediate_var(&label), 1, &ranks)
+                .is_empty(),
+            "step 2's ship evicts the retired step 1"
+        );
+        let space = server.space();
+        space.put(&output_var(&label), 1, output_bbox(), late);
+        space.put(&output_var(&label), 2, output_bbox(), on_time);
+        backend.drain();
+        assert_eq!(
+            (ctx.degraded_tasks(), hooked.load(Ordering::SeqCst)),
+            (1, 1)
+        );
+        assert!(space.stats().resident_bytes > 0);
+
+        backend.close();
+        assert_eq!(space.stats().resident_bytes, 0);
+        let steps: Vec<u64> = ctx.take_outputs().iter().map(|o| o.1).collect();
+        assert_eq!(steps, [1, 2]);
         server.shutdown();
     }
 
