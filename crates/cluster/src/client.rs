@@ -608,19 +608,6 @@ impl ClusterClient {
         self.on(member_idx, |c| c.request_task(bucket_id, timeout))
     }
 
-    /// Fault injection for tests:
-    /// [`RemoteSpace::fault_drop_during_request`] on `member_idx`'s
-    /// connection (dialed first if need be), which is then discarded so
-    /// the next operation on that member re-dials.
-    pub fn fault_drop_during_request(&self, member_idx: usize, bucket_id: u32, timeout: Duration) {
-        let _ = self.on(member_idx, |c| {
-            c.fault_drop_during_request(bucket_id, timeout);
-            Ok(())
-        });
-        *self.members[member_idx].conn.lock() = None;
-        *self.members[member_idx].open.lock() = None;
-    }
-
     /// Evict everything at `version` everywhere. Per-member transport
     /// errors are swallowed: eviction is an optimization, and a dead
     /// member holds nothing worth evicting.

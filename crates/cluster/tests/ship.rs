@@ -10,7 +10,7 @@ use sitra_cluster::{ClusterClient, HashRing, ShardKey, DEFAULT_SEED, DEFAULT_VNO
 use sitra_dataspaces::remote::{decode_request, encode_response, Request, Response};
 use sitra_dataspaces::{Admission, RemoteError, SpaceServer, TaskPoll};
 use sitra_mesh::BBox3;
-use sitra_net::{install_fault_injector, Backoff, FaultAction, FaultInjector, Listener};
+use sitra_net::{install_fault_injector, Backoff, FaultAction, FaultInjector, Frame, Listener};
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -143,8 +143,8 @@ struct OnPeer {
 }
 
 impl FaultInjector for OnPeer {
-    fn on_frame(&self, conn: u64, peer: &str, len: usize) -> FaultAction {
-        if peer != self.peer || len < self.min_len {
+    fn on_frame(&self, conn: u64, peer: &str, frame: &Frame) -> FaultAction {
+        if peer != self.peer || frame.len() < self.min_len {
             return FaultAction::Deliver;
         }
         self.conns.lock().insert(conn);

@@ -711,25 +711,30 @@ mod tests {
         // the worker would find it short, skip it, and leave the driver
         // to degrade it at the deadline.
         use crate::remote::{run_cluster_bucket_worker, BucketWorkerOpts};
-        use sitra_dataspaces::remote::{encode_request, Request};
-        use sitra_net::{install_fault_injector, FaultAction, FaultInjector};
+        use sitra_dataspaces::remote::{decode_request, Request};
+        use sitra_net::{install_fault_injector, FaultAction, FaultInjector, Frame};
 
         const RANKS: usize = 6;
         const BUCKET: u32 = 78; // unique: the skip counter is global
 
-        /// Holds every frame of `len` bytes sent to `peer` for a while.
+        /// Holds every put of `var` sent to `peer` for a while.
         struct HoldPuts {
             peer: String,
-            len: usize,
+            var: String,
             held: AtomicUsize,
         }
         impl FaultInjector for HoldPuts {
-            fn on_frame(&self, _conn: u64, peer: &str, len: usize) -> FaultAction {
-                if peer != self.peer || len != self.len {
+            fn on_frame(&self, _conn: u64, peer: &str, frame: &Frame) -> FaultAction {
+                if peer != self.peer {
                     return FaultAction::Deliver;
                 }
-                self.held.fetch_add(1, Ordering::SeqCst);
-                FaultAction::Delay(Duration::from_millis(100))
+                match decode_request(frame.join()) {
+                    Ok(Request::Put { var, .. }) if var == self.var => {
+                        self.held.fetch_add(1, Ordering::SeqCst);
+                        FaultAction::Delay(Duration::from_millis(100))
+                    }
+                    _ => FaultAction::Deliver,
+                }
             }
         }
 
@@ -765,23 +770,11 @@ mod tests {
         let slow = (ring.task_owner_index(&label, step).unwrap() + 1) % 3;
         let task = task_of(&ctx, step, RANKS);
         let golden = worker_output(&ctx, &task);
-        let put_len = encode_request(&Request::Put {
-            var,
-            version: step,
-            bbox: rank_bbox(0),
-            data: task.parts[0].1.clone(),
-        })
-        .len();
-        assert!(task
-            .parts
-            .iter()
-            .all(|p| p.1.len() == task.parts[0].1.len()));
-
         let injector = Arc::new(HoldPuts {
             peer: ring.members()[slow]
                 .trim_start_matches("tcp://")
                 .to_string(),
-            len: put_len,
+            var,
             held: AtomicUsize::new(0),
         });
         let skipped =

@@ -113,13 +113,6 @@ pub struct BucketWorkerOpts {
     /// member may hold a request before answering `Empty` — not a
     /// budget split across members.
     pub request_timeout: Duration,
-    /// Fault injection: after this many completed tasks, drop the
-    /// connection once in the middle of a bucket-ready request to the
-    /// member being polled (the worker then reconnects and carries on).
-    /// The doomed request waits long enough server-side that a task
-    /// **will** be assigned to the dead connection, forcing the requeue
-    /// path. `None` disables it.
-    pub drop_connection_after: Option<usize>,
     /// Where this bucket's results land (the worker's home endpoint):
     /// declared with every bucket-ready request so the scheduler can
     /// steer co-resident tasks here. `None` leaves the
@@ -132,7 +125,6 @@ impl Default for BucketWorkerOpts {
         Self {
             backoff: Backoff::default(),
             request_timeout: Duration::from_millis(500),
-            drop_connection_after: None,
             location: None,
         }
     }
@@ -210,10 +202,8 @@ struct HubState {
     /// The worker holds a task: from a poller claiming an assignment
     /// until that poller has served it. It holds at most one.
     busy: bool,
-    /// Lifetime task count, which fault injection keys off.
+    /// Lifetime task count: what the worker returns.
     completed: usize,
-    /// Pending [`BucketWorkerOpts::drop_connection_after`] injection.
-    drop_budget: Option<usize>,
     members: Vec<MemberHealth>,
     /// The most recent retryable poll failure, reported if the worker
     /// ends because every member was written off.
@@ -355,7 +345,7 @@ impl BucketWorker<'_> {
         loop {
             // Re-armed only when the worker is free: a request parked
             // while it is busy could only be declined.
-            let drop_now = {
+            {
                 let mut st = self.hub.state.lock();
                 while st.busy && st.end.is_none() {
                     self.hub.changed.wait(&mut st);
@@ -363,24 +353,6 @@ impl BucketWorker<'_> {
                 if st.end.is_some() {
                     return;
                 }
-                let due = st.drop_budget == Some(st.completed);
-                if due {
-                    st.drop_budget = None;
-                }
-                due
-            };
-            if drop_now {
-                // Crash at the worst moment: mid-request, response unread.
-                // The long timeout keeps the server-side bucket parked until
-                // a task is assigned to the now-dead connection; the server
-                // notices the missing ack, requeues, and the task is handed
-                // to a healthy bucket. The poll below re-dials and we pick
-                // up where we left off.
-                self.polls.fault_drop_during_request(
-                    member,
-                    self.bucket_id,
-                    Duration::from_secs(30),
-                );
             }
             match self.poll_once(member, &declined) {
                 Ok(polled) => {
@@ -587,7 +559,6 @@ pub fn run_cluster_bucket_worker(
             state: Mutex::new(HubState {
                 busy: false,
                 completed: 0,
-                drop_budget: opts.drop_connection_after,
                 members: vec![MemberHealth::default(); polls.member_count()],
                 last_err: None,
                 end: None,

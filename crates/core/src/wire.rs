@@ -188,17 +188,10 @@ impl DecodedSubtree {
     /// Feed this subtree into a streaming aggregator and announce its
     /// end, as [`Subtree::stream_into`] does.
     pub fn stream_into(&self, sink: &mut StreamingMergeTree) {
-        sink.reserve(self.verts.len());
-        for (v, potential) in self.vertices() {
-            sink.declare_vertex(self.source, v.id, v.value, v.degree, potential);
-            if v.pinned {
-                sink.pin_vertex(v.id);
-            }
-        }
-        for &(a, b) in &self.edges {
-            sink.insert_edge(a, b);
-        }
-        sink.end_source(self.source);
+        let verts = self
+            .vertices()
+            .map(|(v, p)| (v.id, v.value, v.degree, v.pinned, p));
+        sink.feed_source(self.source, verts, &self.edges);
     }
 }
 

@@ -339,18 +339,4 @@ impl RemoteSpace {
     pub fn close(&self) {
         self.conn.close();
     }
-
-    /// Fault injection for tests: send a bucket-ready request and then
-    /// drop the connection without reading the response, simulating a
-    /// consumer crash at the worst moment — after the server may have
-    /// popped a task for us. The server must requeue that task.
-    pub fn fault_drop_during_request(&self, bucket_id: u32, timeout: Duration) {
-        let _ = self.send(&Request::RequestTask {
-            bucket_id,
-            timeout_ms: timeout.as_millis() as u64,
-            location: String::new(),
-        });
-        // Every scheme delivers what is queued ahead of a close.
-        self.conn.close();
-    }
 }

@@ -268,9 +268,18 @@ fn dropped_consumer_connection_requeues_task() {
         .submit_task_admission(Bytes::from_static(b"precious"))
         .unwrap();
 
-    // A consumer asks for the task and dies before acknowledging.
-    let doomed = RemoteSpace::connect(&server.addr()).unwrap();
-    doomed.fault_drop_during_request(9, Duration::from_secs(2));
+    // A consumer asks for the task and dies before acknowledging: its
+    // request goes out and the connection closes with the reply unread
+    // (every scheme delivers what is queued ahead of a close).
+    let doomed = sitra_net::connect(&server.addr()).unwrap();
+    doomed
+        .send(encode_request(&Request::RequestTask {
+            bucket_id: 9,
+            timeout_ms: 2_000,
+            location: String::new(),
+        }))
+        .unwrap();
+    doomed.close();
     // Its handler thread may not have run yet: a survivor that asked
     // now could be served first, and the doomed request never assigned.
     let t0 = std::time::Instant::now();

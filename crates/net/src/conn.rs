@@ -340,7 +340,7 @@ impl Connection {
         let mut clean = 0;
         let mut faulted = None;
         for frame in frames {
-            match fault::frame_action(self.id, &self.peer_label, frame.len()) {
+            match fault::frame_action(self.id, &self.peer_label, frame) {
                 FaultAction::Deliver => clean += 1,
                 action => {
                     faulted = Some(action);

@@ -1,11 +1,15 @@
 //! The fault-injection seam: an optional, process-global hook the
-//! transport consults on every frame and every connection attempt.
+//! transport consults on every outbound frame and every connection
+//! attempt. The injector is handed the frame itself, so it can pick a
+//! frame by what it says (a test decodes the reply it wants to lose),
+//! not only by its connection and length.
 //!
-//! Production runs never install an injector and pay one relaxed atomic
-//! load per frame. Test harnesses (`sitra-testkit`) install a seeded
-//! [`FaultInjector`] to subject the whole staging stack — driver,
-//! space server, bucket workers — to drops, delays, duplicates,
-//! reorders, link cuts, and partitions, deterministically from a seed.
+//! Runs without an injector pay one `Acquire` atomic load per frame.
+//! Test harnesses (`sitra-testkit`) install a seeded [`FaultInjector`]
+//! to subject the whole staging stack — driver, space server, bucket
+//! workers — to drops, delays, duplicates, reorders, link cuts, and
+//! partitions, deterministically from a seed. Outside tests the one
+//! installer is `sitra-staged --fault-plan`.
 //!
 //! Semantics are those of a *reliable, connection-oriented* transport
 //! under an adversarial network, chosen so every action preserves
@@ -40,6 +44,7 @@
 //!   models a network partition; `connect_retry` keeps retrying, so
 //!   partitions heal when the injector says so.
 
+use crate::Frame;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, OnceLock};
 use std::time::Duration;
@@ -74,8 +79,9 @@ pub enum FaultAction {
 pub trait FaultInjector: Send + Sync {
     /// The fate of one outbound frame. `conn` is the process-unique id
     /// of the sending [`Connection`](crate::Connection), `peer` its
-    /// peer description, `len` the payload length.
-    fn on_frame(&self, conn: u64, peer: &str, len: usize) -> FaultAction;
+    /// peer description, `frame` the payload (its parts gathered in
+    /// order are what the peer receives).
+    fn on_frame(&self, conn: u64, peer: &str, frame: &Frame) -> FaultAction;
 
     /// Whether a new connection to `addr` may be opened right now.
     /// `false` refuses the dial — a network partition.
@@ -86,7 +92,7 @@ pub trait FaultInjector: Send + Sync {
 }
 
 /// Fast-path flag: `true` iff an injector is installed. Lets the
-/// per-frame check be one relaxed load when fault injection is off.
+/// per-frame check be one `Acquire` load when fault injection is off.
 static INSTALLED: AtomicBool = AtomicBool::new(false);
 
 fn slot() -> &'static parking_lot::Mutex<Option<Arc<dyn FaultInjector>>> {
@@ -115,9 +121,9 @@ pub(crate) fn active() -> Option<Arc<dyn FaultInjector>> {
 
 /// The fate of one outbound frame under the installed injector
 /// (`Deliver` when none is installed).
-pub(crate) fn frame_action(conn: u64, peer: &str, len: usize) -> FaultAction {
+pub(crate) fn frame_action(conn: u64, peer: &str, frame: &Frame) -> FaultAction {
     match active() {
-        Some(inj) => inj.on_frame(conn, peer, len),
+        Some(inj) => inj.on_frame(conn, peer, frame),
         None => FaultAction::Deliver,
     }
 }
@@ -146,26 +152,39 @@ mod tests {
 
     /// Applies a scripted action sequence to each of a few connection
     /// ids, delivering everything else untouched (so concurrently
-    /// running tests in this binary are unaffected).
-    struct Script(parking_lot::Mutex<HashMap<u64, Vec<FaultAction>>>);
+    /// running tests in this binary are unaffected), and records the
+    /// frames it was handed on those ids.
+    struct Script {
+        actions: parking_lot::Mutex<HashMap<u64, Vec<FaultAction>>>,
+        seen: parking_lot::Mutex<Vec<Frame>>,
+    }
 
     impl FaultInjector for Script {
-        fn on_frame(&self, conn: u64, _peer: &str, _len: usize) -> FaultAction {
-            let mut scripts = self.0.lock();
-            let next = scripts.get_mut(&conn).and_then(Vec::pop);
-            next.unwrap_or(FaultAction::Deliver)
+        fn on_frame(&self, conn: u64, _peer: &str, frame: &Frame) -> FaultAction {
+            let mut scripts = self.actions.lock();
+            let Some(actions) = scripts.get_mut(&conn) else {
+                return FaultAction::Deliver;
+            };
+            self.seen.lock().push(frame.clone());
+            actions.pop().unwrap_or(FaultAction::Deliver)
         }
+    }
+
+    fn script(scripts: impl IntoIterator<Item = (u64, Vec<FaultAction>)>) -> Arc<Script> {
+        let popped_back_to_front = scripts.into_iter().map(|(conn, mut actions)| {
+            actions.reverse();
+            (conn, actions)
+        });
+        Arc::new(Script {
+            actions: parking_lot::Mutex::new(popped_back_to_front.collect()),
+            seen: parking_lot::Mutex::default(),
+        })
     }
 
     fn with_scripts(
         scripts: impl IntoIterator<Item = (u64, Vec<FaultAction>)>,
     ) -> Option<Arc<dyn FaultInjector>> {
-        let popped_back_to_front = scripts.into_iter().map(|(conn, mut actions)| {
-            actions.reverse();
-            (conn, actions)
-        });
-        let script = Script(parking_lot::Mutex::new(popped_back_to_front.collect()));
-        install_fault_injector(Some(Arc::new(script)))
+        install_fault_injector(Some(script(scripts)))
     }
 
     fn with_script(conn: u64, actions: Vec<FaultAction>) -> Option<Arc<dyn FaultInjector>> {
@@ -415,13 +434,14 @@ mod tests {
         }
         assert_eq!(gathered.len(), payload.len());
         for (scheme, a, b) in pairs("fault-gathered") {
-            let prev = with_script(
+            let script = script([(
                 a.id(),
                 vec![
                     FaultAction::Duplicate,
                     FaultAction::Delay(Duration::from_millis(20)),
                 ],
-            );
+            )]);
+            let prev = install_fault_injector(Some(script.clone()));
             a.send(gathered.clone()).unwrap();
             a.send(gathered.clone()).unwrap();
             a.send(gathered.clone()).unwrap();
@@ -433,6 +453,14 @@ mod tests {
             assert_eq!(sent.frames_sent, 4, "{scheme}");
             assert_eq!(sent.bytes_sent, 4 * payload.len() as u64, "{scheme}");
             install_fault_injector(prev);
+            // One decision per send, each handed the whole payload with
+            // its parts in order.
+            let seen = script.seen.lock();
+            assert_eq!(seen.len(), 3, "{scheme}");
+            for frame in seen.iter() {
+                assert_eq!(frame.parts(), gathered.parts(), "{scheme}");
+                assert!(frame.join().as_ref() == payload.as_slice(), "{scheme}");
+            }
         }
     }
 
@@ -441,7 +469,7 @@ mod tests {
         let _g = LOCK.lock();
         struct Deny(String);
         impl FaultInjector for Deny {
-            fn on_frame(&self, _: u64, _: &str, _: usize) -> FaultAction {
+            fn on_frame(&self, _: u64, _: &str, _: &Frame) -> FaultAction {
                 FaultAction::Deliver
             }
             fn allow_connect(&self, addr: &str) -> bool {

@@ -5,7 +5,9 @@
 //! thread list; the tests here serialize on a lock for the same reason.
 
 use bytes::Bytes;
-use sitra_net::{connect, install_fault_injector, serve, FaultAction, FaultInjector, Listener};
+use sitra_net::{
+    connect, install_fault_injector, serve, FaultAction, FaultInjector, Frame, Listener,
+};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -63,7 +65,7 @@ fn a_fault_free_tcp_echo_starts_no_sequencer_thread() {
 fn a_delayed_connection_has_one_sequencer_thread_until_it_closes() {
     struct DelayOne(u64);
     impl FaultInjector for DelayOne {
-        fn on_frame(&self, conn: u64, _: &str, _: usize) -> FaultAction {
+        fn on_frame(&self, conn: u64, _: &str, _: &Frame) -> FaultAction {
             if conn == self.0 {
                 FaultAction::Delay(Duration::from_millis(5))
             } else {

@@ -13,7 +13,7 @@
 
 use crate::plan::FaultPlan;
 use parking_lot::Mutex;
-use sitra_net::{FaultAction, FaultInjector};
+use sitra_net::{FaultAction, FaultInjector, Frame};
 use std::collections::HashMap;
 use std::sync::atomic::{AtomicU64, Ordering};
 
@@ -70,7 +70,7 @@ impl PlanInjector {
 }
 
 impl FaultInjector for PlanInjector {
-    fn on_frame(&self, conn: u64, _peer: &str, _len: usize) -> FaultAction {
+    fn on_frame(&self, conn: u64, _peer: &str, _frame: &Frame) -> FaultAction {
         self.tick.fetch_add(1, Ordering::Relaxed);
         let (dense, op) = {
             let mut conns = self.conns.lock();
@@ -117,7 +117,7 @@ mod tests {
             // fixed round-robin trace.
             for op in 0..120u64 {
                 for c in 0..3u64 {
-                    actions.push(inj.on_frame(conn_base + c, "peer", 64));
+                    actions.push(inj.on_frame(conn_base + c, "peer", &Frame::new()));
                 }
                 let _ = op;
             }
@@ -144,11 +144,11 @@ mod tests {
         };
         let inj = PlanInjector::new(plan);
         assert!(inj.allow_connect("inproc://x"));
-        inj.on_frame(1, "p", 1);
-        inj.on_frame(1, "p", 1);
+        inj.on_frame(1, "p", &Frame::new());
+        inj.on_frame(1, "p", &Frame::new());
         assert!(!inj.allow_connect("inproc://x")); // tick 2: partitioned
-        inj.on_frame(1, "p", 1);
-        inj.on_frame(1, "p", 1);
+        inj.on_frame(1, "p", &Frame::new());
+        inj.on_frame(1, "p", &Frame::new());
         assert!(inj.allow_connect("inproc://x")); // tick 4: healed
     }
 }

@@ -158,7 +158,6 @@ pub(crate) fn spawn_worker(
             let opts = BucketWorkerOpts {
                 backoff: WORKER_BACKOFF,
                 request_timeout: Duration::from_millis(100),
-                drop_connection_after: None,
                 location: None,
             };
             let mut completed = 0usize;

@@ -77,17 +77,11 @@ impl Subtree {
 
     /// Feed this subtree into a streaming aggregator and announce its end.
     pub fn stream_into(&self, sink: &mut crate::stream::StreamingMergeTree) {
-        sink.reserve(self.verts.len());
-        for v in &self.verts {
-            sink.declare_vertex(self.source, v.id, v.value, v.degree, &v.potential);
-            if v.pinned {
-                sink.pin_vertex(v.id);
-            }
-        }
-        for &(a, b) in &self.edges {
-            sink.insert_edge(a, b);
-        }
-        sink.end_source(self.source);
+        let verts = self
+            .verts
+            .iter()
+            .map(|v| (v.id, v.value, v.degree, v.pinned, &v.potential[..]));
+        sink.feed_source(self.source, verts, &self.edges);
     }
 }
 

@@ -186,6 +186,28 @@ impl StreamingMergeTree {
         }
     }
 
+    /// Feed one source's subtree and announce its end: each vertex as
+    /// `(id, value, incident edges, pinned, potential)`, then each edge.
+    /// Every subtree form, as built and as decoded, streams through here.
+    pub fn feed_source<'a>(
+        &mut self,
+        source: SourceId,
+        verts: impl Iterator<Item = (VertexId, f64, u32, bool, &'a [SourceId])>,
+        edges: &[(VertexId, VertexId)],
+    ) {
+        self.reserve(verts.size_hint().0);
+        for (id, value, degree, pinned, potential) in verts {
+            self.declare_vertex(source, id, value, degree, potential);
+            if pinned {
+                self.pin_vertex(id);
+            }
+        }
+        for &(a, b) in edges {
+            self.insert_edge(a, b);
+        }
+        self.end_source(source);
+    }
+
     /// Exempt a declared vertex from eviction: it will appear in the
     /// final tree even when globally regular. Any source may pin.
     pub fn pin_vertex(&mut self, id: VertexId) {

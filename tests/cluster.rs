@@ -111,7 +111,6 @@ fn clean_join_and_leave_rebalance_holds_every_oracle() {
                     attempts: 4,
                 },
                 request_timeout: Duration::from_millis(100),
-                drop_connection_after: None,
                 location: None,
             };
             run_cluster_bucket_worker(&eps, &specs, 0, &opts)

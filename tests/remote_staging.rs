@@ -5,19 +5,22 @@
 //! `sitra-staged` consumers would — and the outputs must be
 //! byte-identical to the fully in-process pipeline on each.
 //!
-//! One worker is configured to drop its connection mid-request after
-//! its first completed task (a consumer crash at the worst moment: a
-//! task may already be popped for it). The server must requeue that
-//! task and another worker must finish it: no output may be missing and
-//! the scheduler stats must show exactly one requeue.
+//! A fault injector drops the server's first `Assigned` reply, which
+//! severs that connection: the worst moment for a consumer to crash,
+//! with the task popped for it and never acknowledged. The server must
+//! requeue that task and a worker must finish it: no output may be
+//! missing and the scheduler stats must show exactly one requeue.
 
 mod common;
 
 use common::{config, sim, sorted_encoded_outputs, specs};
 use sitra::core::remote::{run_bucket_worker, BucketWorkerOpts};
 use sitra::core::run_pipeline;
-use sitra::dataspaces::SpaceServer;
-use sitra::net::{Addr, Backoff};
+use sitra::dataspaces::remote::{decode_response, Response};
+use sitra::dataspaces::{SpaceServer, TaskPoll};
+use sitra::net::{install_fault_injector, Addr, Backoff, FaultAction, FaultInjector, Frame};
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
 use std::time::Duration;
 
 const SEED: u64 = 4242;
@@ -32,6 +35,32 @@ fn tcp_remote_staging_matches_in_process_and_survives_a_dropped_connection() {
 #[test]
 fn inproc_remote_staging_matches_in_process_and_survives_a_dropped_connection() {
     staging_matches_in_process_and_survives_a_drop("inproc://remote-staging-drop-test");
+}
+
+/// Drops the first `Assigned` reply this process sends, and delivers
+/// every other frame.
+#[derive(Default)]
+struct DropFirstAssignment {
+    fired: AtomicBool,
+}
+
+impl FaultInjector for DropFirstAssignment {
+    fn on_frame(&self, _conn: u64, _peer: &str, frame: &Frame) -> FaultAction {
+        if self.fired.load(Ordering::SeqCst) {
+            return FaultAction::Deliver;
+        }
+        // Request tags and response tags do not overlap, so only a
+        // reply decodes as one.
+        let assigned = matches!(
+            decode_response(frame.join()),
+            Ok(Response::Task(TaskPoll::Assigned { .. }))
+        );
+        if assigned && !self.fired.swap(true, Ordering::SeqCst) {
+            FaultAction::Drop
+        } else {
+            FaultAction::Deliver
+        }
+    }
 }
 
 /// The scheme-parameterized body: byte-identity against the in-process
@@ -51,6 +80,9 @@ fn staging_matches_in_process_and_survives_a_drop(bind: &str) {
     let bind: Addr = bind.parse().unwrap();
     let server = SpaceServer::start(&bind, 2).expect("start staging server");
     let endpoint = server.addr();
+    // The injector is process-global; `isolate` keeps every other test
+    // in this binary out until it is restored.
+    let previous = install_fault_injector(Some(Arc::new(DropFirstAssignment::default())));
 
     let workers: Vec<_> = (0..WORKERS)
         .map(|w| {
@@ -61,11 +93,6 @@ fn staging_matches_in_process_and_survives_a_drop(bind: &str) {
                     let opts = BucketWorkerOpts {
                         backoff: Backoff::default(),
                         request_timeout: Duration::from_millis(200),
-                        // The first worker's first act is a doomed
-                        // request: it parks a server-side bucket, drops
-                        // the connection, and the task assigned to that
-                        // dead bucket must be requeued.
-                        drop_connection_after: (w == 0).then_some(0),
                         location: None,
                     };
                     run_bucket_worker(&ep, &specs(), w as u32, &opts).expect("bucket worker")
@@ -80,6 +107,7 @@ fn staging_matches_in_process_and_survives_a_drop(bind: &str) {
     )
     .expect("valid config");
     let completed: usize = workers.into_iter().map(|w| w.join().unwrap()).sum();
+    install_fault_injector(previous);
 
     // Byte-identical outputs: every (analysis, step) of the in-process
     // run, encoded, matches the remote run exactly.
@@ -100,7 +128,7 @@ fn staging_matches_in_process_and_survives_a_drop(bind: &str) {
         );
     }
 
-    // The injected connection drop lost no task: one requeue, and every
+    // The dropped assignment lost no task: one requeue, and every
     // assignment is accounted for (original submissions + the retry).
     let stats = server.sched_stats();
     let hybrid_tasks = local
