@@ -15,8 +15,8 @@
 //!   at its endpoint, so placement can match it against the tasks'
 //!   residency hints, and once with the same buckets unlocated, which
 //!   leaves placement FCFS. The moved-byte count is recomputed from
-//!   each run's assignment log (task bytes minus whatever was resident
-//!   at the chosen bucket's endpoint), so the unlocated run gets credit
+//!   the tasks each bucket worker was assigned (task bytes minus
+//!   whatever was resident at that bucket's endpoint), so the unlocated run gets credit
 //!   for its accidental co-locations too.
 //! * **autoscale** — a burst of tasks floods a pool pinned at one
 //!   bucket, followed by a steady trickle. With the autoscaler on, the
@@ -77,12 +77,14 @@ fn spawn_bucket(
     id: u32,
     location: Option<String>,
     waits: Option<WaitLog>,
-) -> std::thread::JoinHandle<()> {
+) -> std::thread::JoinHandle<Vec<u64>> {
     std::thread::spawn(move || {
         let handle = sched.register_bucket_at(id, location.as_deref());
+        let mut assigned = Vec::new();
         loop {
             match handle.poll_task(Some(Duration::from_millis(20))) {
-                Lease::Assigned { task, .. } => {
+                Lease::Assigned { seq, task } => {
+                    assigned.push(seq);
                     if let Some((waits, t0)) = &waits {
                         // The payload is the task's submit offset in
                         // microseconds since the scenario started.
@@ -99,14 +101,15 @@ fn spawn_bucket(
                 Lease::Closed | Lease::Retire => break,
             }
         }
+        assigned
     })
 }
 
 /// One locality run: the seeded task stream through three per-member
 /// schedulers, the buckets registered at their endpoints when
 /// `located`. Returns `(moved_bytes, saved_bytes)`, with `moved`
-/// recomputed from the assignment logs so both runs are scored by what
-/// they actually did, not by what they reported.
+/// recomputed from the tasks each bucket was assigned so both runs are
+/// scored by what they actually did, not by what they reported.
 fn run_locality(tasks: usize, located: bool) -> (u64, u64) {
     let eps = endpoints();
     let ring = HashRing::new(DEFAULT_SEED, DEFAULT_VNODES, eps.clone());
@@ -115,10 +118,12 @@ fn run_locality(tasks: usize, located: bool) -> (u64, u64) {
     // or not the scheduler is told.
     let workers: Vec<_> = scheds
         .iter()
-        .flat_map(|s| {
-            eps.iter()
-                .enumerate()
-                .map(|(i, ep)| spawn_bucket(s.clone(), i as u32, located.then(|| ep.clone()), None))
+        .enumerate()
+        .flat_map(|(m, s)| {
+            eps.iter().enumerate().map(move |(i, ep)| {
+                let at = located.then(|| ep.clone());
+                (m, i, spawn_bucket(s.clone(), i as u32, at, None))
+            })
         })
         .collect();
 
@@ -167,25 +172,19 @@ fn run_locality(tasks: usize, located: bool) -> (u64, u64) {
     for s in &scheds {
         s.close();
     }
-    for w in workers {
-        w.join().expect("bucket worker");
-    }
-
     let task_bytes = PARTS_PER_TASK as u64 * PART_BYTES;
     let mut moved = 0u64;
-    let mut saved = 0u64;
-    for (m, s) in scheds.iter().enumerate() {
-        let stats = s.stats();
-        saved += stats.locality_bytes_saved;
-        for (seq, bucket) in &stats.assignment_log {
+    for (m, bucket, w) in workers {
+        for seq in w.join().expect("bucket worker") {
             let resident = hints[m]
-                .get(seq)
-                .and_then(|h| h.get(&eps[*bucket as usize]))
+                .get(&seq)
+                .and_then(|h| h.get(&eps[bucket]))
                 .copied()
                 .unwrap_or(0);
             moved += task_bytes - resident;
         }
     }
+    let saved = scheds.iter().map(|s| s.stats().locality_bytes_saved).sum();
     (moved, saved)
 }
 

@@ -1,6 +1,13 @@
 //! One cluster member: a [`SpaceServer`] plus the membership layer —
 //! heartbeats, suspicion, view gossip, and shard handoff.
 //!
+//! Every view change — a join, a leave, a suspicion eviction, a
+//! heartbeat that re-adds an evicted member, an adopted newer view —
+//! goes through one function, `transition`: it installs the view,
+//! journals the event, publishes the `cluster.members`/`cluster.epoch`
+//! gauges, gossips when asked, and hands off the shards the new ring
+//! moves. Every message to another member dials through `dial`.
+//!
 //! # Safety argument (why a wrong view never loses data)
 //!
 //! Clients fan spatial gets out to every member of their *static*
@@ -169,10 +176,6 @@ impl NodeState {
         self.self_addr.read().clone()
     }
 
-    fn epoch(&self) -> u64 {
-        self.view.lock().epoch
-    }
-
     fn stop(&self) {
         *self.stop.lock() = true;
         self.stop_signal.notify_all();
@@ -210,16 +213,34 @@ pub struct ClusterNode {
 /// Backoff for cluster-internal dials (gossip, handoff pushes): short
 /// and bounded, because the heartbeat loop will retry anything that
 /// matters.
-fn peer_backoff() -> Backoff {
-    Backoff {
-        initial: Duration::from_millis(2),
-        max: Duration::from_millis(10),
-        attempts: 3,
-    }
+const PEER_BACKOFF: Backoff = Backoff {
+    initial: Duration::from_millis(2),
+    max: Duration::from_millis(10),
+    attempts: 3,
+};
+
+/// Every dial from one member to another: one attempt when `backoff`
+/// is `None` (a heartbeat probe, which must not outlast its period),
+/// else retried per `backoff`.
+fn dial(peer: &str, backoff: Option<&Backoff>) -> Result<RemoteSpace, ClusterError> {
+    let addr: Addr = peer
+        .parse()
+        .map_err(|_| ClusterError::Config(format!("unparseable member address `{peer}`")))?;
+    Ok(match backoff {
+        None => RemoteSpace::connect(&addr)?,
+        Some(backoff) => RemoteSpace::connect_retry(&addr, backoff)?,
+    })
 }
 
-fn parse_peer(addr: &str) -> Option<Addr> {
-    addr.parse().ok()
+/// Send `peer` one control message over a fresh [`dial`] and decode
+/// its reply.
+fn tell(
+    peer: &str,
+    backoff: Option<&Backoff>,
+    msg: &ClusterMsg,
+) -> Result<ClusterMsg, ClusterError> {
+    let reply = dial(peer, backoff)?.control(encode_msg(msg))?;
+    decode_msg(reply).map_err(|e| ClusterError::Config(e.to_string()))
 }
 
 impl ClusterNode {
@@ -292,23 +313,20 @@ impl ClusterNode {
             *state.self_addr.write() = bound.to_string();
         }
         if let Bootstrap::Join(contact) = &bootstrap {
-            let contact_addr: Addr = contact
-                .parse()
-                .map_err(|_| ClusterError::Config(format!("unparseable contact `{contact}`")))?;
-            let conn = RemoteSpace::connect_retry(&contact_addr, &Backoff::default())?;
-            let reply = conn.control(encode_msg(&ClusterMsg::Join {
-                from: MemberInfo {
-                    addr: state.self_addr(),
-                },
-            }))?;
-            match decode_msg(reply) {
-                Ok(ClusterMsg::View { view }) => adopt_view(&state, view),
-                Ok(other) => {
+            let from = MemberInfo {
+                addr: state.self_addr(),
+            };
+            match tell(
+                contact,
+                Some(&Backoff::default()),
+                &ClusterMsg::Join { from },
+            )? {
+                ClusterMsg::View { view } => adopt_view(&state, view),
+                other => {
                     return Err(ClusterError::Config(format!(
                         "join answered with {other:?}, expected a view"
                     )))
                 }
-                Err(e) => return Err(ClusterError::Config(e.to_string())),
             }
         }
         state.publish_view_gauges();
@@ -362,40 +380,24 @@ impl ClusterNode {
         }
     }
 
-    /// Graceful departure: forward the queued task backlog to the
-    /// surviving members, hand every local shard to its new ring owner,
+    /// Graceful departure: hand every local shard to its new ring owner,
+    /// forward the queued task backlog to the surviving members,
     /// announce the leave, and stop serving.
     pub fn leave(mut self) {
         self.stop_heartbeats();
-        let self_addr = self.state.self_addr();
-        let next = {
-            let mut view = self.state.view.lock();
-            if let Some(next) = view.without_member(&self_addr) {
-                *view = next;
-            }
-            view.clone()
-        };
-        let survivors = next.addrs();
-        sitra_obs::emit(
-            "cluster",
-            "member.leave",
-            &[
-                ("member", self_addr.clone()),
-                ("epoch", next.epoch.to_string()),
-            ],
-        );
-        if !survivors.is_empty() {
-            forward_backlog(&self.state, &survivors);
-            rebalance(&self.state);
-            for peer in &survivors {
-                if let Some(addr) = parse_peer(peer) {
-                    if let Ok(conn) = RemoteSpace::connect_retry(&addr, &peer_backoff()) {
-                        let _ = conn.control(encode_msg(&ClusterMsg::Leave {
-                            addr: self_addr.clone(),
-                        }));
-                    }
-                }
-            }
+        let me = self.state.self_addr();
+        // No gossip: the survivors hear of it as a `Leave` below.
+        transition(&self.state, Change::Leave(&me), false, |view| {
+            view.without_member(&me)
+        });
+        let survivors = self.state.view.lock().addrs();
+        forward_backlog(&self.state, &survivors);
+        for peer in &survivors {
+            let _ = tell(
+                peer,
+                Some(&PEER_BACKOFF),
+                &ClusterMsg::Leave { addr: me.clone() },
+            );
         }
         if let Some(server) = self.server.take() {
             server.shutdown();
@@ -443,169 +445,129 @@ impl Drop for ClusterNode {
 
 /// Serve one control frame (runs on the data-plane connection threads).
 fn handle_control(state: &Arc<NodeState>, data: Bytes) -> Bytes {
-    let msg = match decode_msg(data) {
-        Ok(m) => m,
-        Err(_) => {
-            state.obs.proto_errors.inc();
-            return encode_msg(&ClusterMsg::Ack {
-                epoch: state.epoch(),
-            });
-        }
+    let Ok(msg) = decode_msg(data) else {
+        state.obs.proto_errors.inc();
+        return encode_msg(&ClusterMsg::Ack {
+            epoch: state.view.lock().epoch,
+        });
     };
-    let reply = match msg {
-        ClusterMsg::Hello => ClusterMsg::View {
-            view: state.view.lock().clone(),
-        },
+    // Whether the sender gets our view back rather than an `Ack`.
+    let send_view = match msg {
         ClusterMsg::Join { from } => {
-            let adopted = {
-                let mut view = state.view.lock();
-                match view.with_member(from.clone()) {
-                    Some(next) => {
-                        *view = next.clone();
-                        Some(next)
-                    }
-                    None => None,
-                }
-            };
-            if let Some(next) = adopted {
-                sitra_obs::emit(
-                    "cluster",
-                    "member.join",
-                    &[("member", from.addr), ("epoch", next.epoch.to_string())],
-                );
-                state.publish_view_gauges();
-                gossip_view(state, &next);
-                rebalance(state);
-            }
-            ClusterMsg::View {
-                view: state.view.lock().clone(),
-            }
+            join(state, &from.addr);
+            true
         }
         ClusterMsg::Leave { addr } => {
-            let adopted = {
-                let mut view = state.view.lock();
-                match view.without_member(&addr) {
-                    Some(next) => {
-                        *view = next.clone();
-                        Some(next)
-                    }
-                    None => None,
-                }
-            };
-            if let Some(next) = adopted {
+            if transition(state, Change::Leave(&addr), true, |view| {
+                view.without_member(&addr)
+            }) {
                 state.suspicion.lock().forget(&addr);
-                sitra_obs::emit(
-                    "cluster",
-                    "member.leave",
-                    &[("member", addr), ("epoch", next.epoch.to_string())],
-                );
-                state.publish_view_gauges();
-                gossip_view(state, &next);
-                rebalance(state);
             }
-            ClusterMsg::Ack {
-                epoch: state.epoch(),
-            }
+            false
         }
         ClusterMsg::Heartbeat { from, epoch } => {
             state.suspicion.lock().record_ok(&from);
             // A heartbeat from a member our view evicted proves it
             // alive: re-add it (healing false suspicion).
-            let readded = {
-                let mut view = state.view.lock();
-                match view.with_member(MemberInfo { addr: from.clone() }) {
-                    Some(next) => {
-                        *view = next.clone();
-                        Some(next)
-                    }
-                    None => None,
-                }
-            };
-            if let Some(next) = readded {
-                sitra_obs::emit(
-                    "cluster",
-                    "member.join",
-                    &[("member", from), ("epoch", next.epoch.to_string())],
-                );
-                state.publish_view_gauges();
-                gossip_view(state, &next);
-                rebalance(state);
-            }
-            let ours = state.epoch();
-            if ours > epoch {
-                ClusterMsg::View {
-                    view: state.view.lock().clone(),
-                }
-            } else {
-                ClusterMsg::Ack { epoch: ours }
-            }
+            join(state, &from);
+            state.view.lock().epoch > epoch
         }
         ClusterMsg::View { view } => {
             adopt_view(state, view);
-            ClusterMsg::Ack {
-                epoch: state.epoch(),
-            }
+            false
         }
-        ClusterMsg::Ack { .. } => ClusterMsg::Ack {
-            epoch: state.epoch(),
-        },
+        ClusterMsg::Ack { .. } => false,
     };
-    encode_msg(&reply)
+    let view = state.view.lock();
+    encode_msg(&if send_view {
+        ClusterMsg::View { view: view.clone() }
+    } else {
+        ClusterMsg::Ack { epoch: view.epoch }
+    })
 }
 
-/// Adopt `incoming` when its epoch is newer, then rebalance. A view
-/// that evicted *us* gets ourselves re-added (we are demonstrably
-/// alive) so false suspicion heals instead of sticking.
-fn adopt_view(state: &Arc<NodeState>, incoming: ClusterView) {
-    let self_addr = state.self_addr();
-    let adopted = {
+/// Why a member's view changed; names the journal event that says so.
+enum Change<'a> {
+    /// `member.join`: the member announced itself or proved alive.
+    Join(&'a str),
+    /// `member.leave`: the member left gracefully.
+    Leave(&'a str),
+    /// `member.suspect`: the member missed too many heartbeats.
+    Suspect(&'a str),
+    /// `view.adopt`: a newer view arrived from a peer.
+    Adopt,
+}
+
+/// The one membership transition: install the view `next` derives
+/// from the current one (nothing happens when it derives none), journal
+/// `change`, publish the view gauges, gossip the view when asked, and
+/// hand off the shards the new ring moves. Whether the view changed.
+fn transition(
+    state: &Arc<NodeState>,
+    change: Change,
+    gossip: bool,
+    next: impl FnOnce(&ClusterView) -> Option<ClusterView>,
+) -> bool {
+    let next = {
         let mut view = state.view.lock();
-        if incoming.epoch <= view.epoch {
-            None
-        } else {
-            let mut next = incoming;
-            if !next.contains(&self_addr) {
-                next = next
-                    .with_member(MemberInfo {
-                        addr: self_addr.clone(),
-                    })
-                    .expect("absent member re-adds");
-            }
-            *view = next.clone();
-            Some(next)
+        let Some(next) = next(&view) else {
+            return false;
+        };
+        *view = next.clone();
+        next
+    };
+    let epoch = ("epoch", next.epoch.to_string());
+    let (event, attrs) = match change {
+        Change::Join(member) => ("member.join", vec![("member", member.into()), epoch]),
+        Change::Leave(member) => ("member.leave", vec![("member", member.into()), epoch]),
+        Change::Suspect(member) => {
+            state.obs.suspects.inc();
+            let by = ("by", state.self_addr());
+            ("member.suspect", vec![("member", member.into()), by, epoch])
+        }
+        Change::Adopt => {
+            let members = ("members", next.members.len().to_string());
+            (
+                "view.adopt",
+                vec![("member", state.self_addr()), epoch, members],
+            )
         }
     };
-    if let Some(next) = adopted {
-        sitra_obs::emit(
-            "cluster",
-            "view.adopt",
-            &[
-                ("member", self_addr),
-                ("epoch", next.epoch.to_string()),
-                ("members", next.members.len().to_string()),
-            ],
-        );
-        state.publish_view_gauges();
-        rebalance(state);
+    sitra_obs::emit("cluster", event, &attrs);
+    state.publish_view_gauges();
+    if gossip {
+        // Best-effort: a peer we cannot reach right now learns the
+        // epoch from heartbeat anti-entropy instead.
+        let me = state.self_addr();
+        let msg = ClusterMsg::View { view: next.clone() };
+        for peer in next.addrs().iter().filter(|p| **p != me) {
+            let _ = tell(peer, Some(&PEER_BACKOFF), &msg);
+        }
     }
+    rebalance(state);
+    true
 }
 
-/// Push `view` to every member except ourselves. Best-effort: a peer
-/// we cannot reach right now learns the epoch from heartbeat
-/// anti-entropy instead.
-fn gossip_view(state: &Arc<NodeState>, view: &ClusterView) {
-    let self_addr = state.self_addr();
-    for m in &view.members {
-        if m.addr == self_addr {
-            continue;
-        }
-        let Some(addr) = parse_peer(&m.addr) else {
-            continue;
-        };
-        if let Ok(conn) = RemoteSpace::connect_retry(&addr, &peer_backoff()) {
-            let _ = conn.control(encode_msg(&ClusterMsg::View { view: view.clone() }));
-        }
-    }
+/// Add `member` to the view unless it is there already, and gossip it.
+fn join(state: &Arc<NodeState>, member: &str) {
+    let info = MemberInfo {
+        addr: member.to_string(),
+    };
+    transition(state, Change::Join(member), true, |view| {
+        view.with_member(info)
+    });
+}
+
+/// Adopt `incoming` when its epoch is newer. A view that evicted *us*
+/// gets ourselves re-added (we are demonstrably alive) so false
+/// suspicion heals instead of sticking.
+fn adopt_view(state: &Arc<NodeState>, incoming: ClusterView) {
+    let me = MemberInfo {
+        addr: state.self_addr(),
+    };
+    transition(state, Change::Adopt, false, |view| {
+        (incoming.epoch > view.epoch).then(|| incoming.with_member(me).unwrap_or(incoming))
+    });
 }
 
 /// Shard handoff: drain every local piece the current ring no longer
@@ -640,8 +602,7 @@ fn rebalance(state: &Arc<NodeState>) {
     let mut pushed_pieces = 0u64;
     let mut pushed_bytes = 0u64;
     for (owner, pieces) in by_owner {
-        let conn = parse_peer(&owner)
-            .and_then(|addr| RemoteSpace::connect_retry(&addr, &peer_backoff()).ok());
+        let conn = dial(&owner, Some(&PEER_BACKOFF)).ok();
         for (var, version, bbox, data) in pieces {
             let len = data.len() as u64;
             let delivered = conn
@@ -683,16 +644,16 @@ fn rebalance(state: &Arc<NodeState>) {
 /// *this* layer) holds; it then drains to any bucket still connected to
 /// us.
 fn forward_backlog(state: &Arc<NodeState>, survivors: &[String]) {
+    if survivors.is_empty() {
+        return;
+    }
     let backlog = state.sched.drain_queued();
     if backlog.is_empty() {
         return;
     }
     let conns: Vec<Option<RemoteSpace>> = survivors
         .iter()
-        .map(|peer| {
-            parse_peer(peer)
-                .and_then(|addr| RemoteSpace::connect_retry(&addr, &peer_backoff()).ok())
-        })
+        .map(|peer| dial(peer, Some(&PEER_BACKOFF)).ok())
         .collect();
     // Which tenant each survivor connection is currently bound to. A
     // binding is per-connection state, so it only has to be re-sent
@@ -744,70 +705,39 @@ fn forward_backlog(state: &Arc<NodeState>, survivors: &[String]) {
 
 /// The heartbeat loop: probe every peer each period; evict peers that
 /// miss `suspect_after` probes in a row; adopt newer views carried back
-/// by anti-entropy.
+/// by anti-entropy. Each probe is a fresh dial: a killed member stops
+/// its listener but keeps serving connections already open, so only a
+/// new connection notices it is gone.
 fn heartbeat_loop(state: &Arc<NodeState>, every: Duration) {
     while !state.stopped_within(every) {
-        let self_addr = state.self_addr();
+        let from = state.self_addr();
         let (peers, epoch) = {
             let view = state.view.lock();
             (view.addrs(), view.epoch)
         };
-        for peer in peers.iter().filter(|p| **p != self_addr) {
+        let probe = ClusterMsg::Heartbeat {
+            from: from.clone(),
+            epoch,
+        };
+        for peer in peers.iter().filter(|p| **p != from) {
             if state.stopped() {
                 return;
             }
-            let reply = parse_peer(peer)
-                .and_then(|addr| RemoteSpace::connect(&addr).ok())
-                .and_then(|conn| {
-                    conn.control(encode_msg(&ClusterMsg::Heartbeat {
-                        from: self_addr.clone(),
-                        epoch,
-                    }))
-                    .ok()
-                });
-            match reply {
-                Some(frame) => {
+            match tell(peer, None, &probe) {
+                Ok(reply) => {
                     state.suspicion.lock().record_ok(peer);
-                    if let Ok(ClusterMsg::View { view }) = decode_msg(frame) {
+                    if let ClusterMsg::View { view } = reply {
                         adopt_view(state, view);
                     }
                 }
-                None => {
+                Err(_) => {
                     if state.suspicion.lock().record_miss(peer) {
-                        evict_suspect(state, peer);
+                        transition(state, Change::Suspect(peer), true, |view| {
+                            view.without_member(peer)
+                        });
                     }
                 }
             }
         }
-        state.publish_view_gauges();
-    }
-}
-
-/// Remove a suspect peer from the view and gossip the eviction.
-fn evict_suspect(state: &Arc<NodeState>, peer: &str) {
-    let adopted = {
-        let mut view = state.view.lock();
-        match view.without_member(peer) {
-            Some(next) => {
-                *view = next.clone();
-                Some(next)
-            }
-            None => None,
-        }
-    };
-    if let Some(next) = adopted {
-        state.obs.suspects.inc();
-        sitra_obs::emit(
-            "cluster",
-            "member.suspect",
-            &[
-                ("member", peer.to_string()),
-                ("by", state.self_addr()),
-                ("epoch", next.epoch.to_string()),
-            ],
-        );
-        state.publish_view_gauges();
-        gossip_view(state, &next);
-        rebalance(state);
     }
 }

@@ -34,8 +34,6 @@ pub struct ClusterView {
 /// A membership/handoff control message.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ClusterMsg {
-    /// "Who is in the cluster?" — answered with [`ClusterMsg::View`].
-    Hello,
     /// A new member announces itself to a seed; the seed adds it,
     /// bumps the epoch, gossips the new view, and replies with it.
     Join {
@@ -69,7 +67,7 @@ pub enum ClusterMsg {
     },
 }
 
-const MSG_HELLO: u8 = 1;
+// Tag 1 is retired (an unused view query); it decodes to an error.
 const MSG_JOIN: u8 = 2;
 const MSG_LEAVE: u8 = 3;
 const MSG_HEARTBEAT: u8 = 4;
@@ -101,7 +99,6 @@ fn read_view(rd: &mut Rd) -> Result<ClusterView, WireError> {
 pub fn encode_msg(msg: &ClusterMsg) -> Bytes {
     let mut buf = BytesMut::new();
     match msg {
-        ClusterMsg::Hello => buf.put_u8(MSG_HELLO),
         ClusterMsg::Join { from } => {
             buf.put_u8(MSG_JOIN);
             put_str(&mut buf, &from.addr);
@@ -131,7 +128,6 @@ pub fn encode_msg(msg: &ClusterMsg) -> Bytes {
 pub fn decode_msg(frame: Bytes) -> Result<ClusterMsg, WireError> {
     let mut rd = Rd::new(frame);
     let msg = match rd.u8("msg.tag")? {
-        MSG_HELLO => ClusterMsg::Hello,
         MSG_JOIN => ClusterMsg::Join {
             from: MemberInfo {
                 addr: rd.string("from")?,
@@ -162,7 +158,6 @@ mod tests {
 
     fn samples() -> Vec<ClusterMsg> {
         vec![
-            ClusterMsg::Hello,
             ClusterMsg::Join {
                 from: MemberInfo {
                     addr: "tcp://10.0.0.2:7788".into(),
@@ -226,8 +221,13 @@ mod tests {
     }
 
     #[test]
+    fn the_retired_tag_is_rejected() {
+        assert!(decode_msg(Bytes::from_static(&[1])).is_err());
+    }
+
+    #[test]
     fn trailing_bytes_are_rejected() {
-        let mut enc = encode_msg(&ClusterMsg::Hello).to_vec();
+        let mut enc = encode_msg(&ClusterMsg::Ack { epoch: 0 }).to_vec();
         enc.push(0);
         assert!(decode_msg(Bytes::from(enc)).is_err());
     }

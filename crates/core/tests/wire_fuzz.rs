@@ -196,7 +196,6 @@ fn cluster_view_strategy() -> impl Strategy<Value = ClusterView> {
 
 fn cluster_msg_strategy() -> proptest::BoxedStrategy<ClusterMsg> {
     prop_oneof![
-        Just(ClusterMsg::Hello),
         short_name().prop_map(|addr| ClusterMsg::Join {
             from: MemberInfo { addr }
         }),

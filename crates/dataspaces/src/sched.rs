@@ -131,7 +131,7 @@ impl<T> From<T> for Submission<'_, T> {
     }
 }
 
-/// Scheduler counters and the assignment log.
+/// Scheduler counters.
 #[derive(Debug, Clone, Default)]
 pub struct SchedStats {
     /// Tasks enqueued so far.
@@ -142,8 +142,6 @@ pub struct SchedStats {
     /// Tasks put back at the head of the queue after a failed hand-off
     /// (e.g. a remote bucket's connection died before acknowledging).
     pub tasks_requeued: u64,
-    /// Log of `(task_seq, bucket)` assignments in order.
-    pub assignment_log: Vec<(u64, BucketId)>,
     /// High-water mark of the task queue (backlog indicator: when this
     /// grows across timesteps, the staging area is undersized for the
     /// requested analysis frequency).
@@ -606,7 +604,6 @@ impl<T: Send + 'static> Scheduler<T> {
                 .expect("pool has a parked bucket");
             g.note_locality_saved(seq, bucket, saved);
             g.stats.tasks_assigned += 1;
-            g.stats.assignment_log.push((seq, bucket));
             g.obs.assigned.inc();
             g.note_wait(enqueued);
             popped = true;
@@ -1066,7 +1063,6 @@ mod tests {
         assert_eq!(b.request_task(), Some((0, "t0")));
         let st = s.stats();
         assert_eq!(st.tasks_assigned, 1);
-        assert_eq!(st.assignment_log, vec![(0, 1)]);
     }
 
     #[test]
@@ -1108,7 +1104,6 @@ mod tests {
         s.submit(20);
         assert_eq!(h1.join().unwrap(), Some((0, 10)));
         assert_eq!(h2.join().unwrap(), Some((1, 20)));
-        assert_eq!(s.stats().assignment_log, vec![(0, 1), (1, 2)]);
     }
 
     #[test]
@@ -1826,7 +1821,6 @@ mod tests {
         assert_eq!(b.request_task(), Some((1, 11)));
         let st = s.stats();
         assert_eq!(st.locality_bytes_saved, 0);
-        assert_eq!(st.assignment_log, vec![(0, 4), (1, 4)]);
     }
 
     #[test]
@@ -1855,7 +1849,6 @@ mod tests {
         s.submit(9);
         assert_eq!(h1.join().unwrap(), Some((1, 9)));
         let st = s.stats();
-        assert_eq!(st.assignment_log, vec![(0, 2), (1, 1)]);
         assert_eq!(st.locality_bytes_saved, 4096);
     }
 

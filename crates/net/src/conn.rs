@@ -76,7 +76,8 @@ struct Counters {
 
 /// Global-registry handles for this connection, resolved once at
 /// creation so the per-frame cost is a pair of relaxed atomic adds.
-/// Series are labelled by peer (`net.conn.frames_sent{peer=…}`).
+/// Series are labelled by peer: `net.conn.frames_sent{peer=10.0.0.7:7788}`
+/// on a dialed `tcp://` connection, `{peer=10.0.0.9}` on an accepted one.
 struct ObsCounters {
     frames_sent: sitra_obs::Counter,
     frames_recv: sitra_obs::Counter,
@@ -297,8 +298,20 @@ impl Connection {
         )
     }
 
-    pub(crate) fn from_tcp(stream: std::net::TcpStream) -> Result<Connection, NetError> {
-        let peer = stream.peer_addr()?.to_string();
+    /// An `accepted` connection is labelled by the peer's IP alone, so
+    /// one host registers the same `net.conn.*` series however many
+    /// connections it opens (a heartbeat dials once a period); a dialed
+    /// one keeps `host:port`, which names the server.
+    pub(crate) fn from_tcp(
+        stream: std::net::TcpStream,
+        accepted: bool,
+    ) -> Result<Connection, NetError> {
+        let peer = stream.peer_addr()?;
+        let peer = if accepted {
+            peer.ip().to_string()
+        } else {
+            peer.to_string()
+        };
         Ok(Connection::new(
             Backend::Tcp(TcpIo::new(stream, &peer)),
             peer,
@@ -543,7 +556,7 @@ pub(crate) fn tcp_connect(sa: SocketAddr) -> Result<Connection, NetError> {
         return Err(NetError::Refused(sa.to_string()));
     }
     match std::net::TcpStream::connect(sa) {
-        Ok(s) => Connection::from_tcp(s),
+        Ok(s) => Connection::from_tcp(s, false),
         Err(e) if e.kind() == std::io::ErrorKind::ConnectionRefused => {
             Err(NetError::Refused(sa.to_string()))
         }
@@ -620,7 +633,7 @@ mod tests {
         let sa = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (s, _) = listener.accept().unwrap();
-            let c = Connection::from_tcp(s).unwrap();
+            let c = Connection::from_tcp(s, true).unwrap();
             let m = c.recv().unwrap();
             c.send(m).unwrap();
             let stats = c.stats();
@@ -681,7 +694,7 @@ mod tests {
         let sa = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (s, _) = listener.accept().unwrap();
-            let c = Connection::from_tcp(s).unwrap();
+            let c = Connection::from_tcp(s, true).unwrap();
             for len in KEPT {
                 c.send(Bytes::from(vec![1u8; 1 << 20])).unwrap();
                 // The next frame goes out once the large one is dropped.
@@ -715,7 +728,7 @@ mod tests {
         let sa = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (s, _) = listener.accept().unwrap();
-            let c = Connection::from_tcp(s).unwrap();
+            let c = Connection::from_tcp(s, true).unwrap();
             drop(c); // hang up immediately
         });
         let c = tcp_connect(sa).unwrap();
@@ -764,7 +777,7 @@ mod tests {
         let sa = listener.local_addr().unwrap();
         let server = std::thread::spawn(move || {
             let (s, _) = listener.accept().unwrap();
-            let c = Connection::from_tcp(s).unwrap();
+            let c = Connection::from_tcp(s, true).unwrap();
             let mut got = Vec::new();
             while let Ok(m) = c.recv() {
                 got.push(m);

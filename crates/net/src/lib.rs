@@ -239,7 +239,7 @@ mod tests {
         let listener = std::net::TcpListener::bind("127.0.0.1:0").unwrap();
         let dialled = conn::tcp_connect(listener.local_addr().unwrap()).unwrap();
         let (accepted, _) = listener.accept().unwrap();
-        (dialled, Connection::from_tcp(accepted).unwrap())
+        (dialled, Connection::from_tcp(accepted, true).unwrap())
     }
 
     #[test]

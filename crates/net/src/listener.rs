@@ -92,7 +92,7 @@ impl Listener {
                 ListenerInner::InProc { rx, .. } => rx.recv().map_err(|_| NetError::Closed)?,
                 ListenerInner::Tcp(l) => {
                     let (stream, _) = l.accept()?;
-                    Connection::from_tcp(stream)?
+                    Connection::from_tcp(stream, true)?
                 }
             };
             if crate::fault::connect_allowed(&local) {

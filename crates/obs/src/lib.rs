@@ -14,7 +14,8 @@
 //!   instrumented hot paths (frame sends, scheduler hand-offs, shard
 //!   puts) pay nanoseconds. Names follow `component.subsystem.metric`,
 //!   with optional `{key=value}` labels (e.g.
-//!   `net.conn.frames_sent{peer=127.0.0.1:7788}`).
+//!   `net.conn.frames_sent{peer=127.0.0.1:7788}` on a dialed connection,
+//!   `{peer=127.0.0.1}` on an accepted one).
 //! * [`ObsEvent`] — a span-event journal entry (`ts_ns`, component,
 //!   name, key/value pairs) routed to a global, test-overridable
 //!   [`EventSink`]. The default sink is none (events cost one relaxed
