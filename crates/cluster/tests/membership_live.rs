@@ -302,3 +302,31 @@ fn crashed_member_is_suspected_and_evicted() {
     a.shutdown();
     b.shutdown();
 }
+
+#[test]
+fn members_bound_to_port_zero_publish_under_their_real_ports() {
+    let obs = sitra_obs::isolate();
+    let any: Addr = "tcp://127.0.0.1:0".parse().unwrap();
+    let nodes: Vec<ClusterNode> = (0..2)
+        .map(|_| {
+            let seeds = vec![any.to_string()];
+            ClusterNode::start(&any, Bootstrap::Seeds(seeds), ClusterNodeOpts::default()).unwrap()
+        })
+        .collect();
+    let text = obs.registry().snapshot().render_text();
+    let mut lines: Vec<&str> = text
+        .lines()
+        .filter(|l| l.starts_with("cluster_members{"))
+        .collect();
+    lines.sort_unstable();
+    let mut want: Vec<String> = nodes
+        .iter()
+        .map(|n| format!("cluster_members{{member={}}} 1", n.addr()))
+        .collect();
+    want.sort_unstable();
+    assert_ne!(want[0], want[1], "two binds, two ports");
+    assert_eq!(lines, want, "{text}");
+    for n in nodes {
+        n.shutdown();
+    }
+}

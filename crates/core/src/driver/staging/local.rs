@@ -10,12 +10,14 @@
 //! aggregate, and retire the task. Successive steps naturally land on
 //! different buckets (temporal multiplexing).
 //!
-//! Back-pressure: producers retain a bounded ring of exported payloads
-//! per analysis ([`crate::PipelineConfig::staging_buffer_depth`] of its
-//! due steps, whatever its interval); if the staging area falls that far
-//! behind, the oldest payloads are withdrawn and the overrun tasks
-//! retire as dropped — the same signal a real staging deployment must
-//! watch.
+//! Release and back-pressure: a rank frees a payload once a bucket has
+//! pulled it — at its next submission it reads the pull's source-side
+//! completion (DART's `GetServed`) and unexports the region. What no
+//! bucket has pulled stays in a bounded ring per analysis
+//! ([`crate::PipelineConfig::staging_buffer_depth`] of its due steps,
+//! whatever its interval); if the staging area falls that far behind,
+//! the oldest payloads are withdrawn and the overrun tasks retire as
+//! dropped — the same signal a real staging deployment must watch.
 
 use super::{BackendCaps, BackendStats, RetireCtx, Retired, StagedTask, StagingBackend};
 use bytes::Bytes;
@@ -74,7 +76,8 @@ pub struct LocalBackend {
     /// callback, so it disconnects once the whole fleet has exited.
     done_rx: crossbeam::channel::Receiver<()>,
     /// Per analysis, the regions its last due steps exported on every
-    /// rank, oldest first: the back-pressure ring.
+    /// rank, oldest first: the back-pressure ring. A key stays here
+    /// after a pull released its region.
     exported: Vec<VecDeque<RegionKey>>,
     buffer_depth: u64,
     outstanding: usize,
@@ -166,8 +169,19 @@ impl StagingBackend for LocalBackend {
         // must find the row even when it wins the race with this
         // thread.
         self.ctx.record_insitu(&task, &CAPS, true);
+        // Release every payload a bucket has pulled: DART's source-side
+        // completion (`GetServed`) tells a rank its region is free. A
+        // region the ring already withdrew unexports as a no-op.
+        for ep in &self.rank_endpoints {
+            while let Some(ev) = ep.try_event() {
+                if let Event::GetServed { key, .. } = ev {
+                    ep.unexport(key);
+                }
+            }
+        }
         // Export payloads and withdraw the analysis's oldest once its
-        // ring holds more than the buffer depth (the back-pressure ring).
+        // ring holds more than the buffer depth: the back-pressure ring,
+        // which frees what no bucket has pulled.
         let key = region_key(task.analysis_idx, task.step);
         let ring = &mut self.exported[task.analysis_idx];
         ring.push_back(key);
@@ -184,13 +198,6 @@ impl StagingBackend for LocalBackend {
                 ep.unexport(stale);
             }
             parts.push((*r, ep.id(), key));
-        }
-        // The producers never act on their source-side completions
-        // (`GetServed`); discard them so they do not pile up for the
-        // whole run. What arrives after this is bounded by the regions
-        // still exported: one back-pressure ring per analysis.
-        for ep in &self.rank_endpoints {
-            while ep.try_event().is_some() {}
         }
         self.scheduler
             .submit(TaskDesc {
@@ -349,6 +356,34 @@ mod tests {
         }
         assert_eq!(backend.close().submitted, 200);
         assert_eq!(ctx.take_outputs().len(), 200);
+    }
+
+    #[test]
+    fn a_pulled_payload_is_released_at_the_next_submit() {
+        // Every task retires before the next submit, so all that is
+        // still exported after a submit is the step it just exported;
+        // the ring alone would keep min(step, depth).
+        const DEPTH: u64 = 16;
+        let ctx = RetireCtx::new(vec![AnalysisSpec::new(
+            Arc::new(HybridStats::default()),
+            Placement::Hybrid,
+            1,
+        )]);
+        let fabric = Fabric::new(NetworkModel::gemini());
+        let mut backend = LocalBackend::new(ctx.clone(), &fabric, RANKS, 2, DEPTH, None);
+        for step in 1..=40 {
+            backend.submit(task_of(&ctx, step, RANKS));
+            for ep in &backend.rank_endpoints {
+                let held = (1..=step)
+                    .filter(|&s| ep.read_region(region_key(0, s)).is_some())
+                    .count();
+                assert_eq!(held, 1, "rank endpoint {} at step {step}", ep.id());
+            }
+            backend.drain();
+        }
+        assert_eq!(ctx.dropped_tasks(), 0);
+        assert_eq!(backend.close().submitted, 40);
+        assert_eq!(ctx.take_outputs().len(), 40);
     }
 
     #[test]

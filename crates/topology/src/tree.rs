@@ -335,8 +335,11 @@ pub(crate) fn canonical_of(len: usize, node: impl Fn(u32) -> Option<ForestNode>)
     // Stable: nodes come in ascending runs (one per subtree) to merge.
     kept.sort_by_key(|n| n.0);
     // Walk down through regular nodes to the next kept one. A node has
-    // at most one arc down, so arcs in node order are sorted.
-    let arcs = kept.iter().filter_map(|&n| {
+    // at most one arc down, so arcs in node order are sorted. Every kept
+    // node with a down node has one, so `arcs` is allocated at its exact
+    // length: a tree kept in a run's outputs carries no spare capacity.
+    let mut arcs = Vec::with_capacity(kept.iter().filter(|n| n.2.is_some()).count());
+    arcs.extend(kept.iter().filter_map(|&n| {
         let mut c = n;
         loop {
             c = node(c.2?).expect("arcs end at nodes");
@@ -344,9 +347,9 @@ pub(crate) fn canonical_of(len: usize, node: impl Fn(u32) -> Option<ForestNode>)
                 return Some((n.0, c.0));
             }
         }
-    });
+    }));
     CanonicalTree {
-        arcs: arcs.collect(),
+        arcs,
         nodes: kept.iter().map(|n| (n.0, n.1)).collect(),
     }
 }
@@ -443,6 +446,21 @@ mod tests {
         t2.add_arc(2, 4);
         t2.add_arc(3, 4);
         assert_eq!(t1.canonical(), t2.canonical());
+    }
+
+    #[test]
+    fn canonical_arcs_carry_no_spare_capacity() {
+        // Five maxima straight into one root: a collected iterator of
+        // unknown length would have grown `arcs` to eight slots.
+        let mut t = MergeTree::new();
+        t.add_node(5, 0.0);
+        for i in 0..5 {
+            t.add_node(i, 10.0 + i as f64);
+            t.add_arc(i, 5);
+        }
+        let c = t.canonical();
+        assert_eq!(c.arcs.len(), 5);
+        assert_eq!(c.arcs.capacity(), c.arcs.len());
     }
 
     #[test]

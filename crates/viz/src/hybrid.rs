@@ -10,7 +10,15 @@
 //! inside a block while a ray gathers its corner columns (`march.rs`),
 //! not once per sample, and answered with one binary search per axis.
 //! Serial by design: the paper renders on one staging bucket, whose
-//! other cores serve other tasks.
+//! other cores serve other tasks. It stays serial on the process-wide
+//! worker pool too. A row-parallel render ran 1.76× faster alone
+//! (1.57 → 0.89 ms, 2 vCPUs), but inside the `viz-cluster3` e2e
+//! workload its wall time read p50 1.0 ms, p90 18.6 ms and max 62.7 ms,
+//! and `insight_ms` rose from 2.4–2.7 to 11–35 ms: the simulation's
+//! later parallel calls publish newer jobs, and the workers take the
+//! newest first. A pool variant that served the newest *family* of jobs
+//! first still starved the render at p90. An in-transit stage goes on
+//! the pool only with a priority rule that favours it.
 //!
 //! The renderer accepts the *same* [`View`] as the full-resolution in-situ
 //! path — sample positions are mapped into coarse space internally — so

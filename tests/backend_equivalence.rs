@@ -340,3 +340,57 @@ fn degraded_flow_map_runs_lose_nothing() {
         false,
     );
 }
+
+/// An interval that does not divide the staging depth (3 against 4):
+/// the paper's Fig. 1 sweep uses such intervals. The local ring wraps
+/// more than once over the run, and InSitu, Local and Remote still give
+/// byte-identical outputs for steps 3, 6, …, with nothing dropped or
+/// degraded.
+#[test]
+fn an_interval_that_does_not_divide_the_depth_matches_on_every_backend() {
+    let _obs = sitra::obs::isolate();
+    const STEPS: usize = 18;
+    let every_third = || {
+        let mut spec = specs().swap_remove(1);
+        spec.interval = 3;
+        vec![spec]
+    };
+    let cfg = || {
+        let mut cfg = PipelineConfig::new([2, 2, 1], 2, STEPS);
+        cfg.analyses = every_third();
+        cfg.staging_buffer_depth = 4;
+        cfg
+    };
+    let insitu = run(cfg().with_staging_mode(StagingMode::InSitu)).0;
+    let local = run(cfg()).0;
+    let addr: Addr = "inproc://interval-three-depth-four".parse().unwrap();
+    let server = SpaceServer::start(&addr, 1).expect("start staging server");
+    let worker = {
+        let ep = server.addr();
+        std::thread::spawn(move || {
+            run_bucket_worker(&ep, &every_third(), 0, &BucketWorkerOpts::default())
+                .expect("bucket worker")
+        })
+    };
+    let remote = run(cfg().with_staging_endpoint(server.addr().to_string())).0;
+    let completed = worker.join().unwrap();
+    server.shutdown();
+
+    let reference = sorted_encoded_outputs(&insitu);
+    let steps: Vec<u64> = reference.iter().map(|(_, step, _)| *step).collect();
+    assert_eq!(
+        steps,
+        (1..=STEPS as u64 / 3).map(|k| 3 * k).collect::<Vec<_>>()
+    );
+    assert_eq!(reference, sorted_encoded_outputs(&local), "local != insitu");
+    assert_eq!(
+        reference,
+        sorted_encoded_outputs(&remote),
+        "remote != insitu"
+    );
+    assert_eq!(completed, steps.len());
+    for (name, result) in [("insitu", &insitu), ("local", &local), ("remote", &remote)] {
+        assert_eq!(result.dropped_tasks, 0, "{name}");
+        assert_eq!(result.degraded_tasks, 0, "{name}");
+    }
+}

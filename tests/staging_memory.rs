@@ -2,11 +2,13 @@
 //! length: the driver evicts each step once its tasks have retired, so
 //! the peak resident bytes of a 160-step run stay within 1.5× those of
 //! a 10-step run — on one space server and on a three-member cluster
-//! alike. Residency is read inside the staging output hook, at each
+//! alike — and three members together hold within 1.15× of what one
+//! server holds, since every member's evictions go out with the next
+//! ship, whether or not that ship puts anything there. Residency is read inside the staging output hook, at each
 //! collection, so the reading is tied to the pipeline's progress rather
 //! than to a sampler's timing.
 
-use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::atomic::{AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -19,6 +21,13 @@ use sitra_testkit::fixture;
 const SHORT: usize = 10;
 const LONG: usize = 160;
 const SEED: u64 = 0x5704;
+
+/// A fresh `inproc://` name: tests run on parallel threads, and two
+/// may stage the same step count.
+fn unique(prefix: &str) -> String {
+    static NEXT: AtomicUsize = AtomicUsize::new(0);
+    format!("inproc://{prefix}-{}", NEXT.fetch_add(1, Ordering::Relaxed))
+}
 
 /// The canonical fixture over `steps` steps, `stage`d somewhere, with a
 /// hook that keeps the highest `resident` reading seen at a collection.
@@ -57,7 +66,7 @@ fn peak_while_running(
 
 /// Peak residency on one `inproc://` space server with one worker.
 fn one_server(steps: usize) -> u64 {
-    let addr = format!("inproc://staging-memory-one-{steps}")
+    let addr = unique(&format!("staging-memory-one-{steps}"))
         .parse()
         .unwrap();
     let server = Arc::new(SpaceServer::start(&addr, 1).expect("start staging server"));
@@ -86,9 +95,8 @@ fn one_server(steps: usize) -> u64 {
 /// Peak residency summed over three `inproc://` cluster members with
 /// one cluster worker.
 fn three_members(steps: usize) -> u64 {
-    let endpoints: Vec<String> = (0..3)
-        .map(|i| format!("inproc://staging-memory-trio-{steps}-{i}"))
-        .collect();
+    let trio = unique(&format!("staging-memory-trio-{steps}"));
+    let endpoints: Vec<String> = (0..3).map(|i| format!("{trio}-{i}")).collect();
     let opts = ClusterNodeOpts {
         heartbeat_every: Duration::from_millis(10),
         suspect_after: 3,
@@ -148,4 +156,13 @@ fn one_server_residency_does_not_grow_with_run_length() {
 #[test]
 fn cluster_residency_does_not_grow_with_run_length() {
     assert_bounded("three members", three_members(SHORT), three_members(LONG));
+}
+
+#[test]
+fn three_members_hold_about_what_one_server_holds() {
+    let (one, three) = (one_server(SHORT), three_members(SHORT));
+    assert!(
+        three * 100 <= one * 115,
+        "three members peaked at {three} B against {one} B on one server"
+    );
 }
