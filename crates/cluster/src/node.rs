@@ -469,7 +469,6 @@ fn handle_control(state: &Arc<NodeState>, data: Bytes) -> Bytes {
             false
         }
         ClusterMsg::Heartbeat { from, epoch } => {
-            state.suspicion.lock().record_ok(&from);
             // A heartbeat from a member our view evicted proves it
             // alive: re-add it (healing false suspicion).
             join(state, &from);

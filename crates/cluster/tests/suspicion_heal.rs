@@ -18,20 +18,14 @@ fn addr(name: &str) -> Addr {
     format!("inproc://{name}").parse().unwrap()
 }
 
-/// Three seeded members; the last heartbeats every `last_every`, the
-/// others every 10 ms.
-fn trio(names: [&str; 3], last_every: Duration) -> (Vec<String>, Vec<ClusterNode>) {
+/// Three seeded members, each heartbeating every 10 ms.
+fn trio(names: [&str; 3]) -> (Vec<String>, Vec<ClusterNode>) {
     let seeds: Vec<String> = names.iter().map(|n| addr(n).to_string()).collect();
     let nodes = names
         .iter()
-        .enumerate()
-        .map(|(i, n)| {
+        .map(|n| {
             let opts = ClusterNodeOpts {
-                heartbeat_every: if i == 2 {
-                    last_every
-                } else {
-                    Duration::from_millis(10)
-                },
+                heartbeat_every: Duration::from_millis(10),
                 suspect_after: 3,
                 ..ClusterNodeOpts::default()
             };
@@ -59,9 +53,7 @@ fn agreed(nodes: &[ClusterNode], members: &[String]) -> bool {
 }
 
 /// Refuses every dial to `addr` while `cut` is set: the member still
-/// dials out, so it is alive but cannot be probed. (Each heartbeat it
-/// sends resets the receiver's miss streak for it, so the test gives
-/// it a slow heartbeat: the others reach their threshold in between.)
+/// dials out, so it is alive but cannot be probed.
 struct Unreachable {
     addr: String,
     cut: AtomicBool,
@@ -81,7 +73,7 @@ impl FaultInjector for Unreachable {
 fn a_member_evicted_while_unreachable_is_readded_by_its_heartbeats() {
     let obs = sitra_obs::isolate();
     let suspects = || obs.registry().snapshot().counter("cluster.suspects");
-    let (seeds, nodes) = trio(["heal-a", "heal-b", "heal-c"], Duration::from_millis(200));
+    let (seeds, nodes) = trio(["heal-a", "heal-b", "heal-c"]);
     let partition = Arc::new(Unreachable {
         addr: addr("heal-c").to_string(),
         cut: AtomicBool::new(true),
@@ -105,7 +97,7 @@ fn a_member_evicted_while_unreachable_is_readded_by_its_heartbeats() {
 #[test]
 fn a_member_adopting_a_view_that_evicted_it_readds_itself() {
     let _obs = sitra_obs::isolate();
-    let (seeds, nodes) = trio(["self-a", "self-b", "self-c"], Duration::from_millis(10));
+    let (seeds, nodes) = trio(["self-a", "self-b", "self-c"]);
     // A newer view without self-c, as a peer that suspected it would
     // gossip it.
     let evicted = ClusterView {

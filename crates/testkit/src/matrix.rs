@@ -7,7 +7,7 @@
 //! the full five-analysis roster — the frozen chaos fixture plus the
 //! Lagrangian flow map and the steerable visualization workload — runs
 //! under every backend/policy combination, and every cell must hold
-//! the four chaos oracles plus two workload-specific ones:
+//! the four chaos oracles plus one per workload its roster registers:
 //!
 //! * **flow-map golden endpoints** — the decoded flow-map termination
 //!   records of every backend run are identical, record for record, to
@@ -25,23 +25,22 @@
 //! there keep mapping to the exact same schedules.
 
 use crate::fixture;
-use crate::injector::PlanInjector;
 use crate::plan::FaultPlan;
-use crate::scenario::{self, Backend, Staging};
+use crate::scenario::{self, Backend};
 use sitra_cluster::ClusterNodeOpts;
 use sitra_core::{
-    run_pipeline, AnalysisSpec, HybridViz, LagrangianFlowMap, PipelineConfig, PipelineResult,
-    Placement, StagingMode,
+    AnalysisSpec, HybridViz, LagrangianFlowMap, PipelineConfig, PipelineResult, Placement,
 };
 use sitra_dataspaces::{AdmissionPolicy, SteerClient, SteerFrame};
 use sitra_flowmap::FlowRecord;
 use sitra_mesh::BBox3;
-use sitra_net::Backoff;
-use sitra_obs::VecSink;
+use sitra_net::{Addr, Backoff};
+use sitra_obs::ObsEvent;
 use sitra_sim::Variable;
 use sitra_viz::{TransferFunction, View, ViewAxis};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
+use std::thread::JoinHandle;
 use std::time::Duration;
 
 /// Label of the flow-map registration in the matrix roster.
@@ -255,181 +254,114 @@ fn percentile(sorted: &[f64], q: f64) -> f64 {
 
 /// Run the full matrix: `backends` × [`admission_policies`] × `plans`
 /// (normalized to transport faults), one pipeline run per combination
-/// over the given roster, every run judged by all six oracles.
+/// over the given roster, every run judged by the scenario oracles.
 pub fn scenario_matrix(
     backends: &[Backend],
     plans: &[FaultPlan],
     specs_fn: impl Fn() -> Vec<AnalysisSpec>,
 ) -> MatrixReport {
+    let config = || matrix_config(2, specs_fn());
     let mut report = MatrixReport::default();
-    for backend in backends {
+    for &backend in backends {
         for (policy_name, capacity, policy) in admission_policies() {
             for plan in plans {
                 let plan = transport_only(plan);
-                let outcome =
-                    run_matrix_scenario(*backend, policy_name, capacity, policy, &plan, &specs_fn);
+                let members = ClusterNodeOpts {
+                    capacity,
+                    policy,
+                    ..ClusterNodeOpts::default()
+                };
+                let (outcome, result) = scenario::run(plan.seed, &plan, backend, &config, members);
                 report.runs += 1;
-                report.cells.extend(outcome);
+                // Run-wide violations land on every analysis of the
+                // run; latency percentiles come from each analysis's
+                // metric rows.
+                report.cells.extend(specs_fn().iter().map(|spec| {
+                    let mut lat: Vec<f64> = result
+                        .metrics
+                        .analyses
+                        .iter()
+                        .filter(|m| m.analysis == spec.label)
+                        .map(|m| m.completion_latency_secs)
+                        .collect();
+                    lat.sort_by(f64::total_cmp);
+                    MatrixCell {
+                        analysis: spec.label.clone(),
+                        backend: backend.name(),
+                        policy: policy_name,
+                        plan: plan.to_string(),
+                        violations: outcome.violations.clone(),
+                        p50_latency_secs: percentile(&lat, 0.50),
+                        p99_latency_secs: percentile(&lat, 0.99),
+                    }
+                }));
             }
         }
     }
     report
 }
 
-/// One matrix run: golden fully-in-situ reference, then the backend
-/// under the plan with the policy, then the oracles. Returns one cell
-/// per analysis in the roster.
-fn run_matrix_scenario(
-    backend: Backend,
-    policy_name: &'static str,
-    capacity: Option<usize>,
-    policy: AdmissionPolicy,
-    plan: &FaultPlan,
-    specs_fn: &impl Fn() -> Vec<AnalysisSpec>,
-) -> Vec<MatrixCell> {
-    let _obs = sitra_obs::isolate();
-    let seed = plan.seed;
-    let specs = specs_fn();
-
-    // Golden run: fault-free, fully in-situ, before the injector or
-    // journal sink exist. The reference for both the byte-identity and
-    // the flow-map endpoint oracles.
-    let mut golden_cfg = matrix_config(2, specs_fn());
-    golden_cfg.staging = StagingMode::InSitu;
-    let golden = run_pipeline(&mut fixture::sim(seed), &golden_cfg).expect("golden matrix config");
-    let golden_outputs = fixture::sorted_encoded_outputs(&golden);
-    let golden_flow = flow_records(&golden);
-
-    // Arm the harness. The injector sits under *every* sitra-net
-    // connection, including the steering subscriber's — which is
-    // exactly the point.
-    let sink = Arc::new(VecSink::new());
-    let prev_sink = sitra_obs::install_sink(Some(sink.clone()));
-    let injector = Arc::new(PlanInjector::new(plan.clone()));
-    let prev_injector = sitra_net::install_fault_injector(Some(injector.clone()));
-
-    let mut violations = Vec::new();
-
-    // A steering subscriber rides along on every backend that stages.
-    // A fully in-situ pipeline serves steering too, but its cell runs
-    // without a subscriber: it has no staging connection for a fault to
-    // hit, and the staged cells already drive the steering path.
-    let steer_addr = (backend != Backend::InSitu).then(|| scenario::unique_endpoint(seed));
-    let steer_stop = Arc::new(AtomicBool::new(false));
-    let subscriber = steer_addr.as_ref().map(|addr| {
-        let addr = addr.clone();
-        let stop = Arc::clone(&steer_stop);
-        std::thread::Builder::new()
-            .name("matrix-steer-subscriber".into())
-            .spawn(move || {
-                let backoff = Backoff {
-                    initial: Duration::from_millis(2),
-                    max: Duration::from_millis(20),
-                    attempts: 25,
-                };
-                let mut obs = SteerObservation::default();
-                let Ok(mut client) =
-                    SteerClient::connect(&addr, STEER_SUBSCRIBER, STEER_RATE_INITIAL, backoff)
-                else {
-                    return obs;
-                };
-                loop {
-                    match client.next_frame(Duration::from_millis(300)) {
-                        Ok(Some(SteerFrame { version, rate, .. })) => {
-                            obs.frames
-                                .push((version, rate, obs.ack_latest_version.is_some()));
-                            // Steer once, right after the first frame.
-                            if obs.ack_latest_version.is_none() {
-                                if let Ok(latest) =
-                                    client.steer(STEER_RATE_STEERED, Duration::from_millis(300))
-                                {
-                                    obs.ack_latest_version = Some(latest);
-                                }
+/// The matrix's steering subscriber on `addr`: it declares
+/// [`STEER_RATE_INITIAL`], steers to [`STEER_RATE_STEERED`] right after
+/// its first frame, and records every frame for [`steer_violations`].
+/// It re-pulls through transient faults until the server drains or
+/// `stop` is raised.
+pub(crate) fn spawn_subscriber(addr: Addr, stop: &Arc<AtomicBool>) -> JoinHandle<SteerObservation> {
+    let stop = Arc::clone(stop);
+    std::thread::Builder::new()
+        .name("matrix-steer-subscriber".into())
+        .spawn(move || {
+            let backoff = Backoff {
+                initial: Duration::from_millis(2),
+                max: Duration::from_millis(20),
+                attempts: 25,
+            };
+            let mut obs = SteerObservation::default();
+            let Ok(mut client) =
+                SteerClient::connect(&addr, STEER_SUBSCRIBER, STEER_RATE_INITIAL, backoff)
+            else {
+                return obs;
+            };
+            loop {
+                match client.next_frame(Duration::from_millis(300)) {
+                    Ok(Some(SteerFrame { version, rate, .. })) => {
+                        obs.frames
+                            .push((version, rate, obs.ack_latest_version.is_some()));
+                        if obs.ack_latest_version.is_none() {
+                            if let Ok(latest) =
+                                client.steer(STEER_RATE_STEERED, Duration::from_millis(300))
+                            {
+                                obs.ack_latest_version = Some(latest);
                             }
                         }
-                        Ok(None) => break, // server drained: run is over
-                        Err(_) if stop.load(Ordering::SeqCst) => break,
-                        Err(_) => continue, // transient fault: re-pull
                     }
+                    Ok(None) => break, // server drained: run is over
+                    Err(_) if stop.load(Ordering::SeqCst) => break,
+                    Err(_) => continue, // transient fault: re-pull
                 }
-                obs
-            })
-            .expect("spawn steering subscriber")
-    });
-
-    let result = match backend {
-        Backend::InSitu => {
-            let mut cfg = matrix_config(2, specs_fn());
-            cfg.staging = StagingMode::InSitu;
-            run_pipeline(&mut fixture::sim(seed), &cfg).expect("matrix insitu config")
-        }
-        Backend::Local => {
-            let mut cfg = matrix_config(2, specs_fn());
-            cfg.steering = steer_addr.as_ref().map(|a| a.to_string());
-            run_pipeline(&mut fixture::sim(seed), &cfg).expect("matrix local config")
-        }
-        Backend::Remote | Backend::Cluster => {
-            let staging = Staging::start(
-                seed,
-                backend.members(),
-                ClusterNodeOpts {
-                    capacity,
-                    policy,
-                    ..ClusterNodeOpts::default()
-                },
-            );
-            let stop = Arc::new(AtomicBool::new(false));
-            let worker = scenario::spawn_worker(staging.endpoints(), specs_fn(), 0, &stop);
-
-            let mut cfg = matrix_config(2, specs_fn())
-                .with_staging_cluster(staging.endpoints().to_vec())
-                .with_staging_deadline(Duration::from_millis(700))
-                .with_staging_max_inflight(2);
-            cfg.steering = steer_addr.as_ref().map(|a| a.to_string());
-            let result =
-                run_pipeline(&mut fixture::sim(seed), &cfg).expect("matrix staging config");
-
-            stop.store(true, Ordering::SeqCst);
-            staging.shutdown();
-            if worker.join().is_err() {
-                violations.push("matrix: bucket worker panicked".into());
             }
-            result
-        }
-    };
+            obs
+        })
+        .expect("spawn steering subscriber")
+}
 
-    // Join the subscriber before disarming: its reconnects must stop
-    // generating events first.
-    steer_stop.store(true, Ordering::SeqCst);
-    let steer_obs = subscriber.map(|h| h.join().expect("join steering subscriber"));
-
-    // Disarm before judging.
-    sitra_net::install_fault_injector(prev_injector);
-    let events = sink.take();
-    sitra_obs::install_sink(prev_sink);
-
-    violations.extend(scenario::oracle_violations(
-        backend,
-        &specs,
-        policy,
-        &golden_outputs,
-        &result,
-        &events,
-    ));
-
-    // Oracle 5 — flow-map golden endpoints. Decoded termination
-    // records, not just bytes: every record must match the golden run
-    // exactly, stay strictly seed-sorted, and carry finite endpoints.
-    let flow = flow_records(&result);
-    if flow.len() != golden_flow.len() {
+/// The flow-map golden-endpoints oracle. Decoded termination records,
+/// not just bytes: every record must match the golden run exactly,
+/// stay strictly seed-sorted, and carry finite endpoints.
+pub(crate) fn flow_violations(
+    golden: &[(u64, Vec<FlowRecord>)],
+    flow: &[(u64, Vec<FlowRecord>)],
+) -> Vec<String> {
+    let mut violations = Vec::new();
+    if flow.len() != golden.len() {
         violations.push(format!(
             "flow-map: {} outputs != golden {}",
             flow.len(),
-            golden_flow.len()
+            golden.len()
         ));
     }
-    for (step, recs) in &flow {
-        match golden_flow.iter().find(|(s, _)| s == step) {
+    for (step, recs) in flow {
+        match golden.iter().find(|(s, _)| s == step) {
             None => violations.push(format!("flow-map: step {step} missing from golden run")),
             Some((_, golden_recs)) if recs != golden_recs => violations.push(format!(
                 "flow-map: records diverge from golden at step {step}"
@@ -443,73 +375,44 @@ fn run_matrix_scenario(
             violations.push(format!("flow-map: non-finite endpoint at step {step}"));
         }
     }
-
-    // Oracle 6 — steer-ack monotonicity. Every frame the subscriber
-    // received after its acknowledged feedback must be reduced under
-    // the steered rate; the journal must account for at least as many
-    // delivered frames as the client saw (replies can be lost to
-    // injected faults, never invented).
-    if let Some(obs) = &steer_obs {
-        if obs.frames.is_empty() {
-            violations.push("steer: subscriber received no frames".into());
-        }
-        for (version, rate, after_ack) in &obs.frames {
-            if *after_ack && *rate != STEER_RATE_STEERED {
-                violations.push(format!(
-                    "steer: frame v{version} delivered at rate {rate} after rate-{} ack",
-                    STEER_RATE_STEERED
-                ));
-            }
-        }
-        let replayed = sitra_dataspaces::replay_steer(&events);
-        let journal_frames = replayed
-            .get(STEER_SUBSCRIBER)
-            .map(|a| a.frames_sent)
-            .unwrap_or(0);
-        if journal_frames < obs.frames.len() as u64 {
-            violations.push(format!(
-                "steer: journal accounts {journal_frames} frames, subscriber received {}",
-                obs.frames.len()
-            ));
-        }
-        if obs.ack_latest_version.is_some() {
-            let journal_acks = replayed
-                .get(STEER_SUBSCRIBER)
-                .map(|a| a.steers_acked)
-                .unwrap_or(0);
-            if journal_acks == 0 {
-                violations.push("steer: ack received but not journaled".into());
-            }
-        }
-    }
-
-    // Cells: run-wide violations land on every analysis of the run;
-    // latency percentiles come from each analysis's metric rows.
-    specs
-        .iter()
-        .map(|spec| {
-            let mut lat: Vec<f64> = result
-                .metrics
-                .analyses
-                .iter()
-                .filter(|m| m.analysis == spec.label)
-                .map(|m| m.completion_latency_secs)
-                .collect();
-            lat.sort_by(f64::total_cmp);
-            MatrixCell {
-                analysis: spec.label.clone(),
-                backend: backend.name(),
-                policy: policy_name,
-                plan: plan.to_string(),
-                violations: violations.clone(),
-                p50_latency_secs: percentile(&lat, 0.50),
-                p99_latency_secs: percentile(&lat, 0.99),
-            }
-        })
-        .collect()
+    violations
 }
 
-fn flow_records(result: &PipelineResult) -> Vec<(u64, Vec<FlowRecord>)> {
+/// The steer-ack monotonicity oracle. Every frame the subscriber
+/// received after its acknowledged feedback must be reduced under the
+/// steered rate; the journal must account for at least as many
+/// delivered frames as the client saw (replies can be lost to injected
+/// faults, never invented).
+pub(crate) fn steer_violations(obs: &SteerObservation, events: &[ObsEvent]) -> Vec<String> {
+    let mut violations = Vec::new();
+    if obs.frames.is_empty() {
+        violations.push("steer: subscriber received no frames".into());
+    }
+    for (version, rate, after_ack) in &obs.frames {
+        if *after_ack && *rate != STEER_RATE_STEERED {
+            violations.push(format!(
+                "steer: frame v{version} delivered at rate {rate} after rate-{} ack",
+                STEER_RATE_STEERED
+            ));
+        }
+    }
+    let replayed = sitra_dataspaces::replay_steer(events);
+    let account = replayed.get(STEER_SUBSCRIBER);
+    let journal_frames = account.map_or(0, |a| a.frames_sent);
+    if journal_frames < obs.frames.len() as u64 {
+        violations.push(format!(
+            "steer: journal accounts {journal_frames} frames, subscriber received {}",
+            obs.frames.len()
+        ));
+    }
+    if obs.ack_latest_version.is_some() && account.map_or(0, |a| a.steers_acked) == 0 {
+        violations.push("steer: ack received but not journaled".into());
+    }
+    violations
+}
+
+/// The decoded flow-map records of a run, per step.
+pub(crate) fn flow_records(result: &PipelineResult) -> Vec<(u64, Vec<FlowRecord>)> {
     result
         .outputs
         .iter()
@@ -570,6 +473,78 @@ mod tests {
                 .iter()
                 .map(|c| &c.violations)
                 .collect::<Vec<_>>()
+        );
+    }
+
+    /// A roster without the steerable workload runs no subscriber, so
+    /// the steer-ack oracle has nothing to judge.
+    #[test]
+    fn a_flow_map_only_roster_runs_without_a_subscriber() {
+        let flow_only = || {
+            matrix_specs()
+                .into_iter()
+                .filter(|s| s.label == FLOWMAP_LABEL)
+                .collect::<Vec<_>>()
+        };
+        let report = scenario_matrix(&[Backend::Local], &[FaultPlan::fault_free(1)], flow_only);
+        assert_eq!(report.cells.len(), 3);
+        assert!(
+            report.passed(),
+            "violations: {:?}",
+            report
+                .failures()
+                .iter()
+                .map(|c| &c.violations)
+                .collect::<Vec<_>>()
+        );
+    }
+
+    fn record(seed: u64) -> FlowRecord {
+        FlowRecord {
+            seed,
+            start: [seed as f64, 0.0, 0.0],
+            end: [seed as f64 + 0.5, 1.0, 1.0],
+            steps: 3,
+            reason: sitra_flowmap::Termination::ExitedBlock,
+        }
+    }
+
+    #[test]
+    fn the_flow_map_oracle_reports_a_reordered_record() {
+        let golden = vec![(2, vec![record(1), record(4), record(9)])];
+        assert_eq!(flow_violations(&golden, &golden), Vec::<String>::new());
+        let reordered = vec![(2, vec![record(4), record(1), record(9)])];
+        let v = flow_violations(&golden, &reordered);
+        assert!(
+            v.iter().any(|m| m.starts_with("flow-map: records diverge")),
+            "{v:?}"
+        );
+        assert!(v.iter().any(|m| m.contains("not seed-sorted")), "{v:?}");
+    }
+
+    #[test]
+    fn the_steer_ack_oracle_reports_a_post_ack_frame_at_the_old_rate() {
+        let event = |name: &str| ObsEvent {
+            ts_ns: 0,
+            component: "steer".into(),
+            name: name.into(),
+            kv: vec![("subscriber".into(), STEER_SUBSCRIBER.into())],
+        };
+        let events = [event("frame"), event("feedback"), event("frame")];
+        let mut obs = SteerObservation {
+            frames: vec![
+                (1, STEER_RATE_INITIAL, false),
+                (2, STEER_RATE_STEERED, true),
+            ],
+            ack_latest_version: Some(1),
+        };
+        assert_eq!(steer_violations(&obs, &events), Vec::<String>::new());
+        obs.frames[1].1 = STEER_RATE_INITIAL;
+        assert_eq!(
+            steer_violations(&obs, &events),
+            [format!(
+                "steer: frame v2 delivered at rate {STEER_RATE_INITIAL} after rate-{STEER_RATE_STEERED} ack"
+            )]
         );
     }
 

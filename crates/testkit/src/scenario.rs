@@ -1,17 +1,22 @@
 //! The scenario runner: one seeded simulation, one staging backend,
-//! one fault plan — and four invariant oracles checked afterwards.
+//! one fault plan — and the invariant oracles checked afterwards.
 //!
-//! Every scenario follows the same shape:
+//! The chaos corpus ([`run_scenario`]), the multi-tenant runs
+//! ([`run_tenanted_scenario`]) and the matrix cells
+//! ([`scenario_matrix`](crate::scenario_matrix)) all go through one
+//! runner, which does every step once, in one order:
 //!
 //! 1. A **golden run** (fully in-situ, fault-free, before any injector
 //!    is installed) establishes the reference output set.
-//! 2. The [`PlanInjector`] and a private journal sink are installed and
-//!    the same seeded simulation is run through the backend under test
-//!    — for `Remote` and `Cluster`, against live staging members (one or
-//!    three) with an external bucket-worker thread and, when the plan
-//!    says so, a scheduled member crash (optionally restarted on the
-//!    same endpoint), instance loss, or pool resize.
-//! 3. The oracles:
+//! 2. The backend's staging members (none, one or three) come up, and a
+//!    tenant run's rival pre-stages on a clean network.
+//! 3. The [`PlanInjector`] and a private journal sink are installed and
+//!    the same seeded simulation runs through the backend under test,
+//!    with a bucket worker, the plan's crash, instance loss or pool
+//!    resize, and a steering subscriber when the roster publishes to one.
+//! 4. Disarmed, the rival's outputs and the tenant ledger are read from
+//!    the live service; then it is torn down.
+//! 5. The oracles:
 //!    * **conservation** — every due hybrid task was submitted exactly
 //!      once and retired exactly once (`submitted == outputs + dropped`,
 //!      no duplicate `(label, step)`, nothing staged off-schedule);
@@ -22,17 +27,20 @@
 //!      re-aggregated in-situ from the retained parts, so faults may
 //!      slow a run down but never change what it computes);
 //!    * **replay-identity** — an `obs_report`-style journal replay
-//!      reproduces the live run's accounting bit-identically.
+//!      reproduces the live run's accounting bit-identically;
+//!    * the flow-map and steer-ack oracles of [`crate::matrix`], when
+//!      the roster registers those workloads.
 
 use crate::fixture;
 use crate::injector::{PlanInjector, ScheduleEntry};
+use crate::matrix::{self, admission_policies, FLOWMAP_LABEL, STEER_LABEL};
 use crate::plan::{splitmix64, CrashPlan, FaultPlan};
 use bytes::Bytes;
 use parking_lot::Mutex;
 use sitra_cluster::{Bootstrap, ClusterClient, ClusterNode, ClusterNodeOpts};
 use sitra_core::{
-    run_cluster_bucket_worker, run_pipeline, AnalysisSpec, BucketWorkerOpts, PipelineResult,
-    Placement, StagingMode,
+    run_cluster_bucket_worker, run_pipeline, AnalysisSpec, BucketWorkerOpts, PipelineConfig,
+    PipelineResult, Placement, StagingMode,
 };
 use sitra_dataspaces::{AdmissionPolicy, Scheduler, TenantRow, TenantSpec};
 use sitra_net::{Addr, Backoff};
@@ -40,7 +48,7 @@ use sitra_obs::{ObsEvent, VecSink};
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// Which `StagingBackend` a scenario drives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -127,7 +135,7 @@ impl ScenarioOutcome {
 
 /// Process-unique suffix for remote endpoints, so concurrent or
 /// repeated scenarios never collide on an inproc name.
-pub(crate) fn unique_endpoint(seed: u64) -> Addr {
+fn unique_endpoint(seed: u64) -> Addr {
     static NEXT: AtomicU64 = AtomicU64::new(0);
     let n = NEXT.fetch_add(1, Ordering::Relaxed);
     format!("inproc://chaos-{seed:x}-{n}")
@@ -144,7 +152,7 @@ pub(crate) fn unique_endpoint(seed: u64) -> Addr {
 /// `specs` must be the driver's analysis roster in the same order (task
 /// descriptors index into it) — the scenario matrix runs a larger
 /// roster than the frozen chaos fixture.
-pub(crate) fn spawn_worker(
+fn spawn_worker(
     endpoints: &[String],
     specs: Vec<AnalysisSpec>,
     bucket_id: u32,
@@ -194,17 +202,12 @@ const SCALE_BUCKET_BASE: u32 = 100;
 /// The admission policy a plan's seed selects for its staging members
 /// (kept out of `FaultPlan` itself: admission is server configuration,
 /// not a network fault — but varying it across seeds is free coverage).
+/// It is one of the matrix's [`admission_policies`].
 pub fn admission_for(plan: &FaultPlan) -> (Option<usize>, AdmissionPolicy) {
-    match splitmix64(plan.seed ^ 0xAD15_510A) % 3 {
-        0 => (
-            Some(4),
-            AdmissionPolicy::Block {
-                max_wait: Duration::from_millis(500),
-            },
-        ),
-        1 => (Some(3), AdmissionPolicy::RejectNew),
-        _ => (Some(3), AdmissionPolicy::ShedOldest),
-    }
+    let policies = admission_policies();
+    let pick = splitmix64(plan.seed ^ 0xAD15_510A) % policies.len() as u64;
+    let (_, capacity, policy) = policies[pick as usize];
+    (capacity, policy)
 }
 
 /// The staging service of one scenario: `members` [`ClusterNode`]s on
@@ -212,7 +215,7 @@ pub fn admission_for(plan: &FaultPlan) -> (Option<usize>, AdmissionPolicy) {
 /// `Backend::Remote`, three for `Backend::Cluster`. The seed list is
 /// static: clients route over it regardless of how the live view
 /// evolves, so a killed member degrades tasks but never mis-routes them.
-pub(crate) struct Staging {
+struct Staging {
     endpoints: Vec<String>,
     opts: ClusterNodeOpts,
     nodes: Mutex<Vec<Option<ClusterNode>>>,
@@ -221,7 +224,7 @@ pub(crate) struct Staging {
 impl Staging {
     /// Start `members` members, each with `opts` (the plan's admission
     /// or the run's tenants) and a 10 ms heartbeat.
-    pub(crate) fn start(seed: u64, members: usize, opts: ClusterNodeOpts) -> Arc<Staging> {
+    fn start(seed: u64, members: usize, opts: ClusterNodeOpts) -> Arc<Staging> {
         let opts = ClusterNodeOpts {
             heartbeat_every: Duration::from_millis(10),
             ..opts
@@ -240,11 +243,6 @@ impl Staging {
             opts,
             nodes: Mutex::new(nodes),
         })
-    }
-
-    /// The static member list every client routes over.
-    pub(crate) fn endpoints(&self) -> &[String] {
-        &self.endpoints
     }
 
     /// Kill member `member % members` outright: no handoff, its queued
@@ -285,7 +283,7 @@ impl Staging {
 
     /// Stop every surviving member; closing their schedulers retires
     /// the workers.
-    pub(crate) fn shutdown(&self) {
+    fn shutdown(&self) {
         let nodes: Vec<ClusterNode> = self
             .nodes
             .lock()
@@ -322,150 +320,190 @@ fn at_tick(
 }
 
 /// Run one scenario: `sim(seed)` through `backend` under `plan`, then
-/// check every oracle. Panics never encode oracle failures — those
-/// come back in [`ScenarioOutcome::violations`].
-pub fn run_scenario(seed: u64, plan: &FaultPlan, backend: Backend) -> ScenarioOutcome {
+/// check its oracles. Everything that differs between a chaos run, a
+/// tenant run and a matrix cell comes from the inputs:
+///
+/// * `config` makes a fresh copy of the run's pipeline configuration.
+///   Its roster decides whether a steering subscriber rides along
+///   ([`STEER_LABEL`]) and whether the flow-map oracle runs
+///   ([`FLOWMAP_LABEL`]).
+/// * `members` is what every staging member starts with: the admission
+///   policy, or the tenants of a multi-tenant run. When they register
+///   [`RIVAL_TENANT`], the rival stages its workload before the run and
+///   the driver runs as [`SIM_TENANT`].
+///
+/// Panics never encode oracle failures — those come back in
+/// [`ScenarioOutcome::violations`].
+pub(crate) fn run(
+    seed: u64,
+    plan: &FaultPlan,
+    backend: Backend,
+    config: &dyn Fn() -> PipelineConfig,
+    members: ClusterNodeOpts,
+) -> (ScenarioOutcome, PipelineResult) {
     let _obs = sitra_obs::isolate();
+    let specs = config().analyses;
+    let registers = |label: &str| specs.iter().any(|s| s.label == label);
+    let tenant = |name: &str| members.tenants.iter().find(|t| t.name == name).cloned();
 
     // Golden run: fault-free, fully in-situ, before the injector or the
     // journal sink exist.
     let golden = run_pipeline(
         &mut fixture::sim(seed),
-        &fixture::config(2).with_staging_mode(StagingMode::InSitu),
+        &config().with_staging_mode(StagingMode::InSitu),
     )
     .expect("golden run config");
     let golden_outputs = fixture::sorted_encoded_outputs(&golden);
 
-    // Arm the harness.
+    // Bring the staging members up. A lone seeded member dials no peer,
+    // so no frame crosses its bring-up.
+    let staging =
+        (backend.members() > 0).then(|| Staging::start(seed, backend.members(), members.clone()));
+    let endpoints = staging.as_ref().map_or(Vec::new(), |s| s.endpoints.clone());
+
+    // A rival tenant pre-stages on a clean network: its competition is
+    // scheduler-side, not network-side.
+    let rival = tenant(RIVAL_TENANT).map(|spec| stage_rival(&endpoints, spec));
+
+    // Arm the harness. The injector sits under every sitra-net
+    // connection, the steering subscriber's included.
     let sink = Arc::new(VecSink::new());
     let prev_sink = sitra_obs::install_sink(Some(sink.clone()));
     let injector = Arc::new(PlanInjector::new(plan.clone()));
     let prev_injector = sitra_net::install_fault_injector(Some(injector.clone()));
 
-    let mut violations = Vec::new();
-    let (capacity, policy) = admission_for(plan);
-    let result = match backend {
-        Backend::InSitu => run_pipeline(
-            &mut fixture::sim(seed),
-            &fixture::config(2).with_staging_mode(StagingMode::InSitu),
-        )
-        .expect("insitu config"),
-        Backend::Local => {
-            run_pipeline(&mut fixture::sim(seed), &fixture::config(2)).expect("local config")
-        }
-        Backend::Remote | Backend::Cluster => {
-            let staging = Staging::start(
-                seed,
-                backend.members(),
-                ClusterNodeOpts {
-                    capacity,
-                    policy,
-                    ..ClusterNodeOpts::default()
-                },
-            );
-            let endpoints = staging.endpoints().to_vec();
-
-            // One resilient external bucket worker over every member:
-            // it reconnects through transient faults, writes a member
-            // off after repeated connection failures, and retires once
-            // every surviving scheduler closes.
-            let stop = Arc::new(AtomicBool::new(false));
-            let worker = spawn_worker(&endpoints, fixture::specs(), 0, &stop);
-
-            // Scheduled pool resize: grow spawns extra resilient workers
-            // on fresh bucket ids; shrink drains and retires live
-            // buckets on the first surviving member — the same elastic
-            // path the autoscaler drives. On a cluster one member's
-            // Retire lease retires the whole round-robin worker.
-            let extra_workers: Arc<Mutex<Vec<JoinHandle<usize>>>> = Arc::default();
-            let scale = plan.scale.map(|ev| {
-                let (staging, extras) = (Arc::clone(&staging), Arc::clone(&extra_workers));
-                let (eps, workers_stop) = (endpoints.clone(), Arc::clone(&stop));
-                at_tick(&injector, &stop, ev.at_tick, "chaos-scale", move || {
-                    if ev.delta > 0 {
-                        let mut handles = extras.lock();
-                        for i in 0..ev.delta as u32 {
-                            let bucket = SCALE_BUCKET_BASE + i;
-                            handles.push(spawn_worker(
-                                &eps,
-                                fixture::specs(),
-                                bucket,
-                                &workers_stop,
-                            ));
-                        }
-                    } else if let Some(sched) = staging.scheduler() {
-                        for _ in 0..-ev.delta {
-                            sched.drain_one_bucket();
-                        }
-                    }
-                })
-            });
-
-            // Instance loss: an abrupt kill of the planned member at its
-            // tick, not a graceful leave.
-            let loss = plan.instance_loss.map(|loss| {
-                let staging = Arc::clone(&staging);
-                at_tick(
-                    &injector,
-                    &stop,
-                    loss.at_tick,
-                    "chaos-instance-loss",
-                    move || staging.kill(loss.member as usize),
-                )
-            });
-
-            // Scheduled crash, fired from inside the driver's
-            // collection path after N collected outputs.
-            let mut cfg = fixture::config(2)
-                .with_staging_cluster(endpoints)
-                .with_staging_deadline(Duration::from_millis(700))
-                .with_staging_max_inflight(2);
-            if let Some(CrashPlan::AfterOutputs { outputs, restart }) = plan.crash {
-                let staging = Arc::clone(&staging);
-                let collected = AtomicUsize::new(0);
-                cfg = cfg.with_staging_output_hook(Arc::new(move |_label, _step| {
-                    if collected.fetch_add(1, Ordering::SeqCst) + 1 == outputs {
-                        staging.crash(restart);
-                    }
-                }));
-            }
-
-            let result = run_pipeline(&mut fixture::sim(seed), &cfg).expect("staging config");
-
-            // Tear down: stop the watchdogs, shut every surviving member
-            // down, then join the workers.
-            stop.store(true, Ordering::SeqCst);
-            for w in [scale, loss].into_iter().flatten() {
-                let _ = w.join();
-            }
-            staging.shutdown();
-            if worker.join().is_err() {
-                violations.push(format!("{}: bucket worker panicked", backend.name()));
-            }
-            let extras: Vec<_> = extra_workers.lock().drain(..).collect();
-            for w in extras {
-                if w.join().is_err() {
-                    violations.push(format!("{}: scale-up worker panicked", backend.name()));
-                }
-            }
-            result
-        }
+    let stop = Arc::new(AtomicBool::new(false));
+    let workers: Arc<Mutex<Vec<JoinHandle<usize>>>> = Arc::default();
+    let mut watchdogs = Vec::new();
+    let mut cfg = match backend {
+        Backend::InSitu => config().with_staging_mode(StagingMode::InSitu),
+        Backend::Local => config(),
+        Backend::Remote | Backend::Cluster => config()
+            .with_staging_cluster(endpoints.clone())
+            .with_staging_deadline(Duration::from_millis(700))
+            .with_staging_max_inflight(2),
     };
+    if let Some(sim) = tenant(SIM_TENANT) {
+        cfg = cfg.with_tenant(sim);
+    }
+    if let Some(staging) = &staging {
+        // One resilient external bucket worker over every member.
+        workers
+            .lock()
+            .push(spawn_worker(&endpoints, specs.clone(), 0, &stop));
 
-    // Disarm before judging.
+        // Scheduled pool resize: grow spawns extra resilient workers on
+        // fresh bucket ids; shrink drains and retires live buckets on
+        // the first surviving member — the same elastic path the
+        // autoscaler drives. On a cluster one member's Retire lease
+        // retires the whole round-robin worker.
+        if let Some(ev) = plan.scale {
+            let (staging, workers) = (Arc::clone(staging), Arc::clone(&workers));
+            let (eps, specs, workers_stop) = (endpoints.clone(), specs.clone(), Arc::clone(&stop));
+            let resize = move || {
+                if ev.delta > 0 {
+                    for i in 0..ev.delta as u32 {
+                        let bucket = SCALE_BUCKET_BASE + i;
+                        let w = spawn_worker(&eps, specs.clone(), bucket, &workers_stop);
+                        workers.lock().push(w);
+                    }
+                } else if let Some(sched) = staging.scheduler() {
+                    for _ in 0..-ev.delta {
+                        sched.drain_one_bucket();
+                    }
+                }
+            };
+            watchdogs.push(at_tick(&injector, &stop, ev.at_tick, "chaos-scale", resize));
+        }
+
+        // Instance loss: an abrupt kill of the planned member at its
+        // tick, not a graceful leave.
+        if let Some(loss) = plan.instance_loss {
+            let staging = Arc::clone(staging);
+            watchdogs.push(at_tick(
+                &injector,
+                &stop,
+                loss.at_tick,
+                "chaos-instance-loss",
+                move || staging.kill(loss.member as usize),
+            ));
+        }
+
+        // Scheduled crash, fired from inside the driver's collection
+        // path after N collected outputs.
+        if let Some(CrashPlan::AfterOutputs { outputs, restart }) = plan.crash {
+            let staging = Arc::clone(staging);
+            let collected = AtomicUsize::new(0);
+            cfg = cfg.with_staging_output_hook(Arc::new(move |_label, _step| {
+                if collected.fetch_add(1, Ordering::SeqCst) + 1 == outputs {
+                    staging.crash(restart);
+                }
+            }));
+        }
+    }
+
+    // A steering subscriber rides along when the roster publishes to
+    // one. A fully in-situ pipeline serves steering too, but runs
+    // without a subscriber: it has no staging connection for a fault to
+    // hit, and the staged runs already drive the steering path.
+    let steer_stop = Arc::new(AtomicBool::new(false));
+    let subscriber = (registers(STEER_LABEL) && backend != Backend::InSitu).then(|| {
+        let addr = unique_endpoint(seed);
+        cfg.steering = Some(addr.to_string());
+        matrix::spawn_subscriber(addr, &steer_stop)
+    });
+
+    let result = run_pipeline(&mut fixture::sim(seed), &cfg).expect("scenario config");
+
+    // Join the subscriber while the sink is still installed: the steer
+    // server may journal a frame after the pipeline returns.
+    steer_stop.store(true, Ordering::SeqCst);
+    let steer = subscriber.map(|h| h.join().expect("join steering subscriber"));
+
+    // Disarm before the post-run checks and the judging.
     sitra_net::install_fault_injector(prev_injector);
     let events = sink.take();
     sitra_obs::install_sink(prev_sink);
 
+    // The rival's outputs and the per-tenant ledger, read while the
+    // service is still up.
+    let mut violations = rival.map_or(Vec::new(), |(client, expected)| {
+        rival_violations(&client, &expected, result.staged_tasks)
+    });
+
+    // Tear down: stop the watchdogs, shut every surviving member down,
+    // then join the workers.
+    stop.store(true, Ordering::SeqCst);
+    for w in watchdogs {
+        let _ = w.join();
+    }
+    if let Some(staging) = &staging {
+        staging.shutdown();
+    }
+    for w in std::mem::take(&mut *workers.lock()) {
+        if w.join().is_err() {
+            violations.push(format!("{}: bucket worker panicked", backend.name()));
+        }
+    }
+
     violations.extend(oracle_violations(
         backend,
-        &fixture::specs(),
-        policy,
+        &specs,
+        members.policy,
         &golden_outputs,
         &result,
         &events,
     ));
-    ScenarioOutcome {
+    if registers(FLOWMAP_LABEL) {
+        violations.extend(matrix::flow_violations(
+            &matrix::flow_records(&golden),
+            &matrix::flow_records(&result),
+        ));
+    }
+    if let Some(obs) = &steer {
+        violations.extend(matrix::steer_violations(obs, &events));
+    }
+    let outcome = ScenarioOutcome {
         backend,
         plan: plan.clone(),
         violations,
@@ -475,13 +513,28 @@ pub fn run_scenario(seed: u64, plan: &FaultPlan, backend: Backend) -> ScenarioOu
         outputs: result.outputs.len(),
         schedule: injector.schedule(),
         events,
-    }
+    };
+    (outcome, result)
+}
+
+/// Run one scenario: `sim(seed)` through `backend` under `plan`, with
+/// the staging members admitting under [`admission_for`]`(plan)`, then
+/// check every oracle. Panics never encode oracle failures — those
+/// come back in [`ScenarioOutcome::violations`].
+pub fn run_scenario(seed: u64, plan: &FaultPlan, backend: Backend) -> ScenarioOutcome {
+    let (capacity, policy) = admission_for(plan);
+    let members = ClusterNodeOpts {
+        capacity,
+        policy,
+        ..ClusterNodeOpts::default()
+    };
+    run(seed, plan, backend, &|| fixture::config(2), members).0
 }
 
 /// Oracles 1–4 over one run of the roster `specs`, given the fault-free
 /// golden outputs and the run's journal. `policy` is the staging
 /// service's admission policy; only the staging backends have one.
-pub(crate) fn oracle_violations(
+fn oracle_violations(
     backend: Backend,
     specs: &[AnalysisSpec],
     policy: AdmissionPolicy,
@@ -588,7 +641,7 @@ pub(crate) fn oracle_violations(
         Backend::Remote | Backend::Cluster => ("hybrid-remote", false),
     };
     violations.extend(fixture::replay_violations(
-        backend.name(),
+        &format!("replay-identity[{}]", backend.name()),
         result,
         events,
         placement,
@@ -602,18 +655,73 @@ pub const SIM_TENANT: &str = "sim";
 /// The competing producer's tenant in a multi-tenant scenario.
 pub const RIVAL_TENANT: &str = "rival";
 
+/// Pre-stage the rival tenant's workload
+/// ([`fixture::stage_rival_workload`]) through a client bound to
+/// `spec`, returning the client and the encoded output it expects per
+/// step.
+fn stage_rival(endpoints: &[String], spec: TenantSpec) -> (ClusterClient, Vec<(u64, Vec<u8>)>) {
+    let rival = ClusterClient::new(
+        sitra_cluster::DEFAULT_SEED,
+        sitra_cluster::DEFAULT_VNODES,
+        endpoints.iter().cloned(),
+        WORKER_BACKOFF,
+    )
+    .expect("rival client")
+    .with_tenant(spec);
+    let expected = fixture::stage_rival_workload(
+        |var, step, bbox, data| rival.put(var, step, bbox, data).map_err(|e| e.to_string()),
+        |data| {
+            rival
+                .submit_task_routed("rival-route", 0, data)
+                .map(|_| ())
+                .map_err(|e| e.to_string())
+        },
+    )
+    .expect("rival staging on a clean network");
+    (rival, expected)
+}
+
+/// The rival's outputs must appear, byte-identical to its own golden
+/// aggregation, in its own namespace; then the per-tenant ledger
+/// ([`tenant_violations`]) is read from the live service.
+fn rival_violations(
+    rival: &ClusterClient,
+    expected: &[(u64, Vec<u8>)],
+    sim_staged: usize,
+) -> Vec<String> {
+    let mut violations = Vec::new();
+    let deadline = Instant::now() + Duration::from_secs(10);
+    let label = fixture::specs()[0].label.clone();
+    for (step, expect) in expected {
+        let left = deadline.saturating_duration_since(Instant::now());
+        match sitra_core::remote::wait_output(rival, &label, *step, left) {
+            Ok(Some(out)) => {
+                if sitra_core::wire::encode_analysis_output(&out).as_ref() != expect.as_slice() {
+                    violations.push(format!(
+                        "rival-output: {label}@{step} diverges from the rival's own aggregation"
+                    ));
+                }
+            }
+            Ok(None) => violations.push(format!("rival-output: {label}@{step} never appeared")),
+            Err(e) => violations.push(format!("rival-output: {label}@{step} never appeared: {e}")),
+        }
+    }
+    violations.extend(tenant_violations(
+        &rival.tenant_stats(),
+        sim_staged,
+        expected.len(),
+    ));
+    violations
+}
+
 /// The per-tenant conservation oracle: every tenant's counters must
 /// satisfy `submitted + requeued - assigned - shed == queued` (the
 /// identity every scheduler transition preserves atomically), the
 /// driver's traffic must all be attributed to [`SIM_TENANT`], the
 /// rival's to [`RIVAL_TENANT`], none to the default tenant, and the
 /// configured DRR weights must survive the run.
-fn tenant_violations(
-    rows: &[TenantRow],
-    sim_staged: usize,
-    rival_staged: usize,
-    violations: &mut Vec<String>,
-) {
+fn tenant_violations(rows: &[TenantRow], sim_staged: usize, rival_staged: usize) -> Vec<String> {
+    let mut violations = Vec::new();
     for t in rows {
         let balance = t.tasks_submitted + t.tasks_requeued;
         let retired = t.tasks_assigned + t.tasks_shed + t.queued;
@@ -625,39 +733,23 @@ fn tenant_violations(
         }
     }
     let find = |name: &str| rows.iter().find(|t| t.name == name);
-    match find(SIM_TENANT) {
-        Some(t) => {
-            if t.tasks_submitted != sim_staged as u64 {
-                violations.push(format!(
-                    "tenant-attribution[{SIM_TENANT}]: {} submitted != {sim_staged} staged by driver",
-                    t.tasks_submitted
-                ));
-            }
-            if t.weight != 3 {
-                violations.push(format!(
-                    "tenant-attribution[{SIM_TENANT}]: weight {} != configured 3",
-                    t.weight
-                ));
-            }
+    for (name, staged, weight) in [(SIM_TENANT, sim_staged, 3), (RIVAL_TENANT, rival_staged, 1)] {
+        let Some(t) = find(name) else {
+            violations.push(format!("tenant-attribution: no `{name}` row"));
+            continue;
+        };
+        if t.tasks_submitted != staged as u64 {
+            violations.push(format!(
+                "tenant-attribution[{name}]: {} submitted != {staged} staged",
+                t.tasks_submitted
+            ));
         }
-        None => violations.push(format!("tenant-attribution: no `{SIM_TENANT}` row")),
-    }
-    match find(RIVAL_TENANT) {
-        Some(t) => {
-            if t.tasks_submitted != rival_staged as u64 {
-                violations.push(format!(
-                    "tenant-attribution[{RIVAL_TENANT}]: {} submitted != {rival_staged} staged",
-                    t.tasks_submitted
-                ));
-            }
-            if t.weight != 1 {
-                violations.push(format!(
-                    "tenant-attribution[{RIVAL_TENANT}]: weight {} != configured 1",
-                    t.weight
-                ));
-            }
+        if t.weight != weight {
+            violations.push(format!(
+                "tenant-attribution[{name}]: weight {} != configured {weight}",
+                t.weight
+            ));
         }
-        None => violations.push(format!("tenant-attribution: no `{RIVAL_TENANT}` row")),
     }
     if let Some(t) = find(sitra_dataspaces::DEFAULT_TENANT) {
         if t.tasks_submitted != 0 || t.queued != 0 {
@@ -667,6 +759,7 @@ fn tenant_violations(
             ));
         }
     }
+    violations
 }
 
 /// Run one **multi-tenant** scenario: the canonical driver pipeline
@@ -695,129 +788,106 @@ pub fn run_tenanted_scenario(seed: u64, plan: &FaultPlan, backend: Backend) -> S
         plan.crash.is_none() && plan.instance_loss.is_none() && plan.scale.is_none(),
         "tenanted scenarios model network faults only"
     );
-    let _obs = sitra_obs::isolate();
+    let members = ClusterNodeOpts {
+        tenants: vec![
+            TenantSpec::new(SIM_TENANT).with_weight(3),
+            TenantSpec::new(RIVAL_TENANT),
+        ],
+        ..ClusterNodeOpts::default()
+    };
+    run(seed, plan, backend, &|| fixture::config(2), members).0
+}
 
-    let golden = run_pipeline(
-        &mut fixture::sim(seed),
-        &fixture::config(2).with_staging_mode(StagingMode::InSitu),
-    )
-    .expect("golden run config");
-    let golden_outputs = fixture::sorted_encoded_outputs(&golden);
+#[cfg(test)]
+mod tests {
+    use super::*;
 
-    let sim_spec = TenantSpec::new(SIM_TENANT).with_weight(3);
-    let rival_spec = TenantSpec::new(RIVAL_TENANT);
-    let mut violations = Vec::new();
+    type Golden = Vec<(String, u64, Vec<u8>)>;
 
-    // Bring the staging service up and pre-stage the rival workload on
-    // a clean network (the injector only arms for the run under test;
-    // the rival's *competition* is scheduler-side, not network-side).
-    let staging = Staging::start(
-        seed,
-        backend.members(),
-        ClusterNodeOpts {
-            tenants: vec![sim_spec.clone(), rival_spec.clone()],
-            ..ClusterNodeOpts::default()
-        },
-    );
-    let endpoints = staging.endpoints().to_vec();
-
-    let rival = ClusterClient::new(
-        sitra_cluster::DEFAULT_SEED,
-        sitra_cluster::DEFAULT_VNODES,
-        endpoints.iter().cloned(),
-        WORKER_BACKOFF,
-    )
-    .expect("rival client")
-    .with_tenant(rival_spec.clone());
-    let rival_expected = fixture::stage_rival_workload(
-        |var, step, bbox, data| rival.put(var, step, bbox, data).map_err(|e| e.to_string()),
-        |data| {
-            rival
-                .submit_task_routed("rival-route", 0, data)
-                .map(|_| ())
-                .map_err(|e| e.to_string())
-        },
-    )
-    .expect("rival staging on a clean network");
-
-    // Arm the harness and run the sim tenant's pipeline, with one
-    // shared external worker serving both tenants' tasks.
-    let sink = Arc::new(VecSink::new());
-    let prev_sink = sitra_obs::install_sink(Some(sink.clone()));
-    let injector = Arc::new(PlanInjector::new(plan.clone()));
-    let prev_injector = sitra_net::install_fault_injector(Some(injector.clone()));
-
-    let stop = Arc::new(AtomicBool::new(false));
-    let worker = spawn_worker(&endpoints, fixture::specs(), 0, &stop);
-
-    let cfg = fixture::config(2)
-        .with_staging_cluster(endpoints)
-        .with_tenant(sim_spec.clone())
-        .with_staging_deadline(Duration::from_millis(700))
-        .with_staging_max_inflight(2);
-    let result = run_pipeline(&mut fixture::sim(seed), &cfg).expect("tenanted config");
-
-    // Disarm before the rival collects: the competition we're judging
-    // happened during the run; the collection is bookkeeping.
-    sitra_net::install_fault_injector(prev_injector);
-    let events = sink.take();
-    sitra_obs::install_sink(prev_sink);
-
-    // The rival's outputs must appear, byte-identical to its own
-    // golden aggregation, in its own namespace.
-    let deadline = std::time::Instant::now() + Duration::from_secs(10);
-    let label = fixture::specs()[0].label.clone();
-    for (step, expect) in &rival_expected {
-        let left = deadline.saturating_duration_since(std::time::Instant::now());
-        match sitra_core::remote::wait_output(&rival, &label, *step, left) {
-            Ok(Some(out)) => {
-                if sitra_core::wire::encode_analysis_output(&out).as_ref() != expect.as_slice() {
-                    violations.push(format!(
-                        "rival-output: {label}@{step} diverges from the rival's own aggregation"
-                    ));
-                }
-            }
-            Ok(None) => violations.push(format!("rival-output: {label}@{step} never appeared")),
-            Err(e) => violations.push(format!("rival-output: {label}@{step} never appeared: {e}")),
-        }
+    /// A fault-free in-situ run, its journal, and its own outputs as the
+    /// golden set: every oracle holds on it until a test doctors it.
+    fn honest_run() -> (Golden, PipelineResult, Vec<ObsEvent>) {
+        let _obs = sitra_obs::isolate();
+        let cfg = fixture::config(2).with_staging_mode(StagingMode::InSitu);
+        let (result, events) = fixture::run_journaled(5, cfg);
+        (fixture::sorted_encoded_outputs(&result), result, events)
     }
 
-    // Per-tenant ledger, snapshotted while the service is still up.
-    let rows = rival.tenant_stats();
-    tenant_violations(
-        &rows,
-        result.staged_tasks,
-        rival_expected.len(),
-        &mut violations,
-    );
-
-    // Tear down.
-    stop.store(true, Ordering::SeqCst);
-    staging.shutdown();
-    if worker.join().is_err() {
-        violations.push("tenanted: bucket worker panicked".into());
+    fn judge(golden: &Golden, result: &PipelineResult, events: &[ObsEvent]) -> Vec<String> {
+        let policy = AdmissionPolicy::RejectNew;
+        oracle_violations(
+            Backend::InSitu,
+            &fixture::specs(),
+            policy,
+            golden,
+            result,
+            events,
+        )
     }
 
-    // The standard oracles on the sim tenant's run: the rival's
-    // presence must not change what the pipeline computes.
-    violations.extend(oracle_violations(
-        backend,
-        &fixture::specs(),
-        AdmissionPolicy::RejectNew,
-        &golden_outputs,
-        &result,
-        &events,
-    ));
+    fn names(violations: &[String], oracle: &str) -> bool {
+        violations.iter().any(|v| v.starts_with(oracle))
+    }
 
-    ScenarioOutcome {
-        backend,
-        plan: plan.clone(),
-        violations,
-        staged_tasks: result.staged_tasks,
-        dropped_tasks: result.dropped_tasks,
-        degraded_tasks: result.degraded_tasks,
-        outputs: result.outputs.len(),
-        schedule: injector.schedule(),
-        events,
+    #[test]
+    fn an_honest_run_passes_every_oracle() {
+        let (golden, result, events) = honest_run();
+        assert_eq!(judge(&golden, &result, &events), Vec::<String>::new());
+    }
+
+    #[test]
+    fn the_conservation_oracle_reports_a_duplicate_output() {
+        let (golden, mut result, events) = honest_run();
+        let twin = result.outputs[0].clone();
+        result.outputs.push(twin);
+        let v = judge(&golden, &result, &events);
+        assert!(names(&v, "conservation: duplicate output"), "{v:?}");
+    }
+
+    #[test]
+    fn the_no_loss_oracle_reports_a_dropped_task() {
+        let (golden, mut result, events) = honest_run();
+        let hybrid = fixture::specs()[0].label.clone();
+        let at = result.outputs.iter().position(|o| o.0 == hybrid).unwrap();
+        result.outputs.remove(at);
+        result.dropped_tasks += 1;
+        let v = judge(&golden, &result, &events);
+        assert_eq!(v, ["no-loss: 1 tasks dropped"]);
+    }
+
+    #[test]
+    fn the_golden_output_oracle_reports_a_flipped_byte() {
+        let (mut golden, result, events) = honest_run();
+        golden[0].2[0] ^= 1;
+        let v = judge(&golden, &result, &events);
+        assert!(names(&v, "golden-output"), "{v:?}");
+    }
+
+    #[test]
+    fn the_replay_identity_oracle_reports_a_missing_journal_row() {
+        let (golden, result, mut events) = honest_run();
+        let at = events
+            .iter()
+            .position(|e| e.component == "driver" && e.name == "analysis.insitu")
+            .unwrap();
+        events.remove(at);
+        let v = judge(&golden, &result, &events);
+        assert!(names(&v, "replay-identity[insitu]"), "{v:?}");
+    }
+
+    #[test]
+    fn the_tenant_ledger_reports_an_unbalanced_row() {
+        let row = |name: &str, weight, tasks| TenantRow {
+            name: name.into(),
+            weight,
+            tasks_submitted: tasks,
+            tasks_assigned: tasks,
+            ..TenantRow::default()
+        };
+        let mut rows = vec![row(SIM_TENANT, 3, 4), row(RIVAL_TENANT, 1, 2)];
+        assert_eq!(tenant_violations(&rows, 4, 2), Vec::<String>::new());
+        rows[0].tasks_assigned = 3;
+        let v = tenant_violations(&rows, 4, 2);
+        assert!(names(&v, "tenant-conservation[sim]"), "{v:?}");
     }
 }
