@@ -11,6 +11,7 @@
 //! `tests/obs_report.rs` asserts exactly that).
 
 use serde::Serialize;
+use sitra_core::StepMetrics;
 use sitra_dataspaces::{TenantSchedStats, TenantSnapshot, DEFAULT_TENANT};
 use sitra_obs::ObsEvent;
 use std::path::Path;
@@ -50,28 +51,12 @@ pub struct StageRow {
     pub degraded: bool,
 }
 
-/// One timestep row rebuilt from the journal, mirroring
-/// `sitra_core::StepMetrics`.
-#[derive(Debug, Clone, Default, PartialEq, Serialize)]
-pub struct StepRow {
-    /// Step number.
-    pub step: u64,
-    /// Wall seconds of the simulation compute.
-    pub sim_secs: f64,
-    /// Wall seconds of the ghost exchange.
-    pub ghost_secs: f64,
-    /// Wall seconds blocked on synchronous analysis work.
-    pub blocked_secs: f64,
-    /// At least one hybrid analysis on this step fell back to in-situ
-    /// aggregation (`step.degraded` event).
-    pub degraded: bool,
-}
-
 /// Everything a journal replay reconstructs.
 #[derive(Debug, Clone, Default, Serialize)]
 pub struct Replay {
-    /// Per-step rows, in journal order.
-    pub steps: Vec<StepRow>,
+    /// Per-step rows, in journal order (`degraded` from the
+    /// `step.degraded` event).
+    pub steps: Vec<StepMetrics>,
     /// Per-(analysis, step) rows, in first-seen order.
     pub stages: Vec<StageRow>,
     /// Events that were not part of the driver/worker span families
@@ -169,13 +154,13 @@ pub fn replay(events: &[ObsEvent]) -> Replay {
 }
 
 /// The row for this step, created on first sight.
-fn step_row(steps: &mut Vec<StepRow>, step: u64) -> &mut StepRow {
+fn step_row(steps: &mut Vec<StepMetrics>, step: u64) -> &mut StepMetrics {
     if let Some(i) = steps.iter().position(|r| r.step == step) {
         return &mut steps[i];
     }
-    steps.push(StepRow {
+    steps.push(StepMetrics {
         step,
-        ..StepRow::default()
+        ..StepMetrics::default()
     });
     steps.last_mut().unwrap()
 }

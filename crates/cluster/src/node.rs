@@ -370,12 +370,6 @@ impl ClusterNode {
         &self.state.sched
     }
 
-    /// Has a client closed this member's scheduler? (`sitra-staged`
-    /// exits on this.)
-    pub fn closed(&self) -> bool {
-        self.state.sched.is_closed()
-    }
-
     fn stop_heartbeats(&mut self) {
         self.state.stop();
         if let Some(h) = self.hb.take() {

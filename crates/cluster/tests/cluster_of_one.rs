@@ -92,7 +92,7 @@ fn roundtrip(name: &str, tenant: Option<TenantSpec>) {
     assert!(client.get("T", 3, &bbox).unwrap().is_empty());
     assert_eq!(server.space().stats().resident_bytes, 0);
     client.close_sched();
-    assert!(server.closed());
+    assert!(server.scheduler().is_closed());
     assert_eq!(
         client.request_task(0, 9, Duration::from_secs(2)).unwrap(),
         TaskPoll::Closed

@@ -173,7 +173,7 @@ pub struct PipelineConfig {
     /// scheduling to the pre-elastic driver.
     pub bucket_autoscale: Option<sitra_dataspaces::AutoscaleConfig>,
     /// Serve steerable visualization on this endpoint: the driver runs
-    /// a [`sitra_dataspaces::SteerServer`] there and publishes every
+    /// a [`SteerServer`](crate::steer::SteerServer) there and publishes every
     /// collected [`AnalysisOutput::Image`] as a versioned frame, so
     /// subscribers can pull reduced frames and steer their downsample
     /// rate while the pipeline runs. Every [`StagingMode`] publishes,

@@ -7,19 +7,30 @@
 //! analyses) or to the backend selected by
 //! [`StagingMode`](crate::StagingMode) (for `Placement::Hybrid`).
 
+use super::retire::OutputObserver;
 use super::staging::{
     InSituBackend, LocalBackend, RemoteBackend, RetireCtx, StagedTask, StagingBackend,
 };
 use super::{ConfigError, PipelineConfig, PipelineResult, StagingMode};
-use crate::analysis::InSituCtx;
+use crate::analysis::{AnalysisOutput, InSituCtx};
 use crate::metrics::{PipelineMetrics, StepMetrics};
 use crate::placement::Placement;
+use crate::steer::SteerServer;
 use bytes::Bytes;
 use rayon::prelude::*;
 use sitra_dart::Fabric;
 use sitra_mesh::{exchange_ghosts, Decomposition, ScalarField};
 use sitra_sim::Simulation;
+use std::sync::Arc;
 use std::time::Instant;
+
+/// The error for an endpoint `reason` keeps the driver from using.
+fn invalid_endpoint(endpoint: &str, reason: impl std::fmt::Display) -> ConfigError {
+    ConfigError::InvalidEndpoint {
+        endpoint: endpoint.to_string(),
+        reason: reason.to_string(),
+    }
+}
 
 /// Run the hybrid pipeline live. See [`super`] module docs for the
 /// flow. Returns [`ConfigError`] for a configuration that cannot run
@@ -52,10 +63,7 @@ pub fn run_pipeline(
     for endpoint in &staging_endpoints {
         endpoint
             .parse::<sitra_net::Addr>()
-            .map_err(|e| ConfigError::InvalidEndpoint {
-                endpoint: endpoint.clone(),
-                reason: e.to_string(),
-            })?;
+            .map_err(|e| invalid_endpoint(endpoint, e))?;
     }
 
     // Steerable visualization: bind the steering endpoint before any
@@ -63,40 +71,24 @@ pub fn run_pipeline(
     // retirement seam so subscribers see frames as they retire.
     let steer = match &cfg.steering {
         Some(endpoint) => {
-            let addr =
-                endpoint
-                    .parse::<sitra_net::Addr>()
-                    .map_err(|e| ConfigError::InvalidEndpoint {
-                        endpoint: endpoint.clone(),
-                        reason: e.to_string(),
-                    })?;
-            Some(sitra_dataspaces::SteerServer::start(&addr).map_err(|e| {
-                ConfigError::InvalidEndpoint {
-                    endpoint: endpoint.clone(),
-                    reason: e.to_string(),
-                }
-            })?)
+            let addr = endpoint
+                .parse()
+                .map_err(|e| invalid_endpoint(endpoint, e))?;
+            Some(SteerServer::start(&addr).map_err(|e| invalid_endpoint(endpoint, e))?)
         }
         None => None,
     };
+    let observer = steer.as_ref().map(|server| {
+        let publisher = server.publisher();
+        Arc::new(move |_label: &str, _step, output: &AnalysisOutput| {
+            if let AnalysisOutput::Image(img) = output {
+                publisher.publish(img);
+            }
+        }) as OutputObserver
+    });
 
     let fabric = Fabric::new(cfg.network);
-    let ctx = match &steer {
-        Some(server) => {
-            let publisher = server.publisher();
-            RetireCtx::with_observer(
-                cfg.analyses.clone(),
-                Some(std::sync::Arc::new(
-                    move |_label: &str, _step, output: &_| {
-                        if let crate::analysis::AnalysisOutput::Image(img) = output {
-                            publisher.publish(img);
-                        }
-                    },
-                )),
-            )
-        }
-        None => RetireCtx::new(cfg.analyses.clone()),
-    };
+    let ctx = RetireCtx::new(cfg.analyses.clone(), observer);
 
     // `Placement::InSitu` analyses always aggregate synchronously;
     // hybrid analyses go to the configured staging backend.

@@ -107,14 +107,7 @@ struct Shared {
 }
 
 impl RetireCtx {
-    pub(crate) fn new(analyses: Vec<AnalysisSpec>) -> Self {
-        Self::with_observer(analyses, None)
-    }
-
-    pub(crate) fn with_observer(
-        analyses: Vec<AnalysisSpec>,
-        observer: Option<OutputObserver>,
-    ) -> Self {
+    pub(crate) fn new(analyses: Vec<AnalysisSpec>, observer: Option<OutputObserver>) -> Self {
         RetireCtx {
             inner: Arc::new(Shared {
                 analyses,

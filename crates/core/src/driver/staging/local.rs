@@ -328,11 +328,14 @@ mod tests {
     #[test]
     fn producer_endpoints_hold_at_most_one_window_of_events() {
         const DEPTH: u64 = 4;
-        let ctx = RetireCtx::new(vec![AnalysisSpec::new(
-            Arc::new(HybridStats::default()),
-            Placement::Hybrid,
-            1,
-        )]);
+        let ctx = RetireCtx::new(
+            vec![AnalysisSpec::new(
+                Arc::new(HybridStats::default()),
+                Placement::Hybrid,
+                1,
+            )],
+            None,
+        );
         let fabric = Fabric::new(NetworkModel::gemini());
         let mut backend = LocalBackend::new(ctx.clone(), &fabric, RANKS, 2, DEPTH, None);
         // Retiring each step before the next one is submitted completes
@@ -364,11 +367,14 @@ mod tests {
         // still exported after a submit is the step it just exported;
         // the ring alone would keep min(step, depth).
         const DEPTH: u64 = 16;
-        let ctx = RetireCtx::new(vec![AnalysisSpec::new(
-            Arc::new(HybridStats::default()),
-            Placement::Hybrid,
-            1,
-        )]);
+        let ctx = RetireCtx::new(
+            vec![AnalysisSpec::new(
+                Arc::new(HybridStats::default()),
+                Placement::Hybrid,
+                1,
+            )],
+            None,
+        );
         let fabric = Fabric::new(NetworkModel::gemini());
         let mut backend = LocalBackend::new(ctx.clone(), &fabric, RANKS, 2, DEPTH, None);
         for step in 1..=40 {
@@ -391,11 +397,14 @@ mod tests {
         // Interval 3 against depth 4: `step - depth` is never a due
         // step, so only a ring of the analysis's own exports bounds it.
         const DEPTH: u64 = 4;
-        let ctx = RetireCtx::new(vec![AnalysisSpec::new(
-            Arc::new(HybridStats::default()),
-            Placement::Hybrid,
-            3,
-        )]);
+        let ctx = RetireCtx::new(
+            vec![AnalysisSpec::new(
+                Arc::new(HybridStats::default()),
+                Placement::Hybrid,
+                3,
+            )],
+            None,
+        );
         let fabric = Fabric::new(NetworkModel::gemini());
         let mut backend = LocalBackend::new(ctx.clone(), &fabric, RANKS, 2, DEPTH, None);
         let steps: Vec<u64> = (1..=100).map(|k| 3 * k).collect();

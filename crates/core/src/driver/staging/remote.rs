@@ -531,11 +531,14 @@ mod tests {
             None,
         )
         .unwrap();
-        let ctx = RetireCtx::new(vec![AnalysisSpec::new(
-            Arc::new(HybridStats::default()),
-            Placement::Hybrid,
-            1,
-        )]);
+        let ctx = RetireCtx::new(
+            vec![AnalysisSpec::new(
+                Arc::new(HybridStats::default()),
+                Placement::Hybrid,
+                1,
+            )],
+            None,
+        );
         let hooked = Arc::new(AtomicUsize::new(0));
         let hook: StagingOutputHook = {
             let hooked = Arc::clone(&hooked);
@@ -742,11 +745,14 @@ mod tests {
             .map(|_| SpaceServer::start(&"tcp://127.0.0.1:0".parse().unwrap(), 1).unwrap())
             .collect();
         let endpoints: Vec<String> = servers.iter().map(|s| s.addr().to_string()).collect();
-        let ctx = RetireCtx::new(vec![AnalysisSpec::new(
-            Arc::new(HybridStats::default()),
-            Placement::Hybrid,
-            1,
-        )]);
+        let ctx = RetireCtx::new(
+            vec![AnalysisSpec::new(
+                Arc::new(HybridStats::default()),
+                Placement::Hybrid,
+                1,
+            )],
+            None,
+        );
         let label = ctx.analyses()[0].label.clone();
         let var = intermediate_var(&label);
         let ring = sitra_cluster::HashRing::new(

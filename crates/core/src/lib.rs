@@ -16,6 +16,8 @@
 //! * [`wire`] — compact binary codecs for the intermediates (what
 //!   actually crosses the transport, so data-movement accounting is
 //!   honest).
+//! * [`steer`] — the driver's steering endpoint: live viewers pull each
+//!   image output and steer the rate it is downsampled at.
 //! * [`driver`] — the live pipeline: a simulation proxy stepping on the
 //!   primary ranks, in-situ stages run data-parallel per rank, and every
 //!   due analysis handed to a pluggable
@@ -29,6 +31,7 @@ pub mod driver;
 pub mod metrics;
 pub mod placement;
 pub mod remote;
+pub mod steer;
 pub mod wire;
 
 pub use analysis::{

@@ -6,9 +6,9 @@
 //! real transfer sizes, directly comparable to the paper's Table II
 //! "data movement size" column.
 //!
-//! The layouts here are the analysis-specific ones; the cursor, the
-//! error and the layouts other formats share (strings, bboxes, images,
-//! bounded element counts) are `sitra_dataspaces::codec`'s, so every
+//! The layouts here are the analysis ones (the image serves steering
+//! frames too); the cursor, the error and the shared layouts (strings,
+//! bboxes, bounded counts) are `sitra_dataspaces::codec`'s, so every
 //! decoder in the workspace reads through one [`Rd`]. Decoders are
 //! total: any byte sequence — truncated, corrupted, or adversarial,
 //! zero-dimension images included — yields a [`WireError`] rather than a
@@ -18,7 +18,7 @@
 
 use crate::analysis::AnalysisOutput;
 use bytes::{BufMut, Bytes, BytesMut};
-use sitra_dataspaces::codec::{put_bbox, put_image, put_str, Rd};
+use sitra_dataspaces::codec::{put_bbox, put_str, Rd};
 use sitra_flowmap::{FlowRecord, Termination};
 use sitra_mesh::SampledBlock;
 use sitra_stats::{CoMoments, Derived, Moments, MultiModel};
@@ -314,6 +314,39 @@ pub fn decode_feature_stats(b: Bytes) -> Result<(DecodedSubtree, Vec<(u64, Momen
     Ok((sub, feats))
 }
 
+/// An image: `u64` width, `u64` height, then every pixel row-major as
+/// four little-endian `f64` (premultiplied RGBA), to the end of the
+/// frame.
+pub fn put_image(buf: &mut BytesMut, img: &sitra_viz::Image) {
+    buf.put_u64_le(img.width() as u64);
+    buf.put_u64_le(img.height() as u64);
+    for p in img.pixels() {
+        for c in p {
+            buf.put_f64_le(*c);
+        }
+    }
+}
+
+/// An image as [`put_image`] writes it, filling the rest of the frame.
+/// A zero width or height is malformed.
+pub fn read_image(rd: &mut Rd) -> Result<sitra_viz::Image, WireError> {
+    let w = rd.u64("width")? as usize;
+    let h = rd.u64("height")? as usize;
+    let pixels = w
+        .checked_mul(h)
+        .filter(|&p| p > 0)
+        .ok_or(WireError::Malformed { field: "dims" })?;
+    // Validate the full pixel payload before allocating the image.
+    if pixels.checked_mul(32) != Some(rd.remaining()) {
+        return Err(WireError::Truncated { field: "pixels" });
+    }
+    let mut img = sitra_viz::Image::new(w, h);
+    for c in img.pixels_mut().iter_mut().flatten() {
+        *c = rd.f64("pixel")?;
+    }
+    Ok(img)
+}
+
 /// Encode a partial (premultiplied RGBA) image with its block's position
 /// along the compositing axis (fully in-situ visualization intermediate).
 pub fn encode_partial_image(order_key: i64, img: &sitra_viz::Image) -> Bytes {
@@ -327,7 +360,7 @@ pub fn encode_partial_image(order_key: i64, img: &sitra_viz::Image) -> Bytes {
 pub fn decode_partial_image(b: Bytes) -> Result<(i64, sitra_viz::Image), WireError> {
     let mut rd = Rd::new(b);
     let key = rd.i64("order_key")?;
-    let img = rd.image()?;
+    let img = read_image(&mut rd)?;
     rd.finish()?;
     Ok((key, img))
 }
@@ -462,7 +495,7 @@ pub fn encode_analysis_output(out: &AnalysisOutput) -> Bytes {
 pub fn decode_analysis_output(b: Bytes) -> Result<AnalysisOutput, WireError> {
     let mut rd = Rd::new(b);
     let out = match rd.u8("output.tag")? {
-        OUT_IMAGE => AnalysisOutput::Image(rd.image()?),
+        OUT_IMAGE => AnalysisOutput::Image(read_image(&mut rd)?),
         OUT_TREE => {
             let nnodes = rd.count_u64(16, "nodes.len")?;
             let mut nodes = Vec::with_capacity(nnodes);

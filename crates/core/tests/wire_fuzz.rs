@@ -7,12 +7,12 @@ use bytes::Bytes;
 use proptest::prelude::*;
 use sitra_cluster::{decode_msg, encode_msg, ClusterMsg, ClusterView, MemberInfo};
 use sitra_core::analysis::AnalysisOutput;
-use sitra_core::wire;
-use sitra_dataspaces::remote::{decode_request, decode_response, encode_request, Request};
-use sitra_dataspaces::{
+use sitra_core::steer::{
     decode_steer_msg, decode_steer_reply, encode_steer_msg, encode_steer_reply, SteerMsg,
     SteerReply,
 };
+use sitra_core::wire;
+use sitra_dataspaces::remote::{decode_request, decode_response, encode_request, Request};
 use sitra_flowmap::{FlowRecord, Termination};
 use sitra_mesh::{downsample, BBox3, ScalarField};
 use sitra_stats::{CoMoments, Derived, Moments, MultiModel};

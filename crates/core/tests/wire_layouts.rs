@@ -13,9 +13,9 @@ use bytes::{BufMut, Bytes, BytesMut};
 use sitra_cluster::{encode_msg, ClusterMsg, ClusterView, MemberInfo};
 use sitra_core::analysis::AnalysisOutput;
 use sitra_core::remote::{encode_task, RemoteTask};
+use sitra_core::steer::{decode_steer_reply, encode_steer_reply, SteerReply};
 use sitra_core::wire;
 use sitra_dataspaces::remote::{encode_request, encode_response, Request, Response, TenantRow};
-use sitra_dataspaces::{decode_steer_reply, encode_steer_reply, SteerReply};
 use sitra_flowmap::{FlowRecord, Termination};
 use sitra_mesh::{downsample, BBox3, ScalarField};
 use sitra_stats::{CoMoments, Moments, MultiModel};

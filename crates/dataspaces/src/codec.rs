@@ -1,11 +1,11 @@
 //! The workspace's one wire codec: the bounds-checked read cursor
 //! ([`Rd`]), its field-tagged error ([`WireError`]), and the byte
 //! layouts more than one format shares — a length-prefixed byte string
-//! and UTF-8 string, a bbox, an image, and a bounded element count.
-//! Every decoder in `sitra-dataspaces` (staging RPC, steering),
-//! `sitra-cluster` (membership) and `sitra-core` (analysis
-//! intermediates, outputs, task descriptors) reads through [`Rd`], so a
-//! layout decision is made here once. Also: field serialization for the
+//! and UTF-8 string, a bbox, and a bounded element count. Every decoder
+//! in `sitra-dataspaces` (staging RPC), `sitra-cluster` (membership)
+//! and `sitra-core` (analysis intermediates, outputs, task descriptors,
+//! steering) reads through [`Rd`], so a layout decision is made here
+//! once. Also: field serialization for the
 //! space, and [`assemble`], the one routine that turns the pieces of a
 //! spatial query into a field.
 //!
@@ -23,7 +23,6 @@
 use bytes::{BufMut, Bytes, BytesMut};
 use sitra_mesh::{BBox3, ScalarField};
 use sitra_net::Frame;
-use sitra_viz::Image;
 use std::ops::{Deref, DerefMut};
 
 /// Decoding failure: the buffer does not hold a valid value.
@@ -75,8 +74,9 @@ impl Rd {
         Rd { buf, pos: 0 }
     }
 
+    /// Bytes left to read.
     #[inline]
-    fn remaining(&self) -> usize {
+    pub fn remaining(&self) -> usize {
         self.buf.len() - self.pos
     }
 
@@ -190,28 +190,6 @@ impl Rd {
         Ok(BBox3::new(lo, hi))
     }
 
-    /// An image as [`put_image`] writes it, filling the rest of the
-    /// frame. A zero width or height is malformed.
-    pub fn image(&mut self) -> Result<Image, WireError> {
-        let w = self.u64("width")? as usize;
-        let h = self.u64("height")? as usize;
-        let pixels = w
-            .checked_mul(h)
-            .filter(|&p| p > 0)
-            .ok_or(WireError::Malformed { field: "dims" })?;
-        // Validate the full pixel payload before allocating the image.
-        if pixels.checked_mul(32) != Some(self.remaining()) {
-            return Err(WireError::Truncated { field: "pixels" });
-        }
-        let mut img = Image::new(w, h);
-        for p in img.pixels_mut() {
-            for c in p.iter_mut() {
-                *c = self.f64("pixel")?;
-            }
-        }
-        Ok(img)
-    }
-
     /// Succeeds only when the whole frame was consumed.
     pub fn finish(self) -> Result<(), WireError> {
         match self.remaining() {
@@ -236,19 +214,6 @@ pub fn put_str(buf: &mut BytesMut, s: &str) {
 pub fn put_bbox(buf: &mut BytesMut, b: &BBox3) {
     for v in b.lo.iter().chain(b.hi.iter()) {
         buf.put_u64_le(*v as u64);
-    }
-}
-
-/// An image: `u64` width, `u64` height, then every pixel row-major as
-/// four little-endian `f64` (premultiplied RGBA), to the end of the
-/// frame.
-pub fn put_image(buf: &mut BytesMut, img: &Image) {
-    buf.put_u64_le(img.width() as u64);
-    buf.put_u64_le(img.height() as u64);
-    for p in img.pixels() {
-        for c in p {
-            buf.put_f64_le(*c);
-        }
     }
 }
 

@@ -28,7 +28,6 @@ pub mod pool;
 pub mod remote;
 pub mod sched;
 pub mod space;
-pub mod steer;
 pub mod tenant;
 
 pub use codec::field_to_bytes;
@@ -42,9 +41,4 @@ pub use sched::{
     TenantSchedStats, TenantSnapshot,
 };
 pub use space::{DataSpaces, ObjectMeta, QuotaExceeded, SpaceStats};
-pub use steer::{
-    decode_steer_msg, decode_steer_reply, encode_steer_msg, encode_steer_reply, reduce_image,
-    replay_steer, SteerAccounting, SteerClient, SteerFrame, SteerMsg, SteerPublisher, SteerReply,
-    SteerServer,
-};
 pub use tenant::{scoped_var, tenant_of_var, TenantSpec, DEFAULT_TENANT};

@@ -97,11 +97,6 @@ impl SpaceServer {
         self.inner.sched.stats()
     }
 
-    /// Has a client closed the scheduler? (`sitra-staged` exits on this.)
-    pub fn closed(&self) -> bool {
-        self.inner.sched.is_closed()
-    }
-
     /// Close the scheduler and stop accepting connections.
     pub fn shutdown(mut self) {
         self.inner.sched.close();

@@ -503,7 +503,7 @@ impl<T> Inner<T> {
 struct Shared<T> {
     mu: Mutex<Inner<T>>,
     // Signalled whenever queue space frees up (a task popped) or the
-    // scheduler closes, so Block-policy submitters can wake.
+    // scheduler closes: Block-policy submitters and `wait_closed` wake.
     freed: Condvar,
 }
 
@@ -745,6 +745,14 @@ impl<T: Send + 'static> Scheduler<T> {
     /// Whether [`Self::close`] was called.
     pub fn is_closed(&self) -> bool {
         self.shared.mu.lock().closed
+    }
+
+    /// Block until [`Self::close`] is called.
+    pub fn wait_closed(&self) {
+        let mut g = self.shared.mu.lock();
+        while !g.closed {
+            self.shared.freed.wait(&mut g);
+        }
     }
 
     /// Put a task back at the *head* of `tenant`'s queue, keeping its
@@ -1452,6 +1460,30 @@ mod tests {
         s.close();
         assert_eq!(h.join().unwrap(), Admission::Closed);
         assert!(t0.elapsed() < Duration::from_secs(5));
+    }
+
+    #[test]
+    fn wait_closed_returns_on_close_not_on_assignments() {
+        let s: Scheduler<u32> = Scheduler::new();
+        let (tx, rx) = std::sync::mpsc::channel();
+        let waiter = {
+            let s = s.clone();
+            std::thread::spawn(move || {
+                s.wait_closed();
+                tx.send(()).unwrap();
+            })
+        };
+        // An assignment notifies the same condvar; the waiter keeps
+        // waiting through it.
+        let b = s.register_bucket(0);
+        s.submit(1);
+        assert_eq!(b.request_task(), Some((0, 1)));
+        assert!(rx.recv_timeout(Duration::from_millis(50)).is_err());
+        s.close();
+        rx.recv_timeout(Duration::from_secs(5))
+            .expect("wait_closed returns on close");
+        waiter.join().unwrap();
+        s.wait_closed(); // Already closed: returns at once.
     }
 
     #[test]

@@ -197,11 +197,6 @@ impl DataSpaces {
         out
     }
 
-    /// Number of server shards.
-    pub fn server_count(&self) -> usize {
-        self.servers.len()
-    }
-
     /// The shard responsible for an object: hash of name, version, and
     /// the region's lower corner (so different blocks of the same
     /// timestep spread over servers).

@@ -8,8 +8,8 @@
 //! Test harnesses (`sitra-testkit`) install a seeded [`FaultInjector`]
 //! to subject the whole staging stack — driver, space server, bucket
 //! workers — to drops, delays, duplicates, reorders, link cuts, and
-//! partitions, deterministically from a seed. Outside tests the one
-//! installer is `sitra-staged --fault-plan`.
+//! partitions, deterministically from a seed. Only test code installs
+//! one: no product binary has a fault knob.
 //!
 //! Semantics are those of a *reliable, connection-oriented* transport
 //! under an adversarial network, chosen so every action preserves

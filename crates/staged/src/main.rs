@@ -36,29 +36,28 @@
 //! does this when its run finishes) or it receives SIGINT.
 //!
 //! Observability: `--metrics-listen host:port` exposes the live
-//! [`sitra_obs`] registry (net/scheduler/space metrics) as a
-//! Prometheus-style text snapshot over HTTP, and `--journal PATH`
-//! appends every span event as one JSON line (replayable with
-//! `obs_report`).
+//! [`sitra_obs`] registry (the `net.*`, `sched.tasks.*` and `space.*`
+//! series) as a Prometheus-style text snapshot over HTTP, and
+//! `--journal PATH` appends every span event as one JSON line
+//! (replayable with `obs_report`).
 //!
-//! A member serves no visualization frames: the pipeline driver
-//! publishes every image output on its own viewer endpoint under every
-//! staging mode, so a viewer dials the driver, never a member.
+//! The service links only the staging layers (`sitra-cluster`,
+//! `sitra-dataspaces`, `sitra-net`, `sitra-obs`): it knows no analysis
+//! and has no fault knob. A member serves no visualization frames — the
+//! pipeline driver publishes every image output on its own viewer
+//! endpoint — and faults are injected by the testkit's in-process
+//! scenario runner, never through this binary.
 
 use sitra_cluster::{Bootstrap, ClusterNode, ClusterNodeOpts};
 use sitra_dataspaces::{AdmissionPolicy, AutoscaleConfig, TenantSpec};
 use sitra_net::Addr;
-use sitra_testkit::{CrashPlan, FaultPlan, PlanInjector};
 use std::net::SocketAddr;
 use std::path::PathBuf;
-use std::sync::Arc;
 use std::time::Duration;
 
 struct Opts {
     listen: Addr,
     servers: usize,
-    /// Print space/scheduler counters every this many seconds (0 = off).
-    stats_every: u64,
     /// Serve a metrics snapshot over HTTP at this address.
     metrics_listen: Option<SocketAddr>,
     /// Append span events as JSONL to this path.
@@ -67,9 +66,6 @@ struct Opts {
     queue_capacity: Option<usize>,
     /// What to do with a submission arriving at a full queue.
     admission: AdmissionPolicy,
-    /// Deterministic fault injection for chaos testing (see
-    /// `sitra-testkit`).
-    fault_plan: Option<FaultPlan>,
     /// How this member finds its cluster: `--cluster-seed` (the full
     /// member list, which must include `--listen`) or `--cluster-join`
     /// (any live member). `None` founds a cluster of one.
@@ -85,17 +81,15 @@ struct Opts {
 
 fn usage(program: &str, code: i32) -> ! {
     eprintln!(
-        "usage: {program} [--listen ADDR] [--servers N] [--stats-every SECS]\n\
+        "usage: {program} [--listen ADDR] [--servers N]\n\
          \x20                  [--metrics-listen HOST:PORT] [--journal PATH]\n\
          \x20                  [--queue-capacity N] [--admission POLICY] [--admission-wait-ms T]\n\
          \x20                  [--tenant SPEC]... [--cluster-seed LIST | --cluster-join ADDR]\n\
          \x20                  [--buckets-min N --buckets-max N] [--bucket-slo-ms T]\n\
-         \x20                  [--fault-plan SPEC]\n\
          \n\
          --listen ADDR         tcp://host:port or inproc://name\n\
          \x20                      (default tcp://127.0.0.1:7788)\n\
          --servers N           in-process space shards of this member (default 4)\n\
-         --stats-every SECS    periodically print counters (default 0 = quiet)\n\
          --metrics-listen A    serve a Prometheus-style metrics snapshot over HTTP\n\
          --journal PATH        append span events as JSON lines to PATH\n\
          --queue-capacity N    bound the task queue at N entries (default unbounded)\n\
@@ -120,10 +114,7 @@ fn usage(program: &str, code: i32) -> ! {
          \x20                      publishes the desired count via pool stats for the worker\n\
          \x20                      fleet to grow toward\n\
          --bucket-slo-ms T     p99 queue-wait SLO driving the autoscaler (default 100);\n\
-         \x20                      the controller re-evaluates the pool every T/4\n\
-         --fault-plan SPEC     inject deterministic faults on every server-side frame\n\
-         \x20                      (chaos testing; SPEC as printed by the sitra-testkit\n\
-         \x20                      chaos binary, e.g. seed=0x2a,drop=8,crash=at:400)"
+         \x20                      the controller re-evaluates the pool every T/4"
     );
     std::process::exit(code);
 }
@@ -132,12 +123,10 @@ fn parse_opts() -> Opts {
     let mut opts = Opts {
         listen: "tcp://127.0.0.1:7788".parse().expect("default addr"),
         servers: 4,
-        stats_every: 0,
         metrics_listen: None,
         journal: None,
         queue_capacity: None,
         admission: AdmissionPolicy::RejectNew,
-        fault_plan: None,
         cluster: None,
         tenants: Vec::new(),
         buckets: None,
@@ -168,13 +157,6 @@ fn parse_opts() -> Opts {
                 Ok(n) if n > 0 => opts.servers = n,
                 _ => {
                     eprintln!("{program}: --servers must be a positive integer");
-                    usage(program, 2);
-                }
-            },
-            "--stats-every" => match value("--stats-every").parse() {
-                Ok(n) => opts.stats_every = n,
-                Err(_) => {
-                    eprintln!("{program}: --stats-every must be an integer");
                     usage(program, 2);
                 }
             },
@@ -292,13 +274,6 @@ fn parse_opts() -> Opts {
                     usage(program, 2);
                 }
             },
-            "--fault-plan" => match FaultPlan::parse(&value("--fault-plan")) {
-                Ok(p) => opts.fault_plan = Some(p),
-                Err(e) => {
-                    eprintln!("{program}: bad --fault-plan: {e}");
-                    usage(program, 2);
-                }
-            },
             "--help" | "-h" => usage(program, 0),
             other => {
                 eprintln!("{program}: unknown flag {other}");
@@ -323,33 +298,6 @@ fn parse_opts() -> Opts {
 
 fn main() {
     let opts = parse_opts();
-    if let Some(plan) = opts.fault_plan.clone() {
-        println!("sitra-staged: FAULT INJECTION ACTIVE: {plan}");
-        let inj = Arc::new(PlanInjector::new(plan.clone()));
-        sitra_net::install_fault_injector(Some(inj.clone()));
-        match plan.crash {
-            Some(CrashPlan::AtTick { tick }) => {
-                // Crash watchdog on the virtual clock: exit abruptly
-                // (no scheduler close, no drain) once `tick` frames
-                // have crossed the service, so clients exercise their
-                // reconnect paths exactly as against a real crash.
-                std::thread::spawn(move || loop {
-                    if inj.tick() >= tick {
-                        eprintln!("sitra-staged: fault-plan crash at tick {tick}");
-                        std::process::exit(42);
-                    }
-                    std::thread::sleep(Duration::from_millis(5));
-                });
-            }
-            Some(CrashPlan::AfterOutputs { .. }) => {
-                eprintln!(
-                    "sitra-staged: crash=after:N counts driver-side outputs and only \
-                     applies to the in-process harness; use crash=at:TICK here — ignoring"
-                );
-            }
-            None => {}
-        }
-    }
     let journal = opts.journal.as_ref().map(|path| {
         sitra_obs::set_journal_path(path).unwrap_or_else(|e| {
             eprintln!("sitra-staged: cannot open journal {}: {e}", path.display());
@@ -420,28 +368,9 @@ fn main() {
         controller
     });
 
-    // Run until the driver closes the scheduler, then give in-flight
-    // connections a moment to drain before exiting.
-    loop {
-        let stats = node.sched_stats();
-        if opts.stats_every > 0 {
-            let space = node.space().stats();
-            println!(
-                "sitra-staged: submitted={} assigned={} requeued={} shed={} rejected={} objects={} bytes={}",
-                stats.tasks_submitted,
-                stats.tasks_assigned,
-                stats.tasks_requeued,
-                stats.tasks_shed,
-                stats.tasks_rejected,
-                space.objects_per_server.iter().sum::<u64>(),
-                space.resident_bytes,
-            );
-        }
-        if node.closed() {
-            break;
-        }
-        std::thread::sleep(Duration::from_secs(opts.stats_every.clamp(1, 10)));
-    }
+    // Run until a client closes the scheduler, then give the replies
+    // to the closing client a moment to leave before exiting.
+    node.scheduler().wait_closed();
     std::thread::sleep(Duration::from_millis(200));
     let stats = node.sched_stats();
     println!(

@@ -118,11 +118,16 @@ fn autoscaled_instance_announces_its_controller_and_exits_on_close() {
 #[test]
 fn removed_flags_are_usage_errors() {
     // `--placement` went when placement became one rule; the steering
-    // flags went when the driver became the only frame publisher.
+    // flags went when the driver became the only frame publisher;
+    // `--fault-plan` went when fault injection moved wholly into the
+    // test kit, and `--stats-every` because `--metrics-listen` serves
+    // the same counters.
     for args in [
         &["--placement", "locality"][..],
         &["--steer-listen", "tcp://127.0.0.1:0"],
         &["--steer-source", "x"],
+        &["--fault-plan", "seed=42,drop=8"],
+        &["--stats-every", "1"],
     ] {
         let out = Command::new(env!("CARGO_BIN_EXE_sitra-staged"))
             .args(["--listen", "tcp://127.0.0.1:0"])

@@ -11,7 +11,8 @@
 //!   Every per-frame decision is a pure function of
 //!   `(plan, connection, frame index)`; the plan round-trips through a
 //!   compact spec string (`seed=0x2a,drop=8,…`) that shrink reports
-//!   print and `--fault-plan`/`--plan` flags accept.
+//!   print and the chaos binary's `--plan` accepts. Plans run only
+//!   in-process, through [`scenario`]: no product binary takes one.
 //! * [`PlanInjector`] — executes a plan through the
 //!   [`sitra_net::FaultInjector`] seam, on a virtual clock of observed
 //!   frames, recording the schedule it actually ran.

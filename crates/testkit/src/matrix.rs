@@ -28,10 +28,11 @@ use crate::fixture;
 use crate::plan::FaultPlan;
 use crate::scenario::{self, Backend};
 use sitra_cluster::ClusterNodeOpts;
+use sitra_core::steer::{SteerClient, SteerFrame};
 use sitra_core::{
     AnalysisSpec, HybridViz, LagrangianFlowMap, PipelineConfig, PipelineResult, Placement,
 };
-use sitra_dataspaces::{AdmissionPolicy, SteerClient, SteerFrame};
+use sitra_dataspaces::AdmissionPolicy;
 use sitra_flowmap::FlowRecord;
 use sitra_mesh::BBox3;
 use sitra_net::{Addr, Backoff};
@@ -396,7 +397,7 @@ pub(crate) fn steer_violations(obs: &SteerObservation, events: &[ObsEvent]) -> V
             ));
         }
     }
-    let replayed = sitra_dataspaces::replay_steer(events);
+    let replayed = sitra_core::steer::replay_steer(events);
     let account = replayed.get(STEER_SUBSCRIBER);
     let journal_frames = account.map_or(0, |a| a.frames_sent);
     if journal_frames < obs.frames.len() as u64 {

@@ -49,13 +49,6 @@ pub enum CrashPlan {
         /// Start a replacement server on the same address.
         restart: bool,
     },
-    /// Kill the process once the virtual clock reaches this tick
-    /// (used by `sitra-staged --fault-plan`; the scenario runner has no
-    /// process to kill and ignores it).
-    AtTick {
-        /// Virtual-clock tick of the kill.
-        tick: u64,
-    },
 }
 
 /// Whole-instance loss: the staging member at `member` (an index into
@@ -235,10 +228,10 @@ impl FaultPlan {
     /// `seed=42,drop=8,dup=5,delay=10,delaymax=12,reorder=6,cut=3,part=10..40,crash=after:2:restart,iloss=1:120,scale=-1:80`
     ///
     /// Every field is optional except `seed`; `crash` is
-    /// `after:N[:restart]` or `at:TICK`; `iloss` is `MEMBER:TICK`;
-    /// `scale` is `DELTA:TICK` with a signed, non-zero `DELTA`. This
-    /// is what `sitra-staged --fault-plan` and the chaos binary's
-    /// `--plan` accept, so a shrink report pastes straight back in.
+    /// `after:N[:restart]`; `iloss` is `MEMBER:TICK`; `scale` is
+    /// `DELTA:TICK` with a signed, non-zero `DELTA`. This is what the
+    /// chaos binary's `--plan` accepts, so a shrink report pastes
+    /// straight back in.
     pub fn parse(spec: &str) -> Result<FaultPlan, String> {
         let mut seed = None;
         let mut plan = FaultPlan::fault_free(0);
@@ -287,14 +280,6 @@ impl FaultPlan {
                                 Some(other) => return Err(format!("unknown crash flag `{other}`")),
                             };
                             plan.crash = Some(CrashPlan::AfterOutputs { outputs, restart });
-                        }
-                        Some("at") => {
-                            let tick = uint(
-                                parts
-                                    .next()
-                                    .ok_or_else(|| "crash=at needs :TICK".to_string())?,
-                            )?;
-                            plan.crash = Some(CrashPlan::AtTick { tick });
                         }
                         _ => return Err(format!("unknown crash spec `{value}`")),
                     }
@@ -356,7 +341,6 @@ impl fmt::Display for FaultPlan {
                     write!(f, ":restart")?;
                 }
             }
-            Some(CrashPlan::AtTick { tick }) => write!(f, ",crash=at:{tick}")?,
             None => {}
         }
         if let Some(loss) = self.instance_loss {
@@ -381,7 +365,6 @@ pub fn arb_fault_plan() -> BoxedStrategy<FaultPlan> {
         Just(None),
         (1usize..4, any::<bool>())
             .prop_map(|(outputs, restart)| Some(CrashPlan::AfterOutputs { outputs, restart })),
-        (0u64..500).prop_map(|tick| Some(CrashPlan::AtTick { tick })),
     ]
     .boxed();
     let instance_loss = prop_oneof![
@@ -475,12 +458,7 @@ mod tests {
         };
         let spec = plan.to_string();
         assert_eq!(FaultPlan::parse(&spec).unwrap(), plan);
-        // The other crash form, and the minimal form.
-        let at = FaultPlan {
-            crash: Some(CrashPlan::AtTick { tick: 77 }),
-            ..plan.clone()
-        };
-        assert_eq!(FaultPlan::parse(&at.to_string()).unwrap(), at);
+        // The minimal form.
         let bare = FaultPlan::fault_free(7);
         assert_eq!(FaultPlan::parse(&bare.to_string()).unwrap(), bare);
     }
@@ -491,6 +469,7 @@ mod tests {
         assert!(FaultPlan::parse("seed=1,wat=2").is_err());
         assert!(FaultPlan::parse("seed=1,part=5").is_err());
         assert!(FaultPlan::parse("seed=1,crash=never").is_err());
+        assert!(FaultPlan::parse("seed=1,crash=at:400").is_err());
         assert!(FaultPlan::parse("seed=1,iloss=2").is_err());
         assert!(FaultPlan::parse("seed=1,scale=2").is_err());
         assert!(FaultPlan::parse("seed=1,scale=0:50").is_err());

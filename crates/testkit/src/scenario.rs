@@ -455,8 +455,8 @@ pub(crate) fn run(
 
     let result = run_pipeline(&mut fixture::sim(seed), &cfg).expect("scenario config");
 
-    // Join the subscriber while the sink is still installed: the steer
-    // server may journal a frame after the pipeline returns.
+    // The steering accounting was complete when the pipeline returned
+    // (its server's shutdown waits out every request it serves).
     steer_stop.store(true, Ordering::SeqCst);
     let steer = subscriber.map(|h| h.join().expect("join steering subscriber"));
 
